@@ -9,6 +9,7 @@ use metalora::pipeline::{adapt, pretrain};
 use metalora::report::render_table;
 use metalora_data::knn::{Distance, KnnClassifier};
 use metalora_tensor::conv::{conv2d, ConvSpec};
+use metalora_tensor::ops::{GemmDesc, KernelPath};
 use metalora_tensor::{init, ops, par, workspace, Bf16Buf, Tensor};
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
@@ -51,7 +52,8 @@ pub struct Bf16KernelPoint {
     pub f32_best_ms: f64,
     /// `f32_best_ms / best_ms` — how the halved streaming pays off.
     pub speedup_vs_f32: f64,
-    /// Bytes the bf16 GEMM moves for one call (obs counter delta).
+    /// Bytes the bf16 GEMM moves for one call (obs counter delta, with
+    /// `C` counted at the 2 bytes/element the bench stores it at).
     pub bytes_moved: u64,
     /// Bytes the f32 GEMM moves for the same call.
     pub f32_bytes_moved: u64,
@@ -75,8 +77,8 @@ pub struct FusedKernelPoint {
     pub threads: usize,
     /// Best-of-reps wall time of the fused call.
     pub best_ms: f64,
-    /// Best-of-reps wall time of the same call with fusion disabled
-    /// (the `METALORA_FUSE=0` separate-pass sequence).
+    /// Best-of-reps wall time of the separate-pass sequence (`matmul`,
+    /// then `epilogue_pass`).
     pub unfused_best_ms: f64,
     /// `unfused_best_ms / best_ms` — gated at `fused_floor` at t = 1.
     pub speedup_vs_unfused: f64,
@@ -185,7 +187,7 @@ pub struct KernelReport {
 }
 
 /// Best-of-`reps` wall time in milliseconds.
-fn time_ms(reps: usize, mut f: impl FnMut() -> Tensor) -> (f64, Tensor) {
+fn time_ms<T>(reps: usize, mut f: impl FnMut() -> T) -> (f64, T) {
     let mut best = f64::INFINITY;
     let mut last = f();
     for _ in 0..reps {
@@ -234,15 +236,13 @@ fn sweep(
     points: &mut Vec<KernelPoint>,
     f: impl Fn() -> Tensor,
 ) {
-    ops::set_packing_enabled(false);
     par::set_num_threads(1);
-    let (_, reference) = time_ms(1, &f);
-    for (path, packed) in [("legacy", false), ("packed", true)] {
-        ops::set_packing_enabled(packed);
+    let (_, reference) = ops::with_kernel_path(KernelPath::Reference, || time_ms(1, &f));
+    for (path, forced) in [("legacy", KernelPath::Reference), ("packed", KernelPath::Packed)] {
         let mut base_ms = f64::NAN;
         for &t in threads {
             par::set_num_threads(t);
-            let (ms, out) = time_ms(reps, &f);
+            let (ms, out) = ops::with_kernel_path(forced, || time_ms(reps, &f));
             if t == 1 {
                 base_ms = ms;
             }
@@ -257,7 +257,6 @@ fn sweep(
             });
         }
     }
-    ops::set_packing_enabled(true);
     par::set_num_threads(0);
 }
 
@@ -340,34 +339,31 @@ pub fn run(quick: bool) -> KernelReport {
         },
     );
 
-    // bf16 GEMM at the matmul shape, packed path (the production path).
-    // Reference is the mixed-precision contract itself: f32 GEMM of the
-    // widened operands, rounded to bf16 once — every thread count must
-    // reproduce it bit for bit. Byte traffic is counted once per
-    // precision (it does not depend on the thread count).
+    // bf16 GEMM at the matmul shape (packed, as production dispatches
+    // it): both operands stored bf16, and the bench narrows the f32
+    // result so C is stored bf16 too. Reference is the mixed-precision
+    // contract itself: f32 GEMM of the widened operands, rounded to bf16
+    // once — every thread count must reproduce it bit for bit. Byte
+    // traffic is counted once per precision (it does not depend on the
+    // thread count); the GEMM's counter sees its f32 output, so the
+    // narrowed store swaps those 4 bytes/element for 2.
     let mm_name = format!("matmul {mm_dim}x{mm_dim}x{mm_dim}");
     let a16 = Bf16Buf::from_tensor(&a);
     let b16 = Bf16Buf::from_tensor(&b);
-    ops::set_packing_enabled(true);
+    let bf16_call = || Bf16Buf::from_tensor(&ops::gemm(&GemmDesc::new(&a16, &b16)).unwrap());
     par::set_num_threads(1);
     let widened_ref =
         Bf16Buf::from_tensor(&ops::matmul(&a16.widen(), &b16.widen()).unwrap());
     let before = matmul_bytes_moved();
-    let _ = ops::matmul_bf16(&a16, &b16).unwrap();
+    let c16 = bf16_call();
     let mid = matmul_bytes_moved();
     let _ = ops::matmul(&a, &b).unwrap();
     let after = matmul_bytes_moved();
-    let (bf16_bytes, f32_bytes) = (mid - before, after - mid);
+    let (bf16_bytes, f32_bytes) = (mid - before - 2 * c16.len() as u64, after - mid);
     let mut bf16_points = Vec::new();
     for &t in &threads {
         par::set_num_threads(t);
-        let mut best = f64::INFINITY;
-        let mut out = ops::matmul_bf16(&a16, &b16).unwrap();
-        for _ in 0..reps {
-            let t0 = Instant::now();
-            out = ops::matmul_bf16(&a16, &b16).unwrap();
-            best = best.min(t0.elapsed().as_secs_f64() * 1e3);
-        }
+        let (best, out) = time_ms(reps, bf16_call);
         let f32_best = points
             .iter()
             .find(|p| p.kernel == mm_name && p.path == "packed" && p.threads == t)
@@ -390,22 +386,22 @@ pub fn run(quick: bool) -> KernelReport {
     par::set_num_threads(0);
 
     // Fused-epilogue GEMM at the matmul shape: bias + GELU folded into
-    // the GEMM's C store vs the separate `matmul → add → map` passes
-    // (`METALORA_FUSE=0`). The unfused run is also the bitwise reference:
-    // fusion reorders nothing, it only moves where the same scalar math
-    // happens, so every thread count must reproduce it bit for bit — and
-    // take zero separate output passes doing so.
+    // the GEMM's C store vs `matmul` followed by the separate
+    // `epilogue_pass` (add, then map). The unfused run is also the bitwise
+    // reference: fusion reorders nothing, it only moves where the same
+    // scalar math happens, so every thread count must reproduce it bit
+    // for bit — and take zero separate output passes doing so.
     let bias = init::uniform(&[mm_dim], -1.0, 1.0, &mut rng);
-    let fused_call =
-        || ops::matmul_bias_act(&a, &b, Some(&bias), Some(ops::Activation::Gelu)).unwrap();
+    let act = Some(ops::Activation::Gelu);
+    let fused_call = || ops::gemm(&GemmDesc::new(&a, &b).epilogue(Some(&bias), act)).unwrap();
+    let unfused_call =
+        || ops::epilogue_pass(ops::matmul(&a, &b).unwrap(), Some(&bias), act).unwrap();
     let mut fused_points = Vec::new();
     for &t in &threads {
         par::set_num_threads(t);
-        ops::set_fuse_enabled(false);
         let p0 = output_passes();
-        let (unfused_ms, reference) = time_ms(reps, fused_call);
+        let (unfused_ms, reference) = time_ms(reps, unfused_call);
         let unfused_passes = (output_passes() - p0) / (reps as u64 + 1);
-        ops::set_fuse_enabled(true);
         let p1 = output_passes();
         let (ms, out) = time_ms(reps, fused_call);
         let fused_passes = output_passes() - p1; // across all calls
@@ -420,7 +416,6 @@ pub fn run(quick: bool) -> KernelReport {
             bitwise_equal_to_unfused: bitwise_eq(&reference, &out),
         });
     }
-    ops::set_fuse_enabled(true);
     par::set_num_threads(0);
 
     par::set_par_threshold(usize::MAX);

@@ -353,24 +353,16 @@ pub fn run_with_telemetry(quick: bool) -> (ServeReport, Vec<String>) {
         points.iter().all(|p| p.bitwise_ok),
         "batched serving diverged from the one-request-at-a-time reference"
     );
-    // With fusion on (the default) every bias/activation rides the GEMM
-    // store; under `METALORA_FUSE=0` the separate passes must come back —
-    // either way the counters have to prove which path actually ran.
-    if ops::fuse_enabled() {
-        assert!(
-            points.iter().all(|p| p.output_passes == 0),
-            "serving still took separate epilogue output passes with fusion on"
-        );
-        assert!(
-            points.iter().all(|p| p.fused_epilogues > 0),
-            "serving applied no fused epilogues with fusion on"
-        );
-    } else {
-        assert!(
-            points.iter().all(|p| p.output_passes > 0 && p.fused_epilogues == 0),
-            "METALORA_FUSE=0 did not restore the separate epilogue passes"
-        );
-    }
+    // Every bias/activation rides the GEMM store; the counters have to
+    // prove it.
+    assert!(
+        points.iter().all(|p| p.output_passes == 0),
+        "serving took separate epilogue output passes"
+    );
+    assert!(
+        points.iter().all(|p| p.fused_epilogues > 0),
+        "serving applied no fused epilogues"
+    );
     assert!(
         points.iter().all(|p| p.plans_built > 0),
         "serving built no static inference plans"

@@ -270,6 +270,7 @@ impl KnnClassifier {
 mod tests {
     use super::*;
     use metalora_tensor::init;
+    use metalora_tensor::ops::KernelPath;
 
     fn clustered(n_per: usize, seed: u64) -> (Tensor, Vec<usize>) {
         // Three well-separated 2-D clusters.
@@ -349,20 +350,14 @@ mod tests {
     fn blocked_l2_matches_legacy_bitwise() {
         // Ragged support count and dimension (not multiples of NR/KC):
         // the packed path must reproduce the legacy predictions exactly.
-        // Toggling the global gates mid-test-run is safe because both
-        // paths are bitwise identical by construction.
         let mut rng = init::rng(9);
         let n = 137;
         let support = init::uniform(&[n, 19], -1.0, 1.0, &mut rng);
         let labels: Vec<usize> = (0..n).map(|i| i % 5).collect();
         let queries = init::uniform(&[23, 19], -1.0, 1.0, &mut rng);
         let knn = KnnClassifier::fit(support, labels, Distance::L2).unwrap();
-        microkernel::set_pack_min_flops(0);
-        let packed = knn.predict(&queries, 5).unwrap();
-        microkernel::set_packing_enabled(false);
-        let legacy = knn.predict(&queries, 5).unwrap();
-        microkernel::set_packing_enabled(true);
-        microkernel::set_pack_min_flops(1 << 15);
+        let [packed, legacy] = [KernelPath::Packed, KernelPath::Reference]
+            .map(|path| microkernel::with_kernel_path(path, || knn.predict(&queries, 5).unwrap()));
         assert_eq!(packed, legacy);
     }
 

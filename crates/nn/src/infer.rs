@@ -15,24 +15,27 @@
 use crate::Result;
 use metalora_autograd::gelu_fwd;
 use metalora_tensor::conv::{self, ConvSpec};
-use metalora_tensor::ops::Activation;
-use metalora_tensor::{ops, Bf16Buf, Tensor};
+use metalora_tensor::ops::{Activation, GemmDesc, Operand};
+use metalora_tensor::{ops, Tensor};
 
 /// Dense layer `act(x·W (+ b))` for `x:[N,I]`, `w:[I,O]`, `bias:[O]`.
 ///
-/// The single linear epilogue entry: every bias add and activation in
-/// this module funnels through here into the tensor crate's shared
-/// [`ops::Epilogue`], which applies them **inside** the GEMM's store
-/// (one output pass) when fusion is on, or as the legacy separate
-/// broadcast-add/map passes when it is off — bitwise identical either
-/// way, and to a tape forward through [`metalora_autograd::Graph`].
-pub fn linear_act(
+/// The single linear entry: the bias add and activation ride the GEMM's
+/// store ([`ops::Epilogue`]) — bitwise identical to separate passes and
+/// to a tape forward through [`metalora_autograd::Graph`]. The weight's
+/// storage is data: against a bf16 snapshot the weights stream at half
+/// the bytes (widened exactly, f32 accumulation), so the result is
+/// **bitwise** the f32 call on `w.widen()` — the only deviation from a
+/// pure-f32 forward is the one-time RNE rounding taken when `w` was
+/// snapshot (relative ≤ 2⁻⁸ per weight).
+pub fn linear_act<'a>(
     x: &Tensor,
-    w: &Tensor,
+    w: impl Into<Operand<'a>>,
     bias: Option<&Tensor>,
     act: Option<Activation>,
 ) -> Result<Tensor> {
-    ops::matmul_bias_act(x, w, bias, act)
+    let w: Operand = w.into();
+    ops::gemm(&GemmDesc::new(x, w).epilogue(bias, act))
 }
 
 /// Dense layer `x·W (+ b)` for `x:[N,I]`, `w:[I,O]`, `bias:[O]` — the
@@ -43,70 +46,27 @@ pub fn linear(x: &Tensor, w: &Tensor, bias: Option<&Tensor>) -> Result<Tensor> {
 }
 
 /// Convolution `act(x * W (+ b))` for `x:[N,C,H,W]`, `w:[KH,KW,C,O]`,
-/// `bias:[O]` — the conv twin of [`linear_act`]: the per-channel bias
-/// and activation ride the production GEMM's store (fused) or run as
-/// the legacy `[O,1,1]` broadcast add + map passes (unfused).
-pub fn conv2d_act(
+/// `bias:[O]` — the conv twin of [`linear_act`]. Conv kernels are tiny
+/// next to the im2col activations, so a bf16 kernel snapshot is widened
+/// up front (exact) and runs the f32 conv — the storage saving is the
+/// point (snapshots, caches), not the kernel's streaming bytes.
+pub fn conv2d_act<'a>(
     x: &Tensor,
-    w: &Tensor,
+    w: impl Into<Operand<'a>>,
     bias: Option<&Tensor>,
     act: Option<Activation>,
     spec: ConvSpec,
 ) -> Result<Tensor> {
-    conv::conv2d_bias_act(x, w, bias, act, spec, spec)
+    match w.into() {
+        Operand::F32(w) => conv::conv2d_bias_act(x, w, bias, act, spec, spec),
+        Operand::Bf16(w) => conv::conv2d_bias_act(x, &w.widen(), bias, act, spec, spec),
+    }
 }
 
 /// Convolution `x * W (+ b)` — the tape-free twin of [`crate::Conv2d`]'s
 /// forward. Routes through [`conv2d_act`] with no activation.
 pub fn conv2d(x: &Tensor, w: &Tensor, bias: Option<&Tensor>, spec: ConvSpec) -> Result<Tensor> {
     conv2d_act(x, w, bias, None, spec)
-}
-
-/// [`linear_act`] against a bf16 weight snapshot: the weights stream at
-/// half the bytes (widened exactly at GEMM pack time, f32 accumulation
-/// throughout), so the result is **bitwise**
-/// `linear_act(x, &w.widen(), bias, act)` — the only deviation from a
-/// pure-f32 forward is the one-time RNE rounding taken when `w` was
-/// snapshot (relative ≤ 2⁻⁸ per weight).
-pub fn linear_bf16_act(
-    x: &Tensor,
-    w: &Bf16Buf,
-    bias: Option<&Tensor>,
-    act: Option<Activation>,
-) -> Result<Tensor> {
-    ops::matmul_bf16_weights_bias_act(x, w, bias, act)
-}
-
-/// [`linear`] against a bf16 weight snapshot. Routes through
-/// [`linear_bf16_act`] with no activation.
-pub fn linear_bf16(x: &Tensor, w: &Bf16Buf, bias: Option<&Tensor>) -> Result<Tensor> {
-    linear_bf16_act(x, w, bias, None)
-}
-
-/// [`conv2d_act`] against a bf16 kernel snapshot. Conv kernels are tiny
-/// next to the im2col activations, so this widens the kernel up front
-/// (exact) and runs the f32 conv — the storage saving is the point
-/// (snapshots, caches), not the kernel's streaming bytes. Bitwise
-/// `conv2d_act(x, &w.widen(), bias, act, spec)`.
-pub fn conv2d_bf16_act(
-    x: &Tensor,
-    w: &Bf16Buf,
-    bias: Option<&Tensor>,
-    act: Option<Activation>,
-    spec: ConvSpec,
-) -> Result<Tensor> {
-    conv2d_act(x, &w.widen(), bias, act, spec)
-}
-
-/// [`conv2d`] against a bf16 kernel snapshot. Routes through
-/// [`conv2d_bf16_act`] with no activation.
-pub fn conv2d_bf16(
-    x: &Tensor,
-    w: &Bf16Buf,
-    bias: Option<&Tensor>,
-    spec: ConvSpec,
-) -> Result<Tensor> {
-    conv2d_bf16_act(x, w, bias, None, spec)
 }
 
 /// GELU (tanh approximation) — applies the same scalar function as
@@ -132,7 +92,7 @@ mod tests {
     use super::*;
     use crate::{Conv2d, Ctx, Linear, Module};
     use metalora_autograd::Graph;
-    use metalora_tensor::init;
+    use metalora_tensor::{init, Bf16Buf};
 
     fn bits(t: &Tensor) -> Vec<u32> {
         t.data().iter().map(|v| v.to_bits()).collect()
@@ -193,13 +153,13 @@ mod tests {
     }
 
     #[test]
-    fn linear_bf16_is_bitwise_linear_on_widened_weights() {
+    fn bf16_linear_is_bitwise_linear_on_widened_weights() {
         let mut rng = init::rng(15);
         let layer = Linear::new("fc", 9, 6, &mut rng);
         let x = init::uniform(&[5, 9], -1.0, 1.0, &mut rng);
         let w16 = Bf16Buf::from_tensor(&layer.weight().value());
         let bias = layer.bias().map(|b| b.value());
-        let got = linear_bf16(&x, &w16, bias.as_ref()).unwrap();
+        let got = linear_act(&x, &w16, bias.as_ref(), None).unwrap();
         let expect = linear(&x, &w16.widen(), bias.as_ref()).unwrap();
         assert_eq!(bits(&got), bits(&expect));
         // And vs the f32 weights the snapshot came from, the error is the
@@ -216,13 +176,13 @@ mod tests {
     }
 
     #[test]
-    fn conv2d_bf16_is_bitwise_conv2d_on_widened_kernel() {
+    fn bf16_conv2d_is_bitwise_conv2d_on_widened_kernel() {
         let mut rng = init::rng(16);
         let layer = Conv2d::new("c", 3, 4, 3, 1, 1, &mut rng).unwrap();
         let x = init::uniform(&[2, 3, 5, 5], -1.0, 1.0, &mut rng);
         let w16 = Bf16Buf::from_tensor(&layer.weight().value());
         let bias = layer.bias().map(|b| b.value());
-        let got = conv2d_bf16(&x, &w16, bias.as_ref(), layer.spec()).unwrap();
+        let got = conv2d_act(&x, &w16, bias.as_ref(), None, layer.spec()).unwrap();
         let expect = conv2d(&x, &w16.widen(), bias.as_ref(), layer.spec()).unwrap();
         assert_eq!(bits(&got), bits(&expect));
     }
@@ -243,13 +203,13 @@ mod tests {
     }
 
     #[test]
-    fn linear_bf16_act_is_bitwise_widened_linear_act() {
+    fn bf16_linear_act_is_bitwise_widened_linear_act() {
         let mut rng = init::rng(18);
         let layer = Linear::new("fc", 9, 6, &mut rng);
         let x = init::uniform(&[5, 9], -1.0, 1.0, &mut rng);
         let w16 = Bf16Buf::from_tensor(&layer.weight().value());
         let bias = layer.bias().map(|b| b.value());
-        let got = linear_bf16_act(&x, &w16, bias.as_ref(), Some(Activation::Gelu)).unwrap();
+        let got = linear_act(&x, &w16, bias.as_ref(), Some(Activation::Gelu)).unwrap();
         let expect = linear_act(&x, &w16.widen(), bias.as_ref(), Some(Activation::Gelu)).unwrap();
         assert_eq!(bits(&got), bits(&expect));
     }

@@ -54,7 +54,12 @@ pub fn conv_lora_delta(a: &Tensor, b: &Tensor, scaling: f32) -> Result<Tensor> {
 /// seed `c:[R]` — Eq. 6 verbatim: scale `A`'s rank columns by `c`, then
 /// recover with `B`.
 pub fn cp_delta(a: &Tensor, b: &Tensor, c: &Tensor, scaling: f32) -> Result<Tensor> {
-    let (i, r) = (a.dims()[0], a.dims()[1]);
+    let &[i, r] = a.dims() else {
+        return Err(TensorError::InvalidArgument(format!(
+            "cp_delta: factor A must be [I,R], got {:?}",
+            a.dims()
+        )));
+    };
     if c.len() != r {
         return Err(TensorError::InvalidArgument(format!(
             "cp_delta: seed has {} elements, rank is {r}",
@@ -99,36 +104,6 @@ pub fn merge_into(base: &Tensor, delta: &Tensor) -> Result<Tensor> {
         *m += d;
     }
     Ok(merged)
-}
-
-// ---- bf16 storage snapshots -------------------------------------------
-//
-// Adapter factors are the per-tenant storage cost of a serving node, so
-// they are the natural narrowing target: snapshot each factor once as
-// bf16 (RNE, relative ≤ 2⁻⁸ per value), widen exactly at delta time, and
-// run the identical f32 delta kernels. Seeds stay f32 — they are runtime
-// values produced by the mapping net, not stored state. Gated by callers
-// on `metalora_tensor::bf16::enabled()`; the f32 paths stay golden.
-
-/// [`lora_delta`] from bf16 factor snapshots — bitwise
-/// `lora_delta(&a.widen(), &b.widen(), scaling)`.
-pub fn lora_delta_bf16(a: &Bf16Buf, b: &Bf16Buf, scaling: f32) -> Result<Tensor> {
-    lora_delta(&a.widen(), &b.widen(), scaling)
-}
-
-/// [`conv_lora_delta`] from bf16 factor snapshots.
-pub fn conv_lora_delta_bf16(a: &Bf16Buf, b: &Bf16Buf, scaling: f32) -> Result<Tensor> {
-    conv_lora_delta(&a.widen(), &b.widen(), scaling)
-}
-
-/// [`cp_delta`] from bf16 factor snapshots and an f32 seed.
-pub fn cp_delta_bf16(a: &Bf16Buf, b: &Bf16Buf, c: &Tensor, scaling: f32) -> Result<Tensor> {
-    cp_delta(&a.widen(), &b.widen(), c, scaling)
-}
-
-/// [`tr_delta`] from bf16 core snapshots and an f32 seed matrix.
-pub fn tr_delta_bf16(a: &Bf16Buf, b: &Bf16Buf, c: &Tensor, scaling: f32) -> Result<Tensor> {
-    tr_delta(&a.widen(), &b.widen(), c, scaling)
 }
 
 /// [`merge_into`] rounded once to bf16 storage — the serving cache's

@@ -13,12 +13,12 @@
 //! With factors bounded by `M`, each product's error is ≤ `2·M²·2⁻⁸`
 //! (+ O(2⁻¹⁶)), so a depth-D contraction scaled by `s` stays within
 //! `s·D·2·M²·2⁻⁸` — asserted here with the exact inputs the serving
-//! engine would snapshot, plus slack-free bitwise checks that the bf16
-//! entry points equal the f32 kernels on widened factors.
+//! engine would snapshot. A bf16 factor snapshot is consumed by widening
+//! it (exact) and running the f32 delta kernel, which is what each test
+//! writes out.
 
 use metalora_peft::merge::{
-    conv_lora_delta, conv_lora_delta_bf16, cp_delta, cp_delta_bf16, lora_delta, lora_delta_bf16,
-    merge_into, merge_into_bf16, tr_delta, tr_delta_bf16,
+    conv_lora_delta, cp_delta, lora_delta, merge_into, merge_into_bf16, tr_delta,
 };
 use metalora_tensor::{init, Bf16Buf, Tensor};
 
@@ -42,7 +42,7 @@ fn bound(d: usize, s: f32) -> f32 {
 }
 
 #[test]
-fn lora_delta_bf16_error_is_bounded() {
+fn lora_delta_from_bf16_factors_is_bounded() {
     let mut rng = init::rng(31);
     let (i, r, o, s) = (24, 4, 16, 0.5);
     let a = init::uniform(&[i, r], -M, M, &mut rng);
@@ -50,23 +50,14 @@ fn lora_delta_bf16_error_is_bounded() {
     let (a16, b16) = (Bf16Buf::from_tensor(&a), Bf16Buf::from_tensor(&b));
 
     let exact = lora_delta(&a, &b, s).unwrap();
-    let approx = lora_delta_bf16(&a16, &b16, s).unwrap();
+    let approx = lora_delta(&a16.widen(), &b16.widen(), s).unwrap();
     let err = max_abs_diff(&exact, &approx);
     assert!(err <= bound(r, s), "lora: err {err} > bound {}", bound(r, s));
     assert!(err > 0.0, "rounding should be observable at these magnitudes");
-
-    // Slack-free form of the contract: bf16 entry == f32 kernel on the
-    // widened factors, to the bit.
-    let widened = lora_delta(&a16.widen(), &b16.widen(), s).unwrap();
-    assert!(approx
-        .data()
-        .iter()
-        .zip(widened.data())
-        .all(|(x, y)| x.to_bits() == y.to_bits()));
 }
 
 #[test]
-fn conv_lora_delta_bf16_error_is_bounded() {
+fn conv_lora_delta_from_bf16_factors_is_bounded() {
     let mut rng = init::rng(32);
     let (kk, i, r, o, s) = (3, 6, 4, 5, 0.5);
     let a = init::uniform(&[kk, kk, i, r], -M, M, &mut rng);
@@ -74,13 +65,13 @@ fn conv_lora_delta_bf16_error_is_bounded() {
     let (a16, b16) = (Bf16Buf::from_tensor(&a), Bf16Buf::from_tensor(&b));
 
     let exact = conv_lora_delta(&a, &b, s).unwrap();
-    let approx = conv_lora_delta_bf16(&a16, &b16, s).unwrap();
+    let approx = conv_lora_delta(&a16.widen(), &b16.widen(), s).unwrap();
     let err = max_abs_diff(&exact, &approx);
     assert!(err <= bound(r, s), "conv_lora: err {err} > bound {}", bound(r, s));
 }
 
 #[test]
-fn cp_delta_bf16_error_is_bounded() {
+fn cp_delta_from_bf16_factors_is_bounded() {
     let mut rng = init::rng(33);
     let (i, r, o, s) = (12, 4, 10, 0.5);
     let a = init::uniform(&[i, r], -M, M, &mut rng);
@@ -89,14 +80,14 @@ fn cp_delta_bf16_error_is_bounded() {
     let (a16, b16) = (Bf16Buf::from_tensor(&a), Bf16Buf::from_tensor(&b));
 
     let exact = cp_delta(&a, &b, &c, s).unwrap();
-    let approx = cp_delta_bf16(&a16, &b16, &c, s).unwrap();
+    let approx = cp_delta(&a16.widen(), &b16.widen(), &c, s).unwrap();
     // The |c| ≤ 1 seed factor is absorbed by the M² bound.
     let err = max_abs_diff(&exact, &approx);
     assert!(err <= bound(r, s), "cp: err {err} > bound {}", bound(r, s));
 }
 
 #[test]
-fn tr_delta_bf16_error_is_bounded() {
+fn tr_delta_from_bf16_factors_is_bounded() {
     let mut rng = init::rng(34);
     let (i, r, o, s) = (8, 3, 7, 0.5);
     let a = init::uniform(&[r, i, r], -M, M, &mut rng);
@@ -105,7 +96,7 @@ fn tr_delta_bf16_error_is_bounded() {
     let (a16, b16) = (Bf16Buf::from_tensor(&a), Bf16Buf::from_tensor(&b));
 
     let exact = tr_delta(&a, &b, &c, s).unwrap();
-    let approx = tr_delta_bf16(&a16, &b16, &c, s).unwrap();
+    let approx = tr_delta(&a16.widen(), &b16.widen(), &c, s).unwrap();
     // Depth is the r² (x,y,z with z = one chain each) triple sum: r² terms
     // of two rounded cores (the f32 seed rides along).
     let err = max_abs_diff(&exact, &approx);

@@ -17,6 +17,7 @@
 //! and the first insert wins — correctness never depends on winning.
 
 use crate::store::TenantId;
+use metalora_tensor::ops::{Operand, Storage};
 use metalora_tensor::{workspace, Bf16Buf, Tensor};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -58,6 +59,15 @@ impl CachedWeight {
         match self {
             CachedWeight::F32(t) => t.len() * 4,
             CachedWeight::Bf16(b) => b.byte_len(),
+        }
+    }
+
+    /// The weight as a GEMM operand — storage is data, so one forward
+    /// serves both precisions.
+    pub fn operand(&self) -> Operand<'_> {
+        match self {
+            CachedWeight::F32(t) => Operand::F32(t),
+            CachedWeight::Bf16(b) => Operand::Bf16(b),
         }
     }
 }
@@ -152,22 +162,29 @@ impl MergedCache {
         }
     }
 
-    /// Capacity from `METALORA_SERVE_CACHE_MB` (default 64 MiB).
-    pub fn from_env() -> Self {
-        let mb = std::env::var("METALORA_SERVE_CACHE_MB")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .unwrap_or(64);
-        MergedCache::new(mb * 1024 * 1024)
-    }
-
     /// Byte capacity this cache evicts down to.
     pub fn capacity_bytes(&self) -> usize {
         self.capacity
     }
 
     /// Looks up `key` as an f32 entry, building the merged weight with
-    /// `build` on a miss.
+    /// `build` on a miss — [`Self::get_or_insert_weight`] at
+    /// [`Storage::F32`].
+    pub fn get_or_insert<F>(&self, key: CacheKey, build: F) -> crate::Result<Arc<Tensor>>
+    where
+        F: FnOnce() -> crate::Result<Tensor>,
+    {
+        let built = || Ok(CachedWeight::F32(Arc::new(build()?)));
+        match self.get_or_insert_weight(key, Storage::F32, built)? {
+            CachedWeight::F32(t) => Ok(t),
+            CachedWeight::Bf16(_) => unreachable!("an f32 lookup hits and builds f32 entries only"),
+        }
+    }
+
+    /// Looks up `key` as an entry stored as `storage`, building it with
+    /// `build` (which must produce that storage) on a miss. A bf16 entry
+    /// takes half the resident bytes per element, so equal capacity holds
+    /// ~2× the tenants.
     ///
     /// The builder runs outside the lock; on a concurrent double-miss the
     /// first insert wins and the loser adopts it (both builds are bitwise
@@ -175,77 +192,43 @@ impl MergedCache {
     /// whole capacity is returned uncached. A key resident in the *other*
     /// precision counts as a miss and is replaced — precisions never
     /// alias (a bf16 entry widened is the rounded merge, not the merge).
-    pub fn get_or_insert<F>(&self, key: CacheKey, build: F) -> crate::Result<Arc<Tensor>>
+    pub fn get_or_insert_weight<F>(
+        &self,
+        key: CacheKey,
+        storage: Storage,
+        build: F,
+    ) -> crate::Result<CachedWeight>
     where
-        F: FnOnce() -> crate::Result<Tensor>,
+        F: FnOnce() -> crate::Result<CachedWeight>,
     {
+        let resident = |inner: &Inner| {
+            inner.map.get(&key).filter(|w| w.operand().storage() == storage).cloned()
+        };
         {
             let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-            if let Some(CachedWeight::F32(t)) = inner.map.get(&key) {
-                let t = t.clone();
+            if let Some(w) = resident(&inner) {
                 inner.hits += 1;
                 inner.touch(key);
                 metalora_obs::counters::record_serve_cache(true);
                 metalora_obs::registry::inc("serve_cache_lookups_total", "result=hit", 1);
-                return Ok(t);
+                return Ok(w);
             }
             inner.misses += 1;
         }
         metalora_obs::counters::record_serve_cache(false);
         metalora_obs::registry::inc("serve_cache_lookups_total", "result=miss", 1);
-        let built = Arc::new(build()?);
-        metalora_obs::counters::record_serve_merge();
-        if built.len() * 4 > self.capacity {
-            return Ok(built);
-        }
-        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(CachedWeight::F32(t)) = inner.map.get(&key) {
-            // Lost a double-miss race; adopt the resident copy.
-            let t = t.clone();
-            inner.touch(key);
-            return Ok(t);
-        }
-        inner.insert(key, CachedWeight::F32(built.clone()));
-        let evicted = inner.evict_to(self.capacity);
-        if evicted > 0 {
-            metalora_obs::counters::record_serve_evictions(evicted);
-            metalora_obs::registry::inc("serve_cache_evictions_total", "", evicted);
-        }
-        Ok(built)
-    }
-
-    /// [`Self::get_or_insert`] for a bf16 entry: same contract, half the
-    /// resident bytes per element, so equal capacity holds ~2× tenants.
-    pub fn get_or_insert_bf16<F>(&self, key: CacheKey, build: F) -> crate::Result<Arc<Bf16Buf>>
-    where
-        F: FnOnce() -> crate::Result<Bf16Buf>,
-    {
-        {
-            let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-            if let Some(CachedWeight::Bf16(b)) = inner.map.get(&key) {
-                let b = b.clone();
-                inner.hits += 1;
-                inner.touch(key);
-                metalora_obs::counters::record_serve_cache(true);
-                metalora_obs::registry::inc("serve_cache_lookups_total", "result=hit", 1);
-                return Ok(b);
-            }
-            inner.misses += 1;
-        }
-        metalora_obs::counters::record_serve_cache(false);
-        metalora_obs::registry::inc("serve_cache_lookups_total", "result=miss", 1);
-        let built = Arc::new(build()?);
+        let built = build()?;
         metalora_obs::counters::record_serve_merge();
         if built.byte_len() > self.capacity {
             return Ok(built);
         }
         let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(CachedWeight::Bf16(b)) = inner.map.get(&key) {
-            let b = b.clone();
+        if let Some(w) = resident(&inner) {
+            // Lost a double-miss race; adopt the resident copy.
             inner.touch(key);
-            return Ok(b);
+            return Ok(w);
         }
-        inner.insert(key, CachedWeight::Bf16(built.clone()));
+        inner.insert(key, built.clone());
         let evicted = inner.evict_to(self.capacity);
         if evicted > 0 {
             metalora_obs::counters::record_serve_evictions(evicted);
@@ -328,9 +311,13 @@ mod tests {
         Tensor::from_vec(vec![v; 16], &[4, 4]).unwrap()
     }
 
-    fn bbuf(v: f32) -> crate::Result<Bf16Buf> {
-        // [4, 4] → 32 bytes.
-        Bf16Buf::from_f32(&[v; 16], &[4, 4])
+    /// Inserts a `[4, 4]` (32-byte) bf16 entry of `v`s on a miss.
+    fn get_bf16(c: &MergedCache, key: CacheKey, v: f32) -> Arc<Bf16Buf> {
+        let build = || Ok(CachedWeight::Bf16(Arc::new(Bf16Buf::from_f32(&[v; 16], &[4, 4])?)));
+        match c.get_or_insert_weight(key, Storage::Bf16, build).unwrap() {
+            CachedWeight::Bf16(b) => b,
+            CachedWeight::F32(_) => panic!("bf16 lookup returned an f32 entry"),
+        }
     }
 
     #[test]
@@ -400,14 +387,14 @@ mod tests {
     fn bf16_entries_use_half_bytes_and_split_stats() {
         let c = MergedCache::new(1024);
         c.get_or_insert((1, 1), || Ok(tensor(1.0))).unwrap();
-        let b = c.get_or_insert_bf16((2, 1), || bbuf(0.5)).unwrap();
+        let b = get_bf16(&c, (2, 1), 0.5);
         assert_eq!(b.widen().data(), &[0.5; 16]);
         let s = c.stats();
         assert_eq!((s.bytes_f32, s.bytes_bf16, s.bytes), (64, 32, 96));
         assert_eq!(s.entries, 2);
         // A second lookup is a hit on the shared handle.
-        let b2 = c.get_or_insert_bf16((2, 1), || panic!("hit expected")).unwrap();
-        assert_eq!(b2.data(), b.data());
+        let hit = c.get_or_insert_weight((2, 1), Storage::Bf16, || panic!("hit expected"));
+        assert!(matches!(hit.unwrap(), CachedWeight::Bf16(b2) if b2.data() == b.data()));
         assert_eq!(c.stats().hits, 1);
     }
 
@@ -423,11 +410,11 @@ mod tests {
 
         let cb = MergedCache::new(128);
         for t in 0..4 {
-            cb.get_or_insert_bf16((t, 1), || bbuf(t as f32)).unwrap();
+            get_bf16(&cb, (t, 1), t as f32);
         }
         let s = cb.stats();
         assert_eq!((s.evictions, s.entries, s.bytes_bf16), (0, 4, 128));
-        cb.get_or_insert_bf16((4, 1), || bbuf(4.0)).unwrap();
+        get_bf16(&cb, (4, 1), 4.0);
         assert_eq!(cb.stats().evictions, 1);
     }
 
@@ -438,7 +425,7 @@ mod tests {
         c.get_or_insert((1, 1), || Ok(tensor(1.0))).unwrap();
         c.get_or_insert((2, 1), || Ok(tensor(2.0))).unwrap();
         c.get_or_insert((1, 2), || Ok(tensor(1.2))).unwrap();
-        c.get_or_insert_bf16((3, 1), || bbuf(3.0)).unwrap();
+        get_bf16(&c, (3, 1), 3.0);
         c.get_or_insert((1, 3), || Ok(tensor(1.3))).unwrap();
         c.purge_tenant(1);
         assert_eq!(c.lru_keys(), vec![(2, 1), (3, 1)]);
@@ -452,7 +439,7 @@ mod tests {
     fn precision_mismatch_is_a_miss_and_replaces_in_place() {
         let c = MergedCache::new(1024);
         c.get_or_insert((1, 1), || Ok(tensor(1.0))).unwrap();
-        let b = c.get_or_insert_bf16((1, 1), || bbuf(2.0)).unwrap();
+        let b = get_bf16(&c, (1, 1), 2.0);
         assert_eq!(b.widen().data()[0], 2.0);
         let s = c.stats();
         // Second lookup was a miss; the entry swapped precision in place.

@@ -12,16 +12,18 @@
 //! per-request generation because matmul rows are independent.
 
 use crate::batch::{concat_rows, split_rows, Batcher, Request};
-use crate::cache::{CacheKey, MergedCache};
+use crate::cache::{CacheKey, CachedWeight, MergedCache};
 use crate::forward::{self, MappingSnapshot};
 use crate::store::{AdapterStore, TenantAdapter, TenantEntry, TenantId};
 use crate::telemetry::{self, StageNs};
 use crate::Result;
+use metalora_nn::infer;
 use metalora_obs::hist::LogHistogram;
 use metalora_obs::{registry, window};
 use metalora_peft::meta::MappingNet;
 use metalora_peft::{merge, MultiLoraLinear};
 use metalora_tensor::conv::ConvSpec;
+use metalora_tensor::ops::Storage;
 use metalora_tensor::plan::{Plan, PlanBuilder};
 use metalora_tensor::{bf16, par, Tensor, TensorError};
 use std::collections::HashMap;
@@ -35,10 +37,9 @@ use std::time::Instant;
 /// forward (bitwise-equal to training).
 #[derive(Debug, Clone, Copy)]
 pub struct EngineConfig {
-    /// Requests per released batch (`METALORA_SERVE_BATCH`, default 16).
+    /// Requests per released batch (default 16).
     pub max_batch: usize,
-    /// Merged-weight cache capacity in bytes (`METALORA_SERVE_CACHE_MB`,
-    /// default 64 MiB).
+    /// Merged-weight cache capacity in bytes (default 64 MiB).
     pub cache_bytes: usize,
     /// Serve cacheable tenants through merged weights.
     pub use_merged: bool,
@@ -49,26 +50,6 @@ impl Default for EngineConfig {
         EngineConfig {
             max_batch: 16,
             cache_bytes: 64 * 1024 * 1024,
-            use_merged: true,
-        }
-    }
-}
-
-impl EngineConfig {
-    /// Reads `METALORA_SERVE_BATCH` and `METALORA_SERVE_CACHE_MB`.
-    pub fn from_env() -> Self {
-        let max_batch = std::env::var("METALORA_SERVE_BATCH")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&v| v > 0)
-            .unwrap_or(16);
-        let cache_mb = std::env::var("METALORA_SERVE_CACHE_MB")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .unwrap_or(64);
-        EngineConfig {
-            max_batch,
-            cache_bytes: cache_mb * 1024 * 1024,
             use_merged: true,
         }
     }
@@ -371,11 +352,8 @@ impl ServeEngine {
                     }
                 }
                 adapter => {
-                    if kind(entry) == 1 {
-                        b.gemm_bf16_weights(req.rows(), o, i);
-                    } else {
-                        b.gemm(req.rows(), o, i);
-                    }
+                    let weights = if kind(entry) == 1 { Storage::Bf16 } else { Storage::F32 };
+                    b.gemm(req.rows(), o, i, weights);
                     if let TenantAdapter::MetaCp {
                         pinned_seed: None, ..
                     } = adapter
@@ -393,8 +371,8 @@ impl ServeEngine {
         }
         for (mapping, rows) in [(&self.mapping_cp, dyn_rows[0]), (&self.mapping_tr, dyn_rows[1])] {
             if let (Some(m), true) = (mapping, rows > 0) {
-                b.gemm(rows, m.hidden_dim(), m.in_dim());
-                b.gemm(rows, m.out_dim(), m.hidden_dim());
+                b.gemm(rows, m.hidden_dim(), m.in_dim(), Storage::F32);
+                b.gemm(rows, m.out_dim(), m.hidden_dim(), Storage::F32);
             }
         }
         let plan = Arc::new(b.build());
@@ -447,7 +425,7 @@ impl ServeEngine {
         Ok(seeds)
     }
 
-    /// Dense forward through the merged-weight cache. With
+    /// The cached merge `base + ΔW` for `key`, built on a miss. With
     /// `METALORA_BF16=1` the merge is snapshot to bf16 before caching —
     /// half the resident bytes (≈2× tenants at equal capacity) and half
     /// the weight bytes streamed per forward, at the cost of one RNE
@@ -455,6 +433,33 @@ impl ServeEngine {
     /// bitwise-exact regardless of the toggle).
     /// `tel`/`stages` attribute the cache lookup (merge included on a
     /// miss) to the `cache` stage when telemetry is on.
+    fn merged_weight<D>(
+        &self,
+        key: CacheKey,
+        base: &Tensor,
+        delta: D,
+        tel: bool,
+        stages: &mut StageNs,
+    ) -> Result<CachedWeight>
+    where
+        D: FnOnce() -> Result<Tensor>,
+    {
+        let t0 = if tel { window::now_ns() } else { 0 };
+        let storage = if bf16::enabled() { Storage::Bf16 } else { Storage::F32 };
+        let w = self.cache.get_or_insert_weight(key, storage, || {
+            let delta = delta()?;
+            Ok(match storage {
+                Storage::F32 => CachedWeight::F32(Arc::new(merge::merge_into(base, &delta)?)),
+                Storage::Bf16 => CachedWeight::Bf16(Arc::new(merge::merge_into_bf16(base, &delta)?)),
+            })
+        })?;
+        if tel {
+            stages.cache = window::now_ns().saturating_sub(t0);
+        }
+        Ok(w)
+    }
+
+    /// Dense forward through the merged-weight cache.
     fn merged_dense<D>(
         &self,
         key: CacheKey,
@@ -466,24 +471,8 @@ impl ServeEngine {
     where
         D: FnOnce() -> Result<Tensor>,
     {
-        let t0 = if tel { window::now_ns() } else { 0 };
-        if bf16::enabled() {
-            let w = self
-                .cache
-                .get_or_insert_bf16(key, || merge::merge_into_bf16(&self.base_w, &delta()?))?;
-            if tel {
-                stages.cache = window::now_ns().saturating_sub(t0);
-            }
-            forward::merged_linear_bf16(x, &w, self.base_b.as_ref())
-        } else {
-            let w = self
-                .cache
-                .get_or_insert(key, || merge::merge_into(&self.base_w, &delta()?))?;
-            if tel {
-                stages.cache = window::now_ns().saturating_sub(t0);
-            }
-            forward::merged_linear(x, &w, self.base_b.as_ref())
-        }
+        let w = self.merged_weight(key, &self.base_w, delta, tel, stages)?;
+        infer::linear_act(x, w.operand(), self.base_b.as_ref(), None)
     }
 
     /// Conv twin of [`Self::merged_dense`] over the frozen conv base.
@@ -498,25 +487,9 @@ impl ServeEngine {
     where
         D: FnOnce() -> Result<Tensor>,
     {
-        let (w, spec) = self.conv_base()?;
-        let t0 = if tel { window::now_ns() } else { 0 };
-        if bf16::enabled() {
-            let m = self
-                .cache
-                .get_or_insert_bf16(key, || merge::merge_into_bf16(w, &delta()?))?;
-            if tel {
-                stages.cache = window::now_ns().saturating_sub(t0);
-            }
-            forward::merged_conv_bf16(x, &m, self.conv_b.as_ref(), spec)
-        } else {
-            let m = self
-                .cache
-                .get_or_insert(key, || merge::merge_into(w, &delta()?))?;
-            if tel {
-                stages.cache = window::now_ns().saturating_sub(t0);
-            }
-            forward::merged_conv(x, &m, self.conv_b.as_ref(), spec)
-        }
+        let (base, spec) = self.conv_base()?;
+        let w = self.merged_weight(key, base, delta, tel, stages)?;
+        infer::conv2d_act(x, w.operand(), self.conv_b.as_ref(), None, spec)
     }
 
     /// One request's tape-free forward, choosing the merged-cached or
@@ -717,6 +690,29 @@ mod tests {
         );
         let req = Request::new(2, Tensor::zeros(&[1, 4]));
         assert!(e.serve_one(&req).is_err());
+    }
+
+    #[test]
+    fn wrong_rank_factors_are_an_error_not_a_panic() {
+        // A tenant registered with rank-1 factors must fail its requests
+        // with `Err` on the serving thread — factored and merged alike.
+        for use_merged in [false, true] {
+            let e = engine(use_merged);
+            let v = || Tensor::zeros(&[4]);
+            let (a, b, scaling) = (v(), v(), 1.0);
+            e.register(1, TenantAdapter::Lora { a: v(), b: v(), scaling });
+            let pinned_seed = Some(Tensor::zeros(&[2]));
+            e.register(2, TenantAdapter::MetaCp { a: v(), b: v(), scaling, pinned_seed });
+            let pinned_seed = Some(Tensor::zeros(&[2, 2]));
+            e.register(3, TenantAdapter::MetaTr { a, b, scaling, pinned_seed });
+            for id in 1..=3 {
+                let req = Request::new(id, Tensor::zeros(&[1, 4]));
+                assert!(
+                    matches!(e.serve_one(&req), Err(TensorError::InvalidArgument(_))),
+                    "tenant {id}, merged = {use_merged}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -10,7 +10,7 @@ use crate::Result;
 use metalora_nn::infer;
 use metalora_peft::meta::MappingNet;
 use metalora_tensor::conv::ConvSpec;
-use metalora_tensor::{ops, Bf16Buf, Tensor, TensorError};
+use metalora_tensor::{ops, Tensor, TensorError};
 
 /// Plain LoRA: `y = x·W + b + scaling·(x·A)·B` — the twin of
 /// `LoraLinear::forward` (and of one `MultiLoraLinear` slot, which runs
@@ -42,8 +42,13 @@ pub fn meta_cp_linear(
     seed: &Tensor,
     scaling: f32,
 ) -> Result<Tensor> {
-    let n = x.dims()[0];
-    let r = a.dims()[1];
+    let (&[n, _], &[_, r]) = (x.dims(), a.dims()) else {
+        return Err(TensorError::InvalidArgument(format!(
+            "meta_cp_linear: x {:?} and factor A {:?} must be rank 2",
+            x.dims(),
+            a.dims()
+        )));
+    };
     if seed.dims() != [n, r] {
         return Err(TensorError::InvalidArgument(format!(
             "meta_cp_linear: seed shape {:?}, expected [{n}, {r}]",
@@ -70,9 +75,14 @@ pub fn meta_tr_linear(
     seed: &Tensor,
     scaling: f32,
 ) -> Result<Tensor> {
-    let n = x.dims()[0];
-    let r = b.dims()[0];
-    let (i, o) = (a.dims()[1], b.dims()[1]);
+    let (&[n, _], &[_, i, _], &[r, o, _]) = (x.dims(), a.dims(), b.dims()) else {
+        return Err(TensorError::InvalidArgument(format!(
+            "meta_tr_linear: x {:?} must be rank 2 and cores A {:?}, B {:?} rank 3",
+            x.dims(),
+            a.dims(),
+            b.dims()
+        )));
+    };
     if seed.dims() != [n, r * r] {
         return Err(TensorError::InvalidArgument(format!(
             "meta_tr_linear: seed shape {:?}, expected [{n}, {}]",
@@ -113,7 +123,12 @@ pub fn conv_lora(
 ) -> Result<Tensor> {
     let y = infer::conv2d(x, w, bias, spec)?;
     let u = metalora_tensor::conv::conv2d(x, a, spec, spec)?;
-    let (r, o) = (b.dims()[0], b.dims()[1]);
+    let &[r, o] = b.dims() else {
+        return Err(TensorError::InvalidArgument(format!(
+            "conv_lora: factor B must be [R,O], got {:?}",
+            b.dims()
+        )));
+    };
     let b4 = b.reshaped(&[1, 1, r, o])?;
     let one = ConvSpec::new(1, 1, 0)?;
     let delta = metalora_tensor::conv::conv2d(&u, &b4, one, one)?;
@@ -124,38 +139,6 @@ pub fn conv_lora(
 /// Dense forward through an already-merged weight `W + ΔW`.
 pub fn merged_linear(x: &Tensor, w_merged: &Tensor, bias: Option<&Tensor>) -> Result<Tensor> {
     infer::linear(x, w_merged, bias)
-}
-
-/// Conv forward through an already-merged kernel `𝒲 + Δ𝒲`.
-pub fn merged_conv(
-    x: &Tensor,
-    w_merged: &Tensor,
-    bias: Option<&Tensor>,
-    spec: ConvSpec,
-) -> Result<Tensor> {
-    infer::conv2d(x, w_merged, bias, spec)
-}
-
-/// Dense forward through a bf16 snapshot of the merged weight: the
-/// weights stream at half the bytes (widened exactly at GEMM pack time,
-/// f32 accumulation), so vs [`merged_linear`] the only deviation is the
-/// one-time RNE rounding taken when the merge was snapshot.
-pub fn merged_linear_bf16(
-    x: &Tensor,
-    w_merged: &Bf16Buf,
-    bias: Option<&Tensor>,
-) -> Result<Tensor> {
-    infer::linear_bf16(x, w_merged, bias)
-}
-
-/// Conv forward through a bf16 snapshot of the merged kernel.
-pub fn merged_conv_bf16(
-    x: &Tensor,
-    w_merged: &Bf16Buf,
-    bias: Option<&Tensor>,
-    spec: ConvSpec,
-) -> Result<Tensor> {
-    infer::conv2d_bf16(x, w_merged, bias, spec)
 }
 
 /// Value snapshot of a [`MappingNet`] — the four MLP tensors, detached

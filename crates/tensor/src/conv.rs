@@ -4,7 +4,7 @@
 //!
 //! * [`conv2d`] — the production path: im2col lowering followed by one
 //!   matrix multiply (plus [`im2col`]/[`col2im`] exposed for the autograd
-//!   backward pass). The multiply is an ordinary [`crate::ops::matmul`]
+//!   backward pass). The multiply is an ordinary [`crate::ops::gemm`]
 //!   call, so it inherits the packed microkernel's tile-grid scheduler —
 //!   conv threading scales with the GEMM, not with anything here;
 //! * the *dummy tensor* path of Eq. 2 / Fig. 2 of the paper —
@@ -19,6 +19,7 @@
 //! (spatial, in-channels, out-channels); activations are `[N, C, H, W]`.
 
 use crate::contract::contract;
+use crate::ops::{gemm, GemmDesc};
 use crate::par::par_row_blocks;
 use crate::{workspace, Result, Tensor, TensorError};
 
@@ -305,6 +306,24 @@ pub fn weight_to_matrix(w: &Tensor) -> Result<Tensor> {
 /// 2-D convolution (cross-correlation) of `x:[N, C, H, W]` with the
 /// paper-layout weight `𝒲:[KH, KW, C, O]`. Output `[N, O, OH, OW]`.
 pub fn conv2d(x: &Tensor, w: &Tensor, h_spec: ConvSpec, w_spec: ConvSpec) -> Result<Tensor> {
+    conv2d_bias_act(x, w, None, None, h_spec, w_spec)
+}
+
+/// [`conv2d`] with a fused epilogue: per-output-channel `bias` (length `O`)
+/// and/or `act` applied inside the production GEMM's store. The conv bias
+/// broadcast (`[O,1,1]` over `[N,O,OH,OW]`) is exactly a per-column bias
+/// on the pre-permute `[N·OH·OW, O]` GEMM output (column = output
+/// channel), and the trailing permute is a pure element copy, so applying
+/// the epilogue before the permute is bitwise-identical to separate
+/// broadcast-add and activation passes after it.
+pub fn conv2d_bias_act(
+    x: &Tensor,
+    w: &Tensor,
+    bias: Option<&Tensor>,
+    act: Option<crate::ops::Activation>,
+    h_spec: ConvSpec,
+    w_spec: ConvSpec,
+) -> Result<Tensor> {
     if x.rank() != 4 || w.rank() != 4 {
         return Err(TensorError::InvalidArgument(
             "conv2d expects x:[N,C,H,W], w:[KH,KW,C,O]".into(),
@@ -330,88 +349,15 @@ pub fn conv2d(x: &Tensor, w: &Tensor, h_spec: ConvSpec, w_spec: ConvSpec) -> Res
     let ow = w_spec.out_size(ww)?;
     let cols = im2col(x, h_spec, w_spec)?; // [N·OH·OW, C·KH·KW]
     let wm = weight_to_matrix(w)?; // [C·KH·KW, O]
-    let out = crate::ops::matmul(&cols, &wm)?; // [N·OH·OW, O]
+    // Bias and activation land at the GEMM store, per column = per output
+    // channel (the GEMM validates the bias width); the permute below only
+    // moves finished elements.
+    let out = gemm(&GemmDesc::new(&cols, &wm).epilogue(bias, act))?; // [N·OH·OW, O]
     // The patch matrix came from the arena; hand it straight back so the
     // next im2col (typically the same shape, next batch) reuses it.
     workspace::recycle(cols);
-    // Counted at this entry point *and* inside the matmul above — see the
+    // Counted at this entry point *and* inside the GEMM above — see the
     // layering note in `metalora_obs::counters`.
-    metalora_obs::counters::record_kernel(
-        metalora_obs::counters::Kernel::Conv,
-        (2 * n * oh * ow * w.len()) as u64,
-        (4 * (x.len() + w.len() + out.len())) as u64,
-    );
-    // [N,OH,OW,O] → [N,O,OH,OW].
-    let out = out.reshape(&[n, oh, ow, o])?;
-    crate::ops::permute(&out, &[0, 3, 1, 2])
-}
-
-/// [`conv2d`] with a fused epilogue: per-output-channel `bias` (length `O`)
-/// and/or `act` applied inside the production GEMM's C-tile store. The conv
-/// bias broadcast (`[O,1,1]` over `[N,O,OH,OW]`) is exactly a per-column
-/// bias on the pre-permute `[N·OH·OW, O]` GEMM output (column = output
-/// channel), and the trailing permute is a pure element copy, so applying
-/// the epilogue before the permute is bitwise-identical to the legacy
-/// separate passes after it. With fusion disabled
-/// ([`crate::ops::fuse_enabled`]) this runs the legacy sequence verbatim:
-/// plain [`conv2d`] layout, then broadcast add, then activation map.
-pub fn conv2d_bias_act(
-    x: &Tensor,
-    w: &Tensor,
-    bias: Option<&Tensor>,
-    act: Option<crate::ops::Activation>,
-    h_spec: ConvSpec,
-    w_spec: ConvSpec,
-) -> Result<Tensor> {
-    if x.rank() != 4 || w.rank() != 4 {
-        return Err(TensorError::InvalidArgument(
-            "conv2d_bias_act expects x:[N,C,H,W], w:[KH,KW,C,O]".into(),
-        ));
-    }
-    if w.dims()[0] != h_spec.kernel || w.dims()[1] != w_spec.kernel {
-        return Err(TensorError::ShapeMismatch {
-            op: "conv2d_bias_act kernel",
-            lhs: w.dims().to_vec(),
-            rhs: vec![h_spec.kernel, w_spec.kernel],
-        });
-    }
-    if x.dims()[1] != w.dims()[2] {
-        return Err(TensorError::ShapeMismatch {
-            op: "conv2d_bias_act channels",
-            lhs: x.dims().to_vec(),
-            rhs: w.dims().to_vec(),
-        });
-    }
-    let o = w.dims()[3];
-    if let Some(b) = bias {
-        if b.len() != o {
-            return Err(TensorError::ShapeMismatch {
-                op: "conv2d_bias_act bias",
-                lhs: b.dims().to_vec(),
-                rhs: vec![o],
-            });
-        }
-    }
-    let fused = crate::ops::fuse_enabled() && (bias.is_some() || act.is_some());
-    if !fused {
-        // Legacy sequence: layout pass first, then one full output pass per
-        // epilogue stage ([O,1,1] broadcast add, then activation map).
-        let y = conv2d(x, w, h_spec, w_spec)?;
-        let b = match bias {
-            Some(b) => Some(b.reshaped(&[o, 1, 1])?),
-            None => None,
-        };
-        return crate::ops::epilogue_pass(y, b.as_ref(), act);
-    }
-    let (n, h, ww) = (x.dims()[0], x.dims()[2], x.dims()[3]);
-    let oh = h_spec.out_size(h)?;
-    let ow = w_spec.out_size(ww)?;
-    let cols = im2col(x, h_spec, w_spec)?; // [N·OH·OW, C·KH·KW]
-    let wm = weight_to_matrix(w)?; // [C·KH·KW, O]
-    // Bias and activation land at the GEMM store, per column = per output
-    // channel; the permute below only moves finished elements.
-    let out = crate::ops::matmul_bias_act(&cols, &wm, bias, act)?; // [N·OH·OW, O]
-    workspace::recycle(cols);
     metalora_obs::counters::record_kernel(
         metalora_obs::counters::Kernel::Conv,
         (2 * n * oh * ow * w.len()) as u64,

@@ -1,458 +1,402 @@
-//! Dense matrix multiplication kernels.
+//! Dense matrix multiplication: one entry point, [`gemm`].
 //!
-//! Two interchangeable paths compute every variant:
+//! Every product in the stack — plain, transposed, batched, matrix–vector,
+//! f32 or bf16 operands, with or without a fused bias/activation — is one
+//! [`GemmDesc`]: layout, storage, batching and epilogue are *data*, and
+//! [`gemm`] is the only function that validates shapes, picks a kernel,
+//! runs it and records the obs counters. Two interchangeable kernels sit
+//! underneath:
 //!
 //! * the **packed register-tiled microkernel**
-//!   ([`super::microkernel`]) — packs both operands and runs an `MR×NR`
-//!   SIMD register tile; taken for products above a small flop threshold.
-//!   All seven variants (plus `matvec`) route through its
-//!   `gemm_packed` entry, whose **tile-grid scheduler** owns the
-//!   parallelism: `B` is packed once and a worker team claims C-tile
-//!   blocks from a shared atomic queue ([`crate::par::par_task_queue`]).
-//!   Packing happens *under* the parallel split, never per-thread.
-//! * the **legacy scalar kernels** below — a cache-blocked `ikj` loop
-//!   ordering (k-tiled by `KC` so the active panel of `B` stays in L2);
-//!   retained for tiny products, as the reference the packed path is
-//!   tested bitwise-equal against, and as a bisection fallback
-//!   ([`super::microkernel::set_packing_enabled`]). The legacy path
-//!   hands its output to [`crate::par::par_row_blocks`] row splits.
+//!   (`microkernel::gemm_packed`) — packs both operands and runs
+//!   an `MR×NR` SIMD register tile under a tile-grid scheduler; taken for
+//!   products of at least [`PACK_MIN_FLOPS`];
+//! * the **strided reference kernel** below — scalar loops over the same
+//!   strided description; taken for tiny products, and the reference the
+//!   packed path is tested bitwise-equal against
+//!   ([`super::microkernel::with_kernel_path`]).
 //!
-//! Per-element accumulation runs in increasing `k` order everywhere, so
-//! parallel, packed and legacy results are all bitwise identical.
+//! Per-element accumulation starts from `+0.0` and runs in increasing `k`
+//! order everywhere, so reference, packed and parallel results are all
+//! bitwise identical. `matmul` and the few names the autograd tape uses
+//! survive as one-line wrappers.
 
-use super::microkernel::{self, use_packed, Activation, Epilogue, PanelSrc};
+use super::microkernel::{
+    self, use_packed, Activation, Epilogue, PanelSrc, StridedGemm, KC, MR, NC,
+};
 use crate::bf16::{self, Bf16Buf};
 use crate::par::par_row_blocks;
 use crate::{workspace, Result, Tensor, TensorError};
 
-/// k-dimension tile: the `KC×n` panel of `B` revisited per row block stays
-/// L2-resident. Shared with the packed path.
-const KC: usize = microkernel::KC;
-
-/// Reports one matmul-family invocation to the observability layer:
-/// `flops` multiply-adds counted as 2 ops each, bytes = all three
-/// operands at 4 bytes per element, plus which microkernel path ran.
-#[inline]
-fn record_mm(packed: bool, in_elems: usize, out_elems: usize, flops: usize) {
-    metalora_obs::counters::record_kernel(
-        metalora_obs::counters::Kernel::Matmul,
-        flops as u64,
-        (4 * (in_elems + out_elems)) as u64,
-    );
-    metalora_obs::counters::record_matmul_path(packed);
+/// How an operand is stored.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Storage {
+    /// 4 bytes per element.
+    F32,
+    /// 2 bytes per element, widened exactly to f32 where a kernel first
+    /// touches it (see [`crate::bf16`]).
+    Bf16,
 }
 
-/// `C = A·B` for `A:[m,k]`, `B:[k,n]`.
-pub fn matmul(a: &Tensor, b: &Tensor) -> Result<Tensor> {
-    let (m, k) = as_matrix_dims(a, "matmul lhs")?;
-    let (k2, n) = as_matrix_dims(b, "matmul rhs")?;
-    if k != k2 {
-        return Err(TensorError::ShapeMismatch {
-            op: "matmul",
-            lhs: a.dims().to_vec(),
-            rhs: b.dims().to_vec(),
-        });
-    }
-    let mut out = vec![0.0f32; m * n];
-    let (ad, bd) = (a.data(), b.data());
-    let packed = use_packed(2 * m * k * n);
-    if packed {
-        microkernel::gemm_packed(ad, 0, k, 1, bd, 0, n, 1, 1, m, n, k, &mut out);
-    } else {
-        par_row_blocks(&mut out, n.max(1), 2 * k * n, |first, block| {
-            matmul_rows(ad, bd, k, n, first, block);
-        });
-    }
-    record_mm(packed, a.len() + b.len(), out.len(), 2 * m * k * n);
-    Tensor::from_vec(out, &[m, n])
+/// One GEMM operand: the storage format is data, not a function name.
+#[derive(Clone, Copy)]
+pub enum Operand<'a> {
+    /// Plain f32 tensor.
+    F32(&'a Tensor),
+    /// bf16 snapshot: streams at half the bytes, accumulates in f32 —
+    /// bitwise the product of the widened copy.
+    Bf16(&'a Bf16Buf),
 }
 
-/// ikj-order kernel for rows `first..` of `C = A·B`, k-tiled. For each
-/// `(i, kk)` scalar of `A`, axpy a row of `B` into a row of `C`; the inner
-/// loop is contiguous in both `B` and `C`, and each output element
-/// accumulates in increasing `kk` order regardless of the tiling.
-fn matmul_rows(ad: &[f32], bd: &[f32], k: usize, n: usize, first: usize, out: &mut [f32]) {
-    let rows = out.len() / n.max(1);
-    for kb in (0..k).step_by(KC) {
-        let kend = (kb + KC).min(k);
-        for r in 0..rows {
-            let i = first + r;
-            let out_row = &mut out[r * n..(r + 1) * n];
-            for kk in kb..kend {
-                let aik = ad[i * k + kk];
-                let b_row = &bd[kk * n..(kk + 1) * n];
-                for (o, &bv) in out_row.iter_mut().zip(b_row) {
-                    *o += aik * bv;
-                }
-            }
+impl<'a> Operand<'a> {
+    /// Stored dims.
+    pub fn dims(&self) -> &'a [usize] {
+        match self {
+            Operand::F32(t) => t.dims(),
+            Operand::Bf16(b) => b.dims(),
+        }
+    }
+
+    /// Storage format.
+    pub fn storage(&self) -> Storage {
+        match self {
+            Operand::F32(_) => Storage::F32,
+            Operand::Bf16(_) => Storage::Bf16,
+        }
+    }
+
+    fn byte_len(&self) -> usize {
+        match self {
+            Operand::F32(t) => 4 * t.len(),
+            Operand::Bf16(b) => b.byte_len(),
+        }
+    }
+
+    fn panel(&self) -> PanelSrc<'a> {
+        match self {
+            Operand::F32(t) => PanelSrc::F32(t.data()),
+            Operand::Bf16(b) => PanelSrc::Bf16(b.data()),
         }
     }
 }
 
-/// `C = Aᵀ·B` for `A:[k,m]`, `B:[k,n]` without materialising `Aᵀ`.
-pub fn matmul_transpose_a(a: &Tensor, b: &Tensor) -> Result<Tensor> {
-    let (k, m) = as_matrix_dims(a, "matmul_transpose_a lhs")?;
-    let (k2, n) = as_matrix_dims(b, "matmul_transpose_a rhs")?;
-    if k != k2 {
-        return Err(TensorError::ShapeMismatch {
-            op: "matmul_transpose_a",
-            lhs: a.dims().to_vec(),
-            rhs: b.dims().to_vec(),
-        });
+impl<'a> From<&'a Tensor> for Operand<'a> {
+    fn from(t: &'a Tensor) -> Self {
+        Operand::F32(t)
     }
-    let mut out = vec![0.0f32; m * n];
-    let (ad, bd) = (a.data(), b.data());
-    let packed = use_packed(2 * m * k * n);
+}
+
+impl<'a> From<&'a Bf16Buf> for Operand<'a> {
+    fn from(b: &'a Bf16Buf) -> Self {
+        Operand::Bf16(b)
+    }
+}
+
+/// Whether an operand is read as stored or transposed (per batch slice).
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Layout {
+    /// As stored.
+    N,
+    /// Transposed — expressed through strides, never materialised.
+    T,
+}
+
+/// Everything that distinguishes one matrix product from another.
+///
+/// `a` is `[m,k]` (`[k,m]` under [`Layout::T`]), `b` is `[k,n]` (`[n,k]`
+/// under `T`); rank-3 operands `[B,·,·]` make it a batched product over
+/// `B` independent slices, and a rank-1 `b:[k]` against a rank-2 `a` is
+/// the matrix–vector product (output `[m]`).
+#[derive(Clone, Copy)]
+pub struct GemmDesc<'a> {
+    /// Left operand.
+    pub a: Operand<'a>,
+    /// Layout of `a`.
+    pub a_layout: Layout,
+    /// Right operand.
+    pub b: Operand<'a>,
+    /// Layout of `b`.
+    pub b_layout: Layout,
+    /// Per-output-column bias and/or activation, applied inside the store
+    /// of each element once its accumulation is complete.
+    pub ep: Epilogue<'a>,
+}
+
+impl<'a> GemmDesc<'a> {
+    /// `A·B`, both as stored, no epilogue.
+    pub fn new(a: impl Into<Operand<'a>>, b: impl Into<Operand<'a>>) -> Self {
+        GemmDesc {
+            a: a.into(),
+            a_layout: Layout::N,
+            b: b.into(),
+            b_layout: Layout::N,
+            ep: Epilogue::none(),
+        }
+    }
+
+    /// Reads `a` transposed.
+    pub fn transpose_a(mut self) -> Self {
+        self.a_layout = Layout::T;
+        self
+    }
+
+    /// Reads `b` transposed.
+    pub fn transpose_b(mut self) -> Self {
+        self.b_layout = Layout::T;
+        self
+    }
+
+    /// Fuses `act(· + bias)` into the store (`bias` has one entry per
+    /// output column).
+    pub fn epilogue(mut self, bias: Option<&'a Tensor>, act: Option<Activation>) -> Self {
+        self.ep = Epilogue { bias: bias.map(Tensor::data), act };
+        self
+    }
+}
+
+/// `C = act(A·B + bias)` as described by `desc` — the only matmul body.
+///
+/// A fused epilogue is bitwise identical to the plain product followed by
+/// [`epilogue_pass`]: per element the scalar sequence `act(acc + bias[j])`
+/// after the complete `k` accumulation is the same, only its timing moves
+/// (asserted by `tests/gemm_equiv.rs`).
+pub fn gemm(desc: &GemmDesc) -> Result<Tensor> {
+    let (ad, bd) = (desc.a.dims(), desc.b.dims());
+    let mismatch = |op: &'static str| TensorError::ShapeMismatch {
+        op,
+        lhs: ad.to_vec(),
+        rhs: bd.to_vec(),
+    };
+    let (bs, a_rows, a_cols) = match *ad {
+        [r, c] => (1, r, c),
+        [b, r, c] => (b, r, c),
+        _ => {
+            return Err(TensorError::InvalidArgument(format!(
+                "gemm lhs: expected rank-2 or rank-3 operand, got rank {}",
+                ad.len()
+            )))
+        }
+    };
+    let (b_rows, b_cols) = match *bd {
+        [len] if ad.len() == 2 && desc.b_layout == Layout::N => (len, 1),
+        [r, c] if ad.len() == 2 => (r, c),
+        [b, r, c] if ad.len() == 3 && b == bs => (r, c),
+        _ => return Err(mismatch("gemm ranks")),
+    };
+    let (m, k) = match desc.a_layout {
+        Layout::N => (a_rows, a_cols),
+        Layout::T => (a_cols, a_rows),
+    };
+    let (k2, n) = match desc.b_layout {
+        Layout::N => (b_rows, b_cols),
+        Layout::T => (b_cols, b_rows),
+    };
+    if k != k2 {
+        return Err(mismatch("gemm"));
+    }
+    if let Some(bias) = desc.ep.bias {
+        if bias.len() != n {
+            return Err(TensorError::ShapeMismatch {
+                op: "gemm bias",
+                lhs: vec![bias.len()],
+                rhs: vec![n],
+            });
+        }
+    }
+    let (a_rs, a_ks) = match desc.a_layout {
+        Layout::N => (k, 1),
+        Layout::T => (1, m),
+    };
+    let (b_ks, b_cs) = match desc.b_layout {
+        Layout::N => (n, 1),
+        Layout::T => (1, k),
+    };
+    let g = StridedGemm {
+        a: desc.a.panel(),
+        a_batch: m * k,
+        a_rs,
+        a_ks,
+        b: desc.b.panel(),
+        b_batch: k * n,
+        b_ks,
+        b_cs,
+        bs,
+        m,
+        n,
+        k,
+        ep: desc.ep,
+    };
+    let mut out = vec![0.0f32; bs * m * n];
+    let flops = 2 * bs * m * k * n;
+    let packed = use_packed(flops);
     if packed {
-        // Packing absorbs the transpose: A element (i, kk) sits at stride
-        // (1, m).
-        microkernel::gemm_packed(ad, 0, 1, m, bd, 0, n, 1, 1, m, n, k, &mut out);
+        microkernel::gemm_packed(&g, &mut out);
     } else {
-        par_row_blocks(&mut out, n.max(1), 2 * k * n, |first, block| {
-            let rows = block.len() / n.max(1);
+        gemm_reference(&g, &mut out);
+    }
+    // Flops count multiply-adds as 2 ops each; bytes are every operand at
+    // its stored width plus the f32 output.
+    let bias_bytes = 4 * desc.ep.bias.map_or(0, <[f32]>::len);
+    metalora_obs::counters::record_kernel(
+        metalora_obs::counters::Kernel::Matmul,
+        flops as u64,
+        (desc.a.byte_len() + desc.b.byte_len() + bias_bytes + 4 * out.len()) as u64,
+    );
+    metalora_obs::counters::record_matmul_path(packed);
+    if !desc.ep.is_noop() {
+        metalora_obs::counters::record_fused_epilogue(out.len() as u64);
+    }
+    match (ad.len(), bd.len()) {
+        (3, _) => Tensor::from_vec(out, &[bs, m, n]),
+        (_, 1) => Tensor::from_vec(out, &[m]),
+        _ => Tensor::from_vec(out, &[m, n]),
+    }
+}
+
+/// The arena checkouts one [`gemm`] of logical dims `[m,k]·[k,n]` makes
+/// with `threads` workers and operands stored as `storage` (`[a, b]`) —
+/// what a [`crate::plan::Plan`] pre-leases. Packed path: the shared `B`
+/// panel plus one `MR×k` `A` panel per team worker (the team is capped
+/// by the tile-grid task count). Reference path: one widen buffer per
+/// bf16 operand, nothing for f32.
+pub fn gemm_scratch(m: usize, n: usize, k: usize, storage: [Storage; 2], threads: usize) -> Vec<usize> {
+    if m * n == 0 {
+        return Vec::new();
+    }
+    if use_packed(2 * m * k * n) {
+        let tasks = m.div_ceil(MR) * n.div_ceil(NC);
+        let mut sizes = vec![k * n];
+        sizes.resize(1 + threads.min(tasks).max(1), MR * k);
+        return sizes;
+    }
+    [(storage[0], m * k), (storage[1], k * n)]
+        .into_iter()
+        .filter(|&(s, _)| s == Storage::Bf16)
+        .map(|(_, len)| len)
+        .collect()
+}
+
+/// An operand's f32 data: as stored, or widened into an arena lease.
+fn f32_data<'a>(src: PanelSrc<'a>, lease: &'a mut Option<workspace::WorkspaceGuard>) -> &'a [f32] {
+    match src {
+        PanelSrc::F32(d) => d,
+        PanelSrc::Bf16(h) => {
+            let mut wide = workspace::take(h.len());
+            bf16::widen_slice(h, &mut wide);
+            lease.insert(wide)
+        }
+    }
+}
+
+/// The reference path of [`gemm`]: scalar loops over the strided
+/// description, row blocks handed to [`par_row_blocks`]. Two inner-loop
+/// forms, both contiguous in `B`, picked from `B`'s strides:
+///
+/// * `B`'s k stride is 1 (transposed `B`, or a single column): a dot
+///   product per element, accumulated in a register;
+/// * otherwise `B`'s column stride is 1: an `ikj` axpy of a row of `B`
+///   into a row of `C` per `(i, kk)` scalar of `A`, k-tiled by [`KC`] so
+///   the active panel of `B` stays in L2.
+///
+/// Either way every element starts from `+0.0` and accumulates in
+/// increasing `k` order — the sequence the packed path reproduces.
+fn gemm_reference(g: &StridedGemm, out: &mut [f32]) {
+    if out.is_empty() {
+        return;
+    }
+    let (mut a_lease, mut b_lease) = (None, None);
+    let ad = f32_data(g.a, &mut a_lease);
+    let bd = f32_data(g.b, &mut b_lease);
+    let StridedGemm { m, n, k, a_batch, a_rs, a_ks, b_batch, b_ks, b_cs, .. } = *g;
+    par_row_blocks(out, n, 2 * k * n, |first, block| {
+        // Offsets of the `A` row and the `B` batch behind each output row
+        // of the block, in order (rows run through the batches).
+        let bases = || {
+            let (mut bi, mut i) = (first / m, first % m);
+            std::iter::from_fn(move || {
+                let base = (bi * a_batch + i * a_rs, bi * b_batch);
+                i += 1;
+                if i == m {
+                    (bi, i) = (bi + 1, 0);
+                }
+                Some(base)
+            })
+        };
+        if b_ks == 1 {
+            // A transposed `A` row is gathered once so the dot loop below
+            // stays contiguous in both operands.
+            let mut gathered = Vec::new();
+            for (out_row, (a0, b0)) in block.chunks_mut(n).zip(bases()) {
+                let a_row = if a_ks == 1 {
+                    &ad[a0..a0 + k]
+                } else {
+                    gathered.clear();
+                    gathered.extend((0..k).map(|kk| ad[a0 + kk * a_ks]));
+                    &gathered[..]
+                };
+                for (j, o) in out_row.iter_mut().enumerate() {
+                    let b_col = &bd[b0 + j * b_cs..][..k];
+                    let mut acc = 0.0f32;
+                    for (&x, &y) in a_row.iter().zip(b_col) {
+                        acc += x * y;
+                    }
+                    *o = acc;
+                }
+            }
+        } else {
             for kb in (0..k).step_by(KC) {
                 let kend = (kb + KC).min(k);
-                for r in 0..rows {
-                    let i = first + r;
-                    let out_row = &mut block[r * n..(r + 1) * n];
-                    // A is walked down a column (stride m); B panel reuse
-                    // from the k-tile is what pays here.
+                for (out_row, (a0, b0)) in block.chunks_mut(n).zip(bases()) {
                     for kk in kb..kend {
-                        let aki = ad[kk * m + i];
-                        let b_row = &bd[kk * n..(kk + 1) * n];
+                        let aik = ad[a0 + kk * a_ks];
+                        let b_row = &bd[b0 + kk * b_ks..][..n];
                         for (o, &bv) in out_row.iter_mut().zip(b_row) {
-                            *o += aki * bv;
+                            *o += aik * bv;
                         }
                     }
                 }
             }
-        });
-    }
-    record_mm(packed, a.len() + b.len(), out.len(), 2 * m * k * n);
-    Tensor::from_vec(out, &[m, n])
+        }
+        // The block's full-k accumulation is complete: apply the epilogue
+        // in the same walk instead of a second pass over the output.
+        g.ep.apply_rows(block, n);
+    });
+}
+
+/// `C = A·B` for `A:[m,k]`, `B:[k,n]`.
+pub fn matmul(a: &Tensor, b: &Tensor) -> Result<Tensor> {
+    gemm(&GemmDesc::new(a, b))
+}
+
+/// `C = Aᵀ·B` for `A:[k,m]`, `B:[k,n]` without materialising `Aᵀ`.
+pub fn matmul_transpose_a(a: &Tensor, b: &Tensor) -> Result<Tensor> {
+    gemm(&GemmDesc::new(a, b).transpose_a())
 }
 
 /// `C = A·Bᵀ` for `A:[m,k]`, `B:[n,k]` without materialising `Bᵀ`.
 pub fn matmul_transpose_b(a: &Tensor, b: &Tensor) -> Result<Tensor> {
-    let (m, k) = as_matrix_dims(a, "matmul_transpose_b lhs")?;
-    let (n, k2) = as_matrix_dims(b, "matmul_transpose_b rhs")?;
-    if k != k2 {
-        return Err(TensorError::ShapeMismatch {
-            op: "matmul_transpose_b",
-            lhs: a.dims().to_vec(),
-            rhs: b.dims().to_vec(),
-        });
-    }
-    let mut out = vec![0.0f32; m * n];
-    let (ad, bd) = (a.data(), b.data());
-    let packed = use_packed(2 * m * k * n);
-    if packed {
-        // B element (kk, j) sits at stride (1, k); the legacy dot loop's
-        // fresh `acc = 0.0` matches the packed path's zeroed output bitwise.
-        microkernel::gemm_packed(ad, 0, k, 1, bd, 0, 1, k, 1, m, n, k, &mut out);
-    } else {
-        // Dot products of contiguous rows — ideal memory order for this
-        // layout.
-        par_row_blocks(&mut out, n.max(1), 2 * k * n, |first, block| {
-            for (r, out_row) in block.chunks_mut(n.max(1)).enumerate() {
-                let i = first + r;
-                let a_row = &ad[i * k..(i + 1) * k];
-                for (j, o) in out_row.iter_mut().enumerate() {
-                    let b_row = &bd[j * k..(j + 1) * k];
-                    let mut acc = 0.0f32;
-                    for (&x, &y) in a_row.iter().zip(b_row) {
-                        acc += x * y;
-                    }
-                    *o = acc;
-                }
-            }
-        });
-    }
-    record_mm(packed, a.len() + b.len(), out.len(), 2 * m * k * n);
-    Tensor::from_vec(out, &[m, n])
+    gemm(&GemmDesc::new(a, b).transpose_b())
 }
 
-/// Matrix–vector product `y = A·x` for `A:[m,k]`, `x:[k]`.
-pub fn matvec(a: &Tensor, x: &Tensor) -> Result<Tensor> {
-    let (m, k) = as_matrix_dims(a, "matvec lhs")?;
-    if x.rank() != 1 || x.len() != k {
-        return Err(TensorError::ShapeMismatch {
-            op: "matvec",
-            lhs: a.dims().to_vec(),
-            rhs: x.dims().to_vec(),
-        });
-    }
-    let (ad, xd) = (a.data(), x.data());
-    let mut out = vec![0.0f32; m];
-    let packed = use_packed(2 * m * k);
-    if packed {
-        // A matmul with n = 1: every column tile is the ragged edge, whose
-        // kernel runs MR independent accumulation chains per k step —
-        // bitwise the same sequence as the legacy `sum()` fold from 0.0.
-        microkernel::gemm_packed(ad, 0, k, 1, xd, 0, 1, 1, 1, m, 1, k, &mut out);
-    } else {
-        par_row_blocks(&mut out, 1, 2 * k, |first, block| {
-            for (r, o) in block.iter_mut().enumerate() {
-                let i = first + r;
-                let row = &ad[i * k..(i + 1) * k];
-                *o = row.iter().zip(xd).map(|(&a, &b)| a * b).sum();
-            }
-        });
-    }
-    record_mm(packed, a.len() + x.len(), out.len(), 2 * m * k);
-    Tensor::from_vec(out, &[m])
-}
-
-/// Batched matrix product `C[b] = A[b]·B[b]` for `A:[B,m,k]`, `B:[B,k,n]`.
-///
-/// Parallelised over the `B·m` output rows jointly, so a few large batches
-/// and many small ones spread equally well.
+/// Batched `C[b] = A[b]·B[b]` for `A:[B,m,k]`, `B:[B,k,n]`.
 pub fn bmm(a: &Tensor, b: &Tensor) -> Result<Tensor> {
-    let (bs, m, k) = as_batch_dims(a, "bmm lhs")?;
-    let (bs2, k2, n) = as_batch_dims(b, "bmm rhs")?;
-    if bs != bs2 || k != k2 {
-        return Err(TensorError::ShapeMismatch {
-            op: "bmm",
-            lhs: a.dims().to_vec(),
-            rhs: b.dims().to_vec(),
-        });
-    }
-    let mut out = vec![0.0f32; bs * m * n];
-    let (ad, bd) = (a.data(), b.data());
-    let packed = use_packed(2 * bs * m * k * n);
-    if packed {
-        microkernel::gemm_packed(ad, m * k, k, 1, bd, k * n, n, 1, bs, m, n, k, &mut out);
-    } else {
-        par_row_blocks(&mut out, n.max(1), 2 * k * n, |first, block| {
-            for (r, out_row) in block.chunks_mut(n.max(1)).enumerate() {
-                let (bi, i) = ((first + r) / m.max(1), (first + r) % m.max(1));
-                let a_row = &ad[bi * m * k + i * k..bi * m * k + (i + 1) * k];
-                let b_base = bi * k * n;
-                for (kk, &aik) in a_row.iter().enumerate() {
-                    let b_row = &bd[b_base + kk * n..b_base + (kk + 1) * n];
-                    for (o, &bv) in out_row.iter_mut().zip(b_row) {
-                        *o += aik * bv;
-                    }
-                }
-            }
-        });
-    }
-    record_mm(packed, a.len() + b.len(), out.len(), 2 * bs * m * k * n);
-    Tensor::from_vec(out, &[bs, m, n])
+    gemm(&GemmDesc::new(a, b))
 }
 
 /// Batched `C[b] = A[b]ᵀ·B[b]` for `A:[B,k,m]`, `B:[B,k,n]`.
 pub fn bmm_transpose_a(a: &Tensor, b: &Tensor) -> Result<Tensor> {
-    let (bs, k, m) = as_batch_dims(a, "bmm_transpose_a lhs")?;
-    let (bs2, k2, n) = as_batch_dims(b, "bmm_transpose_a rhs")?;
-    if bs != bs2 || k != k2 {
-        return Err(TensorError::ShapeMismatch {
-            op: "bmm_transpose_a",
-            lhs: a.dims().to_vec(),
-            rhs: b.dims().to_vec(),
-        });
-    }
-    let mut out = vec![0.0f32; bs * m * n];
-    let (ad, bd) = (a.data(), b.data());
-    let packed = use_packed(2 * bs * m * k * n);
-    if packed {
-        microkernel::gemm_packed(ad, k * m, 1, m, bd, k * n, n, 1, bs, m, n, k, &mut out);
-    } else {
-        par_row_blocks(&mut out, n.max(1), 2 * k * n, |first, block| {
-            for (r, out_row) in block.chunks_mut(n.max(1)).enumerate() {
-                let (bi, i) = ((first + r) / m.max(1), (first + r) % m.max(1));
-                let a_base = bi * k * m;
-                let b_base = bi * k * n;
-                for kk in 0..k {
-                    let aki = ad[a_base + kk * m + i];
-                    let b_row = &bd[b_base + kk * n..b_base + (kk + 1) * n];
-                    for (o, &bv) in out_row.iter_mut().zip(b_row) {
-                        *o += aki * bv;
-                    }
-                }
-            }
-        });
-    }
-    record_mm(packed, a.len() + b.len(), out.len(), 2 * bs * m * k * n);
-    Tensor::from_vec(out, &[bs, m, n])
+    gemm(&GemmDesc::new(a, b).transpose_a())
 }
 
 /// Batched `C[b] = A[b]·B[b]ᵀ` for `A:[B,m,k]`, `B:[B,n,k]`.
 pub fn bmm_transpose_b(a: &Tensor, b: &Tensor) -> Result<Tensor> {
-    let (bs, m, k) = as_batch_dims(a, "bmm_transpose_b lhs")?;
-    let (bs2, n, k2) = as_batch_dims(b, "bmm_transpose_b rhs")?;
-    if bs != bs2 || k != k2 {
-        return Err(TensorError::ShapeMismatch {
-            op: "bmm_transpose_b",
-            lhs: a.dims().to_vec(),
-            rhs: b.dims().to_vec(),
-        });
-    }
-    let mut out = vec![0.0f32; bs * m * n];
-    let (ad, bd) = (a.data(), b.data());
-    let packed = use_packed(2 * bs * m * k * n);
-    if packed {
-        microkernel::gemm_packed(ad, m * k, k, 1, bd, n * k, 1, k, bs, m, n, k, &mut out);
-    } else {
-        par_row_blocks(&mut out, n.max(1), 2 * k * n, |first, block| {
-            for (r, out_row) in block.chunks_mut(n.max(1)).enumerate() {
-                let (bi, i) = ((first + r) / m.max(1), (first + r) % m.max(1));
-                let a_row = &ad[bi * m * k + i * k..bi * m * k + (i + 1) * k];
-                let b_base = bi * n * k;
-                for (j, o) in out_row.iter_mut().enumerate() {
-                    let b_row = &bd[b_base + j * k..b_base + (j + 1) * k];
-                    let mut acc = 0.0f32;
-                    for (&x, &y) in a_row.iter().zip(b_row) {
-                        acc += x * y;
-                    }
-                    *o = acc;
-                }
-            }
-        });
-    }
-    record_mm(packed, a.len() + b.len(), out.len(), 2 * bs * m * k * n);
-    Tensor::from_vec(out, &[bs, m, n])
+    gemm(&GemmDesc::new(a, b).transpose_b())
 }
 
-// ---------------------------------------------------------------------------
-// bf16 storage entries
-// ---------------------------------------------------------------------------
-//
-// Same kernels, half the stored bytes: bf16 operands are widened to f32
-// at pack time (exactly — see `crate::bf16`), accumulate through the
-// identical f32 paths, and only a *stored* bf16 result is rounded (once,
-// after the full accumulation). The byte accounting below is what the
-// bench sweeps compare: a bf16 operand moves 2 bytes per element where
-// the f32 entry points above move 4.
-
-/// Like [`record_mm`] but with explicitly counted bytes, for the
-/// mixed-precision entries whose operands are not all 4 bytes wide.
-#[inline]
-fn record_mm_bytes(packed: bool, bytes: usize, flops: usize) {
-    metalora_obs::counters::record_kernel(
-        metalora_obs::counters::Kernel::Matmul,
-        flops as u64,
-        bytes as u64,
-    );
-    metalora_obs::counters::record_matmul_path(packed);
-}
-
-fn as_bf16_matrix_dims(b: &Bf16Buf, what: &'static str) -> Result<(usize, usize)> {
-    if b.rank() != 2 {
-        return Err(TensorError::InvalidArgument(format!(
-            "{what}: expected rank-2 bf16 buffer, got rank {}",
-            b.rank()
-        )));
-    }
-    Ok((b.dims()[0], b.dims()[1]))
-}
-
-/// `C = X·W` for f32 activations `X:[m,k]` and bf16-stored weights
-/// `W:[k,n]`, f32 output — the serving hot path: weights stream at half
-/// the bytes, activations and accumulation stay f32. Bitwise identical to
-/// [`matmul`] of `X` with the widened copy of `W`.
-pub fn matmul_bf16_weights(x: &Tensor, w: &Bf16Buf) -> Result<Tensor> {
-    let (m, k) = as_matrix_dims(x, "matmul_bf16_weights lhs")?;
-    let (k2, n) = as_bf16_matrix_dims(w, "matmul_bf16_weights rhs")?;
-    if k != k2 {
-        return Err(TensorError::ShapeMismatch {
-            op: "matmul_bf16_weights",
-            lhs: x.dims().to_vec(),
-            rhs: w.dims().to_vec(),
-        });
-    }
-    let mut out = vec![0.0f32; m * n];
-    let xd = x.data();
-    let packed = use_packed(2 * m * k * n);
-    if packed {
-        microkernel::gemm_packed_src(
-            PanelSrc::F32(xd), 0, k, 1, PanelSrc::Bf16(w.data()), 0, n, 1, 1, m, n, k, &mut out,
-        );
-    } else {
-        // Tiny product: widen the weights into an arena lease and run the
-        // legacy kernel — the widened values are the same ones packing
-        // would produce, so the bitwise contract holds on this path too.
-        let mut wf = workspace::take(k * n);
-        bf16::widen_slice(w.data(), &mut wf);
-        par_row_blocks(&mut out, n.max(1), 2 * k * n, |first, block| {
-            matmul_rows(xd, &wf, k, n, first, block);
-        });
-    }
-    record_mm_bytes(packed, 4 * x.len() + 2 * w.len() + 4 * m * n, 2 * m * k * n);
-    Tensor::from_vec(out, &[m, n])
-}
-
-/// `C = A·B` with **all three** matrices stored bf16: operands widen at
-/// pack time, the product accumulates in f32, and the result rounds to
-/// bf16 once at the end (RNE). Moves half the bytes of [`matmul`] at
-/// equal shape. The f32 accumulation equals `matmul` of the widened
-/// operands bitwise; only the final stored rounding differs.
-pub fn matmul_bf16(a: &Bf16Buf, b: &Bf16Buf) -> Result<Bf16Buf> {
-    let (m, k) = as_bf16_matrix_dims(a, "matmul_bf16 lhs")?;
-    let (k2, n) = as_bf16_matrix_dims(b, "matmul_bf16 rhs")?;
-    if k != k2 {
-        return Err(TensorError::ShapeMismatch {
-            op: "matmul_bf16",
-            lhs: a.dims().to_vec(),
-            rhs: b.dims().to_vec(),
-        });
-    }
-    let mut acc = workspace::take_zeroed(m * n);
-    let packed = use_packed(2 * m * k * n);
-    if packed {
-        microkernel::gemm_packed_src(
-            PanelSrc::Bf16(a.data()), 0, k, 1, PanelSrc::Bf16(b.data()), 0, n, 1, 1, m, n, k,
-            &mut acc,
-        );
-    } else {
-        let mut af = workspace::take(m * k);
-        bf16::widen_slice(a.data(), &mut af);
-        let mut bf = workspace::take(k * n);
-        bf16::widen_slice(b.data(), &mut bf);
-        let (afr, bfr) = (&af[..], &bf[..]);
-        par_row_blocks(&mut acc, n.max(1), 2 * k * n, |first, block| {
-            matmul_rows(afr, bfr, k, n, first, block);
-        });
-    }
-    record_mm_bytes(packed, 2 * (a.len() + b.len() + m * n), 2 * m * k * n);
-    Bf16Buf::from_f32(&acc, &[m, n])
-}
-
-// ---------------------------------------------------------------------------
-// Fused-epilogue entries
-// ---------------------------------------------------------------------------
-//
-// `act(X·W + bias)` in one pass: the epilogue is applied per element at
-// C-tile store time (packed path) or at the end of each row block's
-// accumulation (legacy path), eliminating the separate full passes
-// `ops::add` + `ops::map` would make over the output. Per element the
-// scalar sequence — `act(acc + bias[j])` after the complete `k`
-// accumulation — is identical either way, so fused output is bitwise
-// equal to unfused (asserted by `tests/fuse_equiv.rs`). The
-// `METALORA_FUSE` kill-switch routes back through the separate passes.
-
-/// Validates an optional bias against output width `n` and returns its
-/// data slice.
-fn check_bias<'a>(
-    bias: Option<&'a Tensor>,
-    n: usize,
-    op: &'static str,
-) -> Result<Option<&'a [f32]>> {
-    match bias {
-        Some(b) if b.len() != n => Err(TensorError::ShapeMismatch {
-            op,
-            lhs: b.dims().to_vec(),
-            rhs: vec![n],
-        }),
-        Some(b) => Ok(Some(b.data())),
-        None => Ok(None),
-    }
-}
-
-/// The unfused epilogue: the exact separate full output passes the fused
-/// store replaces — a broadcast bias add, then an activation map. Each
-/// pass is tallied by the obs `output_passes` counter, which is how the
-/// serve bench proves the fused path eliminated them.
+/// The unfused epilogue: the separate full output passes a fused store
+/// replaces — a broadcast bias add, then an activation map. The reference
+/// fused [`gemm`] output is tested against, and the unfused column of the
+/// K1 bench; each pass is tallied by the obs `output_passes` counter.
 pub fn epilogue_pass(y: Tensor, bias: Option<&Tensor>, act: Option<Activation>) -> Result<Tensor> {
     let y = match bias {
         Some(b) => {
@@ -470,121 +414,6 @@ pub fn epilogue_pass(y: Tensor, bias: Option<&Tensor>, act: Option<Activation>) 
     })
 }
 
-/// `C = act(X·W + bias)` for `X:[m,k]`, `W:[k,n]`, `bias:[n]` — the fused
-/// linear forward. Bitwise identical to [`matmul`] followed by
-/// [`epilogue_pass`]; with fusion disabled it *is* that sequence.
-pub fn matmul_bias_act(
-    x: &Tensor,
-    w: &Tensor,
-    bias: Option<&Tensor>,
-    act: Option<Activation>,
-) -> Result<Tensor> {
-    let (m, k) = as_matrix_dims(x, "matmul_bias_act lhs")?;
-    let (k2, n) = as_matrix_dims(w, "matmul_bias_act rhs")?;
-    if k != k2 {
-        return Err(TensorError::ShapeMismatch {
-            op: "matmul_bias_act",
-            lhs: x.dims().to_vec(),
-            rhs: w.dims().to_vec(),
-        });
-    }
-    let ep = Epilogue { bias: check_bias(bias, n, "matmul_bias_act bias")?, act };
-    if ep.is_noop() {
-        return matmul(x, w);
-    }
-    if !microkernel::fuse_enabled() {
-        return epilogue_pass(matmul(x, w)?, bias, act);
-    }
-    let mut out = vec![0.0f32; m * n];
-    let (xd, wd) = (x.data(), w.data());
-    let packed = use_packed(2 * m * k * n);
-    if packed {
-        microkernel::gemm_packed_ep(xd, 0, k, 1, wd, 0, n, 1, 1, m, n, k, &mut out, ep);
-    } else {
-        par_row_blocks(&mut out, n.max(1), 2 * k * n, |first, block| {
-            matmul_rows(xd, wd, k, n, first, block);
-            // The row block's full-k accumulation is complete: apply the
-            // epilogue here, in the same walk, instead of a second full
-            // pass over the output.
-            ep.apply_rows(block, n);
-        });
-    }
-    record_mm(packed, x.len() + w.len() + bias.map_or(0, Tensor::len), out.len(), 2 * m * k * n);
-    metalora_obs::counters::record_fused_epilogue((m * n) as u64);
-    Tensor::from_vec(out, &[m, n])
-}
-
-/// [`matmul_bias_act`] with bf16-stored weights — the fused serving hot
-/// path. Bitwise identical to [`matmul_bf16_weights`] followed by
-/// [`epilogue_pass`].
-pub fn matmul_bf16_weights_bias_act(
-    x: &Tensor,
-    w: &Bf16Buf,
-    bias: Option<&Tensor>,
-    act: Option<Activation>,
-) -> Result<Tensor> {
-    let (m, k) = as_matrix_dims(x, "matmul_bf16_weights_bias_act lhs")?;
-    let (k2, n) = as_bf16_matrix_dims(w, "matmul_bf16_weights_bias_act rhs")?;
-    if k != k2 {
-        return Err(TensorError::ShapeMismatch {
-            op: "matmul_bf16_weights_bias_act",
-            lhs: x.dims().to_vec(),
-            rhs: w.dims().to_vec(),
-        });
-    }
-    let ep = Epilogue { bias: check_bias(bias, n, "matmul_bf16_weights_bias_act bias")?, act };
-    if ep.is_noop() {
-        return matmul_bf16_weights(x, w);
-    }
-    if !microkernel::fuse_enabled() {
-        return epilogue_pass(matmul_bf16_weights(x, w)?, bias, act);
-    }
-    let mut out = vec![0.0f32; m * n];
-    let xd = x.data();
-    let packed = use_packed(2 * m * k * n);
-    if packed {
-        microkernel::gemm_packed_src_ep(
-            PanelSrc::F32(xd), 0, k, 1, PanelSrc::Bf16(w.data()), 0, n, 1, 1, m, n, k, &mut out,
-            ep,
-        );
-    } else {
-        let mut wf = workspace::take(k * n);
-        bf16::widen_slice(w.data(), &mut wf);
-        let wfr = &wf[..];
-        par_row_blocks(&mut out, n.max(1), 2 * k * n, |first, block| {
-            matmul_rows(xd, wfr, k, n, first, block);
-            ep.apply_rows(block, n);
-        });
-    }
-    record_mm_bytes(
-        packed,
-        4 * x.len() + 2 * w.len() + 4 * m * n + 4 * bias.map_or(0, Tensor::len),
-        2 * m * k * n,
-    );
-    metalora_obs::counters::record_fused_epilogue((m * n) as u64);
-    Tensor::from_vec(out, &[m, n])
-}
-
-fn as_batch_dims(t: &Tensor, what: &'static str) -> Result<(usize, usize, usize)> {
-    if t.rank() != 3 {
-        return Err(TensorError::InvalidArgument(format!(
-            "{what}: expected rank-3 tensor, got rank {}",
-            t.rank()
-        )));
-    }
-    Ok((t.dims()[0], t.dims()[1], t.dims()[2]))
-}
-
-fn as_matrix_dims(t: &Tensor, what: &'static str) -> Result<(usize, usize)> {
-    if t.rank() != 2 {
-        return Err(TensorError::InvalidArgument(format!(
-            "{what}: expected rank-2 tensor, got rank {}",
-            t.rank()
-        )));
-    }
-    Ok((t.dims()[0], t.dims()[1]))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -593,6 +422,10 @@ mod tests {
 
     fn t(v: Vec<f32>, d: &[usize]) -> Tensor {
         Tensor::from_vec(v, d).unwrap()
+    }
+
+    fn bits_eq(a: &Tensor, b: &Tensor) -> bool {
+        a.dims() == b.dims() && a.data().iter().zip(b.data()).all(|(x, y)| x.to_bits() == y.to_bits())
     }
 
     #[test]
@@ -646,10 +479,14 @@ mod tests {
         let mut r = init::rng(5);
         let a = init::uniform(&[4, 6], -1.0, 1.0, &mut r);
         let x = init::uniform(&[6], -1.0, 1.0, &mut r);
-        let y = matvec(&a, &x).unwrap();
+        let y = gemm(&GemmDesc::new(&a, &x)).unwrap();
         let y2 = matmul(&a, &x.reshaped(&[6, 1]).unwrap()).unwrap();
-        assert!(approx_eq(&y, &y2.reshape(&[4]).unwrap(), 1e-5));
-        assert!(matvec(&a, &Tensor::zeros(&[5])).is_err());
+        assert_eq!(y.dims(), &[4]);
+        assert!(bits_eq(&y, &y2.reshape(&[4]).unwrap()));
+        assert!(gemm(&GemmDesc::new(&a, &Tensor::zeros(&[5]))).is_err());
+        // A vector has no transpose, and no batched form.
+        assert!(gemm(&GemmDesc::new(&a, &x).transpose_b()).is_err());
+        assert!(gemm(&GemmDesc::new(&Tensor::zeros(&[2, 4, 6]), &x)).is_err());
     }
 
     #[test]
@@ -750,38 +587,30 @@ mod tests {
         }
     }
 
+    /// Shapes on either side of the pack gate.
+    const BOTH_PATHS: [(usize, usize, usize); 2] = [(3, 5, 4), (40, 140, 50)];
+
     #[test]
-    fn matmul_bf16_weights_matches_widened_matmul_bitwise() {
+    fn bf16_weights_gemm_matches_widened_matmul_bitwise() {
         let mut r = init::rng(21);
-        // Large enough for the packed path and small enough for legacy:
-        // both must equal matmul against the widened weights to the bit.
-        for (m, k, n) in [(3, 5, 4), (40, 140, 50)] {
+        for (m, k, n) in BOTH_PATHS {
             let x = init::uniform(&[m, k], -1.0, 1.0, &mut r);
             let w = Bf16Buf::from_tensor(&init::uniform(&[k, n], -1.0, 1.0, &mut r));
-            let got = matmul_bf16_weights(&x, &w).unwrap();
-            let expect = matmul(&x, &w.widen()).unwrap();
-            assert_eq!(got.dims(), expect.dims());
-            assert!(got
-                .data()
-                .iter()
-                .zip(expect.data())
-                .all(|(a, b)| a.to_bits() == b.to_bits()));
+            let got = gemm(&GemmDesc::new(&x, &w)).unwrap();
+            assert!(bits_eq(&got, &matmul(&x, &w.widen()).unwrap()));
         }
     }
 
     #[test]
-    fn matmul_bf16_equals_rounded_widened_product() {
+    fn bf16_operands_gemm_equals_widened_product() {
         let mut r = init::rng(22);
-        for (m, k, n) in [(4, 6, 3), (36, 130, 40)] {
+        for (m, k, n) in BOTH_PATHS {
             let a = Bf16Buf::from_tensor(&init::uniform(&[m, k], -1.0, 1.0, &mut r));
             let b = Bf16Buf::from_tensor(&init::uniform(&[k, n], -1.0, 1.0, &mut r));
-            let got = matmul_bf16(&a, &b).unwrap();
-            let expect = matmul(&a.widen(), &b.widen()).unwrap();
-            // The accumulation is the f32 one; only the final store
-            // rounds, so rounding the reference must reproduce the
-            // result exactly.
-            let expect16 = Bf16Buf::from_tensor(&expect);
-            assert_eq!(got, expect16);
+            // Operands widen exactly and the accumulation is the f32 one;
+            // a caller storing the result as bf16 rounds it once, itself.
+            let got = gemm(&GemmDesc::new(&a, &b)).unwrap();
+            assert!(bits_eq(&got, &matmul(&a.widen(), &b.widen()).unwrap()));
         }
     }
 
@@ -789,48 +618,36 @@ mod tests {
     fn bf16_matmul_validates_shapes() {
         let a = Bf16Buf::from_f32(&[0.0; 6], &[2, 3]).unwrap();
         let b = Bf16Buf::from_f32(&[0.0; 8], &[4, 2]).unwrap();
-        assert!(matmul_bf16(&a, &b).is_err());
-        assert!(matmul_bf16_weights(&Tensor::zeros(&[2, 4]), &a).is_err());
-        assert!(matmul_bf16_weights(&Tensor::zeros(&[2]), &a).is_err());
+        assert!(gemm(&GemmDesc::new(&a, &b)).is_err());
+        assert!(gemm(&GemmDesc::new(&Tensor::zeros(&[2, 4]), &a)).is_err());
+        assert!(gemm(&GemmDesc::new(&Tensor::zeros(&[2]), &a)).is_err());
     }
 
     #[test]
     fn matmul_bias_act_matches_separate_passes_bitwise() {
         let mut r = init::rng(31);
-        // Legacy-sized and packed-sized: both must equal matmul followed
-        // by the separate broadcast-add and map passes to the bit.
-        for (m, k, n) in [(3, 5, 4), (40, 140, 50)] {
+        for (m, k, n) in BOTH_PATHS {
             let x = init::uniform(&[m, k], -1.0, 1.0, &mut r);
             let w = init::uniform(&[k, n], -1.0, 1.0, &mut r);
             let b = init::uniform(&[n], -1.0, 1.0, &mut r);
-            let fused = matmul_bias_act(&x, &w, Some(&b), Some(Activation::Gelu)).unwrap();
-            let y = crate::ops::add(&matmul(&x, &w).unwrap(), &b).unwrap();
-            let expect = crate::ops::map(&y, |v| Activation::Gelu.apply(v));
-            assert_eq!(fused.dims(), expect.dims());
-            assert!(fused
-                .data()
-                .iter()
-                .zip(expect.data())
-                .all(|(a, b)| a.to_bits() == b.to_bits()));
+            let act = Some(Activation::Gelu);
+            let fused = gemm(&GemmDesc::new(&x, &w).epilogue(Some(&b), act)).unwrap();
+            let expect = epilogue_pass(matmul(&x, &w).unwrap(), Some(&b), act).unwrap();
+            assert!(bits_eq(&fused, &expect));
         }
     }
 
     #[test]
-    fn matmul_bf16_weights_bias_act_matches_separate_passes_bitwise() {
+    fn bf16_weights_bias_act_matches_separate_passes_bitwise() {
         let mut r = init::rng(32);
-        for (m, k, n) in [(3, 5, 4), (40, 140, 50)] {
+        for (m, k, n) in BOTH_PATHS {
             let x = init::uniform(&[m, k], -1.0, 1.0, &mut r);
             let w = Bf16Buf::from_tensor(&init::uniform(&[k, n], -1.0, 1.0, &mut r));
             let b = init::uniform(&[n], -1.0, 1.0, &mut r);
-            let fused =
-                matmul_bf16_weights_bias_act(&x, &w, Some(&b), Some(Activation::Tanh)).unwrap();
-            let y = crate::ops::add(&matmul_bf16_weights(&x, &w).unwrap(), &b).unwrap();
-            let expect = crate::ops::map(&y, |v| Activation::Tanh.apply(v));
-            assert!(fused
-                .data()
-                .iter()
-                .zip(expect.data())
-                .all(|(a, b)| a.to_bits() == b.to_bits()));
+            let act = Some(Activation::Tanh);
+            let fused = gemm(&GemmDesc::new(&x, &w).epilogue(Some(&b), act)).unwrap();
+            let plain = gemm(&GemmDesc::new(&x, &w)).unwrap();
+            assert!(bits_eq(&fused, &epilogue_pass(plain, Some(&b), act).unwrap()));
         }
     }
 
@@ -839,12 +656,9 @@ mod tests {
         let x = Tensor::zeros(&[2, 3]);
         let w = Tensor::zeros(&[3, 4]);
         let bad = Tensor::zeros(&[5]);
-        assert!(matmul_bias_act(&x, &w, Some(&bad), None).is_err());
+        assert!(gemm(&GemmDesc::new(&x, &w).epilogue(Some(&bad), None)).is_err());
         let wh = Bf16Buf::from_f32(&[0.0; 12], &[3, 4]).unwrap();
-        assert!(matmul_bf16_weights_bias_act(&x, &wh, Some(&bad), None).is_err());
-        // Noop epilogue degenerates to the plain product.
-        let ok = matmul_bias_act(&x, &w, None, None).unwrap();
-        assert_eq!(ok.dims(), &[2, 4]);
+        assert!(gemm(&GemmDesc::new(&x, &wh).epilogue(Some(&bad), None)).is_err());
     }
 
     #[test]

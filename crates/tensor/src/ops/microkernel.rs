@@ -1,9 +1,10 @@
 //! Packed, register-tiled GEMM microkernel with a parallel tile-grid
 //! scheduler.
 //!
-//! All seven matmul-family entry points (plain / transposed / batched /
-//! matvec) reduce to the same computation — `C[i,j] += Σ_k A[i,k]·B[k,j]`
-//! over strided operands — so they all funnel into one driver here:
+//! Every layout / batching / storage combination [`super::gemm`] accepts
+//! reduces to the same computation — `C[i,j] += Σ_k A[i,k]·B[k,j]` over
+//! strided operands (`StridedGemm`) — so they all funnel into one driver
+//! here, `gemm_packed`:
 //!
 //! 1. **Pack `B` once per call** into KC-tall panels of [`NR`]-wide column
 //!    tiles (`[kc×NR]`, k-major) — shared, read-only, visible to every
@@ -26,18 +27,17 @@
 //!    edges (`m % MR`, `n % NR`) fall to a bounds-checked edge kernel
 //!    with the identical accumulation order.
 //!
-//! # Bitwise equivalence to the legacy scalar kernels
+//! # Bitwise equivalence to the reference kernel
 //!
-//! Every output element still receives exactly one `f32` multiply and one
-//! add per `k` step, in strictly increasing `k` order, starting from the
-//! zero-initialised output — the same abstract sequence the legacy `ikj`
-//! axpy loop, the dot-product loops and `matvec`'s `sum()` perform.
-//! Spilling the accumulator to `C` between KC tiles is exact (an `f32`
-//! store/load round-trip loses nothing), and rustc never contracts
-//! `mul`+`add` into an FMA, so vector width cannot change any element
-//! either. Hence packed results are **bitwise identical** to the legacy
-//! path — which is why the two can be toggled freely (see
-//! [`set_packing_enabled`]).
+//! Every output element receives exactly one `f32` multiply and one add
+//! per `k` step, in strictly increasing `k` order, starting from the
+//! zero-initialised output — the same abstract sequence the strided
+//! reference kernel in [`super::gemm`]'s module performs. Spilling the
+//! accumulator to `C` between KC tiles is exact (an `f32` store/load
+//! round-trip loses nothing), and rustc never contracts `mul`+`add` into
+//! an FMA, so vector width cannot change any element either. Hence packed
+//! results are **bitwise identical** to the reference path, which is why
+//! dispatch may pick between them from the flop count alone.
 //!
 //! Work *stealing* cannot move a bit either: each grid cell is a
 //! self-contained block of output elements, computed by exactly one
@@ -65,20 +65,19 @@
 //! is `act(acc + bias[j])`, exactly what the separate `ops::add` +
 //! `ops::map` passes compute; the sequence is pure per element, so store
 //! time vs. a second full output pass cannot change a bit (see
-//! DESIGN.md "Epilogue fusion & static plan"). The `METALORA_FUSE`
-//! kill-switch ([`set_fuse_enabled`]) restores the unfused passes.
+//! DESIGN.md "Epilogue fusion & static inference plan").
 
 use crate::bf16::bf16_to_f32;
 use crate::par::{par_task_queue, TaskQueue};
 use crate::workspace;
-use std::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize, Ordering::Relaxed};
-use std::sync::OnceLock;
+use std::cell::Cell;
+use std::sync::atomic::{AtomicU8, Ordering::Relaxed};
 
 /// Rows of the register tile (accumulator rows per kernel invocation).
 pub const MR: usize = 4;
 /// Columns of the register tile (one or two SIMD vectors wide).
 pub const NR: usize = 16;
-/// k-dimension tile, shared with the legacy kernels: the packed `KC×NR`
+/// k-dimension tile, shared with the reference kernel: the packed `KC×NR`
 /// panel of `B` stays cache-resident while a row block streams past it.
 pub const KC: usize = 128;
 /// Columns per tile-grid cell (a multiple of [`NR`]): one claimed cell is
@@ -89,89 +88,50 @@ pub const KC: usize = 128;
 pub const NC: usize = 256;
 
 // ---------------------------------------------------------------------------
-// Gating: packed vs legacy
+// Gating: packed vs reference
 // ---------------------------------------------------------------------------
 
-static PACKING_ENABLED: AtomicBool = AtomicBool::new(true);
-/// Matmuls below this flop count stay on the legacy scalar path — packing
+/// Products below this flop count stay on the reference kernel — packing
 /// two operands cannot pay for itself on tiny products.
-static PACK_MIN_FLOPS: AtomicUsize = AtomicUsize::new(1 << 15);
+pub const PACK_MIN_FLOPS: usize = 1 << 15;
 
-/// Globally enables/disables the packed path (both paths are bitwise
-/// identical; the toggle exists for benchmarking and bisection).
-pub fn set_packing_enabled(on: bool) {
-    PACKING_ENABLED.store(on, Relaxed);
+/// The two kernels a GEMM can run on (bitwise identical by construction).
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum KernelPath {
+    /// The strided scalar reference kernel.
+    Reference,
+    /// The packed register-tiled kernel in this module.
+    Packed,
 }
 
-/// Whether the packed path is globally enabled.
-pub fn packing_enabled() -> bool {
-    PACKING_ENABLED.load(Relaxed)
+thread_local! {
+    static FORCED_PATH: Cell<Option<KernelPath>> = const { Cell::new(None) };
 }
 
-/// Sets the minimum flop count for taking the packed path (`0` forces it
-/// for every size — used by the equivalence tests).
-pub fn set_pack_min_flops(flops: usize) {
-    PACK_MIN_FLOPS.store(flops, Relaxed);
-}
-
-/// `true` when a product of `flops` multiply-adds should take the packed
-/// path under the current gates.
-pub fn use_packed(flops: usize) -> bool {
-    packing_enabled() && flops >= PACK_MIN_FLOPS.load(Relaxed)
-}
-
-// Tri-state override for the tile-grid scheduler's parallelism: 0/1 set
-// programmatically, 2 = unset (fall back to METALORA_TILE_GRID, then on).
-static TILE_GRID_OVERRIDE: AtomicU8 = AtomicU8::new(2);
-
-/// Enables/disables parallel scheduling of the packed GEMM's tile grid
-/// (`false` runs the identical grid serially on the calling thread —
-/// a bisection/debug knob, both modes are bitwise identical). Overrides
-/// the `METALORA_TILE_GRID` environment variable; the default is on.
-pub fn set_tile_grid_parallel(on: bool) {
-    TILE_GRID_OVERRIDE.store(on as u8, Relaxed);
-}
-
-/// Whether the tile-grid scheduler may spawn a worker team (the
-/// [`set_tile_grid_parallel`] override if set, else `METALORA_TILE_GRID`
-/// — `0` disables — else on).
-pub fn tile_grid_parallel() -> bool {
-    match TILE_GRID_OVERRIDE.load(Relaxed) {
-        0 => false,
-        1 => true,
-        _ => {
-            static FROM_ENV: OnceLock<bool> = OnceLock::new();
-            *FROM_ENV.get_or_init(|| {
-                std::env::var("METALORA_TILE_GRID").map(|s| s.trim() != "0").unwrap_or(true)
-            })
+/// Test seam: runs `f` with every gate decision taken **on this thread**
+/// forced to `path`, whatever the flop count, and restores the previous
+/// state afterwards — also when `f` panics. The equivalence suites and
+/// the K1 sweep use it to compare the two kernels on the same shape;
+/// production code never forces a path.
+#[doc(hidden)]
+pub fn with_kernel_path<R>(path: KernelPath, f: impl FnOnce() -> R) -> R {
+    struct Restore(Option<KernelPath>);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            FORCED_PATH.with(|p| p.set(self.0));
         }
     }
+    let _restore = Restore(FORCED_PATH.with(|p| p.replace(Some(path))));
+    f()
 }
 
-// Tri-state override for epilogue fusion: 0/1 set programmatically,
-// 2 = unset (fall back to METALORA_FUSE, then on).
-static FUSE_OVERRIDE: AtomicU8 = AtomicU8::new(2);
-
-/// Enables/disables fusing the linear/conv epilogue (bias add +
-/// activation) into the GEMM store. Fused and unfused are bitwise
-/// identical — the kill-switch exists for benchmarking and bisection.
-/// Overrides the `METALORA_FUSE` environment variable; the default is on.
-pub fn set_fuse_enabled(on: bool) {
-    FUSE_OVERRIDE.store(on as u8, Relaxed);
-}
-
-/// Whether fused epilogues are enabled (the [`set_fuse_enabled`] override
-/// if set, else `METALORA_FUSE` — `0` disables — else on).
-pub fn fuse_enabled() -> bool {
-    match FUSE_OVERRIDE.load(Relaxed) {
-        0 => false,
-        1 => true,
-        _ => {
-            static FROM_ENV: OnceLock<bool> = OnceLock::new();
-            *FROM_ENV.get_or_init(|| {
-                std::env::var("METALORA_FUSE").map(|s| s.trim() != "0").unwrap_or(true)
-            })
-        }
+/// `true` when a product of `flops` multiply-adds takes the packed path:
+/// the flop count against [`PACK_MIN_FLOPS`], unless the calling thread is
+/// inside [`with_kernel_path`].
+pub fn use_packed(flops: usize) -> bool {
+    match FORCED_PATH.with(Cell::get) {
+        Some(path) => path == KernelPath::Packed,
+        None => flops >= PACK_MIN_FLOPS,
     }
 }
 
@@ -281,7 +241,7 @@ impl<'a> Epilogue<'a> {
     }
 
     /// Applies the epilogue in place to contiguous row-major `rows × n`
-    /// output rows (the legacy-path variant — safe slices, same
+    /// output rows (the reference kernel's variant — safe slices, same
     /// per-element sequence).
     pub fn apply_rows(&self, out: &mut [f32], n: usize) {
         if self.is_noop() || n == 0 {
@@ -357,89 +317,33 @@ fn detect() -> SimdLevel {
 // Packing
 // ---------------------------------------------------------------------------
 
-/// Packs all `k×n` of `B` (element `(kk, j)` at `bd[base + kk*ks + j*cs]`)
-/// into KC-tile-major panels: the tile for `kk ∈ [kb, kb+kc)` starts at
-/// `kb*n` and holds the full-width column tiles `[kc×NR]` (element
-/// `(kk-kb, jj)` at `jt*NR*kc + (kk-kb)*NR + jj`) followed by one ragged
-/// tile `[kc×ne]`, `ne = n % NR`.
-pub fn pack_b(bd: &[f32], base: usize, k: usize, n: usize, ks: usize, cs: usize, packed: &mut [f32]) {
-    debug_assert!(packed.len() >= k * n);
-    let n_full = n - n % NR;
-    for kb in (0..k).step_by(KC) {
-        let kc = (kb + KC).min(k) - kb;
-        let tile = &mut packed[kb * n..kb * n + kc * n];
-        for j0 in (0..n_full).step_by(NR) {
-            let dst = &mut tile[j0 * kc..j0 * kc + kc * NR];
-            for dk in 0..kc {
-                let src = base + (kb + dk) * ks + j0 * cs;
-                for jj in 0..NR {
-                    dst[dk * NR + jj] = bd[src + jj * cs];
-                }
-            }
-        }
-        let ne = n - n_full;
-        if ne > 0 {
-            let dst = &mut tile[n_full * kc..];
-            for dk in 0..kc {
-                let src = base + (kb + dk) * ks + n_full * cs;
-                for jj in 0..ne {
-                    dst[dk * ne + jj] = bd[src + jj * cs];
-                }
-            }
-        }
+/// A stored element a panel can be packed from: f32 verbatim, bf16 bits
+/// widened to f32 (exact — bf16 is the top half of f32). Packing is the
+/// *only* point the storage format is visible; the inner kernels stream
+/// packed f32 panels either way, so a bf16 GEMM is bitwise identical to
+/// the f32 GEMM on widened inputs.
+trait PanelElem: Copy {
+    fn to_f32(self) -> f32;
+}
+
+impl PanelElem for f32 {
+    #[inline(always)]
+    fn to_f32(self) -> f32 {
+        self
     }
 }
 
-/// Packs `rows` rows of `A` starting at row `first` (element `(i, kk)` at
-/// `ad[base + i*rs + kk*ks]`) into KC-tile-major panels: the tile for
-/// `kk ∈ [kb, kb+kc)` starts at `kb*rows` and holds MR-tall row tiles
-/// `[kc×MR]` (element `(kk-kb, r)` at `it*MR*kc + (kk-kb)*MR + r`) followed
-/// by one ragged tile `[kc×me]`, `me = rows % MR`.
-pub fn pack_a(
-    ad: &[f32],
-    base: usize,
-    first: usize,
-    rows: usize,
-    k: usize,
-    rs: usize,
-    ks: usize,
-    packed: &mut [f32],
-) {
-    debug_assert!(packed.len() >= rows * k);
-    let rows_full = rows - rows % MR;
-    for kb in (0..k).step_by(KC) {
-        let kc = (kb + KC).min(k) - kb;
-        let tile = &mut packed[kb * rows..kb * rows + kc * rows];
-        for i0 in (0..rows_full).step_by(MR) {
-            let dst = &mut tile[i0 * kc..i0 * kc + kc * MR];
-            for dk in 0..kc {
-                let src = base + (first + i0) * rs + (kb + dk) * ks;
-                for r in 0..MR {
-                    dst[dk * MR + r] = ad[src + r * rs];
-                }
-            }
-        }
-        let me = rows - rows_full;
-        if me > 0 {
-            let dst = &mut tile[rows_full * kc..];
-            for dk in 0..kc {
-                let src = base + (first + rows_full) * rs + (kb + dk) * ks;
-                for r in 0..me {
-                    dst[dk * me + r] = ad[src + r * rs];
-                }
-            }
-        }
+impl PanelElem for u16 {
+    #[inline(always)]
+    fn to_f32(self) -> f32 {
+        bf16_to_f32(self)
     }
 }
 
-/// [`pack_b`] reading bf16 bits: each element is widened to f32 as it is
-/// packed (exact — bf16 is the top half of f32), producing the identical
-/// panel layout. Packing is the *only* point the storage format is
-/// visible; the inner kernels stream packed f32 panels either way, so the
-/// bf16 GEMM is bitwise identical to the f32 GEMM on widened inputs.
+/// [`pack_b`] for either storage.
 #[inline(always)]
-fn pack_b_bf16_body(
-    bd: &[u16],
+fn pack_b_body<T: PanelElem>(
+    bd: &[T],
     base: usize,
     k: usize,
     n: usize,
@@ -457,7 +361,7 @@ fn pack_b_bf16_body(
             for dk in 0..kc {
                 let src = base + (kb + dk) * ks + j0 * cs;
                 for jj in 0..NR {
-                    dst[dk * NR + jj] = bf16_to_f32(bd[src + jj * cs]);
+                    dst[dk * NR + jj] = bd[src + jj * cs].to_f32();
                 }
             }
         }
@@ -467,18 +371,18 @@ fn pack_b_bf16_body(
             for dk in 0..kc {
                 let src = base + (kb + dk) * ks + n_full * cs;
                 for jj in 0..ne {
-                    dst[dk * ne + jj] = bf16_to_f32(bd[src + jj * cs]);
+                    dst[dk * ne + jj] = bd[src + jj * cs].to_f32();
                 }
             }
         }
     }
 }
 
-/// [`pack_a`] reading bf16 bits — see [`pack_b_bf16_body`].
+/// [`pack_a`] for either storage.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-fn pack_a_bf16_body(
-    ad: &[u16],
+fn pack_a_body<T: PanelElem>(
+    ad: &[T],
     base: usize,
     first: usize,
     rows: usize,
@@ -497,7 +401,7 @@ fn pack_a_bf16_body(
             for dk in 0..kc {
                 let src = base + (first + i0) * rs + (kb + dk) * ks;
                 for r in 0..MR {
-                    dst[dk * MR + r] = bf16_to_f32(ad[src + r * rs]);
+                    dst[dk * MR + r] = ad[src + r * rs].to_f32();
                 }
             }
         }
@@ -507,11 +411,39 @@ fn pack_a_bf16_body(
             for dk in 0..kc {
                 let src = base + (first + rows_full) * rs + (kb + dk) * ks;
                 for r in 0..me {
-                    dst[dk * me + r] = bf16_to_f32(ad[src + r * rs]);
+                    dst[dk * me + r] = ad[src + r * rs].to_f32();
                 }
             }
         }
     }
+}
+
+/// Packs all `k×n` of `B` (element `(kk, j)` at `bd[base + kk*ks + j*cs]`)
+/// into KC-tile-major panels: the tile for `kk ∈ [kb, kb+kc)` starts at
+/// `kb*n` and holds the full-width column tiles `[kc×NR]` (element
+/// `(kk-kb, jj)` at `jt*NR*kc + (kk-kb)*NR + jj`) followed by one ragged
+/// tile `[kc×ne]`, `ne = n % NR`.
+pub fn pack_b(bd: &[f32], base: usize, k: usize, n: usize, ks: usize, cs: usize, packed: &mut [f32]) {
+    pack_b_body(bd, base, k, n, ks, cs, packed)
+}
+
+/// Packs `rows` rows of `A` starting at row `first` (element `(i, kk)` at
+/// `ad[base + i*rs + kk*ks]`) into KC-tile-major panels: the tile for
+/// `kk ∈ [kb, kb+kc)` starts at `kb*rows` and holds MR-tall row tiles
+/// `[kc×MR]` (element `(kk-kb, r)` at `it*MR*kc + (kk-kb)*MR + r`) followed
+/// by one ragged tile `[kc×me]`, `me = rows % MR`.
+#[allow(clippy::too_many_arguments)]
+pub fn pack_a(
+    ad: &[f32],
+    base: usize,
+    first: usize,
+    rows: usize,
+    k: usize,
+    rs: usize,
+    ks: usize,
+    packed: &mut [f32],
+) {
+    pack_a_body(ad, base, first, rows, k, rs, ks, packed)
 }
 
 // The widening loop is shift-and-reinterpret per element — pure integer
@@ -523,13 +455,13 @@ fn pack_a_bf16_body(
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn pack_b_bf16_avx2(bd: &[u16], base: usize, k: usize, n: usize, ks: usize, cs: usize, packed: &mut [f32]) {
-    pack_b_bf16_body(bd, base, k, n, ks, cs, packed)
+    pack_b_body(bd, base, k, n, ks, cs, packed)
 }
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f", enable = "avx512bw")]
 unsafe fn pack_b_bf16_avx512(bd: &[u16], base: usize, k: usize, n: usize, ks: usize, cs: usize, packed: &mut [f32]) {
-    pack_b_bf16_body(bd, base, k, n, ks, cs, packed)
+    pack_b_body(bd, base, k, n, ks, cs, packed)
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -545,7 +477,7 @@ unsafe fn pack_a_bf16_avx2(
     ks: usize,
     packed: &mut [f32],
 ) {
-    pack_a_bf16_body(ad, base, first, rows, k, rs, ks, packed)
+    pack_a_body(ad, base, first, rows, k, rs, ks, packed)
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -561,7 +493,7 @@ unsafe fn pack_a_bf16_avx512(
     ks: usize,
     packed: &mut [f32],
 ) {
-    pack_a_bf16_body(ad, base, first, rows, k, rs, ks, packed)
+    pack_a_body(ad, base, first, rows, k, rs, ks, packed)
 }
 
 /// Packs bf16-stored `B` into f32 panels, widening each element — same
@@ -577,7 +509,7 @@ pub fn pack_b_bf16(bd: &[u16], base: usize, k: usize, n: usize, ks: usize, cs: u
         SimdLevel::Avx512 | SimdLevel::Avx2 => unsafe {
             pack_b_bf16_avx2(bd, base, k, n, ks, cs, packed)
         },
-        _ => pack_b_bf16_body(bd, base, k, n, ks, cs, packed),
+        _ => pack_b_body(bd, base, k, n, ks, cs, packed),
     }
 }
 
@@ -604,7 +536,7 @@ pub fn pack_a_bf16(
         SimdLevel::Avx512 | SimdLevel::Avx2 => unsafe {
             pack_a_bf16_avx2(ad, base, first, rows, k, rs, ks, packed)
         },
-        _ => pack_a_bf16_body(ad, base, first, rows, k, rs, ks, packed),
+        _ => pack_a_body(ad, base, first, rows, k, rs, ks, packed),
     }
 }
 
@@ -904,11 +836,34 @@ unsafe fn gemm_cell(
     }
 }
 
-/// Packed GEMM over strided operands, batched:
-/// `out[bi, i, j] = Σ_k ad[a_base(bi) + i·a_rs + kk·a_ks] · bd[b_base(bi) + kk·b_ks + j·b_cs]`
-/// with `x_base(bi) = bi * x_batch`. `out` must be zero-initialised
-/// (`bs*m*n`, row-major). Covers every matmul-family variant: strides
-/// express the transposes, `bs = 1` the unbatched calls, `n = 1` matvec.
+/// One batched GEMM over strided operands — the description both kernels
+/// (the packed one here, the reference one beside [`super::gemm`]) take:
+/// `out[bi, i, j] = ep(Σ_kk a[bi·a_batch + i·a_rs + kk·a_ks] · b[bi·b_batch + kk·b_ks + j·b_cs])`
+/// into a zero-initialised row-major `out` of `bs·m·n` floats. Strides
+/// express the transposes, `bs = 1` the unbatched calls, `n = 1` the
+/// matrix–vector product; a bf16 [`PanelSrc`] is widened (exactly) where
+/// the kernel first touches it, so storage never reaches an inner loop.
+#[derive(Clone, Copy)]
+pub(crate) struct StridedGemm<'a> {
+    pub a: PanelSrc<'a>,
+    pub a_batch: usize,
+    pub a_rs: usize,
+    pub a_ks: usize,
+    pub b: PanelSrc<'a>,
+    pub b_batch: usize,
+    pub b_ks: usize,
+    pub b_cs: usize,
+    pub bs: usize,
+    pub m: usize,
+    pub n: usize,
+    pub k: usize,
+    /// Applied per element once its full-`k` accumulation is complete;
+    /// bias indices are the absolute output column, so every batch sees
+    /// the same per-column bias.
+    pub ep: Epilogue<'a>,
+}
+
+/// The packed path of [`super::gemm`].
 ///
 /// `B` is packed **once** up front (shared read-only across the worker
 /// team — the obs `tile_bpacks` counter asserts exactly one pass per
@@ -918,123 +873,10 @@ unsafe fn gemm_cell(
 /// atomic queue. Each worker leases one `MR×k` A-panel buffer from the
 /// workspace arena for its whole lifetime (no cross-thread aliasing: the
 /// arena hands out disjoint buffers) and re-packs it only when it claims
-/// a cell from a different strip than its previous one.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn gemm_packed(
-    ad: &[f32],
-    a_batch: usize,
-    a_rs: usize,
-    a_ks: usize,
-    bd: &[f32],
-    b_batch: usize,
-    b_ks: usize,
-    b_cs: usize,
-    bs: usize,
-    m: usize,
-    n: usize,
-    k: usize,
-    out: &mut [f32],
-) {
-    gemm_packed_src(
-        PanelSrc::F32(ad),
-        a_batch,
-        a_rs,
-        a_ks,
-        PanelSrc::F32(bd),
-        b_batch,
-        b_ks,
-        b_cs,
-        bs,
-        m,
-        n,
-        k,
-        out,
-    )
-}
-
-/// [`gemm_packed`] with a fused epilogue applied at C-tile store time.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn gemm_packed_ep(
-    ad: &[f32],
-    a_batch: usize,
-    a_rs: usize,
-    a_ks: usize,
-    bd: &[f32],
-    b_batch: usize,
-    b_ks: usize,
-    b_cs: usize,
-    bs: usize,
-    m: usize,
-    n: usize,
-    k: usize,
-    out: &mut [f32],
-    ep: Epilogue,
-) {
-    gemm_packed_src_ep(
-        PanelSrc::F32(ad),
-        a_batch,
-        a_rs,
-        a_ks,
-        PanelSrc::F32(bd),
-        b_batch,
-        b_ks,
-        b_cs,
-        bs,
-        m,
-        n,
-        k,
-        out,
-        ep,
-    )
-}
-
-/// [`gemm_packed`] over [`PanelSrc`] operands — the mixed-precision entry:
-/// bf16 operands are widened into the packed f32 panels during packing,
-/// and from there the scheduler, kernels and f32 accumulation order are
-/// exactly the f32 path's. Output is always f32; callers that want bf16
-/// results round once after the full accumulation.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn gemm_packed_src(
-    a: PanelSrc,
-    a_batch: usize,
-    a_rs: usize,
-    a_ks: usize,
-    b: PanelSrc,
-    b_batch: usize,
-    b_ks: usize,
-    b_cs: usize,
-    bs: usize,
-    m: usize,
-    n: usize,
-    k: usize,
-    out: &mut [f32],
-) {
-    gemm_packed_src_ep(a, a_batch, a_rs, a_ks, b, b_batch, b_ks, b_cs, bs, m, n, k, out, Epilogue::none())
-}
-
-/// [`gemm_packed_src`] with a fused [`Epilogue`]: each claimed cell
-/// applies `ep` to a column tile immediately after that tile's last KC
-/// tile stores (full-`k` accumulation complete), instead of a separate
-/// pass over the whole output afterwards. Bias indices are the absolute
-/// output column, so batched calls see the same per-column bias in every
-/// batch.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn gemm_packed_src_ep(
-    a: PanelSrc,
-    a_batch: usize,
-    a_rs: usize,
-    a_ks: usize,
-    b: PanelSrc,
-    b_batch: usize,
-    b_ks: usize,
-    b_cs: usize,
-    bs: usize,
-    m: usize,
-    n: usize,
-    k: usize,
-    out: &mut [f32],
-    ep: Epilogue,
-) {
+/// a cell from a different strip than its previous one. A non-noop `ep`
+/// is applied to each column tile right after its last KC tile stores.
+pub(crate) fn gemm_packed(g: &StridedGemm, out: &mut [f32]) {
+    let StridedGemm { a, a_batch, a_rs, a_ks, b, b_batch, b_ks, b_cs, bs, m, n, k, ep } = *g;
     debug_assert_eq!(out.len(), bs * m * n);
     if bs * m * n == 0 {
         return;
@@ -1093,13 +935,7 @@ pub(crate) fn gemm_packed_src_ep(
         }
         metalora_obs::counters::record_tile_grid_worker(slot, claimed, steals);
     };
-    if tile_grid_parallel() {
-        par_task_queue("tile_grid", tasks, 2 * MR * k * NC.min(n.max(1)), worker);
-    } else {
-        // Bisection knob: identical grid, single worker, no team.
-        metalora_obs::counters::record_dispatch(false);
-        worker(0, &TaskQueue::new(tasks));
-    }
+    par_task_queue("tile_grid", tasks, 2 * MR * k * NC.min(n.max(1)), worker);
 }
 
 #[cfg(test)]
@@ -1144,51 +980,79 @@ mod tests {
 
     #[test]
     fn gating_toggles() {
-        assert!(packing_enabled());
-        set_packing_enabled(false);
-        assert!(!use_packed(usize::MAX));
-        set_packing_enabled(true);
-        assert!(use_packed(1 << 20));
-        assert!(!use_packed(8));
-    }
-
-    /// Serialises the tests that flip the global tile-grid knob.
-    fn grid_lock() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        LOCK.lock().unwrap_or_else(|e| e.into_inner())
+        // Auto: the flop count decides. Forced: the seam decides, nests,
+        // and unwinds to the previous state.
+        assert!(use_packed(PACK_MIN_FLOPS) && !use_packed(PACK_MIN_FLOPS - 1));
+        with_kernel_path(KernelPath::Reference, || {
+            assert!(!use_packed(usize::MAX));
+            with_kernel_path(KernelPath::Packed, || assert!(use_packed(0)));
+            assert!(!use_packed(usize::MAX));
+        });
+        assert!(use_packed(1 << 20) && !use_packed(8));
     }
 
     #[test]
-    fn tile_grid_toggle_round_trips() {
-        let _g = grid_lock();
-        set_tile_grid_parallel(false);
-        assert!(!tile_grid_parallel());
-        set_tile_grid_parallel(true);
-        assert!(tile_grid_parallel());
+    fn forced_path_is_per_thread_and_survives_a_panic() {
+        use std::sync::Barrier;
+        // Two threads force different paths at the same time (the barrier
+        // holds both inside their scopes); each observes only its own.
+        let both_inside = Barrier::new(2);
+        std::thread::scope(|s| {
+            for path in [KernelPath::Reference, KernelPath::Packed] {
+                let both_inside = &both_inside;
+                s.spawn(move || {
+                    with_kernel_path(path, || {
+                        both_inside.wait();
+                        let want = path == KernelPath::Packed;
+                        assert_eq!((use_packed(0), use_packed(usize::MAX)), (want, want));
+                        both_inside.wait();
+                    });
+                    assert!(!use_packed(0) && use_packed(usize::MAX));
+                });
+            }
+        });
+        // A panic inside the scope still restores the override.
+        let caught = std::panic::catch_unwind(|| {
+            with_kernel_path(KernelPath::Packed, || panic!("inside the seam"))
+        });
+        assert!(caught.is_err());
+        assert!(!use_packed(0));
     }
 
-    #[test]
-    fn fuse_toggle_round_trips() {
-        let _g = grid_lock();
-        set_fuse_enabled(false);
-        assert!(!fuse_enabled());
-        set_fuse_enabled(true);
-        assert!(fuse_enabled());
+    /// Plain row-major `[m,k]·[k,n]` through the packed kernel.
+    fn packed(a: PanelSrc, b: PanelSrc, (m, k, n): (usize, usize, usize), ep: Epilogue) -> Vec<f32> {
+        let mut out = vec![0.0f32; m * n];
+        let g = StridedGemm {
+            a, a_batch: m * k, a_rs: k, a_ks: 1, b, b_batch: k * n, b_ks: n, b_cs: 1,
+            bs: 1, m, n, k, ep,
+        };
+        gemm_packed(&g, &mut out);
+        out
+    }
+
+    fn bits_eq(a: &[f32], b: &[f32]) -> bool {
+        a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+    }
+
+    /// Ragged in every dimension, 2 KC tiles, 2 column groups.
+    fn ragged_operands() -> ((usize, usize, usize), Vec<f32>, Vec<f32>) {
+        let (m, k, n) = (37, 150, 290);
+        let ad = (0..m * k).map(|x| (x % 17) as f32 * 0.25 - 2.0).collect();
+        let bd = (0..k * n).map(|x| (x % 13) as f32 * 0.5 - 3.0).collect();
+        ((m, k, n), ad, bd)
     }
 
     #[test]
     fn fused_epilogue_is_bitwise_separate_pass() {
-        let _g = grid_lock();
-        // Ragged m/n, 2 KC tiles, 2 column groups: the fused store must
-        // reproduce the exact bits of GEMM followed by two full passes
-        // (bias broadcast, then activation) in the same scalar order.
-        let (m, k, n) = (37, 150, 290);
-        let ad: Vec<f32> = (0..m * k).map(|x| (x % 17) as f32 * 0.25 - 2.0).collect();
-        let bd: Vec<f32> = (0..k * n).map(|x| (x % 13) as f32 * 0.5 - 3.0).collect();
+        // The fused store must reproduce the exact bits of GEMM followed
+        // by two full passes (bias broadcast, then activation) in the
+        // same scalar order.
+        let (dims, ad, bd) = ragged_operands();
+        let n = dims.2;
         let bias: Vec<f32> = (0..n).map(|j| (j % 7) as f32 * 0.125 - 0.4).collect();
         for act in [None, Some(Activation::Relu), Some(Activation::Gelu), Some(Activation::Tanh)] {
-            let mut separate = vec![0.0f32; m * n];
-            gemm_packed(&ad, 0, k, 1, &bd, 0, n, 1, 1, m, n, k, &mut separate);
+            let mut separate =
+                packed(PanelSrc::F32(&ad), PanelSrc::F32(&bd), dims, Epilogue::none());
             for row in separate.chunks_mut(n) {
                 for (j, v) in row.iter_mut().enumerate() {
                     *v += bias[j];
@@ -1199,13 +1063,9 @@ mod tests {
                     *v = a.apply(*v);
                 }
             }
-            let mut fused = vec![0.0f32; m * n];
-            gemm_packed_ep(
-                &ad, 0, k, 1, &bd, 0, n, 1, 1, m, n, k,
-                &mut fused,
-                Epilogue { bias: Some(&bias), act },
-            );
-            assert!(fused.iter().zip(&separate).all(|(a, b)| a.to_bits() == b.to_bits()));
+            let ep = Epilogue { bias: Some(&bias), act };
+            let fused = packed(PanelSrc::F32(&ad), PanelSrc::F32(&bd), dims, ep);
+            assert!(bits_eq(&fused, &separate));
         }
     }
 
@@ -1235,45 +1095,31 @@ mod tests {
     #[test]
     fn bf16_gemm_is_bitwise_f32_gemm_on_widened_inputs() {
         use crate::bf16::{bf16_to_f32, f32_to_bf16};
-        let _g = grid_lock();
-        let (m, k, n) = (19, KC + 21, NR * 3 + 7);
+        let dims @ (m, k, n) = (19, KC + 21, NR * 3 + 7);
         let ah: Vec<u16> = (0..m * k).map(|x| f32_to_bf16((x % 17) as f32 * 0.25 - 2.0)).collect();
         let bh: Vec<u16> = (0..k * n).map(|x| f32_to_bf16((x % 13) as f32 * 0.5 - 3.0)).collect();
         let aw: Vec<f32> = ah.iter().map(|&h| bf16_to_f32(h)).collect();
         let bw: Vec<f32> = bh.iter().map(|&h| bf16_to_f32(h)).collect();
-
-        let mut from_bf16 = vec![0.0f32; m * n];
-        gemm_packed_src(
-            PanelSrc::Bf16(&ah), 0, k, 1, PanelSrc::Bf16(&bh), 0, n, 1, 1, m, n, k,
-            &mut from_bf16,
-        );
-        let mut from_f32 = vec![0.0f32; m * n];
-        gemm_packed(&aw, 0, k, 1, &bw, 0, n, 1, 1, m, n, k, &mut from_f32);
         // Widening at pack time is exact, so the full f32 accumulation —
         // and hence every output bit — is identical.
-        assert!(from_bf16.iter().zip(&from_f32).all(|(a, b)| a.to_bits() == b.to_bits()));
+        let from_bf16 = packed(PanelSrc::Bf16(&ah), PanelSrc::Bf16(&bh), dims, Epilogue::none());
+        let from_f32 = packed(PanelSrc::F32(&aw), PanelSrc::F32(&bw), dims, Epilogue::none());
+        assert!(bits_eq(&from_bf16, &from_f32));
     }
 
     #[test]
     fn serial_tile_grid_matches_parallel_tile_grid() {
-        let _g = grid_lock();
-        // The bisection knob must not change a bit (both claim the same
-        // grid; only the team size differs).
-        let (m, k, n) = (37, 150, 290); // ragged in every dimension, 2 KC tiles, 2 col groups
-        let ad: Vec<f32> = (0..m * k).map(|x| (x % 17) as f32 * 0.25 - 2.0).collect();
-        let bd: Vec<f32> = (0..k * n).map(|x| (x % 13) as f32 * 0.5 - 3.0).collect();
-        let run = |parallel: bool| {
-            set_tile_grid_parallel(parallel);
-            let mut out = vec![0.0f32; m * n];
-            gemm_packed(&ad, 0, k, 1, &bd, 0, n, 1, 1, m, n, k, &mut out);
-            out
-        };
-        let serial = run(false);
+        // One worker draining the grid in order and a team of four
+        // claiming cells in any order must not differ in a bit.
+        let (dims, ad, bd) = ragged_operands();
+        let run = || packed(PanelSrc::F32(&ad), PanelSrc::F32(&bd), dims, Epilogue::none());
+        crate::par::set_num_threads(1);
+        let serial = run();
         crate::par::set_num_threads(4);
         crate::par::set_par_threshold(0);
-        let parallel = run(true);
+        let parallel = run();
         crate::par::set_num_threads(0);
         crate::par::set_par_threshold(usize::MAX);
-        assert!(serial.iter().zip(&parallel).all(|(a, b)| a.to_bits() == b.to_bits()));
+        assert!(bits_eq(&serial, &parallel));
     }
 }

@@ -12,14 +12,12 @@ mod reduce;
 pub use concat::concat;
 pub use elementwise::{add, add_scaled, div, map, mul, neg, scale, sub, zip_with};
 pub use matmul::{
-    bmm, bmm_transpose_a, bmm_transpose_b, epilogue_pass, matmul, matmul_bf16,
-    matmul_bf16_weights, matmul_bf16_weights_bias_act, matmul_bias_act, matmul_transpose_a,
-    matmul_transpose_b, matvec,
+    bmm, bmm_transpose_a, bmm_transpose_b, epilogue_pass, gemm, gemm_scratch, matmul,
+    matmul_transpose_a, matmul_transpose_b, GemmDesc, Layout, Operand, Storage,
 };
 pub use microkernel::{
-    fuse_enabled, gelu, packing_enabled, set_fuse_enabled, set_pack_min_flops,
-    set_packing_enabled, set_tile_grid_parallel, simd_level, tile_grid_parallel, Activation,
-    Epilogue, PanelSrc, SimdLevel,
+    gelu, simd_level, use_packed, with_kernel_path, Activation, Epilogue, KernelPath, PanelSrc,
+    SimdLevel, PACK_MIN_FLOPS,
 };
 pub use permute::{permute, swap_axes, transpose2d};
 pub use reduce::{argmax, max_axis, mean_all, mean_axis, sum_all, sum_axis};

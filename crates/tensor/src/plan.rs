@@ -20,14 +20,11 @@
 //! serve batch runs without touching the allocator. Plans are pure size
 //! arithmetic over immutable shapes; they change **no numerics**.
 //!
-//! Sizing mirrors the kernel dispatch exactly: a product below the packed
-//! threshold plans the legacy path's scratch (none for f32, a widen
-//! buffer for bf16 weights), one above it plans the packed panels. The
-//! worker count is capped by the plan's thread count and the tile-grid
-//! task count, matching the scheduler's team size.
+//! GEMM sizing is not mirrored here: the builder asks
+//! [`crate::ops::gemm_scratch`], defined beside the dispatch it describes.
 
 use crate::conv::ConvSpec;
-use crate::ops::microkernel::{self, MR, NC};
+use crate::ops::{gemm_scratch, Storage};
 use crate::workspace;
 
 /// Accumulates the workspace demands of a sequence of planned kernel
@@ -45,30 +42,10 @@ impl PlanBuilder {
         PlanBuilder { threads: threads.max(1), sizes: Vec::new() }
     }
 
-    /// Plans one f32 GEMM `[m,k]·[k,n]` (any matmul-family entry with
-    /// these logical dims): on the packed path, the shared `B` panel plus
-    /// one `A`-strip panel per worker; the legacy path takes no scratch.
-    pub fn gemm(&mut self, m: usize, n: usize, k: usize) -> &mut PlanBuilder {
-        if m * n == 0 {
-            return self;
-        }
-        if microkernel::use_packed(2 * m * k * n) {
-            self.pack_panels(m, n, k);
-        }
-        self
-    }
-
-    /// Plans one GEMM with bf16-stored weights: packed-path panels, or the
-    /// legacy path's `k·n` widen buffer below the packed threshold.
-    pub fn gemm_bf16_weights(&mut self, m: usize, n: usize, k: usize) -> &mut PlanBuilder {
-        if m * n == 0 {
-            return self;
-        }
-        if microkernel::use_packed(2 * m * k * n) {
-            self.pack_panels(m, n, k);
-        } else {
-            self.sizes.push(k * n);
-        }
+    /// Plans one GEMM `[m,k]·[k,n]` of f32 activations against weights
+    /// stored as `weights`.
+    pub fn gemm(&mut self, m: usize, n: usize, k: usize, weights: Storage) -> &mut PlanBuilder {
+        self.sizes.extend(gemm_scratch(m, n, k, [Storage::F32, weights], self.threads));
         self
     }
 
@@ -99,18 +76,7 @@ impl PlanBuilder {
         let (rows, cols) = (n * oh * ow, c * h_spec.kernel * w_spec.kernel);
         // The column matrix is a pooled tensor (`workspace::zeroed_tensor`).
         self.sizes.push(rows * cols);
-        self.gemm(rows, o, cols)
-    }
-
-    /// The packed scheduler's leases for an `[m,k]·[k,n]` product: one
-    /// shared `B` panel, one `MR×k` `A` panel per team worker.
-    fn pack_panels(&mut self, m: usize, n: usize, k: usize) {
-        self.sizes.push(k * n);
-        let tasks = m.div_ceil(MR) * n.div_ceil(NC);
-        let workers = if microkernel::tile_grid_parallel() { self.threads.min(tasks).max(1) } else { 1 };
-        for _ in 0..workers {
-            self.sizes.push(MR * k);
-        }
+        self.gemm(rows, o, cols, Storage::F32)
     }
 
     /// Freezes the accumulated demands into a reusable [`Plan`].
@@ -166,42 +132,20 @@ impl Plan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ops::microkernel::{set_pack_min_flops, set_packing_enabled};
-    use std::sync::{Mutex, MutexGuard};
-
-    /// Serialises tests that flip the global packing gates.
-    fn gate_lock() -> MutexGuard<'static, ()> {
-        static LOCK: Mutex<()> = Mutex::new(());
-        LOCK.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    struct GateReset;
-    impl Drop for GateReset {
-        fn drop(&mut self) {
-            set_packing_enabled(true);
-            set_pack_min_flops(1 << 15);
-        }
-    }
+    use crate::ops::microkernel::MR;
 
     #[test]
     fn legacy_f32_gemm_plans_no_scratch() {
-        let _g = gate_lock();
-        let _r = GateReset;
-        set_pack_min_flops(usize::MAX);
         let mut b = PlanBuilder::new(4);
-        b.gemm(8, 8, 8);
+        b.gemm(8, 8, 8, Storage::F32);
         assert!(b.build().sizes().is_empty());
     }
 
     #[test]
     fn packed_gemm_plans_b_panel_plus_worker_a_panels() {
-        let _g = gate_lock();
-        let _r = GateReset;
-        set_pack_min_flops(0);
-        set_packing_enabled(true);
         let (m, n, k) = (37, 290, 150);
         let mut b = PlanBuilder::new(4);
-        b.gemm(m, n, k);
+        b.gemm(m, n, k, Storage::F32);
         let plan = b.build();
         // B panel + min(threads, tasks) A panels; 37 rows × 290 cols is
         // 10 strips × 2 col groups = 20 tasks, so the team caps at 4.
@@ -212,22 +156,17 @@ mod tests {
 
     #[test]
     fn bf16_legacy_plans_widen_buffer() {
-        let _g = gate_lock();
-        let _r = GateReset;
-        set_pack_min_flops(usize::MAX);
         let mut b = PlanBuilder::new(2);
-        b.gemm_bf16_weights(2, 8, 8);
+        b.gemm(2, 8, 8, Storage::Bf16);
         assert_eq!(b.build().sizes(), &[8 * 8]);
     }
 
     #[test]
     fn conv_plans_padded_image_cols_and_gemm() {
-        let _g = gate_lock();
-        let _r = GateReset;
-        set_pack_min_flops(usize::MAX); // keep the production GEMM legacy
         let spec = ConvSpec { kernel: 3, stride: 1, pad: 1 };
         let (n, c, h, w, o) = (2, 3, 8, 8, 4);
         let mut b = PlanBuilder::new(1);
+        // The production GEMM (128×27·27×4) is under the pack gate: no panels.
         b.conv2d(n, c, h, w, spec, spec, o);
         let plan = b.build();
         let (hp, wp) = (h + 2, w + 2);
@@ -237,13 +176,9 @@ mod tests {
 
     #[test]
     fn warm_makes_every_planned_checkout_hit() {
-        let _g = gate_lock();
-        let _r = GateReset;
-        set_pack_min_flops(0);
-        set_packing_enabled(true);
         workspace::clear();
         let mut b = PlanBuilder::new(3);
-        b.gemm(40, 50, 140).gemm_bf16_weights(40, 50, 140);
+        b.gemm(40, 50, 140, Storage::F32).gemm(40, 50, 140, Storage::Bf16);
         let plan = b.build();
         plan.warm();
         // Every planned size (including the same-bucket duplicates) must
@@ -257,7 +192,7 @@ mod tests {
     #[test]
     fn degenerate_shapes_plan_nothing() {
         let mut b = PlanBuilder::new(2);
-        b.gemm(0, 8, 8).gemm(8, 0, 8).gemm_bf16_weights(0, 4, 4);
+        b.gemm(0, 8, 8, Storage::F32).gemm(8, 0, 8, Storage::F32).gemm(0, 4, 4, Storage::Bf16);
         assert!(b.build().sizes().is_empty());
     }
 }

@@ -4,7 +4,7 @@
 //! widened operands; stored bf16 results round exactly once at the end).
 
 use metalora_tensor::bf16::{bf16_to_f32, f32_to_bf16, Bf16Buf};
-use metalora_tensor::ops::{matmul, matmul_bf16, matmul_bf16_weights};
+use metalora_tensor::ops::{gemm, matmul, GemmDesc};
 use metalora_tensor::init;
 use proptest::prelude::*;
 
@@ -83,7 +83,7 @@ proptest! {
         let mut rng = init::rng(seed);
         let x = init::uniform(&[m, k], -2.0, 2.0, &mut rng);
         let w = Bf16Buf::from_tensor(&init::uniform(&[k, n], -2.0, 2.0, &mut rng));
-        let got = matmul_bf16_weights(&x, &w).unwrap();
+        let got = gemm(&GemmDesc::new(&x, &w)).unwrap();
         let expect = matmul(&x, &w.widen()).unwrap();
         prop_assert_eq!(got.dims(), expect.dims());
         prop_assert!(got.data().iter().zip(expect.data())
@@ -98,8 +98,11 @@ proptest! {
         let mut rng = init::rng(seed);
         let a = Bf16Buf::from_tensor(&init::uniform(&[m, k], -2.0, 2.0, &mut rng));
         let b = Bf16Buf::from_tensor(&init::uniform(&[k, n], -2.0, 2.0, &mut rng));
-        let got = matmul_bf16(&a, &b).unwrap();
-        let expect = Bf16Buf::from_tensor(&matmul(&a.widen(), &b.widen()).unwrap());
-        prop_assert_eq!(got, expect);
+        // The GEMM hands back the f32 accumulator; storing it as bf16 is
+        // the caller's single rounding.
+        let got = gemm(&GemmDesc::new(&a, &b)).unwrap();
+        let expect = matmul(&a.widen(), &b.widen()).unwrap();
+        prop_assert!(got.data().iter().zip(expect.data()).all(|(a, b)| a.to_bits() == b.to_bits()));
+        prop_assert_eq!(Bf16Buf::from_tensor(&got), Bf16Buf::from_tensor(&expect));
     }
 }

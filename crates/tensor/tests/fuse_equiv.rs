@@ -1,9 +1,9 @@
 //! Property tests asserting the fused GEMM epilogue (bias add +
 //! activation applied at the C store) is **bitwise identical** to the
-//! separate-pass sequence (`matmul → add → map`) it replaces — across
-//! ragged and degenerate shapes (including k = 0), every activation, the
-//! packed and the legacy kernel path, f32 and bf16-weight GEMMs, conv2d,
-//! and worker counts {1, 2, 4, 7}.
+//! separate-pass sequence (`matmul → add → map`, [`epilogue_pass`]) it
+//! replaces — across ragged and degenerate shapes (including k = 0),
+//! every activation, the packed and the reference kernel, f32 and
+//! bf16-weight GEMMs, conv2d, and worker counts {1, 2, 4, 7}.
 //!
 //! The static-plan lease gets its own checks: a plan-warmed arena must
 //! serve the kernel's checkouts as hits without moving a bit, and a lease
@@ -11,13 +11,12 @@
 //! (the kernel's checkouts land in different buffers because the leased
 //! ones are still out).
 //!
-//! The fuse toggle is process-global, so a lock serialises the tests and
-//! a guard restores every global on drop — same idiom as `pack_equiv`.
+//! The kernel is forced through the scoped thread-local seam; the suite
+//! lock remains for the process-wide worker count and obs counters.
 
-use metalora_tensor::conv::{conv2d_bias_act, ConvSpec};
+use metalora_tensor::conv::{conv2d, conv2d_bias_act, ConvSpec};
 use metalora_tensor::ops::{
-    matmul_bias_act, matmul_bf16_weights_bias_act, set_fuse_enabled, set_pack_min_flops,
-    set_packing_enabled, Activation,
+    epilogue_pass, gemm, with_kernel_path, Activation, GemmDesc, KernelPath, Operand, Storage,
 };
 use metalora_tensor::plan::PlanBuilder;
 use metalora_tensor::{init, par, workspace, Bf16Buf, Tensor};
@@ -26,38 +25,22 @@ use std::sync::{Mutex, MutexGuard};
 
 static LOCK: Mutex<()> = Mutex::new(());
 
-struct FuseGuard(#[allow(dead_code)] MutexGuard<'static, ()>);
+struct ThreadsGuard(#[allow(dead_code)] MutexGuard<'static, ()>);
 
-/// Locks the suite; the guard restores every global knob on drop.
-fn lock_globals() -> FuseGuard {
-    let g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    FuseGuard(g)
+/// Locks the suite; the guard restores the worker count on drop.
+fn lock_globals() -> ThreadsGuard {
+    ThreadsGuard(LOCK.lock().unwrap_or_else(|e| e.into_inner()))
 }
 
-impl Drop for FuseGuard {
+impl Drop for ThreadsGuard {
     fn drop(&mut self) {
-        set_fuse_enabled(true);
-        set_packing_enabled(true);
-        set_pack_min_flops(1 << 15);
         par::set_num_threads(0);
         par::set_par_threshold(usize::MAX);
     }
 }
 
-/// Runs `f` with fusion off (separate output passes), then with fusion
-/// on (epilogue at the store), and asserts the outputs agree to the bit.
-fn assert_fuse_equiv(f: impl Fn() -> Tensor) {
-    set_fuse_enabled(false);
-    let separate = f();
-    set_fuse_enabled(true);
-    let fused = f();
-    assert_eq!(separate.dims(), fused.dims(), "fusion changed the shape");
-    let same = separate
-        .data()
-        .iter()
-        .zip(fused.data())
-        .all(|(a, b)| a.to_bits() == b.to_bits());
-    assert!(same, "fused epilogue diverged from the separate-pass output");
+fn bits_eq(a: &Tensor, b: &Tensor) -> bool {
+    a.dims() == b.dims() && a.data().iter().zip(b.data()).all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
 fn rand_t(dims: &[usize], seed: u64) -> Tensor {
@@ -72,6 +55,23 @@ const ACTS: [Option<Activation>; 4] = [
     Some(Activation::Tanh),
 ];
 
+/// `act(x·w + bias)` fused into the store vs the plain product followed
+/// by the separate passes — on both kernels, with and without bias, for
+/// every activation.
+fn assert_fuse_equiv(x: &Tensor, w: Operand, bias: &Tensor) {
+    for path in [KernelPath::Packed, KernelPath::Reference] {
+        for act in ACTS {
+            for b in [Some(bias), None] {
+                let fused =
+                    with_kernel_path(path, || gemm(&GemmDesc::new(x, w).epilogue(b, act)).unwrap());
+                let plain = with_kernel_path(path, || gemm(&GemmDesc::new(x, w)).unwrap());
+                let separate = epilogue_pass(plain, b, act).unwrap();
+                assert!(bits_eq(&fused, &separate), "fused {act:?} diverged on {path:?}");
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -82,23 +82,12 @@ proptest! {
         n in 1usize..40,
         seed in 0u64..1000,
     ) {
-        // Ragged shapes (1×n, m×1, k = 0) on BOTH kernel paths: the
-        // packed store-time epilogue and the legacy per-row one must each
-        // reproduce the separate passes exactly, with and without bias,
-        // for every activation.
+        // Ragged shapes (1×n, m×1, k = 0): the packed store-time epilogue
+        // and the reference per-row one must each reproduce the separate
+        // passes exactly.
         let _g = lock_globals();
-        set_pack_min_flops(0);
-        let x = rand_t(&[m, k], seed);
         let w = rand_t(&[k, n], seed + 1);
-        let bias = rand_t(&[n], seed + 2);
-        for packed in [true, false] {
-            set_packing_enabled(packed);
-            for act in ACTS {
-                for b in [Some(&bias), None] {
-                    assert_fuse_equiv(|| matmul_bias_act(&x, &w, b, act).unwrap());
-                }
-            }
-        }
+        assert_fuse_equiv(&rand_t(&[m, k], seed), Operand::F32(&w), &rand_t(&[n], seed + 2));
     }
 
     #[test]
@@ -109,23 +98,10 @@ proptest! {
         seed in 0u64..1000,
     ) {
         // The bf16-weight GEMM widens at pack time; its epilogue rides the
-        // same store and must match its own separate-pass run bit for bit
-        // on both paths.
+        // same store and must match its own separate-pass run bit for bit.
         let _g = lock_globals();
-        set_pack_min_flops(0);
-        let x = rand_t(&[m, k], seed);
         let w16 = Bf16Buf::from_tensor(&rand_t(&[k, n], seed + 1));
-        let bias = rand_t(&[n], seed + 2);
-        for packed in [true, false] {
-            set_packing_enabled(packed);
-            for act in ACTS {
-                for b in [Some(&bias), None] {
-                    assert_fuse_equiv(|| {
-                        matmul_bf16_weights_bias_act(&x, &w16, b, act).unwrap()
-                    });
-                }
-            }
-        }
+        assert_fuse_equiv(&rand_t(&[m, k], seed), Operand::Bf16(&w16), &rand_t(&[n], seed + 2));
     }
 
     #[test]
@@ -139,17 +115,24 @@ proptest! {
         seed in 0u64..1000,
     ) {
         // Conv fuses the column epilogue into the pre-permute GEMM; the
-        // [O,1,1]-broadcast bias of the separate pass must come out
+        // [O,1,1]-broadcast bias of the separate passes must come out
         // identical through the pure-copy permute.
         let _g = lock_globals();
-        set_pack_min_flops(0);
         let spec = ConvSpec::new(kk, 1, pad).unwrap();
         let x = rand_t(&[n, c, hw, hw], seed);
         let w = rand_t(&[kk, kk, c, o], seed + 1);
         let bias = rand_t(&[o], seed + 2);
-        for act in ACTS {
-            for b in [Some(&bias), None] {
-                assert_fuse_equiv(|| conv2d_bias_act(&x, &w, b, act, spec, spec).unwrap());
+        let bias3 = bias.reshaped(&[o, 1, 1]).unwrap();
+        for path in [KernelPath::Packed, KernelPath::Reference] {
+            for act in ACTS {
+                for (b, b3) in [(Some(&bias), Some(&bias3)), (None, None)] {
+                    let fused = with_kernel_path(path, || {
+                        conv2d_bias_act(&x, &w, b, act, spec, spec).unwrap()
+                    });
+                    let plain = with_kernel_path(path, || conv2d(&x, &w, spec, spec).unwrap());
+                    let separate = epilogue_pass(plain, b3, act).unwrap();
+                    prop_assert!(bits_eq(&fused, &separate), "conv {act:?} diverged on {path:?}");
+                }
             }
         }
     }
@@ -165,27 +148,38 @@ proptest! {
         // store-time epilogue is per-element, so no worker count may move
         // a bit vs the single-thread separate-pass run.
         let _g = lock_globals();
-        set_pack_min_flops(0);
-        set_packing_enabled(true);
         let x = rand_t(&[m, k], seed);
         let w = rand_t(&[k, n], seed + 1);
         let bias = rand_t(&[n], seed + 2);
-        set_fuse_enabled(false);
+        let act = Some(Activation::Gelu);
         par::set_num_threads(1);
-        let reference = matmul_bias_act(&x, &w, Some(&bias), Some(Activation::Gelu)).unwrap();
-        set_fuse_enabled(true);
+        let plain = with_kernel_path(KernelPath::Reference, || gemm(&GemmDesc::new(&x, &w)).unwrap());
+        let reference = epilogue_pass(plain, Some(&bias), act).unwrap();
         par::set_par_threshold(0);
         for threads in [1usize, 2, 4, 7] {
             par::set_num_threads(threads);
-            let out = matmul_bias_act(&x, &w, Some(&bias), Some(Activation::Gelu)).unwrap();
-            let same = reference
-                .data()
-                .iter()
-                .zip(out.data())
-                .all(|(a, b)| a.to_bits() == b.to_bits());
-            prop_assert!(same, "fused epilogue at {threads} workers diverged");
+            let out = with_kernel_path(KernelPath::Packed, || {
+                gemm(&GemmDesc::new(&x, &w).epilogue(Some(&bias), act)).unwrap()
+            });
+            prop_assert!(bits_eq(&reference, &out), "fused epilogue at {threads} workers diverged");
         }
     }
+}
+
+/// `act(x·w + bias)` on the packed kernel, whatever the flop count.
+fn packed_bias_act(x: &Tensor, w: &Tensor, bias: &Tensor, act: Activation) -> Tensor {
+    with_kernel_path(KernelPath::Packed, || {
+        gemm(&GemmDesc::new(x, w).epilogue(Some(bias), Some(act))).unwrap()
+    })
+}
+
+/// The packed-path plan for one `[m,k]·[k,n]` f32 GEMM.
+fn packed_plan(threads: usize, (m, n, k): (usize, usize, usize)) -> metalora_tensor::plan::Plan {
+    let mut b = PlanBuilder::new(threads);
+    with_kernel_path(KernelPath::Packed, || {
+        b.gemm(m, n, k, Storage::F32);
+    });
+    b.build()
 }
 
 /// A plan-warmed arena serves the kernel's checkouts as pool hits, and
@@ -193,8 +187,6 @@ proptest! {
 #[test]
 fn plan_warmed_gemm_is_bitwise_cold_and_seeds_the_arena() {
     let _g = lock_globals();
-    set_pack_min_flops(0);
-    set_packing_enabled(true);
     par::set_par_threshold(0);
     par::set_num_threads(3);
     let (m, k, n) = (33usize, 47usize, 29usize);
@@ -202,15 +194,13 @@ fn plan_warmed_gemm_is_bitwise_cold_and_seeds_the_arena() {
     let w = rand_t(&[k, n], 2);
     let bias = rand_t(&[n], 3);
     workspace::clear();
-    let cold = matmul_bias_act(&x, &w, Some(&bias), Some(Activation::Gelu)).unwrap();
+    let cold = packed_bias_act(&x, &w, &bias, Activation::Gelu);
     workspace::clear();
     metalora_obs::set_enabled(true);
     metalora_obs::reset();
-    let mut b = PlanBuilder::new(3);
-    b.gemm(m, n, k);
-    let plan = b.build();
+    let plan = packed_plan(3, (m, n, k));
     plan.warm();
-    let warmed = matmul_bias_act(&x, &w, Some(&bias), Some(Activation::Gelu)).unwrap();
+    let warmed = packed_bias_act(&x, &w, &bias, Activation::Gelu);
     let snap = metalora_obs::counters::snapshot();
     metalora_obs::set_enabled(false);
     metalora_obs::reset();
@@ -235,25 +225,21 @@ fn plan_warmed_gemm_is_bitwise_cold_and_seeds_the_arena() {
 #[test]
 fn held_lease_never_aliases_kernel_scratch() {
     let _g = lock_globals();
-    set_pack_min_flops(0);
-    set_packing_enabled(true);
     par::set_par_threshold(0);
     par::set_num_threads(2);
     let (m, k, n) = (21usize, 35usize, 18usize);
     let x = rand_t(&[m, k], 4);
     let w = rand_t(&[k, n], 5);
     let bias = rand_t(&[n], 6);
-    let reference = matmul_bias_act(&x, &w, Some(&bias), Some(Activation::Relu)).unwrap();
-    let mut b = PlanBuilder::new(2);
-    b.gemm(m, n, k);
-    let plan = b.build();
+    let reference = packed_bias_act(&x, &w, &bias, Activation::Relu);
+    let plan = packed_plan(2, (m, n, k));
     let nonzero: Vec<usize> = plan.sizes().iter().copied().filter(|&s| s > 0).collect();
     let lease = plan.lease();
     assert_eq!(lease.buffers(), nonzero.len());
     assert_eq!(lease.floats(), nonzero.iter().sum::<usize>());
-    let held = matmul_bias_act(&x, &w, Some(&bias), Some(Activation::Relu)).unwrap();
+    let held = packed_bias_act(&x, &w, &bias, Activation::Relu);
     lease.release();
-    let released = matmul_bias_act(&x, &w, Some(&bias), Some(Activation::Relu)).unwrap();
+    let released = packed_bias_act(&x, &w, &bias, Activation::Relu);
     for (label, out) in [("held", &held), ("released", &released)] {
         let same = reference
             .data()

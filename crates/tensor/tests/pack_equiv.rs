@@ -1,21 +1,25 @@
 //! Property tests asserting the packed register-tiled microkernel is
-//! **bitwise identical** to the legacy scalar kernels for every
-//! matmul-family variant, across ragged shapes (m, n, k not multiples of
+//! **bitwise identical** to the reference kernel under every surviving
+//! wrapper name, across ragged shapes (m, n, k not multiples of
 //! MR/NR/KC, including 1×n and m×1), and that the workspace arena actually
-//! reuses buffers without ever aliasing concurrent checkouts.
+//! reuses buffers without ever aliasing concurrent checkouts. (The full
+//! descriptor space — layouts × batching × storage × epilogue — is swept
+//! by `gemm_equiv.rs`.)
 //!
-//! The pack-gate is forced to 0 so even tiny shapes take the packed path;
-//! a process-wide lock serialises the tests because the gates are global.
+//! Each kernel is forced through the scoped thread-local seam
+//! ([`with_kernel_path`]); the suite lock remains for what is still
+//! process-wide — the worker count, and the obs counters the accounting
+//! tests read.
 //!
 //! The tile-grid scheduler gets its own sweep here: packed × parallel at
 //! worker counts {1, 2, 3, 4, 7} over ragged shapes (including ones that
 //! cross the NC column-group boundary), interleaved with arena reuse, must
-//! stay bitwise-equal to the legacy serial run, and the obs tallies must
+//! stay bitwise-equal to the reference serial run, and the obs tallies must
 //! show exactly one B pack per GEMM with claims covering the whole grid.
 
 use metalora_tensor::ops::{
-    bmm, bmm_transpose_a, bmm_transpose_b, matmul, matmul_transpose_a, matmul_transpose_b,
-    matvec, microkernel, set_pack_min_flops, set_packing_enabled,
+    bmm, bmm_transpose_a, bmm_transpose_b, gemm, matmul, matmul_transpose_a, matmul_transpose_b,
+    microkernel, with_kernel_path, GemmDesc, KernelPath,
 };
 use metalora_tensor::{init, par, workspace, Tensor};
 use proptest::prelude::*;
@@ -23,38 +27,45 @@ use std::sync::{Mutex, MutexGuard};
 
 static LOCK: Mutex<()> = Mutex::new(());
 
-struct PackGuard(#[allow(dead_code)] MutexGuard<'static, ()>);
+struct ThreadsGuard(#[allow(dead_code)] MutexGuard<'static, ()>);
 
-/// Locks the suite and forces every product through the packed path.
-fn force_packed() -> PackGuard {
-    let g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    set_pack_min_flops(0);
-    PackGuard(g)
+/// Locks the suite; the guard restores the worker count on drop.
+fn lock_threads() -> ThreadsGuard {
+    ThreadsGuard(LOCK.lock().unwrap_or_else(|e| e.into_inner()))
 }
 
-impl Drop for PackGuard {
+impl Drop for ThreadsGuard {
     fn drop(&mut self) {
-        set_packing_enabled(true);
-        set_pack_min_flops(1 << 15);
         par::set_num_threads(0);
         par::set_par_threshold(usize::MAX);
     }
 }
 
-/// Runs `f` on the legacy path, then on the packed path, and asserts the
-/// outputs agree to the bit.
+fn bits_eq(a: &Tensor, b: &Tensor) -> bool {
+    a.dims() == b.dims() && a.data().iter().zip(b.data()).all(|(x, y)| x.to_bits() == y.to_bits())
+}
+
+/// Runs `f` on the reference kernel, then on the packed kernel, and
+/// asserts the outputs agree to the bit.
 fn assert_pack_equiv(f: impl Fn() -> Tensor) {
-    set_packing_enabled(false);
-    let legacy = f();
-    set_packing_enabled(true);
-    let packed = f();
-    assert_eq!(legacy.dims(), packed.dims(), "packed path changed the shape");
-    let same = legacy
-        .data()
-        .iter()
-        .zip(packed.data())
-        .all(|(a, b)| a.to_bits() == b.to_bits());
-    assert!(same, "packed result diverged from legacy kernel");
+    let _g = lock_threads();
+    let reference = with_kernel_path(KernelPath::Reference, &f);
+    let packed = with_kernel_path(KernelPath::Packed, &f);
+    assert!(bits_eq(&reference, &packed), "packed result diverged from the reference kernel");
+}
+
+/// Runs `f` on the reference kernel with one worker, then on the packed
+/// kernel at each of `threads`, and asserts every run agrees to the bit.
+fn assert_thread_sweep(threads: &[usize], f: impl Fn() -> Tensor) {
+    let _g = lock_threads();
+    par::set_num_threads(1);
+    let reference = with_kernel_path(KernelPath::Reference, &f);
+    par::set_par_threshold(0);
+    for &t in threads {
+        par::set_num_threads(t);
+        let out = with_kernel_path(KernelPath::Packed, &f);
+        assert!(bits_eq(&reference, &out), "packed at {t} workers diverged");
+    }
 }
 
 fn rand_t(dims: &[usize], seed: u64) -> Tensor {
@@ -72,7 +83,6 @@ proptest! {
         n in 1usize..48,
         seed in 0u64..1000,
     ) {
-        let _g = force_packed();
         let a = rand_t(&[m, k], seed);
         let b = rand_t(&[k, n], seed + 1);
         assert_pack_equiv(|| matmul(&a, &b).unwrap());
@@ -84,7 +94,7 @@ proptest! {
         assert_pack_equiv(|| matmul_transpose_b(&a, &bt).unwrap());
 
         let x = rand_t(&[k], seed + 4);
-        assert_pack_equiv(|| matvec(&a, &x).unwrap());
+        assert_pack_equiv(|| gemm(&GemmDesc::new(&a, &x)).unwrap());
     }
 
     #[test]
@@ -96,7 +106,6 @@ proptest! {
     ) {
         // k crosses the KC=128 tile boundary (often several times): the
         // accumulator spill/reload between tiles must not move a bit.
-        let _g = force_packed();
         let a = rand_t(&[m, k], seed);
         let b = rand_t(&[k, n], seed + 1);
         assert_pack_equiv(|| matmul(&a, &b).unwrap());
@@ -106,7 +115,6 @@ proptest! {
 
     #[test]
     fn matmul_packed_degenerate_shapes(n in 1usize..64, seed in 0u64..1000) {
-        let _g = force_packed();
         // 1×n: a single output row, thinner than the MR tile.
         let a = rand_t(&[1, n], seed);
         let b = rand_t(&[n, n], seed + 1);
@@ -130,7 +138,6 @@ proptest! {
         n in 1usize..14,
         seed in 0u64..1000,
     ) {
-        let _g = force_packed();
         let a = rand_t(&[bs, m, k], seed);
         let b = rand_t(&[bs, k, n], seed + 1);
         assert_pack_equiv(|| bmm(&a, &b).unwrap());
@@ -151,25 +158,10 @@ proptest! {
     ) {
         // Thread splits can cut through an MR row tile; per-element k-order
         // is independent of the row partition, so packed ∥ must equal
-        // legacy serial bit-for-bit.
-        let _g = force_packed();
+        // reference serial bit-for-bit.
         let a = rand_t(&[m, k], seed);
         let b = rand_t(&[k, n], seed + 1);
-        set_packing_enabled(false);
-        par::set_num_threads(1);
-        let reference = matmul(&a, &b).unwrap();
-        set_packing_enabled(true);
-        par::set_par_threshold(0);
-        for threads in [2, 7, 64] {
-            par::set_num_threads(threads);
-            let out = matmul(&a, &b).unwrap();
-            let same = reference
-                .data()
-                .iter()
-                .zip(out.data())
-                .all(|(x, y)| x.to_bits() == y.to_bits());
-            prop_assert!(same, "packed parallel ({threads} threads) diverged");
-        }
+        assert_thread_sweep(&[2, 7, 64], || matmul(&a, &b).unwrap());
     }
 
     #[test]
@@ -181,24 +173,9 @@ proptest! {
     ) {
         // The tile grid hands out (strip, column-group) cells in whatever
         // order the team claims them; no worker count may move a bit.
-        let _g = force_packed();
         let a = rand_t(&[m, k], seed);
         let b = rand_t(&[k, n], seed + 1);
-        set_packing_enabled(false);
-        par::set_num_threads(1);
-        let reference = matmul(&a, &b).unwrap();
-        set_packing_enabled(true);
-        par::set_par_threshold(0);
-        for threads in [1usize, 2, 3, 4, 7] {
-            par::set_num_threads(threads);
-            let out = matmul(&a, &b).unwrap();
-            let same = reference
-                .data()
-                .iter()
-                .zip(out.data())
-                .all(|(x, y)| x.to_bits() == y.to_bits());
-            prop_assert!(same, "tile grid at {threads} workers diverged");
-        }
+        assert_thread_sweep(&[1, 2, 3, 4, 7], || matmul(&a, &b).unwrap());
     }
 
     #[test]
@@ -210,24 +187,9 @@ proptest! {
     ) {
         // n crosses NC = 256: at least two column groups per strip, with
         // the ragged NR edge always landing in the last group.
-        let _g = force_packed();
         let a = rand_t(&[m, k], seed);
         let b = rand_t(&[k, n], seed + 1);
-        set_packing_enabled(false);
-        par::set_num_threads(1);
-        let reference = matmul(&a, &b).unwrap();
-        set_packing_enabled(true);
-        par::set_par_threshold(0);
-        for threads in [2usize, 3, 7] {
-            par::set_num_threads(threads);
-            let out = matmul(&a, &b).unwrap();
-            let same = reference
-                .data()
-                .iter()
-                .zip(out.data())
-                .all(|(x, y)| x.to_bits() == y.to_bits());
-            prop_assert!(same, "column-group split at {threads} workers diverged");
-        }
+        assert_thread_sweep(&[2, 3, 7], || matmul(&a, &b).unwrap());
     }
 
     #[test]
@@ -239,36 +201,14 @@ proptest! {
         seed in 0u64..1000,
     ) {
         // Batched variants share the grid (strips never straddle batches).
-        let _g = force_packed();
         let a = rand_t(&[bs, m, k], seed);
         let b = rand_t(&[bs, k, n], seed + 1);
         let at = rand_t(&[bs, k, m], seed + 2);
         let bt = rand_t(&[bs, n, k], seed + 3);
-        set_packing_enabled(false);
-        par::set_num_threads(1);
-        let refs = [
-            bmm(&a, &b).unwrap(),
-            bmm_transpose_a(&at, &b).unwrap(),
-            bmm_transpose_b(&a, &bt).unwrap(),
-        ];
-        set_packing_enabled(true);
-        par::set_par_threshold(0);
-        for threads in [1usize, 2, 3, 4, 7] {
-            par::set_num_threads(threads);
-            let outs = [
-                bmm(&a, &b).unwrap(),
-                bmm_transpose_a(&at, &b).unwrap(),
-                bmm_transpose_b(&a, &bt).unwrap(),
-            ];
-            for (reference, out) in refs.iter().zip(&outs) {
-                let same = reference
-                    .data()
-                    .iter()
-                    .zip(out.data())
-                    .all(|(x, y)| x.to_bits() == y.to_bits());
-                prop_assert!(same, "bmm tile grid at {threads} workers diverged");
-            }
-        }
+        let threads = [1, 2, 3, 4, 7];
+        assert_thread_sweep(&threads, || bmm(&a, &b).unwrap());
+        assert_thread_sweep(&threads, || bmm_transpose_a(&at, &b).unwrap());
+        assert_thread_sweep(&threads, || bmm_transpose_b(&a, &bt).unwrap());
     }
 
     #[test]
@@ -281,24 +221,9 @@ proptest! {
         // Alternate thread counts call-to-call on the same shapes: the
         // pooled A/B panels from a 7-worker run are recycled into a
         // 2-worker run (and vice versa) and must never leak stale data.
-        let _g = force_packed();
         let a = rand_t(&[m, k], seed);
         let b = rand_t(&[k, n], seed + 1);
-        set_packing_enabled(false);
-        par::set_num_threads(1);
-        let reference = matmul(&a, &b).unwrap();
-        set_packing_enabled(true);
-        par::set_par_threshold(0);
-        for &threads in [7usize, 1, 4, 2, 7, 3, 1, 2].iter() {
-            par::set_num_threads(threads);
-            let out = matmul(&a, &b).unwrap();
-            let same = reference
-                .data()
-                .iter()
-                .zip(out.data())
-                .all(|(x, y)| x.to_bits() == y.to_bits());
-            prop_assert!(same, "arena-interleaved run at {threads} workers diverged");
-        }
+        assert_thread_sweep(&[7, 1, 4, 2, 7, 3, 1, 2], || matmul(&a, &b).unwrap());
     }
 }
 
@@ -306,7 +231,7 @@ proptest! {
 /// identical matmuls must check their packing buffers back out as hits.
 #[test]
 fn workspace_reuse_shows_up_in_obs_counters() {
-    let _g = force_packed();
+    let _g = lock_threads();
     metalora_obs::set_enabled(true);
     metalora_obs::reset();
     workspace::clear();
@@ -330,7 +255,7 @@ fn workspace_reuse_shows_up_in_obs_counters() {
 /// tallies summing to the total.
 #[test]
 fn tile_grid_counters_account_for_every_cell() {
-    let _g = force_packed();
+    let _g = lock_threads();
     metalora_obs::set_enabled(true);
     metalora_obs::reset();
     par::set_par_threshold(0);
@@ -357,7 +282,6 @@ fn tile_grid_counters_account_for_every_cell() {
 /// other threads are stamping theirs.
 #[test]
 fn concurrent_checkouts_are_never_aliased() {
-    let _g = force_packed();
     std::thread::scope(|s| {
         for tid in 0..6 {
             s.spawn(move || {

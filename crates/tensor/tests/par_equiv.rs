@@ -7,8 +7,8 @@
 //! thread settings are global.
 
 use metalora_tensor::ops::{
-    add_scaled, bmm, bmm_transpose_a, bmm_transpose_b, map, matmul, matmul_transpose_a,
-    matmul_transpose_b, matvec, max_axis, sum_axis, zip_with,
+    add_scaled, bmm, bmm_transpose_a, bmm_transpose_b, gemm, map, matmul, matmul_transpose_a,
+    matmul_transpose_b, max_axis, sum_axis, zip_with, GemmDesc,
 };
 use metalora_tensor::conv::{col2im, conv2d, im2col, ConvSpec};
 use metalora_tensor::{init, par, Tensor};
@@ -85,7 +85,7 @@ proptest! {
         assert_bitwise_invariant(|| matmul_transpose_b(&a, &bt).unwrap());
 
         let x = rand_t(&[k], seed + 4);
-        assert_bitwise_invariant(|| matvec(&a, &x).unwrap());
+        assert_bitwise_invariant(|| gemm(&GemmDesc::new(&a, &x)).unwrap());
     }
 
     #[test]
