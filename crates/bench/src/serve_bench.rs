@@ -63,13 +63,6 @@ pub struct ServePoint {
     /// second-pass-elimination claim: 0 with fusion on (the default).
     #[serde(default)]
     pub output_passes: u64,
-    /// Static inference plans built while serving the stream (one per new
-    /// shape signature; repeat batches reuse the cached plan).
-    #[serde(default)]
-    pub plans_built: u64,
-    /// Workspace buffers leased up front through the per-batch plan.
-    #[serde(default)]
-    pub plan_leases: u64,
     /// Requests the telemetry bridge recorded over this point (obs
     /// counter delta; equals `requests` with metrics on).
     #[serde(default)]
@@ -293,8 +286,6 @@ pub fn run_with_telemetry(quick: bool) -> (ServeReport, Vec<String>) {
                 resident_bytes: stats.bytes,
                 fused_epilogues: c1.fused_epilogues - c0.fused_epilogues,
                 output_passes: c1.output_passes - c0.output_passes,
-                plans_built: c1.plans_built - c0.plans_built,
-                plan_leases: c1.plan_leases - c0.plan_leases,
                 telemetry_requests: c1.telemetry_requests - c0.telemetry_requests,
                 slow_requests: slo_rows.iter().map(|r| r.slow).sum(),
                 hot_tenant_requests: slo_rows.iter().map(|r| r.requests).max().unwrap_or(0),
@@ -317,7 +308,7 @@ pub fn run_with_telemetry(quick: bool) -> (ServeReport, Vec<String>) {
 
     let headers: Vec<String> = [
         "mode", "threads", "req/s", "p50 µs", "p95 µs", "p99 µs", "hits", "misses", "evict",
-        "resident", "fused", "passes", "plans", "slow", "hot", "w-p99 µs", "over-slo", "bitwise",
+        "resident", "fused", "passes", "slow", "hot", "w-p99 µs", "over-slo", "bitwise",
     ]
     .iter()
     .map(|s| s.to_string())
@@ -338,7 +329,6 @@ pub fn run_with_telemetry(quick: bool) -> (ServeReport, Vec<String>) {
                 p.resident_entries.to_string(),
                 p.fused_epilogues.to_string(),
                 p.output_passes.to_string(),
-                p.plans_built.to_string(),
                 p.slow_requests.to_string(),
                 p.hot_tenant_requests.to_string(),
                 format!("{:.1}", p.worst_tenant_p99_us),
@@ -362,10 +352,6 @@ pub fn run_with_telemetry(quick: bool) -> (ServeReport, Vec<String>) {
     assert!(
         points.iter().all(|p| p.fused_epilogues > 0),
         "serving applied no fused epilogues"
-    );
-    assert!(
-        points.iter().all(|p| p.plans_built > 0),
-        "serving built no static inference plans"
     );
     assert!(
         points.iter().all(|p| p.telemetry_requests == p.requests),
@@ -431,8 +417,6 @@ mod tests {
                 resident_bytes: 768,
                 fused_epilogues: 192,
                 output_passes: 0,
-                plans_built: 3,
-                plan_leases: 12,
                 telemetry_requests: 96,
                 slow_requests: 2,
                 hot_tenant_requests: 31,
@@ -450,8 +434,6 @@ mod tests {
         assert_eq!(back.points[0].resident_bytes, 768);
         assert_eq!(back.points[0].fused_epilogues, 192);
         assert_eq!(back.points[0].output_passes, 0);
-        assert_eq!(back.points[0].plans_built, 3);
-        assert_eq!(back.points[0].plan_leases, 12);
         assert_eq!(back.points[0].telemetry_requests, 96);
         assert_eq!(back.points[0].slow_requests, 2);
         assert_eq!(back.points[0].hot_tenant_requests, 31);
@@ -488,8 +470,6 @@ mod tests {
                                     "resident_bytes",
                                     "fused_epilogues",
                                     "output_passes",
-                                    "plans_built",
-                                    "plan_leases",
                                     "telemetry_requests",
                                     "slow_requests",
                                     "hot_tenant_requests",
@@ -509,7 +489,6 @@ mod tests {
         let old = ServeReport::from_value(&legacy).unwrap();
         assert_eq!(old.points[0].resident_entries, 0);
         assert_eq!(old.points[0].fused_epilogues, 0);
-        assert_eq!(old.points[0].plans_built, 0);
         assert_eq!(old.points[0].telemetry_requests, 0);
         assert_eq!(old.points[0].tenants_over_slo, 0);
         assert_eq!(old.bf16_capacity_floor, 0.0);
@@ -557,12 +536,10 @@ mod tests {
         // Factored mode never touches the cache.
         let factored: Vec<_> = report.points.iter().filter(|p| p.mode == "factored").collect();
         assert!(factored.iter().all(|p| p.cache_hits == 0 && p.cache_misses == 0));
-        // Fusion and the static plan cover every mode: bias adds and
-        // activations ride the GEMM store (zero separate passes), and the
-        // engine builds plans for the stream's shape signatures.
+        // Fusion covers every mode: bias adds and activations ride the
+        // GEMM store (zero separate passes).
         assert!(report.points.iter().all(|p| p.fused_epilogues > 0));
         assert!(report.points.iter().all(|p| p.output_passes == 0));
-        assert!(report.points.iter().all(|p| p.plans_built > 0));
         // Telemetry columns: every request hit the bridge, the zipf head
         // is the hot tenant, and nothing breaches the default 50 ms
         // target under the logical clock (µs-scale tick latencies).

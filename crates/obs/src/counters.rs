@@ -94,9 +94,6 @@ static BF16_F32_EQUIV_BYTES: AtomicU64 = AtomicU64::new(0);
 static FUSED_EPILOGUES: AtomicU64 = AtomicU64::new(0);
 static FUSED_ELEMS: AtomicU64 = AtomicU64::new(0);
 static OUTPUT_PASSES: AtomicU64 = AtomicU64::new(0);
-static PLANS_BUILT: AtomicU64 = AtomicU64::new(0);
-static PLAN_LEASES: AtomicU64 = AtomicU64::new(0);
-static PLAN_LEASE_BYTES: AtomicU64 = AtomicU64::new(0);
 
 static SERVE_REQUESTS: AtomicU64 = AtomicU64::new(0);
 static SERVE_BATCHES: AtomicU64 = AtomicU64::new(0);
@@ -247,28 +244,6 @@ pub fn record_output_pass() {
         return;
     }
     OUTPUT_PASSES.fetch_add(1, Relaxed);
-}
-
-/// Records one static inference plan built (scratch sizes computed from
-/// shapes — once per distinct (shape, threads) signature, not per batch).
-#[inline]
-pub fn record_plan_built() {
-    if !crate::enabled() {
-        return;
-    }
-    PLANS_BUILT.fetch_add(1, Relaxed);
-}
-
-/// Records one batch-wide workspace lease of `buffers` planned buffers
-/// totalling `bytes`, taken up front so every in-batch checkout is a
-/// guaranteed arena hit.
-#[inline]
-pub fn record_plan_lease(buffers: u64, bytes: u64) {
-    if !crate::enabled() {
-        return;
-    }
-    PLAN_LEASES.fetch_add(buffers, Relaxed);
-    PLAN_LEASE_BYTES.fetch_add(bytes, Relaxed);
 }
 
 /// Records one served batch carrying `requests` requests.
@@ -433,12 +408,11 @@ pub struct CounterSnapshot {
     pub fused_elems: u64,
     /// Separate (unfused) full epilogue passes over an output.
     pub output_passes: u64,
-    /// Static inference plans built.
+    /// Always 0: the static-plan layer is gone and nothing records into
+    /// this field. It survives only because the frozen `benchmark/` reads
+    /// it by name for its `serve.engine.plans_built` metric; the next
+    /// benchmark issue drops that metric and this field together.
     pub plans_built: u64,
-    /// Workspace buffers leased up front by batch-wide plan leases.
-    pub plan_leases: u64,
-    /// Bytes covered by those batch-wide plan leases.
-    pub plan_lease_bytes: u64,
     /// Requests served by the serving engine.
     pub serve_requests: u64,
     /// Batches the serving engine executed.
@@ -501,9 +475,7 @@ pub fn snapshot() -> CounterSnapshot {
         fused_epilogues: FUSED_EPILOGUES.load(Relaxed),
         fused_elems: FUSED_ELEMS.load(Relaxed),
         output_passes: OUTPUT_PASSES.load(Relaxed),
-        plans_built: PLANS_BUILT.load(Relaxed),
-        plan_leases: PLAN_LEASES.load(Relaxed),
-        plan_lease_bytes: PLAN_LEASE_BYTES.load(Relaxed),
+        plans_built: 0,
         serve_requests: SERVE_REQUESTS.load(Relaxed),
         serve_batches: SERVE_BATCHES.load(Relaxed),
         serve_seed_rows: SERVE_SEED_ROWS.load(Relaxed),
@@ -546,9 +518,6 @@ pub fn reset() {
     FUSED_EPILOGUES.store(0, Relaxed);
     FUSED_ELEMS.store(0, Relaxed);
     OUTPUT_PASSES.store(0, Relaxed);
-    PLANS_BUILT.store(0, Relaxed);
-    PLAN_LEASES.store(0, Relaxed);
-    PLAN_LEASE_BYTES.store(0, Relaxed);
     SERVE_REQUESTS.store(0, Relaxed);
     SERVE_BATCHES.store(0, Relaxed);
     SERVE_SEED_ROWS.store(0, Relaxed);
@@ -733,26 +702,17 @@ mod tests {
         record_fused_epilogue(64);
         record_fused_epilogue(36);
         record_output_pass();
-        record_plan_built();
-        record_plan_lease(3, 4096);
-        record_plan_lease(2, 1024);
         let snap = snapshot();
         assert_eq!(snap.fused_epilogues, 2);
         assert_eq!(snap.fused_elems, 100);
         assert_eq!(snap.output_passes, 1);
-        assert_eq!(snap.plans_built, 1);
-        assert_eq!(snap.plan_leases, 5);
-        assert_eq!(snap.plan_lease_bytes, 5120);
         crate::set_enabled(false);
         record_fused_epilogue(1_000);
         record_output_pass();
-        record_plan_built();
-        record_plan_lease(9, 9);
         crate::set_enabled(true);
         let snap = snapshot();
         assert_eq!(snap.fused_elems, 100);
         assert_eq!(snap.output_passes, 1);
-        assert_eq!(snap.plan_leases, 5);
     }
 
     #[test]

@@ -471,7 +471,7 @@ mod tests {
             tenant: "3".into(),
             method: "meta_cp".into(),
             total_ns: 9_000,
-            stage_ns: [100, 200, 300, 8_000, 400],
+            stage_ns: [100, 200, 300, 8_400],
         });
         crate::slo::set_target_ms(1.0);
         crate::slo::record("3", 1_500, 800);

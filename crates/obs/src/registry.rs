@@ -100,7 +100,7 @@ pub(crate) fn window_ns() -> u64 {
 
 /// Pipeline stages a request's latency is attributed across, in the
 /// order they appear in [`Attribution::stage_ns`].
-pub const STAGES: [&str; 5] = ["queue", "cache", "mapping", "gemm", "epilogue"];
+pub const STAGES: [&str; 4] = ["queue", "cache", "mapping", "gemm"];
 
 /// A tail-latency sample: one request beyond the SLO target, with its
 /// per-stage breakdown.
@@ -115,7 +115,7 @@ pub struct Attribution {
     /// End-to-end latency (queue wait included).
     pub total_ns: u64,
     /// Per-stage nanoseconds, indexed like [`STAGES`].
-    pub stage_ns: [u64; 5],
+    pub stage_ns: [u64; 4],
 }
 
 impl Attribution {
@@ -417,7 +417,7 @@ mod tests {
             tenant: "t".into(),
             method: "lora".into(),
             total_ns: 1,
-            stage_ns: [1, 0, 0, 0, 0],
+            stage_ns: [1, 0, 0, 0],
         });
         set_enabled(true);
         assert_eq!(summary().series, 0);
@@ -440,7 +440,7 @@ mod tests {
                 tenant: "t".into(),
                 method: "lora".into(),
                 total_ns: 10,
-                stage_ns: [0, 0, 0, 10, 0],
+                stage_ns: [0, 0, 0, 10],
             });
         }
         let snap = snapshot_at(0);
@@ -461,11 +461,11 @@ mod tests {
             tenant: "t".into(),
             method: "meta_cp".into(),
             total_ns: 100,
-            stage_ns: [10, 5, 60, 20, 5],
+            stage_ns: [10, 5, 60, 25],
         };
         assert_eq!(a.dominant_stage(), "mapping");
         let tie = Attribution {
-            stage_ns: [30, 30, 0, 0, 0],
+            stage_ns: [30, 30, 0, 0],
             ..a
         };
         assert_eq!(tie.dominant_stage(), "queue", "first stage wins ties");

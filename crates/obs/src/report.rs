@@ -5,11 +5,11 @@
 //! ([`RunReport::to_json`], [`RunReport::write`]) or rendered for humans
 //! ([`RunReport::summary_table`]).
 //!
-//! ## Schema (`schema_version` 8)
+//! ## Schema (`schema_version` 9)
 //!
 //! ```json
 //! {
-//!   "schema_version": 8,
+//!   "schema_version": 9,
 //!   "name": "table1",
 //!   "spans":   [ {"path": "pretrain", "count": 2, "total_ms": 813.4,
 //!                 "p50_ms": 400.1, "p95_ms": 413.0, "p99_ms": 413.0} ],
@@ -27,8 +27,7 @@
 //!   "bf16":    {"snapshots": 14, "actual_bytes": 2048,
 //!               "f32_equiv_bytes": 4096, "bytes_saved": 2048},
 //!   "fusion":  {"fused_epilogues": 9, "fused_elems": 4096,
-//!               "output_passes": 0, "plans_built": 2,
-//!               "plan_leases": 12, "plan_lease_bytes": 16384},
+//!               "output_passes": 0},
 //!   "telemetry": {"metrics_enabled": true, "clock": "monotonic",
 //!                 "series": 30, "windows": 12, "attributions": 2,
 //!                 "attributions_dropped": 0, "slo_tenants": 12,
@@ -52,12 +51,12 @@
 //! `bf16` object (storage snapshots taken, their actual bytes vs the f32
 //! equivalent, and the derived bytes saved); 7 added the `fusion` object
 //! (fused GEMM epilogues applied and their element counts, separate
-//! epilogue output passes taken, static plans built, and plan-leased
-//! workspace buffers/bytes); 8 added the `telemetry` object (live
-//! metrics registry stats — labeled series and windowed families, tail
-//! attribution samples — plus the SLO tenant count and target, the
-//! telemetry clock mode, and the process-wide telemetry request/tail
-//! counters).
+//! epilogue output passes taken, and three static-plan keys); 8 added
+//! the `telemetry` object (live metrics registry stats — labeled series
+//! and windowed families, tail attribution samples — plus the SLO tenant
+//! count and target, the telemetry clock mode, and the process-wide
+//! telemetry request/tail counters); 9 dropped the three plan keys from
+//! `fusion` together with the static-plan layer.
 
 use crate::counters::{self, CounterSnapshot};
 use crate::health::{self, HealthRecord};
@@ -69,7 +68,7 @@ use std::path::{Path, PathBuf};
 
 /// Version stamp written into every run log (see the module docs for the
 /// version history).
-pub const SCHEMA_VERSION: u32 = 8;
+pub const SCHEMA_VERSION: u32 = 9;
 
 /// Live-telemetry capsule captured into the report's `telemetry` object.
 #[derive(Debug, Clone)]
@@ -238,14 +237,10 @@ impl RunReport {
         ));
         s.push_str(&format!(
             "  \"fusion\": {{\"fused_epilogues\": {}, \"fused_elems\": {}, \
-             \"output_passes\": {}, \"plans_built\": {}, \"plan_leases\": {}, \
-             \"plan_lease_bytes\": {}}},\n",
+             \"output_passes\": {}}},\n",
             self.counters.fused_epilogues,
             self.counters.fused_elems,
-            self.counters.output_passes,
-            self.counters.plans_built,
-            self.counters.plan_leases,
-            self.counters.plan_lease_bytes
+            self.counters.output_passes
         ));
         s.push_str(&format!(
             "  \"telemetry\": {{\"metrics_enabled\": {}, \"clock\": {}, \
@@ -460,15 +455,6 @@ impl RunReport {
             ));
         }
 
-        if self.counters.plans_built > 0 {
-            out.push_str(&format!(
-                "plans: {} built   leases: {} buffers / {} bytes\n",
-                self.counters.plans_built,
-                self.counters.plan_leases,
-                self.counters.plan_lease_bytes
-            ));
-        }
-
         if self.telemetry.series > 0 || self.counters.telemetry_requests > 0 {
             out.push_str(&format!(
                 "telemetry: {} series ({} windows)   requests: {}   \
@@ -600,8 +586,6 @@ mod tests {
         counters::record_bf16_snapshot(64);
         counters::record_fused_epilogue(48);
         counters::record_output_pass();
-        counters::record_plan_built();
-        counters::record_plan_lease(3, 1024);
         health::record("mapping", 0, 0.42, 0.001, 3.1, 0, 0);
         metrics::record_epoch("pretrain", 1.25, 0.5, 0.75, 0.01);
     }
@@ -613,12 +597,11 @@ mod tests {
         let report = RunReport::capture("unit test");
         assert_eq!(report.file_name(), "RUNLOG_unit_test.json");
         let js = report.to_json();
-        assert!(js.contains("\"schema_version\": 8"));
+        assert!(js.contains("\"schema_version\": 9"));
         assert!(js.contains("\"workspace\": {\"hits\": "));
         assert!(js.contains(
             "\"fusion\": {\"fused_epilogues\": 1, \"fused_elems\": 48, \
-             \"output_passes\": 1, \"plans_built\": 1, \"plan_leases\": 3, \
-             \"plan_lease_bytes\": 1024}"
+             \"output_passes\": 1}"
         ));
         assert!(js.contains(
             "\"serve\": {\"requests\": 3, \"batches\": 1, \"seed_rows\": 2, \
@@ -741,7 +724,6 @@ mod tests {
         assert!(text.contains("cache: 1 hits / 1 misses (50.0%)"));
         assert!(text.contains("bf16: 1 snapshots   128 bytes resident (f32 equivalent 256, saved 128)"));
         assert!(text.contains("fusion: 1 fused epilogues (48 elems)   separate output passes: 1"));
-        assert!(text.contains("plans: 1 built   leases: 3 buffers / 1024 bytes"));
         assert!(text.contains("health: 1 records over 1 groups   NaN: 0   Inf: 0"));
         assert!(text.contains("0.5000")); // accuracy column
     }

@@ -28,8 +28,7 @@ impl Request {
     }
 
     /// Leading (row/batch) extent of the input — the `N` every per-request
-    /// GEMM of the forward runs over, and the unit the engine's static
-    /// plan keys its workspace signature on.
+    /// GEMM of the forward runs over; 0 for a rank-0 input.
     pub fn rows(&self) -> usize {
         self.x.dims().first().copied().unwrap_or(0)
     }
@@ -112,12 +111,15 @@ pub fn concat_rows(parts: &[&Tensor]) -> Result<Tensor> {
             "concat_rows: empty input".into(),
         ));
     }
-    let d = parts[0].dims().get(1).copied().ok_or_else(|| {
-        TensorError::InvalidArgument("concat_rows: inputs must be 2-D".into())
-    })?;
+    if parts.iter().any(|p| p.dims().len() != 2) {
+        return Err(TensorError::InvalidArgument(
+            "concat_rows: inputs must be 2-D".into(),
+        ));
+    }
+    let d = parts[0].dims()[1];
     let mut rows = 0;
     for p in parts {
-        if p.dims().len() != 2 || p.dims()[1] != d {
+        if p.dims()[1] != d {
             return Err(TensorError::ShapeMismatch {
                 op: "concat_rows",
                 lhs: parts[0].dims().to_vec(),
@@ -215,7 +217,18 @@ mod tests {
         let a = rows(&[1.0, 2.0]);
         let bad = Tensor::from_vec(vec![0.0; 3], &[1, 3]).unwrap();
         assert!(concat_rows(&[]).is_err());
-        assert!(concat_rows(&[&a, &bad]).is_err());
+        assert!(matches!(
+            concat_rows(&[&a, &bad]),
+            Err(TensorError::ShapeMismatch { .. })
+        ));
+        // A non-2-D part is a malformed argument wherever it sits, not a
+        // mismatch between two shapes.
+        for flat in [Tensor::zeros(&[]), Tensor::zeros(&[2])] {
+            assert!(matches!(
+                concat_rows(&[&a, &flat]),
+                Err(TensorError::InvalidArgument(_))
+            ));
+        }
         assert!(split_rows(&a, &[2]).is_err());
     }
 }

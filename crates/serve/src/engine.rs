@@ -24,8 +24,7 @@ use metalora_peft::meta::MappingNet;
 use metalora_peft::{merge, MultiLoraLinear};
 use metalora_tensor::conv::ConvSpec;
 use metalora_tensor::ops::Storage;
-use metalora_tensor::plan::{Plan, PlanBuilder};
-use metalora_tensor::{bf16, par, Tensor, TensorError};
+use metalora_tensor::{bf16, Tensor, TensorError};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, Mutex};
@@ -74,15 +73,7 @@ pub struct ServeEngine {
     requests: AtomicU64,
     batches: AtomicU64,
     next_request_id: AtomicU64,
-    plans: Mutex<HashMap<PlanKey, Arc<Plan>>>,
 }
-
-/// The workspace signature of one batch: worker-team size, bf16 mode, and
-/// the sorted per-request `(numel, rows, kind)` triples (kind 0 = dense
-/// f32, 1 = dense through a bf16 merge, 2 = conv). Two batches with the
-/// same key make exactly the same sequence of arena checkouts, so they
-/// share one frozen [`Plan`].
-type PlanKey = (usize, bool, Vec<(usize, usize, u8)>);
 
 impl ServeEngine {
     /// An engine over one shared frozen dense base `w:[I,O]` (+ `bias:[O]`).
@@ -106,7 +97,6 @@ impl ServeEngine {
             requests: AtomicU64::new(0),
             batches: AtomicU64::new(0),
             next_request_id: AtomicU64::new(0),
-            plans: Mutex::new(HashMap::new()),
         }
     }
 
@@ -175,15 +165,6 @@ impl ServeEngine {
         self.batches.load(Relaxed)
     }
 
-    /// Distinct (shape, threads) plans built so far — stays flat once the
-    /// workload's shape signatures have all been seen.
-    pub fn plan_count(&self) -> usize {
-        self.plans
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .len()
-    }
-
     /// Per-request forward latency `(p50, p95, p99)` in microseconds.
     pub fn latency_percentiles_us(&self) -> (f64, f64, f64) {
         let h = self.hist.lock().unwrap_or_else(|e| e.into_inner());
@@ -237,7 +218,7 @@ impl ServeEngine {
     /// `enq_ns` carries per-request enqueue stamps from the batcher (empty
     /// or zero ⇒ no queue wait attributed). With telemetry on, every
     /// request gets an id and a per-stage breakdown (queue / cache /
-    /// mapping / gemm / epilogue) recorded through [`crate::telemetry`];
+    /// mapping / gemm) recorded through [`crate::telemetry`];
     /// the telemetry clock is only read from this sequential loop — never
     /// from parallel kernel workers — so logical-clock runs are
     /// bit-reproducible. Timing is passive: outputs are bitwise identical
@@ -249,11 +230,14 @@ impl ServeEngine {
             .iter()
             .map(|r| self.store.get_required(r.tenant))
             .collect::<Result<_>>()?;
-
-        // One static plan per (shape, threads) signature: warming it makes
-        // every arena checkout below a guaranteed pool hit, so the hot
-        // path never discovers sizes or touches the allocator.
-        self.batch_plan(reqs, &entries).warm();
+        // Inputs are `[N, in]` or `[N, C, H, W]`; everything below may
+        // index the row extent.
+        if let Some(i) = reqs.iter().position(|r| r.x.dims().len() < 2) {
+            return Err(TensorError::InvalidArgument(format!(
+                "serve: request {i} input has rank {}, expected [N, in] or [N, C, H, W]",
+                reqs[i].x.dims().len()
+            )));
+        }
 
         let batch_t0 = if tel { window::now_ns() } else { 0 };
         let seeds = self.generate_batch_seeds(reqs, &entries)?;
@@ -291,7 +275,7 @@ impl ServeEngine {
                     .filter(|&&e| e > 0)
                     .map_or(0, |&e| batch_t0.saturating_sub(e));
                 let id = self.next_request_id.fetch_add(1, Relaxed);
-                telemetry::record_request(id, req.tenant, telemetry::method_label(&entry.adapter), stages);
+                telemetry::record_request(id, req.tenant, entry.adapter.method(), stages);
             }
             out.push(y);
         }
@@ -303,85 +287,6 @@ impl ServeEngine {
             telemetry::record_cache(&self.cache.stats());
         }
         Ok(out)
-    }
-
-    /// The frozen workspace plan for this batch's shape signature: fetched
-    /// from the per-engine map, or built once (the only slow path) by
-    /// replaying the batch's GEMM and conv shapes through a
-    /// [`PlanBuilder`]. Covers the per-request base products (dense f32,
-    /// dense through a bf16 merge, or conv via im2col) and the stacked
-    /// mapping-net forwards; the adapter-delta matmuls are below the
-    /// packed threshold at serving scale and take no scratch.
-    fn batch_plan(&self, reqs: &[Request], entries: &[Arc<TenantEntry>]) -> Arc<Plan> {
-        let threads = par::num_threads();
-        let bf = bf16::enabled();
-        let kind = |e: &TenantEntry| -> u8 {
-            match &e.adapter {
-                TenantAdapter::ConvLora { .. } => 2,
-                _ if bf && self.cfg.use_merged && e.adapter.cacheable() => 1,
-                _ => 0,
-            }
-        };
-        let mut sig: Vec<(usize, usize, u8)> = reqs
-            .iter()
-            .zip(entries)
-            .map(|(r, e)| (r.x.len(), r.rows(), kind(e)))
-            .collect();
-        sig.sort_unstable();
-        let key: PlanKey = (threads, bf, sig);
-        if let Some(p) = self
-            .plans
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .get(&key)
-        {
-            return p.clone();
-        }
-
-        let mut b = PlanBuilder::new(threads);
-        let (i, o) = (self.base_w.dims()[0], self.base_w.dims()[1]);
-        let mut dyn_rows = [0usize; 2]; // stacked cp / tr mapping rows
-        for (req, entry) in reqs.iter().zip(entries) {
-            match &entry.adapter {
-                TenantAdapter::ConvLora { .. } => {
-                    if let (Some(w), Some(spec)) = (&self.conv_w, self.conv_spec) {
-                        let d = req.x.dims();
-                        if d.len() == 4 {
-                            b.conv2d(d[0], d[1], d[2], d[3], spec, spec, w.dims()[3]);
-                        }
-                    }
-                }
-                adapter => {
-                    let weights = if kind(entry) == 1 { Storage::Bf16 } else { Storage::F32 };
-                    b.gemm(req.rows(), o, i, weights);
-                    if let TenantAdapter::MetaCp {
-                        pinned_seed: None, ..
-                    } = adapter
-                    {
-                        dyn_rows[0] += req.rows();
-                    }
-                    if let TenantAdapter::MetaTr {
-                        pinned_seed: None, ..
-                    } = adapter
-                    {
-                        dyn_rows[1] += req.rows();
-                    }
-                }
-            }
-        }
-        for (mapping, rows) in [(&self.mapping_cp, dyn_rows[0]), (&self.mapping_tr, dyn_rows[1])] {
-            if let (Some(m), true) = (mapping, rows > 0) {
-                b.gemm(rows, m.hidden_dim(), m.in_dim(), Storage::F32);
-                b.gemm(rows, m.out_dim(), m.hidden_dim(), Storage::F32);
-            }
-        }
-        let plan = Arc::new(b.build());
-        self.plans
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .entry(key)
-            .or_insert(plan)
-            .clone()
     }
 
     /// One mapping-net forward per format for all dynamic rows of the
@@ -414,7 +319,7 @@ impl ServeEngine {
             };
             let _sp = metalora_obs::span!("serve/seed");
             let parts: Vec<&Tensor> = dynamic.iter().map(|&i| &reqs[i].x).collect();
-            let counts: Vec<usize> = parts.iter().map(|t| t.dims()[0]).collect();
+            let counts: Vec<usize> = dynamic.iter().map(|&i| reqs[i].rows()).collect();
             let stacked = concat_rows(&parts)?;
             let generated = mapping.generate(&stacked)?;
             metalora_obs::counters::record_serve_seed_rows(generated.dims()[0] as u64);
@@ -459,39 +364,6 @@ impl ServeEngine {
         Ok(w)
     }
 
-    /// Dense forward through the merged-weight cache.
-    fn merged_dense<D>(
-        &self,
-        key: CacheKey,
-        x: &Tensor,
-        delta: D,
-        tel: bool,
-        stages: &mut StageNs,
-    ) -> Result<Tensor>
-    where
-        D: FnOnce() -> Result<Tensor>,
-    {
-        let w = self.merged_weight(key, &self.base_w, delta, tel, stages)?;
-        infer::linear_act(x, w.operand(), self.base_b.as_ref(), None)
-    }
-
-    /// Conv twin of [`Self::merged_dense`] over the frozen conv base.
-    fn merged_conv<D>(
-        &self,
-        key: CacheKey,
-        x: &Tensor,
-        delta: D,
-        tel: bool,
-        stages: &mut StageNs,
-    ) -> Result<Tensor>
-    where
-        D: FnOnce() -> Result<Tensor>,
-    {
-        let (base, spec) = self.conv_base()?;
-        let w = self.merged_weight(key, base, delta, tel, stages)?;
-        infer::conv2d_act(x, w.operand(), self.conv_b.as_ref(), None, spec)
-    }
-
     /// One request's tape-free forward, choosing the merged-cached or
     /// factored path.
     fn forward_one(
@@ -502,23 +374,45 @@ impl ServeEngine {
         tel: bool,
         stages: &mut StageNs,
     ) -> Result<Tensor> {
-        let key = (entry.id, entry.version);
-        let merged_mode = self.cfg.use_merged && entry.adapter.cacheable();
+        if self.cfg.use_merged && entry.adapter.cacheable() {
+            // Every cacheable adapter is one dense update folded into the
+            // base it rides on; only conv tenants ride the conv base.
+            let conv = match &entry.adapter {
+                TenantAdapter::ConvLora { .. } => Some(self.conv_base()?),
+                _ => None,
+            };
+            let base = conv.map_or(&self.base_w, |(w, _)| w);
+            let delta = || match &entry.adapter {
+                TenantAdapter::Lora { a, b, scaling } => merge::lora_delta(a, b, *scaling),
+                TenantAdapter::ConvLora { a, b, scaling } => merge::conv_lora_delta(a, b, *scaling),
+                TenantAdapter::MetaCp { a, b, scaling, pinned_seed: Some(c) } => {
+                    merge::cp_delta(a, b, c, *scaling)
+                }
+                TenantAdapter::MetaTr { a, b, scaling, pinned_seed: Some(c) } => {
+                    merge::tr_delta(a, b, c, *scaling)
+                }
+                TenantAdapter::MultiSlot { slot } => {
+                    let (a, b) = self.bank_slot(*slot)?;
+                    merge::lora_delta(a, b, self.bank_scaling)
+                }
+                TenantAdapter::MetaCp { pinned_seed: None, .. }
+                | TenantAdapter::MetaTr { pinned_seed: None, .. } => Err(TensorError::InvalidArgument(
+                    "serve: a dynamic adapter has no dense update".into(),
+                )),
+            };
+            let w = self.merged_weight((entry.id, entry.version), base, delta, tel, stages)?;
+            return match conv {
+                Some((_, spec)) => infer::conv2d_act(x, w.operand(), self.conv_b.as_ref(), None, spec),
+                None => infer::linear_act(x, w.operand(), self.base_b.as_ref(), None),
+            };
+        }
         match &entry.adapter {
             TenantAdapter::Lora { a, b, scaling } => {
-                if merged_mode {
-                    self.merged_dense(key, x, || merge::lora_delta(a, b, *scaling), tel, stages)
-                } else {
-                    forward::lora_linear(x, &self.base_w, self.base_b.as_ref(), a, b, *scaling)
-                }
+                forward::lora_linear(x, &self.base_w, self.base_b.as_ref(), a, b, *scaling)
             }
             TenantAdapter::ConvLora { a, b, scaling } => {
-                if merged_mode {
-                    self.merged_conv(key, x, || merge::conv_lora_delta(a, b, *scaling), tel, stages)
-                } else {
-                    let (w, spec) = self.conv_base()?;
-                    forward::conv_lora(x, w, self.conv_b.as_ref(), spec, a, b, *scaling)
-                }
+                let (w, spec) = self.conv_base()?;
+                forward::conv_lora(x, w, self.conv_b.as_ref(), spec, a, b, *scaling)
             }
             TenantAdapter::MetaCp {
                 a,
@@ -526,9 +420,6 @@ impl ServeEngine {
                 scaling,
                 pinned_seed,
             } => match pinned_seed {
-                Some(c) if merged_mode => {
-                    self.merged_dense(key, x, || merge::cp_delta(a, b, c, *scaling), tel, stages)
-                }
                 Some(c) => {
                     let rows = forward::tile_seed(c, x.dims()[0])?;
                     forward::meta_cp_linear(x, &self.base_w, self.base_b.as_ref(), a, b, &rows, *scaling)
@@ -546,9 +437,6 @@ impl ServeEngine {
                 scaling,
                 pinned_seed,
             } => match pinned_seed {
-                Some(c) if merged_mode => {
-                    self.merged_dense(key, x, || merge::tr_delta(a, b, c, *scaling), tel, stages)
-                }
                 Some(c) => {
                     let rows = forward::tile_seed(c, x.dims()[0])?;
                     forward::meta_tr_linear(x, &self.base_w, self.base_b.as_ref(), a, b, &rows, *scaling)
@@ -561,19 +449,17 @@ impl ServeEngine {
                 }
             },
             TenantAdapter::MultiSlot { slot } => {
-                if *slot >= self.bank_a.len() {
-                    return Err(TensorError::IndexOutOfRange {
-                        index: *slot,
-                        len: self.bank_a.len(),
-                    });
-                }
-                let (a, b) = (&self.bank_a[*slot], &self.bank_b[*slot]);
-                if merged_mode {
-                    self.merged_dense(key, x, || merge::lora_delta(a, b, self.bank_scaling), tel, stages)
-                } else {
-                    forward::lora_linear(x, &self.base_w, self.base_b.as_ref(), a, b, self.bank_scaling)
-                }
+                let (a, b) = self.bank_slot(*slot)?;
+                forward::lora_linear(x, &self.base_w, self.base_b.as_ref(), a, b, self.bank_scaling)
             }
+        }
+    }
+
+    /// The bank factors of `slot`, bounds-checked.
+    fn bank_slot(&self, slot: usize) -> Result<(&Tensor, &Tensor)> {
+        match (self.bank_a.get(slot), self.bank_b.get(slot)) {
+            (Some(a), Some(b)) => Ok((a, b)),
+            _ => Err(TensorError::IndexOutOfRange { index: slot, len: self.bank_a.len() }),
         }
     }
 
@@ -713,24 +599,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn plans_are_built_once_per_shape_signature() {
-        let mut rng = init::rng(26);
-        let e = engine(false);
-        e.register(1, lora_tenant(&mut rng));
-        let req2 = Request::new(1, init::uniform(&[2, 4], -1.0, 1.0, &mut rng));
-        e.serve_one(&req2).unwrap();
-        assert_eq!(e.plan_count(), 1);
-        // Same shape signature → the cached plan is reused.
-        e.serve_one(&req2).unwrap();
-        assert_eq!(e.plan_count(), 1);
-        // New row count → one new plan, exactly once.
-        let req3 = Request::new(1, init::uniform(&[3, 4], -1.0, 1.0, &mut rng));
-        e.serve_one(&req3).unwrap();
-        e.serve_one(&req3).unwrap();
-        assert_eq!(e.plan_count(), 2);
     }
 
     #[test]

@@ -169,11 +169,6 @@ impl MappingSnapshot {
         self.w1.dims()[0]
     }
 
-    /// Hidden width of the MLP (the inner GEMM's `n` / outer GEMM's `k`).
-    pub fn hidden_dim(&self) -> usize {
-        self.w1.dims()[1]
-    }
-
     /// `[N, in] → [N, out]`: linear → GELU → linear → tanh, the bitwise
     /// twin of [`MappingNet::generate`] (and of `generate_infer`, same
     /// math on the snapshot values). Both bias adds and both activations

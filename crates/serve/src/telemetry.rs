@@ -15,7 +15,7 @@
 //! `telemetry` suite both assert it).
 
 use crate::cache::CacheStats;
-use crate::store::{TenantAdapter, TenantId};
+use crate::store::TenantId;
 use metalora_obs::registry::{self, Attribution, STAGES};
 use metalora_obs::{counters, slo, window};
 
@@ -29,34 +29,21 @@ pub struct StageNs {
     pub cache: u64,
     /// This request's share of the batch's stacked mapping-net forward.
     pub mapping: u64,
-    /// The forward GEMM (and everything else in the tape-free forward
-    /// that is not the cache stage).
+    /// The forward GEMM with its fused bias/activation epilogue (and
+    /// everything else in the tape-free forward that is not the cache
+    /// stage).
     pub gemm: u64,
-    /// Always 0 on the current engine: the bias/activation epilogue is
-    /// fused into the GEMM store loop, so its time is part of `gemm`.
-    pub epilogue: u64,
 }
 
 impl StageNs {
     /// Array view ordered like [`registry::STAGES`].
-    pub fn to_array(self) -> [u64; 5] {
-        [self.queue, self.cache, self.mapping, self.gemm, self.epilogue]
+    pub fn to_array(self) -> [u64; 4] {
+        [self.queue, self.cache, self.mapping, self.gemm]
     }
 
     /// End-to-end latency: the sum of all stages.
     pub fn total(self) -> u64 {
         self.to_array().iter().sum()
-    }
-}
-
-/// The `method=` label value of an adapter.
-pub fn method_label(adapter: &TenantAdapter) -> &'static str {
-    match adapter {
-        TenantAdapter::Lora { .. } => "lora",
-        TenantAdapter::ConvLora { .. } => "conv_lora",
-        TenantAdapter::MetaCp { .. } => "meta_cp",
-        TenantAdapter::MetaTr { .. } => "meta_tr",
-        TenantAdapter::MultiSlot { .. } => "multi_slot",
     }
 }
 
@@ -136,24 +123,25 @@ mod tests {
             cache: 2,
             mapping: 3,
             gemm: 4,
-            epilogue: 5,
         };
-        assert_eq!(s.to_array(), [1, 2, 3, 4, 5]);
-        assert_eq!(s.total(), 15);
-        assert_eq!(STAGES, ["queue", "cache", "mapping", "gemm", "epilogue"]);
+        assert_eq!(s.to_array(), [1, 2, 3, 4]);
+        assert_eq!(s.total(), 10);
+        assert_eq!(STAGES, ["queue", "cache", "mapping", "gemm"]);
     }
 
     #[test]
     fn method_labels_cover_every_adapter() {
+        use crate::store::TenantAdapter;
         use metalora_tensor::Tensor;
         let t = || Tensor::zeros(&[1, 1]);
         let labels = [
-            method_label(&TenantAdapter::Lora {
+            TenantAdapter::Lora {
                 a: t(),
                 b: t(),
                 scaling: 1.0,
-            }),
-            method_label(&TenantAdapter::MultiSlot { slot: 0 }),
+            }
+            .method(),
+            TenantAdapter::MultiSlot { slot: 0 }.method(),
         ];
         assert_eq!(labels, ["lora", "multi_slot"]);
     }

@@ -1,0 +1,244 @@
+//! Steady-state scratch behaviour and hostile inputs, on the workspace
+//! arena — the engine's only scratch mechanism.
+//!
+//! Requests of a batch run one after another, so one pooled buffer per
+//! size bucket and concurrent need serves all of them: after one warm pass
+//! over a stream, replaying it never misses the arena and the pool stops
+//! growing — it is bounded by concurrency, not by how many distinct batch
+//! shapes were seen. The stream is a ragged 64-tenant zipf mix of all five
+//! adapter kinds, served factored and merged under 1 and 4 configured
+//! workers. Shapes stay under the parallel-dispatch threshold: a parallel
+//! team's workers overlap by timing, so how many `A` panels are live at
+//! once is not a per-pass constant there.
+//!
+//! The hostile half: a rank-0 input is `Err(InvalidArgument)` for every
+//! tenant kind — alone or inside a mixed batch — and leaves the engine
+//! serving.
+
+use metalora_nn::Linear;
+use metalora_peft::meta::MappingNet;
+use metalora_peft::{LoraConfig, MultiLoraLinear};
+use metalora_serve::traffic::Zipf;
+use metalora_serve::{EngineConfig, Request, ServeEngine, TenantAdapter};
+use metalora_tensor::conv::ConvSpec;
+use metalora_tensor::{init, par, workspace, Tensor, TensorError};
+use std::sync::{Mutex, MutexGuard};
+
+const CFG: LoraConfig = LoraConfig { rank: 2, alpha: 3.0 };
+const DIM: usize = 128; // base is [DIM, DIM]: one row is already a packed GEMM
+const TENANTS: u64 = 64;
+const CONV: [usize; 3] = [3, 8, 8]; // C, H, W of a conv tenant's input
+const CONV_OUT: usize = 8;
+
+/// The arena, the obs counters and the worker count are process-global:
+/// one test at a time, defaults restored on drop.
+struct Globals(#[allow(dead_code)] MutexGuard<'static, ()>);
+
+fn lock_globals() -> Globals {
+    static LOCK: Mutex<()> = Mutex::new(());
+    Globals(LOCK.lock().unwrap_or_else(|e| e.into_inner()))
+}
+
+impl Drop for Globals {
+    fn drop(&mut self) {
+        par::set_num_threads(0);
+        metalora_obs::set_enabled(false);
+        metalora_obs::reset();
+    }
+}
+
+fn bits(t: &Tensor) -> Vec<u32> {
+    t.data().iter().map(|v| v.to_bits()).collect()
+}
+
+/// 64 tenants, kind by `id % 6`: LoRA, Conv-LoRA, dynamic CP, dynamic TR,
+/// bank slot, pinned-seed CP/TR (alternating). The cache holds them all.
+fn engine(use_merged: bool, max_batch: usize) -> ServeEngine {
+    let mut rng = init::rng(31);
+    let r = CFG.rank;
+    let base = Linear::new("fc", DIM, DIM, &mut rng);
+    let (w, bias) = (base.weight().value(), base.bias().map(|b| b.value()));
+    let bank = MultiLoraLinear::new("fc", Box::new(base), 2, CFG, &mut rng);
+    for b in &bank.b {
+        b.set_value(init::uniform(&[r, DIM], -0.5, 0.5, &mut rng));
+    }
+    let spec = ConvSpec::new(3, 1, 1).unwrap();
+    let conv_w = init::uniform(&[3, 3, CONV[0], CONV_OUT], -0.5, 0.5, &mut rng);
+    let cfg = EngineConfig { max_batch, cache_bytes: 64 << 20, use_merged };
+    let e = ServeEngine::new(w, bias, cfg)
+        .with_bank(&bank)
+        .with_conv_base(conv_w, None, spec)
+        .with_mapping_cp(&MappingNet::new("map_cp", DIM, 16, r, &mut rng))
+        .with_mapping_tr(&MappingNet::new("map_tr", DIM, 16, r * r, &mut rng));
+    for id in 0..TENANTS {
+        let mut u = |dims: &[usize]| init::uniform(dims, -0.5, 0.5, &mut rng);
+        let scaling = CFG.scaling();
+        let adapter = match id % 6 {
+            0 => TenantAdapter::Lora { a: u(&[DIM, r]), b: u(&[r, DIM]), scaling },
+            1 => TenantAdapter::ConvLora { a: u(&[3, 3, CONV[0], r]), b: u(&[r, CONV_OUT]), scaling },
+            4 => TenantAdapter::MultiSlot { slot: (id / 6) as usize % 2 },
+            // 2 and 3 generate their seed per input; 5 pins one, CP and TR in turn.
+            k if k == 2 || id % 12 == 5 => TenantAdapter::MetaCp {
+                a: u(&[DIM, r]),
+                b: u(&[r, DIM]),
+                scaling,
+                pinned_seed: (k == 5).then(|| u(&[r])),
+            },
+            k => TenantAdapter::MetaTr {
+                a: u(&[r, DIM, r]),
+                b: u(&[r, DIM, r]),
+                scaling,
+                pinned_seed: (k == 5).then(|| u(&[r, r])),
+            },
+        };
+        e.register(id, adapter);
+    }
+    e
+}
+
+/// One valid request of `rows` rows for `tenant` (kind 1 is Conv-LoRA).
+fn request(tenant: u64, rows: usize, rng: &mut rand::rngs::StdRng) -> Request {
+    let dims = if tenant % 6 == 1 {
+        vec![rows, CONV[0], CONV[1], CONV[2]]
+    } else {
+        vec![rows, DIM]
+    };
+    Request::new(tenant, init::uniform(&dims, -1.0, 1.0, rng))
+}
+
+/// A zipf(1.1) stream over the 64 tenants with 1–4 rows per request.
+fn stream(len: usize) -> Vec<Request> {
+    let mut rng = init::rng(32);
+    let zipf = Zipf::new(TENANTS as usize, 1.1);
+    (0..len)
+        .map(|i| {
+            let tenant = zipf.sample(&mut rng) as u64;
+            request(tenant, 1 + (i * 7 + i / 5) % 4, &mut rng)
+        })
+        .collect()
+}
+
+#[test]
+fn warm_passes_never_miss_the_arena_and_the_pool_stops_growing() {
+    let _g = lock_globals();
+    let reqs = stream(192);
+    let kinds: std::collections::BTreeSet<u64> = reqs.iter().map(|r| r.tenant % 6).collect();
+    assert_eq!(kinds.len(), 6, "the stream must reach every tenant kind");
+    for threads in [1usize, 4] {
+        for use_merged in [false, true] {
+            par::set_num_threads(threads);
+            workspace::clear();
+            metalora_obs::set_enabled(true);
+            metalora_obs::reset();
+            let e = engine(use_merged, 16);
+            let mut after = Vec::new();
+            for _pass in 0..3 {
+                e.process(&reqs).unwrap();
+                after.push(metalora_obs::counters::snapshot());
+            }
+            let what = format!("threads = {threads}, merged = {use_merged}");
+            assert!(after[0].workspace_misses > 0, "{what}: the warm pass allocates");
+            assert!(after[2].workspace_hits > after[1].workspace_hits, "{what}");
+            assert_eq!(
+                after[2].workspace_misses, after[0].workspace_misses,
+                "{what}: a warm pass missed the arena"
+            );
+            assert_eq!(
+                after[2].peak_workspace_pooled_bytes, after[1].peak_workspace_pooled_bytes,
+                "{what}: the pool kept growing"
+            );
+            assert_eq!(e.batch_count(), 3 * 12);
+        }
+    }
+}
+
+#[test]
+fn ragged_batches_are_bitwise_the_one_request_engine() {
+    let _g = lock_globals();
+    let reqs = stream(192);
+    for use_merged in [false, true] {
+        let solo = engine(use_merged, 1);
+        let reference: Vec<Vec<u32>> =
+            reqs.iter().map(|r| bits(&solo.serve_one(r).unwrap())).collect();
+        for threads in [1usize, 4] {
+            par::set_num_threads(threads);
+            let e = engine(use_merged, 16);
+            // Cold arena and cold cache on the first pass, warm on the second.
+            for pass in 0..2 {
+                let outs = e.process(&reqs).unwrap();
+                for (i, out) in outs.iter().enumerate() {
+                    assert_eq!(
+                        bits(out),
+                        reference[i],
+                        "request {i} diverged (merged = {use_merged}, threads = {threads}, pass {pass})"
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// One tenant of each kind (`id % 6`), plus the pinned TR tenant.
+const EACH_KIND: [u64; 7] = [0, 1, 2, 3, 4, 5, 11];
+
+#[test]
+fn rank0_and_rank1_inputs_are_invalid_argument_for_every_tenant_kind() {
+    let _g = lock_globals();
+    for use_merged in [false, true] {
+        let e = engine(use_merged, 16);
+        for tenant in EACH_KIND {
+            for dims in [&[][..], &[DIM]] {
+                let hostile = Request::new(tenant, Tensor::zeros(dims));
+                assert!(
+                    matches!(e.serve_one(&hostile), Err(TensorError::InvalidArgument(_))),
+                    "dims {dims:?}, tenant {tenant}, merged = {use_merged}"
+                );
+            }
+        }
+    }
+}
+
+/// Rank 3 passes the engine's rank floor and reaches the kernels, whose
+/// own shape checks must refuse it.
+#[test]
+fn rank3_input_is_an_error_never_a_panic() {
+    let _g = lock_globals();
+    for use_merged in [false, true] {
+        let e = engine(use_merged, 16);
+        for tenant in EACH_KIND {
+            let cube = Request::new(tenant, Tensor::zeros(&[2, 1, DIM]));
+            assert!(e.serve_one(&cube).is_err(), "tenant {tenant}, merged = {use_merged}");
+        }
+    }
+}
+
+#[test]
+fn rank0_input_fails_its_batch_and_the_engine_keeps_serving() {
+    let _g = lock_globals();
+    let mut rng = init::rng(33);
+    // One dynamic CP, one dynamic TR, one pinned TR and one LoRA request.
+    let valid: Vec<Request> = [2u64, 3, 11, 0]
+        .iter()
+        .enumerate()
+        .map(|(i, &t)| request(t, 1 + i, &mut rng))
+        .collect();
+    for use_merged in [false, true] {
+        let expected: Vec<Vec<u32>> = {
+            let fresh = engine(use_merged, 16);
+            valid.iter().map(|r| bits(&fresh.serve_one(r).unwrap())).collect()
+        };
+        let e = engine(use_merged, 16);
+        // The hostile input takes each slot — and so each tenant kind — in turn.
+        for slot in 0..valid.len() {
+            let mut batch = valid.clone();
+            batch[slot].x = Tensor::zeros(&[]);
+            assert!(
+                matches!(e.serve_batch(&batch), Err(TensorError::InvalidArgument(_))),
+                "hostile slot {slot}, merged = {use_merged}"
+            );
+        }
+        let outs = e.serve_batch(&valid).unwrap();
+        let got: Vec<Vec<u32>> = outs.iter().map(bits).collect();
+        assert_eq!(got, expected, "merged = {use_merged}");
+    }
+}

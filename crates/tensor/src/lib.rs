@@ -34,7 +34,6 @@ pub mod init;
 pub mod linalg;
 pub mod ops;
 pub mod par;
-pub mod plan;
 pub mod shape;
 pub mod tensor;
 pub mod workspace;

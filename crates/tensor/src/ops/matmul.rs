@@ -21,9 +21,7 @@
 //! bitwise identical. `matmul` and the few names the autograd tape uses
 //! survive as one-line wrappers.
 
-use super::microkernel::{
-    self, use_packed, Activation, Epilogue, PanelSrc, StridedGemm, KC, MR, NC,
-};
+use super::microkernel::{self, use_packed, Activation, Epilogue, PanelSrc, StridedGemm, KC};
 use crate::bf16::{self, Bf16Buf};
 use crate::par::par_row_blocks;
 use crate::{workspace, Result, Tensor, TensorError};
@@ -251,29 +249,6 @@ pub fn gemm(desc: &GemmDesc) -> Result<Tensor> {
         (_, 1) => Tensor::from_vec(out, &[m]),
         _ => Tensor::from_vec(out, &[m, n]),
     }
-}
-
-/// The arena checkouts one [`gemm`] of logical dims `[m,k]·[k,n]` makes
-/// with `threads` workers and operands stored as `storage` (`[a, b]`) —
-/// what a [`crate::plan::Plan`] pre-leases. Packed path: the shared `B`
-/// panel plus one `MR×k` `A` panel per team worker (the team is capped
-/// by the tile-grid task count). Reference path: one widen buffer per
-/// bf16 operand, nothing for f32.
-pub fn gemm_scratch(m: usize, n: usize, k: usize, storage: [Storage; 2], threads: usize) -> Vec<usize> {
-    if m * n == 0 {
-        return Vec::new();
-    }
-    if use_packed(2 * m * k * n) {
-        let tasks = m.div_ceil(MR) * n.div_ceil(NC);
-        let mut sizes = vec![k * n];
-        sizes.resize(1 + threads.min(tasks).max(1), MR * k);
-        return sizes;
-    }
-    [(storage[0], m * k), (storage[1], k * n)]
-        .into_iter()
-        .filter(|&(s, _)| s == Storage::Bf16)
-        .map(|(_, len)| len)
-        .collect()
 }
 
 /// An operand's f32 data: as stored, or widened into an arena lease.

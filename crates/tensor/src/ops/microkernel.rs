@@ -65,7 +65,7 @@
 //! is `act(acc + bias[j])`, exactly what the separate `ops::add` +
 //! `ops::map` passes compute; the sequence is pure per element, so store
 //! time vs. a second full output pass cannot change a bit (see
-//! DESIGN.md "Epilogue fusion & static inference plan").
+//! DESIGN.md "Epilogue fusion").
 
 use crate::bf16::bf16_to_f32;
 use crate::par::{par_task_queue, TaskQueue};

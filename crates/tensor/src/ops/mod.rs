@@ -12,7 +12,7 @@ mod reduce;
 pub use concat::concat;
 pub use elementwise::{add, add_scaled, div, map, mul, neg, scale, sub, zip_with};
 pub use matmul::{
-    bmm, bmm_transpose_a, bmm_transpose_b, epilogue_pass, gemm, gemm_scratch, matmul,
+    bmm, bmm_transpose_a, bmm_transpose_b, epilogue_pass, gemm, matmul,
     matmul_transpose_a, matmul_transpose_b, GemmDesc, Layout, Operand, Storage,
 };
 pub use microkernel::{

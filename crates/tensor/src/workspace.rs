@@ -168,43 +168,6 @@ pub fn recycle(t: Tensor) {
     give(t.into_vec());
 }
 
-/// Every planned scratch buffer of a serve batch, checked out at once.
-///
-/// Taking all sizes **concurrently** forces the arena to materialise one
-/// distinct buffer per planned need (a sequential warm-up could satisfy
-/// two same-bucket needs with one buffer). [`BatchLease::release`] (or
-/// drop) parks them all back, after which every in-batch checkout of a
-/// planned size is a guaranteed pool hit — the arena's size-bucket
-/// discovery (and any fresh allocation) happened up front, not on the
-/// serving hot path. See [`crate::plan`].
-pub struct BatchLease {
-    guards: Vec<WorkspaceGuard>,
-}
-
-impl BatchLease {
-    /// Number of buffers held.
-    pub fn buffers(&self) -> usize {
-        self.guards.len()
-    }
-
-    /// Total floats held.
-    pub fn floats(&self) -> usize {
-        self.guards.iter().map(|g| g.len()).sum()
-    }
-
-    /// Returns every buffer to the pool (same as drop, spelled out).
-    pub fn release(self) {}
-}
-
-/// Checks out one buffer per entry of `sizes` (all live simultaneously,
-/// hence all distinct), returning the batch-wide lease. Zero-length
-/// entries are skipped — they never allocate.
-pub fn lease_all(sizes: &[usize]) -> BatchLease {
-    let guards: Vec<WorkspaceGuard> =
-        sizes.iter().filter(|&&len| len > 0).map(|&len| take(len)).collect();
-    BatchLease { guards }
-}
-
 /// Drops every pooled buffer (tests; also handy to release memory after a
 /// large one-off workload).
 pub fn clear() {
@@ -323,32 +286,5 @@ mod tests {
         let g = take(0);
         assert!(g.is_empty());
         give(Vec::new()); // no-op, must not poison the pool
-    }
-
-    #[test]
-    fn lease_all_holds_distinct_buffers_and_warms_the_pool() {
-        clear();
-        // Three same-bucket sizes: a sequential warm-up would collapse
-        // them into one buffer; the lease must hold three distinct ones.
-        let sizes = [300, 310, 320, 0, 64];
-        let lease = lease_all(&sizes);
-        assert_eq!(lease.buffers(), 4); // zero-length entry skipped
-        assert_eq!(lease.floats(), 300 + 310 + 320 + 64);
-        let ptrs: Vec<_> = lease.guards.iter().map(|g| g.as_ptr()).collect();
-        for (i, a) in ptrs.iter().enumerate() {
-            for b in &ptrs[i + 1..] {
-                assert_ne!(a, b, "leased buffers must never alias");
-            }
-        }
-        lease.release();
-        // The pool is now warm: re-taking all sizes concurrently gets the
-        // same allocations back (order within a bucket is stack-like, so
-        // compare as sets).
-        let again = lease_all(&sizes);
-        let mut got: Vec<_> = again.guards.iter().map(|g| g.as_ptr()).collect();
-        let mut want = ptrs.clone();
-        got.sort();
-        want.sort();
-        assert_eq!(got, want);
     }
 }

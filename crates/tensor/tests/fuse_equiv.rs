@@ -5,20 +5,18 @@
 //! every activation, the packed and the reference kernel, f32 and
 //! bf16-weight GEMMs, conv2d, and worker counts {1, 2, 4, 7}.
 //!
-//! The static-plan lease gets its own checks: a plan-warmed arena must
-//! serve the kernel's checkouts as hits without moving a bit, and a lease
-//! *held across* a kernel call must never alias the kernel's own scratch
-//! (the kernel's checkouts land in different buffers because the leased
-//! ones are still out).
+//! The arena gets its own check: a buffer *held across* a kernel call
+//! must never alias the kernel's own scratch (the kernel's checkouts land
+//! in different buffers because the held ones are still out).
 //!
 //! The kernel is forced through the scoped thread-local seam; the suite
 //! lock remains for the process-wide worker count and obs counters.
 
 use metalora_tensor::conv::{conv2d, conv2d_bias_act, ConvSpec};
+use metalora_tensor::ops::microkernel::MR;
 use metalora_tensor::ops::{
-    epilogue_pass, gemm, with_kernel_path, Activation, GemmDesc, KernelPath, Operand, Storage,
+    epilogue_pass, gemm, with_kernel_path, Activation, GemmDesc, KernelPath, Operand,
 };
-use metalora_tensor::plan::PlanBuilder;
 use metalora_tensor::{init, par, workspace, Bf16Buf, Tensor};
 use proptest::prelude::*;
 use std::sync::{Mutex, MutexGuard};
@@ -173,55 +171,10 @@ fn packed_bias_act(x: &Tensor, w: &Tensor, bias: &Tensor, act: Activation) -> Te
     })
 }
 
-/// The packed-path plan for one `[m,k]·[k,n]` f32 GEMM.
-fn packed_plan(threads: usize, (m, n, k): (usize, usize, usize)) -> metalora_tensor::plan::Plan {
-    let mut b = PlanBuilder::new(threads);
-    with_kernel_path(KernelPath::Packed, || {
-        b.gemm(m, n, k, Storage::F32);
-    });
-    b.build()
-}
-
-/// A plan-warmed arena serves the kernel's checkouts as pool hits, and
-/// warming changes nothing about the output: bitwise the cold run.
-#[test]
-fn plan_warmed_gemm_is_bitwise_cold_and_seeds_the_arena() {
-    let _g = lock_globals();
-    par::set_par_threshold(0);
-    par::set_num_threads(3);
-    let (m, k, n) = (33usize, 47usize, 29usize);
-    let x = rand_t(&[m, k], 1);
-    let w = rand_t(&[k, n], 2);
-    let bias = rand_t(&[n], 3);
-    workspace::clear();
-    let cold = packed_bias_act(&x, &w, &bias, Activation::Gelu);
-    workspace::clear();
-    metalora_obs::set_enabled(true);
-    metalora_obs::reset();
-    let plan = packed_plan(3, (m, n, k));
-    plan.warm();
-    let warmed = packed_bias_act(&x, &w, &bias, Activation::Gelu);
-    let snap = metalora_obs::counters::snapshot();
-    metalora_obs::set_enabled(false);
-    metalora_obs::reset();
-    let same = cold
-        .data()
-        .iter()
-        .zip(warmed.data())
-        .all(|(a, b)| a.to_bits() == b.to_bits());
-    assert!(same, "plan warm-up changed the GEMM output");
-    assert_eq!(snap.plans_built, 1);
-    assert!(snap.plan_leases >= 1, "warm() leased no buffers: {snap:?}");
-    assert!(
-        snap.workspace_hits > 0,
-        "kernel checkouts missed the plan-warmed pool: {snap:?}"
-    );
-}
-
-/// A lease held *across* a kernel call never aliases the kernel's own
-/// scratch: the leased buffers are checked out, so the kernel takes
+/// A buffer held *across* a kernel call never aliases the kernel's own
+/// scratch: the held buffers are checked out, so the kernel takes
 /// different ones — and the output stays bitwise identical whether the
-/// lease is held or released.
+/// buffers are held or released.
 #[test]
 fn held_lease_never_aliases_kernel_scratch() {
     let _g = lock_globals();
@@ -232,45 +185,28 @@ fn held_lease_never_aliases_kernel_scratch() {
     let w = rand_t(&[k, n], 5);
     let bias = rand_t(&[n], 6);
     let reference = packed_bias_act(&x, &w, &bias, Activation::Relu);
-    let plan = packed_plan(2, (m, n, k));
-    let nonzero: Vec<usize> = plan.sizes().iter().copied().filter(|&s| s > 0).collect();
-    let lease = plan.lease();
-    assert_eq!(lease.buffers(), nonzero.len());
-    assert_eq!(lease.floats(), nonzero.iter().sum::<usize>());
-    let held = packed_bias_act(&x, &w, &bias, Activation::Relu);
-    lease.release();
+    // The reference run parked its B panel (k·n) and two A panels (MR·k)
+    // in the pool; taking the same sizes checks those very buffers out,
+    // so the next call must find or allocate others.
+    let mut held: Vec<_> = [k * n, MR * k, MR * k].into_iter().map(workspace::take).collect();
+    for (i, g) in held.iter_mut().enumerate() {
+        g.fill(-(i as f32) - 1.0);
+    }
+    let while_held = packed_bias_act(&x, &w, &bias, Activation::Relu);
+    for (i, g) in held.iter().enumerate() {
+        assert!(
+            g.iter().all(|&v| v == -(i as f32) - 1.0),
+            "kernel scratch aliased held buffer {i}"
+        );
+    }
+    drop(held);
     let released = packed_bias_act(&x, &w, &bias, Activation::Relu);
-    for (label, out) in [("held", &held), ("released", &released)] {
+    for (label, out) in [("held", &while_held), ("released", &released)] {
         let same = reference
             .data()
             .iter()
             .zip(out.data())
             .all(|(a, b)| a.to_bits() == b.to_bits());
-        assert!(same, "GEMM with lease {label} diverged from the plain run");
+        assert!(same, "GEMM with buffers {label} diverged from the plain run");
     }
-}
-
-/// Concurrent plan leases check out simultaneously-live (hence disjoint)
-/// buffers on every thread; counts and totals must always match the
-/// nonzero request list, with zero-length entries skipped.
-#[test]
-fn concurrent_plan_leases_stay_consistent() {
-    let _g = lock_globals();
-    std::thread::scope(|s| {
-        for tid in 0..6usize {
-            s.spawn(move || {
-                for round in 0..200usize {
-                    let sizes =
-                        [32 + (tid * 53 + round * 17) % 400, 64, 0, 128 + tid];
-                    let lease = workspace::lease_all(&sizes);
-                    assert_eq!(lease.buffers(), 3, "zero-length entry must be skipped");
-                    assert_eq!(
-                        lease.floats(),
-                        sizes.iter().filter(|&&s| s > 0).sum::<usize>()
-                    );
-                    lease.release();
-                }
-            });
-        }
-    });
 }
