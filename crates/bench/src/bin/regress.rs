@@ -1,115 +1,44 @@
-//! **Regression gate**: rerun the K1 kernel sweep and the S1 serve sweep
-//! and diff them against the committed `BENCH_kernels.json` and
-//! `BENCH_serve.json`. Exits nonzero on any violation — bitwise
-//! divergence, a missing measurement point, a `threads = 1` perf
-//! regression beyond tolerance, or drift in the deterministic counter
-//! totals. See `metalora_bench::regress` for the exact policy.
+//! **Regression gate**: rerun the K1 kernel sweep and diff it against the
+//! committed `BENCH_kernels.json`. Exits nonzero on any violation —
+//! bitwise divergence, a missing measurement point, drift in the
+//! deterministic counter / dispatch / byte totals, or a within-run ratio
+//! under its baseline floor. See `metalora_bench::regress` for the exact
+//! policy; speed across commits is judged by `benchmark/`, not here.
 //!
 //! Run with: `cargo run --release -p metalora-bench --bin regress`
-//! (`--baseline PATH` / `--serve-baseline PATH` override the baseline
-//! files; `--skip-kernels` / `--skip-serve` drop one of the two gates;
-//! the sweep scale is taken from each baseline itself so the workloads
-//! always match).
+//! (`--baseline PATH` overrides the baseline file; the sweep scale is
+//! taken from the baseline itself so the workloads always match).
 
 use metalora_bench::kernels::KernelReport;
-use metalora_bench::regress::{compare, compare_serve, Comparison, Tolerances};
-use metalora_bench::serve_bench::ServeReport;
+use metalora_bench::regress::compare;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut baseline_path = "BENCH_kernels.json".to_string();
-    let mut serve_baseline_path = "BENCH_serve.json".to_string();
-    let mut run_kernels = true;
-    let mut run_serve = true;
-    let mut tol = Tolerances::default();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--baseline" => {
-                baseline_path = args
-                    .get(i + 1)
-                    .unwrap_or_else(|| usage("--baseline needs a value"))
-                    .clone();
-                i += 2;
-            }
-            "--serve-baseline" => {
-                serve_baseline_path = args
-                    .get(i + 1)
-                    .unwrap_or_else(|| usage("--serve-baseline needs a value"))
-                    .clone();
-                i += 2;
-            }
-            "--skip-kernels" => {
-                run_kernels = false;
-                i += 1;
-            }
-            "--skip-serve" => {
-                run_serve = false;
-                i += 1;
-            }
-            "--ms-tolerance" => {
-                tol.ms_frac = args
-                    .get(i + 1)
-                    .unwrap_or_else(|| usage("--ms-tolerance needs a value"))
-                    .parse()
-                    .unwrap_or_else(|e| usage(&format!("--ms-tolerance: {e}")));
-                i += 2;
-            }
-            other => usage(&format!("unknown flag `{other}`")),
+    let path = match args.as_slice() {
+        [] => "BENCH_kernels.json",
+        [flag, path] if flag == "--baseline" => path.as_str(),
+        _ => {
+            eprintln!("usage: regress [--baseline PATH]");
+            std::process::exit(2);
         }
-    }
-    if !run_kernels && !run_serve {
-        usage("--skip-kernels and --skip-serve together leave nothing to gate");
-    }
-
-    let mut failed = false;
-
-    if run_kernels {
-        let baseline: KernelReport = read_baseline(&baseline_path);
-        println!(
-            "=== regression gate — baseline {baseline_path} (scale {}, simd {}, {} points) ===\n",
-            baseline.scale,
-            baseline.simd_level,
-            baseline.points.len()
-        );
-        let fresh = metalora_bench::kernels::run(baseline.scale == "quick");
-        println!();
-        let cmp = compare(&baseline, &fresh, &tol);
-        failed |= !render("kernels", &baseline_path, &cmp);
-    }
-
-    if run_serve {
-        let baseline: ServeReport = read_baseline(&serve_baseline_path);
-        println!(
-            "\n=== regression gate — baseline {serve_baseline_path} (scale {}, simd {}, {} points) ===\n",
-            baseline.scale,
-            baseline.simd_level,
-            baseline.points.len()
-        );
-        let fresh = metalora_bench::serve_bench::run(baseline.scale == "quick");
-        println!();
-        let cmp = compare_serve(&baseline, &fresh, &tol);
-        failed |= !render("serve", &serve_baseline_path, &cmp);
-    }
-
-    if failed {
-        std::process::exit(1);
-    }
-}
-
-fn read_baseline<T: serde::Deserialize>(path: &str) -> T {
+    };
     let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
         eprintln!("error: cannot read baseline {path}: {e}");
         std::process::exit(2);
     });
-    serde_json::from_str(&text).unwrap_or_else(|e| {
+    let baseline: KernelReport = serde_json::from_str(&text).unwrap_or_else(|e| {
         eprintln!("error: cannot parse baseline {path}: {e:?}");
         std::process::exit(2);
-    })
-}
-
-/// Prints one gate's outcome; returns whether it passed.
-fn render(gate: &str, path: &str, cmp: &Comparison) -> bool {
+    });
+    println!(
+        "=== regression gate — baseline {path} (scale {}, simd {}, {} points) ===\n",
+        baseline.scale,
+        baseline.simd_level,
+        baseline.points.len()
+    );
+    let fresh = metalora_bench::kernels::run(baseline.scale == "quick");
+    println!();
+    let cmp = compare(&baseline, &fresh);
     for w in &cmp.warnings {
         println!("warning: {w}");
     }
@@ -118,23 +47,15 @@ fn render(gate: &str, path: &str, cmp: &Comparison) -> bool {
     }
     if cmp.passed() {
         println!(
-            "{gate} regression gate PASSED against {path} ({} warnings)",
+            "kernels regression gate PASSED against {path} ({} warnings)",
             cmp.warnings.len()
         );
     } else {
         println!(
-            "{gate} regression gate FAILED against {path}: {} violations, {} warnings",
+            "kernels regression gate FAILED against {path}: {} violations, {} warnings",
             cmp.violations.len(),
             cmp.warnings.len()
         );
+        std::process::exit(1);
     }
-    cmp.passed()
-}
-
-fn usage(msg: &str) -> ! {
-    eprintln!("error: {msg}");
-    eprintln!(
-        "usage: regress [--baseline PATH] [--serve-baseline PATH] [--skip-kernels] [--skip-serve] [--ms-tolerance FRAC]"
-    );
-    std::process::exit(2);
 }

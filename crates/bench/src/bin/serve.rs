@@ -1,38 +1,99 @@
-//! **S1 — serving throughput**: zipf multi-tenant traffic through the
-//! `metalora-serve` engine, factored and merged modes at several thread
-//! counts, reporting requests/s and p50/p95/p99 latency plus the
-//! merged-weight cache hit/miss/eviction totals. Every point re-proves
-//! the batched-vs-solo bitwise claim. Raw numbers go to `BENCH_serve.json`;
-//! the live-metrics registry flushes one JSONL record per sweep point to
-//! `METRICS_serve.jsonl` plus a Prometheus exposition to
-//! `METRICS_serve.prom` (validated by the in-repo parser before the
-//! write).
+//! **Serving artifact driver**: one zipf multi-tenant stream through the
+//! `metalora-serve` engine, once factored and once merged, with
+//! instrumentation forced on, so the repo can always produce the serving
+//! artifacts: `RUNLOG_serve.json`, `METRICS_serve.jsonl` (one registry +
+//! SLO snapshot after each mode), `METRICS_serve.prom` (validated by the
+//! in-repo parser before the write) and, under `METALORA_OBS_TRACE=1`,
+//! `TRACE_serve.json` — all in `METALORA_OBS_DIR` (default: CWD).
 //!
-//! The sweep lives in `metalora_bench::serve_bench` so the `regress`
-//! binary can rerun the identical workload against the committed baseline.
+//! The streams run under the **logical** telemetry clock (one tick per
+//! read), so two runs emit byte-identical JSONL. Nothing is timed here:
+//! speed is judged by `benchmark/`, contracts by `crates/serve/tests`.
 //!
 //! Run with: `cargo run --release -p metalora-bench --bin serve`
-//! (`--scale quick` shrinks the stream for CI smoke runs).
 
-use metalora_tensor::workspace;
+use metalora_nn::Linear;
+use metalora_obs::window::{self, ClockMode};
+use metalora_obs::{export, registry, slo};
+use metalora_peft::meta::MappingNet;
+use metalora_peft::{LoraConfig, MultiLoraLinear};
+use metalora_serve::traffic::{self, TrafficConfig};
+use metalora_serve::{EngineConfig, ServeEngine, TenantAdapter};
+use metalora_tensor::{init, workspace};
+
+const RANK: usize = 4;
+const CFG: LoraConfig = LoraConfig { rank: RANK, alpha: 8.0 };
+const DIM: usize = 64;
+const TENANTS: usize = 24;
+
+/// One shared dense base, a two-slot `peft::multi` bank, both mapping
+/// nets and `TENANTS` adapters cycling through plain LoRA, bank slots and
+/// pinned / dynamic CP and TR. The cache holds a quarter of the tenants,
+/// so the zipf tail evicts.
+fn engine(use_merged: bool) -> ServeEngine {
+    let mut rng = init::rng(7);
+    let base = Linear::new("fc", DIM, DIM, &mut rng);
+    let (w, bias) = (base.weight().value(), base.bias().map(|b| b.value()));
+    let bank = MultiLoraLinear::new("fc", Box::new(base), 2, CFG, &mut rng);
+    for b in &bank.b {
+        b.set_value(init::uniform(&[RANK, DIM], -0.5, 0.5, &mut rng));
+    }
+    let cfg = EngineConfig { max_batch: 16, cache_bytes: TENANTS / 4 * DIM * DIM * 4, use_merged };
+    let engine = ServeEngine::new(w, bias, cfg)
+        .with_bank(&bank)
+        .with_mapping_cp(&MappingNet::new("map_cp", DIM, 16, RANK, &mut rng))
+        .with_mapping_tr(&MappingNet::new("map_tr", DIM, 16, RANK * RANK, &mut rng));
+    for id in 0..TENANTS as u64 {
+        let mut u = |dims: &[usize], lim: f32| init::uniform(dims, -lim, lim, &mut rng);
+        let scaling = CFG.scaling();
+        let pinned = id % 6 < 4;
+        let adapter = match id % 6 {
+            0 => TenantAdapter::Lora { a: u(&[DIM, RANK], 0.5), b: u(&[RANK, DIM], 0.5), scaling },
+            1 => TenantAdapter::MultiSlot { slot: (id / 6 % 2) as usize },
+            2 | 4 => TenantAdapter::MetaCp {
+                a: u(&[DIM, RANK], 0.5),
+                b: u(&[RANK, DIM], 0.5),
+                scaling,
+                pinned_seed: pinned.then(|| u(&[RANK], 1.0)),
+            },
+            _ => TenantAdapter::MetaTr {
+                a: u(&[RANK, DIM, RANK], 0.3),
+                b: u(&[RANK, DIM, RANK], 0.3),
+                scaling,
+                pinned_seed: pinned.then(|| u(&[RANK, RANK], 1.0)),
+            },
+        };
+        engine.register(id, adapter);
+    }
+    engine
+}
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--scale")
-        && std::env::args().any(|a| a == "quick");
     // Drain the pool BEFORE resetting counters: clear() debits the pooled
     // byte gauge, so the other order would start the gauge negative.
     workspace::clear();
     metalora_obs::set_enabled(true);
+    registry::set_enabled(true);
     metalora_obs::reset();
+    window::set_clock(ClockMode::Logical);
 
-    let (report, metrics_lines) = metalora_bench::serve_bench::run_with_telemetry(quick);
+    let reqs = traffic::generate(&TrafficConfig {
+        tenants: TENANTS,
+        requests: 256,
+        in_dim: DIM,
+        ..TrafficConfig::default()
+    });
+    let mut lines = Vec::new();
+    for (mode, use_merged) in [("factored", false), ("merged", true)] {
+        let e = engine(use_merged);
+        e.process(&reqs).expect("serve the stream");
+        let (n, c) = (e.request_count(), e.cache().stats());
+        println!("{mode}: {n} requests, cache {} hits / {} misses / {} evictions", c.hits, c.misses, c.evictions);
+        let reg = registry::snapshot();
+        lines.push(export::jsonl_line(&reg, &slo::snapshot_at(reg.now_ns)));
+    }
 
-    let json = serde_json::to_string_pretty(&report).expect("serialise");
-    let path = "BENCH_serve.json";
-    std::fs::write(path, json).expect("write BENCH_serve.json");
-    println!("raw sweep written to {path}");
-
-    match metalora_obs::export::flush("serve", &metrics_lines) {
+    match export::flush("serve", &lines) {
         Ok(f) => println!(
             "metrics written to {} and {} ({} samples)",
             f.jsonl.display(),
@@ -41,7 +102,6 @@ fn main() {
         ),
         Err(e) => eprintln!("could not flush metrics: {e}"),
     }
-
     let report = metalora_obs::report::RunReport::capture("serve");
     println!("\n{}", report.summary_table());
     match report.write() {

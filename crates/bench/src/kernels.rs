@@ -1,7 +1,7 @@
 //! The K1 kernel-throughput sweep as a library, so both the `kernels`
-//! binary (fresh run → `BENCH_kernels.json`) and the `regress` binary
-//! (fresh run → diff against the committed baseline) share one
-//! implementation and one report schema.
+//! binary (fresh standard-scale run → `BENCH_kernels.json`) and the
+//! `regress` binary (fresh run → diff against the committed baseline)
+//! share one implementation and one report schema.
 
 use metalora::config::{Arch, ExperimentConfig};
 use metalora::methods::Method;
@@ -123,7 +123,7 @@ impl ArenaStats {
 
 /// Per-kernel obs counter totals over the sweep. These are deterministic
 /// for a given scale (fixed sizes, reps and thread list), so the regress
-/// gate compares them near-exactly — a drifting call or flop count means
+/// gate compares them exactly — a drifting call or flop count means
 /// the benchmark is no longer measuring the same work.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct CounterTotals {
@@ -165,20 +165,14 @@ pub struct KernelReport {
     pub scale: String,
     pub simd_level: String,
     pub points: Vec<KernelPoint>,
-    /// Regress-gate ceiling for `bytes_ratio` of the bf16 GEMM points
-    /// (0 disables the gate — pre-bf16 baselines deserialise to that).
-    #[serde(default)]
+    /// Regress-gate ceiling for `bytes_ratio` of the bf16 GEMM points.
     pub bf16_bytes_ceiling: f64,
-    /// bf16 GEMM points (absent in pre-bf16 baselines).
-    #[serde(default)]
+    /// bf16 GEMM points.
     pub bf16_points: Vec<Bf16KernelPoint>,
     /// Regress-gate floor for `speedup_vs_unfused` of fused points at
-    /// t = 1 (0 disables the gate — pre-fusion baselines deserialise to
-    /// that).
-    #[serde(default)]
+    /// t = 1.
     pub fused_floor: f64,
-    /// Fused-epilogue GEMM points (absent in pre-fusion baselines).
-    #[serde(default)]
+    /// Fused-epilogue GEMM points.
     pub fused_points: Vec<FusedKernelPoint>,
     pub sweep_counters: Vec<CounterTotals>,
     pub sweep_dispatch: DispatchTotals,
@@ -268,10 +262,7 @@ pub fn run(quick: bool) -> KernelReport {
     let simd = ops::simd_level().name().to_string();
     // Sweep past the host count on purpose: oversubscription must not
     // change results, only throughput.
-    let threads: Vec<usize> = [1usize, 2, 4, 8]
-        .into_iter()
-        .filter(|&t| t <= 8.max(host_cpus))
-        .collect();
+    let threads = vec![1usize, 2, 4, 8];
     let (mm_dim, reps) = if quick { (128, 2) } else { (384, 5) };
     println!(
         "=== K1 — kernel throughput (host_cpus={host_cpus}, simd={simd}, sizes {}) ===\n",
@@ -640,28 +631,6 @@ mod tests {
         assert_eq!(back.fused_points[0].unfused_output_passes, 2);
         assert!(back.fused_points[0].bitwise_equal_to_unfused);
         assert!((back.fused_floor - 0.95).abs() < 1e-12);
-        // Pre-bf16 / pre-fusion baselines lack the new fields but must
-        // still deserialise: strip the keys from the value tree, rebuild,
-        // and the gates arrive disarmed (empty points, zero thresholds).
-        let serde::Value::Map(entries) = report.to_value() else {
-            panic!("report must serialise to a map");
-        };
-        let legacy = serde::Value::Map(
-            entries
-                .into_iter()
-                .filter(|(k, _)| {
-                    k != "bf16_points"
-                        && k != "bf16_bytes_ceiling"
-                        && k != "fused_points"
-                        && k != "fused_floor"
-                })
-                .collect(),
-        );
-        let old = KernelReport::from_value(&legacy).unwrap();
-        assert!(old.bf16_points.is_empty());
-        assert_eq!(old.bf16_bytes_ceiling, 0.0);
-        assert!(old.fused_points.is_empty());
-        assert_eq!(old.fused_floor, 0.0);
         assert_eq!(back.points[0].threads, 2);
         assert!(back.points[0].bitwise_equal_to_serial);
         assert_eq!(back.sweep_counters[0].calls, 12);

@@ -4,14 +4,14 @@
 //! `src/bin/` (see DESIGN.md's experiment index); the Criterion suites in
 //! `benches/` cover the performance side of the same claims.
 //!
-//! All binaries accept `--scale quick|standard` (default `standard`) and
-//! `--seeds N`.
+//! The experiment binaries accept `--scale quick|standard` (default
+//! `standard`) and `--seeds N`; `kernels` takes `--scale` only, `regress`
+//! takes `--baseline PATH`, and the `serve` artifact driver takes nothing.
 
 use metalora::config::ExperimentConfig;
 
 pub mod kernels;
 pub mod regress;
-pub mod serve_bench;
 
 /// Parsed command-line options shared by the bench binaries.
 #[derive(Debug, Clone)]

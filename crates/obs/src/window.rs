@@ -18,8 +18,8 @@
 //!   so under the logical clock the read sequence — and therefore every
 //!   recorded latency, window bucket, and exported snapshot — is
 //!   bit-identical across runs *and* across `METALORA_THREADS`
-//!   settings. That is what lets golden tests, the serve bench, and the
-//!   regress gate compare telemetry exactly.
+//!   settings. That is what lets the telemetry tests and the CI metrics
+//!   smoke compare telemetry exactly.
 //!
 //! [`WindowHistogram`] keeps a ring of [`LogHistogram`] buckets, each
 //! covering `window / buckets` of time; recording lazily reclaims buckets
@@ -78,13 +78,6 @@ pub fn set_clock(mode: ClockMode) {
         },
         Ordering::Relaxed,
     );
-}
-
-/// Rewinds the logical counter to zero (no-op for the monotonic clock).
-/// Benches call this before each sweep point so repeated runs replay the
-/// exact same timestamp sequence.
-pub fn reset_logical() {
-    LOGICAL_NOW.store(0, Ordering::Relaxed);
 }
 
 /// Current telemetry time in nanoseconds. In logical mode every call
@@ -238,7 +231,7 @@ mod tests {
         let b = now_ns();
         assert_eq!(a, LOGICAL_TICK_NS);
         assert_eq!(b - a, LOGICAL_TICK_NS);
-        reset_logical();
+        set_clock(ClockMode::Logical);
         assert_eq!(now_ns(), LOGICAL_TICK_NS);
         set_clock(ClockMode::Monotonic);
         assert_eq!(clock_label(), "monotonic");

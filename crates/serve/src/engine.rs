@@ -18,7 +18,6 @@ use crate::store::{AdapterStore, TenantAdapter, TenantEntry, TenantId};
 use crate::telemetry::{self, StageNs};
 use crate::Result;
 use metalora_nn::infer;
-use metalora_obs::hist::LogHistogram;
 use metalora_obs::{registry, window};
 use metalora_peft::meta::MappingNet;
 use metalora_peft::{merge, MultiLoraLinear};
@@ -27,8 +26,7 @@ use metalora_tensor::ops::Storage;
 use metalora_tensor::{bf16, Tensor, TensorError};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-use std::sync::{Arc, Mutex};
-use std::time::Instant;
+use std::sync::Arc;
 
 /// Engine knobs. `use_merged` selects the serving mode: `true` folds
 /// cacheable adapters into `W + ΔW` once (cached, approximate vs the
@@ -69,7 +67,6 @@ pub struct ServeEngine {
     store: AdapterStore,
     cache: MergedCache,
     cfg: EngineConfig,
-    hist: Mutex<LogHistogram>,
     requests: AtomicU64,
     batches: AtomicU64,
     next_request_id: AtomicU64,
@@ -93,7 +90,6 @@ impl ServeEngine {
             store: AdapterStore::new(),
             cache,
             cfg,
-            hist: Mutex::new(LogHistogram::new()),
             requests: AtomicU64::new(0),
             batches: AtomicU64::new(0),
             next_request_id: AtomicU64::new(0),
@@ -163,13 +159,6 @@ impl ServeEngine {
     /// Batches executed so far.
     pub fn batch_count(&self) -> u64 {
         self.batches.load(Relaxed)
-    }
-
-    /// Per-request forward latency `(p50, p95, p99)` in microseconds.
-    pub fn latency_percentiles_us(&self) -> (f64, f64, f64) {
-        let h = self.hist.lock().unwrap_or_else(|e| e.into_inner());
-        let (p50, p95, p99) = h.percentiles();
-        (p50 as f64 / 1e3, p95 as f64 / 1e3, p99 as f64 / 1e3)
     }
 
     /// Serves one request (a one-element batch).
@@ -256,12 +245,9 @@ impl ServeEngine {
 
         let mut out = Vec::with_capacity(reqs.len());
         for (i, (req, entry)) in reqs.iter().zip(&entries).enumerate() {
-            let start = Instant::now();
             let mut stages = StageNs::default();
             let fwd_t0 = if tel { window::now_ns() } else { 0 };
             let y = self.forward_one(entry, &req.x, seeds.get(&i), tel, &mut stages)?;
-            let ns = start.elapsed().as_nanos() as u64;
-            self.hist.lock().unwrap_or_else(|e| e.into_inner()).record(ns);
             if tel {
                 let fwd_ns = window::now_ns().saturating_sub(fwd_t0);
                 // Epilogues are fused into the GEMM store, so the forward

@@ -21,14 +21,15 @@
 //!   so serve outputs are **bitwise identical** to the tape — the
 //!   `forward_equiv` suite asserts it for every adapter method.
 //! * [`engine`] — [`engine::ServeEngine`] wires the four together and
-//!   records per-request latency (`obs::hist`) plus serve counters.
+//!   records the serve counters.
 //! * [`telemetry`] — the bridge into `obs::registry`/`obs::slo`: per-
 //!   request stage breakdowns (queue / cache / mapping / gemm /
 //!   epilogue), per-tenant windowed latency and SLO accounting, cache
 //!   and batcher gauges, and tail-latency attribution. Active only when
 //!   `METALORA_OBS_METRICS` telemetry is on; purely passive either way.
 //! * [`traffic`] — synthetic zipf-distributed multi-tenant traffic with
-//!   per-task input shifts, for the `serve` bench bin.
+//!   per-task input shifts, for the `serve` artifact driver and the
+//!   repo benchmark.
 //!
 //! ## Determinism guarantees
 //!

@@ -1,5 +1,6 @@
 //! Synthetic multi-tenant traffic: zipf-distributed tenant ids with
-//! per-task input shifts, for the `serve` bench bin and CI smoke run.
+//! per-task input shifts, for the repo benchmark and the `serve` artifact
+//! driver.
 //!
 //! Real adapter-serving traffic is heavy-tailed — a few hot users issue
 //! most requests while a long tail keeps the merged-weight cache churning.

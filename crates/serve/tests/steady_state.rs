@@ -124,6 +124,9 @@ fn warm_passes_never_miss_the_arena_and_the_pool_stops_growing() {
     let reqs = stream(192);
     let kinds: std::collections::BTreeSet<u64> = reqs.iter().map(|r| r.tenant % 6).collect();
     assert_eq!(kinds.len(), 6, "the stream must reach every tenant kind");
+    // Merged-cache totals of the previous thread count: lookups happen in
+    // the sequential request loop, so they cannot depend on the team size.
+    let mut merged_stats = None;
     for threads in [1usize, 4] {
         for use_merged in [false, true] {
             par::set_num_threads(threads);
@@ -148,6 +151,19 @@ fn warm_passes_never_miss_the_arena_and_the_pool_stops_growing() {
                 "{what}: the pool kept growing"
             );
             assert_eq!(e.batch_count(), 3 * 12);
+            // Every bias add and activation rides a GEMM store: a fixed
+            // number of fused epilogues per pass, never a separate pass.
+            assert_eq!(after[2].output_passes, 0, "{what}: a separate epilogue pass");
+            assert!(after[0].fused_epilogues > 0, "{what}: no fused epilogues");
+            assert_eq!(
+                after[2].fused_epilogues - after[1].fused_epilogues,
+                after[1].fused_epilogues - after[0].fused_epilogues,
+                "{what}: fused epilogues per warm pass"
+            );
+            if use_merged {
+                let stats = e.cache().stats();
+                assert_eq!(*merged_stats.get_or_insert(stats), stats, "{what}: cache totals");
+            }
         }
     }
 }
