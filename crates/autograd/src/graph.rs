@@ -2,6 +2,7 @@
 
 use crate::param::ParamRef;
 use crate::Result;
+use metalora_tensor::contract::{Lowering, Plan};
 use metalora_tensor::conv::{self, ConvSpec};
 use metalora_tensor::{ops, Tensor, TensorError};
 use rand::rngs::StdRng;
@@ -647,6 +648,34 @@ impl Graph {
     pub fn linear(&mut self, x: Var, w: Var, b: Var) -> Result<Var> {
         let y = self.matmul(x, w)?;
         self.add(y, b)
+    }
+
+    /// Contracts a tensor network given as a label `spec`
+    /// (`"ni,xiy,yoz,nzx->no"`): the plan
+    /// `metalora_tensor::contract::contract_spec` would run, recorded as
+    /// `permute` / `reshape` / `matmul` / `bmm` nodes — the same `ops::`
+    /// calls in the same order, hence bitwise the tape-free result.
+    pub fn contract(&mut self, spec: &str, operands: &[Var]) -> Result<Var> {
+        let dims: Vec<&[usize]> = operands.iter().map(|v| self.nodes[v.0].value.dims()).collect();
+        let plan = Plan::new(spec, &dims)?;
+        plan.run(self, operands.iter().copied())
+    }
+}
+
+impl Lowering for Graph {
+    type Val = Var;
+
+    fn permute(&mut self, v: Var, perm: &[usize]) -> Result<Var> {
+        Graph::permute(self, v, perm)
+    }
+    fn reshape(&mut self, v: Var, dims: &[usize]) -> Result<Var> {
+        Graph::reshape(self, v, dims)
+    }
+    fn matmul(&mut self, a: Var, b: Var) -> Result<Var> {
+        Graph::matmul(self, a, b)
+    }
+    fn bmm(&mut self, a: Var, b: Var) -> Result<Var> {
+        Graph::bmm(self, a, b)
     }
 }
 

@@ -434,10 +434,13 @@ mod tests {
         metalora_obs::reset();
         metalora_obs::health::set_sample_stride(1);
         let observed = run(&make());
-        let records = metalora_obs::health::snapshot();
+        let mut records = metalora_obs::health::snapshot();
         metalora_obs::health::set_sample_stride(0);
         metalora_obs::reset();
         metalora_obs::set_enabled(false);
+        // The obs switch is process-wide: optimizer tests stepping on other
+        // threads meanwhile record their own groups. Count only ours.
+        records.retain(|r| r.group == "layer1" || r.group == "head");
 
         assert_eq!(plain, observed, "health probing must not change numerics");
         // 5 steps × 2 groups (layer1 merges .w and .b), deterministic order.

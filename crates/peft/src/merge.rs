@@ -11,7 +11,7 @@
 use crate::meta::{MetaLoraCpLinear, MetaLoraTrLinear};
 use crate::{ConvLora, LoraLinear, Result};
 use metalora_autograd::ParamRef;
-use metalora_tensor::{contract, einsum, ops, workspace, Bf16Buf, Tensor, TensorError};
+use metalora_tensor::{contract, ops, workspace, Bf16Buf, Tensor, TensorError};
 
 fn add_into(weight: &ParamRef, delta: &Tensor) -> Result<()> {
     if weight.dims() != delta.dims() {
@@ -37,24 +37,33 @@ fn add_into(weight: &ParamRef, delta: &Tensor) -> Result<()> {
 // (`LoraLinear::delta_weight` etc.) delegate here so both paths compute
 // the identical float sequence.
 
+/// `s · d` in the buffer `d` already owns: per element the same product
+/// as `ops::scale` (f32 `*` commutes bitwise), without a second `[I,O]`
+/// tensor alive beside the first.
+pub(crate) fn scaled(mut d: Tensor, s: f32) -> Tensor {
+    for v in d.data_mut() {
+        *v *= s;
+    }
+    d
+}
+
 /// `ΔW = scaling · A·B` for dense LoRA factors `a:[I,R]`, `b:[R,O]`.
 pub fn lora_delta(a: &Tensor, b: &Tensor, scaling: f32) -> Result<Tensor> {
-    let d = ops::matmul(a, b)?;
-    Ok(ops::scale(&d, scaling))
+    Ok(scaled(ops::matmul(a, b)?, scaling))
 }
 
 /// `Δ𝒲 = scaling · 𝒜 ×₃ B` for Conv-LoRA factors `a:[K,K,I,R]`,
 /// `b:[R,O]` (Eq. 5's recovery contraction over the rank axis).
 pub fn conv_lora_delta(a: &Tensor, b: &Tensor, scaling: f32) -> Result<Tensor> {
-    let d = contract::contract(a, b, &[3], &[0])?;
-    Ok(ops::scale(&d, scaling))
+    Ok(scaled(contract::contract(a, b, &[3], &[0])?, scaling))
 }
 
 /// `ΔW(c)` for MetaLoRA-CP factors `a:[I,R]`, `b:[R,O]` and one fixed
-/// seed `c:[R]` — Eq. 6 verbatim: scale `A`'s rank columns by `c`, then
-/// recover with `B`.
+/// seed `c` of `R` elements — Eq. 6 as the network `"ir,r,ro->io"`: the
+/// hyper-edge `r` rides the first pairing as a batch label and is summed
+/// by the second.
 pub fn cp_delta(a: &Tensor, b: &Tensor, c: &Tensor, scaling: f32) -> Result<Tensor> {
-    let &[i, r] = a.dims() else {
+    let &[_, r] = a.dims() else {
         return Err(TensorError::InvalidArgument(format!(
             "cp_delta: factor A must be [I,R], got {:?}",
             a.dims()
@@ -66,30 +75,33 @@ pub fn cp_delta(a: &Tensor, b: &Tensor, c: &Tensor, scaling: f32) -> Result<Tens
             c.len()
         )));
     }
-    let mut ac = a.clone();
-    for row in 0..i {
-        for col in 0..r {
-            let v = ac.get(&[row, col])? * c.data()[col];
-            ac.set(&[row, col], v)?;
-        }
-    }
-    let d = ops::matmul(&ac, b)?;
-    Ok(ops::scale(&d, scaling))
+    let c = c.reshaped(&[r])?;
+    Ok(scaled(contract::contract_spec("ir,r,ro->io", &[a, &c, b])?, scaling))
 }
 
 /// `ΔW(C)` for MetaLoRA-TR cores `a:[R,I,R]`, `b:[R,O,R]` and one fixed
-/// seed matrix `C:[R,R]` (`C[r2, r0]`) — Eq. 7 verbatim.
+/// seed matrix `C:[R,R]` (`C[r2, r0]`) — Eq. 7 as the network
+/// `"xiy,yoz,zx->io"`, which the planner closes seed-first: `C·𝒜`
+/// (`2·R³·I` flops), then one `[I,R²]·[R²,O]` GEMM.
 pub fn tr_delta(a: &Tensor, b: &Tensor, c: &Tensor, scaling: f32) -> Result<Tensor> {
-    let e = einsum::einsum("xiy,yoz,zx->io", &[a, b, c])?;
-    Ok(ops::scale(&e, scaling))
+    match (a.dims(), b.dims(), c.dims()) {
+        (&[r0, _, r1], &[b1, _, r2], &[c2, c0]) if (r0, r1, r2) == (c0, b1, c2) => {}
+        (a, b, c) => {
+            return Err(TensorError::InvalidArgument(format!(
+                "tr_delta: cores must be A [R,I,R], B [R,O,R] and the seed [R,R] with matching \
+                 bonds, got A {a:?}, B {b:?}, seed {c:?}"
+            )))
+        }
+    }
+    Ok(scaled(contract::contract_spec("xiy,yoz,zx->io", &[a, b, c])?, scaling))
 }
 
 /// `W + ΔW` into a fresh tensor whose buffer is drawn from the workspace
 /// arena — the allocation pattern of the serving engine's merged-weight
 /// cache, where merged weights churn as tenants are evicted and
-/// re-merged. Element order is the same `w[i] + delta[i]` loop as the
-/// in-place [`merge_lora_linear`] fold, so repeated merges of the same
-/// operands are bitwise identical.
+/// re-merged. Each element is written once, as the same `w[i] + delta[i]`
+/// sum as the in-place [`merge_lora_linear`] fold, so repeated merges of
+/// the same operands are bitwise identical.
 pub fn merge_into(base: &Tensor, delta: &Tensor) -> Result<Tensor> {
     if base.dims() != delta.dims() {
         return Err(TensorError::ShapeMismatch {
@@ -98,12 +110,8 @@ pub fn merge_into(base: &Tensor, delta: &Tensor) -> Result<Tensor> {
             rhs: delta.dims().to_vec(),
         });
     }
-    let mut merged = workspace::zeroed_tensor(base.dims());
-    merged.data_mut().copy_from_slice(base.data());
-    for (m, &d) in merged.data_mut().iter_mut().zip(delta.data()) {
-        *m += d;
-    }
-    Ok(merged)
+    let sums = base.data().iter().zip(delta.data()).map(|(&w, &d)| w + d);
+    workspace::tensor_from_iter(base.dims(), sums)
 }
 
 /// [`merge_into`] rounded once to bf16 storage — the serving cache's

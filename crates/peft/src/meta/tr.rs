@@ -4,14 +4,23 @@
 //! For a dense layer the per-input update is
 //! `ΔW_n = Σ_{r0,r1,r2} 𝒜[r0,·,r1]·ℬ[r1,·,r2]·C_n[r2,r0]`
 //! with trained cores `𝒜:[R, I, R]`, `ℬ:[R, O, R]` and the generated seed
-//! matrix `C_n:[R, R]`. The forward never materialises `ΔW`; it chains
-//! `x → 𝒜 → ℬ → C` contractions, lowered to reshapes/permutes/matmuls:
+//! matrix `C_n:[R, R]`. The forward never materialises `ΔW`: it hands the
+//! network `"ni,xiy,yoz,nzx->no"` (`x = r0`, `y = r1`, `z = r2`) to the
+//! contraction planner (`metalora_tensor::contract`), which orders it by
+//! flops — the seed closes the ring *before* ℬ opens the output axis:
 //!
 //! ```text
-//! t₁[n, r0, r1]        = Σ_i  x[n,i]·𝒜[r0,i,r1]
-//! t₂[n, r0, o, r2]     = Σ_r1 t₁[n,r0,r1]·ℬ[r1,o,r2]
-//! Δy[n, o]             = Σ_{r2,r0} t₂[n,r0,o,r2]·C_n[r2,r0]
+//! t₁[n, r0, r1]  = Σ_i       x[n,i]·𝒜[r0,i,r1]          matmul  2·N·I·R²
+//! t₂[n, r1, r2]  = Σ_r0      t₁[n,r0,r1]·C_n[r2,r0]      bmm     2·N·R³
+//! Δy[n, o]       = Σ_{r1,r2} t₂[n,r1,r2]·ℬ[r1,o,r2]      matmul  2·N·R²·O
 //! ```
+//!
+//! so no intermediate is larger than `N·max(R², O)`. The convolutional
+//! variant runs the small convolution to the bond pair and contracts its
+//! output with the same planner (`"nxyp,nzx,yoz->nop"`, `p = OH·OW`).
+//! `metalora_serve::forward::meta_tr_linear` hands the same spec and
+//! shapes to the same planner over plain tensors, which is what keeps
+//! tape and serve bitwise equal.
 //!
 //! Seed layout: the mapping net emits `[N, R·R]` flattened **r2-major**
 //! (`C[n, r2·R + r0]`).
@@ -21,7 +30,7 @@ use crate::{LoraConfig, Result};
 use metalora_autograd::{Graph, ParamRef, Var};
 use metalora_nn::{BoxConv, BoxLinear, ConvLike, Ctx, LinearLike, Module};
 use metalora_tensor::conv::ConvSpec;
-use metalora_tensor::{init, ops, Tensor};
+use metalora_tensor::{contract, init, Tensor, TensorError};
 use rand::rngs::StdRng;
 
 /// Dense MetaLoRA-TR adapter. With no seed in the [`Ctx`] the layer
@@ -69,28 +78,13 @@ impl MetaLoraTrLinear {
         self.cfg
     }
 
-    /// The factored Δy chain shared by tests and forward.
+    /// The factored `Δy` for `x:[N,I]` and per-row seeds `[N, R·R]`.
     fn delta(&self, g: &mut Graph, x: Var, seed: Var, n: usize) -> Result<Var> {
         let r = self.cfg.rank;
-        let (i, o) = (self.base.in_features(), self.base.out_features());
         let a = g.bind(&self.a);
         let b = g.bind(&self.b);
-        // t₁ = x·𝒜 : 𝒜 [r0, I, r1] → [I, r0·r1].
-        let a_mat = g.permute(a, &[1, 0, 2])?;
-        let a_mat = g.reshape(a_mat, &[i, r * r])?;
-        let t1 = g.matmul(x, a_mat)?; // [N, r0·r1]
-        // t₂ = t₁·ℬ : ℬ [r1, O, r2] → [r1, O·r2].
-        let t1 = g.reshape(t1, &[n * r, r])?;
-        let b_mat = g.reshape(b, &[r, o * r])?;
-        let t2 = g.matmul(t1, b_mat)?; // [N·r0, O·r2]
-        // → [N, O, r2·r0] with r2-major tail to match the seed layout.
-        let t2 = g.reshape(t2, &[n, r, o, r])?; // [N, r0, O, r2]
-        let t2 = g.permute(t2, &[0, 2, 3, 1])?; // [N, O, r2, r0]
-        let t2 = g.reshape(t2, &[n, o, r * r])?;
-        // Contract with the per-sample seed.
-        let c = g.reshape(seed, &[n, 1, r * r])?;
-        let prod = g.mul(t2, c)?;
-        let dy = g.sum_axis(prod, 2)?; // [N, O]
+        let c = g.reshape(seed, &[n, r, r])?; // C[n, r2, r0]
+        let dy = g.contract("ni,xiy,yoz,nzx->no", &[x, a, b, c])?;
         Ok(g.scale(dy, self.cfg.scaling()))
     }
 }
@@ -170,20 +164,28 @@ impl MetaLoraTrConv {
     }
 
     /// Materialises `Δ𝒲 : [K, K, I, O]` for one concrete seed
-    /// `C : [R, R]` (`C[r2, r0]`).
+    /// `C : [R, R]` (`C[r2, r0]`): the dense-TR network of
+    /// [`crate::merge::tr_delta`] over the flattened `s = K·K·I` axis.
     pub fn delta_weight_for(&self, c: &Tensor) -> Result<Tensor> {
-        let a = self.a.value(); // [K, K, I, r0·r1]
-        let (k, i) = (a.dims()[0], a.dims()[2]);
+        let (a, b) = (self.a.value(), self.b.value());
         let r = self.cfg.rank;
-        let a3 = a.reshaped(&[k * k * i, r, r])?; // [s, r0, r1]
-        // Σ_{r0,r1,r2} a3[s,r0,r1]·ℬ[r1,o,r2]·C[r2,r0].
-        let e = metalora_tensor::einsum::einsum(
-            "sxy,yoz,zx->so",
-            &[&a3, &self.b.value(), c],
-        )?;
-        let o = self.base.out_channels();
-        let d = e.reshape(&[k, k, i, o])?;
-        Ok(ops::scale(&d, self.cfg.scaling()))
+        let bonds_ok = matches!(
+            (a.dims(), b.dims()),
+            (&[_, _, _, rr], &[r1, _, r2]) if [rr, r1, r2] == [r * r, r, r]
+        );
+        if !bonds_ok || c.dims() != [r, r] {
+            return Err(TensorError::InvalidArgument(format!(
+                "MetaLoraTrConv::delta_weight_for: rank {r} needs A [K,K,I,R·R], B [R,O,R] and \
+                 a seed [R,R], got A {:?}, B {:?}, seed {:?}",
+                a.dims(),
+                b.dims(),
+                c.dims()
+            )));
+        }
+        let (k, i, o) = (a.dims()[0], a.dims()[2], b.dims()[1]);
+        let a3 = a.reshape(&[k * k * i, r, r])?; // [s, r0, r1]
+        let d = contract::contract_spec("sxy,yoz,zx->so", &[&a3, &b, c])?;
+        Ok(crate::merge::scaled(d.reshape(&[k, k, i, o])?, self.cfg.scaling()))
     }
 }
 
@@ -206,21 +208,11 @@ impl Module for MetaLoraTrConv {
         let b = g.bind(&self.b);
         // Small conv to the bond pair: [N, r0·r1, OH, OW].
         let u = g.conv2d(x, a, self.spec, self.spec)?;
-        // Contract r1 with ℬ: bring r1 last, flatten, matmul.
-        let u = g.reshape(u, &[n, r, r, oh, ow])?; // [N, r0, r1, OH, OW]
-        let u = g.permute(u, &[0, 1, 3, 4, 2])?; // [N, r0, OH, OW, r1]
-        let u = g.reshape(u, &[n * r * oh * ow, r])?;
-        let b_mat = g.reshape(b, &[r, o * r])?;
-        let t = g.matmul(u, b_mat)?; // [N·r0·OH·OW, O·r2]
-        // → [N, OH·OW·O, r2·r0] matching the seed layout.
-        let t = g.reshape(t, &[n, r, oh, ow, o, r])?; // [N, r0, OH, OW, O, r2]
-        let t = g.permute(t, &[0, 2, 3, 4, 5, 1])?; // [N, OH, OW, O, r2, r0]
-        let t = g.reshape(t, &[n, oh * ow * o, r * r])?;
-        let c = g.reshape(seed, &[n, 1, r * r])?;
-        let prod = g.mul(t, c)?;
-        let dy = g.sum_axis(prod, 2)?; // [N, OH·OW·O]
-        let dy = g.reshape(dy, &[n, oh, ow, o])?;
-        let dy = g.permute(dy, &[0, 3, 1, 2])?; // [N, O, OH, OW]
+        // Close the ring over the bonds, per sample and output position.
+        let u = g.reshape(u, &[n, r, r, oh * ow])?; // [N, r0, r1, P]
+        let c = g.reshape(seed, &[n, r, r])?; // C[n, r2, r0]
+        let dy = g.contract("nxyp,nzx,yoz->nop", &[u, c, b])?;
+        let dy = g.reshape(dy, &[n, o, oh, ow])?;
         let dy = g.scale(dy, self.cfg.scaling());
         g.add(y, dy)
     }
@@ -259,7 +251,7 @@ impl ConvLike for MetaLoraTrConv {
 mod tests {
     use super::*;
     use metalora_nn::{Conv2d, Linear};
-    use metalora_tensor::{approx_eq, conv};
+    use metalora_tensor::{approx_eq, conv, ops};
 
     fn setup_linear() -> (MetaLoraTrLinear, StdRng) {
         let mut rng = init::rng(11);

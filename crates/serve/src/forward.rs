@@ -1,16 +1,21 @@
 //! Tape-free adapter forwards.
 //!
-//! Each function mirrors the exact `ops::` call sequence of the matching
-//! training-mode `Module::forward` (whose graph ops are thin wrappers over
-//! the same `ops::` functions), so serve outputs are **bitwise identical**
-//! to a tape forward on the same values — `tests/forward_equiv.rs` gates
-//! this for every adapter method at `METALORA_THREADS ∈ {1, 2, 4}`.
+//! Each function issues the `ops::` calls of the matching training-mode
+//! `Module::forward` (whose graph ops are thin wrappers over the same
+//! `ops::` functions), so serve outputs are **bitwise identical** to a
+//! tape forward on the same values — `tests/forward_equiv.rs` gates this
+//! for every adapter method at `METALORA_THREADS ∈ {1, 2, 4}`. The LoRA
+//! and CP chains are short enough to mirror by hand; the Tensor-Ring
+//! chain is not mirrored at all — [`meta_tr_linear`] and
+//! `MetaLoraTrLinear::forward` hand one spec and the same shapes to the
+//! contraction planner (`metalora_tensor::contract`), and its single step
+//! list is walked once over tensors and once over tape nodes.
 
 use crate::Result;
 use metalora_nn::infer;
 use metalora_peft::meta::MappingNet;
 use metalora_tensor::conv::ConvSpec;
-use metalora_tensor::{ops, Tensor, TensorError};
+use metalora_tensor::{contract, ops, Tensor, TensorError};
 
 /// Plain LoRA: `y = x·W + b + scaling·(x·A)·B` — the twin of
 /// `LoraLinear::forward` (and of one `MultiLoraLinear` slot, which runs
@@ -63,8 +68,9 @@ pub fn meta_cp_linear(
     ops::add(&y, &delta)
 }
 
-/// MetaLoRA-TR: the Eq. 7 contraction chain with cores `a:[R,I,R]`,
-/// `b:[R,O,R]` and per-row seeds `[N,R·R]` (r2-major) — the twin of
+/// MetaLoRA-TR: the Eq. 7 network `"ni,xiy,yoz,nzx->no"` with cores
+/// `a:[R,I,R]`, `b:[R,O,R]` and per-row seeds `[N,R·R]` (r2-major),
+/// contracted seed-first by the planner — the twin of
 /// `MetaLoraTrLinear::delta` plus the base add.
 pub fn meta_tr_linear(
     x: &Tensor,
@@ -75,7 +81,7 @@ pub fn meta_tr_linear(
     seed: &Tensor,
     scaling: f32,
 ) -> Result<Tensor> {
-    let (&[n, _], &[_, i, _], &[r, o, _]) = (x.dims(), a.dims(), b.dims()) else {
+    let (&[n, _], &[_, _, _], &[r, _, _]) = (x.dims(), a.dims(), b.dims()) else {
         return Err(TensorError::InvalidArgument(format!(
             "meta_tr_linear: x {:?} must be rank 2 and cores A {:?}, B {:?} rank 3",
             x.dims(),
@@ -91,21 +97,8 @@ pub fn meta_tr_linear(
         )));
     }
     let y = infer::linear(x, w, bias)?;
-    // t₁ = x·𝒜 : 𝒜 [r0, I, r1] → [I, r0·r1].
-    let a_mat = ops::permute(a, &[1, 0, 2])?;
-    let a_mat = a_mat.reshaped(&[i, r * r])?;
-    let t1 = ops::matmul(x, &a_mat)?; // [N, r0·r1]
-    // t₂ = t₁·ℬ : ℬ [r1, O, r2] → [r1, O·r2].
-    let t1 = t1.reshaped(&[n * r, r])?;
-    let b_mat = b.reshaped(&[r, o * r])?;
-    let t2 = ops::matmul(&t1, &b_mat)?; // [N·r0, O·r2]
-    // → [N, O, r2·r0] with r2-major tail to match the seed layout.
-    let t2 = t2.reshaped(&[n, r, o, r])?; // [N, r0, O, r2]
-    let t2 = ops::permute(&t2, &[0, 2, 3, 1])?; // [N, O, r2, r0]
-    let t2 = t2.reshaped(&[n, o, r * r])?;
-    let c = seed.reshaped(&[n, 1, r * r])?;
-    let prod = ops::mul(&t2, &c)?;
-    let dy = ops::sum_axis(&prod, 2)?; // [N, O]
+    let c = seed.reshaped(&[n, r, r])?; // C[n, r2, r0]
+    let dy = contract::contract_spec("ni,xiy,yoz,nzx->no", &[x, a, b, &c])?;
     let dy = ops::scale(&dy, scaling);
     ops::add(&y, &dy)
 }

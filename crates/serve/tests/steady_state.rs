@@ -14,9 +14,13 @@
 //! The hostile half: a rank-0 input is `Err(InvalidArgument)` for every
 //! tenant kind — alone or inside a mixed batch — and leaves the engine
 //! serving.
+//!
+//! And one production-path audit: neither a Tensor-Ring merge nor a
+//! Tensor-Ring adapt step reaches the direct-sum `einsum` oracle.
 
-use metalora_nn::Linear;
-use metalora_peft::meta::MappingNet;
+use metalora_autograd::Graph;
+use metalora_nn::{Ctx, Linear, Module};
+use metalora_peft::meta::{MappingNet, MetaLoraTrLinear};
 use metalora_peft::{LoraConfig, MultiLoraLinear};
 use metalora_serve::traffic::Zipf;
 use metalora_serve::{EngineConfig, Request, ServeEngine, TenantAdapter};
@@ -192,6 +196,34 @@ fn ragged_batches_are_bitwise_the_one_request_engine() {
             }
         }
     }
+}
+
+#[test]
+fn tr_merges_and_tr_adapt_steps_never_call_the_einsum_oracle() {
+    let _g = lock_globals();
+    metalora_obs::set_enabled(true);
+    metalora_obs::reset();
+    let mut rng = init::rng(34);
+    // Tenant 11 pins a TR seed: merged mode folds `tr_delta` into the base.
+    let e = engine(true, 16);
+    e.serve_one(&request(11, 3, &mut rng)).unwrap();
+    assert_eq!(e.cache().stats().misses, 1, "the pinned TR tenant must have merged");
+    // One adapt step through the tape's TR module.
+    let base = Linear::new("fc", DIM, DIM, &mut rng);
+    let layer = MetaLoraTrLinear::new("fc", Box::new(base), CFG, &mut rng);
+    let mut g = Graph::new();
+    let x = g.input(init::uniform(&[4, DIM], -1.0, 1.0, &mut rng));
+    let seed = g.input(init::uniform(&[4, CFG.rank * CFG.rank], -1.0, 1.0, &mut rng));
+    let y = layer.forward(&mut g, x, &Ctx::with_seed(seed)).unwrap();
+    let loss = g.mean_all(y).unwrap();
+    g.backward(loss).unwrap();
+    let calls = |name: &str| {
+        let snap = metalora_obs::counters::snapshot();
+        snap.kernels.iter().find(|k| k.kernel == name).expect("a known kernel").calls
+    };
+    assert_eq!(calls("einsum"), 0, "a production path reached the reference oracle");
+    // Two planned steps for the merge, three for the forward.
+    assert_eq!(calls("contract"), 5);
 }
 
 /// One tenant of each kind (`id % 6`), plus the pinned TR tenant.

@@ -2,15 +2,22 @@
 //! and the figure-verification benches.
 //!
 //! Grammar: `"ab,bc->ac"` — lowercase ASCII labels, one or more operands,
-//! an explicit output. Unlike the fast pairwise [`contract`] kernel, this
-//! evaluator is fully general: labels may appear in any number of operands
-//! (hyper-edges, as the CP chain `"ir,ro,r->io"` of Eq. 6 requires) and may
-//! repeat within an operand (diagonals). Evaluation is direct summation —
+//! an explicit output. Unlike the pairwise [`contract`] kernel and the
+//! planner built on it, this evaluator is fully general: labels may appear
+//! in any number of operands (hyper-edges, as the CP chain `"ir,ro,r->io"`
+//! of Eq. 6 requires), may repeat within an operand (diagonals) and may be
+//! summed out of a single operand. Evaluation is direct summation —
 //! O(∏out · ∏summed) — which makes `einsum` the *reference oracle* the unit
-//! and property tests check the optimised kernels against. Library hot
-//! paths use [`contract`] / dedicated kernels instead.
+//! and property tests check the optimised kernels against
+//! (`tests/contract_plan_prop.rs` pins the planner to it). No library path
+//! calls it: every tensor-network update in `peft` and `serve` is a spec
+//! handed to [`contract_spec`], which lowers it to `gemm` in cost order,
+//! and the obs `einsum` kernel counter of a serve or training run reads 0.
+//! Its callers are tests, `examples/tensor_networks.rs` and
+//! `bin/fig1_contraction`.
 //!
 //! [`contract`]: crate::contract::contract
+//! [`contract_spec`]: crate::contract::contract_spec
 
 use crate::shape::{IndexIter, Shape};
 use crate::{Result, Tensor, TensorError};

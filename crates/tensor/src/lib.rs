@@ -8,8 +8,10 @@
 //! * the core [`Tensor`] type with constructors, views and iteration,
 //! * elementwise / reduction / permutation kernels and a blocked matmul
 //!   ([`ops`]),
-//! * **general pairwise tensor contraction** (Eq. 1 of the paper) and a
-//!   mini-einsum ([`contract`], [`einsum`]),
+//! * **general pairwise tensor contraction** (Eq. 1 of the paper), the
+//!   planner that lowers a whole contraction network to `gemm` in cost
+//!   order ([`contract`]), and the direct-sum oracle both are tested
+//!   against ([`einsum`]),
 //! * convolution, both direct (im2col) and expressed as a tensor-network
 //!   contraction through the binary *dummy tensor* 𝒫 (Eq. 2, Fig. 2)
 //!   ([`conv`]),

@@ -8,9 +8,10 @@
 //! * [`take`] / [`take_zeroed`] check a buffer out and return a
 //!   [`WorkspaceGuard`] that parks it back in the pool on drop — the
 //!   pattern for scratch that lives for one kernel invocation;
-//! * [`zeroed_tensor`] / [`recycle`] move pooled buffers in and out of
-//!   [`Tensor`] values — the pattern for autograd temporaries that are
-//!   built, consumed by an accumulation, and then discarded.
+//! * [`zeroed_tensor`] / [`tensor_from_iter`] / [`recycle`] move pooled
+//!   buffers in and out of [`Tensor`] values — the pattern for autograd
+//!   temporaries that are built, consumed by an accumulation, and then
+//!   discarded, and for the merged weights of the serving cache.
 //!
 //! Buffers are bucketed by capacity rounded to a power of two, so a
 //! checkout of any size in `(bucket/2, bucket]` can reuse any buffer of
@@ -33,7 +34,7 @@
 //! are reported to `metalora_obs` (visible in `RUNLOG_*.json` under
 //! `workspace` when `METALORA_OBS=1`).
 
-use crate::Tensor;
+use crate::{Result, Tensor};
 use std::ops::{Deref, DerefMut};
 use std::sync::Mutex;
 
@@ -86,6 +87,12 @@ fn pop(len: usize) -> Option<Vec<f32>> {
     v
 }
 
+/// A buffer able to hold `len` floats, stale contents and all: pooled when
+/// the bucket has one, else allocated at the bucket's capacity.
+fn checkout(len: usize) -> Vec<f32> {
+    pop(len).unwrap_or_else(|| Vec::with_capacity(len.next_power_of_two()))
+}
+
 /// Returns `buf` to the pool (or drops it when its bucket / the byte cap
 /// is full). Accepts buffers of any capacity, including ones that never
 /// came from the pool — that is how tensors recycled via [`recycle`] seed
@@ -112,7 +119,7 @@ pub fn give(buf: Vec<f32>) {
 /// caller must overwrite every element it reads). Returned to the pool
 /// when the guard drops.
 pub fn take(len: usize) -> WorkspaceGuard {
-    let mut buf = pop(len).unwrap_or_else(|| Vec::with_capacity(len.next_power_of_two()));
+    let mut buf = checkout(len);
     // Stale pooled contents are deliberately kept (resize only fills the
     // grown tail); `take` is for buffers that are packed/copied into.
     buf.resize(len, 0.0);
@@ -157,10 +164,21 @@ impl Drop for WorkspaceGuard {
 /// to keep the buffer cycling.
 pub fn zeroed_tensor(dims: &[usize]) -> Tensor {
     let len: usize = dims.iter().product();
-    let mut buf = pop(len).unwrap_or_else(|| Vec::with_capacity(len.next_power_of_two()));
+    let mut buf = checkout(len);
     buf.clear();
     buf.resize(len, 0.0);
     Tensor::from_vec(buf, dims).expect("len matches dims by construction")
+}
+
+/// A tensor of shape `dims` filled from `values`, its buffer drawn from
+/// the arena and each element written once — for results that would
+/// otherwise zero-fill a [`zeroed_tensor`] first. Errors when `values`
+/// does not yield exactly the shape's element count.
+pub fn tensor_from_iter(dims: &[usize], values: impl Iterator<Item = f32>) -> Result<Tensor> {
+    let mut buf = checkout(dims.iter().product());
+    buf.clear();
+    buf.extend(values);
+    Tensor::from_vec(buf, dims)
 }
 
 /// Consumes a tensor and parks its buffer in the arena for reuse.
