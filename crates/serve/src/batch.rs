@@ -1,10 +1,12 @@
 //! The request batcher and row packing helpers.
 //!
-//! Batching exists to amortise mapping-net seed generation: all dynamic
-//! MetaLoRA rows of one batch are stacked into a single `[ΣN, D]` matrix
-//! and pushed through the mapping MLP once. Because matmul computes rows
-//! independently (the kernel layer's bitwise row-invariance), each row's
-//! seed is bitwise identical to the one a one-request-at-a-time engine
+//! Batching exists to run what requests share once: all dynamic MetaLoRA
+//! rows of one batch are stacked into a single `[ΣN, D]` matrix and pushed
+//! through the mapping MLP once, and the rows of every request served
+//! factored are stacked into one `[ΣN, I]` matrix for one product with
+//! the frozen base. Because matmul computes rows independently (the
+//! kernel layer's bitwise row-invariance), each row's seed and base
+//! output are bitwise identical to what a one-request-at-a-time engine
 //! would produce — the `batcher_determinism` suite asserts it.
 
 use crate::store::TenantId;

@@ -6,10 +6,22 @@
 //! [`MergedCache`]. Everything inside is `Send + Sync` — requests can be
 //! served from any number of threads through `&self`.
 //!
-//! Per batch, the engine amortises mapping-net seed generation: all
-//! dynamic MetaLoRA-CP rows are stacked into one `[ΣN, D]` forward (and
-//! likewise for TR), then split back per request — bitwise identical to
-//! per-request generation because matmul rows are independent.
+//! Per batch, the engine runs what the batch shares **once**:
+//!
+//! * mapping-net seed generation — all dynamic MetaLoRA-CP rows are
+//!   stacked into one `[ΣN, D]` forward (and likewise for TR), then split
+//!   back per request;
+//! * the frozen base — the rows of every request served factored over
+//!   the dense base (everything except the merged-cacheable arm and
+//!   `ConvLora`) are stacked into one `[ΣN, I]` matrix for a single
+//!   `x·W + b`, and each request's forward shrinks to its tenant's scaled
+//!   update added onto its row segment. A batch of one is a stack of one.
+//!
+//! Both are bitwise identical to per-request execution: matmul rows are
+//! independent, each owns its full increasing-k accumulation on either
+//! kernel, and packing is pure data movement. W never changes (the PEFT
+//! premise), so it is multiplied once; only the input-dependent update
+//! (paper Eq. 6/7) is per tenant.
 
 use crate::batch::{concat_rows, split_rows, Batcher, Request};
 use crate::cache::{CacheKey, CachedWeight, MergedCache};
@@ -24,7 +36,9 @@ use metalora_peft::{merge, MultiLoraLinear};
 use metalora_tensor::conv::ConvSpec;
 use metalora_tensor::ops::Storage;
 use metalora_tensor::{bf16, Tensor, TensorError};
+use std::borrow::Cow;
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 
@@ -200,9 +214,10 @@ impl ServeEngine {
         self.serve_batch_timed(reqs, &[])
     }
 
-    /// Serves one batch: resolves tenants, amortises dynamic seed
-    /// generation across the batch, then runs each request's tape-free
-    /// forward. Outputs are in request order.
+    /// Serves one batch: resolves tenants, checks every stacked request's
+    /// width, runs the batch's one mapping-net forward per format and its
+    /// one stacked base product, then each request's tape-free forward.
+    /// Outputs are in request order.
     ///
     /// `enq_ns` carries per-request enqueue stamps from the batcher (empty
     /// or zero ⇒ no queue wait attributed). With telemetry on, every
@@ -228,31 +243,43 @@ impl ServeEngine {
             )));
         }
 
+        let segments = self.base_segments(reqs, &entries)?;
+        let stacked_rows = segments.iter().flatten().map(|rows| rows.len()).sum::<usize>();
+
         let batch_t0 = if tel { window::now_ns() } else { 0 };
         let seeds = self.generate_batch_seeds(reqs, &entries)?;
-        let seed_ns = if tel {
-            window::now_ns().saturating_sub(batch_t0)
-        } else {
-            0
-        };
+        let seeds_t1 = if tel { window::now_ns() } else { 0 };
         // The stacked mapping-net forward is one GEMM for all dynamic
         // requests; attribute it evenly across them.
         let mapping_share = if seeds.is_empty() {
             0
         } else {
-            seed_ns / seeds.len() as u64
+            seeds_t1.saturating_sub(batch_t0) / seeds.len() as u64
         };
+        let base_y = self.stacked_base(reqs, &segments)?;
+        // The stacked base product is one GEMM for all factored requests;
+        // attribute it by row share.
+        let base_ns = if tel { window::now_ns().saturating_sub(seeds_t1) } else { 0 };
 
         let mut out = Vec::with_capacity(reqs.len());
         for (i, (req, entry)) in reqs.iter().zip(&entries).enumerate() {
             let mut stages = StageNs::default();
             let fwd_t0 = if tel { window::now_ns() } else { 0 };
-            let y = self.forward_one(entry, &req.x, seeds.get(&i), tel, &mut stages)?;
+            let base_rows = segments[i].as_ref().zip(base_y.as_ref()).map(|(rows, y)| {
+                let out_dim = y.dims()[1];
+                &y.data()[rows.start * out_dim..rows.end * out_dim]
+            });
+            let y = self.forward_one(entry, &req.x, seeds.get(&i), base_rows, tel, &mut stages)?;
             if tel {
                 let fwd_ns = window::now_ns().saturating_sub(fwd_t0);
                 // Epilogues are fused into the GEMM store, so the forward
-                // splits into cache time and "everything else" = gemm.
+                // splits into cache time and "everything else" = gemm,
+                // which for a factored request includes its rows' share
+                // of the stacked base product.
                 stages.gemm = fwd_ns.saturating_sub(stages.cache);
+                if let Some(rows) = &segments[i] {
+                    stages.gemm += base_ns * rows.len() as u64 / stacked_rows.max(1) as u64;
+                }
                 if seeds.contains_key(&i) {
                     stages.mapping = mapping_share;
                 }
@@ -273,6 +300,70 @@ impl ServeEngine {
             telemetry::record_cache(&self.cache.stats());
         }
         Ok(out)
+    }
+
+    /// Whether `entry`'s requests are served as "stacked base product +
+    /// this tenant's update": everything except the merged-cacheable arm
+    /// (one GEMM against its own merged weight) and `ConvLora` (the conv
+    /// base).
+    fn rides_base_stack(&self, entry: &TenantEntry) -> bool {
+        let merged = self.cfg.use_merged && entry.adapter.cacheable();
+        !merged && !matches!(entry.adapter, TenantAdapter::ConvLora { .. })
+    }
+
+    /// Row ranges of the batch's stacked base product, in request order:
+    /// `Some(rows)` for every request that rides it. Every width is
+    /// checked here, before anything is stacked, so a malformed request
+    /// fails the batch by name instead of a concat by shape.
+    fn base_segments(
+        &self,
+        reqs: &[Request],
+        entries: &[Arc<TenantEntry>],
+    ) -> Result<Vec<Option<Range<usize>>>> {
+        let mut next = 0;
+        reqs.iter()
+            .zip(entries)
+            .enumerate()
+            .map(|(i, (req, entry))| {
+                if !self.rides_base_stack(entry) {
+                    return Ok(None);
+                }
+                match (self.base_w.dims(), req.x.dims()) {
+                    (&[in_dim, _], &[n, width]) if width == in_dim => {
+                        next += n;
+                        Ok(Some(next - n..next))
+                    }
+                    (base, x) => Err(TensorError::InvalidArgument(format!(
+                        "serve: request {i} input {x:?} does not fit the base weight {base:?} as [N, I]·[I, O]"
+                    ))),
+                }
+            })
+            .collect()
+    }
+
+    /// `x·W + b` once for the batch: the rows of every request with a
+    /// segment, stacked in request order into one `[Σn, I]` matrix (a
+    /// lone request's input is borrowed, not copied). Matmul rows are
+    /// independent and each owns its full increasing-k range, so a row of
+    /// the stacked product is bitwise the row a per-request product would
+    /// have computed. `None` when no request rides the stack.
+    fn stacked_base(
+        &self,
+        reqs: &[Request],
+        segments: &[Option<Range<usize>>],
+    ) -> Result<Option<Tensor>> {
+        let parts: Vec<&Tensor> = reqs
+            .iter()
+            .zip(segments)
+            .filter_map(|(r, seg)| seg.as_ref().map(|_| &r.x))
+            .collect();
+        let x = match parts[..] {
+            [] => return Ok(None),
+            [one] => Cow::Borrowed(one),
+            _ => Cow::Owned(concat_rows(&parts)?),
+        };
+        let _sp = metalora_obs::span!("serve/base");
+        infer::linear(&x, &self.base_w, self.base_b.as_ref()).map(Some)
     }
 
     /// One mapping-net forward per format for all dynamic rows of the
@@ -350,13 +441,17 @@ impl ServeEngine {
         Ok(w)
     }
 
-    /// One request's tape-free forward, choosing the merged-cached or
-    /// factored path.
+    /// One request's tape-free forward: a GEMM against its cached merged
+    /// weight, or — factored — this tenant's scaled update added to
+    /// `base_rows`, the request's `[n·O]` segment of the batch's stacked
+    /// base product ([`Self::stacked_base`]). The factored arms hold no
+    /// base product of their own.
     fn forward_one(
         &self,
         entry: &TenantEntry,
         x: &Tensor,
         seed: Option<&Tensor>,
+        base_rows: Option<&[f32]>,
         tel: bool,
         stages: &mut StageNs,
     ) -> Result<Tensor> {
@@ -392,53 +487,47 @@ impl ServeEngine {
                 None => infer::linear_act(x, w.operand(), self.base_b.as_ref(), None),
             };
         }
-        match &entry.adapter {
-            TenantAdapter::Lora { a, b, scaling } => {
-                forward::lora_linear(x, &self.base_w, self.base_b.as_ref(), a, b, *scaling)
-            }
+        // A pinned seed is tiled over the request's rows; a dynamic tenant
+        // uses the rows the batch's mapping-net forward generated.
+        let per_row = |pinned: &Option<Tensor>, format: &str| match pinned {
+            Some(c) => forward::tile_seed(c, x.dims()[0]).map(Cow::Owned),
+            None => seed.map(Cow::Borrowed).ok_or_else(|| {
+                TensorError::InvalidArgument(format!("serve: missing generated {format} seed"))
+            }),
+        };
+        let mut y = match &entry.adapter {
             TenantAdapter::ConvLora { a, b, scaling } => {
                 let (w, spec) = self.conv_base()?;
-                forward::conv_lora(x, w, self.conv_b.as_ref(), spec, a, b, *scaling)
+                return forward::conv_lora(x, w, self.conv_b.as_ref(), spec, a, b, *scaling);
             }
-            TenantAdapter::MetaCp {
-                a,
-                b,
-                scaling,
-                pinned_seed,
-            } => match pinned_seed {
-                Some(c) => {
-                    let rows = forward::tile_seed(c, x.dims()[0])?;
-                    forward::meta_cp_linear(x, &self.base_w, self.base_b.as_ref(), a, b, &rows, *scaling)
-                }
-                None => {
-                    let seed = seed.ok_or_else(|| {
-                        TensorError::InvalidArgument("serve: missing generated CP seed".into())
-                    })?;
-                    forward::meta_cp_linear(x, &self.base_w, self.base_b.as_ref(), a, b, seed, *scaling)
-                }
-            },
-            TenantAdapter::MetaTr {
-                a,
-                b,
-                scaling,
-                pinned_seed,
-            } => match pinned_seed {
-                Some(c) => {
-                    let rows = forward::tile_seed(c, x.dims()[0])?;
-                    forward::meta_tr_linear(x, &self.base_w, self.base_b.as_ref(), a, b, &rows, *scaling)
-                }
-                None => {
-                    let seed = seed.ok_or_else(|| {
-                        TensorError::InvalidArgument("serve: missing generated TR seed".into())
-                    })?;
-                    forward::meta_tr_linear(x, &self.base_w, self.base_b.as_ref(), a, b, seed, *scaling)
-                }
-            },
+            TenantAdapter::Lora { a, b, scaling } => forward::lora_update(x, a, b, *scaling)?,
             TenantAdapter::MultiSlot { slot } => {
                 let (a, b) = self.bank_slot(*slot)?;
-                forward::lora_linear(x, &self.base_w, self.base_b.as_ref(), a, b, self.bank_scaling)
+                forward::lora_update(x, a, b, self.bank_scaling)?
             }
+            TenantAdapter::MetaCp { a, b, scaling, pinned_seed } => {
+                forward::meta_cp_update(x, a, b, per_row(pinned_seed, "CP")?.as_ref(), *scaling)?
+            }
+            TenantAdapter::MetaTr { a, b, scaling, pinned_seed } => {
+                forward::meta_tr_update(x, a, b, per_row(pinned_seed, "TR")?.as_ref(), *scaling)?
+            }
+        };
+        let base_rows = base_rows.expect("a request served over the dense base has a segment of the stack");
+        // A segment exists, so the base weight is `[I, O]` and `x` is `[n, I]`.
+        let expected = [x.dims()[0], self.base_w.dims()[1]];
+        if y.dims() != expected {
+            return Err(TensorError::ShapeMismatch {
+                op: "serve: update onto base rows",
+                lhs: expected.to_vec(),
+                rhs: y.dims().to_vec(),
+            });
         }
+        // `y_seg[j] + update[j]`, the one f32 add per element that
+        // `ops::add(&y, &update)` did, written over the update in place.
+        for (u, &base) in y.data_mut().iter_mut().zip(base_rows) {
+            *u += base;
+        }
+        Ok(y)
     }
 
     /// The bank factors of `slot`, bounds-checked.

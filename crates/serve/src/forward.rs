@@ -10,6 +10,14 @@
 //! `MetaLoraTrLinear::forward` hand one spec and the same shapes to the
 //! contraction planner (`metalora_tensor::contract`), and its single step
 //! list is walked once over tensors and once over tape nodes.
+//!
+//! Every dense forward is "base + update": `*_linear` runs its own
+//! `infer::linear` and adds the matching update-only function
+//! ([`lora_update`], [`meta_cp_update`], [`meta_tr_update`] — the tenant's
+//! scaled low-rank term, with the shape checks). The engine calls the
+//! update functions directly and adds them to row segments of one base
+//! product per batch, so engine, tape twins and per-request replays share
+//! one update body.
 
 use crate::Result;
 use metalora_nn::infer;
@@ -29,10 +37,16 @@ pub fn lora_linear(
     scaling: f32,
 ) -> Result<Tensor> {
     let y = infer::linear(x, w, bias)?;
+    ops::add(&y, &lora_update(x, a, b, scaling)?)
+}
+
+/// The LoRA update alone, `scaling·(x·A)·B` — what [`lora_linear`] adds
+/// to the base product, and what the engine adds to a request's row
+/// segment of the batch's one stacked base product.
+pub fn lora_update(x: &Tensor, a: &Tensor, b: &Tensor, scaling: f32) -> Result<Tensor> {
     let xa = ops::matmul(x, a)?;
     let delta = ops::matmul(&xa, b)?;
-    let delta = ops::scale(&delta, scaling);
-    ops::add(&y, &delta)
+    Ok(ops::scale(&delta, scaling))
 }
 
 /// MetaLoRA-CP: `y = base + scaling·((x·A) ⊙ c)·B` with a per-row seed
@@ -47,6 +61,13 @@ pub fn meta_cp_linear(
     seed: &Tensor,
     scaling: f32,
 ) -> Result<Tensor> {
+    let y = infer::linear(x, w, bias)?;
+    ops::add(&y, &meta_cp_update(x, a, b, seed, scaling)?)
+}
+
+/// The MetaLoRA-CP update alone, `scaling·((x·A) ⊙ c)·B` (see
+/// [`lora_update`]).
+pub fn meta_cp_update(x: &Tensor, a: &Tensor, b: &Tensor, seed: &Tensor, scaling: f32) -> Result<Tensor> {
     let (&[n, _], &[_, r]) = (x.dims(), a.dims()) else {
         return Err(TensorError::InvalidArgument(format!(
             "meta_cp_linear: x {:?} and factor A {:?} must be rank 2",
@@ -60,12 +81,10 @@ pub fn meta_cp_linear(
             seed.dims()
         )));
     }
-    let y = infer::linear(x, w, bias)?;
     let xa = ops::matmul(x, a)?;
     let gated = ops::mul(&xa, seed)?;
     let delta = ops::matmul(&gated, b)?;
-    let delta = ops::scale(&delta, scaling);
-    ops::add(&y, &delta)
+    Ok(ops::scale(&delta, scaling))
 }
 
 /// MetaLoRA-TR: the Eq. 7 network `"ni,xiy,yoz,nzx->no"` with cores
@@ -81,6 +100,13 @@ pub fn meta_tr_linear(
     seed: &Tensor,
     scaling: f32,
 ) -> Result<Tensor> {
+    let y = infer::linear(x, w, bias)?;
+    ops::add(&y, &meta_tr_update(x, a, b, seed, scaling)?)
+}
+
+/// The MetaLoRA-TR update alone, the scaled Eq. 7 network (see
+/// [`lora_update`]).
+pub fn meta_tr_update(x: &Tensor, a: &Tensor, b: &Tensor, seed: &Tensor, scaling: f32) -> Result<Tensor> {
     let (&[n, _], &[_, _, _], &[r, _, _]) = (x.dims(), a.dims(), b.dims()) else {
         return Err(TensorError::InvalidArgument(format!(
             "meta_tr_linear: x {:?} must be rank 2 and cores A {:?}, B {:?} rank 3",
@@ -96,11 +122,9 @@ pub fn meta_tr_linear(
             r * r
         )));
     }
-    let y = infer::linear(x, w, bias)?;
     let c = seed.reshaped(&[n, r, r])?; // C[n, r2, r0]
     let dy = contract::contract_spec("ni,xiy,yoz,nzx->no", &[x, a, b, &c])?;
-    let dy = ops::scale(&dy, scaling);
-    ops::add(&y, &dy)
+    Ok(ops::scale(&dy, scaling))
 }
 
 /// Conv-LoRA: base conv plus the small-conv → 1×1-recovery delta — the

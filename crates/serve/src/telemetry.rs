@@ -31,7 +31,8 @@ pub struct StageNs {
     pub mapping: u64,
     /// The forward GEMM with its fused bias/activation epilogue (and
     /// everything else in the tape-free forward that is not the cache
-    /// stage).
+    /// stage), plus — for a request served factored — its row share of
+    /// the batch's stacked base product.
     pub gemm: u64,
 }
 

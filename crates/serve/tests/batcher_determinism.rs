@@ -6,11 +6,19 @@
 //! accumulation order, every request's seed — and therefore its output —
 //! must be bitwise identical to what a `max_batch = 1` engine produces,
 //! for ragged batch sizes and mixed CP/TR/static tenant interleavings.
+//!
+//! The same holds for the base product: every request served factored
+//! over the dense base takes its rows from one stacked `x·W` per batch.
+//! The stack may cross the kernel's pack gate that a lone request stays
+//! under (reference kernel solo, packed kernel stacked) — both kernels
+//! give every output row its full increasing-k accumulation, so stacked ≡
+//! solo holds across the gate too, for all six tenant kinds.
 
 use metalora_nn::Linear;
 use metalora_peft::meta::{MappingNet, MetaLoraCpLinear, MetaLoraTrLinear};
-use metalora_peft::{LoraConfig, LoraLinear};
+use metalora_peft::{LoraConfig, LoraLinear, MultiLoraLinear};
 use metalora_serve::{EngineConfig, Request, ServeEngine, TenantAdapter};
+use metalora_tensor::ops::PACK_MIN_FLOPS;
 use metalora_tensor::{init, Tensor};
 
 const CFG: LoraConfig = LoraConfig { rank: 2, alpha: 3.0 };
@@ -157,5 +165,82 @@ fn ragged_tail_is_flushed_in_order() {
     let solo = engine(1);
     for (i, r) in reqs.iter().enumerate() {
         assert_eq!(bits(&outs[i]), bits(&solo.serve_one(r).unwrap()), "request {i}");
+    }
+}
+
+/// A factored engine over a `[dim, dim]` base with one tenant of each of
+/// the six dense kinds, by id: LoRA, bank slot, pinned CP, pinned TR,
+/// dynamic CP, dynamic TR.
+fn six_kind_engine(dim: usize, max_batch: usize) -> ServeEngine {
+    let mut rng = init::rng(78);
+    let r = CFG.rank;
+    let base = Linear::new("fc", dim, dim, &mut rng);
+    let (w, bias) = (base.weight().value(), base.bias().map(|b| b.value()));
+    let bank = MultiLoraLinear::new("fc", Box::new(base), 2, CFG, &mut rng);
+    for b in &bank.b {
+        b.set_value(init::uniform(&[r, dim], -0.5, 0.5, &mut rng));
+    }
+    let cfg = EngineConfig { max_batch, cache_bytes: 0, use_merged: false };
+    let e = ServeEngine::new(w, bias, cfg)
+        .with_bank(&bank)
+        .with_mapping_cp(&MappingNet::new("map_cp", dim, 8, r, &mut rng))
+        .with_mapping_tr(&MappingNet::new("map_tr", dim, 8, r * r, &mut rng));
+    let scaling = CFG.scaling();
+    for id in 0..6u64 {
+        let mut u = |dims: &[usize]| init::uniform(dims, -0.5, 0.5, &mut rng);
+        let adapter = match id {
+            0 => TenantAdapter::Lora { a: u(&[dim, r]), b: u(&[r, dim]), scaling },
+            1 => TenantAdapter::MultiSlot { slot: 1 },
+            2 | 4 => TenantAdapter::MetaCp {
+                a: u(&[dim, r]),
+                b: u(&[r, dim]),
+                scaling,
+                pinned_seed: (id == 2).then(|| u(&[r])),
+            },
+            _ => TenantAdapter::MetaTr {
+                a: u(&[r, dim, r]),
+                b: u(&[r, dim, r]),
+                scaling,
+                pinned_seed: (id == 3).then(|| u(&[r, r])),
+            },
+        };
+        e.register(id, adapter);
+    }
+    e
+}
+
+#[test]
+fn stacked_base_product_matches_solo_bitwise_across_the_pack_gate() {
+    let _l = lock();
+    // 37 requests of 1–3 rows, the six kinds in turn.
+    let stream = |dim: usize| -> Vec<Request> {
+        let mut rng = init::rng(556);
+        (0..37)
+            .map(|i| Request::new(i as u64 % 6, init::uniform(&[1 + i % 3, dim], -1.0, 1.0, &mut rng)))
+            .collect()
+    };
+    // At 32×32 a lone request's `x·W` is under the pack gate and a full
+    // 16-request stack (32 rows) over it; at 256×256 both are over.
+    let base_flops = |rows: usize, dim: usize| 2 * rows * dim * dim;
+    assert!(base_flops(3, 32) < PACK_MIN_FLOPS && base_flops(32, 32) >= PACK_MIN_FLOPS);
+    assert!(base_flops(1, 256) >= PACK_MIN_FLOPS);
+    for dim in [32usize, 256] {
+        let reqs = stream(dim);
+        let solo = six_kind_engine(dim, 1);
+        let reference: Vec<Vec<u32>> =
+            reqs.iter().map(|r| bits(&solo.serve_one(r).unwrap())).collect();
+        for max_batch in [1usize, 3, 7, 16] {
+            let e = six_kind_engine(dim, max_batch);
+            let outs = e.process(&reqs).unwrap();
+            for (i, out) in outs.iter().enumerate() {
+                assert_eq!(out.dims(), &[reqs[i].rows(), dim]);
+                assert_eq!(
+                    bits(out),
+                    reference[i],
+                    "request {i} (kind {}) diverged at dim={dim}, max_batch={max_batch}",
+                    reqs[i].tenant
+                );
+            }
+        }
     }
 }

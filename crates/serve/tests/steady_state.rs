@@ -7,9 +7,11 @@
 //! growing — it is bounded by concurrency, not by how many distinct batch
 //! shapes were seen. The stream is a ragged 64-tenant zipf mix of all five
 //! adapter kinds, served factored and merged under 1 and 4 configured
-//! workers. Shapes stay under the parallel-dispatch threshold: a parallel
-//! team's workers overlap by timing, so how many `A` panels are live at
-//! once is not a per-pass constant there.
+//! workers. At 4 workers the batch's stacked base product runs on a
+//! parallel team; the packed GEMM leases the team's `A` panels on the
+//! calling thread before the team starts, so how many are live at once is
+//! a function of the shape and the team size — not of how the workers'
+//! lifetimes happen to overlap — and a warm pass still never misses.
 //!
 //! The hostile half: a rank-0 input is `Err(InvalidArgument)` for every
 //! tenant kind — alone or inside a mixed batch — and leaves the engine
@@ -155,6 +157,9 @@ fn warm_passes_never_miss_the_arena_and_the_pool_stops_growing() {
                 "{what}: the pool kept growing"
             );
             assert_eq!(e.batch_count(), 3 * 12);
+            if threads > 1 && !use_merged {
+                assert!(after[2].dispatch_parallel > 0, "{what}: no stacked product ran on a team");
+            }
             // Every bias add and activation rides a GEMM store: a fixed
             // number of fused epilogues per pass, never a separate pass.
             assert_eq!(after[2].output_passes, 0, "{what}: a separate epilogue pass");

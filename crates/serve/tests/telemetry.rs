@@ -1,7 +1,7 @@
 //! Serve telemetry: passivity, registry content, SLO accounting, and
 //! exporter determinism.
 //!
-//! Four gates:
+//! Five gates:
 //!
 //! 1. **Bitwise passivity** — the same traffic served with telemetry on
 //!    (logical clock) and off produces bit-identical outputs. Telemetry
@@ -15,6 +15,9 @@
 //! 4. **Exporter determinism** — two identical runs under the logical
 //!    clock emit byte-identical JSONL lines, and the Prometheus text
 //!    passes the in-repo parser.
+//! 5. **Shared-product attribution** — a batch's one stacked base product
+//!    is split across its factored requests by row share into `gemm`, and
+//!    the `gemm` stages of a batch never exceed the batch's wall.
 //!
 //! Obs state is process-global, so every test takes one shared lock and
 //! restores a clean slate on drop.
@@ -62,6 +65,10 @@ fn bits(t: &Tensor) -> Vec<u32> {
 
 /// Merged-mode engine with three LoRA tenants over a `[6, 5]` base.
 fn engine(seed: u64) -> ServeEngine {
+    engine_in_mode(seed, true)
+}
+
+fn engine_in_mode(seed: u64, use_merged: bool) -> ServeEngine {
     let mut rng = init::rng(seed);
     let w = init::uniform(&[IN, OUT], -1.0, 1.0, &mut rng);
     let b = init::uniform(&[OUT], -0.5, 0.5, &mut rng);
@@ -71,7 +78,7 @@ fn engine(seed: u64) -> ServeEngine {
         EngineConfig {
             max_batch: 4,
             cache_bytes: 1 << 20,
-            use_merged: true,
+            use_merged,
         },
     );
     for id in 0..3u64 {
@@ -213,6 +220,30 @@ fn microscopic_slo_target_burns_budget_and_attributes_tails() {
     // Request ids are the engine's own monotonically increasing stamps.
     let ids: Vec<u64> = snap.attributions.iter().map(|a| a.request_id).collect();
     assert_eq!(ids, (0..10).collect::<Vec<u64>>());
+}
+
+#[test]
+fn the_stacked_base_product_is_attributed_by_row_share() {
+    let _g = telemetry_on();
+    // 1 ns target: every request lands an attribution sample.
+    slo::set_target_ms(0.000_001);
+    // Factored: the batch's four requests (1, 2, 1, 2 rows) share one
+    // stacked base product.
+    let e = engine_in_mode(15, false);
+    let batch: Vec<Request> = traffic(11).into_iter().take(4).collect();
+    let t0 = window::now_ns();
+    e.serve_batch(&batch).unwrap();
+    let wall = window::now_ns() - t0;
+
+    let snap = registry::snapshot();
+    let gemm: Vec<u64> = snap.attributions.iter().map(|a| a.stage_ns[3]).collect();
+    assert_eq!(gemm.len(), 4);
+    assert!(gemm.iter().sum::<u64>() <= wall, "gemm stages {gemm:?} exceed the batch wall {wall}");
+    // Under the logical clock a request's own forward and the stacked
+    // product are one tick each: every gemm stage is a tick plus the
+    // request's rows / 6 of a tick.
+    let tick = window::LOGICAL_TICK_NS;
+    assert_eq!(gemm, [1, 2, 1, 2].map(|rows| tick + tick * rows / 6));
 }
 
 #[test]

@@ -15,7 +15,8 @@
 //!    `MR`-row strips × `NC`-column groups, and each team worker claims
 //!    grid cells until the queue is dry. On first touch of a strip the
 //!    worker packs that strip's `A` rows into its **private arena lease**
-//!    (`[kc×MR]` row tiles, k-major) and keeps it for subsequent claims
+//!    (`[kc×MR]` row tiles, k-major; the team's leases are taken by the
+//!    caller before the team starts) and keeps it for subsequent claims
 //!    of the same strip — `A` is packed at most once per (strip, worker)
 //!    and `B` is never re-packed, which is what lets the packed path
 //!    scale instead of fighting the thread team (the old design split
@@ -340,6 +341,47 @@ impl PanelElem for u16 {
     }
 }
 
+/// Widens one contiguous run of stored elements into a panel row. With
+/// both lengths fixed at the call site (`NR`, `MR`) this is a handful of
+/// vector moves; f32 copies verbatim.
+#[inline(always)]
+fn copy_run<T: PanelElem>(dst: &mut [f32], src: &[T]) {
+    for (d, s) in dst.iter_mut().zip(src) {
+        *d = s.to_f32();
+    }
+}
+
+/// One `[kc×w]` column tile of [`pack_b`]: columns `j0..j0+w` of the k
+/// rows `kb..kb+kc`. With `cs == 1` (`B` as stored — every forward `x·W`)
+/// each k step's `w` columns are one contiguous run, copied as a slice;
+/// any other stride (`B` transposed: backward, `data::knn`) walks
+/// elements — a transposing copy measured no faster there. Both write
+/// the same panel.
+#[inline(always)]
+fn pack_b_tile<T: PanelElem>(
+    bd: &[T],
+    base: usize,
+    (kb, kc): (usize, usize),
+    (j0, w): (usize, usize),
+    ks: usize,
+    cs: usize,
+    dst: &mut [f32],
+) {
+    if cs == 1 {
+        for (dk, row) in dst.chunks_exact_mut(w).enumerate() {
+            let src = base + (kb + dk) * ks + j0;
+            copy_run(row, &bd[src..src + w]);
+        }
+    } else {
+        for dk in 0..kc {
+            let src = base + (kb + dk) * ks + j0 * cs;
+            for jj in 0..w {
+                dst[dk * w + jj] = bd[src + jj * cs].to_f32();
+            }
+        }
+    }
+}
+
 /// [`pack_b`] for either storage.
 #[inline(always)]
 fn pack_b_body<T: PanelElem>(
@@ -358,21 +400,51 @@ fn pack_b_body<T: PanelElem>(
         let tile = &mut packed[kb * n..kb * n + kc * n];
         for j0 in (0..n_full).step_by(NR) {
             let dst = &mut tile[j0 * kc..j0 * kc + kc * NR];
-            for dk in 0..kc {
-                let src = base + (kb + dk) * ks + j0 * cs;
-                for jj in 0..NR {
-                    dst[dk * NR + jj] = bd[src + jj * cs].to_f32();
-                }
-            }
+            pack_b_tile(bd, base, (kb, kc), (j0, NR), ks, cs, dst);
         }
         let ne = n - n_full;
         if ne > 0 {
-            let dst = &mut tile[n_full * kc..];
-            for dk in 0..kc {
-                let src = base + (kb + dk) * ks + n_full * cs;
-                for jj in 0..ne {
-                    dst[dk * ne + jj] = bd[src + jj * cs].to_f32();
-                }
+            pack_b_tile(bd, base, (kb, kc), (n_full, ne), ks, cs, &mut tile[n_full * kc..]);
+        }
+    }
+}
+
+/// One `[kc×h]` row tile of [`pack_a`]: rows `i0..i0+h` (absolute) of the
+/// k columns `kb..kb+kc`. `ks == 1` (`A` as stored) interleaves the `h`
+/// rows' `kc`-long runs; `rs == 1` (`A` transposed) copies one `h`-long
+/// run per k step; any other stride walks elements. All three write the
+/// same panel.
+#[inline(always)]
+fn pack_a_tile<T: PanelElem>(
+    ad: &[T],
+    base: usize,
+    (kb, kc): (usize, usize),
+    (i0, h): (usize, usize),
+    rs: usize,
+    ks: usize,
+    dst: &mut [f32],
+) {
+    if ks == 1 {
+        // Slots past a ragged tile's `h` repeat its last row, unread.
+        let rows: [&[T]; MR] = std::array::from_fn(|r| {
+            let src = base + (i0 + r.min(h - 1)) * rs + kb;
+            &ad[src..src + kc]
+        });
+        for (dk, q) in dst.chunks_exact_mut(h).enumerate() {
+            for r in 0..h {
+                q[r] = rows[r][dk].to_f32();
+            }
+        }
+    } else if rs == 1 {
+        for (dk, col) in dst.chunks_exact_mut(h).enumerate() {
+            let src = base + i0 + (kb + dk) * ks;
+            copy_run(col, &ad[src..src + h]);
+        }
+    } else {
+        for dk in 0..kc {
+            let src = base + i0 * rs + (kb + dk) * ks;
+            for r in 0..h {
+                dst[dk * h + r] = ad[src + r * rs].to_f32();
             }
         }
     }
@@ -398,22 +470,12 @@ fn pack_a_body<T: PanelElem>(
         let tile = &mut packed[kb * rows..kb * rows + kc * rows];
         for i0 in (0..rows_full).step_by(MR) {
             let dst = &mut tile[i0 * kc..i0 * kc + kc * MR];
-            for dk in 0..kc {
-                let src = base + (first + i0) * rs + (kb + dk) * ks;
-                for r in 0..MR {
-                    dst[dk * MR + r] = ad[src + r * rs].to_f32();
-                }
-            }
+            pack_a_tile(ad, base, (kb, kc), (first + i0, MR), rs, ks, dst);
         }
         let me = rows - rows_full;
         if me > 0 {
             let dst = &mut tile[rows_full * kc..];
-            for dk in 0..kc {
-                let src = base + (first + rows_full) * rs + (kb + dk) * ks;
-                for r in 0..me {
-                    dst[dk * me + r] = ad[src + r * rs].to_f32();
-                }
-            }
+            pack_a_tile(ad, base, (kb, kc), (first + rows_full, me), rs, ks, dst);
         }
     }
 }
@@ -870,11 +932,16 @@ pub(crate) struct StridedGemm<'a> {
 /// call). The output is then a grid of `MR`-row strips × `NC`-column
 /// groups — a fixed function of the problem shape, never of the thread
 /// count — and [`par_task_queue`] workers claim cells from a shared
-/// atomic queue. Each worker leases one `MR×k` A-panel buffer from the
-/// workspace arena for its whole lifetime (no cross-thread aliasing: the
-/// arena hands out disjoint buffers) and re-packs it only when it claims
-/// a cell from a different strip than its previous one. A non-noop `ep`
-/// is applied to each column tile right after its last KC tile stores.
+/// atomic queue. Each worker holds one `MR×k` A-panel buffer for its whole
+/// lifetime and re-packs it only when it claims a cell from a different
+/// strip than its previous one. The team's panels are leased from the
+/// workspace arena **on the calling thread before the team starts** (no
+/// cross-thread aliasing: the arena hands out disjoint buffers), so one
+/// call checks out exactly team-size panels at once — a function of the
+/// shape and the thread count, never of whether an early worker finished
+/// before a late one started; a warm arena therefore never misses, and
+/// one thread takes exactly one lease. A non-noop `ep` is applied to each
+/// column tile right after its last KC tile stores.
 pub(crate) fn gemm_packed(g: &StridedGemm, out: &mut [f32]) {
     let StridedGemm { a, a_batch, a_rs, a_ks, b, b_batch, b_ks, b_cs, bs, m, n, k, ep } = *g;
     debug_assert_eq!(out.len(), bs * m * n);
@@ -897,8 +964,7 @@ pub(crate) fn gemm_packed(g: &StridedGemm, out: &mut [f32]) {
     let tasks = bs * strips_per_batch * col_groups;
     let lvl = simd_level();
     let c_out = SendPtr(out.as_mut_ptr());
-    let worker = |slot: usize, queue: &TaskQueue| {
-        let mut apack = workspace::take(MR * k);
+    let worker = |slot: usize, queue: &TaskQueue, mut apack: workspace::WorkspaceGuard| {
         let mut packed_strip = usize::MAX;
         let (mut claimed, mut steals, mut last) = (0u64, 0u64, usize::MAX);
         while let Some(task) = queue.claim() {
@@ -935,7 +1001,8 @@ pub(crate) fn gemm_packed(g: &StridedGemm, out: &mut [f32]) {
         }
         metalora_obs::counters::record_tile_grid_worker(slot, claimed, steals);
     };
-    par_task_queue("tile_grid", tasks, 2 * MR * k * NC.min(n.max(1)), worker);
+    let a_panel = || workspace::take(MR * k);
+    par_task_queue("tile_grid", tasks, 2 * MR * k * NC.min(n.max(1)), a_panel, worker);
 }
 
 #[cfg(test)]

@@ -5,29 +5,41 @@ use crate::shape::validate_permutation;
 use crate::{Result, Tensor, TensorError};
 
 /// Reorders axes so output axis `k` is input axis `perm[k]`.
+///
+/// The output is written one innermost-axis run at a time: an odometer
+/// walks the outer output axes, and each run is gathered from the input
+/// at that axis's stride — a slice copy when the stride is 1. Pure data
+/// movement, so the result is the element-wise definition bit for bit.
 pub fn permute(t: &Tensor, perm: &[usize]) -> Result<Tensor> {
     validate_permutation(perm, t.rank())?;
     let out_shape = t.shape().permuted(perm)?;
     let in_strides = t.shape().strides();
     // Stride of output axis k in the *input* buffer.
     let gather_strides: Vec<usize> = perm.iter().map(|&p| in_strides[p]).collect();
-    let out_dims = out_shape.dims().to_vec();
-    let n = t.len();
-    let mut out = vec![0.0f32; n];
+    let mut out = vec![0.0f32; t.len()];
     let src = t.data();
-    if n > 0 {
-        let mut idx = vec![0usize; out_dims.len()];
+    if !out.is_empty() {
+        // A rank-0 tensor is one run of one element.
+        let (&run, outer) = out_shape.dims().split_last().unwrap_or((&1, &[]));
+        let run_stride = gather_strides.last().copied().unwrap_or(1);
+        let mut idx = vec![0usize; outer.len()];
         let mut src_off = 0usize;
-        for o in out.iter_mut() {
-            *o = src[src_off];
+        for dst in out.chunks_exact_mut(run) {
+            if run_stride == 1 {
+                dst.copy_from_slice(&src[src_off..src_off + run]);
+            } else {
+                for (d, s) in dst.iter_mut().zip(src[src_off..].iter().step_by(run_stride)) {
+                    *d = *s;
+                }
+            }
             // Odometer increment, maintaining src_off incrementally.
-            for k in (0..out_dims.len()).rev() {
+            for k in (0..outer.len()).rev() {
                 idx[k] += 1;
                 src_off += gather_strides[k];
-                if idx[k] < out_dims[k] {
+                if idx[k] < outer[k] {
                     break;
                 }
-                src_off -= out_dims[k] * gather_strides[k];
+                src_off -= outer[k] * gather_strides[k];
                 idx[k] = 0;
             }
         }

@@ -8,10 +8,10 @@
 //!   large elementwise/reduction ops and the KNN distance matrix.
 //! * [`par_task_queue`] — a scoped team (the **calling thread
 //!   participates** as worker 0) drains an atomic counter of task
-//!   indices; each worker is invoked once and claims tasks until the
-//!   queue is dry, so it can hold per-thread state (e.g. a packed-panel
-//!   lease from the workspace arena) across many tasks. This is what the
-//!   packed GEMM microkernel's tile-grid scheduler runs on.
+//!   indices; each worker is invoked once, with scratch the caller built
+//!   for its slot before the team started (e.g. a packed-panel lease from
+//!   the workspace arena), and claims tasks until the queue is dry. This
+//!   is what the packed GEMM microkernel's tile-grid scheduler runs on.
 //!
 //! # Determinism guarantee
 //!
@@ -200,9 +200,9 @@ impl TaskQueue {
 /// Runs `worker` over a shared [`TaskQueue`] of `tasks` indices, possibly
 /// in parallel.
 ///
-/// Each team member calls `worker(slot, queue)` **exactly once** and is
-/// expected to loop on [`TaskQueue::claim`] until the queue is dry —
-/// per-thread scratch (packed-panel leases, counter tallies) is set up
+/// Each team member calls `worker(slot, queue, scratch)` **exactly once**
+/// and is expected to loop on [`TaskQueue::claim`] until the queue is dry —
+/// per-thread state (counter tallies, which strip is packed) is set up
 /// once per worker, not once per task. `slot` is the team-member index
 /// (`0..team size`); the **calling thread participates as slot 0**, so a
 /// team of `N` spawns only `N - 1` threads and `METALORA_THREADS=1` (or
@@ -210,12 +210,25 @@ impl TaskQueue {
 /// runs the whole queue on the calling thread with no spawn at all —
 /// the same serial-fallback semantics as [`par_row_blocks`].
 ///
+/// `scratch` is called once per team member **on the calling thread,
+/// before any worker starts**, and slot `s` is handed the `s`-th value.
+/// The team size is a function of `(tasks, cost_per_task)` and the
+/// thread-count policy only, so what a call checks out of a shared pool
+/// this way (the packed GEMM's A-panel leases) never depends on how the
+/// workers' lifetimes happen to overlap.
+///
 /// `trace_name` labels the begin/end pair emitted around a parallel team
 /// in the obs timeline (e.g. `"tile_grid"`), mirroring the
 /// `par_row_blocks` mark.
-pub fn par_task_queue<F>(trace_name: &'static str, tasks: usize, cost_per_task: usize, worker: F)
-where
-    F: Fn(usize, &TaskQueue) + Sync,
+pub fn par_task_queue<S, F>(
+    trace_name: &'static str,
+    tasks: usize,
+    cost_per_task: usize,
+    mut scratch: impl FnMut() -> S,
+    worker: F,
+) where
+    S: Send,
+    F: Fn(usize, &TaskQueue, S) + Sync,
 {
     if tasks == 0 {
         return;
@@ -224,18 +237,20 @@ where
     let threads = num_threads().min(tasks);
     if threads <= 1 || tasks.saturating_mul(cost_per_task) < par_threshold() {
         metalora_obs::counters::record_dispatch(false);
-        worker(0, &queue);
+        worker(0, &queue, scratch());
         return;
     }
     metalora_obs::counters::record_dispatch(true);
+    let own = scratch();
+    let spawned: Vec<S> = std::iter::repeat_with(scratch).take(threads - 1).collect();
     metalora_obs::trace::begin(trace_name);
     std::thread::scope(|s| {
-        for slot in 1..threads {
+        for (slot, scratch) in (1..).zip(spawned) {
             let queue = &queue;
             let worker = &worker;
-            s.spawn(move || worker(slot, queue));
+            s.spawn(move || worker(slot, queue, scratch));
         }
-        worker(0, &queue);
+        worker(0, &queue, own);
     });
     metalora_obs::trace::end(trace_name);
 }
@@ -342,7 +357,7 @@ mod tests {
             set_num_threads(threads);
             let tasks = 53;
             let hits: Vec<AtomicUsize> = (0..tasks).map(|_| AtomicUsize::new(0)).collect();
-            par_task_queue("test_queue", tasks, 1000, |_slot, q| {
+            par_task_queue("test_queue", tasks, 1000, || (), |_slot, q, ()| {
                 while let Some(i) = q.claim() {
                     hits[i].fetch_add(1, Ordering::SeqCst);
                 }
@@ -359,7 +374,7 @@ mod tests {
         set_num_threads(4);
         set_par_threshold(usize::MAX - 1); // everything is "too small"
         let order = Mutex::new(Vec::new());
-        par_task_queue("test_queue", 6, 1, |slot, q| {
+        par_task_queue("test_queue", 6, 1, || (), |slot, q, ()| {
             assert_eq!(slot, 0, "serial fallback must run on the calling thread");
             while let Some(i) = q.claim() {
                 order.lock().unwrap().push(i);
@@ -375,7 +390,7 @@ mod tests {
         set_par_threshold(0);
         let caller = std::thread::current().id();
         let slot0_on_caller = AtomicUsize::new(0);
-        par_task_queue("test_queue", 64, 1000, |slot, q| {
+        par_task_queue("test_queue", 64, 1000, || (), |slot, q, ()| {
             if slot == 0 && std::thread::current().id() == caller {
                 slot0_on_caller.fetch_add(1, Ordering::SeqCst);
             }
@@ -385,12 +400,42 @@ mod tests {
     }
 
     #[test]
+    fn par_task_queue_builds_scratch_on_the_caller_one_per_slot() {
+        let _g = guard();
+        set_par_threshold(0);
+        for threads in [1, 3] {
+            set_num_threads(threads);
+            let caller = std::thread::current().id();
+            let mut built = 0;
+            let seen = Mutex::new(Vec::new());
+            par_task_queue(
+                "test_queue",
+                64,
+                1000,
+                || {
+                    assert_eq!(std::thread::current().id(), caller);
+                    built += 1;
+                    built - 1
+                },
+                |slot, q, nth| {
+                    seen.lock().unwrap().push((slot, nth));
+                    while q.claim().is_some() {}
+                },
+            );
+            // One value per team member, slot s holding the s-th built.
+            let mut seen = seen.into_inner().unwrap();
+            seen.sort_unstable();
+            assert_eq!(seen, (0..threads).map(|s| (s, s)).collect::<Vec<_>>());
+        }
+    }
+
+    #[test]
     fn par_task_queue_empty_is_a_noop() {
         let _g = guard();
         set_num_threads(4);
         set_par_threshold(0);
         let calls = AtomicUsize::new(0);
-        par_task_queue("test_queue", 0, 1, |_, _| {
+        par_task_queue("test_queue", 0, 1, || (), |_, _, ()| {
             calls.fetch_add(1, Ordering::SeqCst);
         });
         assert_eq!(calls.load(Ordering::SeqCst), 0);

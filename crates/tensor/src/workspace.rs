@@ -26,9 +26,11 @@
 //! Checkouts are **disjoint by construction** — `pop` removes the buffer
 //! from the pool under the lock, so two live guards can never alias, even
 //! across threads. The GEMM tile-grid scheduler leans on this: every
-//! worker in the team leases its own A-panel buffer for its whole
-//! lifetime while the shared B panel and other threads' checkouts churn
-//! through the same pool concurrently.
+//! worker in the team holds its own A-panel lease for its whole lifetime
+//! (the calling thread takes the team's leases before the team starts, so
+//! how many are out at once is a function of shape and team size) while
+//! the shared B panel and other threads' checkouts churn through the
+//! same pool concurrently.
 //!
 //! Checkout hits/misses, bytes reused and the pooled-bytes high-water mark
 //! are reported to `metalora_obs` (visible in `RUNLOG_*.json` under

@@ -16,6 +16,11 @@
 //! cross the NC column-group boundary), interleaved with arena reuse, must
 //! stay bitwise-equal to the reference serial run, and the obs tallies must
 //! show exactly one B pack per GEMM with claims covering the whole grid.
+//!
+//! Packing itself is pinned to its definition: for each operand, each
+//! stride class (as stored — the run-copy paths — and transposed) and both
+//! storages, the packed panel equals the per-element formula in
+//! `pack_a` / `pack_b`'s doc comments, element for element.
 
 use metalora_tensor::ops::{
     bmm, bmm_transpose_a, bmm_transpose_b, gemm, matmul, matmul_transpose_a, matmul_transpose_b,
@@ -224,6 +229,87 @@ proptest! {
         let a = rand_t(&[m, k], seed);
         let b = rand_t(&[k, n], seed + 1);
         assert_thread_sweep(&[7, 1, 4, 2, 7, 3, 1, 2], || matmul(&a, &b).unwrap());
+    }
+}
+
+/// Where the doc comments of [`microkernel::pack_b`] / [`microkernel::pack_a`]
+/// put element `(kk, c)` of a packed operand `k` deep and `extent` columns
+/// (`B`, `tile = NR`) or rows (`A`, `tile = MR`) wide: KC tile `kb` starts
+/// at `kb·extent` and holds the full `[kc×tile]` register tiles, then one
+/// ragged `[kc×(extent % tile)]` tile.
+fn panel_index(extent: usize, tile: usize, k: usize, kk: usize, c: usize) -> usize {
+    let kb = kk - kk % microkernel::KC;
+    let kc = (kb + microkernel::KC).min(k) - kb;
+    let full = extent - extent % tile;
+    if c < full {
+        kb * extent + (c / tile) * tile * kc + (kk - kb) * tile + c % tile
+    } else {
+        kb * extent + full * kc + (kk - kb) * (extent - full) + (c - full)
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// `pack_b` ≡ its definition, element for element, for `B` as stored
+    /// (`cs == 1`, the run-copy class) and transposed (`ks == 1`), from
+    /// f32 and from bf16 storage: ragged `n % NR`, `k` across `KC` tiles
+    /// (and `k = 0`), a non-zero `base`.
+    #[test]
+    fn pack_b_is_its_definition(
+        k in 0usize..300,
+        n in 1usize..40,
+        base in 0usize..7,
+        transposed in 0usize..2,
+        seed in 0u64..1000,
+    ) {
+        use metalora_tensor::bf16::{bf16_to_f32, f32_to_bf16};
+        let (ks, cs) = if transposed == 1 { (1, k) } else { (n, 1) };
+        let stored = rand_t(&[base + k * n], seed);
+        let halves: Vec<u16> = stored.data().iter().map(|&v| f32_to_bf16(v)).collect();
+        let mut from_f32 = vec![f32::NAN; k * n];
+        let mut from_bf16 = vec![f32::NAN; k * n];
+        microkernel::pack_b(stored.data(), base, k, n, ks, cs, &mut from_f32);
+        microkernel::pack_b_bf16(&halves, base, k, n, ks, cs, &mut from_bf16);
+        for kk in 0..k {
+            for j in 0..n {
+                let (src, at) = (base + kk * ks + j * cs, panel_index(n, microkernel::NR, k, kk, j));
+                prop_assert_eq!(from_f32[at].to_bits(), stored.data()[src].to_bits());
+                prop_assert_eq!(from_bf16[at].to_bits(), bf16_to_f32(halves[src]).to_bits());
+            }
+        }
+    }
+
+    /// `pack_a` ≡ its definition for `A` as stored (`ks == 1`) and
+    /// transposed (`rs == 1`), f32 and bf16: a window of `rows` rows
+    /// starting at `first` inside a taller operand, ragged `rows % MR`,
+    /// `k` across `KC` tiles (and `k = 0`), a non-zero `base`.
+    #[test]
+    fn pack_a_is_its_definition(
+        rows in 1usize..11,
+        first in 0usize..4,
+        k in 0usize..300,
+        base in 0usize..7,
+        transposed in 0usize..2,
+        seed in 0u64..1000,
+    ) {
+        use metalora_tensor::bf16::{bf16_to_f32, f32_to_bf16};
+        let m = first + rows + 1;
+        let (rs, ks) = if transposed == 1 { (1, m) } else { (k, 1) };
+        let stored = rand_t(&[base + m * k], seed);
+        let halves: Vec<u16> = stored.data().iter().map(|&v| f32_to_bf16(v)).collect();
+        let mut from_f32 = vec![f32::NAN; rows * k];
+        let mut from_bf16 = vec![f32::NAN; rows * k];
+        microkernel::pack_a(stored.data(), base, first, rows, k, rs, ks, &mut from_f32);
+        microkernel::pack_a_bf16(&halves, base, first, rows, k, rs, ks, &mut from_bf16);
+        for r in 0..rows {
+            for kk in 0..k {
+                let src = base + (first + r) * rs + kk * ks;
+                let at = panel_index(rows, microkernel::MR, k, kk, r);
+                prop_assert_eq!(from_f32[at].to_bits(), stored.data()[src].to_bits());
+                prop_assert_eq!(from_bf16[at].to_bits(), bf16_to_f32(halves[src]).to_bits());
+            }
+        }
     }
 }
 

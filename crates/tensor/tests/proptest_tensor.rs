@@ -110,6 +110,35 @@ proptest! {
     }
 
     #[test]
+    fn permute_is_the_elementwise_definition_bitwise(
+        // Rank 1–5; extents 0–4 reach empty and extent-1 axes.
+        dims in prop::collection::vec(0usize..=4, 1..=5),
+        seed in 0u64..1000,
+    ) {
+        use rand::seq::SliceRandom;
+        let mut rng = metalora_tensor::init::rng(seed);
+        let mut perm: Vec<usize> = (0..dims.len()).collect();
+        perm.shuffle(&mut rng);
+        // Distinct integers: a misplaced element cannot go unnoticed.
+        let n: usize = dims.iter().product();
+        let t = Tensor::arange(0.0, 1.0, n).reshape(&dims).unwrap();
+        let p = permute(&t, &perm).unwrap();
+        let out_dims: Vec<usize> = perm.iter().map(|&a| dims[a]).collect();
+        prop_assert_eq!(p.dims(), &out_dims[..]);
+        // out[o_0, …, o_{r-1}] = in[i] with i[perm[k]] = o_k.
+        let (in_shape, out_shape) = (Shape::new(&dims), Shape::new(&out_dims));
+        for (flat, got) in p.data().iter().enumerate() {
+            let o = out_shape.multi_index(flat).unwrap();
+            let mut i = vec![0usize; dims.len()];
+            for (k, &axis) in perm.iter().enumerate() {
+                i[axis] = o[k];
+            }
+            let want = t.data()[in_shape.flat_index(&i).unwrap()];
+            prop_assert_eq!(got.to_bits(), want.to_bits());
+        }
+    }
+
+    #[test]
     fn contract_fast_matches_naive(
         a_dims in prop::collection::vec(1usize..4, 2..=3),
         b0 in 1usize..4, seed in 0u64..1000,
