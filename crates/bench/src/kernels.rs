@@ -10,7 +10,7 @@ use metalora::report::render_table;
 use metalora_data::knn::{Distance, KnnClassifier};
 use metalora_tensor::conv::{conv2d, ConvSpec};
 use metalora_tensor::ops::{GemmDesc, KernelPath};
-use metalora_tensor::{init, ops, par, workspace, Bf16Buf, Tensor};
+use metalora_tensor::{init, ops, par, workspace, Tensor};
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
@@ -31,37 +31,6 @@ pub struct KernelPoint {
     pub speedup_vs_1: f64,
     /// Output identical to the legacy single-thread run, bit for bit.
     pub bitwise_equal_to_serial: bool,
-}
-
-/// One bf16-GEMM measurement against its f32 twin at the same shape and
-/// thread count. Storage is bf16 end to end (A, B, and the stored C),
-/// accumulation is f32, so `bytes_moved` is a *deterministic* function of
-/// the shape — 2 bytes/element vs 4 — and the regress gate holds the
-/// ratio to the report's `bf16_bytes_ceiling`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct Bf16KernelPoint {
-    /// Kernel label with its problem size (`"bf16 matmul 384x384x384"`).
-    pub kernel: String,
-    /// Worker count the point ran with.
-    pub threads: usize,
-    /// Best-of-reps wall time.
-    pub best_ms: f64,
-    /// Throughput at `best_ms`.
-    pub gflops: f64,
-    /// Matched f32 packed point's `best_ms` (same shape, same threads).
-    pub f32_best_ms: f64,
-    /// `f32_best_ms / best_ms` — how the halved streaming pays off.
-    pub speedup_vs_f32: f64,
-    /// Bytes the bf16 GEMM moves for one call (obs counter delta, with
-    /// `C` counted at the 2 bytes/element the bench stores it at).
-    pub bytes_moved: u64,
-    /// Bytes the f32 GEMM moves for the same call.
-    pub f32_bytes_moved: u64,
-    /// `bytes_moved / f32_bytes_moved` — gated at `bf16_bytes_ceiling`.
-    pub bytes_ratio: f64,
-    /// Output bitwise-equal to the f32 GEMM of the widened operands,
-    /// rounded once — the mixed-precision contract, at every thread count.
-    pub matches_widened_f32: bool,
 }
 
 /// One fused-epilogue GEMM measurement against the separate-pass run at
@@ -165,10 +134,6 @@ pub struct KernelReport {
     pub scale: String,
     pub simd_level: String,
     pub points: Vec<KernelPoint>,
-    /// Regress-gate ceiling for `bytes_ratio` of the bf16 GEMM points.
-    pub bf16_bytes_ceiling: f64,
-    /// bf16 GEMM points.
-    pub bf16_points: Vec<Bf16KernelPoint>,
     /// Regress-gate floor for `speedup_vs_unfused` of fused points at
     /// t = 1.
     pub fused_floor: f64,
@@ -198,17 +163,6 @@ fn bitwise_eq(a: &Tensor, b: &Tensor) -> bool {
             .iter()
             .zip(b.data())
             .all(|(x, y)| x.to_bits() == y.to_bits())
-}
-
-/// Cumulative `bytes_moved` of the matmul kernel counter — deltas around
-/// single calls give the per-call traffic of each precision.
-fn matmul_bytes_moved() -> u64 {
-    metalora_obs::counters::snapshot()
-        .kernels
-        .iter()
-        .find(|k| k.kernel == "matmul")
-        .map(|k| k.bytes_moved)
-        .unwrap_or(0)
 }
 
 /// Cumulative separate-epilogue output passes (obs counter) — deltas
@@ -330,52 +284,6 @@ pub fn run(quick: bool) -> KernelReport {
         },
     );
 
-    // bf16 GEMM at the matmul shape (packed, as production dispatches
-    // it): both operands stored bf16, and the bench narrows the f32
-    // result so C is stored bf16 too. Reference is the mixed-precision
-    // contract itself: f32 GEMM of the widened operands, rounded to bf16
-    // once — every thread count must reproduce it bit for bit. Byte
-    // traffic is counted once per precision (it does not depend on the
-    // thread count); the GEMM's counter sees its f32 output, so the
-    // narrowed store swaps those 4 bytes/element for 2.
-    let mm_name = format!("matmul {mm_dim}x{mm_dim}x{mm_dim}");
-    let a16 = Bf16Buf::from_tensor(&a);
-    let b16 = Bf16Buf::from_tensor(&b);
-    let bf16_call = || Bf16Buf::from_tensor(&ops::gemm(&GemmDesc::new(&a16, &b16)).unwrap());
-    par::set_num_threads(1);
-    let widened_ref =
-        Bf16Buf::from_tensor(&ops::matmul(&a16.widen(), &b16.widen()).unwrap());
-    let before = matmul_bytes_moved();
-    let c16 = bf16_call();
-    let mid = matmul_bytes_moved();
-    let _ = ops::matmul(&a, &b).unwrap();
-    let after = matmul_bytes_moved();
-    let (bf16_bytes, f32_bytes) = (mid - before - 2 * c16.len() as u64, after - mid);
-    let mut bf16_points = Vec::new();
-    for &t in &threads {
-        par::set_num_threads(t);
-        let (best, out) = time_ms(reps, bf16_call);
-        let f32_best = points
-            .iter()
-            .find(|p| p.kernel == mm_name && p.path == "packed" && p.threads == t)
-            .map(|p| p.best_ms)
-            .unwrap_or(f64::NAN);
-        bf16_points.push(Bf16KernelPoint {
-            kernel: format!("bf16 {mm_name}"),
-            threads: t,
-            best_ms: best,
-            gflops: mm_flops / (best * 1e6),
-            f32_best_ms: f32_best,
-            speedup_vs_f32: f32_best / best,
-            bytes_moved: bf16_bytes,
-            f32_bytes_moved: f32_bytes,
-            bytes_ratio: bf16_bytes as f64 / f32_bytes as f64,
-            matches_widened_f32: out.dims() == widened_ref.dims()
-                && out.data() == widened_ref.data(),
-        });
-    }
-    par::set_num_threads(0);
-
     // Fused-epilogue GEMM at the matmul shape: bias + GELU folded into
     // the GEMM's C store vs `matmul` followed by the separate
     // `epilogue_pass` (add, then map). The unfused run is also the bitwise
@@ -397,7 +305,7 @@ pub fn run(quick: bool) -> KernelReport {
         let (ms, out) = time_ms(reps, fused_call);
         let fused_passes = output_passes() - p1; // across all calls
         fused_points.push(FusedKernelPoint {
-            kernel: format!("fused {mm_name} bias+gelu"),
+            kernel: format!("fused matmul {mm_dim}x{mm_dim}x{mm_dim} bias+gelu"),
             threads: t,
             best_ms: ms,
             unfused_best_ms: unfused_ms,
@@ -459,26 +367,6 @@ pub fn run(quick: bool) -> KernelReport {
         })
         .collect();
     println!("{}", render_table(&headers, &rows));
-    let headers16: Vec<String> =
-        ["kernel", "threads", "best ms", "GFLOP/s", "vs f32", "bytes ratio", "widened eq"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-    let rows16: Vec<Vec<String>> = bf16_points
-        .iter()
-        .map(|p| {
-            vec![
-                p.kernel.clone(),
-                p.threads.to_string(),
-                format!("{:.3}", p.best_ms),
-                format!("{:.2}", p.gflops),
-                format!("{:.2}x", p.speedup_vs_f32),
-                format!("{:.3}", p.bytes_ratio),
-                p.matches_widened_f32.to_string(),
-            ]
-        })
-        .collect();
-    println!("{}", render_table(&headers16, &rows16));
     let headers_f: Vec<String> = [
         "kernel", "threads", "best ms", "unfused ms", "vs unfused", "passes", "bitwise",
     ]
@@ -515,10 +403,6 @@ pub fn run(quick: bool) -> KernelReport {
         "kernel output diverged from the legacy serial run"
     );
     assert!(
-        bf16_points.iter().all(|p| p.matches_widened_f32),
-        "bf16 GEMM diverged from the round-once widened-f32 reference"
-    );
-    assert!(
         fused_points.iter().all(|p| p.bitwise_equal_to_unfused),
         "fused epilogue diverged from the separate-pass output"
     );
@@ -534,8 +418,6 @@ pub fn run(quick: bool) -> KernelReport {
         scale: if quick { "quick" } else { "standard" }.to_string(),
         simd_level: simd,
         points,
-        bf16_bytes_ceiling: 0.55,
-        bf16_points,
         fused_floor: 0.95,
         fused_points,
         sweep_counters,
@@ -565,19 +447,6 @@ mod tests {
                 gflops: 2.8,
                 speedup_vs_1: 1.9,
                 bitwise_equal_to_serial: true,
-            }],
-            bf16_bytes_ceiling: 0.55,
-            bf16_points: vec![Bf16KernelPoint {
-                kernel: "bf16 matmul 128x128x128".into(),
-                threads: 2,
-                best_ms: 1.1,
-                gflops: 3.8,
-                f32_best_ms: 1.5,
-                speedup_vs_f32: 1.5 / 1.1,
-                bytes_moved: 98_304,
-                f32_bytes_moved: 196_608,
-                bytes_ratio: 0.5,
-                matches_widened_f32: true,
             }],
             fused_floor: 0.95,
             fused_points: vec![FusedKernelPoint {
@@ -622,10 +491,6 @@ mod tests {
         let back: KernelReport = serde_json::from_str(&json).unwrap();
         assert_eq!(back.scale, "quick");
         assert_eq!(back.points.len(), 1);
-        assert_eq!(back.bf16_points.len(), 1);
-        assert!((back.bf16_points[0].bytes_ratio - 0.5).abs() < 1e-12);
-        assert!(back.bf16_points[0].matches_widened_f32);
-        assert!((back.bf16_bytes_ceiling - 0.55).abs() < 1e-12);
         assert_eq!(back.fused_points.len(), 1);
         assert_eq!(back.fused_points[0].fused_output_passes, 0);
         assert_eq!(back.fused_points[0].unfused_output_passes, 2);

@@ -6,13 +6,11 @@
 //!
 //! * **Deterministic facts gate exactly.** Bitwise correctness flags, the
 //!   presence of every baseline point, the counter and dispatch totals
-//!   (calls, flops, packed/legacy, the serial/parallel split), the bf16
-//!   per-call `bytes_moved`, the `bytes_ratio ≤ bf16_bytes_ceiling` claim
-//!   and the fused run's zero separate output passes are fixed functions
-//!   of the swept shapes: any difference is a violation. The bf16 and
-//!   fused bitwise contracts travel *inside* each point
-//!   (`matches_widened_f32`, `bitwise_equal_to_unfused`, checked against
-//!   their references at run time), not across runs.
+//!   (calls, flops, packed/legacy, the serial/parallel split) and the
+//!   fused run's zero separate output passes are fixed functions of the
+//!   swept shapes: any difference is a violation. The fused bitwise
+//!   contract travels *inside* each point (`bitwise_equal_to_unfused`,
+//!   checked against its reference at run time), not across runs.
 //! * **Within-run ratios gate against the baseline's floors.** A ratio
 //!   of two timings from the same run is immune to host speed: the
 //!   fused-vs-unfused ratio must reach `fused_floor` at `t = 1` (above
@@ -121,53 +119,6 @@ pub fn compare(baseline: &KernelReport, fresh: &KernelReport) -> Comparison {
             cmp.warnings.push(format!(
                 "new point not in baseline: {} / {} / t={} (refresh BENCH_kernels.json)",
                 fresh_pt.kernel, fresh_pt.path, fresh_pt.threads
-            ));
-        }
-    }
-
-    // bf16 GEMM points: the widened-f32 contract, the per-call byte
-    // traffic and the bytes ratio are deterministic and always gate.
-    for base_pt in &baseline.bf16_points {
-        let Some(fresh_pt) = fresh
-            .bf16_points
-            .iter()
-            .find(|p| p.kernel == base_pt.kernel && p.threads == base_pt.threads)
-        else {
-            cmp.violations.push(format!(
-                "bf16 missing point: {} / t={} is in the baseline but not in the fresh run",
-                base_pt.kernel, base_pt.threads
-            ));
-            continue;
-        };
-        if !fresh_pt.matches_widened_f32 {
-            cmp.violations.push(format!(
-                "bf16 correctness: {} / t={} no longer matches the round-once widened-f32 reference",
-                fresh_pt.kernel, fresh_pt.threads
-            ));
-        }
-        if fresh_pt.bytes_moved != base_pt.bytes_moved {
-            cmp.violations.push(format!(
-                "bf16 bytes drift: {} / t={} moved {} bytes vs baseline {} — storage widths changed",
-                base_pt.kernel, base_pt.threads, fresh_pt.bytes_moved, base_pt.bytes_moved
-            ));
-        }
-        if fresh_pt.bytes_ratio > baseline.bf16_bytes_ceiling {
-            cmp.violations.push(format!(
-                "bf16 bytes ratio: {} / t={} moves {:.3}x the f32 bytes, ceiling is {:.2}x",
-                fresh_pt.kernel, fresh_pt.threads, fresh_pt.bytes_ratio,
-                baseline.bf16_bytes_ceiling
-            ));
-        }
-    }
-    for fresh_pt in &fresh.bf16_points {
-        let known = baseline
-            .bf16_points
-            .iter()
-            .any(|p| p.kernel == fresh_pt.kernel && p.threads == fresh_pt.threads);
-        if !known {
-            cmp.warnings.push(format!(
-                "bf16 new point not in baseline: {} / t={} (refresh BENCH_kernels.json)",
-                fresh_pt.kernel, fresh_pt.threads
             ));
         }
     }
@@ -286,7 +237,7 @@ pub fn compare(baseline: &KernelReport, fresh: &KernelReport) -> Comparison {
 mod tests {
     use super::*;
     use crate::kernels::{
-        ArenaStats, Bf16KernelPoint, CounterTotals, DispatchTotals, FusedKernelPoint, KernelPoint,
+        ArenaStats, CounterTotals, DispatchTotals, FusedKernelPoint, KernelPoint,
     };
 
     fn arena() -> ArenaStats {
@@ -302,21 +253,6 @@ mod tests {
             gflops: 1.0,
             speedup_vs_1: if threads > 1 { 2.5 } else { 1.0 },
             bitwise_equal_to_serial: true,
-        }
-    }
-
-    fn bf16_point(threads: usize, best_ms: f64) -> Bf16KernelPoint {
-        Bf16KernelPoint {
-            kernel: "bf16 matmul 128x128x128".into(),
-            threads,
-            best_ms,
-            gflops: 1.0,
-            f32_best_ms: 1.0,
-            speedup_vs_f32: 1.0 / best_ms,
-            bytes_moved: 98_304,
-            f32_bytes_moved: 196_608,
-            bytes_ratio: 0.5,
-            matches_widened_f32: true,
         }
     }
 
@@ -341,8 +277,6 @@ mod tests {
             scale: "quick".into(),
             simd_level: "avx2".into(),
             points: vec![point("legacy", 1, 2.0), point("packed", 1, 1.0), point("packed", 4, 0.4)],
-            bf16_bytes_ceiling: 0.55,
-            bf16_points: vec![bf16_point(1, 0.8), bf16_point(4, 0.3)],
             fused_floor: 0.95,
             fused_points: vec![fused_point(1, 1.2), fused_point(4, 1.1)],
             sweep_counters: vec![
@@ -453,40 +387,6 @@ mod tests {
         let cmp = compare(&report(), &fresh);
         assert!(cmp.passed());
         assert!(cmp.warnings.iter().any(|w| w.contains("arena hit rate")));
-    }
-
-    // --- bf16 gates -------------------------------------------------
-
-    #[test]
-    fn bf16_contract_break_and_missing_point_fail() {
-        let mut fresh = report();
-        fresh.bf16_points[1].matches_widened_f32 = false; // even at t>1
-        let cmp = compare(&report(), &fresh);
-        assert!(cmp.violations.iter().any(|v| v.starts_with("bf16 correctness:")), "{:?}", cmp.violations);
-
-        let mut fresh = report();
-        fresh.bf16_points.remove(0);
-        let cmp = compare(&report(), &fresh);
-        assert!(cmp.violations.iter().any(|v| v.starts_with("bf16 missing point:")));
-    }
-
-    #[test]
-    fn bf16_bytes_ratio_over_ceiling_fails() {
-        let mut fresh = report();
-        // Same bytes as baseline (no drift) but the ratio claim broke —
-        // e.g. the f32 side got cheaper.
-        fresh.bf16_points[0].bytes_ratio = 0.75;
-        let cmp = compare(&report(), &fresh);
-        assert!(!cmp.passed());
-        assert!(cmp.violations.iter().any(|v| v.starts_with("bf16 bytes ratio:")), "{:?}", cmp.violations);
-    }
-
-    #[test]
-    fn bf16_bytes_drift_fails() {
-        let mut fresh = report();
-        fresh.bf16_points[0].bytes_moved = 196_608; // someone widened storage
-        let cmp = compare(&report(), &fresh);
-        assert!(cmp.violations.iter().any(|v| v.starts_with("bf16 bytes drift:")), "{:?}", cmp.violations);
     }
 
     // --- fused-epilogue gates ----------------------------------------

@@ -15,26 +15,20 @@
 use crate::Result;
 use metalora_autograd::gelu_fwd;
 use metalora_tensor::conv::{self, ConvSpec};
-use metalora_tensor::ops::{Activation, GemmDesc, Operand};
+use metalora_tensor::ops::{Activation, GemmDesc};
 use metalora_tensor::{ops, Tensor};
 
 /// Dense layer `act(x·W (+ b))` for `x:[N,I]`, `w:[I,O]`, `bias:[O]`.
 ///
 /// The single linear entry: the bias add and activation ride the GEMM's
 /// store ([`ops::Epilogue`]) — bitwise identical to separate passes and
-/// to a tape forward through [`metalora_autograd::Graph`]. The weight's
-/// storage is data: against a bf16 snapshot the weights stream at half
-/// the bytes (widened exactly, f32 accumulation), so the result is
-/// **bitwise** the f32 call on `w.widen()` — the only deviation from a
-/// pure-f32 forward is the one-time RNE rounding taken when `w` was
-/// snapshot (relative ≤ 2⁻⁸ per weight).
-pub fn linear_act<'a>(
+/// to a tape forward through [`metalora_autograd::Graph`].
+pub fn linear_act(
     x: &Tensor,
-    w: impl Into<Operand<'a>>,
+    w: &Tensor,
     bias: Option<&Tensor>,
     act: Option<Activation>,
 ) -> Result<Tensor> {
-    let w: Operand = w.into();
     ops::gemm(&GemmDesc::new(x, w).epilogue(bias, act))
 }
 
@@ -46,21 +40,15 @@ pub fn linear(x: &Tensor, w: &Tensor, bias: Option<&Tensor>) -> Result<Tensor> {
 }
 
 /// Convolution `act(x * W (+ b))` for `x:[N,C,H,W]`, `w:[KH,KW,C,O]`,
-/// `bias:[O]` — the conv twin of [`linear_act`]. Conv kernels are tiny
-/// next to the im2col activations, so a bf16 kernel snapshot is widened
-/// up front (exact) and runs the f32 conv — the storage saving is the
-/// point (snapshots, caches), not the kernel's streaming bytes.
-pub fn conv2d_act<'a>(
+/// `bias:[O]` — the conv twin of [`linear_act`].
+pub fn conv2d_act(
     x: &Tensor,
-    w: impl Into<Operand<'a>>,
+    w: &Tensor,
     bias: Option<&Tensor>,
     act: Option<Activation>,
     spec: ConvSpec,
 ) -> Result<Tensor> {
-    match w.into() {
-        Operand::F32(w) => conv::conv2d_bias_act(x, w, bias, act, spec, spec),
-        Operand::Bf16(w) => conv::conv2d_bias_act(x, &w.widen(), bias, act, spec, spec),
-    }
+    conv::conv2d_bias_act(x, w, bias, act, spec, spec)
 }
 
 /// Convolution `x * W (+ b)` — the tape-free twin of [`crate::Conv2d`]'s
@@ -92,7 +80,7 @@ mod tests {
     use super::*;
     use crate::{Conv2d, Ctx, Linear, Module};
     use metalora_autograd::Graph;
-    use metalora_tensor::{init, Bf16Buf};
+    use metalora_tensor::init;
 
     fn bits(t: &Tensor) -> Vec<u32> {
         t.data().iter().map(|v| v.to_bits()).collect()
@@ -153,41 +141,6 @@ mod tests {
     }
 
     #[test]
-    fn bf16_linear_is_bitwise_linear_on_widened_weights() {
-        let mut rng = init::rng(15);
-        let layer = Linear::new("fc", 9, 6, &mut rng);
-        let x = init::uniform(&[5, 9], -1.0, 1.0, &mut rng);
-        let w16 = Bf16Buf::from_tensor(&layer.weight().value());
-        let bias = layer.bias().map(|b| b.value());
-        let got = linear_act(&x, &w16, bias.as_ref(), None).unwrap();
-        let expect = linear(&x, &w16.widen(), bias.as_ref()).unwrap();
-        assert_eq!(bits(&got), bits(&expect));
-        // And vs the f32 weights the snapshot came from, the error is the
-        // storage rounding only: bounded by 2^-8 relative per weight,
-        // accumulated over the k=9 contraction.
-        let f32_out = linear(&x, &layer.weight().value(), bias.as_ref()).unwrap();
-        let worst = got
-            .data()
-            .iter()
-            .zip(f32_out.data())
-            .map(|(a, b)| (a - b).abs())
-            .fold(0.0f32, f32::max);
-        assert!(worst <= 9.0 * 2.0f32.powi(-8), "worst abs err {worst}");
-    }
-
-    #[test]
-    fn bf16_conv2d_is_bitwise_conv2d_on_widened_kernel() {
-        let mut rng = init::rng(16);
-        let layer = Conv2d::new("c", 3, 4, 3, 1, 1, &mut rng).unwrap();
-        let x = init::uniform(&[2, 3, 5, 5], -1.0, 1.0, &mut rng);
-        let w16 = Bf16Buf::from_tensor(&layer.weight().value());
-        let bias = layer.bias().map(|b| b.value());
-        let got = conv2d_act(&x, &w16, bias.as_ref(), None, layer.spec()).unwrap();
-        let expect = conv2d(&x, &w16.widen(), bias.as_ref(), layer.spec()).unwrap();
-        assert_eq!(bits(&got), bits(&expect));
-    }
-
-    #[test]
     fn linear_act_is_bitwise_linear_then_activation() {
         let mut rng = init::rng(17);
         let layer = Linear::new("fc", 7, 5, &mut rng);
@@ -200,18 +153,6 @@ mod tests {
         let fused = linear_act(&x, &w, bias.as_ref(), Some(Activation::Tanh)).unwrap();
         let sep = tanh(&linear(&x, &w, bias.as_ref()).unwrap());
         assert_eq!(bits(&fused), bits(&sep));
-    }
-
-    #[test]
-    fn bf16_linear_act_is_bitwise_widened_linear_act() {
-        let mut rng = init::rng(18);
-        let layer = Linear::new("fc", 9, 6, &mut rng);
-        let x = init::uniform(&[5, 9], -1.0, 1.0, &mut rng);
-        let w16 = Bf16Buf::from_tensor(&layer.weight().value());
-        let bias = layer.bias().map(|b| b.value());
-        let got = linear_act(&x, &w16, bias.as_ref(), Some(Activation::Gelu)).unwrap();
-        let expect = linear_act(&x, &w16.widen(), bias.as_ref(), Some(Activation::Gelu)).unwrap();
-        assert_eq!(bits(&got), bits(&expect));
     }
 
     #[test]

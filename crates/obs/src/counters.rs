@@ -87,10 +87,6 @@ static WS_BYTES_REUSED: AtomicU64 = AtomicU64::new(0);
 static WS_POOLED_BYTES: AtomicI64 = AtomicI64::new(0);
 static PEAK_WS_POOLED_BYTES: AtomicI64 = AtomicI64::new(0);
 
-static BF16_SNAPSHOTS: AtomicU64 = AtomicU64::new(0);
-static BF16_ACTUAL_BYTES: AtomicU64 = AtomicU64::new(0);
-static BF16_F32_EQUIV_BYTES: AtomicU64 = AtomicU64::new(0);
-
 static FUSED_EPILOGUES: AtomicU64 = AtomicU64::new(0);
 static FUSED_ELEMS: AtomicU64 = AtomicU64::new(0);
 static OUTPUT_PASSES: AtomicU64 = AtomicU64::new(0);
@@ -208,19 +204,6 @@ pub fn record_workspace_pooled(delta_bytes: i64) {
             Err(p) => peak = p,
         }
     }
-}
-
-/// Records one f32 → bf16 narrowing snapshot of `elems` values: the
-/// buffer now occupies `2·elems` bytes where the f32 original would have
-/// taken `4·elems` — the difference is the storage the bf16 path saved.
-#[inline]
-pub fn record_bf16_snapshot(elems: u64) {
-    if !crate::enabled() {
-        return;
-    }
-    BF16_SNAPSHOTS.fetch_add(1, Relaxed);
-    BF16_ACTUAL_BYTES.fetch_add(2 * elems, Relaxed);
-    BF16_F32_EQUIV_BYTES.fetch_add(4 * elems, Relaxed);
 }
 
 /// Records one GEMM whose epilogue (bias add and/or activation) was fused
@@ -395,13 +378,6 @@ pub struct CounterSnapshot {
     pub workspace_pooled_bytes: u64,
     /// High-water mark of bytes idling in the workspace pool.
     pub peak_workspace_pooled_bytes: u64,
-    /// f32 → bf16 narrowing snapshots taken.
-    pub bf16_snapshots: u64,
-    /// Bytes actually occupied by bf16 snapshots (2 per element).
-    pub bf16_actual_bytes: u64,
-    /// Bytes the same snapshots would occupy in f32 (4 per element);
-    /// `bf16_f32_equiv_bytes - bf16_actual_bytes` is the storage saved.
-    pub bf16_f32_equiv_bytes: u64,
     /// GEMMs whose bias/activation epilogue was fused into the store.
     pub fused_epilogues: u64,
     /// Output elements the fused epilogues covered.
@@ -469,9 +445,6 @@ pub fn snapshot() -> CounterSnapshot {
         workspace_bytes_reused: WS_BYTES_REUSED.load(Relaxed),
         workspace_pooled_bytes: WS_POOLED_BYTES.load(Relaxed).max(0) as u64,
         peak_workspace_pooled_bytes: PEAK_WS_POOLED_BYTES.load(Relaxed).max(0) as u64,
-        bf16_snapshots: BF16_SNAPSHOTS.load(Relaxed),
-        bf16_actual_bytes: BF16_ACTUAL_BYTES.load(Relaxed),
-        bf16_f32_equiv_bytes: BF16_F32_EQUIV_BYTES.load(Relaxed),
         fused_epilogues: FUSED_EPILOGUES.load(Relaxed),
         fused_elems: FUSED_ELEMS.load(Relaxed),
         output_passes: OUTPUT_PASSES.load(Relaxed),
@@ -512,9 +485,6 @@ pub fn reset() {
     WS_BYTES_REUSED.store(0, Relaxed);
     WS_POOLED_BYTES.store(0, Relaxed);
     PEAK_WS_POOLED_BYTES.store(0, Relaxed);
-    BF16_SNAPSHOTS.store(0, Relaxed);
-    BF16_ACTUAL_BYTES.store(0, Relaxed);
-    BF16_F32_EQUIV_BYTES.store(0, Relaxed);
     FUSED_EPILOGUES.store(0, Relaxed);
     FUSED_ELEMS.store(0, Relaxed);
     OUTPUT_PASSES.store(0, Relaxed);
@@ -679,21 +649,6 @@ mod tests {
         crate::set_enabled(true);
         assert_eq!(snapshot().telemetry_requests, 2);
         assert_eq!(snapshot().tail_attributions, 1);
-    }
-
-    #[test]
-    fn bf16_counters_accumulate_and_respect_toggle() {
-        let _g = lock();
-        record_bf16_snapshot(100);
-        record_bf16_snapshot(28);
-        let snap = snapshot();
-        assert_eq!(snap.bf16_snapshots, 2);
-        assert_eq!(snap.bf16_actual_bytes, 256);
-        assert_eq!(snap.bf16_f32_equiv_bytes, 512);
-        crate::set_enabled(false);
-        record_bf16_snapshot(1_000);
-        crate::set_enabled(true);
-        assert_eq!(snapshot().bf16_actual_bytes, 256);
     }
 
     #[test]

@@ -5,11 +5,11 @@
 //! ([`RunReport::to_json`], [`RunReport::write`]) or rendered for humans
 //! ([`RunReport::summary_table`]).
 //!
-//! ## Schema (`schema_version` 9)
+//! ## Schema (`schema_version` 10)
 //!
 //! ```json
 //! {
-//!   "schema_version": 9,
+//!   "schema_version": 10,
 //!   "name": "table1",
 //!   "spans":   [ {"path": "pretrain", "count": 2, "total_ms": 813.4,
 //!                 "p50_ms": 400.1, "p95_ms": 413.0, "p99_ms": 413.0} ],
@@ -24,8 +24,6 @@
 //!   "serve":   {"requests": 64, "batches": 4, "seed_rows": 40,
 //!               "cache_hits": 50, "cache_misses": 14,
 //!               "cache_evictions": 6, "merges": 14},
-//!   "bf16":    {"snapshots": 14, "actual_bytes": 2048,
-//!               "f32_equiv_bytes": 4096, "bytes_saved": 2048},
 //!   "fusion":  {"fused_epilogues": 9, "fused_elems": 4096,
 //!               "output_passes": 0},
 //!   "telemetry": {"metrics_enabled": true, "clock": "monotonic",
@@ -47,16 +45,18 @@
 //! scheduler tallies (C-tile claims overall and per worker slot, B-panel
 //! pack passes, out-of-sequence "steal" claims); 5 added the `serve`
 //! object (serving-engine request/batch totals, amortised seed rows, and
-//! merged-weight cache hit/miss/eviction/merge counts); 6 added the
-//! `bf16` object (storage snapshots taken, their actual bytes vs the f32
-//! equivalent, and the derived bytes saved); 7 added the `fusion` object
+//! merged-weight cache hit/miss/eviction/merge counts); 6 added a
+//! half-width storage object (snapshots taken, their actual bytes vs the
+//! f32 equivalent, and the derived bytes saved); 7 added the `fusion` object
 //! (fused GEMM epilogues applied and their element counts, separate
 //! epilogue output passes taken, and three static-plan keys); 8 added
 //! the `telemetry` object (live metrics registry stats — labeled series
 //! and windowed families, tail attribution samples — plus the SLO tenant
 //! count and target, the telemetry clock mode, and the process-wide
 //! telemetry request/tail counters); 9 dropped the three plan keys from
-//! `fusion` together with the static-plan layer.
+//! `fusion` together with the static-plan layer; 10 dropped version 6's
+//! object together with the half-width storage it counted — f32 is the
+//! only storage.
 
 use crate::counters::{self, CounterSnapshot};
 use crate::health::{self, HealthRecord};
@@ -68,7 +68,7 @@ use std::path::{Path, PathBuf};
 
 /// Version stamp written into every run log (see the module docs for the
 /// version history).
-pub const SCHEMA_VERSION: u32 = 9;
+pub const SCHEMA_VERSION: u32 = 10;
 
 /// Live-telemetry capsule captured into the report's `telemetry` object.
 #[derive(Debug, Clone)]
@@ -226,14 +226,6 @@ impl RunReport {
             self.counters.serve_cache_misses,
             self.counters.serve_cache_evictions,
             self.counters.serve_merges
-        ));
-        s.push_str(&format!(
-            "  \"bf16\": {{\"snapshots\": {}, \"actual_bytes\": {}, \
-             \"f32_equiv_bytes\": {}, \"bytes_saved\": {}}},\n",
-            self.counters.bf16_snapshots,
-            self.counters.bf16_actual_bytes,
-            self.counters.bf16_f32_equiv_bytes,
-            self.counters.bf16_f32_equiv_bytes - self.counters.bf16_actual_bytes
         ));
         s.push_str(&format!(
             "  \"fusion\": {{\"fused_epilogues\": {}, \"fused_elems\": {}, \
@@ -435,17 +427,6 @@ impl RunReport {
             ));
         }
 
-        if self.counters.bf16_snapshots > 0 {
-            let saved = self.counters.bf16_f32_equiv_bytes - self.counters.bf16_actual_bytes;
-            out.push_str(&format!(
-                "bf16: {} snapshots   {} bytes resident (f32 equivalent {}, saved {})\n",
-                self.counters.bf16_snapshots,
-                self.counters.bf16_actual_bytes,
-                self.counters.bf16_f32_equiv_bytes,
-                saved
-            ));
-        }
-
         if self.counters.fused_epilogues > 0 || self.counters.output_passes > 0 {
             out.push_str(&format!(
                 "fusion: {} fused epilogues ({} elems)   separate output passes: {}\n",
@@ -583,7 +564,6 @@ mod tests {
         counters::record_serve_cache(true);
         counters::record_serve_cache(false);
         counters::record_serve_merge();
-        counters::record_bf16_snapshot(64);
         counters::record_fused_epilogue(48);
         counters::record_output_pass();
         health::record("mapping", 0, 0.42, 0.001, 3.1, 0, 0);
@@ -597,7 +577,7 @@ mod tests {
         let report = RunReport::capture("unit test");
         assert_eq!(report.file_name(), "RUNLOG_unit_test.json");
         let js = report.to_json();
-        assert!(js.contains("\"schema_version\": 9"));
+        assert!(js.contains("\"schema_version\": 10"));
         assert!(js.contains("\"workspace\": {\"hits\": "));
         assert!(js.contains(
             "\"fusion\": {\"fused_epilogues\": 1, \"fused_elems\": 48, \
@@ -607,10 +587,6 @@ mod tests {
             "\"serve\": {\"requests\": 3, \"batches\": 1, \"seed_rows\": 2, \
              \"cache_hits\": 1, \"cache_misses\": 1, \"cache_evictions\": 0, \
              \"merges\": 1}"
-        ));
-        assert!(js.contains(
-            "\"bf16\": {\"snapshots\": 1, \"actual_bytes\": 128, \
-             \"f32_equiv_bytes\": 256, \"bytes_saved\": 128}"
         ));
         assert!(js.contains("\"path\": \"pretrain/epoch0\""));
         assert!(js.contains("\"p50_ms\": "));
@@ -722,7 +698,6 @@ mod tests {
         assert!(text.contains("peak tensor bytes: 4096"));
         assert!(text.contains("serve: 3 requests in 1 batches"));
         assert!(text.contains("cache: 1 hits / 1 misses (50.0%)"));
-        assert!(text.contains("bf16: 1 snapshots   128 bytes resident (f32 equivalent 256, saved 128)"));
         assert!(text.contains("fusion: 1 fused epilogues (48 elems)   separate output passes: 1"));
         assert!(text.contains("health: 1 records over 1 groups   NaN: 0   Inf: 0"));
         assert!(text.contains("0.5000")); // accuracy column

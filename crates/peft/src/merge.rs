@@ -11,7 +11,7 @@
 use crate::meta::{MetaLoraCpLinear, MetaLoraTrLinear};
 use crate::{ConvLora, LoraLinear, Result};
 use metalora_autograd::ParamRef;
-use metalora_tensor::{contract, ops, workspace, Bf16Buf, Tensor, TensorError};
+use metalora_tensor::{contract, ops, workspace, Tensor, TensorError};
 
 fn add_into(weight: &ParamRef, delta: &Tensor) -> Result<()> {
     if weight.dims() != delta.dims() {
@@ -112,18 +112,6 @@ pub fn merge_into(base: &Tensor, delta: &Tensor) -> Result<Tensor> {
     }
     let sums = base.data().iter().zip(delta.data()).map(|(&w, &d)| w + d);
     workspace::tensor_from_iter(base.dims(), sums)
-}
-
-/// [`merge_into`] rounded once to bf16 storage — the serving cache's
-/// half-size entry builder. The merge itself is the identical f32 add;
-/// only the stored result narrows (one RNE rounding per element), so a
-/// cached bf16 weight equals `Bf16Buf::from_tensor(&merge_into(..))`
-/// exactly. The f32 intermediate goes straight back to the arena.
-pub fn merge_into_bf16(base: &Tensor, delta: &Tensor) -> Result<Bf16Buf> {
-    let merged = merge_into(base, delta)?;
-    let out = Bf16Buf::from_tensor(&merged);
-    workspace::recycle(merged);
-    Ok(out)
 }
 
 /// Folds a [`LoraLinear`]'s current delta into the given base weight cell

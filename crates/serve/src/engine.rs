@@ -24,7 +24,7 @@
 //! (paper Eq. 6/7) is per tenant.
 
 use crate::batch::{concat_rows, split_rows, Batcher, Request};
-use crate::cache::{CacheKey, CachedWeight, MergedCache};
+use crate::cache::{CacheKey, MergedCache};
 use crate::forward::{self, MappingSnapshot};
 use crate::store::{AdapterStore, TenantAdapter, TenantEntry, TenantId};
 use crate::telemetry::{self, StageNs};
@@ -34,8 +34,7 @@ use metalora_obs::{registry, window};
 use metalora_peft::meta::MappingNet;
 use metalora_peft::{merge, MultiLoraLinear};
 use metalora_tensor::conv::ConvSpec;
-use metalora_tensor::ops::Storage;
-use metalora_tensor::{bf16, Tensor, TensorError};
+use metalora_tensor::{Tensor, TensorError};
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::ops::Range;
@@ -228,6 +227,10 @@ impl ServeEngine {
     /// bit-reproducible. Timing is passive: outputs are bitwise identical
     /// with telemetry on or off.
     pub fn serve_batch_timed(&self, reqs: &[Request], enq_ns: &[u64]) -> Result<Vec<Tensor>> {
+        // An empty batch is a no-op: no span, counter, series or lock.
+        if reqs.is_empty() {
+            return Ok(Vec::new());
+        }
         let _sp = metalora_obs::span!("serve/batch");
         let tel = registry::enabled();
         let entries: Vec<Arc<TenantEntry>> = reqs
@@ -407,12 +410,7 @@ impl ServeEngine {
         Ok(seeds)
     }
 
-    /// The cached merge `base + ΔW` for `key`, built on a miss. With
-    /// `METALORA_BF16=1` the merge is snapshot to bf16 before caching —
-    /// half the resident bytes (≈2× tenants at equal capacity) and half
-    /// the weight bytes streamed per forward, at the cost of one RNE
-    /// rounding of the merged weight (the factored path stays f32 and
-    /// bitwise-exact regardless of the toggle).
+    /// The cached merge `base + ΔW` for `key`, built on a miss.
     /// `tel`/`stages` attribute the cache lookup (merge included on a
     /// miss) to the `cache` stage when telemetry is on.
     fn merged_weight<D>(
@@ -422,19 +420,12 @@ impl ServeEngine {
         delta: D,
         tel: bool,
         stages: &mut StageNs,
-    ) -> Result<CachedWeight>
+    ) -> Result<Arc<Tensor>>
     where
         D: FnOnce() -> Result<Tensor>,
     {
         let t0 = if tel { window::now_ns() } else { 0 };
-        let storage = if bf16::enabled() { Storage::Bf16 } else { Storage::F32 };
-        let w = self.cache.get_or_insert_weight(key, storage, || {
-            let delta = delta()?;
-            Ok(match storage {
-                Storage::F32 => CachedWeight::F32(Arc::new(merge::merge_into(base, &delta)?)),
-                Storage::Bf16 => CachedWeight::Bf16(Arc::new(merge::merge_into_bf16(base, &delta)?)),
-            })
-        })?;
+        let w = self.cache.get_or_insert(key, || merge::merge_into(base, &delta()?))?;
         if tel {
             stages.cache = window::now_ns().saturating_sub(t0);
         }
@@ -483,8 +474,8 @@ impl ServeEngine {
             };
             let w = self.merged_weight((entry.id, entry.version), base, delta, tel, stages)?;
             return match conv {
-                Some((_, spec)) => infer::conv2d_act(x, w.operand(), self.conv_b.as_ref(), None, spec),
-                None => infer::linear_act(x, w.operand(), self.base_b.as_ref(), None),
+                Some((_, spec)) => infer::conv2d_act(x, &w, self.conv_b.as_ref(), None, spec),
+                None => infer::linear_act(x, &w, self.base_b.as_ref(), None),
             };
         }
         // A pinned seed is tiled over the request's rows; a dynamic tenant
@@ -597,10 +588,7 @@ mod tests {
         let req = Request::new(1, init::uniform(&[2, 4], -1.0, 1.0, &mut rng));
         let ym = em.serve_one(&req).unwrap();
         let yf = ef.serve_one(&req).unwrap();
-        // Under METALORA_BF16=1 the merged weight is rounded to bf16
-        // (relative 2⁻⁸ per element), so the agreement loosens.
-        let tol = if bf16::enabled() { 5e-2 } else { 1e-4 };
-        assert!(metalora_tensor::approx_eq(&ym, &yf, tol));
+        assert!(metalora_tensor::approx_eq(&ym, &yf, 1e-4));
         assert_eq!(em.cache().stats().misses, 1);
         // Second request hits the cache.
         em.serve_one(&req).unwrap();

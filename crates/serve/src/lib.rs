@@ -57,7 +57,7 @@ pub mod telemetry;
 pub mod traffic;
 
 pub use batch::{Batcher, Request};
-pub use cache::{CacheKey, CacheStats, CachedWeight, MergedCache};
+pub use cache::{CacheKey, CacheStats, MergedCache};
 pub use engine::{EngineConfig, ServeEngine};
 pub use store::{AdapterStore, TenantAdapter, TenantEntry, TenantId};
 pub use telemetry::StageNs;

@@ -90,15 +90,13 @@ pub fn record_batch(size: usize) {
     registry::inc("serve_batches_by_size_total", &format!("size={size}"), 1);
 }
 
-/// Mirrors the merged-weight cache accounting into gauges: resident bytes
-/// split by storage precision, resident entries, and cumulative eviction
-/// churn.
+/// Mirrors the merged-weight cache accounting into gauges: resident
+/// bytes, resident entries, and cumulative eviction churn.
 pub fn record_cache(stats: &CacheStats) {
     if !registry::enabled() {
         return;
     }
-    registry::gauge_set("serve_cache_resident_bytes", "kind=f32", stats.bytes_f32 as f64);
-    registry::gauge_set("serve_cache_resident_bytes", "kind=bf16", stats.bytes_bf16 as f64);
+    registry::gauge_set("serve_cache_resident_bytes", "", stats.bytes as f64);
     registry::gauge_set("serve_cache_entries", "", stats.entries as f64);
     registry::gauge_set("serve_cache_eviction_churn", "", stats.evictions as f64);
 }

@@ -12,12 +12,14 @@ use metalora_serve::{CacheStats, MergedCache};
 use metalora_tensor::{init, Tensor};
 use proptest::prelude::*;
 
-/// Every cached tensor is [8, 8] → 256 bytes, so `capacity` entries fit.
-const ENTRY_BYTES: usize = 256;
+/// Every cached tensor is [8, 8]: 64 elements at 4 bytes, so `capacity`
+/// entries fit.
+const ENTRY_ELEMS: usize = 64;
+const ENTRY_BYTES: usize = 4 * ENTRY_ELEMS;
 
 fn tensor_for(tenant: u64, version: u64) -> Tensor {
     Tensor::from_vec(
-        vec![tenant as f32 + version as f32 / 100.0; 64],
+        vec![tenant as f32 + version as f32 / 100.0; ENTRY_ELEMS],
         &[8, 8],
     )
     .unwrap()
@@ -60,9 +62,8 @@ impl ModelLru {
             hits: self.hits,
             misses: self.misses,
             evictions: self.evictions,
-            bytes: (self.keys.len() * ENTRY_BYTES) as u64,
-            bytes_f32: (self.keys.len() * ENTRY_BYTES) as u64,
-            bytes_bf16: 0,
+            // 4 · Σ elements of the resident set.
+            bytes: (4 * self.keys.len() * ENTRY_ELEMS) as u64,
             entries: self.keys.len() as u64,
         }
     }

@@ -12,7 +12,12 @@
 //!   panic, and the engine serves the next batch as if nothing happened;
 //! * a `[0, I]` request returns `[0, O]` and disturbs no neighbour;
 //! * NaN / ±Inf rows stay in their own request: its outputs carry them,
-//!   every neighbour's output is **bitwise** its solo output.
+//!   every neighbour's output is **bitwise** its solo output;
+//! * an empty batch is a no-op: no count moves, no telemetry series is
+//!   minted;
+//! * a merged engine whose cache can hold nothing (zero bytes, or one byte
+//!   short of a single entry) serves every request as a miss, **bitwise**
+//!   what a roomy cache serves, across re-registration.
 
 use metalora_nn::Linear;
 use metalora_peft::meta::MappingNet;
@@ -32,6 +37,10 @@ fn bits(t: &Tensor) -> Vec<u32> {
 /// pinned TR, dynamic CP, dynamic TR. In merged mode ids 0–3 are served
 /// from the cache and ids 4–5 ride the stacked base product.
 fn engine(use_merged: bool, max_batch: usize) -> ServeEngine {
+    engine_with_cache(use_merged, max_batch, 1 << 20)
+}
+
+fn engine_with_cache(use_merged: bool, max_batch: usize, cache_bytes: usize) -> ServeEngine {
     let mut rng = init::rng(91);
     let r = CFG.rank;
     let base = Linear::new("fc", DIM, DIM, &mut rng);
@@ -40,7 +49,7 @@ fn engine(use_merged: bool, max_batch: usize) -> ServeEngine {
     for b in &bank.b {
         b.set_value(init::uniform(&[r, DIM], -0.5, 0.5, &mut rng));
     }
-    let cfg = EngineConfig { max_batch, cache_bytes: 1 << 20, use_merged };
+    let cfg = EngineConfig { max_batch, cache_bytes, use_merged };
     let e = ServeEngine::new(w, bias, cfg)
         .with_bank(&bank)
         .with_mapping_cp(&MappingNet::new("map_cp", DIM, 8, r, &mut rng))
@@ -169,4 +178,65 @@ fn non_finite_rows_stay_in_their_own_request() {
         let got: Vec<Vec<u32>> = e.serve_batch(&valid).unwrap().iter().map(bits).collect();
         assert_eq!(got, expected, "merged = {use_merged}: the batch after the poison");
     }
+}
+
+#[test]
+fn an_empty_batch_is_a_no_op() {
+    use metalora_obs::registry;
+    // Telemetry on, so a `size=0` series would be minted if the batch
+    // were accounted; it is passive for the tests running beside this one.
+    metalora_obs::set_enabled(true);
+    registry::set_enabled(true);
+    for use_merged in [false, true] {
+        let e = engine(use_merged, 16);
+        e.serve_batch(&batch()).unwrap();
+        let before = (e.batch_count(), e.request_count(), e.cache().stats());
+        assert!(e.serve_batch(&[]).unwrap().is_empty(), "merged = {use_merged}");
+        assert!(e.process(&[]).unwrap().is_empty(), "merged = {use_merged}");
+        let after = (e.batch_count(), e.request_count(), e.cache().stats());
+        assert_eq!(after, before, "merged = {use_merged}");
+    }
+    let minted = registry::snapshot()
+        .rows
+        .iter()
+        .any(|r| r.name == "serve_batches_by_size_total" && r.label == "size=0");
+    registry::set_enabled(false);
+    metalora_obs::set_enabled(false);
+    assert!(!minted, "an empty batch minted a size=0 series");
+}
+
+#[test]
+fn a_cache_that_can_hold_nothing_serves_every_request_as_a_miss() {
+    let valid = batch();
+    // Ids 0–3 are cacheable; one lookup each per request.
+    let lookups = valid.iter().filter(|r| r.tenant < 4).count() as u64;
+    let roomy = engine_with_cache(true, 16, 64 << 20);
+    // Nothing at all, and one byte short of a single `[I, O]` entry.
+    let starved = [0, 4 * DIM * DIM - 1].map(|bytes| engine_with_cache(true, 16, bytes));
+    for pass in 1..=3u64 {
+        if pass == 3 {
+            // Re-registration: tenant 0 comes back with new factors.
+            let mut rng = init::rng(93);
+            let adapter = TenantAdapter::Lora {
+                a: init::uniform(&[DIM, CFG.rank], -0.5, 0.5, &mut rng),
+                b: init::uniform(&[CFG.rank, DIM], -0.5, 0.5, &mut rng),
+                scaling: CFG.scaling(),
+            };
+            for e in starved.iter().chain([&roomy]) {
+                e.register(0, adapter.clone());
+            }
+        }
+        let want: Vec<Vec<u32>> = roomy.serve_batch(&valid).unwrap().iter().map(bits).collect();
+        for e in &starved {
+            let what = format!("pass {pass}, cache_bytes = {}", e.cache().capacity_bytes());
+            let got: Vec<Vec<u32>> = e.serve_batch(&valid).unwrap().iter().map(bits).collect();
+            assert_eq!(got, want, "{what}");
+            let s = e.cache().stats();
+            assert_eq!((s.hits, s.misses, s.evictions), (0, pass * lookups, 0), "{what}");
+            assert_eq!((s.entries, s.bytes), (0, 0), "{what}");
+        }
+    }
+    // The comparison ran against a cache that does hold its entries.
+    let s = roomy.cache().stats();
+    assert!(s.hits > 0 && s.entries > 0, "{s:?}");
 }

@@ -180,11 +180,16 @@ fn registry_records_tenants_methods_batches_and_gauges() {
             "every request records every stage"
         );
     }
-    // Cache and queue gauges exist (values depend on eviction state).
-    assert!(snap
+    // The one resident-bytes gauge mirrors the cache's own accounting.
+    let resident = snap
         .rows
         .iter()
-        .any(|r| r.name == "serve_cache_resident_bytes" && r.label == "kind=f32"));
+        .find(|r| r.name == "serve_cache_resident_bytes" && r.label.is_empty())
+        .expect("missing serve_cache_resident_bytes");
+    match resident.value {
+        registry::MetricValue::Gauge(v) => assert_eq!(v, e.cache().stats().bytes as f64),
+        _ => panic!("serve_cache_resident_bytes is not a gauge"),
+    }
     assert!(snap.rows.iter().any(|r| r.name == "serve_queue_depth"));
 }
 

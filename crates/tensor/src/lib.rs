@@ -26,7 +26,6 @@
 //! experiments run at). All fallible public operations return
 //! [`Result<T, TensorError>`] rather than panicking.
 
-pub mod bf16;
 pub mod conv;
 pub mod contract;
 pub mod decomp;
@@ -40,7 +39,6 @@ pub mod shape;
 pub mod tensor;
 pub mod workspace;
 
-pub use bf16::Bf16Buf;
 pub use error::TensorError;
 pub use shape::Shape;
 pub use tensor::Tensor;

@@ -1,8 +1,8 @@
 //! Dense matrix multiplication: one entry point, [`gemm`].
 //!
 //! Every product in the stack — plain, transposed, batched, matrix–vector,
-//! f32 or bf16 operands, with or without a fused bias/activation — is one
-//! [`GemmDesc`]: layout, storage, batching and epilogue are *data*, and
+//! with or without a fused bias/activation — is one
+//! [`GemmDesc`]: layout, batching and epilogue are *data*, and
 //! [`gemm`] is the only function that validates shapes, picks a kernel,
 //! runs it and records the obs counters. Two interchangeable kernels sit
 //! underneath:
@@ -21,74 +21,9 @@
 //! bitwise identical. `matmul` and the few names the autograd tape uses
 //! survive as one-line wrappers.
 
-use super::microkernel::{self, use_packed, Activation, Epilogue, PanelSrc, StridedGemm, KC};
-use crate::bf16::{self, Bf16Buf};
+use super::microkernel::{self, use_packed, Activation, Epilogue, StridedGemm, KC};
 use crate::par::par_row_blocks;
-use crate::{workspace, Result, Tensor, TensorError};
-
-/// How an operand is stored.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum Storage {
-    /// 4 bytes per element.
-    F32,
-    /// 2 bytes per element, widened exactly to f32 where a kernel first
-    /// touches it (see [`crate::bf16`]).
-    Bf16,
-}
-
-/// One GEMM operand: the storage format is data, not a function name.
-#[derive(Clone, Copy)]
-pub enum Operand<'a> {
-    /// Plain f32 tensor.
-    F32(&'a Tensor),
-    /// bf16 snapshot: streams at half the bytes, accumulates in f32 —
-    /// bitwise the product of the widened copy.
-    Bf16(&'a Bf16Buf),
-}
-
-impl<'a> Operand<'a> {
-    /// Stored dims.
-    pub fn dims(&self) -> &'a [usize] {
-        match self {
-            Operand::F32(t) => t.dims(),
-            Operand::Bf16(b) => b.dims(),
-        }
-    }
-
-    /// Storage format.
-    pub fn storage(&self) -> Storage {
-        match self {
-            Operand::F32(_) => Storage::F32,
-            Operand::Bf16(_) => Storage::Bf16,
-        }
-    }
-
-    fn byte_len(&self) -> usize {
-        match self {
-            Operand::F32(t) => 4 * t.len(),
-            Operand::Bf16(b) => b.byte_len(),
-        }
-    }
-
-    fn panel(&self) -> PanelSrc<'a> {
-        match self {
-            Operand::F32(t) => PanelSrc::F32(t.data()),
-            Operand::Bf16(b) => PanelSrc::Bf16(b.data()),
-        }
-    }
-}
-
-impl<'a> From<&'a Tensor> for Operand<'a> {
-    fn from(t: &'a Tensor) -> Self {
-        Operand::F32(t)
-    }
-}
-
-impl<'a> From<&'a Bf16Buf> for Operand<'a> {
-    fn from(b: &'a Bf16Buf) -> Self {
-        Operand::Bf16(b)
-    }
-}
+use crate::{Result, Tensor, TensorError};
 
 /// Whether an operand is read as stored or transposed (per batch slice).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -108,11 +43,11 @@ pub enum Layout {
 #[derive(Clone, Copy)]
 pub struct GemmDesc<'a> {
     /// Left operand.
-    pub a: Operand<'a>,
+    pub a: &'a Tensor,
     /// Layout of `a`.
     pub a_layout: Layout,
     /// Right operand.
-    pub b: Operand<'a>,
+    pub b: &'a Tensor,
     /// Layout of `b`.
     pub b_layout: Layout,
     /// Per-output-column bias and/or activation, applied inside the store
@@ -122,11 +57,11 @@ pub struct GemmDesc<'a> {
 
 impl<'a> GemmDesc<'a> {
     /// `A·B`, both as stored, no epilogue.
-    pub fn new(a: impl Into<Operand<'a>>, b: impl Into<Operand<'a>>) -> Self {
+    pub fn new(a: &'a Tensor, b: &'a Tensor) -> Self {
         GemmDesc {
-            a: a.into(),
+            a,
             a_layout: Layout::N,
-            b: b.into(),
+            b,
             b_layout: Layout::N,
             ep: Epilogue::none(),
         }
@@ -210,11 +145,11 @@ pub fn gemm(desc: &GemmDesc) -> Result<Tensor> {
         Layout::T => (1, k),
     };
     let g = StridedGemm {
-        a: desc.a.panel(),
+        a: desc.a.data(),
         a_batch: m * k,
         a_rs,
         a_ks,
-        b: desc.b.panel(),
+        b: desc.b.data(),
         b_batch: k * n,
         b_ks,
         b_cs,
@@ -232,13 +167,13 @@ pub fn gemm(desc: &GemmDesc) -> Result<Tensor> {
     } else {
         gemm_reference(&g, &mut out);
     }
-    // Flops count multiply-adds as 2 ops each; bytes are every operand at
-    // its stored width plus the f32 output.
-    let bias_bytes = 4 * desc.ep.bias.map_or(0, <[f32]>::len);
+    // Flops count multiply-adds as 2 ops each; bytes are every operand
+    // plus the output, 4 per element.
+    let bias_len = desc.ep.bias.map_or(0, <[f32]>::len);
     metalora_obs::counters::record_kernel(
         metalora_obs::counters::Kernel::Matmul,
         flops as u64,
-        (desc.a.byte_len() + desc.b.byte_len() + bias_bytes + 4 * out.len()) as u64,
+        (4 * (desc.a.len() + desc.b.len() + bias_len + out.len())) as u64,
     );
     metalora_obs::counters::record_matmul_path(packed);
     if !desc.ep.is_noop() {
@@ -248,18 +183,6 @@ pub fn gemm(desc: &GemmDesc) -> Result<Tensor> {
         (3, _) => Tensor::from_vec(out, &[bs, m, n]),
         (_, 1) => Tensor::from_vec(out, &[m]),
         _ => Tensor::from_vec(out, &[m, n]),
-    }
-}
-
-/// An operand's f32 data: as stored, or widened into an arena lease.
-fn f32_data<'a>(src: PanelSrc<'a>, lease: &'a mut Option<workspace::WorkspaceGuard>) -> &'a [f32] {
-    match src {
-        PanelSrc::F32(d) => d,
-        PanelSrc::Bf16(h) => {
-            let mut wide = workspace::take(h.len());
-            bf16::widen_slice(h, &mut wide);
-            lease.insert(wide)
-        }
     }
 }
 
@@ -279,10 +202,7 @@ fn gemm_reference(g: &StridedGemm, out: &mut [f32]) {
     if out.is_empty() {
         return;
     }
-    let (mut a_lease, mut b_lease) = (None, None);
-    let ad = f32_data(g.a, &mut a_lease);
-    let bd = f32_data(g.b, &mut b_lease);
-    let StridedGemm { m, n, k, a_batch, a_rs, a_ks, b_batch, b_ks, b_cs, .. } = *g;
+    let StridedGemm { a: ad, b: bd, m, n, k, a_batch, a_rs, a_ks, b_batch, b_ks, b_cs, .. } = *g;
     par_row_blocks(out, n, 2 * k * n, |first, block| {
         // Offsets of the `A` row and the `B` batch behind each output row
         // of the block, in order (rows run through the batches).
@@ -566,39 +486,6 @@ mod tests {
     const BOTH_PATHS: [(usize, usize, usize); 2] = [(3, 5, 4), (40, 140, 50)];
 
     #[test]
-    fn bf16_weights_gemm_matches_widened_matmul_bitwise() {
-        let mut r = init::rng(21);
-        for (m, k, n) in BOTH_PATHS {
-            let x = init::uniform(&[m, k], -1.0, 1.0, &mut r);
-            let w = Bf16Buf::from_tensor(&init::uniform(&[k, n], -1.0, 1.0, &mut r));
-            let got = gemm(&GemmDesc::new(&x, &w)).unwrap();
-            assert!(bits_eq(&got, &matmul(&x, &w.widen()).unwrap()));
-        }
-    }
-
-    #[test]
-    fn bf16_operands_gemm_equals_widened_product() {
-        let mut r = init::rng(22);
-        for (m, k, n) in BOTH_PATHS {
-            let a = Bf16Buf::from_tensor(&init::uniform(&[m, k], -1.0, 1.0, &mut r));
-            let b = Bf16Buf::from_tensor(&init::uniform(&[k, n], -1.0, 1.0, &mut r));
-            // Operands widen exactly and the accumulation is the f32 one;
-            // a caller storing the result as bf16 rounds it once, itself.
-            let got = gemm(&GemmDesc::new(&a, &b)).unwrap();
-            assert!(bits_eq(&got, &matmul(&a.widen(), &b.widen()).unwrap()));
-        }
-    }
-
-    #[test]
-    fn bf16_matmul_validates_shapes() {
-        let a = Bf16Buf::from_f32(&[0.0; 6], &[2, 3]).unwrap();
-        let b = Bf16Buf::from_f32(&[0.0; 8], &[4, 2]).unwrap();
-        assert!(gemm(&GemmDesc::new(&a, &b)).is_err());
-        assert!(gemm(&GemmDesc::new(&Tensor::zeros(&[2, 4]), &a)).is_err());
-        assert!(gemm(&GemmDesc::new(&Tensor::zeros(&[2]), &a)).is_err());
-    }
-
-    #[test]
     fn matmul_bias_act_matches_separate_passes_bitwise() {
         let mut r = init::rng(31);
         for (m, k, n) in BOTH_PATHS {
@@ -613,27 +500,11 @@ mod tests {
     }
 
     #[test]
-    fn bf16_weights_bias_act_matches_separate_passes_bitwise() {
-        let mut r = init::rng(32);
-        for (m, k, n) in BOTH_PATHS {
-            let x = init::uniform(&[m, k], -1.0, 1.0, &mut r);
-            let w = Bf16Buf::from_tensor(&init::uniform(&[k, n], -1.0, 1.0, &mut r));
-            let b = init::uniform(&[n], -1.0, 1.0, &mut r);
-            let act = Some(Activation::Tanh);
-            let fused = gemm(&GemmDesc::new(&x, &w).epilogue(Some(&b), act)).unwrap();
-            let plain = gemm(&GemmDesc::new(&x, &w)).unwrap();
-            assert!(bits_eq(&fused, &epilogue_pass(plain, Some(&b), act).unwrap()));
-        }
-    }
-
-    #[test]
     fn fused_entries_validate_bias_width() {
         let x = Tensor::zeros(&[2, 3]);
         let w = Tensor::zeros(&[3, 4]);
         let bad = Tensor::zeros(&[5]);
         assert!(gemm(&GemmDesc::new(&x, &w).epilogue(Some(&bad), None)).is_err());
-        let wh = Bf16Buf::from_f32(&[0.0; 12], &[3, 4]).unwrap();
-        assert!(gemm(&GemmDesc::new(&x, &wh).epilogue(Some(&bad), None)).is_err());
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! The GEMM equivalence table: one proptest over the whole descriptor
 //! space of [`gemm`] — {N,T}×{N,T} layouts × {unbatched, batched, matvec}
-//! × {f32, bf16 `B`, bf16 both} × {no epilogue, bias, bias + each
-//! activation} — on ragged, `k = 0`, single-row/column, NC-crossing and
-//! KC-crossing shapes at worker counts {1, 2, 3, 4, 7}.
+//! × {no epilogue, bias, bias + each activation} — on ragged, `k = 0`,
+//! single-row/column, NC-crossing and KC-crossing shapes at worker counts
+//! {1, 2, 3, 4, 7}.
 //!
-//! Every cell is anchored to a naive triple loop over the widened operands
+//! Every cell is anchored to a naive triple loop over the operands
 //! followed by the separate [`epilogue_pass`], and must match it **bitwise**
 //! on the reference kernel, on the forced packed kernel and on whatever
 //! path the gate picks; each surviving wrapper name must equal its
@@ -14,9 +14,9 @@
 
 use metalora_tensor::ops::{
     bmm, bmm_transpose_a, bmm_transpose_b, epilogue_pass, gemm, matmul, matmul_transpose_a,
-    matmul_transpose_b, with_kernel_path, Activation, GemmDesc, KernelPath, Layout, Operand,
+    matmul_transpose_b, with_kernel_path, Activation, GemmDesc, KernelPath, Layout,
 };
-use metalora_tensor::{init, par, Bf16Buf, Tensor};
+use metalora_tensor::{init, par, Tensor};
 use proptest::prelude::*;
 use std::sync::{Mutex, MutexGuard};
 
@@ -108,49 +108,39 @@ proptest! {
                 };
                 let a = init::uniform(&a_dims, -1.0, 1.0, &mut rng);
                 let b = init::uniform(&b_dims, -1.0, 1.0, &mut rng);
-                let (a16, b16) = (Bf16Buf::from_tensor(&a), Bf16Buf::from_tensor(&b));
                 let out_dims: Vec<usize> = match batching {
                     Batching::Unbatched => vec![m, n],
                     Batching::Batched => vec![bs, m, n],
                     Batching::Matvec => vec![m],
                 };
-                for (a_bf16, b_bf16) in [(false, false), (false, true), (true, true)] {
-                    // bf16 storage must equal the f32 GEMM of the widened copy.
-                    let (aw, bw) = (a16.widen(), b16.widen());
-                    let (ar, br) = (if a_bf16 { &aw } else { &a }, if b_bf16 { &bw } else { &b });
-                    let plain =
-                        Tensor::from_vec(naive(ar, at, br, bt, (bs, m, k, n)), &out_dims).unwrap();
-                    let mut desc = GemmDesc::new(
-                        if a_bf16 { Operand::Bf16(&a16) } else { Operand::F32(&a) },
-                        if b_bf16 { Operand::Bf16(&b16) } else { Operand::F32(&b) },
-                    );
-                    desc.a_layout = if at { Layout::T } else { Layout::N };
-                    desc.b_layout = if bt { Layout::T } else { Layout::N };
+                let plain = Tensor::from_vec(naive(&a, at, &b, bt, (bs, m, k, n)), &out_dims).unwrap();
+                let mut desc = GemmDesc::new(&a, &b);
+                desc.a_layout = if at { Layout::T } else { Layout::N };
+                desc.b_layout = if bt { Layout::T } else { Layout::N };
 
-                    for (with_bias, act) in [(false, None)].into_iter().chain(ACTS.map(|a| (true, a))) {
-                        let bias = with_bias.then_some(&bias);
-                        // Fused ≡ the plain product + separate passes.
-                        let expect = epilogue_pass(plain.clone(), bias, act).unwrap();
-                        let desc = desc.epilogue(bias, act);
-                        let what = format!(
-                            "{batching:?} at={at} bt={bt} bf16=({a_bf16},{b_bf16}) bias={with_bias} \
-                             act={act:?} bs={bs} m={m} k={k} n={n}"
-                        );
-                        par::set_num_threads(1);
-                        let reference =
-                            with_kernel_path(KernelPath::Reference, || gemm(&desc).unwrap());
-                        prop_assert!(bits_eq(&reference, &expect), "reference kernel: {what}");
-                        for threads in [1usize, 2, 3, 4, 7] {
-                            par::set_num_threads(threads);
-                            let packed =
-                                with_kernel_path(KernelPath::Packed, || gemm(&desc).unwrap());
-                            prop_assert!(bits_eq(&packed, &expect), "packed@{threads}: {what}");
-                            let auto = gemm(&desc).unwrap();
-                            prop_assert!(bits_eq(&auto, &expect), "auto@{threads}: {what}");
-                        }
+                for (with_bias, act) in [(false, None)].into_iter().chain(ACTS.map(|a| (true, a))) {
+                    let bias = with_bias.then_some(&bias);
+                    // Fused ≡ the plain product + separate passes.
+                    let expect = epilogue_pass(plain.clone(), bias, act).unwrap();
+                    let desc = desc.epilogue(bias, act);
+                    let what = format!(
+                        "{batching:?} at={at} bt={bt} bias={with_bias} act={act:?} bs={bs} m={m} \
+                         k={k} n={n}"
+                    );
+                    par::set_num_threads(1);
+                    let reference =
+                        with_kernel_path(KernelPath::Reference, || gemm(&desc).unwrap());
+                    prop_assert!(bits_eq(&reference, &expect), "reference kernel: {what}");
+                    for threads in [1usize, 2, 3, 4, 7] {
+                        par::set_num_threads(threads);
+                        let packed =
+                            with_kernel_path(KernelPath::Packed, || gemm(&desc).unwrap());
+                        prop_assert!(bits_eq(&packed, &expect), "packed@{threads}: {what}");
+                        let auto = gemm(&desc).unwrap();
+                        prop_assert!(bits_eq(&auto, &expect), "auto@{threads}: {what}");
                     }
                 }
-                // Each wrapper name is its descriptor (f32, no epilogue).
+                // Each wrapper name is its descriptor (no epilogue).
                 let wrapper = match (batching, at, bt) {
                     (Batching::Unbatched, false, false) => Some(matmul(&a, &b)),
                     (Batching::Unbatched, true, false) => Some(matmul_transpose_a(&a, &b)),

@@ -3,8 +3,8 @@
 //! wrapper name, across ragged shapes (m, n, k not multiples of
 //! MR/NR/KC, including 1×n and m×1), and that the workspace arena actually
 //! reuses buffers without ever aliasing concurrent checkouts. (The full
-//! descriptor space — layouts × batching × storage × epilogue — is swept
-//! by `gemm_equiv.rs`.)
+//! descriptor space — layouts × batching × epilogue — is swept by
+//! `gemm_equiv.rs`.)
 //!
 //! Each kernel is forced through the scoped thread-local seam
 //! ([`with_kernel_path`]); the suite lock remains for what is still
@@ -17,10 +17,10 @@
 //! stay bitwise-equal to the reference serial run, and the obs tallies must
 //! show exactly one B pack per GEMM with claims covering the whole grid.
 //!
-//! Packing itself is pinned to its definition: for each operand, each
-//! stride class (as stored — the run-copy paths — and transposed) and both
-//! storages, the packed panel equals the per-element formula in
-//! `pack_a` / `pack_b`'s doc comments, element for element.
+//! Packing itself is pinned to its definition: for each operand and each
+//! stride class (as stored — the run-copy paths — and transposed), the
+//! packed panel equals the per-element formula in `pack_a` / `pack_b`'s
+//! doc comments, element for element.
 
 use metalora_tensor::ops::{
     bmm, bmm_transpose_a, bmm_transpose_b, gemm, matmul, matmul_transpose_a, matmul_transpose_b,
@@ -252,9 +252,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// `pack_b` ≡ its definition, element for element, for `B` as stored
-    /// (`cs == 1`, the run-copy class) and transposed (`ks == 1`), from
-    /// f32 and from bf16 storage: ragged `n % NR`, `k` across `KC` tiles
-    /// (and `k = 0`), a non-zero `base`.
+    /// (`cs == 1`, the run-copy class) and transposed (`ks == 1`):
+    /// ragged `n % NR`, `k` across `KC` tiles (and `k = 0`), a non-zero
+    /// `base`.
     #[test]
     fn pack_b_is_its_definition(
         k in 0usize..300,
@@ -263,25 +263,20 @@ proptest! {
         transposed in 0usize..2,
         seed in 0u64..1000,
     ) {
-        use metalora_tensor::bf16::{bf16_to_f32, f32_to_bf16};
         let (ks, cs) = if transposed == 1 { (1, k) } else { (n, 1) };
         let stored = rand_t(&[base + k * n], seed);
-        let halves: Vec<u16> = stored.data().iter().map(|&v| f32_to_bf16(v)).collect();
-        let mut from_f32 = vec![f32::NAN; k * n];
-        let mut from_bf16 = vec![f32::NAN; k * n];
-        microkernel::pack_b(stored.data(), base, k, n, ks, cs, &mut from_f32);
-        microkernel::pack_b_bf16(&halves, base, k, n, ks, cs, &mut from_bf16);
+        let mut packed = vec![f32::NAN; k * n];
+        microkernel::pack_b(stored.data(), base, k, n, ks, cs, &mut packed);
         for kk in 0..k {
             for j in 0..n {
                 let (src, at) = (base + kk * ks + j * cs, panel_index(n, microkernel::NR, k, kk, j));
-                prop_assert_eq!(from_f32[at].to_bits(), stored.data()[src].to_bits());
-                prop_assert_eq!(from_bf16[at].to_bits(), bf16_to_f32(halves[src]).to_bits());
+                prop_assert_eq!(packed[at].to_bits(), stored.data()[src].to_bits());
             }
         }
     }
 
     /// `pack_a` ≡ its definition for `A` as stored (`ks == 1`) and
-    /// transposed (`rs == 1`), f32 and bf16: a window of `rows` rows
+    /// transposed (`rs == 1`): a window of `rows` rows
     /// starting at `first` inside a taller operand, ragged `rows % MR`,
     /// `k` across `KC` tiles (and `k = 0`), a non-zero `base`.
     #[test]
@@ -293,21 +288,16 @@ proptest! {
         transposed in 0usize..2,
         seed in 0u64..1000,
     ) {
-        use metalora_tensor::bf16::{bf16_to_f32, f32_to_bf16};
         let m = first + rows + 1;
         let (rs, ks) = if transposed == 1 { (1, m) } else { (k, 1) };
         let stored = rand_t(&[base + m * k], seed);
-        let halves: Vec<u16> = stored.data().iter().map(|&v| f32_to_bf16(v)).collect();
-        let mut from_f32 = vec![f32::NAN; rows * k];
-        let mut from_bf16 = vec![f32::NAN; rows * k];
-        microkernel::pack_a(stored.data(), base, first, rows, k, rs, ks, &mut from_f32);
-        microkernel::pack_a_bf16(&halves, base, first, rows, k, rs, ks, &mut from_bf16);
+        let mut packed = vec![f32::NAN; rows * k];
+        microkernel::pack_a(stored.data(), base, first, rows, k, rs, ks, &mut packed);
         for r in 0..rows {
             for kk in 0..k {
                 let src = base + (first + r) * rs + kk * ks;
                 let at = panel_index(rows, microkernel::MR, k, kk, r);
-                prop_assert_eq!(from_f32[at].to_bits(), stored.data()[src].to_bits());
-                prop_assert_eq!(from_bf16[at].to_bits(), bf16_to_f32(halves[src]).to_bits());
+                prop_assert_eq!(packed[at].to_bits(), stored.data()[src].to_bits());
             }
         }
     }
