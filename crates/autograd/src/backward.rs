@@ -1,6 +1,14 @@
 //! The reverse sweep: gradient rules for every op in [`crate::graph::Op`].
+//!
+//! The sweep differentiates only what has gradient demand (see
+//! [`crate::graph`]): a node without it is never handed a gradient, and a
+//! rule builds an operand's gradient only if that operand has demand.
+//! Every gradient that is built comes from the same `ops::` call on the
+//! same operands as if everything were differentiated, and consumers are
+//! still visited in descending node order, so each surviving slot sums the
+//! same terms in the same order — pruning is bitwise-invisible.
 
-use crate::graph::{gelu_bwd, Graph, Node, Op, Var};
+use crate::graph::{gelu_bwd, Graph, Node, NormSaved, Op, Var};
 use crate::Result;
 use metalora_tensor::conv;
 use metalora_tensor::{ops, workspace, Tensor, TensorError};
@@ -47,10 +55,27 @@ fn broadcast_axis(g: &Tensor, axis: usize, d: usize) -> Result<Tensor> {
     Ok(out)
 }
 
-/// Adds `t` into the gradient slot of `nodes[v]`. When the slot is already
-/// occupied `t` is consumed by the addition; its buffer goes back to the
-/// workspace arena, where the next backward temporary picks it up.
-fn accumulate(nodes: &mut [Node], v: Var, t: Tensor) {
+/// The saved activations of a node the sweep reached: forward keeps them
+/// whenever an operand whose gradient reads them has demand.
+fn saved<T>(s: &Option<T>) -> &T {
+    s.as_ref()
+        .expect("forward saves what the gradient of an operand with demand reads")
+}
+
+/// Adds `grad(nodes)` into the gradient slot of `nodes[v]` — if `v` has
+/// gradient demand; otherwise the gradient is never built. When the slot
+/// is already occupied the new term is consumed by the addition; its
+/// buffer goes back to the workspace arena, where the next backward
+/// temporary picks it up.
+fn accumulate(
+    nodes: &mut [Node],
+    v: Var,
+    grad: impl FnOnce(&[Node]) -> Result<Tensor>,
+) -> Result<()> {
+    if !nodes[v.0].demand {
+        return Ok(());
+    }
+    let t = grad(nodes)?;
     let slot = &mut nodes[v.0].grad;
     match slot {
         Some(g) => {
@@ -62,17 +87,27 @@ fn accumulate(nodes: &mut [Node], v: Var, t: Tensor) {
         }
         None => *slot = Some(t),
     }
+    Ok(())
 }
 
 impl Graph {
-    /// Runs the reverse sweep from a **scalar** root, filling `grad` slots
-    /// for every node that influences it.
+    /// Runs the reverse sweep from a **scalar** root, filling the `grad`
+    /// slot of every node with gradient demand that influences it. Slots
+    /// are cleared first, so each call leaves exactly that root's
+    /// gradients; a root without demand (nothing trainable upstream, or an
+    /// inference tape) is `Ok` and does no work.
     pub fn backward(&mut self, root: Var) -> Result<()> {
         if self.nodes[root.0].value.len() != 1 {
             return Err(TensorError::InvalidArgument(format!(
                 "backward root must be scalar, got shape {:?}",
                 self.nodes[root.0].value.dims()
             )));
+        }
+        for node in &mut self.nodes {
+            node.grad = None;
+        }
+        if !self.nodes[root.0].demand {
+            return Ok(());
         }
         // One span per reverse sweep: backward dominates training time, so
         // its duration histogram (and timeline block, when tracing) is the
@@ -83,166 +118,186 @@ impl Graph {
 
         for i in (0..=root.0).rev() {
             // Parents always precede their consumers, so splitting at `i`
-            // gives mutable access to all parent slots.
+            // gives mutable access to all parent slots. A node without
+            // demand was never handed a gradient and is skipped here.
             let (parents, rest) = self.nodes.split_at_mut(i);
             let node = &mut rest[0];
-            let Some(g) = node.grad.take() else { continue };
+            let Some(upstream) = node.grad.take() else {
+                continue;
+            };
+            let g = &upstream;
 
             match &node.op {
                 Op::Leaf => {}
                 Op::Add(a, b) => {
-                    let ga = reduce_to_shape(&g, parents[a.0].value.dims())?;
-                    let gb = reduce_to_shape(&g, parents[b.0].value.dims())?;
-                    accumulate(parents, *a, ga);
-                    accumulate(parents, *b, gb);
+                    accumulate(parents, *a, |p| reduce_to_shape(g, p[a.0].value.dims()))?;
+                    accumulate(parents, *b, |p| reduce_to_shape(g, p[b.0].value.dims()))?;
                 }
                 Op::Sub(a, b) => {
-                    let ga = reduce_to_shape(&g, parents[a.0].value.dims())?;
-                    let gb = reduce_to_shape(&ops::neg(&g), parents[b.0].value.dims())?;
-                    accumulate(parents, *a, ga);
-                    accumulate(parents, *b, gb);
+                    accumulate(parents, *a, |p| reduce_to_shape(g, p[a.0].value.dims()))?;
+                    accumulate(parents, *b, |p| {
+                        reduce_to_shape(&ops::neg(g), p[b.0].value.dims())
+                    })?;
                 }
                 Op::Mul(a, b) => {
-                    let ga = ops::mul(&g, &parents[b.0].value)?;
-                    let gb = ops::mul(&g, &parents[a.0].value)?;
-                    let ga = reduce_to_shape(&ga, parents[a.0].value.dims())?;
-                    let gb = reduce_to_shape(&gb, parents[b.0].value.dims())?;
-                    accumulate(parents, *a, ga);
-                    accumulate(parents, *b, gb);
+                    accumulate(parents, *a, |p| {
+                        let ga = ops::mul(g, &p[b.0].value)?;
+                        reduce_to_shape(&ga, p[a.0].value.dims())
+                    })?;
+                    accumulate(parents, *b, |p| {
+                        let gb = ops::mul(g, &p[a.0].value)?;
+                        reduce_to_shape(&gb, p[b.0].value.dims())
+                    })?;
                 }
                 Op::Scale(a, s) => {
-                    accumulate(parents, *a, ops::scale(&g, *s));
+                    accumulate(parents, *a, |_| Ok(ops::scale(g, *s)))?;
                 }
                 Op::Matmul(a, b) => {
                     // dA = G·Bᵀ, dB = Aᵀ·G.
-                    let ga = ops::matmul_transpose_b(&g, &parents[b.0].value)?;
-                    let gb = ops::matmul_transpose_a(&parents[a.0].value, &g)?;
-                    accumulate(parents, *a, ga);
-                    accumulate(parents, *b, gb);
+                    accumulate(parents, *a, |p| ops::matmul_transpose_b(g, &p[b.0].value))?;
+                    accumulate(parents, *b, |p| ops::matmul_transpose_a(&p[a.0].value, g))?;
                 }
                 Op::Bmm(a, b) => {
                     // Per batch slice: dA = G·Bᵀ, dB = Aᵀ·G.
-                    let ga = ops::bmm_transpose_b(&g, &parents[b.0].value)?;
-                    let gb = ops::bmm_transpose_a(&parents[a.0].value, &g)?;
-                    accumulate(parents, *a, ga);
-                    accumulate(parents, *b, gb);
+                    accumulate(parents, *a, |p| ops::bmm_transpose_b(g, &p[b.0].value))?;
+                    accumulate(parents, *b, |p| ops::bmm_transpose_a(&p[a.0].value, g))?;
                 }
                 Op::Softmax(a) => {
                     // dx = y ⊙ (g − Σ_lane(g ⊙ y)).
                     let y = &node.value;
-                    let c = *y.dims().last().expect("rank >= 1");
-                    let lanes = y.len() / c;
-                    let mut dx = workspace::zeroed_tensor(y.dims());
-                    for l in 0..lanes {
-                        let yr = &y.data()[l * c..(l + 1) * c];
-                        let gr = &g.data()[l * c..(l + 1) * c];
-                        let dot: f32 =
-                            yr.iter().zip(gr).map(|(&yv, &gv)| yv * gv).sum();
-                        let dst = &mut dx.data_mut()[l * c..(l + 1) * c];
-                        for ((d, &yv), &gv) in dst.iter_mut().zip(yr).zip(gr) {
-                            *d = yv * (gv - dot);
+                    accumulate(parents, *a, |_| {
+                        let c = *y.dims().last().expect("rank >= 1");
+                        let lanes = y.len() / c;
+                        let mut dx = workspace::zeroed_tensor(y.dims());
+                        for l in 0..lanes {
+                            let yr = &y.data()[l * c..(l + 1) * c];
+                            let gr = &g.data()[l * c..(l + 1) * c];
+                            let dot: f32 = yr.iter().zip(gr).map(|(&yv, &gv)| yv * gv).sum();
+                            let dst = &mut dx.data_mut()[l * c..(l + 1) * c];
+                            for ((d, &yv), &gv) in dst.iter_mut().zip(yr).zip(gr) {
+                                *d = yv * (gv - dot);
+                            }
                         }
-                    }
-                    accumulate(parents, *a, dx);
+                        Ok(dx)
+                    })?;
                 }
                 Op::Reshape(a, from) => {
-                    accumulate(parents, *a, g.reshaped(from)?);
+                    accumulate(parents, *a, |_| g.reshaped(from))?;
                 }
                 Op::Permute(a, perm) => {
-                    let mut inv = vec![0usize; perm.len()];
-                    for (dst, &src) in perm.iter().enumerate() {
-                        inv[src] = dst;
-                    }
-                    accumulate(parents, *a, ops::permute(&g, &inv)?);
+                    accumulate(parents, *a, |_| {
+                        let mut inv = vec![0usize; perm.len()];
+                        for (dst, &src) in perm.iter().enumerate() {
+                            inv[src] = dst;
+                        }
+                        ops::permute(g, &inv)
+                    })?;
                 }
                 Op::Relu(a) => {
-                    let ga = ops::zip_with(&g, &parents[a.0].value, |gy, x| {
-                        if x > 0.0 {
-                            gy
-                        } else {
-                            0.0
-                        }
+                    accumulate(parents, *a, |p| {
+                        ops::zip_with(g, &p[a.0].value, |gy, x| if x > 0.0 { gy } else { 0.0 })
                     })?;
-                    accumulate(parents, *a, ga);
                 }
                 Op::Gelu(a) => {
-                    let ga = ops::zip_with(&g, &parents[a.0].value, |gy, x| gy * gelu_bwd(x))?;
-                    accumulate(parents, *a, ga);
+                    accumulate(parents, *a, |p| {
+                        ops::zip_with(g, &p[a.0].value, |gy, x| gy * gelu_bwd(x))
+                    })?;
                 }
                 Op::Tanh(a) => {
-                    let ga = ops::zip_with(&g, &node.value, |gy, y| gy * (1.0 - y * y))?;
-                    accumulate(parents, *a, ga);
+                    let y = &node.value;
+                    accumulate(parents, *a, |_| {
+                        ops::zip_with(g, y, |gy, y| gy * (1.0 - y * y))
+                    })?;
                 }
                 Op::Sigmoid(a) => {
-                    let ga = ops::zip_with(&g, &node.value, |gy, y| gy * y * (1.0 - y))?;
-                    accumulate(parents, *a, ga);
+                    let y = &node.value;
+                    accumulate(parents, *a, |_| {
+                        ops::zip_with(g, y, |gy, y| gy * y * (1.0 - y))
+                    })?;
                 }
                 Op::SoftmaxCrossEntropy {
                     logits,
                     labels,
                     probs,
                 } => {
-                    let gs = g.item()?;
-                    let (n, c) = (probs.dims()[0], probs.dims()[1]);
-                    let mut gl = probs.clone();
-                    for (i, &y) in labels.iter().enumerate() {
-                        gl.data_mut()[i * c + y] -= 1.0;
-                    }
-                    let gl = ops::scale(&gl, gs / n as f32);
-                    accumulate(parents, *logits, gl);
+                    accumulate(parents, *logits, |_| {
+                        let probs = saved(probs);
+                        let gs = g.item()?;
+                        let (n, c) = (probs.dims()[0], probs.dims()[1]);
+                        let mut gl = probs.clone();
+                        for (i, &y) in labels.iter().enumerate() {
+                            gl.data_mut()[i * c + y] -= 1.0;
+                        }
+                        Ok(ops::scale(&gl, gs / n as f32))
+                    })?;
                 }
                 Op::MseLoss { pred, target } => {
-                    let gs = g.item()?;
-                    let n = target.len().max(1) as f32;
-                    let gp = ops::zip_with(&parents[pred.0].value, target, |p, t| {
-                        2.0 * (p - t)
+                    accumulate(parents, *pred, |p| {
+                        let gs = g.item()?;
+                        let n = target.len().max(1) as f32;
+                        let gp = ops::zip_with(&p[pred.0].value, target, |p, t| 2.0 * (p - t))?;
+                        Ok(ops::scale(&gp, gs / n))
                     })?;
-                    accumulate(parents, *pred, ops::scale(&gp, gs / n));
                 }
                 Op::LayerNorm {
                     x,
                     gamma,
                     beta,
-                    xhat,
-                    invstd,
+                    saved: s,
                 } => {
+                    let NormSaved { xhat, invstd } = saved(s);
                     let c = *xhat.dims().last().expect("rank >= 1");
                     let lanes = xhat.len() / c;
-                    let gv = &parents[gamma.0].value;
-                    let mut dgamma = workspace::zeroed_tensor(&[c]);
-                    let mut dbeta = workspace::zeroed_tensor(&[c]);
-                    let mut dx = workspace::zeroed_tensor(xhat.dims());
-                    for l in 0..lanes {
-                        let istd = invstd.data()[l];
-                        let grow = &g.data()[l * c..(l + 1) * c];
-                        let xrow = &xhat.data()[l * c..(l + 1) * c];
-                        let mut sum_dxhat = 0.0f32;
-                        let mut sum_dxhat_xhat = 0.0f32;
-                        for j in 0..c {
-                            let dxh = grow[j] * gv.data()[j];
-                            sum_dxhat += dxh;
-                            sum_dxhat_xhat += dxh * xrow[j];
-                            dgamma.data_mut()[j] += grow[j] * xrow[j];
-                            dbeta.data_mut()[j] += grow[j];
-                        }
+                    accumulate(parents, *x, |p| {
+                        let gv = &p[gamma.0].value;
                         let cf = c as f32;
-                        for j in 0..c {
-                            let dxh = grow[j] * gv.data()[j];
-                            dx.data_mut()[l * c + j] = istd
-                                * (dxh - sum_dxhat / cf - xrow[j] * sum_dxhat_xhat / cf);
+                        let mut dx = workspace::zeroed_tensor(xhat.dims());
+                        for l in 0..lanes {
+                            let istd = invstd.data()[l];
+                            let grow = &g.data()[l * c..(l + 1) * c];
+                            let xrow = &xhat.data()[l * c..(l + 1) * c];
+                            let mut sum_dxhat = 0.0f32;
+                            let mut sum_dxhat_xhat = 0.0f32;
+                            for j in 0..c {
+                                let dxh = grow[j] * gv.data()[j];
+                                sum_dxhat += dxh;
+                                sum_dxhat_xhat += dxh * xrow[j];
+                            }
+                            for j in 0..c {
+                                let dxh = grow[j] * gv.data()[j];
+                                dx.data_mut()[l * c + j] =
+                                    istd * (dxh - sum_dxhat / cf - xrow[j] * sum_dxhat_xhat / cf);
+                            }
                         }
-                    }
-                    accumulate(parents, *x, dx);
-                    accumulate(parents, *gamma, dgamma);
-                    accumulate(parents, *beta, dbeta);
+                        Ok(dx)
+                    })?;
+                    accumulate(parents, *gamma, |_| {
+                        let mut dgamma = workspace::zeroed_tensor(&[c]);
+                        for (grow, xrow) in g.data().chunks(c).zip(xhat.data().chunks(c)) {
+                            for ((d, &gy), &xh) in dgamma.data_mut().iter_mut().zip(grow).zip(xrow)
+                            {
+                                *d += gy * xh;
+                            }
+                        }
+                        Ok(dgamma)
+                    })?;
+                    accumulate(parents, *beta, |_| {
+                        let mut dbeta = workspace::zeroed_tensor(&[c]);
+                        for grow in g.data().chunks(c) {
+                            for (d, &gy) in dbeta.data_mut().iter_mut().zip(grow) {
+                                *d += gy;
+                            }
+                        }
+                        Ok(dbeta)
+                    })?;
                 }
                 Op::BatchNorm2d {
                     x,
                     gamma,
                     beta,
-                    xhat,
-                    invstd,
+                    saved: s,
                 } => {
+                    let NormSaved { xhat, invstd } = saved(s);
                     let (n, c, h, w) = (
                         xhat.dims()[0],
                         xhat.dims()[1],
@@ -250,10 +305,10 @@ impl Graph {
                         xhat.dims()[3],
                     );
                     let m = (n * h * w) as f32;
-                    let gv = &parents[gamma.0].value;
+                    // Per-channel sums: dβ and dγ themselves, and what dX
+                    // centres against.
                     let mut dgamma = workspace::zeroed_tensor(&[c]);
                     let mut dbeta = workspace::zeroed_tensor(&[c]);
-                    // First pass: per-channel sums.
                     for ci in 0..c {
                         let mut sdy = 0.0f32;
                         let mut sdyx = 0.0f32;
@@ -268,23 +323,26 @@ impl Graph {
                         dgamma.data_mut()[ci] = sdyx;
                         dbeta.data_mut()[ci] = sdy;
                     }
-                    let mut dx = workspace::zeroed_tensor(xhat.dims());
-                    for ci in 0..c {
-                        let scale = gv.data()[ci] * invstd.data()[ci];
-                        let sdy = dbeta.data()[ci] / m;
-                        let sdyx = dgamma.data()[ci] / m;
-                        for ni in 0..n {
-                            let base = ((ni * c + ci) * h) * w;
-                            for k in 0..h * w {
-                                let gy = g.data()[base + k];
-                                let xh = xhat.data()[base + k];
-                                dx.data_mut()[base + k] = scale * (gy - sdy - xh * sdyx);
+                    accumulate(parents, *x, |p| {
+                        let gv = &p[gamma.0].value;
+                        let mut dx = workspace::zeroed_tensor(xhat.dims());
+                        for ci in 0..c {
+                            let scale = gv.data()[ci] * invstd.data()[ci];
+                            let sdy = dbeta.data()[ci] / m;
+                            let sdyx = dgamma.data()[ci] / m;
+                            for ni in 0..n {
+                                let base = ((ni * c + ci) * h) * w;
+                                for k in 0..h * w {
+                                    let gy = g.data()[base + k];
+                                    let xh = xhat.data()[base + k];
+                                    dx.data_mut()[base + k] = scale * (gy - sdy - xh * sdyx);
+                                }
                             }
                         }
-                    }
-                    accumulate(parents, *x, dx);
-                    accumulate(parents, *gamma, dgamma);
-                    accumulate(parents, *beta, dbeta);
+                        Ok(dx)
+                    })?;
+                    accumulate(parents, *gamma, |_| Ok(dgamma))?;
+                    accumulate(parents, *beta, |_| Ok(dbeta))?;
                 }
                 Op::Conv2d {
                     x,
@@ -293,70 +351,71 @@ impl Graph {
                     w_spec,
                     cols,
                 } => {
-                    let xv = &parents[x.0].value;
-                    let wv = &parents[w.0].value;
-                    let (n, cch, hh, ww_in) =
-                        (xv.dims()[0], xv.dims()[1], xv.dims()[2], xv.dims()[3]);
-                    let (kh, kw, ci, o) =
-                        (wv.dims()[0], wv.dims()[1], wv.dims()[2], wv.dims()[3]);
+                    let xd = parents[x.0].value.dims();
+                    let wd = parents[w.0].value.dims();
+                    let (n, cch, hh, ww_in) = (xd[0], xd[1], xd[2], xd[3]);
+                    let (kh, kw, ci, o) = (wd[0], wd[1], wd[2], wd[3]);
                     // G: [N,O,OH,OW] → [N·OH·OW, O].
-                    let gp = ops::permute(&g, &[0, 2, 3, 1])?;
+                    let gp = ops::permute(g, &[0, 2, 3, 1])?;
                     let oh = h_spec.out_size(hh)?;
                     let ow = w_spec.out_size(ww_in)?;
                     let gm = gp.reshape(&[n * oh * ow, o])?;
-                    // dW = colsᵀ·G, back to paper layout.
-                    let dwm = ops::matmul_transpose_a(cols, &gm)?; // [C·KH·KW, O]
-                    let dw = ops::permute(
-                        &dwm.reshape(&[ci, kh, kw, o])?,
-                        &[1, 2, 0, 3],
-                    )?;
                     // dX = col2im(G·Wᵀ).
-                    let wm = conv::weight_to_matrix(wv)?;
-                    let dcols = ops::matmul_transpose_b(&gm, &wm)?;
-                    let dx = conv::col2im(&dcols, n, cch, hh, ww_in, *h_spec, *w_spec)?;
-                    workspace::recycle(dcols);
-                    accumulate(parents, *x, dx);
-                    accumulate(parents, *w, dw);
+                    accumulate(parents, *x, |p| {
+                        let wm = conv::weight_to_matrix(&p[w.0].value)?;
+                        let dcols = ops::matmul_transpose_b(&gm, &wm)?;
+                        let dx = conv::col2im(&dcols, n, cch, hh, ww_in, *h_spec, *w_spec)?;
+                        workspace::recycle(dcols);
+                        Ok(dx)
+                    })?;
+                    // dW = colsᵀ·G, back to paper layout.
+                    accumulate(parents, *w, |_| {
+                        let dwm = ops::matmul_transpose_a(saved(cols), &gm)?; // [C·KH·KW, O]
+                        ops::permute(&dwm.reshape(&[ci, kh, kw, o])?, &[1, 2, 0, 3])
+                    })?;
                 }
                 Op::GlobalAvgPool2d(a) => {
-                    let xv = &parents[a.0].value;
-                    let (n, c, h, w) = (xv.dims()[0], xv.dims()[1], xv.dims()[2], xv.dims()[3]);
-                    let hw = (h * w) as f32;
-                    let mut dx = workspace::zeroed_tensor(xv.dims());
-                    for ni in 0..n {
-                        for cci in 0..c {
-                            let gy = g.data()[ni * c + cci] / hw;
-                            let base = ((ni * c + cci) * h) * w;
-                            for k in 0..h * w {
-                                dx.data_mut()[base + k] = gy;
+                    accumulate(parents, *a, |p| {
+                        let xv = &p[a.0].value;
+                        let (n, c, h, w) = (xv.dims()[0], xv.dims()[1], xv.dims()[2], xv.dims()[3]);
+                        let hw = (h * w) as f32;
+                        let mut dx = workspace::zeroed_tensor(xv.dims());
+                        for ni in 0..n {
+                            for cci in 0..c {
+                                let gy = g.data()[ni * c + cci] / hw;
+                                let base = ((ni * c + cci) * h) * w;
+                                for k in 0..h * w {
+                                    dx.data_mut()[base + k] = gy;
+                                }
                             }
                         }
-                    }
-                    accumulate(parents, *a, dx);
+                        Ok(dx)
+                    })?;
                 }
                 Op::SumAxis(a, axis) => {
-                    let d = parents[a.0].value.dims()[*axis];
-                    accumulate(parents, *a, broadcast_axis(&g, *axis, d)?);
+                    accumulate(parents, *a, |p| {
+                        broadcast_axis(g, *axis, p[a.0].value.dims()[*axis])
+                    })?;
                 }
                 Op::MeanAxis(a, axis) => {
-                    let d = parents[a.0].value.dims()[*axis];
-                    let b = broadcast_axis(&g, *axis, d)?;
-                    accumulate(parents, *a, ops::scale(&b, 1.0 / d as f32));
+                    accumulate(parents, *a, |p| {
+                        let d = p[a.0].value.dims()[*axis];
+                        let b = broadcast_axis(g, *axis, d)?;
+                        Ok(ops::scale(&b, 1.0 / d as f32))
+                    })?;
                 }
                 Op::MeanAll(a) => {
-                    let gs = g.item()?;
-                    let n = parents[a.0].value.len().max(1) as f32;
-                    accumulate(
-                        parents,
-                        *a,
-                        Tensor::full(parents[a.0].value.dims(), gs / n),
-                    );
+                    accumulate(parents, *a, |p| {
+                        let gs = g.item()?;
+                        let n = p[a.0].value.len().max(1) as f32;
+                        Ok(Tensor::full(p[a.0].value.dims(), gs / n))
+                    })?;
                 }
                 Op::Dropout { x, mask } => {
-                    accumulate(parents, *x, ops::mul(&g, mask)?);
+                    accumulate(parents, *x, |_| ops::mul(g, saved(mask)))?;
                 }
             }
-            node.grad = Some(g);
+            node.grad = Some(upstream);
         }
         Ok(())
     }
@@ -388,8 +447,8 @@ mod tests {
     fn linear_chain_gradients() {
         // loss = mean(3·(a + b)) → dL/da = dL/db = 3/len.
         let mut g = Graph::new();
-        let a = g.input(Tensor::zeros(&[4]));
-        let b = g.input(Tensor::ones(&[4]));
+        let a = g.variable(Tensor::zeros(&[4]));
+        let b = g.variable(Tensor::ones(&[4]));
         let s = g.add(a, b).unwrap();
         let sc = g.scale(s, 3.0);
         let l = g.mean_all(sc).unwrap();
@@ -402,7 +461,7 @@ mod tests {
     fn fanout_accumulates() {
         // loss = mean(x + x) → dL/dx = 2/len each.
         let mut g = Graph::new();
-        let x = g.input(Tensor::zeros(&[2]));
+        let x = g.variable(Tensor::zeros(&[2]));
         let y = g.add(x, x).unwrap();
         let l = g.mean_all(y).unwrap();
         g.backward(l).unwrap();
@@ -414,7 +473,7 @@ mod tests {
         // [2,3] + [3] bias: bias grad is the column sum of upstream.
         let mut g = Graph::new();
         let x = g.input(Tensor::zeros(&[2, 3]));
-        let b = g.input(Tensor::zeros(&[3]));
+        let b = g.variable(Tensor::zeros(&[3]));
         let y = g.add(x, b).unwrap();
         let l = g.mean_all(y).unwrap();
         g.backward(l).unwrap();
@@ -428,8 +487,8 @@ mod tests {
     #[test]
     fn matmul_gradient_shapes_and_values() {
         let mut g = Graph::new();
-        let a = g.input(Tensor::ones(&[2, 3]));
-        let b = g.input(Tensor::ones(&[3, 4]));
+        let a = g.variable(Tensor::ones(&[2, 3]));
+        let b = g.variable(Tensor::ones(&[3, 4]));
         let y = g.matmul(a, b).unwrap();
         let l = g.mean_all(y).unwrap();
         g.backward(l).unwrap();
@@ -447,9 +506,8 @@ mod tests {
     #[test]
     fn softmax_ce_gradient_sums_to_zero_per_row() {
         let mut g = Graph::new();
-        let logits = g.input(
-            Tensor::from_vec(vec![2.0, -1.0, 0.3, 0.0, 0.0, 0.0], &[2, 3]).unwrap(),
-        );
+        let logits =
+            g.variable(Tensor::from_vec(vec![2.0, -1.0, 0.3, 0.0, 0.0, 0.0], &[2, 3]).unwrap());
         let l = g.softmax_cross_entropy(logits, &[0, 2]).unwrap();
         g.backward(l).unwrap();
         let gl = g.grad(logits);
@@ -499,11 +557,88 @@ mod tests {
     #[test]
     fn unused_nodes_get_zero_grad() {
         let mut g = Graph::new();
-        let x = g.input(Tensor::ones(&[2]));
-        let unused = g.input(Tensor::ones(&[5]));
+        let x = g.variable(Tensor::ones(&[2]));
+        let unused = g.variable(Tensor::ones(&[5]));
         let l = g.mean_all(x).unwrap();
         g.backward(l).unwrap();
         assert_eq!(g.grad(unused).data(), &[0.0; 5]);
+    }
+
+    #[test]
+    fn a_second_sweep_does_not_accumulate_into_the_first() {
+        let mut g = Graph::new();
+        let x = g.variable(Tensor::from_vec(vec![1.0, -2.0, 3.0, 0.5], &[4]).unwrap());
+        let y = g.scale(x, 3.0);
+        let l = g.mean_all(y).unwrap();
+        g.backward(l).unwrap();
+        let once = g.grad(x);
+        assert_eq!(once.data(), &[0.75; 4]);
+        g.backward(l).unwrap();
+        assert_eq!(g.grad(x).data(), once.data());
+    }
+
+    #[test]
+    fn each_sweep_leaves_only_its_own_roots_gradients() {
+        // Two roots on one tape, the second recorded after the first and
+        // reaching a leaf the first does not.
+        let mut g = Graph::new();
+        let x = g.variable(Tensor::ones(&[2]));
+        let z = g.variable(Tensor::ones(&[2]));
+        let l1 = g.mean_all(x).unwrap();
+        let xz = g.mul(x, z).unwrap();
+        let s = g.scale(xz, 4.0);
+        let l2 = g.mean_all(s).unwrap();
+        g.backward(l2).unwrap();
+        assert_eq!(g.grad(x).data(), &[2.0, 2.0]);
+        assert_eq!(g.grad(z).data(), &[2.0, 2.0]);
+        // The earlier root: nothing of the later sweep survives, not even
+        // in nodes past it.
+        g.backward(l1).unwrap();
+        assert_eq!(g.grad(x).data(), &[0.5, 0.5]);
+        assert_eq!(g.grad(z).data(), &[0.0, 0.0]);
+        assert_eq!(g.grad(l2).data(), &[0.0]);
+        g.backward(l2).unwrap();
+        assert_eq!(g.grad(x).data(), &[2.0, 2.0]);
+    }
+
+    #[test]
+    fn data_leaves_and_frozen_binds_are_not_differentiated() {
+        let w = ParamRef::new("w", Tensor::ones(&[2, 2]));
+        let f = ParamRef::frozen("f", Tensor::ones(&[2, 2]));
+        let mut g = Graph::new();
+        let x = g.input(Tensor::ones(&[1, 2]));
+        let fv = g.bind(&f);
+        let h = g.matmul(x, fv).unwrap();
+        let wv = g.bind(&w);
+        let y = g.matmul(h, wv).unwrap();
+        let l = g.mean_all(y).unwrap();
+        g.backward(l).unwrap();
+        // `h` is data · frozen: no demand, no slot, zeros on read.
+        assert!(g.nodes[x.0].grad.is_none());
+        assert!(g.nodes[fv.0].grad.is_none());
+        assert!(g.nodes[h.0].grad.is_none());
+        assert_eq!(g.grad(h).data(), &[0.0, 0.0]);
+        assert!(g.grad(wv).data().iter().all(|&v| v == 1.0));
+        // A root with no demand upstream is Ok and leaves every slot empty.
+        let dead = g.mean_all(h).unwrap();
+        g.backward(dead).unwrap();
+        assert!(g.nodes.iter().all(|n| n.grad.is_none()));
+    }
+
+    #[test]
+    fn an_inference_tape_saves_nothing_and_has_no_demand() {
+        let w = ParamRef::new("w", Tensor::ones(&[3, 3, 2, 2]));
+        let spec = conv::ConvSpec::new(3, 1, 1).unwrap();
+        let mut g = Graph::inference();
+        let x = g.variable(Tensor::ones(&[1, 2, 4, 4]));
+        let wv = g.bind(&w);
+        let y = g.conv2d(x, wv, spec, spec).unwrap();
+        assert!(g.nodes.iter().all(|n| !n.demand));
+        assert!(matches!(&g.nodes[y.0].op, Op::Conv2d { cols: None, .. }));
+        let l = g.mean_all(y).unwrap();
+        g.backward(l).unwrap();
+        g.flush_grads();
+        assert_eq!(w.grad().norm(), 0.0);
     }
 
     #[test]
@@ -532,7 +667,7 @@ mod tests {
     #[test]
     fn tanh_sigmoid_backward_use_saved_output() {
         let mut g = Graph::new();
-        let x = g.input(Tensor::from_vec(vec![0.5, -0.5], &[2]).unwrap());
+        let x = g.variable(Tensor::from_vec(vec![0.5, -0.5], &[2]).unwrap());
         let t = g.tanh(x);
         let l = g.mean_all(t).unwrap();
         g.backward(l).unwrap();
@@ -541,7 +676,7 @@ mod tests {
         assert!((g.grad(x).data()[0] - expect).abs() < 1e-5);
 
         let mut g = Graph::new();
-        let x = g.input(Tensor::from_vec(vec![0.3], &[1]).unwrap());
+        let x = g.variable(Tensor::from_vec(vec![0.3], &[1]).unwrap());
         let s = g.sigmoid(x);
         let l = g.mean_all(s).unwrap();
         g.backward(l).unwrap();
@@ -554,8 +689,18 @@ mod tests {
         let mut rng = metalora_tensor::init::rng(2);
         let spec = conv::ConvSpec::new(3, 2, 1).unwrap();
         let mut g = Graph::new();
-        let x = g.input(metalora_tensor::init::uniform(&[2, 3, 6, 6], -1.0, 1.0, &mut rng));
-        let w = g.input(metalora_tensor::init::uniform(&[3, 3, 3, 5], -1.0, 1.0, &mut rng));
+        let x = g.variable(metalora_tensor::init::uniform(
+            &[2, 3, 6, 6],
+            -1.0,
+            1.0,
+            &mut rng,
+        ));
+        let w = g.variable(metalora_tensor::init::uniform(
+            &[3, 3, 3, 5],
+            -1.0,
+            1.0,
+            &mut rng,
+        ));
         let y = g.conv2d(x, w, spec, spec).unwrap();
         let l = g.mean_all(y).unwrap();
         g.backward(l).unwrap();
@@ -569,7 +714,7 @@ mod tests {
         let mut rng = metalora_tensor::init::rng(3);
         let xv = metalora_tensor::init::uniform(&[2, 3, 4], -1.0, 1.0, &mut rng);
         let mut g = Graph::new();
-        let x = g.input(xv);
+        let x = g.variable(xv);
         let p = g.permute(x, &[2, 0, 1]).unwrap();
         let l = g.mean_all(p).unwrap();
         g.backward(l).unwrap();
@@ -582,7 +727,7 @@ mod tests {
     #[test]
     fn dropout_backward_masks() {
         let mut g = Graph::new();
-        let x = g.input(Tensor::ones(&[100]));
+        let x = g.variable(Tensor::ones(&[100]));
         let mut rng = metalora_tensor::init::rng(5);
         let y = g.dropout(x, 0.5, &mut rng).unwrap();
         let l = g.mean_all(y).unwrap();

@@ -39,7 +39,7 @@ where
 {
     // Analytic pass.
     let mut g = Graph::new();
-    let vars: Vec<Var> = inputs.iter().map(|t| g.input(t.clone())).collect();
+    let vars: Vec<Var> = inputs.iter().map(|t| g.variable(t.clone())).collect();
     let loss = f(&mut g, &vars)?;
     g.backward(loss)?;
     let analytic: Vec<Tensor> = vars.iter().map(|&v| g.grad(v)).collect();

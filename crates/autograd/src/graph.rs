@@ -1,10 +1,19 @@
 //! The tape: node arena, forward builder methods and the op vocabulary.
+//!
+//! Every node carries one bit, **gradient demand**, decided when it is
+//! pushed: a leaf has demand iff it is a [`Graph::variable`] or a trainable
+//! [`Graph::bind`] on a training tape; an op node has demand iff any of its
+//! operands (`Op::parents`) has. [`Graph::backward`] visits only nodes with
+//! demand and builds only the operand gradients that have it, and a builder
+//! saves an activation (`cols`, `xhat`, `probs`, a dropout mask) only for a
+//! node whose backward will read it. Data — images, features, constants —
+//! enters through [`Graph::input`] and is never differentiated.
 
 use crate::param::ParamRef;
 use crate::Result;
 use metalora_tensor::contract::{Lowering, Plan};
 use metalora_tensor::conv::{self, ConvSpec};
-use metalora_tensor::{ops, Tensor, TensorError};
+use metalora_tensor::{ops, workspace, Tensor, TensorError};
 use rand::rngs::StdRng;
 use rand::Rng;
 
@@ -16,7 +25,9 @@ pub struct Var(pub(crate) usize);
 /// Everything the backward pass needs to know about one op application.
 ///
 /// Variants store saved activations where recomputation would be wasteful
-/// (softmax probabilities, normalisation statistics, im2col patches).
+/// (softmax probabilities, normalisation statistics, im2col patches) — as
+/// `Option`s, `None` when no operand that would read them has gradient
+/// demand.
 #[derive(Debug)]
 pub(crate) enum Op {
     /// Input or bound parameter.
@@ -52,7 +63,7 @@ pub(crate) enum Op {
     SoftmaxCrossEntropy {
         logits: Var,
         labels: Vec<usize>,
-        probs: Tensor,
+        probs: Option<Tensor>,
     },
     /// Mean squared error against a constant target.
     MseLoss { pred: Var, target: Tensor },
@@ -61,24 +72,23 @@ pub(crate) enum Op {
         x: Var,
         gamma: Var,
         beta: Var,
-        xhat: Tensor,
-        invstd: Tensor,
+        saved: Option<NormSaved>,
     },
     /// Batch norm over `(N, H, W)` per channel of `[N, C, H, W]`.
     BatchNorm2d {
         x: Var,
         gamma: Var,
         beta: Var,
-        xhat: Tensor,
-        invstd: Tensor,
+        saved: Option<NormSaved>,
     },
-    /// 2-D convolution; stores the im2col patch matrix.
+    /// 2-D convolution; stores the im2col patch matrix, which only `dW`
+    /// reads.
     Conv2d {
         x: Var,
         w: Var,
         h_spec: ConvSpec,
         w_spec: ConvSpec,
-        cols: Tensor,
+        cols: Option<Tensor>,
     },
     /// `[N, C, H, W] → [N, C]` spatial mean.
     GlobalAvgPool2d(Var),
@@ -89,13 +99,56 @@ pub(crate) enum Op {
     /// Mean of all elements → scalar.
     MeanAll(Var),
     /// Inverted-dropout mask already folded with the keep-probability.
-    Dropout { x: Var, mask: Tensor },
+    Dropout { x: Var, mask: Option<Tensor> },
+}
+
+/// What a normalisation saves for its backward: the normalised input and
+/// the per-lane (layer norm) or per-channel (batch norm) `1/σ`.
+#[derive(Debug)]
+pub(crate) struct NormSaved {
+    pub(crate) xhat: Tensor,
+    pub(crate) invstd: Tensor,
+}
+
+impl Op {
+    /// The operands of this op application (at most three). Gradient
+    /// demand is inherited along exactly these edges.
+    pub(crate) fn parents(&self) -> impl Iterator<Item = Var> {
+        let p = match self {
+            Op::Leaf => [None; 3],
+            Op::Add(a, b) | Op::Sub(a, b) | Op::Mul(a, b) | Op::Matmul(a, b) | Op::Bmm(a, b) => {
+                [Some(*a), Some(*b), None]
+            }
+            Op::Conv2d { x, w, .. } => [Some(*x), Some(*w), None],
+            Op::LayerNorm { x, gamma, beta, .. } | Op::BatchNorm2d { x, gamma, beta, .. } => {
+                [Some(*x), Some(*gamma), Some(*beta)]
+            }
+            Op::Scale(a, _)
+            | Op::Softmax(a)
+            | Op::Reshape(a, _)
+            | Op::Permute(a, _)
+            | Op::Relu(a)
+            | Op::Gelu(a)
+            | Op::Tanh(a)
+            | Op::Sigmoid(a)
+            | Op::GlobalAvgPool2d(a)
+            | Op::SumAxis(a, _)
+            | Op::MeanAxis(a, _)
+            | Op::MeanAll(a)
+            | Op::SoftmaxCrossEntropy { logits: a, .. }
+            | Op::MseLoss { pred: a, .. }
+            | Op::Dropout { x: a, .. } => [Some(*a), None, None],
+        };
+        p.into_iter().flatten()
+    }
 }
 
 pub(crate) struct Node {
     pub(crate) value: Tensor,
     pub(crate) grad: Option<Tensor>,
     pub(crate) op: Op,
+    /// Gradient demand: whether `backward` must differentiate this node.
+    pub(crate) demand: bool,
 }
 
 /// A single forward/backward tape.
@@ -163,25 +216,52 @@ impl Graph {
         self.nodes.is_empty()
     }
 
-    fn push(&mut self, value: Tensor, op: Op) -> Var {
+    /// Whether any of `vars` has gradient demand — the one inheritance
+    /// rule, asked by [`Graph::push`] and by the builders that decide what
+    /// to save.
+    fn demand(&self, vars: impl IntoIterator<Item = Var>) -> bool {
+        vars.into_iter().any(|v| self.nodes[v.0].demand)
+    }
+
+    fn record(&mut self, value: Tensor, op: Op, demand: bool) -> Var {
         self.nodes.push(Node {
             value,
             grad: None,
             op,
+            demand,
         });
         Var(self.nodes.len() - 1)
     }
 
-    /// Adds a constant/input leaf.
+    fn push(&mut self, value: Tensor, op: Op) -> Var {
+        let demand = self.demand(op.parents());
+        self.record(value, op, demand)
+    }
+
+    /// A leaf; an inference tape has no demand anywhere.
+    fn leaf(&mut self, value: Tensor, demand: bool) -> Var {
+        self.record(value, Op::Leaf, demand && self.training)
+    }
+
+    /// Adds a *data* leaf: an image batch, a feature matrix, a constant.
+    /// It has no gradient demand — nothing is back-propagated into it and
+    /// [`Graph::grad`] reads zeros. Use [`Graph::variable`] for a leaf to
+    /// differentiate.
     pub fn input(&mut self, value: Tensor) -> Var {
-        self.push(value, Op::Leaf)
+        self.leaf(value, false)
+    }
+
+    /// Adds a differentiable leaf: [`Graph::backward`] fills its gradient.
+    pub fn variable(&mut self, value: Tensor) -> Var {
+        self.leaf(value, true)
     }
 
     /// Binds a shared parameter as a leaf; its gradient is delivered back
-    /// by [`Graph::flush_grads`]. Frozen parameters are bound as plain
-    /// inputs (gradients still flow *through* them, but are not flushed).
+    /// by [`Graph::flush_grads`]. A frozen parameter is bound as data:
+    /// no gradient is built for it, and a subgraph of frozen parameters
+    /// and [`Graph::input`]s is not differentiated at all.
     pub fn bind(&mut self, p: &ParamRef) -> Var {
-        let v = self.push(p.value(), Op::Leaf);
+        let v = self.leaf(p.value(), p.trainable());
         if p.trainable() {
             self.bound.push((v.0, p.clone()));
         }
@@ -199,7 +279,7 @@ impl Graph {
     }
 
     /// Gradient of a node after [`Graph::backward`]; zeros if the node did
-    /// not participate.
+    /// not participate or has no gradient demand.
     pub fn grad(&self, v: Var) -> Tensor {
         match &self.nodes[v.0].grad {
             Some(g) => g.clone(),
@@ -340,7 +420,7 @@ impl Graph {
         if let Some(&bad) = labels.iter().find(|&&y| y >= c) {
             return Err(TensorError::IndexOutOfRange { index: bad, len: c });
         }
-        let mut probs = Tensor::zeros(&[n, c]);
+        let mut probs = self.demand([logits]).then(|| Tensor::zeros(&[n, c]));
         let mut loss = 0.0f32;
         #[allow(clippy::needless_range_loop)]
         for i in 0..n {
@@ -351,8 +431,10 @@ impl Graph {
                 denom += (x - m).exp();
             }
             let log_denom = denom.ln() + m;
-            for (j, &x) in row.iter().enumerate() {
-                probs.data_mut()[i * c + j] = (x - log_denom).exp();
+            if let Some(probs) = &mut probs {
+                for (p, &x) in probs.data_mut()[i * c..(i + 1) * c].iter_mut().zip(row) {
+                    *p = (x - log_denom).exp();
+                }
             }
             loss -= l.data()[i * c + labels[i]] - log_denom;
         }
@@ -416,19 +498,25 @@ impl Graph {
             });
         }
         let lanes = xv.len() / c;
-        let mut xhat = Tensor::zeros(xv.dims());
-        let mut invstd = Tensor::zeros(&[lanes]);
+        let mut saved = self.demand([x, gamma, beta]).then(|| NormSaved {
+            xhat: Tensor::zeros(xv.dims()),
+            invstd: Tensor::zeros(&[lanes]),
+        });
         let mut out = Tensor::zeros(xv.dims());
         for l in 0..lanes {
             let row = &xv.data()[l * c..(l + 1) * c];
             let mean = row.iter().sum::<f32>() / c as f32;
             let var = row.iter().map(|&v| (v - mean) * (v - mean)).sum::<f32>() / c as f32;
             let istd = 1.0 / (var + eps).sqrt();
-            invstd.data_mut()[l] = istd;
+            if let Some(s) = &mut saved {
+                s.invstd.data_mut()[l] = istd;
+            }
             #[allow(clippy::needless_range_loop)]
             for j in 0..c {
                 let xh = (row[j] - mean) * istd;
-                xhat.data_mut()[l * c + j] = xh;
+                if let Some(s) = &mut saved {
+                    s.xhat.data_mut()[l * c + j] = xh;
+                }
                 out.data_mut()[l * c + j] = xh * gv.data()[j] + bv.data()[j];
             }
         }
@@ -438,8 +526,7 @@ impl Graph {
                 x,
                 gamma,
                 beta,
-                xhat,
-                invstd,
+                saved,
             },
         ))
     }
@@ -494,18 +581,24 @@ impl Graph {
             }
             var.data_mut()[ci] = acc / m;
         }
-        let mut xhat = Tensor::zeros(xv.dims());
-        let mut invstd = Tensor::zeros(&[c]);
+        let mut saved = self.demand([x, gamma, beta]).then(|| NormSaved {
+            xhat: Tensor::zeros(xv.dims()),
+            invstd: Tensor::zeros(&[c]),
+        });
         let mut out = Tensor::zeros(xv.dims());
         for ci in 0..c {
             let istd = 1.0 / (var.data()[ci] + eps).sqrt();
-            invstd.data_mut()[ci] = istd;
+            if let Some(s) = &mut saved {
+                s.invstd.data_mut()[ci] = istd;
+            }
             let (mu, gam, bet) = (mean.data()[ci], gv.data()[ci], bv.data()[ci]);
             for ni in 0..n {
                 let base = ((ni * c + ci) * h) * w;
                 for k in 0..h * w {
                     let xh = (xv.data()[base + k] - mu) * istd;
-                    xhat.data_mut()[base + k] = xh;
+                    if let Some(s) = &mut saved {
+                        s.xhat.data_mut()[base + k] = xh;
+                    }
                     out.data_mut()[base + k] = xh * gam + bet;
                 }
             }
@@ -516,8 +609,7 @@ impl Graph {
                 x,
                 gamma,
                 beta,
-                xhat,
-                invstd,
+                saved,
             },
         );
         Ok((v, mean, var))
@@ -560,6 +652,13 @@ impl Graph {
             (4 * (xv.len() + wv.len() + out.len())) as u64,
         );
         let out = ops::permute(&out.reshape(&[n, oh, ow, o])?, &[0, 3, 1, 2])?;
+        // Only `dW = colsᵀ·G` reads the patches back.
+        let cols = if self.demand([w]) {
+            Some(cols)
+        } else {
+            workspace::recycle(cols);
+            None
+        };
         Ok(self.push(
             out,
             Op::Conv2d {
@@ -623,9 +722,10 @@ impl Graph {
                 "dropout probability {p} outside [0, 1)"
             )));
         }
+        let keep_mask = self.demand([x]);
         if !self.training || p == 0.0 {
             let v = self.nodes[x.0].value.clone();
-            let mask = Tensor::ones(v.dims());
+            let mask = keep_mask.then(|| Tensor::ones(v.dims()));
             return Ok(self.push(v, Op::Dropout { x, mask }));
         }
         let keep = 1.0 - p;
@@ -639,6 +739,7 @@ impl Graph {
             };
         }
         let v = ops::mul(xv, &mask)?;
+        let mask = keep_mask.then_some(mask);
         Ok(self.push(v, Op::Dropout { x, mask }))
     }
 

@@ -8,10 +8,18 @@
 //! Construction order is a valid topological order by construction, so no
 //! explicit sort is needed.
 //!
-//! Training loops create a fresh graph per step, *bind* shared parameters
-//! ([`ParamRef`], [`Graph::bind`]) as leaves, run forward + backward, then
+//! Training loops create a fresh graph per step, enter the batch as data
+//! ([`Graph::input`]), *bind* shared parameters ([`ParamRef`],
+//! [`Graph::bind`]) as leaves, run forward + backward, then
 //! [`Graph::flush_grads`] accumulates leaf gradients back into the shared
 //! parameter cells where optimisers (in `metalora-nn`) consume them.
+//!
+//! Only what trains is differentiated: each node carries a *gradient
+//! demand* bit (a [`Graph::variable`] or trainable bind, or any op
+//! downstream of one), `backward` builds no gradient for an operand without
+//! it, and forward saves no activation a demand-less node would only have
+//! kept for backward — see [`graph`]. A frozen backbone on a data leaf
+//! costs nothing in the reverse sweep.
 //!
 //! The op set is exactly what the MetaLoRA reproduction needs: dense and
 //! convolutional layers, the activations/normalisations of ResNet and

@@ -55,7 +55,7 @@ proptest! {
         let logits = init::uniform(&[n, c], -2.0, 2.0, &mut rng);
         let labels: Vec<usize> = (0..n).map(|k| k % c).collect();
         let mut g = Graph::new();
-        let l = g.input(logits);
+        let l = g.variable(logits);
         let loss = g.softmax_cross_entropy(l, &labels).unwrap();
         g.backward(loss).unwrap();
         let gl = g.grad(l);
@@ -76,7 +76,7 @@ proptest! {
         let x = init::uniform(&[n, d], -1.0, 1.0, &mut rng);
         let grad_of = |scale: f32, x: &Tensor| {
             let mut g = Graph::new();
-            let xv = g.input(x.clone());
+            let xv = g.variable(x.clone());
             let y = g.mul(xv, xv).unwrap();
             let m = g.mean_all(y).unwrap();
             let l = g.scale(m, scale);
@@ -119,12 +119,12 @@ proptest! {
     fn unreached_nodes_have_zero_grad(seed in 0u64..500) {
         let mut rng = init::rng(seed);
         let mut g = Graph::new();
-        let used = g.input(init::uniform(&[4], -1.0, 1.0, &mut rng));
-        let unused = g.input(init::uniform(&[4], -1.0, 1.0, &mut rng));
+        let used = g.variable(init::uniform(&[4], -1.0, 1.0, &mut rng));
+        let unused = g.variable(init::uniform(&[4], -1.0, 1.0, &mut rng));
         let y = g.mul(used, used).unwrap();
         let l = g.mean_all(y).unwrap();
         // Node created after the root: also untouched.
-        let after = g.input(Tensor::ones(&[2]));
+        let after = g.variable(Tensor::ones(&[2]));
         g.backward(l).unwrap();
         prop_assert!(g.grad(unused).data().iter().all(|&v| v == 0.0));
         prop_assert!(g.grad(after).data().iter().all(|&v| v == 0.0));

@@ -63,65 +63,71 @@ impl Checkpoint {
         self.entries.get(name)
     }
 
-    /// Restores values into a module **strictly**: every module parameter
-    /// and buffer must exist in the checkpoint with a matching shape, and
-    /// every checkpoint entry must be consumed.
-    pub fn apply(&self, module: &dyn Module) -> Result<()> {
+    /// Pairs every parameter and buffer of `module` with its checkpoint
+    /// entry and checks every shape, writing nothing: a load either
+    /// commits whole or leaves the module untouched. `strict` also rejects
+    /// a parameter the checkpoint lacks.
+    fn matched(
+        &self,
+        module: &dyn Module,
+        op: &'static str,
+        strict: bool,
+    ) -> Result<Vec<(ParamRef, &Tensor)>> {
         let mut params = module.params();
         params.extend(module.buffers());
-        let mut used = 0usize;
-        for p in &params {
+        let mut pairs = Vec::with_capacity(params.len());
+        for p in params {
             let name = p.name();
-            let t = self.entries.get(&name).ok_or_else(|| {
-                TensorError::InvalidArgument(format!(
-                    "checkpoint missing parameter `{name}`"
-                ))
-            })?;
-            if t.dims() != p.dims() {
-                return Err(TensorError::ShapeMismatch {
-                    op: "checkpoint apply",
-                    lhs: t.dims().to_vec(),
-                    rhs: p.dims(),
-                });
+            match self.entries.get(&name) {
+                Some(t) if t.dims() != p.dims() => {
+                    return Err(TensorError::ShapeMismatch {
+                        op,
+                        lhs: t.dims().to_vec(),
+                        rhs: p.dims(),
+                    })
+                }
+                Some(t) => pairs.push((p, t)),
+                None if strict => {
+                    return Err(TensorError::InvalidArgument(format!(
+                        "checkpoint missing parameter `{name}`"
+                    )))
+                }
+                None => {}
             }
-            let trainable = p.trainable();
-            p.set_value(t.clone());
-            p.set_trainable(trainable);
-            used += 1;
         }
-        if used != self.entries.len() {
+        Ok(pairs)
+    }
+
+    /// Restores values into a module **strictly**: every module parameter
+    /// and buffer must exist in the checkpoint with a matching shape, and
+    /// every checkpoint entry must be consumed. On `Err` no value of the
+    /// module has changed.
+    pub fn apply(&self, module: &dyn Module) -> Result<()> {
+        let pairs = self.matched(module, "checkpoint apply", true)?;
+        if pairs.len() != self.entries.len() {
             return Err(TensorError::InvalidArgument(format!(
-                "checkpoint has {} entries but module consumed {used}",
-                self.entries.len()
+                "checkpoint has {} entries but module consumed {}",
+                self.entries.len(),
+                pairs.len()
             )));
+        }
+        for (p, t) in pairs {
+            p.set_value(t.clone());
         }
         Ok(())
     }
 
     /// Restores values **partially**: parameters present in the checkpoint
     /// (by name, with matching shape) are loaded; everything else is left
-    /// untouched. Returns how many parameters were loaded. Used to warm-
-    /// start an injected model from its pretrained base checkpoint.
+    /// untouched. Returns how many parameters were loaded; on `Err` (a
+    /// shared name with a different shape) none was. Used to warm-start an
+    /// injected model from its pretrained base checkpoint.
     pub fn apply_partial(&self, module: &dyn Module) -> Result<usize> {
-        let mut loaded = 0usize;
-        let mut params = module.params();
-        params.extend(module.buffers());
-        for p in params {
-            if let Some(t) = self.entries.get(&p.name()) {
-                if t.dims() != p.dims() {
-                    return Err(TensorError::ShapeMismatch {
-                        op: "checkpoint apply_partial",
-                        lhs: t.dims().to_vec(),
-                        rhs: p.dims(),
-                    });
-                }
-                let trainable = p.trainable();
-                p.set_value(t.clone());
-                p.set_trainable(trainable);
-                loaded += 1;
-            }
+        let pairs = self.matched(module, "checkpoint apply_partial", false)?;
+        for (p, t) in &pairs {
+            p.set_value((*t).clone());
         }
-        Ok(loaded)
+        Ok(pairs.len())
     }
 
     /// Serialises to pretty JSON.
@@ -209,6 +215,42 @@ mod tests {
             &mut init::rng(7),
         );
         assert!(ck.apply(&bigger).is_err());
+    }
+
+    fn bits(m: &Mlp) -> Vec<Vec<u32>> {
+        m.params()
+            .iter()
+            .map(|p| p.value().data().iter().map(|v| v.to_bits()).collect())
+            .collect()
+    }
+
+    #[test]
+    fn a_failed_apply_leaves_every_value_untouched() {
+        // The mismatch sits on the last parameter, behind three that match.
+        let mut all = mlp(20).params();
+        let last = all.pop().unwrap();
+        all.push(ParamRef::new(last.name(), Tensor::zeros(&[last.len() + 1])));
+        let ck = Checkpoint::from_params(&all).unwrap();
+        let target = mlp(21);
+        let before = bits(&target);
+        assert!(ck.apply(&target).is_err());
+        assert_eq!(bits(&target), before);
+        assert!(ck.apply_partial(&target).is_err());
+        assert_eq!(bits(&target), before);
+    }
+
+    #[test]
+    fn a_missing_last_parameter_leaves_every_value_untouched() {
+        let source = mlp(22);
+        let mut all = source.params();
+        all.pop();
+        let ck = Checkpoint::from_params(&all).unwrap();
+        let target = mlp(23);
+        let before = bits(&target);
+        assert!(ck.apply(&target).is_err());
+        assert_eq!(bits(&target), before);
+        // Partial loading of the same checkpoint is legal and loads the rest.
+        assert_eq!(ck.apply_partial(&target).unwrap(), 3);
     }
 
     #[test]

@@ -2,7 +2,9 @@
 
 use metalora_autograd::{Graph, ParamRef};
 use metalora_nn::models::{Mixer, MixerConfig, Mlp, MlpConfig, ResNet, ResNetConfig};
-use metalora_nn::{Adam, Backbone, BatchNorm2d, Conv2d, Ctx, LayerNorm, Linear, Module, Optimizer, Sgd};
+use metalora_nn::{
+    Adam, Backbone, BatchNorm2d, Checkpoint, Conv2d, Ctx, LayerNorm, Linear, Module, Optimizer, Sgd,
+};
 use metalora_tensor::{init, Tensor};
 use proptest::prelude::*;
 
@@ -168,5 +170,39 @@ proptest! {
         }
         prop_assert!(metalora_tensor::approx_eq(&before, &frozen.value(), 0.0));
         prop_assert!(!metalora_tensor::approx_eq(&before, &live.value(), 1e-6));
+    }
+
+    #[test]
+    fn a_damaged_checkpoint_file_is_an_error_never_a_panic_or_a_partial_load(
+        cut in 0usize..10_000, byte in 0usize..8, seed in 0u64..500,
+    ) {
+        let cfg = MlpConfig { in_dim: 3, hidden: vec![4], out_dim: 2 };
+        let source = Mlp::new("m", &cfg, &mut init::rng(seed));
+        let json = Checkpoint::capture(&source).unwrap().to_json().unwrap();
+        prop_assert!(json.is_ascii());
+        let at = json.len() * cut / 10_000;
+
+        // Truncated anywhere before the end: the document is incomplete.
+        prop_assert!(Checkpoint::from_json(&json[..at]).is_err());
+
+        // One byte overwritten. Structural damage is an `Err`; damage the
+        // format cannot see (a digit, a letter of a name) parses — and
+        // then a strict `apply` either commits whole or changes nothing.
+        let mut damaged = json.clone().into_bytes();
+        damaged[at] = b"}\"[,x9\\:"[byte];
+        let damaged = String::from_utf8(damaged).unwrap();
+        let target = Mlp::new("m", &cfg, &mut init::rng(seed + 1));
+        let values = |m: &Mlp| -> Vec<Vec<u32>> {
+            m.params()
+                .iter()
+                .map(|p| p.value().data().iter().map(|v| v.to_bits()).collect())
+                .collect()
+        };
+        let before = values(&target);
+        if let Ok(ck) = Checkpoint::from_json(&damaged) {
+            if ck.apply(&target).is_err() {
+                prop_assert_eq!(values(&target), before);
+            }
+        }
     }
 }
