@@ -9,9 +9,10 @@ use metalora::pipeline::{adapt, pretrain};
 use metalora::report::render_table;
 use metalora_data::knn::{Distance, KnnClassifier};
 use metalora_tensor::conv::{conv2d, ConvSpec};
-use metalora_tensor::ops::{GemmDesc, KernelPath};
+use metalora_tensor::ops::{GemmDesc, KernelPath, SimdLevel};
 use metalora_tensor::{init, ops, par, workspace, Tensor};
 use serde::{Deserialize, Serialize};
+use std::hint::black_box;
 use std::time::Instant;
 
 /// One (kernel, path, thread-count) measurement.
@@ -31,6 +32,24 @@ pub struct KernelPoint {
     pub speedup_vs_1: f64,
     /// Output identical to the legacy single-thread run, bit for bit.
     pub bitwise_equal_to_serial: bool,
+    /// `gflops` over the FMA peak of the cores the point ran on
+    /// ([`HostPeak::fma_gflops`] × `min(threads, host_cpus)`): set on
+    /// packed matmul points only.
+    pub fma_peak_share: Option<f64>,
+}
+
+/// This core's ceilings at its SIMD level, measured on one thread at the
+/// start of every K1 run, so a kernel's GFLOP/s reads as a share of what
+/// the host can do.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub struct HostPeak {
+    /// Register-resident separate multiply then add, GFLOP/s (2 flops per
+    /// pair).
+    pub mul_add_gflops: f64,
+    /// Register-resident fused multiply-add, GFLOP/s (2 flops per FMA).
+    pub fma_gflops: f64,
+    /// Copy of a 32 MiB buffer, GB/s counting bytes read plus written.
+    pub copy_gbytes_per_s: f64,
 }
 
 /// One fused-epilogue GEMM measurement against the separate-pass run at
@@ -133,6 +152,9 @@ pub struct KernelReport {
     pub multithread_floor: f64,
     pub scale: String,
     pub simd_level: String,
+    /// The host's ceilings (absent from baselines recorded before K1
+    /// measured them).
+    pub host_peak: Option<HostPeak>,
     pub points: Vec<KernelPoint>,
     /// Regress-gate floor for `speedup_vs_unfused` of fused points at
     /// t = 1.
@@ -163,6 +185,97 @@ fn bitwise_eq(a: &Tensor, b: &Tensor) -> bool {
             .iter()
             .zip(b.data())
             .all(|(x, y)| x.to_bits() == y.to_bits())
+}
+
+/// Independent accumulators per spin: a multiply-then-add step is a chain
+/// of two dependent instructions, so twelve chains keep two ports busy,
+/// and twelve plus the two constants fit AVX2's sixteen registers.
+const CHAINS: usize = 12;
+
+/// `steps` updates `acc ← acc·x + y` of [`CHAINS`] register-resident
+/// vectors, one FMA (`FUSED`) or a multiply then an add each. The
+/// constants pass through `black_box` — from `acc = 1` the update is a
+/// fixed point the optimiser would otherwise fold — and the sum is
+/// returned so the work cannot be dropped.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,fma")]
+unsafe fn spin512<const FUSED: bool>(steps: usize) -> f32 {
+    use std::arch::x86_64::*;
+    let [x, y, one] = black_box([0.999_9, 1e-4, 1.0]).map(|v| _mm512_set1_ps(v));
+    let mut acc = [one; CHAINS];
+    for _ in 0..steps {
+        for a in &mut acc {
+            *a = if FUSED {
+                _mm512_fmadd_ps(*a, x, y)
+            } else {
+                _mm512_add_ps(_mm512_mul_ps(*a, x), y)
+            };
+        }
+    }
+    acc.iter().map(|&a| _mm512_reduce_add_ps(a)).sum()
+}
+
+/// [`spin512`] on 256-bit vectors.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+unsafe fn spin256<const FUSED: bool>(steps: usize) -> f32 {
+    use std::arch::x86_64::*;
+    let [x, y, one] = black_box([0.999_9, 1e-4, 1.0]).map(|v| _mm256_set1_ps(v));
+    let mut acc = [one; CHAINS];
+    for _ in 0..steps {
+        for a in &mut acc {
+            *a = if FUSED {
+                _mm256_fmadd_ps(*a, x, y)
+            } else {
+                _mm256_add_ps(_mm256_mul_ps(*a, x), y)
+            };
+        }
+    }
+    acc.iter().map(|&a| _mm256_cvtss_f32(a)).sum()
+}
+
+/// [`spin512`] on scalars: what the portable kernel runs on a host
+/// without FMA, where `mul_add` is libm's `fmaf`.
+fn spin_portable<const FUSED: bool>(steps: usize) -> f32 {
+    let [x, y, one] = black_box([0.999_9f32, 1e-4, 1.0]);
+    let mut acc = [one; CHAINS];
+    for _ in 0..steps {
+        for a in &mut acc {
+            *a = if FUSED { a.mul_add(x, y) } else { *a * x + y };
+        }
+    }
+    acc.iter().sum()
+}
+
+/// Measures [`HostPeak`] on the calling thread at the host's SIMD level.
+fn host_peak() -> HostPeak {
+    let steps = black_box(1usize << 22);
+    let gflops = |fused: bool| {
+        let (lanes, spin): (usize, fn(usize) -> f32) = match (ops::simd_level(), fused) {
+            // SAFETY (every vector arm): `simd_level` reports a vector
+            // level only when the host has it, FMA included.
+            #[cfg(target_arch = "x86_64")]
+            (SimdLevel::Avx512, true) => (16, |s| unsafe { spin512::<true>(s) }),
+            #[cfg(target_arch = "x86_64")]
+            (SimdLevel::Avx512, false) => (16, |s| unsafe { spin512::<false>(s) }),
+            #[cfg(target_arch = "x86_64")]
+            (SimdLevel::Avx2, true) => (8, |s| unsafe { spin256::<true>(s) }),
+            #[cfg(target_arch = "x86_64")]
+            (SimdLevel::Avx2, false) => (8, |s| unsafe { spin256::<false>(s) }),
+            (_, true) => (1, spin_portable::<true>),
+            (_, false) => (1, spin_portable::<false>),
+        };
+        let (ms, _) = time_ms(5, || black_box(spin(steps)));
+        (2 * steps * CHAINS * lanes) as f64 / (ms * 1e6)
+    };
+    let src = vec![1.0f32; 8 << 20];
+    let mut dst = vec![0.0f32; src.len()];
+    let (copy_ms, _) = time_ms(5, || black_box(&mut dst[..]).copy_from_slice(black_box(&src)));
+    HostPeak {
+        mul_add_gflops: gflops(false),
+        fma_gflops: gflops(true),
+        copy_gbytes_per_s: (2 * 4 * src.len()) as f64 / (copy_ms * 1e6),
+    }
 }
 
 /// Cumulative separate-epilogue output passes (obs counter) — deltas
@@ -202,6 +315,7 @@ fn sweep(
                 gflops: flops / (ms * 1e6),
                 speedup_vs_1: base_ms / ms,
                 bitwise_equal_to_serial: bitwise_eq(&reference, &out),
+                fma_peak_share: None,
             });
         }
     }
@@ -221,6 +335,11 @@ pub fn run(quick: bool) -> KernelReport {
     println!(
         "=== K1 — kernel throughput (host_cpus={host_cpus}, simd={simd}, sizes {}) ===\n",
         if quick { "quick" } else { "standard" }
+    );
+    let peak = host_peak();
+    println!(
+        "host peak (1 thread, {simd}): mul+add {:.1} GFLOP/s, FMA {:.1} GFLOP/s, copy {:.1} GB/s\n",
+        peak.mul_add_gflops, peak.fma_gflops, peak.copy_gbytes_per_s
     );
     // Force the parallel path even at quick sizes so the sweep actually
     // exercises the thread team, and count arena traffic from a cold pool.
@@ -283,6 +402,10 @@ pub fn run(quick: bool) -> KernelReport {
             Tensor::from_vec(data, &[nq]).unwrap()
         },
     );
+
+    for p in points.iter_mut().filter(|p| p.path == "packed" && p.kernel.starts_with("matmul")) {
+        p.fma_peak_share = Some(p.gflops / (peak.fma_gflops * p.threads.min(host_cpus) as f64));
+    }
 
     // Fused-epilogue GEMM at the matmul shape: bias + GELU folded into
     // the GEMM's C store vs `matmul` followed by the separate
@@ -348,10 +471,11 @@ pub fn run(quick: bool) -> KernelReport {
     let _adapted = adapt(backbone, Method::MetaLoraCp, &cfg, 0).expect("adapt");
     let train_arena = ArenaStats::capture();
 
-    let headers: Vec<String> = ["kernel", "path", "threads", "best ms", "GFLOP/s", "speedup", "bitwise"]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
+    let headers: Vec<String> =
+        ["kernel", "path", "threads", "best ms", "GFLOP/s", "FMA peak", "speedup", "bitwise"]
+            .iter()
+            .map(|s| s.to_string())
+            .collect();
     let rows: Vec<Vec<String>> = points
         .iter()
         .map(|p| {
@@ -361,6 +485,7 @@ pub fn run(quick: bool) -> KernelReport {
                 p.threads.to_string(),
                 format!("{:.3}", p.best_ms),
                 format!("{:.2}", p.gflops),
+                p.fma_peak_share.map_or("-".into(), |f| format!("{:.0}%", 100.0 * f)),
                 format!("{:.2}x", p.speedup_vs_1),
                 p.bitwise_equal_to_serial.to_string(),
             ]
@@ -417,6 +542,7 @@ pub fn run(quick: bool) -> KernelReport {
         multithread_floor: 1.2,
         scale: if quick { "quick" } else { "standard" }.to_string(),
         simd_level: simd,
+        host_peak: Some(peak),
         points,
         fused_floor: 0.95,
         fused_points,
@@ -439,6 +565,11 @@ mod tests {
             multithread_floor: 1.2,
             scale: "quick".into(),
             simd_level: "avx2".into(),
+            host_peak: Some(HostPeak {
+                mul_add_gflops: 30.0,
+                fma_gflops: 60.0,
+                copy_gbytes_per_s: 12.0,
+            }),
             points: vec![KernelPoint {
                 kernel: "matmul 128x128x128".into(),
                 path: "packed".into(),
@@ -447,6 +578,7 @@ mod tests {
                 gflops: 2.8,
                 speedup_vs_1: 1.9,
                 bitwise_equal_to_serial: true,
+                fma_peak_share: Some(2.8 / 60.0),
             }],
             fused_floor: 0.95,
             fused_points: vec![FusedKernelPoint {
@@ -505,5 +637,15 @@ mod tests {
         assert_eq!(back.sweep_threads, vec![1, 2, 4, 8]);
         assert!((back.multithread_floor - 1.2).abs() < 1e-12);
         assert!((back.sweep_arena.hit_rate - 10.0 / 12.0).abs() < 1e-12);
+        assert!((back.host_peak.unwrap().fma_gflops - 60.0).abs() < 1e-12);
+        assert!((back.points[0].fma_peak_share.unwrap() - 2.8 / 60.0).abs() < 1e-12);
+
+        // A baseline recorded before the host ceilings were measured
+        // still parses, with neither the object nor the shares.
+        let old = json
+            .replace("\"host_peak\"", "\"retired_peak\"")
+            .replace("\"fma_peak_share\"", "\"retired_share\"");
+        let back: KernelReport = serde_json::from_str(&old).unwrap();
+        assert!(back.host_peak.is_none() && back.points[0].fma_peak_share.is_none());
     }
 }

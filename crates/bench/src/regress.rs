@@ -253,6 +253,7 @@ mod tests {
             gflops: 1.0,
             speedup_vs_1: if threads > 1 { 2.5 } else { 1.0 },
             bitwise_equal_to_serial: true,
+            fma_peak_share: None,
         }
     }
 
@@ -276,6 +277,7 @@ mod tests {
             multithread_floor: 1.2,
             scale: "quick".into(),
             simd_level: "avx2".into(),
+            host_peak: None,
             points: vec![point("legacy", 1, 2.0), point("packed", 1, 1.0), point("packed", 4, 0.4)],
             fused_floor: 0.95,
             fused_points: vec![fused_point(1, 1.2), fused_point(4, 1.1)],

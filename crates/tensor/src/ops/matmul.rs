@@ -16,12 +16,15 @@
 //!   packed path is tested bitwise-equal against
 //!   ([`super::microkernel::with_kernel_path`]).
 //!
-//! Per-element accumulation starts from `+0.0` and runs in increasing `k`
-//! order everywhere, so reference, packed and parallel results are all
+//! Per-element accumulation starts from `+0.0` and takes one fused
+//! multiply-add per `k`, in increasing `k` order, everywhere, so
+//! reference, packed, parallel and every SIMD level's results are all
 //! bitwise identical. `matmul` and the few names the autograd tape uses
 //! survive as one-line wrappers.
 
-use super::microkernel::{self, use_packed, Activation, Epilogue, StridedGemm, KC};
+use super::microkernel::{
+    self, simd_level, use_packed, Activation, Epilogue, SimdLevel, StridedGemm, KC,
+};
 use crate::par::par_row_blocks;
 use crate::{Result, Tensor, TensorError};
 
@@ -187,8 +190,52 @@ pub fn gemm(desc: &GemmDesc) -> Result<Tensor> {
 }
 
 /// The reference path of [`gemm`]: scalar loops over the strided
-/// description, row blocks handed to [`par_row_blocks`]. Two inner-loop
-/// forms, both contiguous in `B`, picked from `B`'s strides:
+/// description, row blocks handed to [`par_row_blocks`], run by the
+/// instantiation of [`reference_rows`] for the SIMD level. The level is
+/// read here, on the calling thread, because a cap set by
+/// [`super::microkernel::with_kernel_path`] is thread-local and the row
+/// blocks may run on the team.
+fn gemm_reference(g: &StridedGemm, out: &mut [f32]) {
+    if out.is_empty() {
+        return;
+    }
+    let lvl = simd_level();
+    par_row_blocks(out, g.n, 2 * g.k * g.n, |first, block| match lvl {
+        // SAFETY: `simd_level` reports a vector level only when the host
+        // has it, FMA included.
+        #[cfg(target_arch = "x86_64")]
+        SimdLevel::Avx512 => unsafe { reference_rows_avx512(g, first, block) },
+        #[cfg(target_arch = "x86_64")]
+        SimdLevel::Avx2 => unsafe { reference_rows_avx2(g, first, block) },
+        _ => reference_rows(g, first, block),
+    });
+}
+
+/// [`reference_rows`] where `f32::mul_add` is one `vfmadd` and the axpy
+/// form vectorises to 512-bit lanes.
+///
+/// # Safety
+/// The host has AVX-512F and FMA.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,fma")]
+unsafe fn reference_rows_avx512(g: &StridedGemm, first: usize, block: &mut [f32]) {
+    reference_rows(g, first, block)
+}
+
+/// [`reference_rows`] where `f32::mul_add` is one `vfmadd` and the axpy
+/// form vectorises to 256-bit lanes.
+///
+/// # Safety
+/// The host has AVX2 and FMA.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+unsafe fn reference_rows_avx2(g: &StridedGemm, first: usize, block: &mut [f32]) {
+    reference_rows(g, first, block)
+}
+
+/// The reference kernel on the output rows `first..` that `block` holds.
+/// Two inner-loop forms, both contiguous in `B`, picked from `B`'s
+/// strides:
 ///
 /// * `B`'s k stride is 1 (transposed `B`, or a single column): a dot
 ///   product per element, accumulated in a register;
@@ -196,66 +243,64 @@ pub fn gemm(desc: &GemmDesc) -> Result<Tensor> {
 ///   into a row of `C` per `(i, kk)` scalar of `A`, k-tiled by [`KC`] so
 ///   the active panel of `B` stays in L2.
 ///
-/// Either way every element starts from `+0.0` and accumulates in
-/// increasing `k` order — the sequence the packed path reproduces.
-fn gemm_reference(g: &StridedGemm, out: &mut [f32]) {
-    if out.is_empty() {
-        return;
-    }
+/// Either way every element starts from `+0.0` and takes one
+/// `f32::mul_add` per `k`, in increasing `k` order — the sequence the
+/// packed path reproduces. Without FMA hardware (the un-featured
+/// instantiation) `mul_add` is libm's `fmaf`: the same bits, slowly.
+#[inline(always)]
+fn reference_rows(g: &StridedGemm, first: usize, block: &mut [f32]) {
     let StridedGemm { a: ad, b: bd, m, n, k, a_batch, a_rs, a_ks, b_batch, b_ks, b_cs, .. } = *g;
-    par_row_blocks(out, n, 2 * k * n, |first, block| {
-        // Offsets of the `A` row and the `B` batch behind each output row
-        // of the block, in order (rows run through the batches).
-        let bases = || {
-            let (mut bi, mut i) = (first / m, first % m);
-            std::iter::from_fn(move || {
-                let base = (bi * a_batch + i * a_rs, bi * b_batch);
-                i += 1;
-                if i == m {
-                    (bi, i) = (bi + 1, 0);
-                }
-                Some(base)
-            })
-        };
-        if b_ks == 1 {
-            // A transposed `A` row is gathered once so the dot loop below
-            // stays contiguous in both operands.
-            let mut gathered = Vec::new();
-            for (out_row, (a0, b0)) in block.chunks_mut(n).zip(bases()) {
-                let a_row = if a_ks == 1 {
-                    &ad[a0..a0 + k]
-                } else {
-                    gathered.clear();
-                    gathered.extend((0..k).map(|kk| ad[a0 + kk * a_ks]));
-                    &gathered[..]
-                };
-                for (j, o) in out_row.iter_mut().enumerate() {
-                    let b_col = &bd[b0 + j * b_cs..][..k];
-                    let mut acc = 0.0f32;
-                    for (&x, &y) in a_row.iter().zip(b_col) {
-                        acc += x * y;
-                    }
-                    *o = acc;
-                }
+    // Offsets of the `A` row and the `B` batch behind each output row of
+    // the block, in order (rows run through the batches).
+    let bases = || {
+        let (mut bi, mut i) = (first / m, first % m);
+        std::iter::from_fn(move || {
+            let base = (bi * a_batch + i * a_rs, bi * b_batch);
+            i += 1;
+            if i == m {
+                (bi, i) = (bi + 1, 0);
             }
-        } else {
-            for kb in (0..k).step_by(KC) {
-                let kend = (kb + KC).min(k);
-                for (out_row, (a0, b0)) in block.chunks_mut(n).zip(bases()) {
-                    for kk in kb..kend {
-                        let aik = ad[a0 + kk * a_ks];
-                        let b_row = &bd[b0 + kk * b_ks..][..n];
-                        for (o, &bv) in out_row.iter_mut().zip(b_row) {
-                            *o += aik * bv;
-                        }
+            Some(base)
+        })
+    };
+    if b_ks == 1 {
+        // A transposed `A` row is gathered once so the dot loop below
+        // stays contiguous in both operands.
+        let mut gathered = Vec::new();
+        for (out_row, (a0, b0)) in block.chunks_mut(n).zip(bases()) {
+            let a_row = if a_ks == 1 {
+                &ad[a0..a0 + k]
+            } else {
+                gathered.clear();
+                gathered.extend((0..k).map(|kk| ad[a0 + kk * a_ks]));
+                &gathered[..]
+            };
+            for (j, o) in out_row.iter_mut().enumerate() {
+                let b_col = &bd[b0 + j * b_cs..][..k];
+                let mut acc = 0.0f32;
+                for (&x, &y) in a_row.iter().zip(b_col) {
+                    acc = x.mul_add(y, acc);
+                }
+                *o = acc;
+            }
+        }
+    } else {
+        for kb in (0..k).step_by(KC) {
+            let kend = (kb + KC).min(k);
+            for (out_row, (a0, b0)) in block.chunks_mut(n).zip(bases()) {
+                for kk in kb..kend {
+                    let aik = ad[a0 + kk * a_ks];
+                    let b_row = &bd[b0 + kk * b_ks..][..n];
+                    for (o, &bv) in out_row.iter_mut().zip(b_row) {
+                        *o = aik.mul_add(bv, *o);
                     }
                 }
             }
         }
-        // The block's full-k accumulation is complete: apply the epilogue
-        // in the same walk instead of a second pass over the output.
-        g.ep.apply_rows(block, n);
-    });
+    }
+    // The block's full-k accumulation is complete: apply the epilogue in
+    // the same walk instead of a second pass over the output.
+    g.ep.apply_rows(block, n);
 }
 
 /// `C = A·B` for `A:[m,k]`, `B:[k,n]`.
@@ -415,7 +460,7 @@ mod tests {
             for j in 0..5 {
                 let mut acc = 0.0f32;
                 for kk in 0..k {
-                    acc += a.data()[i * k + kk] * b.data()[kk * 5 + j];
+                    acc = a.data()[i * k + kk].mul_add(b.data()[kk * 5 + j], acc);
                 }
                 assert_eq!(c.data()[i * 5 + j], acc, "tiled result must be bitwise ikj");
             }

@@ -21,24 +21,27 @@
 //!    and `B` is never re-packed, which is what lets the packed path
 //!    scale instead of fighting the thread team (the old design split
 //!    rows *above* the packing).
-//! 3. Per claimed cell, run the `MR×NR` **register-tiled kernel** for
-//!    each column tile: the 4×16 accumulator block lives in SIMD
+//! 3. Per claimed cell, run the **register tile** of the strip's height
+//!    (`1..=MR` rows) over its columns: two adjacent `NR`-wide panels at
+//!    once while at least `2·NR` columns remain, one panel otherwise, and
+//!    the ragged `n % NR` columns through masked lanes. The accumulator
+//!    block (`8 × 32` at full height: sixteen `zmm`) lives in SIMD
 //!    registers, `C` is loaded into it at the start of each KC tile and
-//!    stored back after, and `k` advances one step at a time. Ragged
-//!    edges (`m % MR`, `n % NR`) fall to a bounds-checked edge kernel
-//!    with the identical accumulation order.
+//!    stored back after, and `k` advances one fused multiply-add at a time.
 //!
 //! # Bitwise equivalence to the reference kernel
 //!
-//! Every output element receives exactly one `f32` multiply and one add
-//! per `k` step, in strictly increasing `k` order, starting from the
-//! zero-initialised output — the same abstract sequence the strided
-//! reference kernel in [`super::gemm`]'s module performs. Spilling the
-//! accumulator to `C` between KC tiles is exact (an `f32` store/load
-//! round-trip loses nothing), and rustc never contracts `mul`+`add` into
-//! an FMA, so vector width cannot change any element either. Hence packed
-//! results are **bitwise identical** to the reference path, which is why
-//! dispatch may pick between them from the flop count alone.
+//! Every output element receives exactly one fused multiply-add per `k`
+//! step — `acc ← fma(a, b, acc)`, one rounding — in strictly increasing
+//! `k` order, starting from the zero-initialised output: the same abstract
+//! sequence the strided reference kernel in [`super::gemm`]'s module
+//! performs with `f32::mul_add`. Spilling the accumulator to `C` between
+//! KC tiles is exact (an `f32` store/load round-trip loses nothing), and
+//! the tile shape, the row pass, the lane and the SIMD level only decide
+//! *where* an element's sequence runs, never what it is. Hence packed
+//! results are **bitwise identical** to the reference path at every SIMD
+//! level, which is why dispatch may pick between them from the flop count
+//! alone.
 //!
 //! Work *stealing* cannot move a bit either: each grid cell is a
 //! self-contained block of output elements, computed by exactly one
@@ -51,11 +54,15 @@
 //!
 //! # SIMD dispatch
 //!
-//! The kernel body is a plain Rust loop nest the autovectorizer unrolls;
-//! `#[target_feature]` wrappers re-instantiate it for AVX2 and AVX-512F
-//! (detected once at runtime). The `fma` feature is deliberately **not**
-//! enabled: contraction would fuse the rounding step away and break
-//! bitwise equality.
+//! One kernel per level, detected once at runtime ([`simd_level`]).
+//! AVX-512F + FMA and AVX2 + FMA run explicit `core::arch` tiles,
+//! monomorphised for every strip height `1..=MR`; AVX2 has sixteen vector
+//! registers, so it runs a strip as passes of at most four rows over one
+//! panel at a time. A host without FMA runs the portable tile, whose
+//! `f32::mul_add` lowers to libm's `fmaf` — bit-equal to the hardware
+//! instruction, and slow. [`with_kernel_path`] can cap the level on the
+//! calling thread, which is how the equivalence suite runs every level
+//! the host has.
 //!
 //! # Fused epilogues
 //!
@@ -73,9 +80,11 @@ use crate::workspace;
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU8, Ordering::Relaxed};
 
-/// Rows of the register tile (accumulator rows per kernel invocation).
-pub const MR: usize = 4;
-/// Columns of the register tile (one or two SIMD vectors wide).
+/// Rows of the register tile: the height of a tile-grid strip and of a
+/// packed `A` tile.
+pub const MR: usize = 8;
+/// Width of a packed `B` panel (one `zmm`, two `ymm`); the register tile
+/// streams two adjacent panels where the columns allow.
 pub const NR: usize = 16;
 /// k-dimension tile, shared with the reference kernel: the packed `KC×NR`
 /// panel of `B` stays cache-resident while a row block streams past it.
@@ -104,24 +113,53 @@ pub enum KernelPath {
     Packed,
 }
 
-thread_local! {
-    static FORCED_PATH: Cell<Option<KernelPath>> = const { Cell::new(None) };
+/// What [`with_kernel_path`] forces on the calling thread; `None` leaves
+/// that decision to the program. A [`KernelPath`] or a [`SimdLevel`]
+/// converts into one that forces only itself.
+#[derive(Clone, Copy, Debug)]
+pub struct Forced {
+    /// The kernel every gate decision takes, whatever the flop count.
+    path: Option<KernelPath>,
+    /// A ceiling on [`simd_level`] (the host's own level still bounds it).
+    simd: Option<SimdLevel>,
 }
 
-/// Test seam: runs `f` with every gate decision taken **on this thread**
-/// forced to `path`, whatever the flop count, and restores the previous
-/// state afterwards — also when `f` panics. The equivalence suites and
-/// the K1 sweep use it to compare the two kernels on the same shape;
-/// production code never forces a path.
+impl From<KernelPath> for Forced {
+    fn from(path: KernelPath) -> Forced {
+        Forced { path: Some(path), simd: None }
+    }
+}
+
+impl From<SimdLevel> for Forced {
+    fn from(simd: SimdLevel) -> Forced {
+        Forced { path: None, simd: Some(simd) }
+    }
+}
+
+thread_local! {
+    static FORCED: Cell<Forced> = const { Cell::new(Forced { path: None, simd: None }) };
+}
+
+/// Test seam: runs `f` with the kernel path and/or the SIMD ceiling
+/// **on this thread** forced as `force` says, and restores the previous
+/// state afterwards — also when `f` panics. What `force` leaves `None`
+/// keeps the enclosing scope's value, so a path and a level nest. The
+/// equivalence suites and the K1 sweep use it to compare kernels and
+/// levels on the same shape; production code never forces either.
 #[doc(hidden)]
-pub fn with_kernel_path<R>(path: KernelPath, f: impl FnOnce() -> R) -> R {
-    struct Restore(Option<KernelPath>);
+pub fn with_kernel_path<R>(force: impl Into<Forced>, f: impl FnOnce() -> R) -> R {
+    struct Restore(Forced);
     impl Drop for Restore {
         fn drop(&mut self) {
-            FORCED_PATH.with(|p| p.set(self.0));
+            FORCED.with(|p| p.set(self.0));
         }
     }
-    let _restore = Restore(FORCED_PATH.with(|p| p.replace(Some(path))));
+    let force = force.into();
+    let outer = FORCED.with(Cell::get);
+    let _restore = Restore(outer);
+    FORCED.with(|p| {
+        p.set(Forced { path: force.path.or(outer.path), simd: force.simd.or(outer.simd) })
+    });
     f()
 }
 
@@ -129,7 +167,7 @@ pub fn with_kernel_path<R>(path: KernelPath, f: impl FnOnce() -> R) -> R {
 /// the flop count against [`PACK_MIN_FLOPS`], unless the calling thread is
 /// inside [`with_kernel_path`].
 pub fn use_packed(flops: usize) -> bool {
-    match FORCED_PATH.with(Cell::get) {
+    match FORCED.with(Cell::get).path {
         Some(path) => path == KernelPath::Packed,
         None => flops >= PACK_MIN_FLOPS,
     }
@@ -259,14 +297,15 @@ impl<'a> Epilogue<'a> {
 // SIMD level detection
 // ---------------------------------------------------------------------------
 
-/// Instruction-set level the kernel wrappers were dispatched to.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+/// Instruction-set level the kernels are dispatched to, in increasing
+/// order. Both vector levels include FMA.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
 pub enum SimdLevel {
-    /// Baseline autovectorization (SSE2 on x86_64).
+    /// No FMA: the portable tile (SSE2 on x86_64).
     Scalar = 0,
-    /// 256-bit vectors.
+    /// 256-bit vectors and FMA.
     Avx2 = 1,
-    /// 512-bit vectors.
+    /// 512-bit vectors and FMA.
     Avx512 = 2,
 }
 
@@ -283,9 +322,10 @@ impl SimdLevel {
 
 static SIMD_LEVEL: AtomicU8 = AtomicU8::new(u8::MAX);
 
-/// Best SIMD level the host supports (detected once, then cached).
+/// Best SIMD level the host supports (detected once, then cached),
+/// capped by [`with_kernel_path`] on the calling thread.
 pub fn simd_level() -> SimdLevel {
-    match SIMD_LEVEL.load(Relaxed) {
+    let host = match SIMD_LEVEL.load(Relaxed) {
         0 => SimdLevel::Scalar,
         1 => SimdLevel::Avx2,
         2 => SimdLevel::Avx512,
@@ -294,14 +334,20 @@ pub fn simd_level() -> SimdLevel {
             SIMD_LEVEL.store(l as u8, Relaxed);
             l
         }
-    }
+    };
+    FORCED.with(Cell::get).simd.map_or(host, |cap| cap.min(host))
 }
 
+/// A vector level needs FMA beside its vector width: its kernels issue
+/// one `vfmadd` per k step.
 #[cfg(target_arch = "x86_64")]
 fn detect() -> SimdLevel {
-    if std::arch::is_x86_feature_detected!("avx512f") {
+    use std::arch::is_x86_feature_detected as has;
+    if !has!("fma") {
+        SimdLevel::Scalar
+    } else if has!("avx512f") {
         SimdLevel::Avx512
-    } else if std::arch::is_x86_feature_detected!("avx2") {
+    } else if has!("avx2") {
         SimdLevel::Avx2
     } else {
         SimdLevel::Scalar
@@ -455,172 +501,307 @@ pub fn pack_a(
 }
 
 // ---------------------------------------------------------------------------
-// Register-tiled kernels
+// Register tiles
 // ---------------------------------------------------------------------------
 
-/// Full `MR×NR` tile: `ap` is a `[kc×MR]` packed A tile, `bp` a `[kc×NR]`
-/// packed B tile, `c` the top-left of the destination tile with row stride
-/// `ldc`. The accumulator block is loaded from `C`, updated in increasing
-/// `k` order, and stored back — never zero-initialised, so KC tiling keeps
-/// the per-element accumulation sequence intact.
+/// Where a register tile loads and stores `C`: the top-left element of a
+/// block at row stride `ldc`, and how many floats of the output buffer lie
+/// from there to its end — the bound each tile's debug assertion checks
+/// its last store against.
+#[derive(Clone, Copy)]
+struct CTile {
+    ptr: *mut f32,
+    ldc: usize,
+    avail: usize,
+}
+
+impl CTile {
+    /// `true` when a `rows × cols` block at this corner lies inside the
+    /// output buffer.
+    fn fits(self, rows: usize, cols: usize) -> bool {
+        rows == 0 || cols == 0 || (rows - 1) * self.ldc + cols <= self.avail
+    }
+
+    /// The corner `rows` down and `cols` right of this one.
+    ///
+    /// # Safety
+    /// The new corner must lie inside the output buffer.
+    unsafe fn offset(self, rows: usize, cols: usize) -> CTile {
+        let off = rows * self.ldc + cols;
+        debug_assert!(off <= self.avail, "C corner {off} past the {} floats left", self.avail);
+        CTile { ptr: self.ptr.add(off), ldc: self.ldc, avail: self.avail - off }
+    }
+}
+
+/// One register tile of an `R`-row strip (`R` fixed by the instantiation):
+/// loads the `R × w` block of `C` at `c`, adds `Σ_k a·b` into it one fused
+/// multiply-add per `k` in increasing order, and stores it back. `a` is
+/// the strip's `[kc×R]` packed A tile; `b` is `w` packed columns of one KC
+/// tile — two adjacent `[kc×NR]` panels (`w = 2·NR`), one (`w = NR`), or
+/// the ragged `[kc×w]` tile (`w < NR`).
 ///
 /// # Safety
-/// `ap`/`bp` must be valid for `kc*MR` / `kc*NR` reads and `c` for an
-/// `MR×NR` block at row stride `ldc`.
-#[inline(always)]
-unsafe fn kernel_full_body(ap: *const f32, bp: *const f32, kc: usize, c: *mut f32, ldc: usize) {
-    let mut acc = [[0.0f32; NR]; MR];
-    for r in 0..MR {
-        for j in 0..NR {
-            acc[r][j] = *c.add(r * ldc + j);
+/// `a.len() == kc·R`, `b.len() == kc·w`, `kc > 0`, `w` is what the
+/// instantiation serves, `c.fits(R, w)` and nothing else accesses that
+/// block meanwhile; the host has the instantiation's SIMD level.
+type TileFn = unsafe fn(a: &[f32], b: &[f32], w: usize, kc: usize, c: CTile);
+
+/// The register tiles one strip height runs at one SIMD level.
+struct Tiles {
+    /// Two adjacent `NR`-wide panels at once, where the level has the
+    /// registers for it (AVX-512); elsewhere the walk takes them one by
+    /// one.
+    pair: Option<TileFn>,
+    /// One `NR`-wide panel.
+    full: TileFn,
+    /// The ragged `n % NR` columns.
+    ragged: TileFn,
+}
+
+// `Tiles::new` instantiates every strip height by hand.
+const _: () = assert!(MR == 8);
+
+impl Tiles {
+    /// The tiles of an `me`-row strip at `lvl`.
+    fn new(lvl: SimdLevel, me: usize) -> Tiles {
+        match me {
+            1 => Tiles::at::<1>(lvl),
+            2 => Tiles::at::<2>(lvl),
+            3 => Tiles::at::<3>(lvl),
+            4 => Tiles::at::<4>(lvl),
+            5 => Tiles::at::<5>(lvl),
+            6 => Tiles::at::<6>(lvl),
+            7 => Tiles::at::<7>(lvl),
+            8 => Tiles::at::<8>(lvl),
+            _ => unreachable!("strip height {me} outside 1..={MR}"),
         }
     }
-    for kk in 0..kc {
-        let mut b = [0.0f32; NR];
-        for j in 0..NR {
-            b[j] = *bp.add(kk * NR + j);
+
+    fn at<const R: usize>(lvl: SimdLevel) -> Tiles {
+        match lvl {
+            #[cfg(target_arch = "x86_64")]
+            SimdLevel::Avx512 => Tiles {
+                pair: Some(x86::panels512::<R, 2>),
+                full: x86::panels512::<R, 1>,
+                ragged: x86::ragged512::<R>,
+            },
+            #[cfg(target_arch = "x86_64")]
+            SimdLevel::Avx2 => Tiles {
+                pair: None,
+                full: x86::strip256::<R, false>,
+                ragged: x86::strip256::<R, true>,
+            },
+            _ => Tiles { pair: None, full: portable::<R>, ragged: portable::<R> },
         }
-        for r in 0..MR {
-            let a = *ap.add(kk * MR + r);
-            for j in 0..NR {
-                acc[r][j] += a * b[j];
+    }
+}
+
+/// The portable tile, the only one on a host without FMA: `w ≤ NR`
+/// columns, one `f32::mul_add` per `k` step. There `mul_add` lowers to
+/// libm's `fmaf` — bit-equal to the hardware instruction, and slow.
+///
+/// # Safety
+/// As [`TileFn`] with `w ≤ NR`.
+unsafe fn portable<const R: usize>(a: &[f32], b: &[f32], w: usize, kc: usize, c: CTile) {
+    debug_assert!(kc > 0 && 0 < w && w <= NR);
+    debug_assert!(a.len() == kc * R && b.len() == kc * w && c.fits(R, w));
+    let mut acc = [[0.0f32; NR]; R];
+    for (r, row) in acc.iter_mut().enumerate() {
+        for (j, v) in row[..w].iter_mut().enumerate() {
+            *v = *c.ptr.add(r * c.ldc + j);
+        }
+    }
+    for (ak, bk) in a.chunks_exact(R).zip(b.chunks_exact(w)) {
+        for (row, &av) in acc.iter_mut().zip(ak) {
+            for (v, &bv) in row.iter_mut().zip(bk) {
+                *v = av.mul_add(bv, *v);
             }
         }
     }
-    for r in 0..MR {
-        for j in 0..NR {
-            *c.add(r * ldc + j) = acc[r][j];
+    for (r, row) in acc.iter().enumerate() {
+        for (j, v) in row[..w].iter().enumerate() {
+            *c.ptr.add(r * c.ldc + j) = *v;
         }
     }
 }
 
-/// Ragged-edge tile: like [`kernel_full_body`] but for `me ≤ MR` rows of a
-/// `[kc×me]` A tile and `ne ≤ NR` columns of a `[kc×ne]` B tile. The
-/// fixed-size accumulator keeps `me` independent chains per `k` step, which
-/// also makes this the matvec kernel (`ne = 1`).
-///
-/// # Safety
-/// `ap`/`bp` must be valid for `kc*me` / `kc*ne` reads and `c` for an
-/// `me×ne` block at row stride `ldc`; `me ≤ MR`, `ne ≤ NR`.
-#[inline(always)]
-unsafe fn kernel_edge_body(
-    ap: *const f32,
-    me: usize,
-    bp: *const f32,
-    ne: usize,
-    kc: usize,
-    c: *mut f32,
-    ldc: usize,
-) {
-    let mut acc = [[0.0f32; NR]; MR];
-    for r in 0..me {
-        for j in 0..ne {
-            acc[r][j] = *c.add(r * ldc + j);
+/// The FMA tiles. Accumulators are arrays of vectors indexed by const
+/// bounds, which LLVM keeps in registers; left to the autovectorizer the
+/// same loops compiled to gathers and scatters.
+#[cfg(target_arch = "x86_64")]
+mod x86 {
+    use super::{CTile, NR};
+    use std::arch::x86_64::*;
+
+    /// `R` rows × `P` adjacent panels: `R·P` `zmm` accumulators (sixteen
+    /// at `R = 8`, `P = 2`), `P` B vectors and one broadcast — inside the
+    /// 32 registers, and enough independent chains to cover FMA latency.
+    ///
+    /// # Safety
+    /// As [`super::TileFn`] with `w == P·NR`; the host has AVX-512F and FMA.
+    #[target_feature(enable = "avx512f,fma")]
+    pub(super) unsafe fn panels512<const R: usize, const P: usize>(
+        a: &[f32],
+        b: &[f32],
+        w: usize,
+        kc: usize,
+        c: CTile,
+    ) {
+        debug_assert!(kc > 0 && w == P * NR);
+        debug_assert!(a.len() == kc * R && b.len() == kc * w && c.fits(R, w));
+        let (ap, bp) = (a.as_ptr(), b.as_ptr());
+        let mut acc = [[_mm512_setzero_ps(); P]; R];
+        for (r, row) in acc.iter_mut().enumerate() {
+            for (p, v) in row.iter_mut().enumerate() {
+                *v = _mm512_loadu_ps(c.ptr.add(r * c.ldc + p * NR));
+            }
         }
-    }
-    for kk in 0..kc {
-        for r in 0..me {
-            let a = *ap.add(kk * me + r);
-            for j in 0..ne {
-                acc[r][j] += a * *bp.add(kk * ne + j);
+        for kk in 0..kc {
+            let mut bv = [_mm512_setzero_ps(); P];
+            for (p, v) in bv.iter_mut().enumerate() {
+                // Panel p of the pair starts kc·NR floats after panel p − 1.
+                *v = _mm512_loadu_ps(bp.add(p * kc * NR + kk * NR));
+            }
+            for (r, row) in acc.iter_mut().enumerate() {
+                let av = _mm512_set1_ps(*ap.add(kk * R + r));
+                for (v, bv) in row.iter_mut().zip(&bv) {
+                    *v = _mm512_fmadd_ps(av, *bv, *v);
+                }
+            }
+        }
+        for (r, row) in acc.iter().enumerate() {
+            for (p, v) in row.iter().enumerate() {
+                _mm512_storeu_ps(c.ptr.add(r * c.ldc + p * NR), *v);
             }
         }
     }
-    for r in 0..me {
-        for j in 0..ne {
-            *c.add(r * ldc + j) = acc[r][j];
+
+    /// `R` rows × the ragged `w < NR` columns: the `[kc×w]` panel is read
+    /// at stride `w` and `C` loaded and stored through a `w`-lane mask, so
+    /// no lane past column `w` is touched.
+    ///
+    /// # Safety
+    /// As [`super::TileFn`] with `w < NR`; the host has AVX-512F and FMA.
+    #[target_feature(enable = "avx512f,fma")]
+    pub(super) unsafe fn ragged512<const R: usize>(
+        a: &[f32],
+        b: &[f32],
+        w: usize,
+        kc: usize,
+        c: CTile,
+    ) {
+        debug_assert!(kc > 0 && 0 < w && w < NR);
+        debug_assert!(a.len() == kc * R && b.len() == kc * w && c.fits(R, w));
+        let lanes: __mmask16 = (1 << w) - 1;
+        let (ap, bp) = (a.as_ptr(), b.as_ptr());
+        let mut acc = [_mm512_setzero_ps(); R];
+        for (r, v) in acc.iter_mut().enumerate() {
+            *v = _mm512_maskz_loadu_ps(lanes, c.ptr.add(r * c.ldc));
+        }
+        for kk in 0..kc {
+            let bv = _mm512_maskz_loadu_ps(lanes, bp.add(kk * w));
+            for (r, v) in acc.iter_mut().enumerate() {
+                *v = _mm512_fmadd_ps(_mm512_set1_ps(*ap.add(kk * R + r)), bv, *v);
+            }
+        }
+        for (r, v) in acc.iter().enumerate() {
+            _mm512_mask_storeu_ps(c.ptr.add(r * c.ldc), lanes, *v);
         }
     }
-}
 
-// Per-level instantiations. The bodies are identical; the target_feature
-// attribute is what lets LLVM widen the inner loops to 256/512-bit ops.
-
-unsafe fn kernel_full_scalar(ap: *const f32, bp: *const f32, kc: usize, c: *mut f32, ldc: usize) {
-    kernel_full_body(ap, bp, kc, c, ldc)
-}
-
-unsafe fn kernel_edge_scalar(
-    ap: *const f32,
-    me: usize,
-    bp: *const f32,
-    ne: usize,
-    kc: usize,
-    c: *mut f32,
-    ldc: usize,
-) {
-    kernel_edge_body(ap, me, bp, ne, kc, c, ldc)
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn kernel_full_avx2(ap: *const f32, bp: *const f32, kc: usize, c: *mut f32, ldc: usize) {
-    kernel_full_body(ap, bp, kc, c, ldc)
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn kernel_edge_avx2(
-    ap: *const f32,
-    me: usize,
-    bp: *const f32,
-    ne: usize,
-    kc: usize,
-    c: *mut f32,
-    ldc: usize,
-) {
-    kernel_edge_body(ap, me, bp, ne, kc, c, ldc)
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn kernel_full_avx512(ap: *const f32, bp: *const f32, kc: usize, c: *mut f32, ldc: usize) {
-    kernel_full_body(ap, bp, kc, c, ldc)
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn kernel_edge_avx512(
-    ap: *const f32,
-    me: usize,
-    bp: *const f32,
-    ne: usize,
-    kc: usize,
-    c: *mut f32,
-    ldc: usize,
-) {
-    kernel_edge_body(ap, me, bp, ne, kc, c, ldc)
-}
-
-#[inline]
-unsafe fn run_full(lvl: SimdLevel, ap: *const f32, bp: *const f32, kc: usize, c: *mut f32, ldc: usize) {
-    match lvl {
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx512 => kernel_full_avx512(ap, bp, kc, c, ldc),
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx2 => kernel_full_avx2(ap, bp, kc, c, ldc),
-        _ => kernel_full_scalar(ap, bp, kc, c, ldc),
+    /// An `R`-row strip × one 16-column panel as passes of at most four
+    /// rows, each reading the strip's A tile at stride `R`: a pass holds
+    /// eight `ymm` accumulators, two B vectors and one broadcast — 11 of
+    /// the 16 registers. `MASKED` serves the ragged `w < NR` columns
+    /// through lane masks; otherwise `w == NR`.
+    ///
+    /// # Safety
+    /// As [`super::TileFn`]; the host has AVX2 and FMA.
+    #[target_feature(enable = "avx2,fma")]
+    pub(super) unsafe fn strip256<const R: usize, const MASKED: bool>(
+        a: &[f32],
+        b: &[f32],
+        w: usize,
+        kc: usize,
+        c: CTile,
+    ) {
+        debug_assert!(kc > 0 && if MASKED { 0 < w && w < NR } else { w == NR });
+        debug_assert!(a.len() == kc * R && b.len() == kc * w && c.fits(R, w));
+        let lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+        let masks = [
+            _mm256_cmpgt_epi32(_mm256_set1_epi32(w as i32), lane),
+            _mm256_cmpgt_epi32(_mm256_set1_epi32(w as i32 - 8), lane),
+        ];
+        let (ap, bp) = (a.as_ptr(), b.as_ptr());
+        for r0 in (0..R).step_by(4) {
+            let (ap, c) = (ap.add(r0), c.offset(r0, 0));
+            match R - r0 {
+                1 => pass256::<1, MASKED>(ap, R, bp, w, kc, c, masks),
+                2 => pass256::<2, MASKED>(ap, R, bp, w, kc, c, masks),
+                3 => pass256::<3, MASKED>(ap, R, bp, w, kc, c, masks),
+                _ => pass256::<4, MASKED>(ap, R, bp, w, kc, c, masks),
+            }
+        }
     }
-}
 
-#[inline]
-#[allow(clippy::too_many_arguments)]
-unsafe fn run_edge(
-    lvl: SimdLevel,
-    ap: *const f32,
-    me: usize,
-    bp: *const f32,
-    ne: usize,
-    kc: usize,
-    c: *mut f32,
-    ldc: usize,
-) {
-    match lvl {
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx512 => kernel_edge_avx512(ap, me, bp, ne, kc, c, ldc),
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx2 => kernel_edge_avx2(ap, me, bp, ne, kc, c, ldc),
-        _ => kernel_edge_scalar(ap, me, bp, ne, kc, c, ldc),
+    /// One pass of [`strip256`]: `H ≤ 4` rows of A (at `ap`, stride
+    /// `lda`) × 16 columns of B (k rows `ldb` apart). Masked-off lanes are
+    /// neither read nor written; their pointers are formed with
+    /// `wrapping_add` because they may point past the panel.
+    #[target_feature(enable = "avx2,fma")]
+    #[inline]
+    #[allow(clippy::too_many_arguments)]
+    unsafe fn pass256<const H: usize, const MASKED: bool>(
+        ap: *const f32,
+        lda: usize,
+        bp: *const f32,
+        ldb: usize,
+        kc: usize,
+        c: CTile,
+        masks: [__m256i; 2],
+    ) {
+        let mut acc = [[_mm256_setzero_ps(); 2]; H];
+        for (r, row) in acc.iter_mut().enumerate() {
+            for (h, v) in row.iter_mut().enumerate() {
+                *v = load256::<MASKED>(c.ptr.wrapping_add(r * c.ldc + 8 * h), masks[h]);
+            }
+        }
+        for kk in 0..kc {
+            let b0 = load256::<MASKED>(bp.wrapping_add(kk * ldb), masks[0]);
+            let b1 = load256::<MASKED>(bp.wrapping_add(kk * ldb + 8), masks[1]);
+            for (r, row) in acc.iter_mut().enumerate() {
+                let av = _mm256_set1_ps(*ap.add(kk * lda + r));
+                row[0] = _mm256_fmadd_ps(av, b0, row[0]);
+                row[1] = _mm256_fmadd_ps(av, b1, row[1]);
+            }
+        }
+        for (r, row) in acc.iter().enumerate() {
+            for (h, v) in row.iter().enumerate() {
+                store256::<MASKED>(c.ptr.wrapping_add(r * c.ldc + 8 * h), masks[h], *v);
+            }
+        }
+    }
+
+    /// Eight lanes at `p`, through `m` when `MASKED`.
+    #[target_feature(enable = "avx2,fma")]
+    #[inline]
+    unsafe fn load256<const MASKED: bool>(p: *const f32, m: __m256i) -> __m256 {
+        if MASKED {
+            _mm256_maskload_ps(p, m)
+        } else {
+            _mm256_loadu_ps(p)
+        }
+    }
+
+    /// Stores eight lanes at `p`, through `m` when `MASKED`.
+    #[target_feature(enable = "avx2,fma")]
+    #[inline]
+    unsafe fn store256<const MASKED: bool>(p: *mut f32, m: __m256i, v: __m256) {
+        if MASKED {
+            _mm256_maskstore_ps(p, m, v)
+        } else {
+            _mm256_storeu_ps(p, v)
+        }
     }
 }
 
@@ -649,66 +830,79 @@ impl SendPtr {
 /// Computes one claimed grid cell: the `me ≤ MR` rows of a packed A strip
 /// (`[kc×me]` tiles at `kb·me`, [`pack_a`] layout) times columns
 /// `j_lo..j_hi` of one batch's packed `B` (`bp`, [`pack_b`] layout), into
-/// `C` at `c_row` (top-left of the strip, row stride `n`).
+/// `C` at `c` (top-left of the strip, row stride `n`).
 ///
-/// Column tiles advance in the outer loop so each `MR×NR` accumulator
-/// block only spills to `C` between KC tiles (an exact f32 round trip);
-/// `kb` advances inner, keeping every element's accumulation in strictly
-/// increasing `k` order. A non-noop `ep` is applied to each column tile
-/// right after its final KC tile stores — every element's accumulation
-/// over the full `k` range is complete at that point, so this is the
-/// store-time equivalent of a separate post-pass.
+/// Columns advance in the outer loop — a panel pair while at least
+/// `2·NR` full columns remain (where the level pairs), then one panel,
+/// then the ragged tile — so
+/// each accumulator block only spills to `C` between KC tiles (an exact
+/// f32 round trip); `kb` advances inner, keeping every element's
+/// accumulation in strictly increasing `k` order.
 ///
 /// # Safety
-/// `c_row` must be valid for an `me × (j_hi - j_lo)` block at row stride
-/// `n`, not written concurrently by any other thread; `apack`/`bp` must
-/// hold `me*k` / `k*n` packed floats; `j_lo` must be `NR`-aligned; a bias
-/// in `ep` must have length `≥ n`.
+/// `c.fits(me, j_hi)`, and that block of `C` is not accessed by any other
+/// thread; `apack`/`bp` hold `me*k` / `k*n` packed floats; `j_lo` is
+/// `2·NR`-aligned; a bias in `ep` has length `≥ n`; the host has `lvl`.
 #[allow(clippy::too_many_arguments)]
 unsafe fn gemm_cell(
     lvl: SimdLevel,
     apack: &[f32],
     me: usize,
     bp: &[f32],
-    n: usize,
-    k: usize,
-    j_lo: usize,
-    j_hi: usize,
-    c_row: *mut f32,
+    (n, k): (usize, usize),
+    (j_lo, j_hi): (usize, usize),
+    c: CTile,
     ep: Epilogue,
 ) {
-    let n_full = n - n % NR;
-    for j0 in (j_lo..j_hi.min(n_full)).step_by(NR) {
-        for kb in (0..k).step_by(KC) {
-            let kc = (kb + KC).min(k) - kb;
-            let ap = apack.as_ptr().add(kb * me);
-            let bt = bp.as_ptr().add(kb * n + j0 * kc);
-            if me == MR {
-                run_full(lvl, ap, bt, kc, c_row.add(j0), n);
-            } else {
-                run_edge(lvl, ap, me, bt, NR, kc, c_row.add(j0), n);
-            }
-        }
-        if !ep.is_noop() {
-            // Full k range accumulated for these NR columns: fuse the
-            // epilogue into the store (also correct for k == 0, where
-            // the accumulation over an empty range left zeros).
-            ep.apply_tile(c_row, n, me, j0, NR);
-        }
+    debug_assert!(apack.len() == me * k && bp.len() == k * n && c.fits(me, j_hi));
+    let tiles = Tiles::new(lvl, me);
+    let full_end = j_hi.min(n - n % NR);
+    let mut j0 = j_lo;
+    while j0 < full_end {
+        let (tile, w) = match tiles.pair {
+            Some(pair) if full_end - j0 >= 2 * NR => (pair, 2 * NR),
+            _ => (tiles.full, NR),
+        };
+        column_step(tile, apack, me, bp, (n, k), (j0, w), c, ep);
+        j0 += w;
     }
-    // The ragged column tile (ne = n % NR) always lands in the grid's
-    // last column group (ne < NR ≤ NC).
-    let ne = n - n_full;
-    if ne > 0 && j_hi == n {
-        for kb in (0..k).step_by(KC) {
-            let kc = (kb + KC).min(k) - kb;
-            let ap = apack.as_ptr().add(kb * me);
-            let bt = bp.as_ptr().add(kb * n + n_full * kc);
-            run_edge(lvl, ap, me, bt, ne, kc, c_row.add(n_full), n);
-        }
-        if !ep.is_noop() {
-            ep.apply_tile(c_row, n, me, n_full, ne);
-        }
+    // The ragged column tile (n % NR) always lands in the grid's last
+    // column group (n % NR < NR ≤ NC).
+    if j_hi == n && full_end < n {
+        column_step(tiles.ragged, apack, me, bp, (n, k), (full_end, n - full_end), c, ep);
+    }
+}
+
+/// Runs `tile` over every KC tile of columns `j0..j0+w` of a strip, then
+/// applies a non-noop `ep` to them: their accumulation over the full `k`
+/// range is complete at that point (for `k == 0`, over an empty range,
+/// leaving zeros), so this is the store-time equivalent of a separate
+/// post-pass.
+///
+/// # Safety
+/// As [`gemm_cell`], with `tile` serving width `w` and `c.fits(me, j0 + w)`.
+#[allow(clippy::too_many_arguments)]
+unsafe fn column_step(
+    tile: TileFn,
+    apack: &[f32],
+    me: usize,
+    bp: &[f32],
+    (n, k): (usize, usize),
+    (j0, w): (usize, usize),
+    c: CTile,
+    ep: Epilogue,
+) {
+    debug_assert!(c.fits(me, j0 + w));
+    for kb in (0..k).step_by(KC) {
+        let kc = (kb + KC).min(k) - kb;
+        // The slices bound what the tile may read: its A tile, and its
+        // `w` columns of this KC tile (a pair's two panels are adjacent).
+        let a = &apack[kb * me..(kb + kc) * me];
+        let b = &bp[kb * n + j0 * kc..][..kc * w];
+        tile(a, b, w, kc, c.offset(0, j0));
+    }
+    if !ep.is_noop() {
+        ep.apply_tile(c.ptr, c.ldc, me, j0, w);
     }
 }
 
@@ -776,6 +970,7 @@ pub(crate) fn gemm_packed(g: &StridedGemm, out: &mut [f32]) {
     let col_groups = n.div_ceil(NC);
     let tasks = bs * strips_per_batch * col_groups;
     let lvl = simd_level();
+    let out_len = out.len();
     let c_out = SendPtr(out.as_mut_ptr());
     let worker = |slot: usize, queue: &TaskQueue, mut apack: workspace::WorkspaceGuard| {
         let mut packed_strip = usize::MAX;
@@ -794,22 +989,16 @@ pub(crate) fn gemm_packed(g: &StridedGemm, out: &mut [f32]) {
                 packed_strip = strip;
             }
             let (j_lo, j_hi) = (g * NC, ((g + 1) * NC).min(n));
-            // Safety: task indices are claimed exactly once, and each maps
-            // to a disjoint me×(j_hi-j_lo) block of `out`; the packed
-            // panels were sized by pack_a/pack_b above.
+            let off = bi * m * n + i0 * n;
+            // SAFETY: task indices are claimed exactly once, and each maps
+            // to a disjoint me×(j_hi-j_lo) block of `out`, which holds
+            // `out_len - off` floats from the strip's corner on; the packed
+            // panels were sized by pack_a/pack_b above, and `lvl` is the
+            // host's level or below it.
             unsafe {
-                gemm_cell(
-                    lvl,
-                    &apack[..me * k],
-                    me,
-                    &bp[bi * k * n..(bi + 1) * k * n],
-                    n,
-                    k,
-                    j_lo,
-                    j_hi,
-                    c_out.get().add(bi * m * n + i0 * n),
-                    ep,
-                );
+                let c = CTile { ptr: c_out.get().add(off), ldc: n, avail: out_len - off };
+                let bp = &bp[bi * k * n..(bi + 1) * k * n];
+                gemm_cell(lvl, &apack[..me * k], me, bp, (n, k), (j_lo, j_hi), c, ep);
             }
         }
         metalora_obs::counters::record_tile_grid_worker(slot, claimed, steals);
@@ -854,7 +1043,7 @@ mod tests {
         assert!(packed.iter().all(|x| !x.is_nan()));
         // Full tile 0, dk=0, r=3 holds A[3, 0].
         assert_eq!(packed[3], ad[3 * k]);
-        // Edge tile (rows 4..6), tile kb=0 starts after the full tiles.
+        // Edge tile (rows MR..MR+2), tile kb=0 starts after the full tiles.
         assert_eq!(packed[MR * KC], ad[MR * k]);
     }
 
@@ -897,6 +1086,20 @@ mod tests {
         });
         assert!(caught.is_err());
         assert!(!use_packed(0));
+    }
+
+    #[test]
+    fn the_seam_caps_the_simd_level_and_nests_with_the_path() {
+        let host = simd_level();
+        with_kernel_path(SimdLevel::Scalar, || {
+            assert_eq!(simd_level(), SimdLevel::Scalar);
+            with_kernel_path(KernelPath::Packed, || {
+                assert_eq!((simd_level(), use_packed(0)), (SimdLevel::Scalar, true));
+            });
+            // A cap never lifts the level above what the host has.
+            with_kernel_path(SimdLevel::Avx512, || assert_eq!(simd_level(), host));
+        });
+        assert_eq!(simd_level(), host);
     }
 
     /// Plain row-major `[m,k]·[k,n]` through the packed kernel.

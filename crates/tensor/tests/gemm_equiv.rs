@@ -7,14 +7,16 @@
 //! Every cell is anchored to a naive triple loop over the operands
 //! followed by the separate [`epilogue_pass`], and must match it **bitwise**
 //! on the reference kernel, on the forced packed kernel and on whatever
-//! path the gate picks; each surviving wrapper name must equal its
-//! descriptor. The kernel path is forced through the scoped thread-local
-//! seam, so the only process-wide state left to serialise is the worker
-//! count.
+//! path the gate picks, and — both kernels at one worker — at every SIMD
+//! level the host has (Scalar ≡ AVX2 ≡ AVX-512); each surviving wrapper
+//! name must equal its descriptor. The kernel path and the SIMD level are
+//! forced through the scoped thread-local seam, so the only process-wide
+//! state left to serialise is the worker count.
 
 use metalora_tensor::ops::{
     bmm, bmm_transpose_a, bmm_transpose_b, epilogue_pass, gemm, matmul, matmul_transpose_a,
-    matmul_transpose_b, with_kernel_path, Activation, GemmDesc, KernelPath, Layout,
+    matmul_transpose_b, simd_level, with_kernel_path, Activation, GemmDesc, KernelPath, Layout,
+    SimdLevel,
 };
 use metalora_tensor::{init, par, Tensor};
 use proptest::prelude::*;
@@ -36,8 +38,9 @@ fn bits_eq(a: &Tensor, b: &Tensor) -> bool {
     a.dims() == b.dims() && a.data().iter().zip(b.data()).all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
-/// `Σ_k A[i,k]·B[k,j]` per batch slice, each element from `+0.0` in
-/// increasing `k` — the sequence both kernels promise.
+/// `Σ_k A[i,k]·B[k,j]` per batch slice, each element from `+0.0` by one
+/// fused multiply-add per `k` in increasing order — the sequence both
+/// kernels promise.
 fn naive(a: &Tensor, at: bool, b: &Tensor, bt: bool, (bs, m, k, n): (usize, usize, usize, usize)) -> Vec<f32> {
     let mut out = vec![0.0f32; bs * m * n];
     for bi in 0..bs {
@@ -48,7 +51,7 @@ fn naive(a: &Tensor, at: bool, b: &Tensor, bt: bool, (bs, m, k, n): (usize, usiz
                 for kk in 0..k {
                     let av = a.data()[a0 + if at { kk * m + i } else { i * k + kk }];
                     let bv = b.data()[b0 + if bt { j * k + kk } else { kk * n + j }];
-                    acc += av * bv;
+                    acc = av.mul_add(bv, acc);
                 }
                 out[(bi * m + i) * n + j] = acc;
             }
@@ -63,6 +66,8 @@ enum Batching {
     Batched,
     Matvec,
 }
+
+const LEVELS: [SimdLevel; 3] = [SimdLevel::Scalar, SimdLevel::Avx2, SimdLevel::Avx512];
 
 const ACTS: [Option<Activation>; 4] =
     [None, Some(Activation::Relu), Some(Activation::Gelu), Some(Activation::Tanh)];
@@ -138,6 +143,15 @@ proptest! {
                         prop_assert!(bits_eq(&packed, &expect), "packed@{threads}: {what}");
                         let auto = gemm(&desc).unwrap();
                         prop_assert!(bits_eq(&auto, &expect), "auto@{threads}: {what}");
+                    }
+                    par::set_num_threads(1);
+                    for level in LEVELS.into_iter().filter(|&l| l <= simd_level()) {
+                        for path in [KernelPath::Reference, KernelPath::Packed] {
+                            let got = with_kernel_path(level, || {
+                                with_kernel_path(path, || gemm(&desc).unwrap())
+                            });
+                            prop_assert!(bits_eq(&got, &expect), "{path:?}@{level:?}: {what}");
+                        }
                     }
                 }
                 // Each wrapper name is its descriptor (no epilogue).

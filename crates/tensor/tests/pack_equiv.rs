@@ -17,6 +17,11 @@
 //! stay bitwise-equal to the reference serial run, and the obs tallies must
 //! show exactly one B pack per GEMM with claims covering the whole grid.
 //!
+//! The register tiles get a deterministic sweep: every strip height, panel
+//! pairs, single panels and masked ragged columns, `k` around `KC`, in
+//! every layout and at every SIMD level the host has — in the debug
+//! profile the tiles' bounds assertions check each read and write.
+//!
 //! Packing itself is pinned to its definition: for each operand and each
 //! stride class (as stored — the run-copy paths — and transposed), the
 //! packed panel equals the per-element formula in `pack_a` / `pack_b`'s
@@ -24,7 +29,7 @@
 
 use metalora_tensor::ops::{
     bmm, bmm_transpose_a, bmm_transpose_b, gemm, matmul, matmul_transpose_a, matmul_transpose_b,
-    microkernel, with_kernel_path, GemmDesc, KernelPath,
+    microkernel, simd_level, with_kernel_path, GemmDesc, KernelPath, Layout, SimdLevel,
 };
 use metalora_tensor::{init, par, workspace, Tensor};
 use proptest::prelude::*;
@@ -229,6 +234,50 @@ proptest! {
         let a = rand_t(&[m, k], seed);
         let b = rand_t(&[k, n], seed + 1);
         assert_thread_sweep(&[7, 1, 4, 2, 7, 3, 1, 2], || matmul(&a, &b).unwrap());
+    }
+}
+
+/// `m` ∈ 1..=17 is every strip height, twice full plus one; `n` sits
+/// around one and two panels (the masked ragged tile alone, a single
+/// panel, a pair, a pair plus ragged columns) and past the `NC` column
+/// group; `k` is empty, one step, and around the `KC` tile. Every layout,
+/// at 1 and 4 workers, packed at every SIMD level the host has ≡ the
+/// reference kernel.
+#[test]
+fn register_tile_sweep_is_bitwise_at_every_level() {
+    use Layout::{N, T};
+    const LAYOUTS: [(Layout, Layout); 4] = [(N, N), (N, T), (T, N), (T, T)];
+    let _g = lock_threads();
+    par::set_par_threshold(0);
+    let levels = [SimdLevel::Scalar, SimdLevel::Avx2, SimdLevel::Avx512];
+    let levels: Vec<_> = levels.into_iter().filter(|&l| l <= simd_level()).collect();
+    let mut seed = 0;
+    for k in [0, 1, 127, 128, 129] {
+        for n in [1, 12, 15, 16, 17, 24, 31, 32, 33, 48, 257] {
+            for m in 1..=17 {
+                for (a_layout, b_layout) in LAYOUTS {
+                    seed += 2;
+                    let a_dims = if a_layout == Layout::T { [k, m] } else { [m, k] };
+                    let b_dims = if b_layout == Layout::T { [n, k] } else { [k, n] };
+                    let (a, b) = (rand_t(&a_dims, seed), rand_t(&b_dims, seed + 1));
+                    let desc = GemmDesc { a_layout, b_layout, ..GemmDesc::new(&a, &b) };
+                    par::set_num_threads(1);
+                    let want = with_kernel_path(KernelPath::Reference, || gemm(&desc).unwrap());
+                    for &level in &levels {
+                        for threads in [1, 4] {
+                            par::set_num_threads(threads);
+                            let got = with_kernel_path(level, || {
+                                with_kernel_path(KernelPath::Packed, || gemm(&desc).unwrap())
+                            });
+                            assert!(
+                                bits_eq(&want, &got),
+                                "{level:?}@{threads}: m={m} n={n} k={k} {a_layout:?}{b_layout:?}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 }
 

@@ -17,9 +17,9 @@ const SEED: u64 = 42;
 /// Pretrain per-epoch losses followed by the adapt-phase mean loss,
 /// as exact f64 bit patterns (quick config: 2 + 1 records).
 const GOLDEN_LOSSES: [u64; 3] = [
-    0x40036d6900000000, // 2.4284229278564453
+    0x40036d6920000000, // 2.4284231662750244
     0x4001083ba0000000, // 2.1290199756622314
-    0x400084147ccccccd, // 2.064492201805115
+    0x400084147b333333, // 2.0644921898841857
 ];
 
 /// Probe mean accuracy for K = 5 and K = 10, as exact f32 bit patterns.
