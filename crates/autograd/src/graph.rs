@@ -783,8 +783,7 @@ impl Lowering for Graph {
 /// GELU forward (tanh approximation). Public so tape-free inference
 /// paths (`metalora_nn::infer`, the serving engine) can apply the exact
 /// same scalar function and stay bitwise-identical to [`Graph::gelu`].
-/// The canonical scalar lives in the tensor crate so fused GEMM
-/// epilogues ([`metalora_tensor::ops::Activation::Gelu`]) share it.
+/// The canonical scalar is [`metalora_tensor::ops::gelu`].
 pub fn gelu_fwd(x: f32) -> f32 {
     metalora_tensor::ops::gelu(x)
 }

@@ -9,7 +9,7 @@ use metalora::pipeline::{adapt, pretrain};
 use metalora::report::render_table;
 use metalora_data::knn::{Distance, KnnClassifier};
 use metalora_tensor::conv::{conv2d, ConvSpec};
-use metalora_tensor::ops::{GemmDesc, KernelPath, SimdLevel};
+use metalora_tensor::ops::{KernelPath, SimdLevel};
 use metalora_tensor::{init, ops, par, workspace, Tensor};
 use serde::{Deserialize, Serialize};
 use std::hint::black_box;
@@ -50,34 +50,6 @@ pub struct HostPeak {
     pub fma_gflops: f64,
     /// Copy of a 32 MiB buffer, GB/s counting bytes read plus written.
     pub copy_gbytes_per_s: f64,
-}
-
-/// One fused-epilogue GEMM measurement against the separate-pass run at
-/// the same shape and thread count. Fusion folds the bias add and the
-/// activation into the GEMM's C store, so the fused run takes **zero**
-/// separate output passes (obs counter delta) while staying bitwise
-/// identical to the `matmul → add → map` sequence it replaces.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct FusedKernelPoint {
-    /// Kernel label (`"fused matmul 384x384x384 bias+gelu"`).
-    pub kernel: String,
-    /// Worker count the point ran with.
-    pub threads: usize,
-    /// Best-of-reps wall time of the fused call.
-    pub best_ms: f64,
-    /// Best-of-reps wall time of the separate-pass sequence (`matmul`,
-    /// then `epilogue_pass`).
-    pub unfused_best_ms: f64,
-    /// `unfused_best_ms / best_ms` — gated at `fused_floor` at t = 1.
-    pub speedup_vs_unfused: f64,
-    /// Separate output passes one fused call took (obs delta) — the
-    /// second-pass-elimination claim: must be 0.
-    pub fused_output_passes: u64,
-    /// Separate output passes one unfused call takes (bias + activation
-    /// = 2 full walks over C).
-    pub unfused_output_passes: u64,
-    /// Fused output bitwise-equal to the separate-pass output.
-    pub bitwise_equal_to_unfused: bool,
 }
 
 /// Workspace-arena counters for one phase.
@@ -156,11 +128,6 @@ pub struct KernelReport {
     /// measured them).
     pub host_peak: Option<HostPeak>,
     pub points: Vec<KernelPoint>,
-    /// Regress-gate floor for `speedup_vs_unfused` of fused points at
-    /// t = 1.
-    pub fused_floor: f64,
-    /// Fused-epilogue GEMM points.
-    pub fused_points: Vec<FusedKernelPoint>,
     pub sweep_counters: Vec<CounterTotals>,
     pub sweep_dispatch: DispatchTotals,
     pub sweep_arena: ArenaStats,
@@ -276,12 +243,6 @@ fn host_peak() -> HostPeak {
         fma_gflops: gflops(true),
         copy_gbytes_per_s: (2 * 4 * src.len()) as f64 / (copy_ms * 1e6),
     }
-}
-
-/// Cumulative separate-epilogue output passes (obs counter) — deltas
-/// around calls prove the fused path eliminated its second pass over C.
-fn output_passes() -> u64 {
-    metalora_obs::counters::snapshot().output_passes
 }
 
 /// Sweeps one kernel over thread counts for both the legacy and the packed
@@ -407,39 +368,6 @@ pub fn run(quick: bool) -> KernelReport {
         p.fma_peak_share = Some(p.gflops / (peak.fma_gflops * p.threads.min(host_cpus) as f64));
     }
 
-    // Fused-epilogue GEMM at the matmul shape: bias + GELU folded into
-    // the GEMM's C store vs `matmul` followed by the separate
-    // `epilogue_pass` (add, then map). The unfused run is also the bitwise
-    // reference: fusion reorders nothing, it only moves where the same
-    // scalar math happens, so every thread count must reproduce it bit
-    // for bit — and take zero separate output passes doing so.
-    let bias = init::uniform(&[mm_dim], -1.0, 1.0, &mut rng);
-    let act = Some(ops::Activation::Gelu);
-    let fused_call = || ops::gemm(&GemmDesc::new(&a, &b).epilogue(Some(&bias), act)).unwrap();
-    let unfused_call =
-        || ops::epilogue_pass(ops::matmul(&a, &b).unwrap(), Some(&bias), act).unwrap();
-    let mut fused_points = Vec::new();
-    for &t in &threads {
-        par::set_num_threads(t);
-        let p0 = output_passes();
-        let (unfused_ms, reference) = time_ms(reps, unfused_call);
-        let unfused_passes = (output_passes() - p0) / (reps as u64 + 1);
-        let p1 = output_passes();
-        let (ms, out) = time_ms(reps, fused_call);
-        let fused_passes = output_passes() - p1; // across all calls
-        fused_points.push(FusedKernelPoint {
-            kernel: format!("fused matmul {mm_dim}x{mm_dim}x{mm_dim} bias+gelu"),
-            threads: t,
-            best_ms: ms,
-            unfused_best_ms: unfused_ms,
-            speedup_vs_unfused: unfused_ms / ms,
-            fused_output_passes: fused_passes,
-            unfused_output_passes: unfused_passes,
-            bitwise_equal_to_unfused: bitwise_eq(&reference, &out),
-        });
-    }
-    par::set_num_threads(0);
-
     par::set_par_threshold(usize::MAX);
     let snap = metalora_obs::counters::snapshot();
     let sweep_counters: Vec<CounterTotals> = snap
@@ -492,27 +420,6 @@ pub fn run(quick: bool) -> KernelReport {
         })
         .collect();
     println!("{}", render_table(&headers, &rows));
-    let headers_f: Vec<String> = [
-        "kernel", "threads", "best ms", "unfused ms", "vs unfused", "passes", "bitwise",
-    ]
-    .iter()
-    .map(|s| s.to_string())
-    .collect();
-    let rows_f: Vec<Vec<String>> = fused_points
-        .iter()
-        .map(|p| {
-            vec![
-                p.kernel.clone(),
-                p.threads.to_string(),
-                format!("{:.3}", p.best_ms),
-                format!("{:.3}", p.unfused_best_ms),
-                format!("{:.2}x", p.speedup_vs_unfused),
-                format!("{}/{}", p.fused_output_passes, p.unfused_output_passes),
-                p.bitwise_equal_to_unfused.to_string(),
-            ]
-        })
-        .collect();
-    println!("{}", render_table(&headers_f, &rows_f));
     println!(
         "arena hit rate: sweep {:.1}% ({}/{} checkouts), train {:.1}% ({}/{} checkouts)",
         100.0 * sweep_arena.hit_rate,
@@ -527,14 +434,6 @@ pub fn run(quick: bool) -> KernelReport {
         points.iter().all(|p| p.bitwise_equal_to_serial),
         "kernel output diverged from the legacy serial run"
     );
-    assert!(
-        fused_points.iter().all(|p| p.bitwise_equal_to_unfused),
-        "fused epilogue diverged from the separate-pass output"
-    );
-    assert!(
-        fused_points.iter().all(|p| p.fused_output_passes == 0),
-        "fused GEMM still took a separate output pass"
-    );
 
     KernelReport {
         host_cpus,
@@ -544,8 +443,6 @@ pub fn run(quick: bool) -> KernelReport {
         simd_level: simd,
         host_peak: Some(peak),
         points,
-        fused_floor: 0.95,
-        fused_points,
         sweep_counters,
         sweep_dispatch,
         sweep_arena,
@@ -580,17 +477,6 @@ mod tests {
                 bitwise_equal_to_serial: true,
                 fma_peak_share: Some(2.8 / 60.0),
             }],
-            fused_floor: 0.95,
-            fused_points: vec![FusedKernelPoint {
-                kernel: "fused matmul 128x128x128 bias+gelu".into(),
-                threads: 2,
-                best_ms: 1.4,
-                unfused_best_ms: 1.6,
-                speedup_vs_unfused: 1.6 / 1.4,
-                fused_output_passes: 0,
-                unfused_output_passes: 2,
-                bitwise_equal_to_unfused: true,
-            }],
             sweep_counters: vec![CounterTotals {
                 kernel: "matmul".into(),
                 calls: 12,
@@ -623,11 +509,6 @@ mod tests {
         let back: KernelReport = serde_json::from_str(&json).unwrap();
         assert_eq!(back.scale, "quick");
         assert_eq!(back.points.len(), 1);
-        assert_eq!(back.fused_points.len(), 1);
-        assert_eq!(back.fused_points[0].fused_output_passes, 0);
-        assert_eq!(back.fused_points[0].unfused_output_passes, 2);
-        assert!(back.fused_points[0].bitwise_equal_to_unfused);
-        assert!((back.fused_floor - 0.95).abs() < 1e-12);
         assert_eq!(back.points[0].threads, 2);
         assert!(back.points[0].bitwise_equal_to_serial);
         assert_eq!(back.sweep_counters[0].calls, 12);

@@ -5,20 +5,18 @@
 //! (printed, ignored), and gates only what a rerun can decide:
 //!
 //! * **Deterministic facts gate exactly.** Bitwise correctness flags, the
-//!   presence of every baseline point, the counter and dispatch totals
-//!   (calls, flops, packed/legacy, the serial/parallel split) and the
-//!   fused run's zero separate output passes are fixed functions of the
-//!   swept shapes: any difference is a violation. The fused bitwise
-//!   contract travels *inside* each point (`bitwise_equal_to_unfused`,
-//!   checked against its reference at run time), not across runs.
-//! * **Within-run ratios gate against the baseline's floors.** A ratio
-//!   of two timings from the same run is immune to host speed: the
-//!   fused-vs-unfused ratio must reach `fused_floor` at `t = 1` (above
-//!   that it only warns — shared runners are too noisy at `t > 1`),
-//!   and a packed matmul point at `threads ≥ 2` must reach
-//!   `multithread_floor` against its own `t = 1` row — a violation only
-//!   when the fresh host really has that many CPUs; a 1-core host
-//!   physically cannot speed up and only warns.
+//!   presence of every baseline point and the counter and dispatch totals
+//!   (calls, flops, packed/legacy, the serial/parallel split) are fixed
+//!   functions of the swept shapes: any difference is a violation. The
+//!   bitwise contract travels *inside* each point
+//!   (`bitwise_equal_to_serial`, checked against its reference at run
+//!   time), not across runs.
+//! * **One within-run ratio gates against the baseline's floor.** A ratio
+//!   of two timings from the same run is immune to host speed: a packed
+//!   matmul point at `threads ≥ 2` must reach `multithread_floor` against
+//!   its own `t = 1` row — a violation only when the fresh host really has
+//!   that many CPUs; a 1-core host physically cannot speed up and only
+//!   warns.
 //! * **Speed across commits is not judged here.** Absolute wall-clock
 //!   against a number recorded on another host is `benchmark/`'s job
 //!   (two `agree`-compared run sets).
@@ -123,60 +121,6 @@ pub fn compare(baseline: &KernelReport, fresh: &KernelReport) -> Comparison {
         }
     }
 
-    // Fused-epilogue points. Correctness (bitwise vs the separate-pass
-    // run) and the zero-output-pass claim are deterministic and always
-    // gate; the fused-vs-unfused wall-clock ratio gates against
-    // `fused_floor` at t=1.
-    for base_pt in &baseline.fused_points {
-        let Some(fresh_pt) = fresh
-            .fused_points
-            .iter()
-            .find(|p| p.kernel == base_pt.kernel && p.threads == base_pt.threads)
-        else {
-            cmp.violations.push(format!(
-                "fused missing point: {} / t={} is in the baseline but not in the fresh run",
-                base_pt.kernel, base_pt.threads
-            ));
-            continue;
-        };
-        if !fresh_pt.bitwise_equal_to_unfused {
-            cmp.violations.push(format!(
-                "fused correctness: {} / t={} no longer bitwise-equal to the separate-pass output",
-                fresh_pt.kernel, fresh_pt.threads
-            ));
-        }
-        if fresh_pt.fused_output_passes != 0 {
-            cmp.violations.push(format!(
-                "fused passes: {} / t={} took {} separate output pass(es) — fusion must take none",
-                fresh_pt.kernel, fresh_pt.threads, fresh_pt.fused_output_passes
-            ));
-        }
-        if fresh_pt.speedup_vs_unfused < baseline.fused_floor {
-            let msg = format!(
-                "fused perf: {} / t={} ran at {:.2}x vs its own unfused run, floor is {:.2}x",
-                fresh_pt.kernel, fresh_pt.threads, fresh_pt.speedup_vs_unfused,
-                baseline.fused_floor
-            );
-            if base_pt.threads == 1 {
-                cmp.violations.push(msg);
-            } else {
-                cmp.warnings.push(msg);
-            }
-        }
-    }
-    for fresh_pt in &fresh.fused_points {
-        let known = baseline
-            .fused_points
-            .iter()
-            .any(|p| p.kernel == fresh_pt.kernel && p.threads == fresh_pt.threads);
-        if !known {
-            cmp.warnings.push(format!(
-                "fused new point not in baseline: {} / t={} (refresh BENCH_kernels.json)",
-                fresh_pt.kernel, fresh_pt.threads
-            ));
-        }
-    }
-
     for base_ct in &baseline.sweep_counters {
         let Some(fresh_ct) =
             fresh.sweep_counters.iter().find(|c| c.kernel == base_ct.kernel)
@@ -236,9 +180,7 @@ pub fn compare(baseline: &KernelReport, fresh: &KernelReport) -> Comparison {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernels::{
-        ArenaStats, CounterTotals, DispatchTotals, FusedKernelPoint, KernelPoint,
-    };
+    use crate::kernels::{ArenaStats, CounterTotals, DispatchTotals, KernelPoint};
 
     fn arena() -> ArenaStats {
         ArenaStats { hits: 10, misses: 2, hit_rate: 10.0 / 12.0, bytes_reused: 1024, peak_pooled_bytes: 2048 }
@@ -257,19 +199,6 @@ mod tests {
         }
     }
 
-    fn fused_point(threads: usize, speedup: f64) -> FusedKernelPoint {
-        FusedKernelPoint {
-            kernel: "fused matmul 128x128x128 bias+gelu".into(),
-            threads,
-            best_ms: 1.0 / speedup,
-            unfused_best_ms: 1.0,
-            speedup_vs_unfused: speedup,
-            fused_output_passes: 0,
-            unfused_output_passes: 2,
-            bitwise_equal_to_unfused: true,
-        }
-    }
-
     fn report() -> KernelReport {
         KernelReport {
             host_cpus: 4,
@@ -279,8 +208,6 @@ mod tests {
             simd_level: "avx2".into(),
             host_peak: None,
             points: vec![point("legacy", 1, 2.0), point("packed", 1, 1.0), point("packed", 4, 0.4)],
-            fused_floor: 0.95,
-            fused_points: vec![fused_point(1, 1.2), fused_point(4, 1.1)],
             sweep_counters: vec![
                 CounterTotals { kernel: "matmul".into(), calls: 24, flops: 100_000 },
                 CounterTotals { kernel: "knn".into(), calls: 9, flops: 5_000 },
@@ -389,49 +316,5 @@ mod tests {
         let cmp = compare(&report(), &fresh);
         assert!(cmp.passed());
         assert!(cmp.warnings.iter().any(|w| w.contains("arena hit rate")));
-    }
-
-    // --- fused-epilogue gates ----------------------------------------
-
-    #[test]
-    fn fused_speedup_regression_fails_only_at_t1() {
-        let mut fresh = report();
-        fresh.fused_points[0].speedup_vs_unfused = 0.7; // t=1 below floor
-        fresh.fused_points[1].speedup_vs_unfused = 0.7; // t=4 below floor
-        let cmp = compare(&report(), &fresh);
-        assert!(!cmp.passed());
-        assert_eq!(
-            cmp.violations.iter().filter(|v| v.starts_with("fused perf:")).count(),
-            1,
-            "{:?}",
-            cmp.violations
-        );
-        assert!(cmp.warnings.iter().any(|w| w.starts_with("fused perf:")));
-    }
-
-    #[test]
-    fn fused_bitwise_break_and_output_pass_always_violate() {
-        let mut fresh = report();
-        fresh.fused_points[1].bitwise_equal_to_unfused = false; // even at t>1
-        fresh.fused_points[1].fused_output_passes = 2; // second pass came back
-        let cmp = compare(&report(), &fresh);
-        assert!(
-            cmp.violations.iter().any(|v| v.starts_with("fused correctness:")),
-            "{:?}",
-            cmp.violations
-        );
-        assert!(
-            cmp.violations.iter().any(|v| v.starts_with("fused passes:")),
-            "{:?}",
-            cmp.violations
-        );
-    }
-
-    #[test]
-    fn fused_missing_point_fails() {
-        let mut fresh = report();
-        fresh.fused_points.remove(0);
-        let cmp = compare(&report(), &fresh);
-        assert!(cmp.violations.iter().any(|v| v.starts_with("fused missing point:")));
     }
 }

@@ -17,6 +17,8 @@
 use crate::Result;
 use metalora_tensor::ops::microkernel::{self, SimdLevel, KC, NR};
 use metalora_tensor::{workspace, Tensor, TensorError};
+use std::cmp::Ordering::Equal;
+use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 
 /// Distance metric for the probe.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -169,6 +171,11 @@ impl KnnClassifier {
     }
 
     /// Predicts labels for query embeddings `[M, D]` with `k` neighbours.
+    ///
+    /// A query whose distance to any support is not finite (a NaN or ±Inf
+    /// coordinate on either side, as a diverged adapt produces) has no
+    /// ranking: the call returns `InvalidArgument` naming the first such
+    /// query row.
     pub fn predict(&self, queries: &Tensor, k: usize) -> Result<Vec<usize>> {
         if queries.rank() != 2 || queries.dims()[1] != self.embeddings.dims()[1] {
             return Err(TensorError::ShapeMismatch {
@@ -198,6 +205,11 @@ impl KnnClassifier {
             None
         };
         let sp: Option<&[f32]> = packed.as_deref();
+        // The first query row with a non-finite distance (NaN / ±Inf in
+        // the query or a support), if any: such a row has no ranking.
+        // Relaxed: it publishes no other data, and is read after the team
+        // has joined.
+        let bad_row = AtomicUsize::new(usize::MAX);
         // Queries are fully independent (own distance row, sort and vote),
         // so the distance matrix + vote parallelises per query row with
         // results identical to the serial loop.
@@ -219,7 +231,13 @@ impl KnnClassifier {
                         scored.push((self.dist(q, s), si));
                     }
                 }
-                scored.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite distances"));
+                // Checked before any sort: both sorts below then compare
+                // finite values only, where `partial_cmp` always answers.
+                if !scored.iter().all(|(dv, _)| dv.is_finite()) {
+                    bad_row.fetch_min(qi, Relaxed);
+                    continue;
+                }
+                scored.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(Equal));
                 // Majority vote over the k nearest; ties → nearest tied class.
                 let mut votes: Vec<(usize, usize, f32)> = Vec::new(); // (label, count, best_dist)
                 for &(dist, si) in &scored[..k] {
@@ -234,10 +252,7 @@ impl KnnClassifier {
                         None => votes.push((label, 1, dist)),
                     }
                 }
-                votes.sort_by(|a, b| {
-                    b.1.cmp(&a.1)
-                        .then(a.2.partial_cmp(&b.2).expect("finite distances"))
-                });
+                votes.sort_by(|a, b| b.1.cmp(&a.1).then(a.2.partial_cmp(&b.2).unwrap_or(Equal)));
                 *slot = votes[0].0;
             }
         });
@@ -248,7 +263,13 @@ impl KnnClassifier {
             (3 * m * self.len() * d) as u64,
             (4 * (queries.len() + self.embeddings.len()) + 8 * m) as u64,
         );
-        Ok(out)
+        match bad_row.into_inner() {
+            usize::MAX => Ok(out),
+            qi => Err(TensorError::InvalidArgument(format!(
+                "knn predict: query row {qi} has a non-finite distance to the support set \
+                 (NaN or ±Inf in the query or a support embedding)"
+            ))),
+        }
     }
 
     /// Accuracy of the probe on labelled queries.
@@ -359,6 +380,37 @@ mod tests {
         let [packed, legacy] = [KernelPath::Packed, KernelPath::Reference]
             .map(|path| microkernel::with_kernel_path(path, || knn.predict(&queries, 5).unwrap()));
         assert_eq!(packed, legacy);
+    }
+
+    /// Predicts under both metrics on both L2 paths, expecting the error
+    /// to name `row`.
+    fn assert_non_finite_row(support: &Tensor, labels: &[usize], queries: &Tensor, row: usize) {
+        for distance in [Distance::L2, Distance::Cosine] {
+            let knn = KnnClassifier::fit(support.clone(), labels.to_vec(), distance).unwrap();
+            for path in [KernelPath::Packed, KernelPath::Reference] {
+                let got = microkernel::with_kernel_path(path, || knn.predict(queries, 3));
+                let named = matches!(&got, Err(TensorError::InvalidArgument(msg))
+                    if msg.contains(&format!("query row {row} ")));
+                assert!(named, "{distance:?} on {path:?}: {got:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn nan_in_a_support_row_is_an_error_not_a_panic() {
+        let (mut support, labels) = clustered(10, 5);
+        support.data_mut()[7 * 2 + 1] = f32::NAN;
+        let (queries, _) = clustered(3, 6);
+        // Every query is at a NaN distance from support 7: row 0 is first.
+        assert_non_finite_row(&support, &labels, &queries, 0);
+    }
+
+    #[test]
+    fn nan_in_a_query_is_an_error_not_a_panic() {
+        let (support, labels) = clustered(10, 7);
+        let (mut queries, _) = clustered(3, 8);
+        queries.data_mut()[4 * 2] = f32::NAN;
+        assert_non_finite_row(&support, &labels, &queries, 4);
     }
 
     #[test]

@@ -15,51 +15,25 @@
 use crate::Result;
 use metalora_autograd::gelu_fwd;
 use metalora_tensor::conv::{self, ConvSpec};
-use metalora_tensor::ops::{Activation, GemmDesc};
+use metalora_tensor::ops::GemmDesc;
 use metalora_tensor::{ops, Tensor};
 
-/// Dense layer `act(x·W (+ b))` for `x:[N,I]`, `w:[I,O]`, `bias:[O]`.
-///
-/// The single linear entry: the bias add and activation ride the GEMM's
-/// store ([`ops::Epilogue`]) — bitwise identical to separate passes and
-/// to a tape forward through [`metalora_autograd::Graph`].
-pub fn linear_act(
-    x: &Tensor,
-    w: &Tensor,
-    bias: Option<&Tensor>,
-    act: Option<Activation>,
-) -> Result<Tensor> {
-    ops::gemm(&GemmDesc::new(x, w).epilogue(bias, act))
-}
-
 /// Dense layer `x·W (+ b)` for `x:[N,I]`, `w:[I,O]`, `bias:[O]` — the
-/// tape-free twin of [`crate::Linear`]'s forward. Routes through
-/// [`linear_act`] with no activation.
+/// tape-free twin of [`crate::Linear`]'s forward. The bias add rides the
+/// GEMM's store — bitwise identical to the tape's separate add.
 pub fn linear(x: &Tensor, w: &Tensor, bias: Option<&Tensor>) -> Result<Tensor> {
-    linear_act(x, w, bias, None)
+    ops::gemm(&GemmDesc::new(x, w).epilogue(bias))
 }
 
-/// Convolution `act(x * W (+ b))` for `x:[N,C,H,W]`, `w:[KH,KW,C,O]`,
-/// `bias:[O]` — the conv twin of [`linear_act`].
-pub fn conv2d_act(
-    x: &Tensor,
-    w: &Tensor,
-    bias: Option<&Tensor>,
-    act: Option<Activation>,
-    spec: ConvSpec,
-) -> Result<Tensor> {
-    conv::conv2d_bias_act(x, w, bias, act, spec, spec)
-}
-
-/// Convolution `x * W (+ b)` — the tape-free twin of [`crate::Conv2d`]'s
-/// forward. Routes through [`conv2d_act`] with no activation.
+/// Convolution `x * W (+ b)` for `x:[N,C,H,W]`, `w:[KH,KW,C,O]`,
+/// `bias:[O]` — the tape-free twin of [`crate::Conv2d`]'s forward, with
+/// the bias fused into the conv GEMM's store.
 pub fn conv2d(x: &Tensor, w: &Tensor, bias: Option<&Tensor>, spec: ConvSpec) -> Result<Tensor> {
-    conv2d_act(x, w, bias, None, spec)
+    conv::conv2d_bias(x, w, bias, spec, spec)
 }
 
 /// GELU (tanh approximation) — applies the same scalar function as
-/// [`metalora_autograd::Graph::gelu`] and the fused
-/// [`Activation::Gelu`] epilogue (all three share
+/// [`metalora_autograd::Graph::gelu`] (both share
 /// [`metalora_tensor::ops::gelu`]).
 pub fn gelu(x: &Tensor) -> Tensor {
     ops::map(x, gelu_fwd)
@@ -138,34 +112,6 @@ mod tests {
         )
         .unwrap();
         assert_eq!(bits(&y), bits(&y_tape));
-    }
-
-    #[test]
-    fn linear_act_is_bitwise_linear_then_activation() {
-        let mut rng = init::rng(17);
-        let layer = Linear::new("fc", 7, 5, &mut rng);
-        let x = init::uniform(&[4, 7], -1.0, 1.0, &mut rng);
-        let w = layer.weight().value();
-        let bias = layer.bias().map(|b| b.value());
-        let fused = linear_act(&x, &w, bias.as_ref(), Some(Activation::Gelu)).unwrap();
-        let sep = gelu(&linear(&x, &w, bias.as_ref()).unwrap());
-        assert_eq!(bits(&fused), bits(&sep));
-        let fused = linear_act(&x, &w, bias.as_ref(), Some(Activation::Tanh)).unwrap();
-        let sep = tanh(&linear(&x, &w, bias.as_ref()).unwrap());
-        assert_eq!(bits(&fused), bits(&sep));
-    }
-
-    #[test]
-    fn conv2d_act_is_bitwise_conv_then_relu() {
-        let mut rng = init::rng(19);
-        let layer = Conv2d::new("c", 3, 4, 3, 1, 1, &mut rng).unwrap();
-        let x = init::uniform(&[2, 3, 6, 6], -1.0, 1.0, &mut rng);
-        let w = layer.weight().value();
-        let bias = layer.bias().map(|b| b.value());
-        let fused =
-            conv2d_act(&x, &w, bias.as_ref(), Some(Activation::Relu), layer.spec()).unwrap();
-        let sep = relu(&conv2d(&x, &w, bias.as_ref(), layer.spec()).unwrap());
-        assert_eq!(bits(&fused), bits(&sep));
     }
 
     #[test]

@@ -51,25 +51,6 @@ impl Linear {
     pub fn bias(&self) -> Option<&ParamRef> {
         self.bias.as_ref()
     }
-
-    /// Tape-free inference forward with an optional fused activation:
-    /// snapshots the current parameter values and routes through
-    /// [`crate::infer::linear_act`], so the bias add (and `act`, when
-    /// given) ride the GEMM's store instead of separate output passes —
-    /// bitwise identical to [`Module::forward`] followed by the matching
-    /// activation op.
-    pub fn infer_forward(
-        &self,
-        x: &Tensor,
-        act: Option<metalora_tensor::ops::Activation>,
-    ) -> Result<Tensor> {
-        crate::infer::linear_act(
-            x,
-            &self.weight.value(),
-            self.bias.as_ref().map(|b| b.value()).as_ref(),
-            act,
-        )
-    }
 }
 
 impl Module for Linear {
@@ -167,25 +148,6 @@ impl Conv2d {
     /// The spatial spec (kernel/stride/padding).
     pub fn spec(&self) -> ConvSpec {
         self.spec
-    }
-
-    /// Tape-free inference forward with an optional fused activation —
-    /// the conv twin of [`Linear::infer_forward`]: per-channel bias and
-    /// `act` are applied at the production GEMM's store through
-    /// [`crate::infer::conv2d_act`], bitwise identical to
-    /// [`Module::forward`] followed by the matching activation op.
-    pub fn infer_forward(
-        &self,
-        x: &Tensor,
-        act: Option<metalora_tensor::ops::Activation>,
-    ) -> Result<Tensor> {
-        crate::infer::conv2d_act(
-            x,
-            &self.weight.value(),
-            self.bias.as_ref().map(|b| b.value()).as_ref(),
-            act,
-            self.spec,
-        )
     }
 }
 
@@ -495,36 +457,6 @@ mod tests {
             let s: f32 = v.data()[l * 4..(l + 1) * 4].iter().sum();
             assert!(s.abs() < 1e-4);
         }
-    }
-
-    #[test]
-    fn linear_infer_forward_is_bitwise_tape_forward_plus_activation() {
-        use metalora_tensor::ops::Activation;
-        let l = Linear::new("fc", 3, 2, &mut rng());
-        let xv = init::uniform(&[4, 3], -1.0, 1.0, &mut rng());
-        let mut g = Graph::new();
-        let x = g.input(xv.clone());
-        let y = l.forward(&mut g, x, &Ctx::none()).unwrap();
-        let ge = g.gelu(y);
-        let tape: Vec<u32> = g.value(ge).data().iter().map(|v| v.to_bits()).collect();
-        let fused = l.infer_forward(&xv, Some(Activation::Gelu)).unwrap();
-        let got: Vec<u32> = fused.data().iter().map(|v| v.to_bits()).collect();
-        assert_eq!(got, tape);
-    }
-
-    #[test]
-    fn conv2d_infer_forward_is_bitwise_tape_forward_plus_activation() {
-        use metalora_tensor::ops::Activation;
-        let c = Conv2d::new("conv", 3, 5, 3, 1, 1, &mut rng()).unwrap();
-        let xv = init::uniform(&[2, 3, 6, 6], -1.0, 1.0, &mut rng());
-        let mut g = Graph::new();
-        let x = g.input(xv.clone());
-        let y = c.forward(&mut g, x, &Ctx::none()).unwrap();
-        let re = g.relu(y);
-        let tape: Vec<u32> = g.value(re).data().iter().map(|v| v.to_bits()).collect();
-        let fused = c.infer_forward(&xv, Some(Activation::Relu)).unwrap();
-        let got: Vec<u32> = fused.data().iter().map(|v| v.to_bits()).collect();
-        assert_eq!(got, tape);
     }
 
     #[test]

@@ -206,9 +206,9 @@ pub fn record_workspace_pooled(delta_bytes: i64) {
     }
 }
 
-/// Records one GEMM whose epilogue (bias add and/or activation) was fused
-/// into the store over `elems` output elements — work a separate full
-/// output pass would otherwise have done.
+/// Records one GEMM whose bias add was fused into the store over `elems`
+/// output elements — work a separate full output pass would otherwise
+/// have done.
 #[inline]
 pub fn record_fused_epilogue(elems: u64) {
     if !crate::enabled() {
@@ -218,9 +218,9 @@ pub fn record_fused_epilogue(elems: u64) {
     FUSED_ELEMS.fetch_add(elems, Relaxed);
 }
 
-/// Records one separate (unfused) epilogue pass over a full output — a
-/// broadcast bias add or an activation map. The fused serving path must
-/// drive this to zero; the regress gate asserts it.
+/// Records one separate (unfused) bias pass over a full output — a
+/// broadcast add. The fused serving path must drive this to zero;
+/// `serve/tests/steady_state.rs` asserts it.
 #[inline]
 pub fn record_output_pass() {
     if !crate::enabled() {
@@ -378,11 +378,11 @@ pub struct CounterSnapshot {
     pub workspace_pooled_bytes: u64,
     /// High-water mark of bytes idling in the workspace pool.
     pub peak_workspace_pooled_bytes: u64,
-    /// GEMMs whose bias/activation epilogue was fused into the store.
+    /// GEMMs whose bias add was fused into the store.
     pub fused_epilogues: u64,
     /// Output elements the fused epilogues covered.
     pub fused_elems: u64,
-    /// Separate (unfused) full epilogue passes over an output.
+    /// Separate (unfused) full bias passes over an output.
     pub output_passes: u64,
     /// Always 0: the static-plan layer is gone and nothing records into
     /// this field. It survives only because the frozen `benchmark/` reads

@@ -146,20 +146,10 @@ impl MappingNet {
         Ok(g.tanh(s))
     }
 
-    /// Tape-free twin of [`MappingNet::generate`]: the same
-    /// matmul → bias add → GELU → matmul → bias add → tanh sequence on
-    /// plain tensors, bitwise identical to the graph forward. Used by the
-    /// serving engine, which cannot hold a [`Graph`] per request.
-    pub fn generate_infer(&self, features: &Tensor) -> Result<Tensor> {
-        let h = metalora_nn::infer::linear(features, &self.w1.value(), Some(&self.b1.value()))?;
-        let h = metalora_nn::infer::gelu(&h);
-        let s = metalora_nn::infer::linear(&h, &self.w2.value(), Some(&self.b2.value()))?;
-        Ok(metalora_nn::infer::tanh(&s))
-    }
-
     /// Value snapshots of `(w1, b1, w2, b2)` — what a serving engine needs
-    /// to run [`MappingNet::generate_infer`]'s math on another thread
-    /// (parameter cells themselves are `Rc`-based and not `Send`).
+    /// to run [`MappingNet::generate`]'s math tape-free on another thread
+    /// (`metalora_serve::forward::MappingSnapshot::generate`; parameter
+    /// cells themselves are `Rc`-based and not `Send`).
     pub fn export_weights(&self) -> (Tensor, Tensor, Tensor, Tensor) {
         (
             self.w1.value(),

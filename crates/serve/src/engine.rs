@@ -275,7 +275,7 @@ impl ServeEngine {
             let y = self.forward_one(entry, &req.x, seeds.get(&i), base_rows, tel, &mut stages)?;
             if tel {
                 let fwd_ns = window::now_ns().saturating_sub(fwd_t0);
-                // Epilogues are fused into the GEMM store, so the forward
+                // The bias is fused into the GEMM store, so the forward
                 // splits into cache time and "everything else" = gemm,
                 // which for a factored request includes its rows' share
                 // of the stacked base product.
@@ -474,8 +474,8 @@ impl ServeEngine {
             };
             let w = self.merged_weight((entry.id, entry.version), base, delta, tel, stages)?;
             return match conv {
-                Some((_, spec)) => infer::conv2d_act(x, &w, self.conv_b.as_ref(), None, spec),
-                None => infer::linear_act(x, &w, self.base_b.as_ref(), None),
+                Some((_, spec)) => infer::conv2d(x, &w, self.conv_b.as_ref(), spec),
+                None => infer::linear(x, &w, self.base_b.as_ref()),
             };
         }
         // A pinned seed is tiled over the request's rows; a dynamic tenant

@@ -186,17 +186,15 @@ impl MappingSnapshot {
         self.w1.dims()[0]
     }
 
-    /// `[N, in] → [N, out]`: linear → GELU → linear → tanh, the bitwise
-    /// twin of [`MappingNet::generate`] (and of `generate_infer`, same
-    /// math on the snapshot values). Both bias adds and both activations
-    /// ride the fused GEMM epilogues — no separate output passes instead
-    /// of four, and still bitwise the separate-pass sequence. Rows are
-    /// independent, so a stacked batch yields each row's seed bitwise
-    /// unchanged — the amortisation the batcher relies on.
+    /// `[N, in] → [N, out]`: linear → GELU → linear → tanh, the op
+    /// sequence of [`MappingNet::generate`] on the tape and its bitwise
+    /// twin. Both bias adds ride the GEMM store; each activation is one
+    /// map over the finished product. Rows are independent, so a stacked
+    /// batch yields each row's seed bitwise unchanged — the amortisation
+    /// the batcher relies on.
     pub fn generate(&self, features: &Tensor) -> Result<Tensor> {
-        use metalora_tensor::ops::Activation;
-        let h = infer::linear_act(features, &self.w1, Some(&self.b1), Some(Activation::Gelu))?;
-        infer::linear_act(&h, &self.w2, Some(&self.b2), Some(Activation::Tanh))
+        let h = infer::gelu(&infer::linear(features, &self.w1, Some(&self.b1))?);
+        Ok(infer::tanh(&infer::linear(&h, &self.w2, Some(&self.b2))?))
     }
 }
 

@@ -23,8 +23,8 @@
 //! * [`engine`] — [`engine::ServeEngine`] wires the four together and
 //!   records the serve counters.
 //! * [`telemetry`] — the bridge into `obs::registry`/`obs::slo`: per-
-//!   request stage breakdowns (queue / cache / mapping / gemm /
-//!   epilogue), per-tenant windowed latency and SLO accounting, cache
+//!   request stage breakdowns (queue / cache / mapping / gemm),
+//!   per-tenant windowed latency and SLO accounting, cache
 //!   and batcher gauges, and tail-latency attribution. Active only when
 //!   `METALORA_OBS_METRICS` telemetry is on; purely passive either way.
 //! * [`traffic`] — synthetic zipf-distributed multi-tenant traffic with

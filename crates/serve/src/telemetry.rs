@@ -29,7 +29,7 @@ pub struct StageNs {
     pub cache: u64,
     /// This request's share of the batch's stacked mapping-net forward.
     pub mapping: u64,
-    /// The forward GEMM with its fused bias/activation epilogue (and
+    /// The forward GEMM with its fused bias (and
     /// everything else in the tape-free forward that is not the cache
     /// stage), plus — for a request served factored — its row share of
     /// the batch's stacked base product.

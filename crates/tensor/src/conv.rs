@@ -306,21 +306,19 @@ pub fn weight_to_matrix(w: &Tensor) -> Result<Tensor> {
 /// 2-D convolution (cross-correlation) of `x:[N, C, H, W]` with the
 /// paper-layout weight `𝒲:[KH, KW, C, O]`. Output `[N, O, OH, OW]`.
 pub fn conv2d(x: &Tensor, w: &Tensor, h_spec: ConvSpec, w_spec: ConvSpec) -> Result<Tensor> {
-    conv2d_bias_act(x, w, None, None, h_spec, w_spec)
+    conv2d_bias(x, w, None, h_spec, w_spec)
 }
 
-/// [`conv2d`] with a fused epilogue: per-output-channel `bias` (length `O`)
-/// and/or `act` applied inside the production GEMM's store. The conv bias
-/// broadcast (`[O,1,1]` over `[N,O,OH,OW]`) is exactly a per-column bias
-/// on the pre-permute `[N·OH·OW, O]` GEMM output (column = output
-/// channel), and the trailing permute is a pure element copy, so applying
-/// the epilogue before the permute is bitwise-identical to separate
-/// broadcast-add and activation passes after it.
-pub fn conv2d_bias_act(
+/// [`conv2d`] with a fused per-output-channel `bias` (length `O`) added
+/// inside the production GEMM's store. The conv bias broadcast (`[O,1,1]`
+/// over `[N,O,OH,OW]`) is exactly a per-column bias on the pre-permute
+/// `[N·OH·OW, O]` GEMM output (column = output channel), and the trailing
+/// permute is a pure element copy, so adding the bias before the permute
+/// is bitwise-identical to a separate broadcast-add pass after it.
+pub fn conv2d_bias(
     x: &Tensor,
     w: &Tensor,
     bias: Option<&Tensor>,
-    act: Option<crate::ops::Activation>,
     h_spec: ConvSpec,
     w_spec: ConvSpec,
 ) -> Result<Tensor> {
@@ -349,10 +347,10 @@ pub fn conv2d_bias_act(
     let ow = w_spec.out_size(ww)?;
     let cols = im2col(x, h_spec, w_spec)?; // [N·OH·OW, C·KH·KW]
     let wm = weight_to_matrix(w)?; // [C·KH·KW, O]
-    // Bias and activation land at the GEMM store, per column = per output
-    // channel (the GEMM validates the bias width); the permute below only
-    // moves finished elements.
-    let out = gemm(&GemmDesc::new(&cols, &wm).epilogue(bias, act))?; // [N·OH·OW, O]
+    // The bias lands at the GEMM store, per column = per output channel
+    // (the GEMM validates its width); the permute below only moves
+    // finished elements.
+    let out = gemm(&GemmDesc::new(&cols, &wm).epilogue(bias))?; // [N·OH·OW, O]
     // The patch matrix came from the arena; hand it straight back so the
     // next im2col (typically the same shape, next batch) reuses it.
     workspace::recycle(cols);
@@ -542,21 +540,15 @@ mod tests {
             let x = init::uniform(&[2, 3, hw, hw], -1.0, 1.0, &mut r);
             let w = init::uniform(&[k, k, 3, 4], -1.0, 1.0, &mut r);
             let bias = init::uniform(&[4], -1.0, 1.0, &mut r);
-            for act in [None, Some(crate::ops::Activation::Relu), Some(crate::ops::Activation::Gelu)] {
-                let fused =
-                    conv2d_bias_act(&x, &w, Some(&bias), act, spec(k, st, pad), spec(k, st, pad))
-                        .unwrap();
-                // Legacy sequence: conv, [O,1,1] broadcast add, then map.
-                let y = conv2d(&x, &w, spec(k, st, pad), spec(k, st, pad)).unwrap();
-                let b = bias.clone().reshape(&[4, 1, 1]).unwrap();
-                let mut sep = crate::ops::add(&y, &b).unwrap();
-                if let Some(a) = act {
-                    sep = crate::ops::map(&sep, move |v| a.apply(v));
-                }
-                assert_eq!(fused.shape(), sep.shape());
-                for (i, (f, s)) in fused.data().iter().zip(sep.data()).enumerate() {
-                    assert_eq!(f.to_bits(), s.to_bits(), "elem {i} hw={hw} k={k}");
-                }
+            let fused =
+                conv2d_bias(&x, &w, Some(&bias), spec(k, st, pad), spec(k, st, pad)).unwrap();
+            // Separate sequence: conv, then the [O,1,1] broadcast add.
+            let y = conv2d(&x, &w, spec(k, st, pad), spec(k, st, pad)).unwrap();
+            let b = bias.clone().reshape(&[4, 1, 1]).unwrap();
+            let sep = crate::ops::add(&y, &b).unwrap();
+            assert_eq!(fused.shape(), sep.shape());
+            for (i, (f, s)) in fused.data().iter().zip(sep.data()).enumerate() {
+                assert_eq!(f.to_bits(), s.to_bits(), "elem {i} hw={hw} k={k}");
             }
         }
     }
@@ -566,11 +558,9 @@ mod tests {
         let x = Tensor::zeros(&[1, 3, 4, 4]);
         let w = Tensor::zeros(&[3, 3, 3, 4]);
         let bad = Tensor::zeros(&[5]); // o = 4
-        assert!(
-            conv2d_bias_act(&x, &w, Some(&bad), None, spec(3, 1, 1), spec(3, 1, 1)).is_err()
-        );
-        // A no-op epilogue still works and matches plain conv2d.
-        let y = conv2d_bias_act(&x, &w, None, None, spec(3, 1, 1), spec(3, 1, 1)).unwrap();
+        assert!(conv2d_bias(&x, &w, Some(&bad), spec(3, 1, 1), spec(3, 1, 1)).is_err());
+        // No bias still works and matches plain conv2d.
+        let y = conv2d_bias(&x, &w, None, spec(3, 1, 1), spec(3, 1, 1)).unwrap();
         assert_eq!(y.dims(), &[1, 4, 4, 4]);
     }
 

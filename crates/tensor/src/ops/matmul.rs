@@ -1,8 +1,8 @@
 //! Dense matrix multiplication: one entry point, [`gemm`].
 //!
 //! Every product in the stack — plain, transposed, batched, matrix–vector,
-//! with or without a fused bias/activation — is one
-//! [`GemmDesc`]: layout, batching and epilogue are *data*, and
+//! with or without a fused bias — is one
+//! [`GemmDesc`]: layout, batching and bias are *data*, and
 //! [`gemm`] is the only function that validates shapes, picks a kernel,
 //! runs it and records the obs counters. Two interchangeable kernels sit
 //! underneath:
@@ -22,9 +22,7 @@
 //! bitwise identical. `matmul` and the few names the autograd tape uses
 //! survive as one-line wrappers.
 
-use super::microkernel::{
-    self, simd_level, use_packed, Activation, Epilogue, SimdLevel, StridedGemm, KC,
-};
+use super::microkernel::{self, add_bias, simd_level, use_packed, SimdLevel, StridedGemm, KC};
 use crate::par::par_row_blocks;
 use crate::{Result, Tensor, TensorError};
 
@@ -53,20 +51,20 @@ pub struct GemmDesc<'a> {
     pub b: &'a Tensor,
     /// Layout of `b`.
     pub b_layout: Layout,
-    /// Per-output-column bias and/or activation, applied inside the store
-    /// of each element once its accumulation is complete.
-    pub ep: Epilogue<'a>,
+    /// Per-output-column bias, added inside the store of each element once
+    /// its accumulation is complete.
+    pub bias: Option<&'a Tensor>,
 }
 
 impl<'a> GemmDesc<'a> {
-    /// `A·B`, both as stored, no epilogue.
+    /// `A·B`, both as stored, no bias.
     pub fn new(a: &'a Tensor, b: &'a Tensor) -> Self {
         GemmDesc {
             a,
             a_layout: Layout::N,
             b,
             b_layout: Layout::N,
-            ep: Epilogue::none(),
+            bias: None,
         }
     }
 
@@ -82,20 +80,21 @@ impl<'a> GemmDesc<'a> {
         self
     }
 
-    /// Fuses `act(· + bias)` into the store (`bias` has one entry per
-    /// output column).
-    pub fn epilogue(mut self, bias: Option<&'a Tensor>, act: Option<Activation>) -> Self {
-        self.ep = Epilogue { bias: bias.map(Tensor::data), act };
+    /// Fuses `· + bias` into the store (`bias` has one entry per output
+    /// column).
+    pub fn epilogue(mut self, bias: Option<&'a Tensor>) -> Self {
+        self.bias = bias;
         self
     }
 }
 
-/// `C = act(A·B + bias)` as described by `desc` — the only matmul body.
+/// `C = A·B (+ bias)` as described by `desc` — the only matmul body.
 ///
-/// A fused epilogue is bitwise identical to the plain product followed by
-/// [`epilogue_pass`]: per element the scalar sequence `act(acc + bias[j])`
+/// A fused bias is bitwise identical to the plain product followed by
+/// [`epilogue_pass`]: per element the scalar sequence `acc + bias[j]`
 /// after the complete `k` accumulation is the same, only its timing moves
-/// (asserted by `tests/gemm_equiv.rs`).
+/// (asserted by `tests/gemm_equiv.rs`). Activations are not fused: they
+/// are maps over the finished product, as on the autograd tape.
 pub fn gemm(desc: &GemmDesc) -> Result<Tensor> {
     let (ad, bd) = (desc.a.dims(), desc.b.dims());
     let mismatch = |op: &'static str| TensorError::ShapeMismatch {
@@ -130,7 +129,8 @@ pub fn gemm(desc: &GemmDesc) -> Result<Tensor> {
     if k != k2 {
         return Err(mismatch("gemm"));
     }
-    if let Some(bias) = desc.ep.bias {
+    let bias = desc.bias.map(Tensor::data);
+    if let Some(bias) = bias {
         if bias.len() != n {
             return Err(TensorError::ShapeMismatch {
                 op: "gemm bias",
@@ -160,7 +160,7 @@ pub fn gemm(desc: &GemmDesc) -> Result<Tensor> {
         m,
         n,
         k,
-        ep: desc.ep,
+        bias,
     };
     let mut out = vec![0.0f32; bs * m * n];
     let flops = 2 * bs * m * k * n;
@@ -172,14 +172,14 @@ pub fn gemm(desc: &GemmDesc) -> Result<Tensor> {
     }
     // Flops count multiply-adds as 2 ops each; bytes are every operand
     // plus the output, 4 per element.
-    let bias_len = desc.ep.bias.map_or(0, <[f32]>::len);
+    let bias_len = bias.map_or(0, <[f32]>::len);
     metalora_obs::counters::record_kernel(
         metalora_obs::counters::Kernel::Matmul,
         flops as u64,
         (4 * (desc.a.len() + desc.b.len() + bias_len + out.len())) as u64,
     );
     metalora_obs::counters::record_matmul_path(packed);
-    if !desc.ep.is_noop() {
+    if bias.is_some() {
         metalora_obs::counters::record_fused_epilogue(out.len() as u64);
     }
     match (ad.len(), bd.len()) {
@@ -298,9 +298,13 @@ fn reference_rows(g: &StridedGemm, first: usize, block: &mut [f32]) {
             }
         }
     }
-    // The block's full-k accumulation is complete: apply the epilogue in
-    // the same walk instead of a second pass over the output.
-    g.ep.apply_rows(block, n);
+    // The block's full-k accumulation is complete: add the bias in the
+    // same walk instead of a second pass over the output.
+    if let Some(bias) = g.bias {
+        for row in block.chunks_mut(n) {
+            add_bias(row, bias);
+        }
+    }
 }
 
 /// `C = A·B` for `A:[m,k]`, `B:[k,n]`.
@@ -333,25 +337,17 @@ pub fn bmm_transpose_b(a: &Tensor, b: &Tensor) -> Result<Tensor> {
     gemm(&GemmDesc::new(a, b).transpose_b())
 }
 
-/// The unfused epilogue: the separate full output passes a fused store
-/// replaces — a broadcast bias add, then an activation map. The reference
-/// fused [`gemm`] output is tested against, and the unfused column of the
-/// K1 bench; each pass is tallied by the obs `output_passes` counter.
-pub fn epilogue_pass(y: Tensor, bias: Option<&Tensor>, act: Option<Activation>) -> Result<Tensor> {
-    let y = match bias {
+/// The unfused bias: the separate full output pass a fused store
+/// replaces, a broadcast add. The reference fused [`gemm`] output is
+/// tested against; the pass is tallied by the obs `output_passes` counter.
+pub fn epilogue_pass(y: Tensor, bias: Option<&Tensor>) -> Result<Tensor> {
+    match bias {
         Some(b) => {
             metalora_obs::counters::record_output_pass();
-            super::elementwise::add(&y, b)?
+            super::elementwise::add(&y, b)
         }
-        None => y,
-    };
-    Ok(match act {
-        Some(a) => {
-            metalora_obs::counters::record_output_pass();
-            super::elementwise::map(&y, move |v| a.apply(v))
-        }
-        None => y,
-    })
+        None => Ok(y),
+    }
 }
 
 #[cfg(test)]
@@ -537,9 +533,8 @@ mod tests {
             let x = init::uniform(&[m, k], -1.0, 1.0, &mut r);
             let w = init::uniform(&[k, n], -1.0, 1.0, &mut r);
             let b = init::uniform(&[n], -1.0, 1.0, &mut r);
-            let act = Some(Activation::Gelu);
-            let fused = gemm(&GemmDesc::new(&x, &w).epilogue(Some(&b), act)).unwrap();
-            let expect = epilogue_pass(matmul(&x, &w).unwrap(), Some(&b), act).unwrap();
+            let fused = gemm(&GemmDesc::new(&x, &w).epilogue(Some(&b))).unwrap();
+            let expect = epilogue_pass(matmul(&x, &w).unwrap(), Some(&b)).unwrap();
             assert!(bits_eq(&fused, &expect));
         }
     }
@@ -549,7 +544,7 @@ mod tests {
         let x = Tensor::zeros(&[2, 3]);
         let w = Tensor::zeros(&[3, 4]);
         let bad = Tensor::zeros(&[5]);
-        assert!(gemm(&GemmDesc::new(&x, &w).epilogue(Some(&bad), None)).is_err());
+        assert!(gemm(&GemmDesc::new(&x, &w).epilogue(Some(&bad))).is_err());
     }
 
     #[test]

@@ -64,16 +64,15 @@
 //! calling thread, which is how the equivalence suite runs every level
 //! the host has.
 //!
-//! # Fused epilogues
+//! # Fused bias
 //!
-//! A GEMM call may carry an [`Epilogue`] — a per-output-column bias and/or
-//! a scalar [`Activation`] — which each worker applies to a column tile
-//! immediately after that tile's final KC tile stores, i.e. once the full
-//! `k` accumulation of those elements is complete. The per-element value
-//! is `act(acc + bias[j])`, exactly what the separate `ops::add` +
-//! `ops::map` passes compute; the sequence is pure per element, so store
-//! time vs. a second full output pass cannot change a bit (see
-//! DESIGN.md "Epilogue fusion").
+//! A GEMM call may carry a per-output-column bias, which each worker adds
+//! to a column tile immediately after that tile's final KC tile stores,
+//! i.e. once the full `k` accumulation of those elements is complete. The
+//! per-element value is `acc + bias[j]`, exactly what the separate
+//! broadcast `ops::add` pass computes; the sequence is pure per element,
+//! so store time vs. a second full output pass cannot change a bit (see
+//! DESIGN.md "Bias epilogue").
 
 use crate::par::{par_task_queue, TaskQueue};
 use crate::workspace;
@@ -174,122 +173,17 @@ pub fn use_packed(flops: usize) -> bool {
 }
 
 // ---------------------------------------------------------------------------
-// Fused epilogue
+// Fused bias
 // ---------------------------------------------------------------------------
 
-/// Scalar activation a fused epilogue may apply. Each variant computes the
-/// exact same f32 expression the separate `ops::map` pass computes, so
-/// applying it at store time cannot change a bit.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum Activation {
-    /// `max(x, 0)`.
-    Relu,
-    /// The tanh-approximated GELU the autograd tape uses
-    /// (`metalora_autograd::gelu_fwd` delegates here).
-    Gelu,
-    /// `x.tanh()`.
-    Tanh,
-}
-
-impl Activation {
-    /// Applies the activation to one element.
-    #[inline]
-    pub fn apply(self, x: f32) -> f32 {
-        match self {
-            Activation::Relu => x.max(0.0),
-            Activation::Gelu => gelu(x),
-            Activation::Tanh => x.tanh(),
-        }
-    }
-
-    /// Stable lowercase name for bench reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            Activation::Relu => "relu",
-            Activation::Gelu => "gelu",
-            Activation::Tanh => "tanh",
-        }
-    }
-}
-
-/// Tanh-approximated GELU, the single shared definition: the autograd
-/// tape's forward delegates here, so fused inference and tape training
-/// compute bit-identical activations.
+/// `row[j] += bias[j]`: the bias half of an output element's sequence,
+/// applied once its full `k` accumulation is complete. The separate
+/// broadcast `ops::add` pass computes the same single f32 add per element,
+/// so when it runs cannot change a bit. Both kernels call this.
 #[inline]
-pub fn gelu(x: f32) -> f32 {
-    const C: f32 = 0.797_884_6; // sqrt(2/π)
-    0.5 * x * (1.0 + (C * (x + 0.044_715 * x * x * x)).tanh())
-}
-
-/// Epilogue fused into the C-tile store: per element, `bias[j]` (the
-/// output-column bias, if any) is added and the activation (if any) is
-/// applied — `act(acc + bias[j])` — immediately after that element's full
-/// `k` accumulation completes. The unfused path computes the identical
-/// per-element scalar sequence in two separate full passes (`ops::add`
-/// broadcast, then `ops::map`); since the sequence is pure per element,
-/// the order elements are visited in is irrelevant and fused output is
-/// bitwise identical to unfused.
-#[derive(Clone, Copy)]
-pub struct Epilogue<'a> {
-    /// Per-output-column bias (length `n`), added before the activation.
-    pub bias: Option<&'a [f32]>,
-    /// Activation applied after the bias.
-    pub act: Option<Activation>,
-}
-
-impl<'a> Epilogue<'a> {
-    /// The identity epilogue (plain GEMM store).
-    pub fn none() -> Epilogue<'static> {
-        Epilogue { bias: None, act: None }
-    }
-
-    /// `true` when there is nothing to apply.
-    #[inline]
-    pub fn is_noop(&self) -> bool {
-        self.bias.is_none() && self.act.is_none()
-    }
-
-    /// Applies the epilogue to the element in output column `j`.
-    #[inline]
-    pub fn apply_one(&self, j: usize, v: f32) -> f32 {
-        let v = match self.bias {
-            Some(b) => v + b[j],
-            None => v,
-        };
-        match self.act {
-            Some(a) => a.apply(v),
-            None => v,
-        }
-    }
-
-    /// Applies the epilogue in place to a row-major block of `rows` rows
-    /// whose first element sits in output column `j0`, row stride `ldc`.
-    ///
-    /// # Safety
-    /// `c` must be valid for a `rows × cols` block at row stride `ldc`,
-    /// not accessed concurrently; `j0 + cols` must not exceed the bias
-    /// length when a bias is present.
-    unsafe fn apply_tile(&self, c: *mut f32, ldc: usize, rows: usize, j0: usize, cols: usize) {
-        for r in 0..rows {
-            let row = c.add(r * ldc + j0);
-            for jj in 0..cols {
-                *row.add(jj) = self.apply_one(j0 + jj, *row.add(jj));
-            }
-        }
-    }
-
-    /// Applies the epilogue in place to contiguous row-major `rows × n`
-    /// output rows (the reference kernel's variant — safe slices, same
-    /// per-element sequence).
-    pub fn apply_rows(&self, out: &mut [f32], n: usize) {
-        if self.is_noop() || n == 0 {
-            return;
-        }
-        for row in out.chunks_mut(n) {
-            for (j, v) in row.iter_mut().enumerate() {
-                *v = self.apply_one(j, *v);
-            }
-        }
+pub(crate) fn add_bias(row: &mut [f32], bias: &[f32]) {
+    for (v, &b) in row.iter_mut().zip(bias) {
+        *v += b;
     }
 }
 
@@ -842,7 +736,7 @@ impl SendPtr {
 /// # Safety
 /// `c.fits(me, j_hi)`, and that block of `C` is not accessed by any other
 /// thread; `apack`/`bp` hold `me*k` / `k*n` packed floats; `j_lo` is
-/// `2·NR`-aligned; a bias in `ep` has length `≥ n`; the host has `lvl`.
+/// `2·NR`-aligned; a `bias` has length `n`; the host has `lvl`.
 #[allow(clippy::too_many_arguments)]
 unsafe fn gemm_cell(
     lvl: SimdLevel,
@@ -852,7 +746,7 @@ unsafe fn gemm_cell(
     (n, k): (usize, usize),
     (j_lo, j_hi): (usize, usize),
     c: CTile,
-    ep: Epilogue,
+    bias: Option<&[f32]>,
 ) {
     debug_assert!(apack.len() == me * k && bp.len() == k * n && c.fits(me, j_hi));
     let tiles = Tiles::new(lvl, me);
@@ -863,18 +757,18 @@ unsafe fn gemm_cell(
             Some(pair) if full_end - j0 >= 2 * NR => (pair, 2 * NR),
             _ => (tiles.full, NR),
         };
-        column_step(tile, apack, me, bp, (n, k), (j0, w), c, ep);
+        column_step(tile, apack, me, bp, (n, k), (j0, w), c, bias);
         j0 += w;
     }
     // The ragged column tile (n % NR) always lands in the grid's last
     // column group (n % NR < NR ≤ NC).
     if j_hi == n && full_end < n {
-        column_step(tiles.ragged, apack, me, bp, (n, k), (full_end, n - full_end), c, ep);
+        column_step(tiles.ragged, apack, me, bp, (n, k), (full_end, n - full_end), c, bias);
     }
 }
 
 /// Runs `tile` over every KC tile of columns `j0..j0+w` of a strip, then
-/// applies a non-noop `ep` to them: their accumulation over the full `k`
+/// adds the `bias`, if any, to them: their accumulation over the full `k`
 /// range is complete at that point (for `k == 0`, over an empty range,
 /// leaving zeros), so this is the store-time equivalent of a separate
 /// post-pass.
@@ -890,7 +784,7 @@ unsafe fn column_step(
     (n, k): (usize, usize),
     (j0, w): (usize, usize),
     c: CTile,
-    ep: Epilogue,
+    bias: Option<&[f32]>,
 ) {
     debug_assert!(c.fits(me, j0 + w));
     for kb in (0..k).step_by(KC) {
@@ -901,14 +795,19 @@ unsafe fn column_step(
         let b = &bp[kb * n + j0 * kc..][..kc * w];
         tile(a, b, w, kc, c.offset(0, j0));
     }
-    if !ep.is_noop() {
-        ep.apply_tile(c.ptr, c.ldc, me, j0, w);
+    if let Some(bias) = bias {
+        for r in 0..me {
+            // SAFETY: row `r`'s columns `j0..j0 + w` lie inside the
+            // `c.fits(me, j0 + w)` block this call owns exclusively.
+            let row = std::slice::from_raw_parts_mut(c.offset(r, j0).ptr, w);
+            add_bias(row, &bias[j0..j0 + w]);
+        }
     }
 }
 
 /// One batched GEMM over strided operands — the description both kernels
 /// (the packed one here, the reference one beside [`super::gemm`]) take:
-/// `out[bi, i, j] = ep(Σ_kk a[bi·a_batch + i·a_rs + kk·a_ks] · b[bi·b_batch + kk·b_ks + j·b_cs])`
+/// `out[bi, i, j] = Σ_kk a[bi·a_batch + i·a_rs + kk·a_ks] · b[bi·b_batch + kk·b_ks + j·b_cs] (+ bias[j])`
 /// into a zero-initialised row-major `out` of `bs·m·n` floats. Strides
 /// express the transposes, `bs = 1` the unbatched calls, `n = 1` the
 /// matrix–vector product.
@@ -926,10 +825,9 @@ pub(crate) struct StridedGemm<'a> {
     pub m: usize,
     pub n: usize,
     pub k: usize,
-    /// Applied per element once its full-`k` accumulation is complete;
-    /// bias indices are the absolute output column, so every batch sees
-    /// the same per-column bias.
-    pub ep: Epilogue<'a>,
+    /// Per-output-column bias (length `n`), added per element once its
+    /// full-`k` accumulation is complete; every batch sees the same one.
+    pub bias: Option<&'a [f32]>,
 }
 
 /// The packed path of [`super::gemm`].
@@ -947,10 +845,10 @@ pub(crate) struct StridedGemm<'a> {
 /// call checks out exactly team-size panels at once — a function of the
 /// shape and the thread count, never of whether an early worker finished
 /// before a late one started; a warm arena therefore never misses, and
-/// one thread takes exactly one lease. A non-noop `ep` is applied to each
-/// column tile right after its last KC tile stores.
+/// one thread takes exactly one lease. A bias is added to each column
+/// tile right after its last KC tile stores.
 pub(crate) fn gemm_packed(g: &StridedGemm, out: &mut [f32]) {
-    let StridedGemm { a, a_batch, a_rs, a_ks, b, b_batch, b_ks, b_cs, bs, m, n, k, ep } = *g;
+    let StridedGemm { a, a_batch, a_rs, a_ks, b, b_batch, b_ks, b_cs, bs, m, n, k, bias } = *g;
     debug_assert_eq!(out.len(), bs * m * n);
     if bs * m * n == 0 {
         return;
@@ -998,7 +896,7 @@ pub(crate) fn gemm_packed(g: &StridedGemm, out: &mut [f32]) {
             unsafe {
                 let c = CTile { ptr: c_out.get().add(off), ldc: n, avail: out_len - off };
                 let bp = &bp[bi * k * n..(bi + 1) * k * n];
-                gemm_cell(lvl, &apack[..me * k], me, bp, (n, k), (j_lo, j_hi), c, ep);
+                gemm_cell(lvl, &apack[..me * k], me, bp, (n, k), (j_lo, j_hi), c, bias);
             }
         }
         metalora_obs::counters::record_tile_grid_worker(slot, claimed, steals);
@@ -1103,11 +1001,16 @@ mod tests {
     }
 
     /// Plain row-major `[m,k]·[k,n]` through the packed kernel.
-    fn packed(a: &[f32], b: &[f32], (m, k, n): (usize, usize, usize), ep: Epilogue) -> Vec<f32> {
+    fn packed(
+        a: &[f32],
+        b: &[f32],
+        (m, k, n): (usize, usize, usize),
+        bias: Option<&[f32]>,
+    ) -> Vec<f32> {
         let mut out = vec![0.0f32; m * n];
         let g = StridedGemm {
             a, a_batch: m * k, a_rs: k, a_ks: 1, b, b_batch: k * n, b_ks: n, b_cs: 1,
-            bs: 1, m, n, k, ep,
+            bs: 1, m, n, k, bias,
         };
         gemm_packed(&g, &mut out);
         out
@@ -1128,27 +1031,18 @@ mod tests {
     #[test]
     fn fused_epilogue_is_bitwise_separate_pass() {
         // The fused store must reproduce the exact bits of GEMM followed
-        // by two full passes (bias broadcast, then activation) in the
-        // same scalar order.
+        // by a full bias-broadcast pass.
         let (dims, ad, bd) = ragged_operands();
         let n = dims.2;
         let bias: Vec<f32> = (0..n).map(|j| (j % 7) as f32 * 0.125 - 0.4).collect();
-        for act in [None, Some(Activation::Relu), Some(Activation::Gelu), Some(Activation::Tanh)] {
-            let mut separate = packed(&ad, &bd, dims, Epilogue::none());
-            for row in separate.chunks_mut(n) {
-                for (j, v) in row.iter_mut().enumerate() {
-                    *v += bias[j];
-                }
+        let mut separate = packed(&ad, &bd, dims, None);
+        for row in separate.chunks_mut(n) {
+            for (j, v) in row.iter_mut().enumerate() {
+                *v += bias[j];
             }
-            if let Some(a) = act {
-                for v in &mut separate {
-                    *v = a.apply(*v);
-                }
-            }
-            let ep = Epilogue { bias: Some(&bias), act };
-            let fused = packed(&ad, &bd, dims, ep);
-            assert!(bits_eq(&fused, &separate));
         }
+        let fused = packed(&ad, &bd, dims, Some(&bias));
+        assert!(bits_eq(&fused, &separate));
     }
 
     #[test]
@@ -1156,7 +1050,7 @@ mod tests {
         // One worker draining the grid in order and a team of four
         // claiming cells in any order must not differ in a bit.
         let (dims, ad, bd) = ragged_operands();
-        let run = || packed(&ad, &bd, dims, Epilogue::none());
+        let run = || packed(&ad, &bd, dims, None);
         crate::par::set_num_threads(1);
         let serial = run();
         crate::par::set_num_threads(4);

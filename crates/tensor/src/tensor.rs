@@ -165,11 +165,13 @@ impl Tensor {
     }
 
     /// Element at a multi-index.
+    #[inline]
     pub fn get(&self, idx: &[usize]) -> Result<f32> {
         Ok(self.data[self.shape.flat_index(idx)?])
     }
 
     /// Sets the element at a multi-index.
+    #[inline]
     pub fn set(&mut self, idx: &[usize], value: f32) -> Result<()> {
         let flat = self.shape.flat_index(idx)?;
         self.data[flat] = value;

@@ -3,7 +3,7 @@
 //! wrapper name, across ragged shapes (m, n, k not multiples of
 //! MR/NR/KC, including 1×n and m×1), and that the workspace arena actually
 //! reuses buffers without ever aliasing concurrent checkouts. (The full
-//! descriptor space — layouts × batching × epilogue — is swept by
+//! descriptor space — layouts × batching × bias — is swept by
 //! `gemm_equiv.rs`.)
 //!
 //! Each kernel is forced through the scoped thread-local seam
