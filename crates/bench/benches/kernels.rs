@@ -1,10 +1,9 @@
 //! Criterion micro-benches for the hot kernels routed through the
-//! deterministic parallel layer: dense matmul at growing sizes, `conv2d`
-//! on the acceptance shape, and the KNN distance matrix. Pair with the
-//! `kernels` binary for the cross-thread sweep + JSON artefact.
+//! deterministic parallel layer: dense matmul at growing sizes and
+//! `conv2d` on the acceptance shape. Pair with the `kernels` binary for the
+//! cross-thread sweep + JSON artefact.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use metalora_data::knn::{Distance, KnnClassifier};
 use metalora_tensor::conv::{conv2d, ConvSpec};
 use metalora_tensor::{init, ops};
 
@@ -35,19 +34,5 @@ fn bench_conv2d(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_knn(c: &mut Criterion) {
-    let mut group = c.benchmark_group("knn_predict");
-    group.sample_size(10);
-    let mut rng = init::rng(11);
-    let support = init::uniform(&[500, 32], -1.0, 1.0, &mut rng);
-    let labels: Vec<usize> = (0..500).map(|i| i % 5).collect();
-    let queries = init::uniform(&[200, 32], -1.0, 1.0, &mut rng);
-    let knn = KnnClassifier::fit(support, labels, Distance::L2).unwrap();
-    group.bench_function("s500q200d32", |bench| {
-        bench.iter(|| knn.predict(black_box(&queries), 5).unwrap())
-    });
-    group.finish();
-}
-
-criterion_group!(kernels, bench_matmul, bench_conv2d, bench_knn);
+criterion_group!(kernels, bench_matmul, bench_conv2d);
 criterion_main!(kernels);

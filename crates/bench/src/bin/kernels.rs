@@ -1,6 +1,6 @@
 //! **K1 — kernel throughput**: wall-clock sweep of the deterministic
 //! parallel layer across thread counts for the hot kernels (dense matmul,
-//! `conv2d` via im2col, the KNN distance matrix), with the packed
+//! `conv2d` via im2col, the KNN probe), with the packed
 //! register-tiled path and the legacy scalar path measured side by side.
 //! Every point is verified bitwise against the legacy single-thread run,
 //! and the workspace-arena hit rate is reported both for the sweep and for

@@ -343,14 +343,14 @@ pub fn run(quick: bool) -> KernelReport {
         || conv2d(&x, &w, spec, spec).unwrap(),
     );
 
-    // KNN distance matrix + vote (predictions re-encoded as a tensor so
-    // the sweep helper can compare bitwise).
+    // KNN probe: one score GEMM + vote (predictions re-encoded as a tensor
+    // so the sweep helper can compare bitwise).
     let (ns, nq, d) = if quick { (200, 100, 16) } else { (1000, 500, 32) };
     let support = init::uniform(&[ns, d], -1.0, 1.0, &mut rng);
     let labels: Vec<usize> = (0..ns).map(|i| i % 5).collect();
     let queries = init::uniform(&[nq, d], -1.0, 1.0, &mut rng);
     let knn = KnnClassifier::fit(support, labels, Distance::L2).unwrap();
-    let knn_flops = 3.0 * (ns * nq * d) as f64;
+    let knn_flops = 2.0 * (ns * nq * d) as f64;
     sweep(
         &format!("knn predict {ns}x{nq} d{d}"),
         knn_flops,

@@ -2,23 +2,42 @@
 //!
 //! Features come from a frozen (adapted) backbone; the probe fits on a
 //! support set and classifies queries by majority vote among the K
-//! nearest embeddings. Ties break toward the class of the nearest member
-//! among the tied classes, which makes the probe fully deterministic.
+//! nearest embeddings.
 //!
-//! The L2 distance matrix runs through a blocked squared-difference
-//! microkernel over supports packed with the GEMM packing of
-//! [`metalora_tensor::ops::microkernel`]: [`NR`]-wide support tiles,
-//! [`KC`]-tall dimension tiles, SIMD-dispatched like the matmul kernel.
-//! Each `(query, support)` pair still accumulates `(q−s)²` one dimension
-//! at a time in increasing order from `0.0` — the exact arithmetic of the
-//! scalar loop (no `‖a‖²−2ab` expansion) — so predictions are bit-stable
-//! against the legacy path and across thread counts.
+//! Every `(query, support)` score of a `predict` call comes out of one
+//! [`gemm`] over the whole query batch; nothing else here computes a
+//! distance.
+//!
+//! * **L2.** `‖q − s‖² = ‖q‖² − 2·q·s + ‖s‖²`, and `‖q‖²` is the same for
+//!   every support of one query, so it cannot reorder that query's
+//!   supports and is dropped: the score is `‖s‖² − 2·q·s`, the product of
+//!   `−2·q` (scaling by −2 is exact) with the supports transposed, and
+//!   `‖s‖²` as its column bias. `fit` computes each `‖s‖²` once, as the
+//!   fused multiply-add chain from `+0.0` in increasing dimension that
+//!   `gemm` runs per element, so a support queried against itself scores
+//!   exactly `−‖s‖²`.
+//! * **Cosine.** `fit` scales the support rows to unit length once, and
+//!   the score is `−q·ŝ`: the same product of `−q` without a bias. The
+//!   query's own norm is, like `‖q‖²` above, the same for all its supports,
+//!   so the query is not scaled. A zero row on either side scores `0`
+//!   against everything, an all-way tie.
+//!
+//! A score ranks, it is not a distance: it can be negative, and it differs
+//! from the exact distance in the last bits, so two supports almost
+//! equidistant from a query can swap places. `gemm` is bitwise identical
+//! across kernels and thread counts, so the probe is too.
+//!
+//! A query row with any non-finite score (a NaN or ±Inf coordinate on
+//! either side, as a diverged adapt produces) has no ranking: `predict`
+//! returns `InvalidArgument` naming the first such row. Otherwise each
+//! query votes over its K lowest scores, equal scores ranking the lower
+//! support index first; a tie between classes goes to the class of the
+//! nearest member among the tied classes.
 
 use crate::Result;
-use metalora_tensor::ops::microkernel::{self, SimdLevel, KC, NR};
-use metalora_tensor::{workspace, Tensor, TensorError};
+use metalora_tensor::ops::{gemm, GemmDesc};
+use metalora_tensor::{Tensor, TensorError};
 use std::cmp::Ordering::Equal;
-use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 
 /// Distance metric for the probe.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -29,97 +48,32 @@ pub enum Distance {
     Cosine,
 }
 
-/// Blocked L2 tile: adds `(q[dd] − s[dd][j])²` for `dd ∈ [0, kc)` into
-/// `acc[j]`, `j ∈ [0, ne)`, with `sp` a `[kc×ne]` packed support tile
-/// (k-major, [`microkernel::pack_b`] layout). The accumulator row is
-/// loaded, updated in increasing-`dd` order, and stored back, so KC tiling
-/// never reorders any element's additions.
-///
-/// # Safety
-/// `q` must be valid for `kc` reads, `sp` for `kc*ne`, `acc` for `ne`
-/// reads and writes; `ne ≤ NR`.
-#[inline(always)]
-unsafe fn l2_tile_body(q: *const f32, sp: *const f32, kc: usize, ne: usize, acc: *mut f32) {
-    let mut a = [0.0f32; NR];
-    for j in 0..ne {
-        a[j] = *acc.add(j);
-    }
-    if ne == NR {
-        for dd in 0..kc {
-            let qv = *q.add(dd);
-            for j in 0..NR {
-                let df = qv - *sp.add(dd * NR + j);
-                a[j] += df * df;
-            }
-        }
-    } else {
-        for dd in 0..kc {
-            let qv = *q.add(dd);
-            for j in 0..ne {
-                let df = qv - *sp.add(dd * ne + j);
-                a[j] += df * df;
-            }
+/// `Σ x²` over `row` as one fused multiply-add chain from `+0.0` in
+/// increasing index: the accumulation `gemm` runs for one output element.
+fn sq_norm(row: &[f32]) -> f32 {
+    row.iter().fold(0.0, |acc, &x| x.mul_add(x, acc))
+}
+
+/// `t:[rows, d]` with every row scaled to unit length; a zero row stays
+/// zero.
+fn unit_rows(mut t: Tensor) -> Tensor {
+    let d = t.dims()[1];
+    for row in 0..t.dims()[0] {
+        let row = &mut t.data_mut()[row * d..(row + 1) * d];
+        let norm = sq_norm(row).sqrt();
+        if norm != 0.0 {
+            row.iter_mut().for_each(|x| *x /= norm);
         }
     }
-    for j in 0..ne {
-        *acc.add(j) = a[j];
-    }
-}
-
-unsafe fn l2_tile_scalar(q: *const f32, sp: *const f32, kc: usize, ne: usize, acc: *mut f32) {
-    l2_tile_body(q, sp, kc, ne, acc)
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn l2_tile_avx2(q: *const f32, sp: *const f32, kc: usize, ne: usize, acc: *mut f32) {
-    l2_tile_body(q, sp, kc, ne, acc)
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn l2_tile_avx512(q: *const f32, sp: *const f32, kc: usize, ne: usize, acc: *mut f32) {
-    l2_tile_body(q, sp, kc, ne, acc)
-}
-
-#[inline]
-unsafe fn run_l2(lvl: SimdLevel, q: *const f32, sp: *const f32, kc: usize, ne: usize, acc: *mut f32) {
-    match lvl {
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx512 => l2_tile_avx512(q, sp, kc, ne, acc),
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx2 => l2_tile_avx2(q, sp, kc, ne, acc),
-        _ => l2_tile_scalar(q, sp, kc, ne, acc),
-    }
-}
-
-/// Fills `dists[j] = ‖q − s_j‖²` over all `len` supports from the packed
-/// panel `sp` (`len×d`, [`microkernel::pack_b`] layout). `dists` must
-/// arrive zeroed — the tiles accumulate into it.
-fn l2_blocked(q: &[f32], sp: &[f32], len: usize, d: usize, dists: &mut [f32]) {
-    let lvl = microkernel::simd_level();
-    let len_full = len - len % NR;
-    for kb in (0..d).step_by(KC) {
-        let kc = (kb + KC).min(d) - kb;
-        let tiles = &sp[kb * len..];
-        let qp = q[kb..].as_ptr();
-        for j0 in (0..len_full).step_by(NR) {
-            // Safety: tile j0 spans kc*NR packed floats; dists[j0..] has
-            // at least NR slots below len_full.
-            unsafe { run_l2(lvl, qp, tiles[j0 * kc..].as_ptr(), kc, NR, dists[j0..].as_mut_ptr()) }
-        }
-        let ne = len - len_full;
-        if ne > 0 {
-            unsafe {
-                run_l2(lvl, qp, tiles[len_full * kc..].as_ptr(), kc, ne, dists[len_full..].as_mut_ptr())
-            }
-        }
-    }
+    t
 }
 
 /// A fitted KNN classifier over embedding vectors.
 pub struct KnnClassifier {
-    embeddings: Tensor, // [N, D]
+    /// `[N, D]`: the embeddings as given (L2) or at unit length (cosine).
+    supports: Tensor,
+    /// `[N]`: `‖s‖²` per support, the L2 score's column bias.
+    sq_norms: Option<Tensor>,
     labels: Vec<usize>,
     distance: Distance,
 }
@@ -137,8 +91,20 @@ impl KnnClassifier {
         if labels.is_empty() {
             return Err(TensorError::InvalidArgument("empty support set".into()));
         }
+        let (supports, sq_norms) = match distance {
+            Distance::L2 => {
+                let d = embeddings.dims()[1];
+                let norms = (0..labels.len())
+                    .map(|j| sq_norm(&embeddings.data()[j * d..(j + 1) * d]))
+                    .collect();
+                let norms = Tensor::from_vec(norms, &[labels.len()])?;
+                (embeddings, Some(norms))
+            }
+            Distance::Cosine => (unit_rows(embeddings), None),
+        };
         Ok(KnnClassifier {
-            embeddings,
+            supports,
+            sq_norms,
             labels,
             distance,
         })
@@ -154,122 +120,81 @@ impl KnnClassifier {
         self.labels.is_empty()
     }
 
-    fn dist(&self, q: &[f32], s: &[f32]) -> f32 {
-        match self.distance {
-            Distance::L2 => q
-                .iter()
-                .zip(s)
-                .map(|(&a, &b)| (a - b) * (a - b))
-                .sum(),
-            Distance::Cosine => {
-                let dot: f32 = q.iter().zip(s).map(|(&a, &b)| a * b).sum();
-                let nq: f32 = q.iter().map(|&a| a * a).sum::<f32>().sqrt();
-                let ns: f32 = s.iter().map(|&a| a * a).sum::<f32>().sqrt();
-                1.0 - dot / (nq * ns).max(1e-12)
-            }
-        }
+    /// The `[M, N]` scores of `queries:[M, D]` against every support, lower
+    /// is nearer: one `gemm` (see the module docs).
+    fn scores(&self, queries: &Tensor) -> Result<Tensor> {
+        let factor = match self.distance {
+            Distance::L2 => -2.0,
+            Distance::Cosine => -1.0,
+        };
+        let mut lhs = queries.clone();
+        lhs.data_mut().iter_mut().for_each(|x| *x *= factor);
+        gemm(
+            &GemmDesc::new(&lhs, &self.supports)
+                .transpose_b()
+                .epilogue(self.sq_norms.as_ref()),
+        )
     }
 
     /// Predicts labels for query embeddings `[M, D]` with `k` neighbours.
     ///
-    /// A query whose distance to any support is not finite (a NaN or ±Inf
-    /// coordinate on either side, as a diverged adapt produces) has no
+    /// A query whose score against any support is not finite (a NaN or
+    /// ±Inf coordinate on either side, as a diverged adapt produces) has no
     /// ranking: the call returns `InvalidArgument` naming the first such
     /// query row.
     pub fn predict(&self, queries: &Tensor, k: usize) -> Result<Vec<usize>> {
-        if queries.rank() != 2 || queries.dims()[1] != self.embeddings.dims()[1] {
+        if queries.rank() != 2 || queries.dims()[1] != self.supports.dims()[1] {
             return Err(TensorError::ShapeMismatch {
                 op: "knn predict",
                 lhs: queries.dims().to_vec(),
-                rhs: self.embeddings.dims().to_vec(),
+                rhs: self.supports.dims().to_vec(),
             });
         }
         if k == 0 {
             return Err(TensorError::InvalidArgument("k must be >= 1".into()));
         }
         let k = k.min(self.len());
-        let d = self.embeddings.dims()[1];
-        let m = queries.dims()[0];
-        let len = self.len();
-        // Blocked path: pack the supports once (shared read-only across
-        // the thread team) and run the tiled squared-difference kernel.
-        // Cosine and tiny problems keep the legacy per-pair loop.
-        let blocked = self.distance == Distance::L2 && microkernel::use_packed(3 * m * len * d);
-        let packed: Option<workspace::WorkspaceGuard> = if blocked {
-            let mut g = workspace::take(len * d);
-            // Support j, dim dd lives at embeddings[j*d + dd]: k-stride 1,
-            // column-stride d.
-            microkernel::pack_b(self.embeddings.data(), 0, d, len, 1, d, &mut g);
-            Some(g)
-        } else {
-            None
-        };
-        let sp: Option<&[f32]> = packed.as_deref();
-        // The first query row with a non-finite distance (NaN / ±Inf in
-        // the query or a support), if any: such a row has no ranking.
-        // Relaxed: it publishes no other data, and is read after the team
-        // has joined.
-        let bad_row = AtomicUsize::new(usize::MAX);
-        // Queries are fully independent (own distance row, sort and vote),
-        // so the distance matrix + vote parallelises per query row with
-        // results identical to the serial loop.
-        let mut out = vec![0usize; m];
-        metalora_tensor::par::par_row_blocks(&mut out, 1, self.len() * (d + 8), |first, block| {
-            let mut scored: Vec<(f32, usize)> = Vec::with_capacity(self.len());
-            let mut dists = vec![0.0f32; if sp.is_some() { len } else { 0 }];
-            for (r, slot) in block.iter_mut().enumerate() {
-                let qi = first + r;
-                let q = &queries.data()[qi * d..(qi + 1) * d];
-                scored.clear();
-                if let Some(sp) = sp {
-                    dists.fill(0.0);
-                    l2_blocked(q, sp, len, d, &mut dists);
-                    scored.extend(dists.iter().enumerate().map(|(si, &dv)| (dv, si)));
-                } else {
-                    for si in 0..self.len() {
-                        let s = &self.embeddings.data()[si * d..(si + 1) * d];
-                        scored.push((self.dist(q, s), si));
-                    }
-                }
-                // Checked before any sort: both sorts below then compare
-                // finite values only, where `partial_cmp` always answers.
-                if !scored.iter().all(|(dv, _)| dv.is_finite()) {
-                    bad_row.fetch_min(qi, Relaxed);
-                    continue;
-                }
-                scored.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(Equal));
-                // Majority vote over the k nearest; ties → nearest tied class.
-                let mut votes: Vec<(usize, usize, f32)> = Vec::new(); // (label, count, best_dist)
-                for &(dist, si) in &scored[..k] {
-                    let label = self.labels[si];
-                    match votes.iter_mut().find(|(l, _, _)| *l == label) {
-                        Some((_, c, best)) => {
-                            *c += 1;
-                            if dist < *best {
-                                *best = dist;
-                            }
-                        }
-                        None => votes.push((label, 1, dist)),
-                    }
-                }
-                votes.sort_by(|a, b| b.1.cmp(&a.1).then(a.2.partial_cmp(&b.2).unwrap_or(Equal)));
-                *slot = votes[0].0;
-            }
-        });
-        // Distance matrix dominates: ~3 ops per dimension per (query,
-        // support) pair (sub/mul/add for L2, comparable for cosine).
+        let (m, d, n) = (queries.dims()[0], queries.dims()[1], self.len());
+        let scores = self.scores(queries)?;
         metalora_obs::counters::record_kernel(
             metalora_obs::counters::Kernel::Knn,
-            (3 * m * self.len() * d) as u64,
-            (4 * (queries.len() + self.embeddings.len()) + 8 * m) as u64,
+            (2 * m * n * d) as u64,
+            (4 * (queries.len() + self.supports.len()) + 8 * m) as u64,
         );
-        match bad_row.into_inner() {
-            usize::MAX => Ok(out),
-            qi => Err(TensorError::InvalidArgument(format!(
+        let rows = scores.data().chunks_exact(n);
+        // Checked before any sort: the sort below then compares finite
+        // values only, where `partial_cmp` always answers.
+        let non_finite = |row: &[f32]| row.iter().any(|s| !s.is_finite());
+        if let Some(qi) = rows.clone().position(non_finite) {
+            return Err(TensorError::InvalidArgument(format!(
                 "knn predict: query row {qi} has a non-finite distance to the support set \
                  (NaN or ±Inf in the query or a support embedding)"
-            ))),
+            )));
         }
+        let mut ranked: Vec<(f32, usize)> = Vec::with_capacity(n);
+        let out = rows
+            .map(|row| {
+                ranked.clear();
+                ranked.extend(row.iter().copied().zip(0..));
+                ranked.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(Equal));
+                // Majority vote over the k nearest. Labels enter `votes`
+                // nearest first and only a strictly larger count displaces
+                // the leader, so a tie goes to the nearest tied class.
+                let mut votes: Vec<(usize, usize)> = Vec::new(); // (label, count)
+                for &(_, si) in &ranked[..k] {
+                    let label = self.labels[si];
+                    match votes.iter_mut().find(|(l, _)| *l == label) {
+                        Some((_, c)) => *c += 1,
+                        None => votes.push((label, 1)),
+                    }
+                }
+                let lead = votes
+                    .iter()
+                    .fold((0, 0), |lead, &v| if v.1 > lead.1 { v } else { lead });
+                lead.0
+            })
+            .collect();
+        Ok(out)
     }
 
     /// Accuracy of the probe on labelled queries.
@@ -291,7 +216,7 @@ impl KnnClassifier {
 mod tests {
     use super::*;
     use metalora_tensor::init;
-    use metalora_tensor::ops::KernelPath;
+    use metalora_tensor::ops::{microkernel, KernelPath};
 
     fn clustered(n_per: usize, seed: u64) -> (Tensor, Vec<usize>) {
         // Three well-separated 2-D clusters.
@@ -368,21 +293,23 @@ mod tests {
     }
 
     #[test]
-    fn blocked_l2_matches_legacy_bitwise() {
-        // Ragged support count and dimension (not multiples of NR/KC):
-        // the packed path must reproduce the legacy predictions exactly.
-        let mut rng = init::rng(9);
-        let n = 137;
-        let support = init::uniform(&[n, 19], -1.0, 1.0, &mut rng);
-        let labels: Vec<usize> = (0..n).map(|i| i % 5).collect();
-        let queries = init::uniform(&[23, 19], -1.0, 1.0, &mut rng);
-        let knn = KnnClassifier::fit(support, labels, Distance::L2).unwrap();
-        let [packed, legacy] = [KernelPath::Packed, KernelPath::Reference]
-            .map(|path| microkernel::with_kernel_path(path, || knn.predict(&queries, 5).unwrap()));
-        assert_eq!(packed, legacy);
+    fn a_support_scores_minus_its_squared_norm_against_itself() {
+        // Exactly, on both kernels: `‖s‖²` is the chain `gemm` runs, and
+        // scaling by −2 commutes with every rounding in it.
+        let n = 9;
+        let support = init::uniform(&[n, 129], -5.0, 5.0, &mut init::rng(11));
+        let knn = KnnClassifier::fit(support.clone(), vec![0; n], Distance::L2).unwrap();
+        let norms = knn.sq_norms.as_ref().unwrap().data();
+        for path in [KernelPath::Packed, KernelPath::Reference] {
+            let scores = microkernel::with_kernel_path(path, || knn.scores(&support).unwrap());
+            for (j, norm) in norms.iter().enumerate() {
+                let own = scores.data()[j * n + j];
+                assert_eq!(own.to_bits(), (-norm).to_bits(), "{path:?}");
+            }
+        }
     }
 
-    /// Predicts under both metrics on both L2 paths, expecting the error
+    /// Predicts under both metrics on both kernel paths, expecting the error
     /// to name `row`.
     fn assert_non_finite_row(support: &Tensor, labels: &[usize], queries: &Tensor, row: usize) {
         for distance in [Distance::L2, Distance::Cosine] {

@@ -28,7 +28,7 @@ pub enum Kernel {
     Contract,
     /// The general einsum evaluator.
     Einsum,
-    /// KNN distance matrix + vote.
+    /// KNN probe: one score GEMM + the vote (flops are the GEMM's).
     Knn,
 }
 

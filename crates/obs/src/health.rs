@@ -9,15 +9,14 @@
 //! with the seed norm in `weight_norm`), so CP vs TR seed-generation
 //! health is directly comparable in run logs.
 //!
-//! Sampling is strided: `METALORA_OBS_SAMPLE=N` (or
-//! [`set_sample_stride`]) records every N-th observed step — stride 1
-//! (the default) records all of them. Probing is purely passive: the
-//! extra norm accumulations run in `f64` side variables and never feed
-//! back into the update, so numerics are bit-identical with health
-//! recording on or off.
+//! Sampling is strided: [`set_sample_stride`]`(N)` records every N-th
+//! observed step — stride 1 (the default) records all of them. Probing
+//! is purely passive: the extra norm accumulations run in `f64` side
+//! variables and never feed back into the update, so numerics are
+//! bit-identical with health recording on or off.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::Mutex;
 
 /// Cap on buffered records; once reached, further records are counted in
 /// [`dropped`] instead of growing the buffer.
@@ -54,27 +53,16 @@ static DROPPED: AtomicU64 = AtomicU64::new(0);
 static OPT_STEPS: AtomicU64 = AtomicU64::new(0);
 static SEED_STEPS: AtomicU64 = AtomicU64::new(0);
 
-/// `0` means "unset: fall back to the environment".
+/// `0` means "unset: the default stride of 1".
 static STRIDE_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 
 /// Current sampling stride (≥ 1): the [`set_sample_stride`] override if
-/// set, else `METALORA_OBS_SAMPLE`, else 1.
+/// set, else 1.
 pub fn sample_stride() -> usize {
-    let s = STRIDE_OVERRIDE.load(Ordering::Relaxed);
-    if s > 0 {
-        return s;
-    }
-    static FROM_ENV: OnceLock<usize> = OnceLock::new();
-    *FROM_ENV.get_or_init(|| {
-        std::env::var("METALORA_OBS_SAMPLE")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or(1)
-    })
+    STRIDE_OVERRIDE.load(Ordering::Relaxed).max(1)
 }
 
-/// Overrides the sampling stride; `0` reverts to `METALORA_OBS_SAMPLE`.
+/// Overrides the sampling stride; `0` reverts to the default of 1.
 pub fn set_sample_stride(stride: usize) {
     STRIDE_OVERRIDE.store(stride, Ordering::Relaxed);
 }

@@ -15,8 +15,8 @@
 //!   packed-vs-legacy matmul microkernel tally, and peak tensor bytes
 //!   alive;
 //! * [`health`] — per-parameter-group training-health records (grad norm,
-//!   update-to-weight ratio, NaN/Inf sentinels), sampled every
-//!   `METALORA_OBS_SAMPLE`-th step;
+//!   update-to-weight ratio, NaN/Inf sentinels), every step or every
+//!   N-th ([`health::set_sample_stride`]);
 //! * [`hist`] — the fixed-memory log-linear histogram backing span
 //!   quantiles;
 //! * [`metrics`] — the training-loop sink (loss / accuracy / grad-norm /

@@ -5,7 +5,7 @@
 //! the registry holds *labeled families* — `serve_requests_total` keyed
 //! by tenant, `serve_batches_by_size_total` keyed by batch signature —
 //! and its histogram families are windowed ([`crate::window`]), so a
-//! reading reflects the last `METALORA_METRICS_WINDOW` seconds rather
+//! reading reflects the last [`window_secs`] seconds rather
 //! than everything since process start. It also keeps a bounded ring of
 //! tail-latency [`Attribution`] samples: for each request slower than the
 //! SLO target, which pipeline stage dominated.
@@ -63,33 +63,20 @@ pub fn set_enabled(on: bool) {
 /// Default sliding-window length in seconds.
 pub const DEFAULT_WINDOW_SECS: u64 = 60;
 
-/// Unresolved sentinel for [`WINDOW_SECS`].
-const WINDOW_UNSET: u64 = 0;
+/// `0` means "unset: [`DEFAULT_WINDOW_SECS`]".
+static WINDOW_SECS: AtomicU64 = AtomicU64::new(0);
 
-static WINDOW_SECS: AtomicU64 = AtomicU64::new(WINDOW_UNSET);
-
-/// Sliding-window length in seconds: [`set_window_secs`] override, else
-/// `METALORA_METRICS_WINDOW`, else [`DEFAULT_WINDOW_SECS`].
+/// Sliding-window length in seconds: the [`set_window_secs`] override if
+/// set, else [`DEFAULT_WINDOW_SECS`].
 pub fn window_secs() -> u64 {
     match WINDOW_SECS.load(Ordering::Relaxed) {
-        WINDOW_UNSET => window_secs_from_env(),
+        0 => DEFAULT_WINDOW_SECS,
         s => s,
     }
 }
 
-#[cold]
-fn window_secs_from_env() -> u64 {
-    let s = std::env::var("METALORA_METRICS_WINDOW")
-        .ok()
-        .and_then(|v| v.trim().parse::<u64>().ok())
-        .filter(|&v| v > 0)
-        .unwrap_or(DEFAULT_WINDOW_SECS);
-    WINDOW_SECS.store(s, Ordering::Relaxed);
-    s
-}
-
-/// Overrides the sliding-window length (0 reverts to the environment /
-/// default). Affects only windows created after the call.
+/// Overrides the sliding-window length (0 reverts to the default).
+/// Affects only windows created after the call.
 pub fn set_window_secs(secs: u64) {
     WINDOW_SECS.store(secs, Ordering::Relaxed);
 }
@@ -477,10 +464,6 @@ mod tests {
         set_window_secs(5);
         assert_eq!(window_secs(), 5);
         set_window_secs(0);
-        // Reverts to env (unset in tests) → default.
-        if std::env::var_os("METALORA_METRICS_WINDOW").is_none() {
-            assert_eq!(window_secs(), DEFAULT_WINDOW_SECS);
-        }
-        set_window_secs(DEFAULT_WINDOW_SECS);
+        assert_eq!(window_secs(), DEFAULT_WINDOW_SECS);
     }
 }

@@ -179,7 +179,7 @@ impl Module for MappingNet {
 /// `mapping/seed`: mean per-sample L2 norm (in `weight_norm`) plus
 /// NaN/Inf sentinel counts. Purely passive — reads the seed value into
 /// `f64` side sums and never touches the graph — and strided by the same
-/// `METALORA_OBS_SAMPLE` clock as optimizer probes (on its own counter),
+/// sampling stride as optimizer probes (on its own counter),
 /// so CP and TR seed generation are directly comparable in run logs.
 fn probe_seed_health(g: &Graph, seed: Var) {
     if !metalora_obs::enabled() {

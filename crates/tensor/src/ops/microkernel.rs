@@ -165,7 +165,7 @@ pub fn with_kernel_path<R>(force: impl Into<Forced>, f: impl FnOnce() -> R) -> R
 /// `true` when a product of `flops` multiply-adds takes the packed path:
 /// the flop count against [`PACK_MIN_FLOPS`], unless the calling thread is
 /// inside [`with_kernel_path`].
-pub fn use_packed(flops: usize) -> bool {
+pub(crate) fn use_packed(flops: usize) -> bool {
     match FORCED.with(Cell::get).path {
         Some(path) => path == KernelPath::Packed,
         None => flops >= PACK_MIN_FLOPS,

@@ -16,7 +16,7 @@ pub use matmul::{
     matmul_transpose_a, matmul_transpose_b, GemmDesc, Layout,
 };
 pub use microkernel::{
-    simd_level, use_packed, with_kernel_path, KernelPath, SimdLevel, PACK_MIN_FLOPS,
+    simd_level, with_kernel_path, KernelPath, SimdLevel, PACK_MIN_FLOPS,
 };
 pub use permute::{permute, swap_axes, transpose2d};
 pub use reduce::{argmax, max_axis, mean_all, mean_axis, sum_all, sum_axis};

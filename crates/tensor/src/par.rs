@@ -5,7 +5,7 @@
 //! * [`par_row_blocks`] — the output buffer is split into disjoint,
 //!   fixed-size row blocks and a scoped thread team pulls blocks from a
 //!   shared queue. Used by the legacy matmul kernels, im2col/col2im, the
-//!   large elementwise/reduction ops and the KNN distance matrix.
+//!   large elementwise/reduction ops.
 //! * [`par_task_queue`] — a scoped team (the **calling thread
 //!   participates** as worker 0) drains an atomic counter of task
 //!   indices; each worker is invoked once, with scratch the caller built
@@ -29,15 +29,15 @@
 //! * `METALORA_THREADS` — environment variable fixing the worker count
 //!   (read once, first use).
 //! * [`set_num_threads`] — programmatic override, takes precedence.
-//! * [`set_par_threshold`] / `METALORA_PAR_THRESHOLD` — minimum estimated
-//!   flop count below which work stays on the calling thread; small
-//!   problems never pay the thread-spawn cost.
+//! * [`set_par_threshold`] — minimum estimated flop count below which work
+//!   stays on the calling thread; small problems never pay the
+//!   thread-spawn cost.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 
 /// Work below this estimated flop count runs serially (tunable via
-/// [`set_par_threshold`] or `METALORA_PAR_THRESHOLD`).
+/// [`set_par_threshold`]).
 pub const DEFAULT_PAR_THRESHOLD: usize = 1 << 19;
 
 /// Upper bound on the number of blocks a problem is split into.
@@ -78,24 +78,17 @@ pub fn num_threads() -> usize {
 }
 
 /// Sets the serial/parallel flop threshold; `usize::MAX` reverts to
-/// `METALORA_PAR_THRESHOLD` / [`DEFAULT_PAR_THRESHOLD`].
+/// [`DEFAULT_PAR_THRESHOLD`].
 pub fn set_par_threshold(flops: usize) {
     THRESHOLD_OVERRIDE.store(flops, Ordering::Relaxed);
 }
 
 /// The current serial/parallel flop threshold.
 pub fn par_threshold() -> usize {
-    let t = THRESHOLD_OVERRIDE.load(Ordering::Relaxed);
-    if t != usize::MAX {
-        return t;
+    match THRESHOLD_OVERRIDE.load(Ordering::Relaxed) {
+        usize::MAX => DEFAULT_PAR_THRESHOLD,
+        t => t,
     }
-    static FROM_ENV: OnceLock<usize> = OnceLock::new();
-    *FROM_ENV.get_or_init(|| {
-        std::env::var("METALORA_PAR_THRESHOLD")
-            .ok()
-            .and_then(|s| s.trim().parse::<usize>().ok())
-            .unwrap_or(DEFAULT_PAR_THRESHOLD)
-    })
 }
 
 /// Rows per block: a fixed function of the problem shape only, so the

@@ -44,6 +44,14 @@ impl Deserialize for Tensor {
                 shape.dims()
             )));
         }
+        // The writer refuses NaN and ±Inf, but a number like `1e39` parses
+        // and overflows f32 to `inf`: no tensor is read with one.
+        if let Some(i) = data.iter().position(|v| !v.is_finite()) {
+            return Err(serde::Error(format!(
+                "tensor element {i} is {}: values must be finite",
+                data[i]
+            )));
+        }
         Ok(Tensor::from_parts(shape, data))
     }
 }

@@ -92,6 +92,27 @@ fn injected_lora_checkpoint_roundtrips_bitwise() {
 }
 
 #[test]
+fn non_finite_values_in_a_checkpoint_file_are_an_error() {
+    let cfg = ExperimentConfig::quick();
+    let model = Mixer::new(&cfg.mixer(), &mut init::rng(16)).unwrap();
+    let json = Checkpoint::capture(&model).unwrap().to_json().unwrap();
+    // Hand-edit the first stored value: `1e39` overflows f32 to `inf`, and
+    // `1e400` is already `inf` as an f64.
+    let first = json.find("\"data\":[").unwrap() + "\"data\":[".len();
+    let end = first + json[first..].find([',', ']']).unwrap();
+    for literal in ["1e39", "-1e39", "1e400"] {
+        let edited = format!("{}{literal}{}", &json[..first], &json[end..]);
+        let err = Checkpoint::from_json(&edited).unwrap_err();
+        assert!(err.to_string().contains("element 0"), "{literal}: {err}");
+        let path = std::env::temp_dir().join(format!("metalora_non_finite_{literal}.json"));
+        std::fs::write(&path, &edited).unwrap();
+        let loaded = Checkpoint::load(&path);
+        let _ = std::fs::remove_file(&path);
+        assert!(loaded.is_err(), "{literal}: loaded");
+    }
+}
+
+#[test]
 fn partial_apply_warm_starts_injected_model_from_base_checkpoint() {
     let cfg = ExperimentConfig::quick();
     let base = ResNet::new(&cfg.resnet(), &mut init::rng(13)).unwrap();
