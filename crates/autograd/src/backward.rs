@@ -153,14 +153,9 @@ impl Graph {
                     accumulate(parents, *a, |_| Ok(ops::scale(g, *s)))?;
                 }
                 Op::Matmul(a, b) => {
-                    // dA = G·Bᵀ, dB = Aᵀ·G.
+                    // dA = G·Bᵀ, dB = Aᵀ·G (per batch slice at rank 3).
                     accumulate(parents, *a, |p| ops::matmul_transpose_b(g, &p[b.0].value))?;
                     accumulate(parents, *b, |p| ops::matmul_transpose_a(&p[a.0].value, g))?;
-                }
-                Op::Bmm(a, b) => {
-                    // Per batch slice: dA = G·Bᵀ, dB = Aᵀ·G.
-                    accumulate(parents, *a, |p| ops::bmm_transpose_b(g, &p[b.0].value))?;
-                    accumulate(parents, *b, |p| ops::bmm_transpose_a(&p[a.0].value, g))?;
                 }
                 Op::Softmax(a) => {
                     // dx = y ⊙ (g − Σ_lane(g ⊙ y)).

@@ -39,10 +39,8 @@ pub(crate) enum Op {
     Mul(Var, Var),
     /// `s · a`.
     Scale(Var, f32),
-    /// Matrix product `a · b`.
+    /// Matrix product `a · b`, per batch slice for rank-3 operands.
     Matmul(Var, Var),
-    /// Batched matrix product over the leading axis.
-    Bmm(Var, Var),
     /// Softmax over the last axis (stores the output).
     Softmax(Var),
     /// Reshape (stores the input shape for the backward reshape).
@@ -114,7 +112,7 @@ impl Op {
     pub(crate) fn parents(&self) -> impl Iterator<Item = Var> {
         let p = match self {
             Op::Leaf => [None; 3],
-            Op::Add(a, b) | Op::Sub(a, b) | Op::Mul(a, b) | Op::Matmul(a, b) | Op::Bmm(a, b) => {
+            Op::Add(a, b) | Op::Sub(a, b) | Op::Mul(a, b) | Op::Matmul(a, b) => {
                 [Some(*a), Some(*b), None]
             }
             Op::Conv2d { x, w, .. } => [Some(*x), Some(*w), None],
@@ -313,17 +311,11 @@ impl Graph {
 
     // ---- linear algebra -------------------------------------------------
 
-    /// `a · b` for matrices.
+    /// `a · b` for matrices, or `a[b]·b[b]` per slice for rank-3 operands
+    /// sharing the leading batch axis (multi-head attention's products).
     pub fn matmul(&mut self, a: Var, b: Var) -> Result<Var> {
         let v = ops::matmul(&self.nodes[a.0].value, &self.nodes[b.0].value)?;
         Ok(self.push(v, Op::Matmul(a, b)))
-    }
-
-    /// Batched matrix product `a[b]·b[b]` for rank-3 operands sharing the
-    /// leading batch axis — the workhorse of multi-head attention.
-    pub fn bmm(&mut self, a: Var, b: Var) -> Result<Var> {
-        let v = ops::bmm(&self.nodes[a.0].value, &self.nodes[b.0].value)?;
-        Ok(self.push(v, Op::Bmm(a, b)))
     }
 
     /// Softmax over the last axis (any rank ≥ 1), numerically stabilised.
@@ -705,7 +697,7 @@ impl Graph {
     /// Contracts a tensor network given as a label `spec`
     /// (`"ni,xiy,yoz,nzx->no"`): the plan
     /// `metalora_tensor::contract::contract_spec` would run, recorded as
-    /// `permute` / `reshape` / `matmul` / `bmm` nodes — the same `ops::`
+    /// `permute` / `reshape` / `matmul` nodes — the same `ops::`
     /// calls in the same order, hence bitwise the tape-free result.
     pub fn contract(&mut self, spec: &str, operands: &[Var]) -> Result<Var> {
         let dims: Vec<&[usize]> = operands.iter().map(|v| self.nodes[v.0].value.dims()).collect();
@@ -725,9 +717,6 @@ impl Lowering for Graph {
     }
     fn matmul(&mut self, a: Var, b: Var) -> Result<Var> {
         Graph::matmul(self, a, b)
-    }
-    fn bmm(&mut self, a: Var, b: Var) -> Result<Var> {
-        Graph::bmm(self, a, b)
     }
 }
 

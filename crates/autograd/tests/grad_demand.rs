@@ -23,7 +23,7 @@ const D: usize = 3;
 enum Step {
     Add(usize, usize),
     Mul(usize, usize),
-    Bmm(usize, usize),
+    BatchedMatmul(usize, usize),
     Matmul { x: usize, leaf: usize },
     Permute(usize),
     Reshape(usize),
@@ -63,7 +63,7 @@ fn random_program(seed: u64, n_steps: usize) -> Program {
         steps.push(match rng.gen_range(0..9) {
             0 => Step::Add(a, b),
             1 => Step::Mul(a, b),
-            2 => Step::Bmm(a, b),
+            2 => Step::BatchedMatmul(a, b),
             3 => Step::Matmul {
                 x: a,
                 leaf: leaf(&[D, D], &mut rng),
@@ -112,7 +112,7 @@ fn record(p: &Program, differentiable: &[bool]) -> (Graph, Vec<Var>, Var) {
         let v = match *step {
             Step::Add(a, b) => g.add(pool[a], pool[b]).unwrap(),
             Step::Mul(a, b) => g.mul(pool[a], pool[b]).unwrap(),
-            Step::Bmm(a, b) => g.bmm(pool[a], pool[b]).unwrap(),
+            Step::BatchedMatmul(a, b) => g.matmul(pool[a], pool[b]).unwrap(),
             Step::Matmul { x, leaf } => {
                 let rows = g.reshape(pool[x], &[B * D, D]).unwrap();
                 let y = g.matmul(rows, leaves[leaf]).unwrap();

@@ -286,7 +286,7 @@ fn grad_cp_adapter_pattern() {
 #[test]
 fn grad_bmm_both_operands() {
     let r = grad_check(&[rand(&[2, 3, 4], 40), rand(&[2, 4, 5], 41)], EPS, |g, v| {
-        let y = g.bmm(v[0], v[1])?;
+        let y = g.matmul(v[0], v[1])?;
         let y2 = g.mul(y, y)?;
         g.mean_all(y2)
     })
@@ -314,10 +314,10 @@ fn grad_attention_pattern() {
         EPS,
         |g, v| {
             let kt = g.permute(v[1], &[0, 2, 1])?;
-            let scores = g.bmm(v[0], kt)?;
+            let scores = g.matmul(v[0], kt)?;
             let scores = g.scale(scores, 1.0 / 3.0f32.sqrt());
             let attn = g.softmax(scores)?;
-            let out = g.bmm(attn, v[2])?;
+            let out = g.matmul(attn, v[2])?;
             let sq = g.mul(out, out)?;
             g.mean_all(sq)
         },

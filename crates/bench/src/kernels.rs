@@ -283,34 +283,10 @@ fn sweep(
     par::set_num_threads(0);
 }
 
-/// Runs the full K1 sweep (plus the quick-train arena measurement) and
-/// returns the report. Prints the result table and arena line; the caller
-/// decides what to write where.
-pub fn run(quick: bool) -> KernelReport {
-    let host_cpus = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    let simd = ops::simd_level().name().to_string();
-    // Sweep past the host count on purpose: oversubscription must not
-    // change results, only throughput.
-    let threads = vec![1usize, 2, 4, 8];
-    let (mm_dim, reps) = if quick { (128, 2) } else { (384, 5) };
-    println!(
-        "=== K1 — kernel throughput (host_cpus={host_cpus}, simd={simd}, sizes {}) ===\n",
-        if quick { "quick" } else { "standard" }
-    );
-    let peak = host_peak();
-    println!(
-        "host peak (1 thread, {simd}): mul+add {:.1} GFLOP/s, FMA {:.1} GFLOP/s, copy {:.1} GB/s\n",
-        peak.mul_add_gflops, peak.fma_gflops, peak.copy_gbytes_per_s
-    );
-    // Force the parallel path even at quick sizes so the sweep actually
-    // exercises the thread team, and count arena traffic from a cold pool.
-    par::set_par_threshold(0);
-    metalora_obs::set_enabled(true);
-    // Drain the pool BEFORE resetting counters: clear() debits the pooled
-    // byte gauge, so the other order would start the gauge negative.
-    workspace::clear();
-    metalora_obs::reset();
-
+/// The K1 sweeps — dense matmul, conv2d, the KNN probe — at quick or
+/// standard sizes, each over `threads` on both kernels.
+fn sweep_kernels(quick: bool, threads: &[usize], reps: usize) -> Vec<KernelPoint> {
+    let mm_dim = if quick { 128 } else { 384 };
     let mut rng = init::rng(0);
     let mut points = Vec::new();
 
@@ -321,7 +297,7 @@ pub fn run(quick: bool) -> KernelReport {
     sweep(
         &format!("matmul {mm_dim}x{mm_dim}x{mm_dim}"),
         mm_flops,
-        &threads,
+        threads,
         reps,
         &mut points,
         || ops::matmul(&a, &b).unwrap(),
@@ -337,7 +313,7 @@ pub fn run(quick: bool) -> KernelReport {
     sweep(
         &format!("conv2d [{n},{c},{hw},{hw}] k{k} o{o}"),
         conv_flops,
-        &threads,
+        threads,
         reps,
         &mut points,
         || conv2d(&x, &w, spec, spec).unwrap(),
@@ -354,7 +330,7 @@ pub fn run(quick: bool) -> KernelReport {
     sweep(
         &format!("knn predict {ns}x{nq} d{d}"),
         knn_flops,
-        &threads,
+        threads,
         reps,
         &mut points,
         || {
@@ -363,12 +339,40 @@ pub fn run(quick: bool) -> KernelReport {
             Tensor::from_vec(data, &[nq]).unwrap()
         },
     );
+    points
+}
 
+/// Runs the full K1 sweep (plus the quick-train arena measurement) and
+/// returns the report. Prints the result table and arena line; the caller
+/// decides what to write where.
+pub fn run(quick: bool) -> KernelReport {
+    let host_cpus = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+    let simd = ops::simd_level().name().to_string();
+    // Sweep past the host count on purpose: oversubscription must not
+    // change results, only throughput.
+    let threads = vec![1usize, 2, 4, 8];
+    let reps = if quick { 2 } else { 5 };
+    println!(
+        "=== K1 — kernel throughput (host_cpus={host_cpus}, simd={simd}, sizes {}) ===\n",
+        if quick { "quick" } else { "standard" }
+    );
+    let peak = host_peak();
+    println!(
+        "host peak (1 thread, {simd}): mul+add {:.1} GFLOP/s, FMA {:.1} GFLOP/s, copy {:.1} GB/s\n",
+        peak.mul_add_gflops, peak.fma_gflops, peak.copy_gbytes_per_s
+    );
+    // Force the parallel path even at quick sizes so the sweep actually
+    // exercises the thread team, and count arena traffic from a cold pool.
+    metalora_obs::set_enabled(true);
+    // Drain the pool BEFORE resetting counters: clear() debits the pooled
+    // byte gauge, so the other order would start the gauge negative.
+    workspace::clear();
+    metalora_obs::reset();
+    let mut points = par::with_par_threshold(0, || sweep_kernels(quick, &threads, reps));
     for p in points.iter_mut().filter(|p| p.path == "packed" && p.kernel.starts_with("matmul")) {
         p.fma_peak_share = Some(p.gflops / (peak.fma_gflops * p.threads.min(host_cpus) as f64));
     }
 
-    par::set_par_threshold(usize::MAX);
     let snap = metalora_obs::counters::snapshot();
     let sweep_counters: Vec<CounterTotals> = snap
         .kernels

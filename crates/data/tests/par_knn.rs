@@ -1,13 +1,11 @@
 //! Serial-vs-parallel equivalence for the KNN probe: predictions must be
 //! identical for every thread count, since each query row is scored,
-//! sorted and voted independently.
+//! sorted and voted independently. The worker count and the parallel
+//! threshold are scoped to the test's own thread.
 
 use metalora_data::knn::{Distance, KnnClassifier};
 use metalora_tensor::{init, par};
 use proptest::prelude::*;
-use std::sync::Mutex;
-
-static LOCK: Mutex<()> = Mutex::new(());
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
@@ -21,7 +19,6 @@ proptest! {
         classes in 2usize..5,
         seed in 0u64..1000,
     ) {
-        let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let mut r = init::rng(seed);
         let support = init::uniform(&[n_support, d], -1.0, 1.0, &mut r);
         let labels: Vec<usize> = (0..n_support).map(|i| i % classes).collect();
@@ -29,16 +26,15 @@ proptest! {
 
         for dist in [Distance::L2, Distance::Cosine] {
             let knn = KnnClassifier::fit(support.clone(), labels.clone(), dist).unwrap();
-            par::set_par_threshold(0);
-            par::set_num_threads(1);
-            let serial = knn.predict(&queries, k).unwrap();
+            let predict = |threads| {
+                par::with_par_threshold(0, || {
+                    par::with_num_threads(threads, || knn.predict(&queries, k).unwrap())
+                })
+            };
+            let serial = predict(1);
             for threads in [2, 7, 64] {
-                par::set_num_threads(threads);
-                let parallel = knn.predict(&queries, k).unwrap();
-                prop_assert_eq!(&serial, &parallel, "threads={}", threads);
+                prop_assert_eq!(&serial, &predict(threads), "threads={}", threads);
             }
-            par::set_num_threads(0);
-            par::set_par_threshold(usize::MAX);
         }
     }
 }

@@ -2,11 +2,11 @@
 //! sketches ("the framework's theoretical foundations suggest broader
 //! applications in transformer architectures").
 //!
-//! Multi-head self-attention is built from the tape's `bmm`/`softmax`
-//! ops; the attention projections `W_q/W_k/W_v/W_o` and the MLP layers
-//! are swappable [`BoxLinear`]s, so every PEFT method in `metalora-peft`
-//! (LoRA, Multi-LoRA, MetaLoRA CP/TR) injects into a transformer exactly
-//! as it does into the Mixer.
+//! Multi-head self-attention is built from the tape's batched
+//! `matmul`/`softmax` ops; the attention projections `W_q/W_k/W_v/W_o`
+//! and the MLP layers are swappable [`BoxLinear`]s, so every PEFT method
+//! in `metalora-peft` (LoRA, Multi-LoRA, MetaLoRA CP/TR) injects into a
+//! transformer exactly as it does into the Mixer.
 
 use crate::layers::{LayerNorm, Linear};
 use crate::module::{dedup_params, Backbone, BoxLinear, Ctx, LinearLike, Module};
@@ -111,10 +111,10 @@ impl EncoderBlock {
         let k = self.split_heads(g, k, n, t, d)?;
         let v = self.split_heads(g, v, n, t, d)?;
         let kt = g.permute(k, &[0, 2, 1])?; // [N·h, dh, T]
-        let scores = g.bmm(q, kt)?; // [N·h, T, T]
+        let scores = g.matmul(q, kt)?; // [N·h, T, T]
         let scores = g.scale(scores, 1.0 / (dh as f32).sqrt());
         let attn = g.softmax(scores)?;
-        let ctxv = g.bmm(attn, v)?; // [N·h, T, dh]
+        let ctxv = g.matmul(attn, v)?; // [N·h, T, dh]
         let merged = self.merge_heads(g, ctxv, n, t, d)?;
         let o = self.wo.forward(g, merged, ctx)?;
         let o = g.reshape(o, &[n, t, d])?;

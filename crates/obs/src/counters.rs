@@ -20,7 +20,7 @@ use std::sync::atomic::{AtomicI64, AtomicU64, Ordering::Relaxed};
 /// Instrumented kernel entry points.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Kernel {
-    /// Dense matmul family (`matmul`, transposed variants, `matvec`, `bmm`).
+    /// Dense matmul family (`gemm` and its `matmul*` wrappers, rank 2 or 3).
     Matmul,
     /// `conv2d` (one GEMM over the patch matrix, packed from the image).
     Conv,
@@ -128,8 +128,9 @@ pub fn record_dispatch(parallel: bool) {
     }
 }
 
-/// Records which matmul microkernel ran: the packed register-tiled path
-/// (`packed == true`) or the legacy row-block path.
+/// Records which matmul kernel ran: the packed register-tiled one
+/// (`packed == true`) or the reference row-block kernel, which runs only
+/// where a test or the K1 sweep forces it.
 #[inline]
 pub fn record_matmul_path(packed: bool) {
     if !crate::enabled() {
@@ -352,7 +353,9 @@ pub struct CounterSnapshot {
     pub dispatch_serial: u64,
     /// Matmuls that ran the packed register-tiled microkernel.
     pub matmul_packed: u64,
-    /// Matmuls that ran the legacy row-block kernel.
+    /// Matmuls that ran the reference row-block kernel — only when forced
+    /// (tests, the K1 sweep), so a production run reads 0. The name is the
+    /// one run logs and the repo benchmark read.
     pub matmul_legacy: u64,
     /// C-tile blocks claimed from tile-grid GEMM queues, all workers.
     pub tile_claims: u64,

@@ -11,7 +11,7 @@
 //!
 //! ```text
 //! t₁[n, r0, r1]  = Σ_i       x[n,i]·𝒜[r0,i,r1]          matmul  2·N·I·R²
-//! t₂[n, r1, r2]  = Σ_r0      t₁[n,r0,r1]·C_n[r2,r0]      bmm     2·N·R³
+//! t₂[n, r1, r2]  = Σ_r0      t₁[n,r0,r1]·C_n[r2,r0]      matmul  2·N·R³ (batched over n)
 //! Δy[n, o]       = Σ_{r1,r2} t₂[n,r1,r2]·ℬ[r1,o,r2]      matmul  2·N·R²·O
 //! ```
 //!

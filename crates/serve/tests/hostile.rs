@@ -17,13 +17,18 @@
 //!   minted;
 //! * a merged engine whose cache can hold nothing (zero bytes, or one byte
 //!   short of a single entry) serves every request as a miss, **bitwise**
-//!   what a roomy cache serves, across re-registration.
+//!   what a roomy cache serves, across re-registration;
+//! * a tenant registered and deregistered in a loop, between two adapters,
+//!   while its batches are served: each batch returns outputs each
+//!   bitwise one adapter's solo output, or the unknown-tenant `Err`, and
+//!   the engine keeps serving.
 
 use metalora_nn::Linear;
 use metalora_peft::meta::MappingNet;
 use metalora_peft::{LoraConfig, MultiLoraLinear};
 use metalora_serve::{EngineConfig, Request, ServeEngine, TenantAdapter};
 use metalora_tensor::{init, Tensor, TensorError};
+use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
 
 const CFG: LoraConfig = LoraConfig { rank: 2, alpha: 3.0 };
 const DIM: usize = 48;
@@ -239,4 +244,93 @@ fn a_cache_that_can_hold_nothing_serves_every_request_as_a_miss() {
     // The comparison ran against a cache that does hold its entries.
     let s = roomy.cache().stats();
     assert!(s.hits > 0 && s.entries > 0, "{s:?}");
+}
+
+#[test]
+fn re_registration_mid_batch_serves_one_adapter_or_a_typed_error() {
+    // Tenant 0 (LoRA: cached in merged mode, stacked in factored mode)
+    // flips between two adapters, deregistered in between.
+    const CHURN: u64 = 0;
+    let mut rng = init::rng(94);
+    let mut lora = || TenantAdapter::Lora {
+        a: init::uniform(&[DIM, CFG.rank], -0.5, 0.5, &mut rng),
+        b: init::uniform(&[CFG.rank, DIM], -0.5, 0.5, &mut rng),
+        scaling: CFG.scaling(),
+    };
+    let adapters = [lora(), lora()];
+    let valid = batch();
+    for use_merged in [false, true] {
+        // Every request's solo output under each adapter (the other
+        // tenants' are the same under both).
+        let solo: Vec<Vec<Vec<u32>>> = adapters
+            .iter()
+            .map(|adapter| {
+                let e = engine(use_merged, 1);
+                e.register(CHURN, adapter.clone());
+                valid.iter().map(|r| bits(&e.serve_one(r).unwrap())).collect()
+            })
+            .collect();
+        assert_ne!(solo[0][0], solo[1][0], "the two adapters must be told apart");
+        let e = engine(use_merged, 16);
+        e.register(CHURN, adapters[0].clone());
+        let done = AtomicBool::new(false);
+        let (mut served, mut refused) = (0, 0);
+        std::thread::scope(|s| {
+            // Stops the churn however the loop below ends, a failed
+            // assertion included (the scope joins the churn thread).
+            struct Stop<'a>(&'a AtomicBool);
+            impl Drop for Stop<'_> {
+                fn drop(&mut self) {
+                    self.0.store(true, Relaxed);
+                }
+            }
+            let _stop = Stop(&done);
+            s.spawn(|| {
+                // Paced, so the serving thread's store reads are not
+                // starved by a writer that never lets go of the lock.
+                let pause = || std::thread::sleep(std::time::Duration::from_micros(20));
+                while !done.load(Relaxed) {
+                    for adapter in &adapters {
+                        e.register(CHURN, adapter.clone());
+                        pause();
+                        e.deregister(CHURN);
+                        pause();
+                    }
+                }
+            });
+            // Until both outcomes have shown up (bounded: how the two
+            // threads interleave is up to the scheduler).
+            for round in 0..5_000 {
+                if served >= 10 && refused >= 10 {
+                    break;
+                }
+                let what = format!("merged = {use_merged}, round {round}");
+                match e.serve_batch(&valid) {
+                    Ok(outs) => {
+                        served += 1;
+                        for (i, out) in outs.iter().enumerate() {
+                            let got = bits(out);
+                            assert!(
+                                solo.iter().any(|s| s[i] == got),
+                                "{what}: request {i} (tenant {}) is neither adapter's answer",
+                                valid[i].tenant
+                            );
+                        }
+                    }
+                    Err(err) => {
+                        refused += 1;
+                        let TensorError::InvalidArgument(msg) = &err else { panic!("{what}: {err:?}") };
+                        assert!(msg.contains(&format!("unknown tenant id {CHURN}")), "{what}: {msg}");
+                    }
+                }
+            }
+        });
+        // Settled on one adapter, the engine serves it.
+        e.register(CHURN, adapters[1].clone());
+        let got: Vec<Vec<u32>> = e.serve_batch(&valid).unwrap().iter().map(bits).collect();
+        assert_eq!(
+            got, solo[1],
+            "merged = {use_merged}: after {served} served and {refused} refused batches"
+        );
+    }
 }

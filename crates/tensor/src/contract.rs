@@ -26,7 +26,7 @@
 //!   the smaller peak intermediate, then to the first order tried. The plan
 //!   is a pure function of `(spec, dims)` and cheap enough to rebuild on
 //!   every call — there is no plan cache.
-//! * **Lowering.** A step is `permute → reshape → matmul/bmm → reshape`
+//! * **Lowering.** A step is `permute → reshape → matmul → reshape`
 //!   (plus a closing `permute` when the spec's output order asks for one):
 //!   the left operand reads `[batch.., free.., summed..]`, the right one
 //!   `[batch.., summed.., free..]`. Which operand goes left, and which one's
@@ -124,7 +124,7 @@ pub fn contract_spec(spec: &str, operands: &[&Tensor]) -> Result<Tensor> {
     Ok(out.into_owned())
 }
 
-/// The four primitives a [`Step`] lowers to. Implemented here over plain
+/// The three primitives a [`Step`] lowers to. Implemented here over plain
 /// tensors and by `metalora_autograd::Graph` over tape nodes.
 pub trait Lowering {
     /// Handle to one tensor value.
@@ -133,10 +133,8 @@ pub trait Lowering {
     fn permute(&mut self, v: Self::Val, perm: &[usize]) -> Result<Self::Val>;
     /// Same elements under a new shape.
     fn reshape(&mut self, v: Self::Val, dims: &[usize]) -> Result<Self::Val>;
-    /// `[m,k]·[k,n]`.
+    /// `[m,k]·[k,n]`, or `[b,m,k]·[b,k,n]` per batch slice.
     fn matmul(&mut self, a: Self::Val, b: Self::Val) -> Result<Self::Val>;
-    /// `[b,m,k]·[b,k,n]` per batch slice.
-    fn bmm(&mut self, a: Self::Val, b: Self::Val) -> Result<Self::Val>;
 }
 
 /// [`Lowering`] over plain tensors through `ops::`. Operands stay
@@ -154,9 +152,6 @@ impl<'a> Lowering for Eager<'a> {
     }
     fn matmul(&mut self, a: Self::Val, b: Self::Val) -> Result<Self::Val> {
         Ok(Cow::Owned(ops::matmul(&a, &b)?))
-    }
-    fn bmm(&mut self, a: Self::Val, b: Self::Val) -> Result<Self::Val> {
-        Ok(Cow::Owned(ops::bmm(&a, &b)?))
     }
 }
 
@@ -199,7 +194,7 @@ pub struct Step {
     rhs: View,
     /// Group extents `[batch, m, k, n]` of the GEMM.
     sizes: [usize; 4],
-    /// Without batch labels the matrices are rank 2 (`matmul`).
+    /// With batch labels the matrices are rank 3, without them rank 2.
     batched: bool,
     /// The result's axes, `[batch.., lhs free.., rhs free..]`.
     out_dims: Vec<usize>,
@@ -263,7 +258,7 @@ impl Step {
         let skip = usize::from(!self.batched);
         let a = self.lhs.apply(l, a, &[bt, m, k][skip..])?;
         let b = self.rhs.apply(l, b, &[bt, k, n][skip..])?;
-        let mut out = if self.batched { l.bmm(a, b)? } else { l.matmul(a, b)? };
+        let mut out = l.matmul(a, b)?;
         // Counted at this entry point *and* inside the matmul it lowers to —
         // see the layering note in `metalora_obs::counters`.
         metalora_obs::counters::record_kernel(

@@ -3,15 +3,15 @@
 //! Two implementations, deliberately:
 //!
 //! * [`conv2d`] — the production path: one matrix multiply of the patch
-//!   matrix `[N·OH·OW, C·KH·KW]` by the weight. Where the GEMM gate picks
-//!   the packed kernel, that kernel packs its row strips straight from
-//!   the unpadded image (zeros at padding positions), so neither a padded
-//!   copy nor the patch matrix is ever built; below the gate (or under a
-//!   forced reference kernel) [`im2col`] builds the patches for the
-//!   reference GEMM — the same elements, so the same bits. Either way the
-//!   product runs through the GEMM's counters and tile-grid scheduler —
-//!   conv threading scales with the GEMM, not with anything here.
-//!   [`im2col`] also builds `dW`'s patches at backward time, and
+//!   matrix `[N·OH·OW, C·KH·KW]` by the weight. The packed GEMM packs its
+//!   row strips straight from the unpadded image (zeros at padding
+//!   positions), so neither a padded copy nor the patch matrix is ever
+//!   built. Only under a forced reference kernel, which cannot read the
+//!   image, does [`im2col`] build the patches for it — the same elements,
+//!   so the same bits. The product runs through the GEMM's counters and
+//!   tile-grid scheduler — conv threading scales with the GEMM, not with
+//!   anything here. [`im2col`] also builds `dW`'s patches at backward
+//!   time, and
 //!   [`col2im`] sums `dX` from the transposed patch gradient
 //!   `[N, C·KH·KW, OH·OW]`, walking destination rows;
 //! * the *dummy tensor* path of Eq. 2 / Fig. 2 of the paper —
@@ -394,10 +394,9 @@ pub fn conv2d_bias(
         });
     }
     let wm = weight_to_matrix(w)?; // [C·KH·KW, O]
-    let flops = 2 * n * oh * ow * w.len();
     // The bias lands at the GEMM store, per column = per output channel;
     // the permute below only moves finished elements.
-    let out = if use_packed(flops) {
+    let out = if use_packed() {
         let k = c * h_spec.kernel * w_spec.kernel;
         let patches = Patches { x: x.data(), c, h, w: ww, oh, ow, h_spec, w_spec };
         let g = StridedGemm {
@@ -414,6 +413,7 @@ pub fn conv2d_bias(
         };
         Tensor::from_vec(run_gemm(&g, x.len() + wm.len()), &[n * oh * ow, o])?
     } else {
+        // The forced reference kernel reads only strided operands.
         let cols = im2col(x, h_spec, w_spec)?; // [N·OH·OW, C·KH·KW]
         let out = gemm(&GemmDesc::new(&cols, &wm).epilogue(bias))?; // [N·OH·OW, O]
         // The patch matrix came from the arena; hand it straight back.
@@ -424,7 +424,7 @@ pub fn conv2d_bias(
     // layering note in `metalora_obs::counters`.
     metalora_obs::counters::record_kernel(
         metalora_obs::counters::Kernel::Conv,
-        flops as u64,
+        (2 * n * oh * ow * w.len()) as u64,
         (4 * (x.len() + w.len() + out.len())) as u64,
     );
     // [N,OH,OW,O] → [N,O,OH,OW].

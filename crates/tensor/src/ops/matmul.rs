@@ -4,24 +4,24 @@
 //! with or without a fused bias — is one
 //! [`GemmDesc`]: layout, batching and bias are *data*, and
 //! [`gemm`] is the only function that validates shapes; `run_gemm` behind
-//! it picks a kernel, runs it and records the obs counters (for `gemm`
-//! and for a convolution's product over its image). Two interchangeable
-//! kernels sit underneath:
+//! it runs the kernel and records the obs counters (for `gemm` and for a
+//! convolution's product over its image). Two kernels sit underneath:
 //!
 //! * the **packed register-tiled microkernel**
 //!   (`microkernel::gemm_packed`) — packs both operands and runs
-//!   an `MR×NR` SIMD register tile under a tile-grid scheduler; taken for
-//!   products of at least [`PACK_MIN_FLOPS`];
+//!   an `MR×NR` SIMD register tile under a tile-grid scheduler; it runs
+//!   every product;
 //! * the **strided reference kernel** below — scalar loops over the same
-//!   strided description; taken for tiny products, and the reference the
-//!   packed path is tested bitwise-equal against
-//!   ([`super::microkernel::with_kernel_path`]).
+//!   strided description; the oracle the packed kernel is tested
+//!   bitwise-equal against, run only where a test or the K1 sweep forces
+//!   it ([`super::microkernel::with_kernel_path`]).
 //!
 //! Per-element accumulation starts from `+0.0` and takes one fused
 //! multiply-add per `k`, in increasing `k` order, everywhere, so
 //! reference, packed, parallel and every SIMD level's results are all
-//! bitwise identical. `matmul` and the few names the autograd tape uses
-//! survive as one-line wrappers.
+//! bitwise identical. One wrapper per layout survives —
+//! `matmul{,_transpose_a,_transpose_b}`, rank 2 or rank 3 like the
+//! descriptor.
 
 use super::microkernel::{self, add_bias, simd_level, use_packed, Lhs, SimdLevel, StridedGemm, KC};
 use crate::par::par_row_blocks;
@@ -177,15 +177,15 @@ pub fn gemm(desc: &GemmDesc) -> Result<Tensor> {
     }
 }
 
-/// Runs `g` on the kernel the gate picks and records the obs counters;
+/// Runs `g` on the packed kernel — on the reference kernel where the
+/// calling thread forces it — and records the obs counters;
 /// `operand_floats` is what the two operands hold. The body of [`gemm`],
 /// and of a convolution's product over its image
-/// ([`microkernel::Patches`], which only the packed kernel reads — the
-/// convolution takes that form only where the gate picks packed).
+/// ([`microkernel::Patches`], which only the packed kernel reads — under a
+/// forced reference kernel the convolution builds its patches instead).
 pub(crate) fn run_gemm(g: &StridedGemm, operand_floats: usize) -> Vec<f32> {
     let mut out = vec![0.0f32; g.bs * g.m * g.n];
-    let flops = 2 * g.bs * g.m * g.k * g.n;
-    let packed = use_packed(flops);
+    let packed = use_packed();
     if packed {
         microkernel::gemm_packed(g, &mut out);
     } else {
@@ -196,7 +196,7 @@ pub(crate) fn run_gemm(g: &StridedGemm, operand_floats: usize) -> Vec<f32> {
     let bias_len = g.bias.map_or(0, <[f32]>::len);
     metalora_obs::counters::record_kernel(
         metalora_obs::counters::Kernel::Matmul,
-        flops as u64,
+        (2 * g.bs * g.m * g.k * g.n) as u64,
         (4 * (operand_floats + bias_len + out.len())) as u64,
     );
     metalora_obs::counters::record_matmul_path(packed);
@@ -327,33 +327,21 @@ fn reference_rows(g: &StridedGemm, first: usize, block: &mut [f32]) {
     }
 }
 
-/// `C = A·B` for `A:[m,k]`, `B:[k,n]`.
+/// `C = A·B` for `A:[m,k]`, `B:[k,n]` — or per batch slice for rank-3
+/// operands, as [`GemmDesc`] describes.
 pub fn matmul(a: &Tensor, b: &Tensor) -> Result<Tensor> {
     gemm(&GemmDesc::new(a, b))
 }
 
-/// `C = Aᵀ·B` for `A:[k,m]`, `B:[k,n]` without materialising `Aᵀ`.
+/// `C = Aᵀ·B` for `A:[k,m]`, `B:[k,n]` (or per batch slice) without
+/// materialising `Aᵀ`.
 pub fn matmul_transpose_a(a: &Tensor, b: &Tensor) -> Result<Tensor> {
     gemm(&GemmDesc::new(a, b).transpose_a())
 }
 
-/// `C = A·Bᵀ` for `A:[m,k]`, `B:[n,k]` without materialising `Bᵀ`.
+/// `C = A·Bᵀ` for `A:[m,k]`, `B:[n,k]` (or per batch slice) without
+/// materialising `Bᵀ`.
 pub fn matmul_transpose_b(a: &Tensor, b: &Tensor) -> Result<Tensor> {
-    gemm(&GemmDesc::new(a, b).transpose_b())
-}
-
-/// Batched `C[b] = A[b]·B[b]` for `A:[B,m,k]`, `B:[B,k,n]`.
-pub fn bmm(a: &Tensor, b: &Tensor) -> Result<Tensor> {
-    gemm(&GemmDesc::new(a, b))
-}
-
-/// Batched `C[b] = A[b]ᵀ·B[b]` for `A:[B,k,m]`, `B:[B,k,n]`.
-pub fn bmm_transpose_a(a: &Tensor, b: &Tensor) -> Result<Tensor> {
-    gemm(&GemmDesc::new(a, b).transpose_a())
-}
-
-/// Batched `C[b] = A[b]·B[b]ᵀ` for `A:[B,m,k]`, `B:[B,n,k]`.
-pub fn bmm_transpose_b(a: &Tensor, b: &Tensor) -> Result<Tensor> {
     gemm(&GemmDesc::new(a, b).transpose_b())
 }
 
@@ -373,8 +361,11 @@ pub fn epilogue_pass(y: Tensor, bias: Option<&Tensor>) -> Result<Tensor> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ops::transpose2d;
+    use crate::ops::{transpose2d, with_kernel_path, KernelPath};
     use crate::{approx_eq, init, par};
+
+    /// The production kernel and the oracle.
+    const BOTH_PATHS: [KernelPath; 2] = [KernelPath::Reference, KernelPath::Packed];
 
     fn t(v: Vec<f32>, d: &[usize]) -> Tensor {
         Tensor::from_vec(v, d).unwrap()
@@ -488,11 +479,12 @@ mod tests {
         let mut r = init::rng(13);
         let a = init::uniform(&[65, 40], -1.0, 1.0, &mut r);
         let b = init::uniform(&[40, 33], -1.0, 1.0, &mut r);
-        let serial = par::with_num_threads(1, || matmul(&a, &b).unwrap());
-        par::set_par_threshold(0);
-        let parallel = par::with_num_threads(4, || matmul(&a, &b).unwrap());
-        par::set_par_threshold(usize::MAX);
-        assert_eq!(serial.data(), parallel.data());
+        for path in BOTH_PATHS {
+            let run = || with_kernel_path(path, || matmul(&a, &b).unwrap());
+            let serial = par::with_num_threads(1, run);
+            let parallel = par::with_par_threshold(0, || par::with_num_threads(4, run));
+            assert_eq!(serial.data(), parallel.data());
+        }
     }
 
     #[test]
@@ -500,7 +492,7 @@ mod tests {
         let mut r = init::rng(8);
         let a = init::uniform(&[3, 4, 5], -1.0, 1.0, &mut r);
         let b = init::uniform(&[3, 5, 6], -1.0, 1.0, &mut r);
-        let c = bmm(&a, &b).unwrap();
+        let c = matmul(&a, &b).unwrap();
         assert_eq!(c.dims(), &[3, 4, 6]);
         for bi in 0..3 {
             let ai = a.index_axis0(bi).unwrap();
@@ -515,7 +507,7 @@ mod tests {
         let mut r = init::rng(9);
         let a = init::uniform(&[2, 5, 4], -1.0, 1.0, &mut r);
         let b = init::uniform(&[2, 5, 3], -1.0, 1.0, &mut r);
-        let c = bmm_transpose_a(&a, &b).unwrap();
+        let c = matmul_transpose_a(&a, &b).unwrap();
         assert_eq!(c.dims(), &[2, 4, 3]);
         for bi in 0..2 {
             let expect = matmul_transpose_a(
@@ -528,7 +520,7 @@ mod tests {
 
         let a = init::uniform(&[2, 4, 5], -1.0, 1.0, &mut r);
         let b = init::uniform(&[2, 3, 5], -1.0, 1.0, &mut r);
-        let c = bmm_transpose_b(&a, &b).unwrap();
+        let c = matmul_transpose_b(&a, &b).unwrap();
         assert_eq!(c.dims(), &[2, 4, 3]);
         for bi in 0..2 {
             let expect = matmul_transpose_b(
@@ -540,19 +532,21 @@ mod tests {
         }
     }
 
-    /// Shapes on either side of the pack gate.
-    const BOTH_PATHS: [(usize, usize, usize); 2] = [(3, 5, 4), (40, 140, 50)];
-
     #[test]
     fn matmul_bias_act_matches_separate_passes_bitwise() {
         let mut r = init::rng(31);
-        for (m, k, n) in BOTH_PATHS {
+        for (m, k, n) in [(3, 5, 4), (40, 140, 50)] {
             let x = init::uniform(&[m, k], -1.0, 1.0, &mut r);
             let w = init::uniform(&[k, n], -1.0, 1.0, &mut r);
             let b = init::uniform(&[n], -1.0, 1.0, &mut r);
-            let fused = gemm(&GemmDesc::new(&x, &w).epilogue(Some(&b))).unwrap();
-            let expect = epilogue_pass(matmul(&x, &w).unwrap(), Some(&b)).unwrap();
-            assert!(bits_eq(&fused, &expect));
+            for path in BOTH_PATHS {
+                let fused = with_kernel_path(path, || {
+                    gemm(&GemmDesc::new(&x, &w).epilogue(Some(&b))).unwrap()
+                });
+                let plain = with_kernel_path(path, || matmul(&x, &w).unwrap());
+                let expect = epilogue_pass(plain, Some(&b)).unwrap();
+                assert!(bits_eq(&fused, &expect), "{path:?}");
+            }
         }
     }
 
@@ -566,10 +560,10 @@ mod tests {
 
     #[test]
     fn bmm_validates() {
-        assert!(bmm(&Tensor::zeros(&[2, 3, 4]), &Tensor::zeros(&[3, 4, 5])).is_err());
-        assert!(bmm(&Tensor::zeros(&[2, 3, 4]), &Tensor::zeros(&[2, 5, 6])).is_err());
-        assert!(bmm(&Tensor::zeros(&[2, 3, 4]), &Tensor::zeros(&[4, 5])).is_err());
-        assert!(bmm(&Tensor::zeros(&[3, 4]), &Tensor::zeros(&[2, 5, 6])).is_err());
+        assert!(matmul(&Tensor::zeros(&[2, 3, 4]), &Tensor::zeros(&[3, 4, 5])).is_err());
+        assert!(matmul(&Tensor::zeros(&[2, 3, 4]), &Tensor::zeros(&[2, 5, 6])).is_err());
+        assert!(matmul(&Tensor::zeros(&[2, 3, 4]), &Tensor::zeros(&[4, 5])).is_err());
+        assert!(matmul(&Tensor::zeros(&[3, 4]), &Tensor::zeros(&[2, 5, 6])).is_err());
     }
 
     #[test]

@@ -40,8 +40,9 @@
 //! the tile shape, the row pass, the lane and the SIMD level only decide
 //! *where* an element's sequence runs, never what it is. Hence packed
 //! results are **bitwise identical** to the reference path at every SIMD
-//! level, which is why dispatch may pick between them from the flop count
-//! alone.
+//! level, which is what lets the reference kernel serve as the oracle
+//! this one is tested against: every production product runs here, and
+//! the reference kernel runs only where [`with_kernel_path`] forces it.
 //!
 //! Work *stealing* cannot move a bit either: each grid cell is a
 //! self-contained block of output elements, computed by exactly one
@@ -97,28 +98,27 @@ pub const KC: usize = 128;
 pub const NC: usize = 256;
 
 // ---------------------------------------------------------------------------
-// Gating: packed vs reference
+// Kernel path: packed, or the reference oracle when forced
 // ---------------------------------------------------------------------------
-
-/// Products below this flop count stay on the reference kernel — packing
-/// two operands cannot pay for itself on tiny products.
-pub const PACK_MIN_FLOPS: usize = 1 << 15;
 
 /// The two kernels a GEMM can run on (bitwise identical by construction).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum KernelPath {
-    /// The strided scalar reference kernel.
+    /// The strided scalar reference kernel: the test oracle, run only
+    /// where [`with_kernel_path`] forces it.
     Reference,
-    /// The packed register-tiled kernel in this module.
+    /// The packed register-tiled kernel in this module: every production
+    /// product.
     Packed,
 }
 
 /// What [`with_kernel_path`] forces on the calling thread; `None` leaves
-/// that decision to the program. A [`KernelPath`] or a [`SimdLevel`]
-/// converts into one that forces only itself.
+/// the default (the packed kernel, the host's SIMD level). A
+/// [`KernelPath`] or a [`SimdLevel`] converts into one that forces only
+/// itself.
 #[derive(Clone, Copy, Debug)]
 pub struct Forced {
-    /// The kernel every gate decision takes, whatever the flop count.
+    /// The kernel every product on this thread takes.
     path: Option<KernelPath>,
     /// A ceiling on [`simd_level`] (the host's own level still bounds it).
     simd: Option<SimdLevel>,
@@ -163,14 +163,10 @@ pub fn with_kernel_path<R>(force: impl Into<Forced>, f: impl FnOnce() -> R) -> R
     f()
 }
 
-/// `true` when a product of `flops` multiply-adds takes the packed path:
-/// the flop count against [`PACK_MIN_FLOPS`], unless the calling thread is
-/// inside [`with_kernel_path`].
-pub(crate) fn use_packed(flops: usize) -> bool {
-    match FORCED.with(Cell::get).path {
-        Some(path) => path == KernelPath::Packed,
-        None => flops >= PACK_MIN_FLOPS,
-    }
+/// `true` unless the calling thread is inside
+/// `with_kernel_path(KernelPath::Reference, …)`.
+pub(crate) fn use_packed() -> bool {
+    FORCED.with(Cell::get).path != Some(KernelPath::Reference)
 }
 
 // ---------------------------------------------------------------------------
@@ -1040,15 +1036,15 @@ mod tests {
 
     #[test]
     fn gating_toggles() {
-        // Auto: the flop count decides. Forced: the seam decides, nests,
-        // and unwinds to the previous state.
-        assert!(use_packed(PACK_MIN_FLOPS) && !use_packed(PACK_MIN_FLOPS - 1));
+        // Unforced: packed. Forced: the seam decides, nests, and unwinds
+        // to the previous state.
+        assert!(use_packed());
         with_kernel_path(KernelPath::Reference, || {
-            assert!(!use_packed(usize::MAX));
-            with_kernel_path(KernelPath::Packed, || assert!(use_packed(0)));
-            assert!(!use_packed(usize::MAX));
+            assert!(!use_packed());
+            with_kernel_path(KernelPath::Packed, || assert!(use_packed()));
+            assert!(!use_packed());
         });
-        assert!(use_packed(1 << 20) && !use_packed(8));
+        assert!(use_packed());
     }
 
     #[test]
@@ -1063,20 +1059,19 @@ mod tests {
                 s.spawn(move || {
                     with_kernel_path(path, || {
                         both_inside.wait();
-                        let want = path == KernelPath::Packed;
-                        assert_eq!((use_packed(0), use_packed(usize::MAX)), (want, want));
+                        assert_eq!(use_packed(), path == KernelPath::Packed);
                         both_inside.wait();
                     });
-                    assert!(!use_packed(0) && use_packed(usize::MAX));
+                    assert!(use_packed());
                 });
             }
         });
         // A panic inside the scope still restores the override.
         let caught = std::panic::catch_unwind(|| {
-            with_kernel_path(KernelPath::Packed, || panic!("inside the seam"))
+            with_kernel_path(KernelPath::Reference, || panic!("inside the seam"))
         });
         assert!(caught.is_err());
-        assert!(!use_packed(0));
+        assert!(use_packed());
     }
 
     #[test]
@@ -1084,8 +1079,8 @@ mod tests {
         let host = simd_level();
         with_kernel_path(SimdLevel::Scalar, || {
             assert_eq!(simd_level(), SimdLevel::Scalar);
-            with_kernel_path(KernelPath::Packed, || {
-                assert_eq!((simd_level(), use_packed(0)), (SimdLevel::Scalar, true));
+            with_kernel_path(KernelPath::Reference, || {
+                assert_eq!((simd_level(), use_packed()), (SimdLevel::Scalar, false));
             });
             // A cap never lifts the level above what the host has.
             with_kernel_path(SimdLevel::Avx512, || assert_eq!(simd_level(), host));
@@ -1145,9 +1140,7 @@ mod tests {
         let (dims, ad, bd) = ragged_operands();
         let run = || packed(&ad, &bd, dims, None);
         let serial = crate::par::with_num_threads(1, run);
-        crate::par::set_par_threshold(0);
-        let parallel = crate::par::with_num_threads(4, run);
-        crate::par::set_par_threshold(usize::MAX);
+        let parallel = crate::par::with_par_threshold(0, || crate::par::with_num_threads(4, run));
         assert!(bits_eq(&serial, &parallel));
     }
 }

@@ -5,7 +5,7 @@
 //! * [`par_row_blocks`] — the output buffer is split into disjoint,
 //!   fixed-size row blocks and a scoped thread team pulls blocks from a
 //!   shared queue. Used by the reference matmul kernel, im2col (`dW`'s
-//!   patches and the below-gate forward), col2im, the large
+//!   patches and the forced-reference forward), col2im, the large
 //!   elementwise/reduction ops.
 //! * [`par_task_queue`] — a scoped team (the **calling thread
 //!   participates** as worker 0) drains an atomic counter of task
@@ -32,16 +32,18 @@
 //! * [`set_num_threads`] — programmatic override, takes precedence.
 //! * [`with_num_threads`] — a scoped override on the calling thread only,
 //!   ahead of both (the equivalence suites' thread sweeps).
-//! * [`set_par_threshold`] — minimum estimated flop count below which work
-//!   stays on the calling thread; small problems never pay the
-//!   thread-spawn cost.
+//! * [`DEFAULT_PAR_THRESHOLD`] — minimum estimated flop count below which
+//!   work stays on the calling thread; small problems never pay the
+//!   thread-spawn cost. [`with_par_threshold`] moves it on the calling
+//!   thread only (the equivalence suites force the parallel path on tiny
+//!   shapes with it).
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 
-/// Work below this estimated flop count runs serially (tunable via
-/// [`set_par_threshold`]).
+/// Work below this estimated flop count runs serially (moved per thread
+/// by [`with_par_threshold`]).
 pub const DEFAULT_PAR_THRESHOLD: usize = 1 << 19;
 
 /// Upper bound on the number of blocks a problem is split into.
@@ -52,11 +54,12 @@ const MAX_BLOCKS: usize = 64;
 const MIN_BLOCK_ELEMS: usize = 1 << 12;
 
 static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
-static THRESHOLD_OVERRIDE: AtomicUsize = AtomicUsize::new(usize::MAX);
 
 thread_local! {
     /// The [`with_num_threads`] scope of this thread; `0` outside one.
     static SCOPED_THREADS: Cell<usize> = const { Cell::new(0) };
+    /// The [`with_par_threshold`] scope of this thread; `None` outside one.
+    static SCOPED_THRESHOLD: Cell<Option<usize>> = const { Cell::new(None) };
 }
 
 /// Fixes the worker count for the whole process; `0` reverts to
@@ -109,18 +112,27 @@ pub fn num_threads() -> usize {
     })
 }
 
-/// Sets the serial/parallel flop threshold; `usize::MAX` reverts to
-/// [`DEFAULT_PAR_THRESHOLD`].
-pub fn set_par_threshold(flops: usize) {
-    THRESHOLD_OVERRIDE.store(flops, Ordering::Relaxed);
+/// Runs `f` with the serial/parallel flop threshold of parallel sections
+/// started **on this thread** at `flops` (`0`: every non-empty problem may
+/// go parallel), and restores the enclosing scope's threshold afterwards —
+/// also when `f` panics. Scopes nest; other threads keep
+/// [`DEFAULT_PAR_THRESHOLD`], so concurrent tests cannot race on it.
+pub fn with_par_threshold<R>(flops: usize, f: impl FnOnce() -> R) -> R {
+    struct Restore(Option<usize>);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            SCOPED_THRESHOLD.with(|s| s.set(self.0));
+        }
+    }
+    let _restore = Restore(SCOPED_THRESHOLD.with(|s| s.replace(Some(flops))));
+    f()
 }
 
-/// The current serial/parallel flop threshold.
+/// The serial/parallel flop threshold on the calling thread: its
+/// [`with_par_threshold`] scope if inside one, else
+/// [`DEFAULT_PAR_THRESHOLD`].
 pub fn par_threshold() -> usize {
-    match THRESHOLD_OVERRIDE.load(Ordering::Relaxed) {
-        usize::MAX => DEFAULT_PAR_THRESHOLD,
-        t => t,
-    }
+    SCOPED_THRESHOLD.with(Cell::get).unwrap_or(DEFAULT_PAR_THRESHOLD)
 }
 
 /// Rows per block: a fixed function of the problem shape only, so the
@@ -284,8 +296,10 @@ pub fn par_task_queue<S, F>(
 mod tests {
     use super::*;
 
-    /// Serialises tests that touch the global overrides and restores the
-    /// defaults on drop (the test harness runs tests concurrently).
+    /// Serialises the tests that set the process-wide worker count and
+    /// restores the default on drop (the test harness runs tests
+    /// concurrently); every other test scopes its count and threshold to
+    /// its own thread.
     struct Guard(#[allow(dead_code)] std::sync::MutexGuard<'static, ()>);
 
     fn guard() -> Guard {
@@ -296,60 +310,64 @@ mod tests {
     impl Drop for Guard {
         fn drop(&mut self) {
             set_num_threads(0);
-            set_par_threshold(usize::MAX);
         }
+    }
+
+    /// Runs `f` with `threads` workers and the parallel path forced on.
+    fn parallel<R>(threads: usize, f: impl FnOnce() -> R) -> R {
+        with_par_threshold(0, || with_num_threads(threads, f))
     }
 
     #[test]
     fn serial_fallback_below_threshold() {
-        let _g = guard();
-        set_num_threads(4);
-        set_par_threshold(usize::MAX - 1); // everything is "too small"
-        let mut out = vec![0.0f32; 64];
-        par_row_blocks(&mut out, 8, 1, |first, block| {
-            for (r, row) in block.chunks_mut(8).enumerate() {
-                row.fill((first + r) as f32);
-            }
+        // Everything is "too small".
+        with_par_threshold(usize::MAX, || {
+            with_num_threads(4, || {
+                let mut out = vec![0.0f32; 64];
+                par_row_blocks(&mut out, 8, 1, |first, block| {
+                    for (r, row) in block.chunks_mut(8).enumerate() {
+                        row.fill((first + r) as f32);
+                    }
+                });
+                for (r, row) in out.chunks(8).enumerate() {
+                    assert!(row.iter().all(|&x| x == r as f32));
+                }
+            })
         });
-        for (r, row) in out.chunks(8).enumerate() {
-            assert!(row.iter().all(|&x| x == r as f32));
-        }
     }
 
     #[test]
     fn parallel_covers_all_rows_exactly_once() {
-        let _g = guard();
-        set_par_threshold(0);
         for threads in [1, 2, 3, 7, 16] {
-            set_num_threads(threads);
-            let rows = 97; // not a multiple of any block size
-            let mut out = vec![-1.0f32; rows * 5];
-            par_row_blocks(&mut out, 5, 1000, |first, block| {
-                for (r, row) in block.chunks_mut(5).enumerate() {
-                    assert!(row.iter().all(|&x| x == -1.0), "row visited twice");
-                    row.fill((first + r) as f32);
+            parallel(threads, || {
+                let rows = 97; // not a multiple of any block size
+                let mut out = vec![-1.0f32; rows * 5];
+                par_row_blocks(&mut out, 5, 1000, |first, block| {
+                    for (r, row) in block.chunks_mut(5).enumerate() {
+                        assert!(row.iter().all(|&x| x == -1.0), "row visited twice");
+                        row.fill((first + r) as f32);
+                    }
+                });
+                for (r, row) in out.chunks(5).enumerate() {
+                    assert!(
+                        row.iter().all(|&x| x == r as f32),
+                        "threads={threads} row={r} wrong: {row:?}"
+                    );
                 }
             });
-            for (r, row) in out.chunks(5).enumerate() {
-                assert!(
-                    row.iter().all(|&x| x == r as f32),
-                    "threads={threads} row={r} wrong: {row:?}"
-                );
-            }
         }
     }
 
     #[test]
     fn empty_output_invokes_no_work() {
-        let _g = guard();
         // The scheduler must return without calling the kernel at all on a
         // zero-size output — even with parallelism forced on.
         for threads in [1, 4] {
-            set_num_threads(threads);
-            set_par_threshold(0);
             let calls = AtomicUsize::new(0);
-            par_row_blocks(&mut [] as &mut [f32], 4, 1, |_, _| {
-                calls.fetch_add(1, Ordering::SeqCst);
+            parallel(threads, || {
+                par_row_blocks(&mut [] as &mut [f32], 4, 1, |_, _| {
+                    calls.fetch_add(1, Ordering::SeqCst);
+                })
             });
             assert_eq!(calls.load(Ordering::SeqCst), 0, "threads={threads}");
         }
@@ -376,16 +394,15 @@ mod tests {
 
     #[test]
     fn par_task_queue_covers_all_tasks_exactly_once() {
-        let _g = guard();
-        set_par_threshold(0);
         for threads in [1, 2, 3, 7] {
-            set_num_threads(threads);
             let tasks = 53;
             let hits: Vec<AtomicUsize> = (0..tasks).map(|_| AtomicUsize::new(0)).collect();
-            par_task_queue("test_queue", tasks, 1000, || (), |_slot, q, ()| {
-                while let Some(i) = q.claim() {
-                    hits[i].fetch_add(1, Ordering::SeqCst);
-                }
+            parallel(threads, || {
+                par_task_queue("test_queue", tasks, 1000, || (), |_slot, q, ()| {
+                    while let Some(i) = q.claim() {
+                        hits[i].fetch_add(1, Ordering::SeqCst);
+                    }
+                })
             });
             for (i, h) in hits.iter().enumerate() {
                 assert_eq!(h.load(Ordering::SeqCst), 1, "threads={threads} task={i}");
@@ -395,58 +412,58 @@ mod tests {
 
     #[test]
     fn par_task_queue_serial_fallback_claims_in_order() {
-        let _g = guard();
-        set_num_threads(4);
-        set_par_threshold(usize::MAX - 1); // everything is "too small"
         let order = Mutex::new(Vec::new());
-        par_task_queue("test_queue", 6, 1, || (), |slot, q, ()| {
-            assert_eq!(slot, 0, "serial fallback must run on the calling thread");
-            while let Some(i) = q.claim() {
-                order.lock().unwrap().push(i);
-            }
+        // Everything is "too small".
+        with_par_threshold(usize::MAX, || {
+            with_num_threads(4, || {
+                par_task_queue("test_queue", 6, 1, || (), |slot, q, ()| {
+                    assert_eq!(slot, 0, "serial fallback must run on the calling thread");
+                    while let Some(i) = q.claim() {
+                        order.lock().unwrap().push(i);
+                    }
+                })
+            })
         });
         assert_eq!(*order.lock().unwrap(), vec![0, 1, 2, 3, 4, 5]);
     }
 
     #[test]
     fn par_task_queue_calling_thread_is_slot_zero() {
-        let _g = guard();
-        set_num_threads(3);
-        set_par_threshold(0);
         let caller = std::thread::current().id();
         let slot0_on_caller = AtomicUsize::new(0);
-        par_task_queue("test_queue", 64, 1000, || (), |slot, q, ()| {
-            if slot == 0 && std::thread::current().id() == caller {
-                slot0_on_caller.fetch_add(1, Ordering::SeqCst);
-            }
-            while q.claim().is_some() {}
+        parallel(3, || {
+            par_task_queue("test_queue", 64, 1000, || (), |slot, q, ()| {
+                if slot == 0 && std::thread::current().id() == caller {
+                    slot0_on_caller.fetch_add(1, Ordering::SeqCst);
+                }
+                while q.claim().is_some() {}
+            })
         });
         assert_eq!(slot0_on_caller.load(Ordering::SeqCst), 1);
     }
 
     #[test]
     fn par_task_queue_builds_scratch_on_the_caller_one_per_slot() {
-        let _g = guard();
-        set_par_threshold(0);
         for threads in [1, 3] {
-            set_num_threads(threads);
             let caller = std::thread::current().id();
             let mut built = 0;
             let seen = Mutex::new(Vec::new());
-            par_task_queue(
-                "test_queue",
-                64,
-                1000,
-                || {
-                    assert_eq!(std::thread::current().id(), caller);
-                    built += 1;
-                    built - 1
-                },
-                |slot, q, nth| {
-                    seen.lock().unwrap().push((slot, nth));
-                    while q.claim().is_some() {}
-                },
-            );
+            parallel(threads, || {
+                par_task_queue(
+                    "test_queue",
+                    64,
+                    1000,
+                    || {
+                        assert_eq!(std::thread::current().id(), caller);
+                        built += 1;
+                        built - 1
+                    },
+                    |slot, q, nth| {
+                        seen.lock().unwrap().push((slot, nth));
+                        while q.claim().is_some() {}
+                    },
+                )
+            });
             // One value per team member, slot s holding the s-th built.
             let mut seen = seen.into_inner().unwrap();
             seen.sort_unstable();
@@ -456,12 +473,11 @@ mod tests {
 
     #[test]
     fn par_task_queue_empty_is_a_noop() {
-        let _g = guard();
-        set_num_threads(4);
-        set_par_threshold(0);
         let calls = AtomicUsize::new(0);
-        par_task_queue("test_queue", 0, 1, || (), |_, _, ()| {
-            calls.fetch_add(1, Ordering::SeqCst);
+        parallel(4, || {
+            par_task_queue("test_queue", 0, 1, || (), |_, _, ()| {
+                calls.fetch_add(1, Ordering::SeqCst);
+            })
         });
         assert_eq!(calls.load(Ordering::SeqCst), 0);
     }
@@ -493,5 +509,22 @@ mod tests {
         let caught = std::panic::catch_unwind(|| with_num_threads(7, || panic!("inside")));
         assert!(caught.is_err());
         assert_eq!(num_threads(), 3);
+    }
+
+    #[test]
+    fn scoped_threshold_is_per_thread_nests_and_survives_a_panic() {
+        assert_eq!(par_threshold(), DEFAULT_PAR_THRESHOLD);
+        with_par_threshold(0, || {
+            assert_eq!(par_threshold(), 0);
+            with_par_threshold(7, || assert_eq!(par_threshold(), 7));
+            assert_eq!(par_threshold(), 0);
+            // Another thread sees only the default.
+            std::thread::scope(|s| {
+                s.spawn(|| assert_eq!(par_threshold(), DEFAULT_PAR_THRESHOLD));
+            });
+        });
+        let caught = std::panic::catch_unwind(|| with_par_threshold(0, || panic!("inside")));
+        assert!(caught.is_err());
+        assert_eq!(par_threshold(), DEFAULT_PAR_THRESHOLD);
     }
 }

@@ -1,7 +1,7 @@
 //! Reusable workspace arena for kernel scratch buffers.
 //!
-//! The hot path — matmul packing panels, the below-gate `im2col`'s padded
-//! image and patch matrix, autograd backward temporaries (`col2im`'s
+//! The hot path — matmul packing panels, `im2col`'s padded image and
+//! patch matrix (`dW`'s patches), autograd backward temporaries (`col2im`'s
 //! output among them) — used to allocate a fresh `Vec<f32>` on
 //! every call. This module replaces those allocations with a process-wide,
 //! thread-safe pool of size-bucketed buffers:

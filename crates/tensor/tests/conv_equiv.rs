@@ -3,8 +3,8 @@
 //!
 //! * **Forward.** [`conv2d_bias`] on the packed kernel reads its patch
 //!   rows straight from the image; the oracle builds them with [`im2col`]
-//!   and multiplies on the reference kernel, as the below-gate path still
-//!   does.
+//!   and multiplies on the reference kernel, as `conv2d_bias` itself does
+//!   under a forced reference kernel.
 //! * **`dX`.** The tape computes `dcolsᵀ_n = Wm · G_n` as one GEMM with
 //!   `Wm` shared by the batch and `G` read as stored, then [`col2im`]
 //!   walks destination rows. The oracle is the scatter it replaced — `G`
@@ -15,10 +15,10 @@
 //! Shapes: stride {1, 2, 3} × pad {0, 1, 2} × kernel {1, 3, 5}, on images
 //! whose output rows are shorter than a strip, ragged against it, and
 //! exactly the padded input (a single output pixel), with `C = 1` and
-//! `N ∈ {0, 1, 3}`. Each case runs at every SIMD level the host has and
-//! at worker counts {1, 2, 4, 7}, the level and the count forced through
-//! the scoped thread-local seams; the suite lock serialises the
-//! process-wide parallel threshold.
+//! `N ∈ {0, 1, 3}`. Each case runs on both GEMM kernels, at every SIMD
+//! level the host has and at worker counts {1, 2, 4, 7}, with the parallel
+//! threshold at 0 so every shape can take the parallel path — all forced
+//! through the scoped thread-local seams, so the suite needs no lock.
 
 use metalora_tensor::conv::{col2im, conv2d_bias, im2col, weight_to_matrix, ConvSpec};
 use metalora_tensor::ops::{
@@ -26,25 +26,6 @@ use metalora_tensor::ops::{
     SimdLevel,
 };
 use metalora_tensor::{init, par, Tensor};
-use std::sync::{Mutex, MutexGuard};
-
-static LOCK: Mutex<()> = Mutex::new(());
-
-/// Holds the threshold lock with the threshold at 0, so every shape can
-/// take the parallel path; restores the default on drop.
-struct ThresholdGuard(#[allow(dead_code)] MutexGuard<'static, ()>);
-
-fn force_parallel() -> ThresholdGuard {
-    let g = ThresholdGuard(LOCK.lock().unwrap_or_else(|e| e.into_inner()));
-    par::set_par_threshold(0);
-    g
-}
-
-impl Drop for ThresholdGuard {
-    fn drop(&mut self) {
-        par::set_par_threshold(usize::MAX);
-    }
-}
 
 const LEVELS: [SimdLevel; 3] = [SimdLevel::Scalar, SimdLevel::Avx2, SimdLevel::Avx512];
 const THREADS: [usize; 4] = [1, 2, 4, 7];
@@ -106,22 +87,25 @@ fn cases() -> Vec<Case> {
     out
 }
 
-/// Runs `f` at every SIMD level the host has and every worker count, on
-/// the packed kernel, and asserts each result is `want` to the bit.
+/// Runs `f` on both kernels at every SIMD level the host has and every
+/// worker count, and asserts each result is `want` to the bit.
 fn assert_everywhere(want: &Tensor, what: &str, f: impl Fn() -> Tensor) {
-    for level in LEVELS.into_iter().filter(|&l| l <= simd_level()) {
-        for t in THREADS {
-            let got = par::with_num_threads(t, || {
-                with_kernel_path(level, || with_kernel_path(KernelPath::Packed, &f))
-            });
-            assert!(bits_eq(&got, want), "{level:?}@{t}: {what}");
+    for path in [KernelPath::Reference, KernelPath::Packed] {
+        for level in LEVELS.into_iter().filter(|&l| l <= simd_level()) {
+            for t in THREADS {
+                let got = par::with_par_threshold(0, || {
+                    par::with_num_threads(t, || {
+                        with_kernel_path(level, || with_kernel_path(path, &f))
+                    })
+                });
+                assert!(bits_eq(&got, want), "{path:?}@{level:?}@{t}: {what}");
+            }
         }
     }
 }
 
 #[test]
 fn the_forward_reads_the_image_bitwise_as_im2col_and_the_reference_gemm() {
-    let _g = force_parallel();
     for (i, case) in cases().into_iter().enumerate() {
         let Case { n, c, h, w, k, .. } = case;
         let (spec, (oh, ow)) = (case.spec(), case.out());
@@ -138,9 +122,6 @@ fn the_forward_reads_the_image_bitwise_as_im2col_and_the_reference_gemm() {
             });
             let what = format!("{case:?} bias={}", bias.is_some());
             assert_everywhere(&want, &what, || conv2d_bias(&x, &wt, bias, spec, spec).unwrap());
-            // Whatever path the gate picks.
-            let auto = conv2d_bias(&x, &wt, bias, spec, spec).unwrap();
-            assert!(bits_eq(&auto, &want), "auto: {what}");
         }
     }
 }
@@ -192,7 +173,6 @@ fn tape_dx(g: &Tensor, wt: &Tensor, case: Case) -> Tensor {
 
 #[test]
 fn dx_from_the_transposed_patch_gradient_is_bitwise_the_scatter() {
-    let _g = force_parallel();
     for (i, case) in cases().into_iter().enumerate() {
         let Case { n, c, k, .. } = case;
         let (oh, ow) = case.out();
@@ -201,8 +181,6 @@ fn dx_from_the_transposed_patch_gradient_is_bitwise_the_scatter() {
         let wt = rand_t(&[k, k, c, O], seed + 1);
         let want = with_kernel_path(KernelPath::Reference, || scatter_dx(&g, &wt, case));
         assert_everywhere(&want, &format!("{case:?}"), || tape_dx(&g, &wt, case));
-        let auto = tape_dx(&g, &wt, case);
-        assert!(bits_eq(&auto, &want), "auto: {case:?}");
     }
 }
 

@@ -8,31 +8,14 @@
 //! must never alias the kernel's own scratch (the kernel's checkouts land
 //! in different buffers because the held ones are still out).
 //!
-//! The kernel and the worker count are forced through the scoped
-//! thread-local seams; the suite lock remains for the process-wide
-//! parallel threshold.
+//! The kernel, the worker count and the parallel threshold are forced
+//! through the scoped thread-local seams, so the suite needs no lock.
 
 use metalora_tensor::conv::{conv2d, conv2d_bias, ConvSpec};
 use metalora_tensor::ops::microkernel::MR;
 use metalora_tensor::ops::{epilogue_pass, gemm, with_kernel_path, GemmDesc, KernelPath};
 use metalora_tensor::{init, par, workspace, Tensor};
 use proptest::prelude::*;
-use std::sync::{Mutex, MutexGuard};
-
-static LOCK: Mutex<()> = Mutex::new(());
-
-struct ThreadsGuard(#[allow(dead_code)] MutexGuard<'static, ()>);
-
-/// Locks the suite; the guard restores the threshold on drop.
-fn lock_globals() -> ThreadsGuard {
-    ThreadsGuard(LOCK.lock().unwrap_or_else(|e| e.into_inner()))
-}
-
-impl Drop for ThreadsGuard {
-    fn drop(&mut self) {
-        par::set_par_threshold(usize::MAX);
-    }
-}
 
 fn bits_eq(a: &Tensor, b: &Tensor) -> bool {
     a.dims() == b.dims() && a.data().iter().zip(b.data()).all(|(x, y)| x.to_bits() == y.to_bits())
@@ -73,7 +56,6 @@ proptest! {
         // Ragged shapes (1×n, m×1, k = 0): the packed store-time bias and
         // the reference per-row one must each reproduce the separate pass
         // exactly.
-        let _g = lock_globals();
         let w = rand_t(&[k, n], seed + 1);
         assert_fuse_equiv(&rand_t(&[m, k], seed), &w, &rand_t(&[n], seed + 2));
     }
@@ -91,7 +73,6 @@ proptest! {
         // Conv fuses the column bias into the pre-permute GEMM; the
         // [O,1,1]-broadcast bias of the separate pass must come out
         // identical through the pure-copy permute.
-        let _g = lock_globals();
         let spec = ConvSpec::new(kk, 1, pad).unwrap();
         let x = rand_t(&[n, c, hw, hw], seed);
         let w = rand_t(&[kk, kk, c, o], seed + 1);
@@ -121,7 +102,6 @@ proptest! {
         // Thread splits cut through MR row tiles and tile-grid cells; the
         // store-time bias is per-element, so no worker count may move a
         // bit vs the single-thread separate-pass run.
-        let _g = lock_globals();
         let x = rand_t(&[m, k], seed);
         let w = rand_t(&[k, n], seed + 1);
         let bias = rand_t(&[n], seed + 2);
@@ -129,11 +109,12 @@ proptest! {
             with_kernel_path(KernelPath::Reference, || gemm(&GemmDesc::new(&x, &w)).unwrap())
         });
         let reference = epilogue_pass(plain, Some(&bias)).unwrap();
-        par::set_par_threshold(0);
         for threads in [1usize, 2, 4, 7] {
-            let out = par::with_num_threads(threads, || {
-                with_kernel_path(KernelPath::Packed, || {
-                    gemm(&GemmDesc::new(&x, &w).epilogue(Some(&bias))).unwrap()
+            let out = par::with_par_threshold(0, || {
+                par::with_num_threads(threads, || {
+                    with_kernel_path(KernelPath::Packed, || {
+                        gemm(&GemmDesc::new(&x, &w).epilogue(Some(&bias))).unwrap()
+                    })
                 })
             });
             prop_assert!(bits_eq(&reference, &out), "fused bias at {threads} workers diverged");
@@ -141,13 +122,10 @@ proptest! {
     }
 }
 
-/// `x·w + bias` on the packed kernel at two workers, whatever the flop
-/// count.
+/// `x·w + bias` (the packed kernel) on a team of two workers.
 fn packed_bias(x: &Tensor, w: &Tensor, bias: &Tensor) -> Tensor {
-    par::with_num_threads(2, || {
-        with_kernel_path(KernelPath::Packed, || {
-            gemm(&GemmDesc::new(x, w).epilogue(Some(bias))).unwrap()
-        })
+    par::with_par_threshold(0, || {
+        par::with_num_threads(2, || gemm(&GemmDesc::new(x, w).epilogue(Some(bias))).unwrap())
     })
 }
 
@@ -157,8 +135,6 @@ fn packed_bias(x: &Tensor, w: &Tensor, bias: &Tensor) -> Tensor {
 /// buffers are held or released.
 #[test]
 fn held_lease_never_aliases_kernel_scratch() {
-    let _g = lock_globals();
-    par::set_par_threshold(0);
     let (m, k, n) = (21usize, 35usize, 18usize);
     let x = rand_t(&[m, k], 4);
     let w = rand_t(&[k, n], 5);

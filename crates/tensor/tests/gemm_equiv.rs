@@ -6,31 +6,20 @@
 //!
 //! Every cell is anchored to a naive triple loop over the operands
 //! followed by the separate [`epilogue_pass`], and must match it **bitwise**
-//! on the reference kernel, on the forced packed kernel and on whatever
-//! path the gate picks, and — both kernels at one worker — at every SIMD
-//! level the host has (Scalar ≡ AVX2 ≡ AVX-512); each surviving wrapper
-//! name must equal its descriptor. The kernel path, the SIMD level and the
-//! worker count are forced through scoped thread-local seams, so the only
-//! process-wide state left to serialise is the parallel threshold.
+//! on the reference kernel, on the forced packed kernel and unforced (the
+//! packed kernel every production call takes), and — both kernels at one
+//! worker — at every SIMD level the host has (Scalar ≡ AVX2 ≡ AVX-512);
+//! each wrapper name must equal its descriptor at rank 2 and rank 3. The
+//! kernel path, the SIMD level, the worker count and the parallel
+//! threshold are forced through scoped thread-local seams, so the suite
+//! needs no lock.
 
 use metalora_tensor::ops::{
-    bmm, bmm_transpose_a, bmm_transpose_b, epilogue_pass, gemm, matmul, matmul_transpose_a,
-    matmul_transpose_b, simd_level, with_kernel_path, GemmDesc, KernelPath, Layout, SimdLevel,
+    epilogue_pass, gemm, matmul, matmul_transpose_a, matmul_transpose_b, simd_level,
+    with_kernel_path, GemmDesc, KernelPath, Layout, SimdLevel,
 };
 use metalora_tensor::{init, par, Tensor};
 use proptest::prelude::*;
-use std::sync::{Mutex, MutexGuard};
-
-static THRESHOLD_LOCK: Mutex<()> = Mutex::new(());
-
-/// Holds the threshold lock; restores the default threshold on drop.
-struct ThresholdGuard(#[allow(dead_code)] MutexGuard<'static, ()>);
-
-impl Drop for ThresholdGuard {
-    fn drop(&mut self) {
-        par::set_par_threshold(usize::MAX);
-    }
-}
 
 fn bits_eq(a: &Tensor, b: &Tensor) -> bool {
     a.dims() == b.dims() && a.data().iter().zip(b.data()).all(|(x, y)| x.to_bits() == y.to_bits())
@@ -82,8 +71,6 @@ proptest! {
         bs in 2usize..4,
         seed in 0u64..1000,
     ) {
-        let _g = ThresholdGuard(THRESHOLD_LOCK.lock().unwrap_or_else(|e| e.into_inner()));
-        par::set_par_threshold(0);
         let (m, k, n) = match class {
             0 => (m, k, n),           // ragged in every dimension
             1 => (m, 0, n),           // empty inner dimension
@@ -136,12 +123,15 @@ proptest! {
                     });
                     prop_assert!(bits_eq(&reference, &expect), "reference kernel: {what}");
                     for threads in [1usize, 2, 3, 4, 7] {
-                        let (packed, auto) = par::with_num_threads(threads, || {
-                            let packed = with_kernel_path(KernelPath::Packed, || gemm(&desc).unwrap());
-                            (packed, gemm(&desc).unwrap())
+                        let (packed, unforced) = par::with_par_threshold(0, || {
+                            par::with_num_threads(threads, || {
+                                let packed =
+                                    with_kernel_path(KernelPath::Packed, || gemm(&desc).unwrap());
+                                (packed, gemm(&desc).unwrap())
+                            })
                         });
                         prop_assert!(bits_eq(&packed, &expect), "packed@{threads}: {what}");
-                        prop_assert!(bits_eq(&auto, &expect), "auto@{threads}: {what}");
+                        prop_assert!(bits_eq(&unforced, &expect), "unforced@{threads}: {what}");
                     }
                     for level in LEVELS.into_iter().filter(|&l| l <= simd_level()) {
                         for path in [KernelPath::Reference, KernelPath::Packed] {
@@ -152,15 +142,13 @@ proptest! {
                         }
                     }
                 }
-                // Each wrapper name is its descriptor (no bias).
+                // Each wrapper name is its descriptor (no bias), whatever
+                // the operands' ranks.
                 let wrapper = match (batching, at, bt) {
-                    (Batching::Unbatched, false, false) => Some(matmul(&a, &b)),
-                    (Batching::Unbatched, true, false) => Some(matmul_transpose_a(&a, &b)),
-                    (Batching::Unbatched, false, true) => Some(matmul_transpose_b(&a, &b)),
-                    (Batching::Batched, false, false) => Some(bmm(&a, &b)),
-                    (Batching::Batched, true, false) => Some(bmm_transpose_a(&a, &b)),
-                    (Batching::Batched, false, true) => Some(bmm_transpose_b(&a, &b)),
-                    _ => None,
+                    (Batching::Matvec, ..) | (_, true, true) => None,
+                    (_, false, false) => Some(matmul(&a, &b)),
+                    (_, true, false) => Some(matmul_transpose_a(&a, &b)),
+                    (_, false, true) => Some(matmul_transpose_b(&a, &b)),
                 };
                 if let Some(got) = wrapper {
                     let want = Tensor::from_vec(naive(&a, at, &b, bt, (bs, m, k, n)), &out_dims);

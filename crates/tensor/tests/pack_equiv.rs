@@ -1,15 +1,16 @@
 //! Property tests asserting the packed register-tiled microkernel is
-//! **bitwise identical** to the reference kernel under every surviving
-//! wrapper name, across ragged shapes (m, n, k not multiples of
+//! **bitwise identical** to the reference kernel under every wrapper name,
+//! at rank 2 and rank 3, across ragged shapes (m, n, k not multiples of
 //! MR/NR/KC, including 1×n and m×1), and that the workspace arena actually
 //! reuses buffers without ever aliasing concurrent checkouts. (The full
 //! descriptor space — layouts × batching × bias — is swept by
 //! `gemm_equiv.rs`.)
 //!
-//! Each kernel and worker count is forced through the scoped thread-local
-//! seams ([`with_kernel_path`], [`par::with_num_threads`]); the suite lock
-//! remains for what is still process-wide — the parallel threshold, and
-//! the obs counters the accounting tests read.
+//! Each kernel, worker count and parallel threshold is forced through the
+//! scoped thread-local seams ([`with_kernel_path`],
+//! [`par::with_num_threads`], [`par::with_par_threshold`]); the suite
+//! lock remains for what is still process-wide — the obs counters the
+//! accounting tests read.
 //!
 //! The tile-grid scheduler gets its own sweep here: packed × parallel at
 //! worker counts {1, 2, 3, 4, 7} over ragged shapes (including ones that
@@ -28,26 +29,18 @@
 //! doc comments, element for element.
 
 use metalora_tensor::ops::{
-    bmm, bmm_transpose_a, bmm_transpose_b, gemm, matmul, matmul_transpose_a, matmul_transpose_b,
-    microkernel, simd_level, with_kernel_path, GemmDesc, KernelPath, Layout, SimdLevel,
+    gemm, matmul, matmul_transpose_a, matmul_transpose_b, microkernel, simd_level,
+    with_kernel_path, GemmDesc, KernelPath, Layout, SimdLevel,
 };
 use metalora_tensor::{init, par, workspace, Tensor};
 use proptest::prelude::*;
 use std::sync::{Mutex, MutexGuard};
 
-static LOCK: Mutex<()> = Mutex::new(());
-
-struct ThreadsGuard(#[allow(dead_code)] MutexGuard<'static, ()>);
-
-/// Locks the suite; the guard restores the threshold on drop.
-fn lock_threads() -> ThreadsGuard {
-    ThreadsGuard(LOCK.lock().unwrap_or_else(|e| e.into_inner()))
-}
-
-impl Drop for ThreadsGuard {
-    fn drop(&mut self) {
-        par::set_par_threshold(usize::MAX);
-    }
+/// Serialises the suite: the accounting tests read the process-wide obs
+/// counters, which every GEMM here would otherwise add to.
+fn lock() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 fn bits_eq(a: &Tensor, b: &Tensor) -> bool {
@@ -57,7 +50,7 @@ fn bits_eq(a: &Tensor, b: &Tensor) -> bool {
 /// Runs `f` on the reference kernel, then on the packed kernel, and
 /// asserts the outputs agree to the bit.
 fn assert_pack_equiv(f: impl Fn() -> Tensor) {
-    let _g = lock_threads();
+    let _g = lock();
     let reference = with_kernel_path(KernelPath::Reference, &f);
     let packed = with_kernel_path(KernelPath::Packed, &f);
     assert!(bits_eq(&reference, &packed), "packed result diverged from the reference kernel");
@@ -66,11 +59,12 @@ fn assert_pack_equiv(f: impl Fn() -> Tensor) {
 /// Runs `f` on the reference kernel with one worker, then on the packed
 /// kernel at each of `threads`, and asserts every run agrees to the bit.
 fn assert_thread_sweep(threads: &[usize], f: impl Fn() -> Tensor) {
-    let _g = lock_threads();
+    let _g = lock();
     let reference = par::with_num_threads(1, || with_kernel_path(KernelPath::Reference, &f));
-    par::set_par_threshold(0);
     for &t in threads {
-        let out = par::with_num_threads(t, || with_kernel_path(KernelPath::Packed, &f));
+        let out = par::with_par_threshold(0, || {
+            par::with_num_threads(t, || with_kernel_path(KernelPath::Packed, &f))
+        });
         assert!(bits_eq(&reference, &out), "packed at {t} workers diverged");
     }
 }
@@ -85,21 +79,27 @@ proptest! {
 
     #[test]
     fn matmul_family_packed_bitwise(
+        bs in 1usize..5,
         m in 1usize..48,
         k in 0usize..48,
         n in 1usize..48,
         seed in 0u64..1000,
     ) {
+        // Each layout at rank 2, then per batch slice at rank 3.
+        for lead in [vec![], vec![bs]] {
+            let dims = |r: usize, c: usize| [&lead[..], &[r, c]].concat();
+            let a = rand_t(&dims(m, k), seed);
+            let b = rand_t(&dims(k, n), seed + 1);
+            assert_pack_equiv(|| matmul(&a, &b).unwrap());
+
+            let at = rand_t(&dims(k, m), seed + 2);
+            assert_pack_equiv(|| matmul_transpose_a(&at, &b).unwrap());
+
+            let bt = rand_t(&dims(n, k), seed + 3);
+            assert_pack_equiv(|| matmul_transpose_b(&a, &bt).unwrap());
+        }
+
         let a = rand_t(&[m, k], seed);
-        let b = rand_t(&[k, n], seed + 1);
-        assert_pack_equiv(|| matmul(&a, &b).unwrap());
-
-        let at = rand_t(&[k, m], seed + 2);
-        assert_pack_equiv(|| matmul_transpose_a(&at, &b).unwrap());
-
-        let bt = rand_t(&[n, k], seed + 3);
-        assert_pack_equiv(|| matmul_transpose_b(&a, &bt).unwrap());
-
         let x = rand_t(&[k], seed + 4);
         assert_pack_equiv(|| gemm(&GemmDesc::new(&a, &x)).unwrap());
     }
@@ -138,25 +138,6 @@ proptest! {
     }
 
     #[test]
-    fn bmm_family_packed_bitwise(
-        bs in 1usize..5,
-        m in 1usize..14,
-        k in 1usize..14,
-        n in 1usize..14,
-        seed in 0u64..1000,
-    ) {
-        let a = rand_t(&[bs, m, k], seed);
-        let b = rand_t(&[bs, k, n], seed + 1);
-        assert_pack_equiv(|| bmm(&a, &b).unwrap());
-
-        let at = rand_t(&[bs, k, m], seed + 2);
-        assert_pack_equiv(|| bmm_transpose_a(&at, &b).unwrap());
-
-        let bt = rand_t(&[bs, n, k], seed + 3);
-        assert_pack_equiv(|| bmm_transpose_b(&a, &bt).unwrap());
-    }
-
-    #[test]
     fn packed_composes_with_row_block_parallelism(
         m in 1usize..40,
         k in 1usize..40,
@@ -173,6 +154,7 @@ proptest! {
 
     #[test]
     fn tile_grid_thread_sweep_is_bitwise(
+        bs in 1usize..4,
         m in 1usize..60,
         k in 1usize..150,
         n in 1usize..60,
@@ -180,9 +162,19 @@ proptest! {
     ) {
         // The tile grid hands out (strip, column-group) cells in whatever
         // order the team claims them; no worker count may move a bit.
+        let threads = [1, 2, 3, 4, 7];
         let a = rand_t(&[m, k], seed);
         let b = rand_t(&[k, n], seed + 1);
-        assert_thread_sweep(&[1, 2, 3, 4, 7], || matmul(&a, &b).unwrap());
+        assert_thread_sweep(&threads, || matmul(&a, &b).unwrap());
+        // Batched, each layout: strips never straddle batches.
+        let (m, k, n) = (m % 12 + 1, k % 12 + 1, n % 12 + 1);
+        let a = rand_t(&[bs, m, k], seed + 2);
+        let b = rand_t(&[bs, k, n], seed + 3);
+        let at = rand_t(&[bs, k, m], seed + 4);
+        let bt = rand_t(&[bs, n, k], seed + 5);
+        assert_thread_sweep(&threads, || matmul(&a, &b).unwrap());
+        assert_thread_sweep(&threads, || matmul_transpose_a(&at, &b).unwrap());
+        assert_thread_sweep(&threads, || matmul_transpose_b(&a, &bt).unwrap());
     }
 
     #[test]
@@ -197,25 +189,6 @@ proptest! {
         let a = rand_t(&[m, k], seed);
         let b = rand_t(&[k, n], seed + 1);
         assert_thread_sweep(&[2, 3, 7], || matmul(&a, &b).unwrap());
-    }
-
-    #[test]
-    fn tile_grid_bmm_thread_sweep_is_bitwise(
-        bs in 1usize..4,
-        m in 1usize..12,
-        k in 1usize..12,
-        n in 1usize..12,
-        seed in 0u64..1000,
-    ) {
-        // Batched variants share the grid (strips never straddle batches).
-        let a = rand_t(&[bs, m, k], seed);
-        let b = rand_t(&[bs, k, n], seed + 1);
-        let at = rand_t(&[bs, k, m], seed + 2);
-        let bt = rand_t(&[bs, n, k], seed + 3);
-        let threads = [1, 2, 3, 4, 7];
-        assert_thread_sweep(&threads, || bmm(&a, &b).unwrap());
-        assert_thread_sweep(&threads, || bmm_transpose_a(&at, &b).unwrap());
-        assert_thread_sweep(&threads, || bmm_transpose_b(&a, &bt).unwrap());
     }
 
     #[test]
@@ -244,8 +217,7 @@ proptest! {
 fn register_tile_sweep_is_bitwise_at_every_level() {
     use Layout::{N, T};
     const LAYOUTS: [(Layout, Layout); 4] = [(N, N), (N, T), (T, N), (T, T)];
-    let _g = lock_threads();
-    par::set_par_threshold(0);
+    let _g = lock();
     let levels = [SimdLevel::Scalar, SimdLevel::Avx2, SimdLevel::Avx512];
     let levels: Vec<_> = levels.into_iter().filter(|&l| l <= simd_level()).collect();
     let mut seed = 0;
@@ -263,9 +235,11 @@ fn register_tile_sweep_is_bitwise_at_every_level() {
                     });
                     for &level in &levels {
                         for threads in [1, 4] {
-                            let got = par::with_num_threads(threads, || {
-                                with_kernel_path(level, || {
-                                    with_kernel_path(KernelPath::Packed, || gemm(&desc).unwrap())
+                            let got = par::with_par_threshold(0, || {
+                                par::with_num_threads(threads, || {
+                                    with_kernel_path(level, || {
+                                        with_kernel_path(KernelPath::Packed, || gemm(&desc).unwrap())
+                                    })
                                 })
                             });
                             assert!(
@@ -355,7 +329,7 @@ proptest! {
 /// identical matmuls must check their packing buffers back out as hits.
 #[test]
 fn workspace_reuse_shows_up_in_obs_counters() {
-    let _g = lock_threads();
+    let _g = lock();
     metalora_obs::set_enabled(true);
     metalora_obs::reset();
     workspace::clear();
@@ -379,18 +353,19 @@ fn workspace_reuse_shows_up_in_obs_counters() {
 /// tallies summing to the total.
 #[test]
 fn tile_grid_counters_account_for_every_cell() {
-    let _g = lock_threads();
+    let _g = lock();
     metalora_obs::set_enabled(true);
     metalora_obs::reset();
-    par::set_par_threshold(0);
     let (m, k, n) = (37usize, 50usize, 300usize);
     let a = rand_t(&[m, k], 11);
     let b = rand_t(&[k, n], 12);
     let gemms = 5u64;
-    par::with_num_threads(3, || {
-        for _ in 0..gemms {
-            let _ = matmul(&a, &b).unwrap();
-        }
+    par::with_par_threshold(0, || {
+        par::with_num_threads(3, || {
+            for _ in 0..gemms {
+                let _ = matmul(&a, &b).unwrap();
+            }
+        })
     });
     let snap = metalora_obs::counters::snapshot();
     metalora_obs::set_enabled(false);

@@ -1,47 +1,33 @@
 //! Property tests asserting the parallel kernels are **bitwise identical**
 //! to serial execution for every thread count, including more threads than
-//! rows, and for degenerate shapes (1×N, N×1, empty dimensions).
+//! rows, and for degenerate shapes (1×N, N×1, empty dimensions). Products
+//! run on both GEMM kernels: the packed one every call takes, and the
+//! reference oracle with its own row-block split.
 //!
 //! The threshold is forced to 0 so even tiny random shapes take the
-//! parallel path, and a process-wide lock serialises the tests because the
-//! threshold is global; worker counts go through the scoped thread-local
-//! seam ([`par::with_num_threads`]).
+//! parallel path; it, the worker count and the kernel go through the
+//! scoped thread-local seams ([`par::with_par_threshold`],
+//! [`par::with_num_threads`], [`with_kernel_path`]), so the tests need no
+//! lock.
 
 use metalora_tensor::ops::{
-    add_scaled, bmm, bmm_transpose_a, bmm_transpose_b, gemm, map, matmul, matmul_transpose_a,
-    matmul_transpose_b, max_axis, sum_axis, zip_with, GemmDesc,
+    add_scaled, gemm, map, matmul, matmul_transpose_a, matmul_transpose_b, max_axis, sum_axis,
+    with_kernel_path, zip_with, GemmDesc, KernelPath,
 };
 use metalora_tensor::conv::{col2im, conv2d, im2col, ConvSpec};
 use metalora_tensor::{init, par, Tensor};
 use proptest::prelude::*;
-use std::sync::{Mutex, MutexGuard};
 
 /// Thread counts exercised per case: serial, even split, odd split, and
 /// far more workers than most generated shapes have rows.
 const THREADS: [usize; 4] = [1, 2, 7, 64];
 
-static LOCK: Mutex<()> = Mutex::new(());
-
-struct ParGuard(#[allow(dead_code)] MutexGuard<'static, ()>);
-
-fn force_parallel() -> ParGuard {
-    let g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    par::set_par_threshold(0);
-    ParGuard(g)
-}
-
-impl Drop for ParGuard {
-    fn drop(&mut self) {
-        par::set_par_threshold(usize::MAX);
-    }
-}
-
-/// Runs `f` serially and under each thread count, asserting bitwise-equal
-/// tensor data every time.
+/// Runs `f` serially and under each thread count with the parallel path
+/// forced, asserting bitwise-equal tensor data every time.
 fn assert_bitwise_invariant(f: impl Fn() -> Tensor) {
     let serial = par::with_num_threads(1, &f);
     for &t in &THREADS[1..] {
-        let parallel = par::with_num_threads(t, &f);
+        let parallel = par::with_par_threshold(0, || par::with_num_threads(t, &f));
         assert_eq!(
             serial.dims(),
             parallel.dims(),
@@ -56,6 +42,13 @@ fn assert_bitwise_invariant(f: impl Fn() -> Tensor) {
     }
 }
 
+/// [`assert_bitwise_invariant`] on each GEMM kernel.
+fn assert_invariant_on_both_kernels(f: impl Fn() -> Tensor) {
+    for path in [KernelPath::Reference, KernelPath::Packed] {
+        assert_bitwise_invariant(|| with_kernel_path(path, &f));
+    }
+}
+
 fn rand_t(dims: &[usize], seed: u64) -> Tensor {
     let mut r = init::rng(seed);
     init::uniform(dims, -1.0, 1.0, &mut r)
@@ -66,61 +59,45 @@ proptest! {
 
     #[test]
     fn matmul_family_bitwise(
+        bs in 1usize..5,
         m in 1usize..40,
         k in 0usize..40,
         n in 1usize..40,
         seed in 0u64..1000,
     ) {
-        let _g = force_parallel();
+        // Each layout at rank 2, then per batch slice at rank 3.
+        for lead in [vec![], vec![bs]] {
+            let dims = |r: usize, c: usize| [&lead[..], &[r, c]].concat();
+            let a = rand_t(&dims(m, k), seed);
+            let b = rand_t(&dims(k, n), seed + 1);
+            assert_invariant_on_both_kernels(|| matmul(&a, &b).unwrap());
+
+            let at = rand_t(&dims(k, m), seed + 2);
+            assert_invariant_on_both_kernels(|| matmul_transpose_a(&at, &b).unwrap());
+
+            let bt = rand_t(&dims(n, k), seed + 3);
+            assert_invariant_on_both_kernels(|| matmul_transpose_b(&a, &bt).unwrap());
+        }
+
         let a = rand_t(&[m, k], seed);
-        let b = rand_t(&[k, n], seed + 1);
-        assert_bitwise_invariant(|| matmul(&a, &b).unwrap());
-
-        let at = rand_t(&[k, m], seed + 2);
-        assert_bitwise_invariant(|| matmul_transpose_a(&at, &b).unwrap());
-
-        let bt = rand_t(&[n, k], seed + 3);
-        assert_bitwise_invariant(|| matmul_transpose_b(&a, &bt).unwrap());
-
         let x = rand_t(&[k], seed + 4);
-        assert_bitwise_invariant(|| gemm(&GemmDesc::new(&a, &x)).unwrap());
+        assert_invariant_on_both_kernels(|| gemm(&GemmDesc::new(&a, &x)).unwrap());
     }
 
     #[test]
     fn matmul_degenerate_rows_bitwise(n in 1usize..60, seed in 0u64..1000) {
-        let _g = force_parallel();
         // 1×N (single output row — fewer rows than every worker count).
         let a = rand_t(&[1, n], seed);
         let b = rand_t(&[n, n], seed + 1);
-        assert_bitwise_invariant(|| matmul(&a, &b).unwrap());
+        assert_invariant_on_both_kernels(|| matmul(&a, &b).unwrap());
         // N×1 output column.
         let c = rand_t(&[n, n], seed + 2);
         let d = rand_t(&[n, 1], seed + 3);
-        assert_bitwise_invariant(|| matmul(&c, &d).unwrap());
+        assert_invariant_on_both_kernels(|| matmul(&c, &d).unwrap());
         // Empty inner dimension: all-zero output, still must agree.
         let e = Tensor::zeros(&[n, 0]);
         let f = Tensor::zeros(&[0, n]);
-        assert_bitwise_invariant(|| matmul(&e, &f).unwrap());
-    }
-
-    #[test]
-    fn bmm_family_bitwise(
-        bs in 1usize..5,
-        m in 1usize..12,
-        k in 1usize..12,
-        n in 1usize..12,
-        seed in 0u64..1000,
-    ) {
-        let _g = force_parallel();
-        let a = rand_t(&[bs, m, k], seed);
-        let b = rand_t(&[bs, k, n], seed + 1);
-        assert_bitwise_invariant(|| bmm(&a, &b).unwrap());
-
-        let at = rand_t(&[bs, k, m], seed + 2);
-        assert_bitwise_invariant(|| bmm_transpose_a(&at, &b).unwrap());
-
-        let bt = rand_t(&[bs, n, k], seed + 3);
-        assert_bitwise_invariant(|| bmm_transpose_b(&a, &bt).unwrap());
+        assert_invariant_on_both_kernels(|| matmul(&e, &f).unwrap());
     }
 
     #[test]
@@ -134,13 +111,12 @@ proptest! {
         seed in 0u64..1000,
     ) {
         prop_assume!(hw + 2 * pad >= k);
-        let _g = force_parallel();
         let spec = ConvSpec::new(k, stride, pad).unwrap();
         let x = rand_t(&[n, c, hw, hw], seed);
         assert_bitwise_invariant(|| im2col(&x, spec, spec).unwrap());
 
         let w = rand_t(&[k, k, c, 3], seed + 1);
-        assert_bitwise_invariant(|| conv2d(&x, &w, spec, spec).unwrap());
+        assert_invariant_on_both_kernels(|| conv2d(&x, &w, spec, spec).unwrap());
 
         let pix = spec.out_size(hw).unwrap().pow(2);
         let g = rand_t(&[n, c * k * k, pix], seed + 2);
@@ -153,7 +129,6 @@ proptest! {
         cols in 1usize..30,
         seed in 0u64..1000,
     ) {
-        let _g = force_parallel();
         let a = rand_t(&[rows, cols], seed);
         let b = rand_t(&[rows, cols], seed + 1);
         assert_bitwise_invariant(|| map(&a, |x| x.tanh()));
@@ -169,8 +144,6 @@ proptest! {
 /// outputs exactly — the acceptance criterion of the threading layer.
 #[test]
 fn default_threshold_matches_forced_serial_large() {
-    let g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let _restore = ParGuard(g);
     let a = rand_t(&[300, 300], 42);
     let b = rand_t(&[300, 300], 43);
     let serial = par::with_num_threads(1, || matmul(&a, &b).unwrap());
