@@ -79,27 +79,21 @@ proptest! {
 
     #[test]
     fn matmul_family_packed_bitwise(
-        bs in 1usize..5,
         m in 1usize..48,
         k in 0usize..48,
         n in 1usize..48,
         seed in 0u64..1000,
     ) {
-        // Each layout at rank 2, then per batch slice at rank 3.
-        for lead in [vec![], vec![bs]] {
-            let dims = |r: usize, c: usize| [&lead[..], &[r, c]].concat();
-            let a = rand_t(&dims(m, k), seed);
-            let b = rand_t(&dims(k, n), seed + 1);
-            assert_pack_equiv(|| matmul(&a, &b).unwrap());
-
-            let at = rand_t(&dims(k, m), seed + 2);
-            assert_pack_equiv(|| matmul_transpose_a(&at, &b).unwrap());
-
-            let bt = rand_t(&dims(n, k), seed + 3);
-            assert_pack_equiv(|| matmul_transpose_b(&a, &bt).unwrap());
-        }
-
         let a = rand_t(&[m, k], seed);
+        let b = rand_t(&[k, n], seed + 1);
+        assert_pack_equiv(|| matmul(&a, &b).unwrap());
+
+        let at = rand_t(&[k, m], seed + 2);
+        assert_pack_equiv(|| matmul_transpose_a(&at, &b).unwrap());
+
+        let bt = rand_t(&[n, k], seed + 3);
+        assert_pack_equiv(|| matmul_transpose_b(&a, &bt).unwrap());
+
         let x = rand_t(&[k], seed + 4);
         assert_pack_equiv(|| gemm(&GemmDesc::new(&a, &x)).unwrap());
     }
@@ -138,6 +132,26 @@ proptest! {
     }
 
     #[test]
+    fn bmm_family_packed_bitwise(
+        bs in 1usize..5,
+        m in 1usize..14,
+        k in 0usize..14,
+        n in 1usize..14,
+        seed in 0u64..1000,
+    ) {
+        // Each layout at rank 3: one product per batch slice.
+        let a = rand_t(&[bs, m, k], seed);
+        let b = rand_t(&[bs, k, n], seed + 1);
+        assert_pack_equiv(|| matmul(&a, &b).unwrap());
+
+        let at = rand_t(&[bs, k, m], seed + 2);
+        assert_pack_equiv(|| matmul_transpose_a(&at, &b).unwrap());
+
+        let bt = rand_t(&[bs, n, k], seed + 3);
+        assert_pack_equiv(|| matmul_transpose_b(&a, &bt).unwrap());
+    }
+
+    #[test]
     fn packed_composes_with_row_block_parallelism(
         m in 1usize..40,
         k in 1usize..40,
@@ -154,7 +168,6 @@ proptest! {
 
     #[test]
     fn tile_grid_thread_sweep_is_bitwise(
-        bs in 1usize..4,
         m in 1usize..60,
         k in 1usize..150,
         n in 1usize..60,
@@ -162,19 +175,9 @@ proptest! {
     ) {
         // The tile grid hands out (strip, column-group) cells in whatever
         // order the team claims them; no worker count may move a bit.
-        let threads = [1, 2, 3, 4, 7];
         let a = rand_t(&[m, k], seed);
         let b = rand_t(&[k, n], seed + 1);
-        assert_thread_sweep(&threads, || matmul(&a, &b).unwrap());
-        // Batched, each layout: strips never straddle batches.
-        let (m, k, n) = (m % 12 + 1, k % 12 + 1, n % 12 + 1);
-        let a = rand_t(&[bs, m, k], seed + 2);
-        let b = rand_t(&[bs, k, n], seed + 3);
-        let at = rand_t(&[bs, k, m], seed + 4);
-        let bt = rand_t(&[bs, n, k], seed + 5);
-        assert_thread_sweep(&threads, || matmul(&a, &b).unwrap());
-        assert_thread_sweep(&threads, || matmul_transpose_a(&at, &b).unwrap());
-        assert_thread_sweep(&threads, || matmul_transpose_b(&a, &bt).unwrap());
+        assert_thread_sweep(&[1, 2, 3, 4, 7], || matmul(&a, &b).unwrap());
     }
 
     #[test]
@@ -189,6 +192,25 @@ proptest! {
         let a = rand_t(&[m, k], seed);
         let b = rand_t(&[k, n], seed + 1);
         assert_thread_sweep(&[2, 3, 7], || matmul(&a, &b).unwrap());
+    }
+
+    #[test]
+    fn tile_grid_bmm_thread_sweep_is_bitwise(
+        bs in 1usize..4,
+        m in 1usize..12,
+        k in 1usize..12,
+        n in 1usize..12,
+        seed in 0u64..1000,
+    ) {
+        // Rank-3 products share the grid (strips never straddle batches).
+        let a = rand_t(&[bs, m, k], seed);
+        let b = rand_t(&[bs, k, n], seed + 1);
+        let at = rand_t(&[bs, k, m], seed + 2);
+        let bt = rand_t(&[bs, n, k], seed + 3);
+        let threads = [1, 2, 3, 4, 7];
+        assert_thread_sweep(&threads, || matmul(&a, &b).unwrap());
+        assert_thread_sweep(&threads, || matmul_transpose_a(&at, &b).unwrap());
+        assert_thread_sweep(&threads, || matmul_transpose_b(&a, &bt).unwrap());
     }
 
     #[test]

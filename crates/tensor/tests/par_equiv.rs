@@ -59,27 +59,21 @@ proptest! {
 
     #[test]
     fn matmul_family_bitwise(
-        bs in 1usize..5,
         m in 1usize..40,
         k in 0usize..40,
         n in 1usize..40,
         seed in 0u64..1000,
     ) {
-        // Each layout at rank 2, then per batch slice at rank 3.
-        for lead in [vec![], vec![bs]] {
-            let dims = |r: usize, c: usize| [&lead[..], &[r, c]].concat();
-            let a = rand_t(&dims(m, k), seed);
-            let b = rand_t(&dims(k, n), seed + 1);
-            assert_invariant_on_both_kernels(|| matmul(&a, &b).unwrap());
-
-            let at = rand_t(&dims(k, m), seed + 2);
-            assert_invariant_on_both_kernels(|| matmul_transpose_a(&at, &b).unwrap());
-
-            let bt = rand_t(&dims(n, k), seed + 3);
-            assert_invariant_on_both_kernels(|| matmul_transpose_b(&a, &bt).unwrap());
-        }
-
         let a = rand_t(&[m, k], seed);
+        let b = rand_t(&[k, n], seed + 1);
+        assert_invariant_on_both_kernels(|| matmul(&a, &b).unwrap());
+
+        let at = rand_t(&[k, m], seed + 2);
+        assert_invariant_on_both_kernels(|| matmul_transpose_a(&at, &b).unwrap());
+
+        let bt = rand_t(&[n, k], seed + 3);
+        assert_invariant_on_both_kernels(|| matmul_transpose_b(&a, &bt).unwrap());
+
         let x = rand_t(&[k], seed + 4);
         assert_invariant_on_both_kernels(|| gemm(&GemmDesc::new(&a, &x)).unwrap());
     }
@@ -98,6 +92,26 @@ proptest! {
         let e = Tensor::zeros(&[n, 0]);
         let f = Tensor::zeros(&[0, n]);
         assert_invariant_on_both_kernels(|| matmul(&e, &f).unwrap());
+    }
+
+    #[test]
+    fn bmm_family_bitwise(
+        bs in 1usize..5,
+        m in 1usize..12,
+        k in 0usize..12,
+        n in 1usize..12,
+        seed in 0u64..1000,
+    ) {
+        // Each layout at rank 3: one product per batch slice.
+        let a = rand_t(&[bs, m, k], seed);
+        let b = rand_t(&[bs, k, n], seed + 1);
+        assert_invariant_on_both_kernels(|| matmul(&a, &b).unwrap());
+
+        let at = rand_t(&[bs, k, m], seed + 2);
+        assert_invariant_on_both_kernels(|| matmul_transpose_a(&at, &b).unwrap());
+
+        let bt = rand_t(&[bs, n, k], seed + 3);
+        assert_invariant_on_both_kernels(|| matmul_transpose_b(&a, &bt).unwrap());
     }
 
     #[test]
