@@ -258,13 +258,12 @@ fn sweep(
     points: &mut Vec<KernelPoint>,
     f: impl Fn() -> Tensor,
 ) {
-    par::set_num_threads(1);
-    let (_, reference) = ops::with_kernel_path(KernelPath::Reference, || time_ms(1, &f));
+    let (_, reference) =
+        par::with_num_threads(1, || ops::with_kernel_path(KernelPath::Reference, || time_ms(1, &f)));
     for (path, forced) in [("legacy", KernelPath::Reference), ("packed", KernelPath::Packed)] {
         let mut base_ms = f64::NAN;
         for &t in threads {
-            par::set_num_threads(t);
-            let (ms, out) = ops::with_kernel_path(forced, || time_ms(reps, &f));
+            let (ms, out) = par::with_num_threads(t, || ops::with_kernel_path(forced, || time_ms(reps, &f)));
             if t == 1 {
                 base_ms = ms;
             }
@@ -280,7 +279,6 @@ fn sweep(
             });
         }
     }
-    par::set_num_threads(0);
 }
 
 /// The K1 sweeps — dense matmul, conv2d, the KNN probe — at quick or

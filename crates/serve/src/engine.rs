@@ -11,17 +11,21 @@
 //! * mapping-net seed generation — all dynamic MetaLoRA-CP rows are
 //!   stacked into one `[ΣN, D]` forward (and likewise for TR), then split
 //!   back per request;
-//! * the frozen base — the rows of every request served factored over
-//!   the dense base (everything except the merged-cacheable arm and
-//!   `ConvLora`) are stacked into one `[ΣN, I]` matrix for a single
-//!   `x·W + b`, and each request's forward shrinks to its tenant's scaled
-//!   update added onto its row segment. A batch of one is a stack of one.
+//! * the frozen base and every factored update — the rows of every
+//!   request served factored over the dense base (everything except the
+//!   merged-cacheable arm and `ConvLora`) are stacked into one `[ΣN, I]`
+//!   matrix for a single `x·W + b`, and one `ops::lowrank` pass over a
+//!   segment table adds each request's scaled low-rank update (LoRA, bank
+//!   slot, CP or Tensor-Ring) onto its rows in place. The stacked output
+//!   is then split into per-request tensors once. A batch of one is a
+//!   stack of one.
 //!
 //! Both are bitwise identical to per-request execution: matmul rows are
 //! independent, each owns its full increasing-k accumulation on either
-//! kernel, and packing is pure data movement. W never changes (the PEFT
-//! premise), so it is multiplied once; only the input-dependent update
-//! (paper Eq. 6/7) is per tenant.
+//! kernel, packing is pure data movement, and the pass gives every
+//! element of a segment the scalar sequence of that tenant's own `ops`
+//! chain. W never changes (the PEFT premise), so it is multiplied once;
+//! only the input-dependent update (paper Eq. 6/7) is per tenant.
 
 use crate::batch::{concat_rows, split_rows, Batcher, Request};
 use crate::cache::{CacheKey, MergedCache};
@@ -34,6 +38,7 @@ use metalora_obs::{registry, window};
 use metalora_peft::meta::MappingNet;
 use metalora_peft::{merge, MultiLoraLinear};
 use metalora_tensor::conv::ConvSpec;
+use metalora_tensor::ops::{self, Mix, Seed, Segment};
 use metalora_tensor::{Tensor, TensorError};
 use std::borrow::Cow;
 use std::collections::HashMap;
@@ -215,8 +220,9 @@ impl ServeEngine {
 
     /// Serves one batch: resolves tenants, checks every stacked request's
     /// width, runs the batch's one mapping-net forward per format and its
-    /// one stacked base product, then each request's tape-free forward.
-    /// Outputs are in request order.
+    /// one stacked base product with every factored update added on, then
+    /// splits off each stacked request's rows and runs each other
+    /// request's own forward. Outputs are in request order.
     ///
     /// `enq_ns` carries per-request enqueue stamps from the batcher (empty
     /// or zero ⇒ no queue wait attributed). With telemetry on, every
@@ -259,26 +265,31 @@ impl ServeEngine {
         } else {
             seeds_t1.saturating_sub(batch_t0) / seeds.len() as u64
         };
-        let base_y = self.stacked_base(reqs, &segments)?;
-        // The stacked base product is one GEMM for all factored requests;
-        // attribute it by row share.
+        let mut stacked = self.stacked_forward(reqs, &entries, &segments, &seeds)?;
+        // The stacked base product and the low-rank pass over it are one
+        // stage for all factored requests; attribute it by row share.
         let base_ns = if tel { window::now_ns().saturating_sub(seeds_t1) } else { 0 };
 
         let mut out = Vec::with_capacity(reqs.len());
         for (i, (req, entry)) in reqs.iter().zip(&entries).enumerate() {
             let mut stages = StageNs::default();
             let fwd_t0 = if tel { window::now_ns() } else { 0 };
-            let base_rows = segments[i].as_ref().zip(base_y.as_ref()).map(|(rows, y)| {
-                let out_dim = y.dims()[1];
-                &y.data()[rows.start * out_dim..rows.end * out_dim]
-            });
-            let y = self.forward_one(entry, &req.x, seeds.get(&i), base_rows, tel, &mut stages)?;
+            // A stacked request's own forward is splitting off its rows;
+            // a lone one's output is the product itself.
+            let y = match (&segments[i], &stacked) {
+                (Some(_), Some(_)) if segments.iter().flatten().count() == 1 => stacked.take().expect("a stack"),
+                (Some(rows), Some(y)) => {
+                    let o = y.dims()[1];
+                    Tensor::from_vec(y.data()[rows.start * o..rows.end * o].to_vec(), &[rows.len(), o])?
+                }
+                _ => self.forward_one(entry, &req.x, tel, &mut stages)?,
+            };
             if tel {
                 let fwd_ns = window::now_ns().saturating_sub(fwd_t0);
                 // The bias is fused into the GEMM store, so the forward
                 // splits into cache time and "everything else" = gemm,
                 // which for a factored request includes its rows' share
-                // of the stacked base product.
+                // of the stacked stage.
                 stages.gemm = fwd_ns.saturating_sub(stages.cache);
                 if let Some(rows) = &segments[i] {
                     stages.gemm += base_ns * rows.len() as u64 / stacked_rows.max(1) as u64;
@@ -344,29 +355,58 @@ impl ServeEngine {
             .collect()
     }
 
-    /// `x·W + b` once for the batch: the rows of every request with a
-    /// segment, stacked in request order into one `[Σn, I]` matrix (a
-    /// lone request's input is borrowed, not copied). Matmul rows are
-    /// independent and each owns its full increasing-k range, so a row of
-    /// the stacked product is bitwise the row a per-request product would
-    /// have computed. `None` when no request rides the stack.
-    fn stacked_base(
+    /// `x·W + b` once for the rows of every request with a segment,
+    /// stacked in request order (a lone request's input is borrowed), then
+    /// one `ops::lowrank` pass adding each one's scaled update onto its
+    /// rows. Matmul rows are independent and the pass gives each element
+    /// its tenant's own chain, so a row of the result is bitwise the row a
+    /// per-request forward computes. `None` when no request rides.
+    fn stacked_forward(
         &self,
         reqs: &[Request],
+        entries: &[Arc<TenantEntry>],
         segments: &[Option<Range<usize>>],
+        seeds: &HashMap<usize, Tensor>,
     ) -> Result<Option<Tensor>> {
-        let parts: Vec<&Tensor> = reqs
-            .iter()
-            .zip(segments)
-            .filter_map(|(r, seg)| seg.as_ref().map(|_| &r.x))
-            .collect();
+        let (mut parts, mut updates) = (Vec::new(), Vec::new());
+        for (i, ((req, entry), rows)) in reqs.iter().zip(entries).zip(segments).enumerate() {
+            if let Some(rows) = rows {
+                parts.push(&req.x);
+                updates.push(self.update(entry, rows.clone(), seeds.get(&i))?);
+            }
+        }
         let x = match parts[..] {
             [] => return Ok(None),
             [one] => Cow::Borrowed(one),
             _ => Cow::Owned(concat_rows(&parts)?),
         };
         let _sp = metalora_obs::span!("serve/base");
-        infer::linear(&x, &self.base_w, self.base_b.as_ref()).map(Some)
+        let mut y = infer::linear(&x, &self.base_w, self.base_b.as_ref())?;
+        ops::lowrank(&x, &mut y, &updates)?;
+        Ok(Some(y))
+    }
+
+    /// `entry`'s scaled update over `rows` of the stack. A pinned seed is
+    /// read in place for every row; a dynamic tenant uses `seed`, the rows
+    /// the batch's mapping-net forward generated for it.
+    fn update<'a>(
+        &'a self,
+        entry: &'a TenantEntry,
+        rows: Range<usize>,
+        seed: Option<&'a Tensor>,
+    ) -> Result<Segment<'a>> {
+        let seed = |pinned: &'a Option<Tensor>| match pinned {
+            Some(c) => Ok(Seed::Pinned(c)),
+            None => seed.map(Seed::Rows).ok_or_else(|| TensorError::InvalidArgument("serve: missing seed".into())),
+        };
+        let (down, up, scaling, mix) = match &entry.adapter {
+            TenantAdapter::Lora { a, b, scaling } => (a, b, *scaling, Mix::None),
+            TenantAdapter::MultiSlot { slot } => self.bank_slot(*slot).map(|(a, b)| (a, b, self.bank_scaling, Mix::None))?,
+            TenantAdapter::MetaCp { a, b, scaling, pinned_seed } => (a, b, *scaling, Mix::Gate(seed(pinned_seed)?)),
+            TenantAdapter::MetaTr { a, b, scaling, pinned_seed } => (a, b, *scaling, Mix::Ring(seed(pinned_seed)?)),
+            TenantAdapter::ConvLora { .. } => unreachable!("a conv_lora tenant never rides the stack"),
+        };
+        Ok(Segment { rows, down, up, scaling, mix })
     }
 
     /// One mapping-net forward per format for all dynamic rows of the
@@ -432,93 +472,51 @@ impl ServeEngine {
         Ok(w)
     }
 
-    /// One request's tape-free forward: a GEMM against its cached merged
-    /// weight, or — factored — this tenant's scaled update added to
-    /// `base_rows`, the request's `[n·O]` segment of the batch's stacked
-    /// base product ([`Self::stacked_base`]). The factored arms hold no
-    /// base product of their own.
+    /// The tape-free forward of a request that does not ride the stack:
+    /// a GEMM against its tenant's cached merged weight, or — factored —
+    /// Conv-LoRA over the conv base.
     fn forward_one(
         &self,
         entry: &TenantEntry,
         x: &Tensor,
-        seed: Option<&Tensor>,
-        base_rows: Option<&[f32]>,
         tel: bool,
         stages: &mut StageNs,
     ) -> Result<Tensor> {
-        if self.cfg.use_merged && entry.adapter.cacheable() {
-            // Every cacheable adapter is one dense update folded into the
-            // base it rides on; only conv tenants ride the conv base.
-            let conv = match &entry.adapter {
-                TenantAdapter::ConvLora { .. } => Some(self.conv_base()?),
-                _ => None,
-            };
-            let base = conv.map_or(&self.base_w, |(w, _)| w);
-            let delta = || match &entry.adapter {
-                TenantAdapter::Lora { a, b, scaling } => merge::lora_delta(a, b, *scaling),
-                TenantAdapter::ConvLora { a, b, scaling } => merge::conv_lora_delta(a, b, *scaling),
-                TenantAdapter::MetaCp { a, b, scaling, pinned_seed: Some(c) } => {
-                    merge::cp_delta(a, b, c, *scaling)
-                }
-                TenantAdapter::MetaTr { a, b, scaling, pinned_seed: Some(c) } => {
-                    merge::tr_delta(a, b, c, *scaling)
-                }
-                TenantAdapter::MultiSlot { slot } => {
-                    let (a, b) = self.bank_slot(*slot)?;
-                    merge::lora_delta(a, b, self.bank_scaling)
-                }
-                TenantAdapter::MetaCp { pinned_seed: None, .. }
-                | TenantAdapter::MetaTr { pinned_seed: None, .. } => Err(TensorError::InvalidArgument(
-                    "serve: a dynamic adapter has no dense update".into(),
-                )),
-            };
-            let w = self.merged_weight((entry.id, entry.version), base, delta, tel, stages)?;
-            return match conv {
-                Some((_, spec)) => infer::conv2d(x, &w, self.conv_b.as_ref(), spec),
-                None => infer::linear(x, &w, self.base_b.as_ref()),
-            };
+        let merged = self.cfg.use_merged && entry.adapter.cacheable();
+        if let (false, TenantAdapter::ConvLora { a, b, scaling }) = (merged, &entry.adapter) {
+            let (w, spec) = self.conv_base()?;
+            return forward::conv_lora(x, w, self.conv_b.as_ref(), spec, a, b, *scaling);
         }
-        // A pinned seed is tiled over the request's rows; a dynamic tenant
-        // uses the rows the batch's mapping-net forward generated.
-        let per_row = |pinned: &Option<Tensor>, format: &str| match pinned {
-            Some(c) => forward::tile_seed(c, x.dims()[0]).map(Cow::Owned),
-            None => seed.map(Cow::Borrowed).ok_or_else(|| {
-                TensorError::InvalidArgument(format!("serve: missing generated {format} seed"))
-            }),
+        // Every cacheable adapter is one dense update folded into the base
+        // it rides on; only conv tenants ride the conv base.
+        let conv = match &entry.adapter {
+            TenantAdapter::ConvLora { .. } => Some(self.conv_base()?),
+            _ => None,
         };
-        let mut y = match &entry.adapter {
-            TenantAdapter::ConvLora { a, b, scaling } => {
-                let (w, spec) = self.conv_base()?;
-                return forward::conv_lora(x, w, self.conv_b.as_ref(), spec, a, b, *scaling);
+        let base = conv.map_or(&self.base_w, |(w, _)| w);
+        let delta = || match &entry.adapter {
+            TenantAdapter::Lora { a, b, scaling } => merge::lora_delta(a, b, *scaling),
+            TenantAdapter::ConvLora { a, b, scaling } => merge::conv_lora_delta(a, b, *scaling),
+            TenantAdapter::MetaCp { a, b, scaling, pinned_seed: Some(c) } => {
+                merge::cp_delta(a, b, c, *scaling)
             }
-            TenantAdapter::Lora { a, b, scaling } => forward::lora_update(x, a, b, *scaling)?,
+            TenantAdapter::MetaTr { a, b, scaling, pinned_seed: Some(c) } => {
+                merge::tr_delta(a, b, c, *scaling)
+            }
             TenantAdapter::MultiSlot { slot } => {
                 let (a, b) = self.bank_slot(*slot)?;
-                forward::lora_update(x, a, b, self.bank_scaling)?
+                merge::lora_delta(a, b, self.bank_scaling)
             }
-            TenantAdapter::MetaCp { a, b, scaling, pinned_seed } => {
-                forward::meta_cp_update(x, a, b, per_row(pinned_seed, "CP")?.as_ref(), *scaling)?
-            }
-            TenantAdapter::MetaTr { a, b, scaling, pinned_seed } => {
-                forward::meta_tr_update(x, a, b, per_row(pinned_seed, "TR")?.as_ref(), *scaling)?
-            }
+            TenantAdapter::MetaCp { pinned_seed: None, .. }
+            | TenantAdapter::MetaTr { pinned_seed: None, .. } => Err(TensorError::InvalidArgument(
+                "serve: a dynamic adapter has no dense update".into(),
+            )),
         };
-        let base_rows = base_rows.expect("a request served over the dense base has a segment of the stack");
-        // A segment exists, so the base weight is `[I, O]` and `x` is `[n, I]`.
-        let expected = [x.dims()[0], self.base_w.dims()[1]];
-        if y.dims() != expected {
-            return Err(TensorError::ShapeMismatch {
-                op: "serve: update onto base rows",
-                lhs: expected.to_vec(),
-                rhs: y.dims().to_vec(),
-            });
+        let w = self.merged_weight((entry.id, entry.version), base, delta, tel, stages)?;
+        match conv {
+            Some((_, spec)) => infer::conv2d(x, &w, self.conv_b.as_ref(), spec),
+            None => infer::linear(x, &w, self.base_b.as_ref()),
         }
-        // `y_seg[j] + update[j]`, the one f32 add per element that
-        // `ops::add(&y, &update)` did, written over the update in place.
-        for (u, &base) in y.data_mut().iter_mut().zip(base_rows) {
-            *u += base;
-        }
-        Ok(y)
     }
 
     /// The bank factors of `slot`, bounds-checked.
@@ -601,7 +599,8 @@ mod tests {
     fn reregistration_bumps_version_and_remerges() {
         let mut rng = init::rng(23);
         let e = engine(true);
-        e.register(5, lora_tenant(&mut rng));
+        let first = lora_tenant(&mut rng);
+        let v1 = e.register(5, first.clone());
         let req = Request::new(5, init::uniform(&[1, 4], -1.0, 1.0, &mut rng));
         let y1 = e.serve_one(&req).unwrap();
         // New factors → same tenant id must serve the *new* function.
@@ -611,6 +610,17 @@ mod tests {
         assert_eq!(e.cache().stats().misses, 2);
         assert!(e.deregister(5));
         assert!(e.cache().lru_keys().is_empty() || !e.cache().contains((5, 1)));
+        // A request that raced the deregistration lands a merge of the
+        // first adapter under its key after the purge: an adapter
+        // registered next must never be served from it.
+        let TenantAdapter::Lora { a, b, scaling } = &first else { unreachable!() };
+        let stale = || merge::merge_into(&e.base_w, &merge::lora_delta(a, b, *scaling)?);
+        e.cache().get_or_insert((5, v1), stale).unwrap();
+        let (third, solo) = (lora_tenant(&mut rng), engine(true));
+        solo.register(5, third.clone());
+        assert_ne!(e.register(5, third), v1, "a version was issued twice");
+        let bits = |t: Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(e.serve_one(&req).unwrap()), bits(solo.serve_one(&req).unwrap()));
     }
 
     #[test]

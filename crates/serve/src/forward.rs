@@ -1,29 +1,37 @@
-//! Tape-free adapter forwards.
+//! Tape-free adapter forwards, each bitwise the matching training-mode
+//! `Module::forward` (`tests/forward_equiv.rs`, every adapter method at
+//! `METALORA_THREADS ∈ {1, 2, 4}`).
 //!
-//! Each function issues the `ops::` calls of the matching training-mode
-//! `Module::forward` (whose graph ops are thin wrappers over the same
-//! `ops::` functions), so serve outputs are **bitwise identical** to a
-//! tape forward on the same values — `tests/forward_equiv.rs` gates this
-//! for every adapter method at `METALORA_THREADS ∈ {1, 2, 4}`. The LoRA
-//! and CP chains are short enough to mirror by hand; the Tensor-Ring
-//! chain is not mirrored at all — [`meta_tr_linear`] and
-//! `MetaLoraTrLinear::forward` hand one spec and the same shapes to the
-//! contraction planner (`metalora_tensor::contract`), and its single step
-//! list is walked once over tensors and once over tape nodes.
-//!
-//! Every dense forward is "base + update": `*_linear` runs its own
-//! `infer::linear` and adds the matching update-only function
-//! ([`lora_update`], [`meta_cp_update`], [`meta_tr_update`] — the tenant's
-//! scaled low-rank term, with the shape checks). The engine calls the
-//! update functions directly and adds them to row segments of one base
-//! product per batch, so engine, tape twins and per-request replays share
-//! one update body.
+//! Every dense forward is `infer::linear` plus the tenant's scaled
+//! low-rank update, added by a one-segment `ops::lowrank` pass — the pass
+//! the engine runs over a whole batch's stacked base product, and bitwise
+//! the tape's `ops` chain (`lowrank_equiv` in `metalora-tensor`). Engine,
+//! tape twins and per-request replays share one update body.
 
 use crate::Result;
 use metalora_nn::infer;
 use metalora_peft::meta::MappingNet;
 use metalora_tensor::conv::ConvSpec;
-use metalora_tensor::{contract, ops, Tensor, TensorError};
+use metalora_tensor::ops::{self, Mix, Seed, Segment};
+use metalora_tensor::{Tensor, TensorError};
+
+/// `infer::linear(x, w, bias)` with `scaling·update(x)` added onto every
+/// row by one `ops::lowrank` segment.
+fn base_plus_update(
+    x: &Tensor,
+    w: &Tensor,
+    bias: Option<&Tensor>,
+    down: &Tensor,
+    up: &Tensor,
+    scaling: f32,
+    mix: Mix,
+) -> Result<Tensor> {
+    let mut y = infer::linear(x, w, bias)?;
+    // The base product succeeded, so `x` is `[n, I]`.
+    let rows = 0..x.dims()[0];
+    ops::lowrank(x, &mut y, &[Segment { rows, down, up, scaling, mix }])?;
+    Ok(y)
+}
 
 /// Plain LoRA: `y = x·W + b + scaling·(x·A)·B` — the twin of
 /// `LoraLinear::forward` (and of one `MultiLoraLinear` slot, which runs
@@ -36,17 +44,7 @@ pub fn lora_linear(
     b: &Tensor,
     scaling: f32,
 ) -> Result<Tensor> {
-    let y = infer::linear(x, w, bias)?;
-    ops::add(&y, &lora_update(x, a, b, scaling)?)
-}
-
-/// The LoRA update alone, `scaling·(x·A)·B` — what [`lora_linear`] adds
-/// to the base product, and what the engine adds to a request's row
-/// segment of the batch's one stacked base product.
-pub fn lora_update(x: &Tensor, a: &Tensor, b: &Tensor, scaling: f32) -> Result<Tensor> {
-    let xa = ops::matmul(x, a)?;
-    let delta = ops::matmul(&xa, b)?;
-    Ok(ops::scale(&delta, scaling))
+    base_plus_update(x, w, bias, a, b, scaling, Mix::None)
 }
 
 /// MetaLoRA-CP: `y = base + scaling·((x·A) ⊙ c)·B` with a per-row seed
@@ -61,36 +59,13 @@ pub fn meta_cp_linear(
     seed: &Tensor,
     scaling: f32,
 ) -> Result<Tensor> {
-    let y = infer::linear(x, w, bias)?;
-    ops::add(&y, &meta_cp_update(x, a, b, seed, scaling)?)
-}
-
-/// The MetaLoRA-CP update alone, `scaling·((x·A) ⊙ c)·B` (see
-/// [`lora_update`]).
-pub fn meta_cp_update(x: &Tensor, a: &Tensor, b: &Tensor, seed: &Tensor, scaling: f32) -> Result<Tensor> {
-    let (&[n, _], &[_, r]) = (x.dims(), a.dims()) else {
-        return Err(TensorError::InvalidArgument(format!(
-            "meta_cp_linear: x {:?} and factor A {:?} must be rank 2",
-            x.dims(),
-            a.dims()
-        )));
-    };
-    if seed.dims() != [n, r] {
-        return Err(TensorError::InvalidArgument(format!(
-            "meta_cp_linear: seed shape {:?}, expected [{n}, {r}]",
-            seed.dims()
-        )));
-    }
-    let xa = ops::matmul(x, a)?;
-    let gated = ops::mul(&xa, seed)?;
-    let delta = ops::matmul(&gated, b)?;
-    Ok(ops::scale(&delta, scaling))
+    base_plus_update(x, w, bias, a, b, scaling, Mix::Gate(Seed::Rows(seed)))
 }
 
 /// MetaLoRA-TR: the Eq. 7 network `"ni,xiy,yoz,nzx->no"` with cores
-/// `a:[R,I,R]`, `b:[R,O,R]` and per-row seeds `[N,R·R]` (r2-major),
-/// contracted seed-first by the planner — the twin of
-/// `MetaLoraTrLinear::delta` plus the base add.
+/// `a:[R,I,R]`, `b:[R,O,R]` and per-row seeds `[N,R·R]` (r2-major), in
+/// the planner's order — the twin of `MetaLoraTrLinear::delta` plus the
+/// base add.
 pub fn meta_tr_linear(
     x: &Tensor,
     w: &Tensor,
@@ -100,31 +75,7 @@ pub fn meta_tr_linear(
     seed: &Tensor,
     scaling: f32,
 ) -> Result<Tensor> {
-    let y = infer::linear(x, w, bias)?;
-    ops::add(&y, &meta_tr_update(x, a, b, seed, scaling)?)
-}
-
-/// The MetaLoRA-TR update alone, the scaled Eq. 7 network (see
-/// [`lora_update`]).
-pub fn meta_tr_update(x: &Tensor, a: &Tensor, b: &Tensor, seed: &Tensor, scaling: f32) -> Result<Tensor> {
-    let (&[n, _], &[_, _, _], &[r, _, _]) = (x.dims(), a.dims(), b.dims()) else {
-        return Err(TensorError::InvalidArgument(format!(
-            "meta_tr_linear: x {:?} must be rank 2 and cores A {:?}, B {:?} rank 3",
-            x.dims(),
-            a.dims(),
-            b.dims()
-        )));
-    };
-    if seed.dims() != [n, r * r] {
-        return Err(TensorError::InvalidArgument(format!(
-            "meta_tr_linear: seed shape {:?}, expected [{n}, {}]",
-            seed.dims(),
-            r * r
-        )));
-    }
-    let c = seed.reshaped(&[n, r, r])?; // C[n, r2, r0]
-    let dy = contract::contract_spec("ni,xiy,yoz,nzx->no", &[x, a, b, &c])?;
-    Ok(ops::scale(&dy, scaling))
+    base_plus_update(x, w, bias, a, b, scaling, Mix::Ring(Seed::Rows(seed)))
 }
 
 /// Conv-LoRA: base conv plus the small-conv → 1×1-recovery delta — the
@@ -199,8 +150,9 @@ impl MappingSnapshot {
 }
 
 /// Repeats a pinned seed (flattened to `d` values) into `[n, d]` rows —
-/// how a frozen-task tenant's seed aligns with a multi-row request in the
-/// factored path.
+/// the per-row seed a frozen-task tenant's request hands to
+/// [`meta_cp_linear`] / [`meta_tr_linear`]. (The engine does not tile: its
+/// pass reads a pinned seed in place.)
 pub fn tile_seed(seed: &Tensor, n: usize) -> Result<Tensor> {
     let d = seed.len();
     let mut data = Vec::with_capacity(n * d);

@@ -16,12 +16,13 @@
 //! * [`batch`] — the request batcher: groups requests and amortises
 //!   mapping-net seed generation across a batch (one MLP forward for all
 //!   dynamic-MetaLoRA rows instead of one per request).
-//! * [`forward`] — tape-free adapter forwards. Each mirrors the exact
-//!   `ops::` sequence of the corresponding training-mode graph forward,
-//!   so serve outputs are **bitwise identical** to the tape — the
-//!   `forward_equiv` suite asserts it for every adapter method.
-//! * [`engine`] — [`engine::ServeEngine`] wires the four together and
-//!   records the serve counters.
+//! * [`forward`] — tape-free adapter forwards, each giving every element
+//!   the scalar sequence of the training-mode graph forward, so serve
+//!   outputs are **bitwise identical** to the tape — the `forward_equiv`
+//!   suite asserts it for every adapter method.
+//! * [`engine`] — [`engine::ServeEngine`] wires the four together: one
+//!   stacked base product per batch, every factored update added onto it
+//!   by one `ops::lowrank` pass; it records the serve counters.
 //! * [`telemetry`] — the bridge into `obs::registry`/`obs::slo`: per-
 //!   request stage breakdowns (queue / cache / mapping / gemm),
 //!   per-tenant windowed latency and SLO accounting, cache

@@ -3,9 +3,9 @@
 //! Entries hold plain [`Tensor`] value snapshots (not `ParamRef` cells,
 //! which are `Rc`-based and not `Send`), so the store — and the engine
 //! around it — can be shared across serving threads behind `&self`.
-//! Each insert bumps the tenant's version stamp; the merged-weight cache
-//! keys on `(tenant, version)`, so a re-registered adapter can never be
-//! served from a stale merged weight.
+//! Each insert bumps the tenant's version stamp, across `remove` too; the
+//! merged-weight cache keys on `(tenant, version)`, so a re-registered
+//! adapter can never be served from a stale merged weight.
 
 use crate::Result;
 use metalora_peft::meta::{MetaLoraCpLinear, MetaLoraTrLinear};
@@ -129,7 +129,15 @@ pub struct TenantEntry {
 /// Thread-safe tenant registry.
 #[derive(Default)]
 pub struct AdapterStore {
-    inner: RwLock<HashMap<TenantId, Arc<TenantEntry>>>,
+    inner: RwLock<Registry>,
+}
+
+/// The registered tenants, and the last version issued per id — kept
+/// after `remove` (one `u64` per id ever registered).
+#[derive(Default)]
+struct Registry {
+    live: HashMap<TenantId, Arc<TenantEntry>>,
+    issued: HashMap<TenantId, u64>,
 }
 
 impl AdapterStore {
@@ -139,11 +147,12 @@ impl AdapterStore {
     }
 
     /// Registers (or replaces) `id`'s adapter; returns the new version
-    /// (1 for a first registration, previous + 1 on update).
+    /// (1 for a first registration, the last one issued + 1 after that).
     pub fn insert(&self, id: TenantId, adapter: TenantAdapter) -> u64 {
-        let mut map = self.inner.write().unwrap_or_else(|e| e.into_inner());
-        let version = map.get(&id).map_or(1, |e| e.version + 1);
-        map.insert(id, Arc::new(TenantEntry { id, version, adapter }));
+        let mut reg = self.inner.write().unwrap_or_else(|e| e.into_inner());
+        let version = reg.issued.get(&id).map_or(1, |v| v + 1);
+        reg.issued.insert(id, version);
+        reg.live.insert(id, Arc::new(TenantEntry { id, version, adapter }));
         version
     }
 
@@ -152,6 +161,7 @@ impl AdapterStore {
         self.inner
             .read()
             .unwrap_or_else(|e| e.into_inner())
+            .live
             .get(&id)
             .cloned()
     }
@@ -168,13 +178,14 @@ impl AdapterStore {
         self.inner
             .write()
             .unwrap_or_else(|e| e.into_inner())
+            .live
             .remove(&id)
             .is_some()
     }
 
     /// Number of registered tenants.
     pub fn len(&self) -> usize {
-        self.inner.read().unwrap_or_else(|e| e.into_inner()).len()
+        self.inner.read().unwrap_or_else(|e| e.into_inner()).live.len()
     }
 
     /// `true` when no tenant is registered.
@@ -188,6 +199,7 @@ impl AdapterStore {
             .inner
             .read()
             .unwrap_or_else(|e| e.into_inner())
+            .live
             .keys()
             .copied()
             .collect();

@@ -4,9 +4,11 @@
 //! MetaLoRA-TR (dynamic and pinned-seed), and a `peft::multi` bank slot —
 //! the engine's tape-free path (`use_merged: false`) must reproduce the
 //! recording-tape `Module::forward` bit for bit, at `METALORA_THREADS ∈
-//! {1, 2, 4}`. This holds because both sides run the identical `ops::`
-//! call sequence on identical values, and the kernel layer keeps a fixed
-//! per-element accumulation order regardless of the thread count.
+//! {1, 2, 4}` (each test scopes its worker count to its own thread, so
+//! the suite needs no lock). This holds because every element gets the
+//! same scalar sequence on both sides — the tape's `ops::` chain, and the
+//! engine's low-rank pass that reproduces it — and the kernel layer keeps
+//! a fixed per-element accumulation order regardless of the thread count.
 
 use metalora_autograd::Graph;
 use metalora_nn::{Conv2d, Ctx, Linear, Module};
@@ -15,17 +17,16 @@ use metalora_peft::{ConvLora, LoraConfig, LoraLinear, MultiLoraLinear};
 use metalora_serve::forward::tile_seed;
 use metalora_serve::{EngineConfig, Request, ServeEngine, TenantAdapter};
 use metalora_tensor::{init, par, Tensor};
-use std::sync::{Mutex, MutexGuard, OnceLock};
 
 const CFG: LoraConfig = LoraConfig { rank: 2, alpha: 3.0 };
 const THREADS: [usize; 3] = [1, 2, 4];
 
-/// `set_num_threads` is process-global; serialize the sweeping tests.
-fn lock() -> MutexGuard<'static, ()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    LOCK.get_or_init(|| Mutex::new(()))
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
+/// Runs `f(t)` with this thread's worker count scoped to each of
+/// [`THREADS`].
+fn at_each_thread_count(f: impl Fn(usize)) {
+    for t in THREADS {
+        par::with_num_threads(t, || f(t));
+    }
 }
 
 fn bits(t: &Tensor) -> Vec<u32> {
@@ -52,7 +53,6 @@ fn factored_engine(w: Tensor, b: Option<Tensor>) -> ServeEngine {
 
 #[test]
 fn lora_serving_matches_tape_bitwise() {
-    let _l = lock();
     let mut rng = init::rng(101);
     let base = Linear::new("fc", 6, 5, &mut rng);
     let (w, bias) = (base.weight().value(), base.bias().map(|b| b.value()));
@@ -63,21 +63,18 @@ fn lora_serving_matches_tape_bitwise() {
     let engine = factored_engine(w, bias);
     engine.register(1, TenantAdapter::from_lora(&lora));
 
-    for t in THREADS {
-        par::set_num_threads(t);
+    at_each_thread_count(|t| {
         let mut g = Graph::new();
         let xv = g.input(x.clone());
         let y = lora.forward(&mut g, xv, &Ctx::none()).unwrap();
         let tape = g.value(y);
         let served = engine.serve_one(&Request::new(1, x.clone())).unwrap();
         assert_bitwise(&tape, &served, "lora", t);
-    }
-    par::set_num_threads(0);
+    });
 }
 
 #[test]
 fn conv_lora_serving_matches_tape_bitwise() {
-    let _l = lock();
     let mut rng = init::rng(102);
     let base = Conv2d::new("c", 2, 3, 3, 1, 1, &mut rng).unwrap();
     let (w, bias, spec) = (
@@ -93,21 +90,18 @@ fn conv_lora_serving_matches_tape_bitwise() {
         factored_engine(Tensor::zeros(&[1, 1]), None).with_conv_base(w, bias, spec);
     engine.register(1, TenantAdapter::from_conv_lora(&cl));
 
-    for t in THREADS {
-        par::set_num_threads(t);
+    at_each_thread_count(|t| {
         let mut g = Graph::new();
         let xv = g.input(x.clone());
         let y = cl.forward(&mut g, xv, &Ctx::none()).unwrap();
         let tape = g.value(y);
         let served = engine.serve_one(&Request::new(1, x.clone())).unwrap();
         assert_bitwise(&tape, &served, "conv_lora", t);
-    }
-    par::set_num_threads(0);
+    });
 }
 
 #[test]
 fn dynamic_meta_cp_serving_matches_tape_bitwise() {
-    let _l = lock();
     let mut rng = init::rng(103);
     let base = Linear::new("fc", 6, 4, &mut rng);
     let (w, bias) = (base.weight().value(), base.bias().map(|b| b.value()));
@@ -120,8 +114,7 @@ fn dynamic_meta_cp_serving_matches_tape_bitwise() {
     let engine = factored_engine(w, bias).with_mapping_cp(&mapping);
     engine.register(1, TenantAdapter::from_meta_cp(&cp, None));
 
-    for t in THREADS {
-        par::set_num_threads(t);
+    at_each_thread_count(|t| {
         let mut g = Graph::new();
         let xv = g.input(x.clone());
         let sv = mapping.generate(&mut g, xv).unwrap();
@@ -129,13 +122,11 @@ fn dynamic_meta_cp_serving_matches_tape_bitwise() {
         let tape = g.value(y);
         let served = engine.serve_one(&Request::new(1, x.clone())).unwrap();
         assert_bitwise(&tape, &served, "meta_cp dynamic", t);
-    }
-    par::set_num_threads(0);
+    });
 }
 
 #[test]
 fn dynamic_meta_tr_serving_matches_tape_bitwise() {
-    let _l = lock();
     let mut rng = init::rng(104);
     let base = Linear::new("fc", 5, 4, &mut rng);
     let (w, bias) = (base.weight().value(), base.bias().map(|b| b.value()));
@@ -152,8 +143,7 @@ fn dynamic_meta_tr_serving_matches_tape_bitwise() {
     let engine = factored_engine(w, bias).with_mapping_tr(&mapping);
     engine.register(1, TenantAdapter::from_meta_tr(&tr, None));
 
-    for t in THREADS {
-        par::set_num_threads(t);
+    at_each_thread_count(|t| {
         let mut g = Graph::new();
         let xv = g.input(x.clone());
         let sv = mapping.generate(&mut g, xv).unwrap();
@@ -161,13 +151,11 @@ fn dynamic_meta_tr_serving_matches_tape_bitwise() {
         let tape = g.value(y);
         let served = engine.serve_one(&Request::new(1, x.clone())).unwrap();
         assert_bitwise(&tape, &served, "meta_tr dynamic", t);
-    }
-    par::set_num_threads(0);
+    });
 }
 
 #[test]
 fn pinned_seed_meta_serving_matches_tape_bitwise() {
-    let _l = lock();
     let mut rng = init::rng(105);
     let base = Linear::new("fc", 6, 4, &mut rng);
     let (w, bias) = (base.weight().value(), base.bias().map(|b| b.value()));
@@ -193,8 +181,7 @@ fn pinned_seed_meta_serving_matches_tape_bitwise() {
     let engine = factored_engine(w, bias);
     engine.register(1, TenantAdapter::from_meta_cp(&cp, Some(c_cp.clone())));
 
-    for t in THREADS {
-        par::set_num_threads(t);
+    at_each_thread_count(|t| {
         let mut g = Graph::new();
         let xv = g.input(x.clone());
         let sv = g.input(tile_seed(&c_cp, 3).unwrap());
@@ -202,15 +189,14 @@ fn pinned_seed_meta_serving_matches_tape_bitwise() {
         let tape = g.value(y);
         let served = engine.serve_one(&Request::new(1, x.clone())).unwrap();
         assert_bitwise(&tape, &served, "meta_cp pinned", t);
-    }
+    });
 
     let base2_w = tr.params()[0].value();
     let base2_b = tr.params()[1].value();
     let engine_tr = factored_engine(base2_w, Some(base2_b));
     engine_tr.register(1, TenantAdapter::from_meta_tr(&tr, Some(c_tr.clone())));
 
-    for t in THREADS {
-        par::set_num_threads(t);
+    at_each_thread_count(|t| {
         let mut g = Graph::new();
         let xv = g.input(x.clone());
         let sv = g.input(tile_seed(&c_tr, 3).unwrap());
@@ -218,13 +204,11 @@ fn pinned_seed_meta_serving_matches_tape_bitwise() {
         let tape = g.value(y);
         let served = engine_tr.serve_one(&Request::new(1, x.clone())).unwrap();
         assert_bitwise(&tape, &served, "meta_tr pinned", t);
-    }
-    par::set_num_threads(0);
+    });
 }
 
 #[test]
 fn multi_bank_slots_match_tape_bitwise() {
-    let _l = lock();
     let mut rng = init::rng(106);
     let base = Linear::new("fc", 6, 5, &mut rng);
     let (w, bias) = (base.weight().value(), base.bias().map(|b| b.value()));
@@ -239,8 +223,7 @@ fn multi_bank_slots_match_tape_bitwise() {
         engine.register(10 + k as u64, TenantAdapter::MultiSlot { slot: k });
     }
 
-    for t in THREADS {
-        par::set_num_threads(t);
+    at_each_thread_count(|t| {
         for k in 0..3 {
             let mut g = Graph::new();
             let xv = g.input(x.clone());
@@ -251,6 +234,5 @@ fn multi_bank_slots_match_tape_bitwise() {
                 .unwrap();
             assert_bitwise(&tape, &served, &format!("multi slot {k}"), t);
         }
-    }
-    par::set_num_threads(0);
+    });
 }

@@ -17,8 +17,9 @@
 //! tenant kind — alone or inside a mixed batch — and leaves the engine
 //! serving.
 //!
-//! And one production-path audit: neither a Tensor-Ring merge nor a
-//! Tensor-Ring adapt step reaches the direct-sum `einsum` oracle.
+//! And two production-path audits: no Tensor-Ring merge or adapt step
+//! reaches the direct-sum `einsum` oracle, and a factored six-kind batch
+//! is six GEMM calls, no contraction, at the per-request chains' flops.
 
 use metalora_autograd::Graph;
 use metalora_nn::{Ctx, Linear, Module};
@@ -27,7 +28,7 @@ use metalora_peft::{LoraConfig, MultiLoraLinear};
 use metalora_serve::traffic::Zipf;
 use metalora_serve::{EngineConfig, Request, ServeEngine, TenantAdapter};
 use metalora_tensor::conv::ConvSpec;
-use metalora_tensor::{init, par, workspace, Tensor, TensorError};
+use metalora_tensor::{contract, init, ops, par, workspace, Tensor, TensorError};
 use std::sync::{Mutex, MutexGuard};
 
 const CFG: LoraConfig = LoraConfig { rank: 2, alpha: 3.0 };
@@ -36,8 +37,8 @@ const TENANTS: u64 = 64;
 const CONV: [usize; 3] = [3, 8, 8]; // C, H, W of a conv tenant's input
 const CONV_OUT: usize = 8;
 
-/// The arena, the obs counters and the worker count are process-global:
-/// one test at a time, defaults restored on drop.
+/// The arena and the obs counters are process-global: one test at a
+/// time, defaults restored on drop. Worker counts are scoped to a thread.
 struct Globals(#[allow(dead_code)] MutexGuard<'static, ()>);
 
 fn lock_globals() -> Globals {
@@ -47,7 +48,6 @@ fn lock_globals() -> Globals {
 
 impl Drop for Globals {
     fn drop(&mut self) {
-        par::set_num_threads(0);
         metalora_obs::set_enabled(false);
         metalora_obs::reset();
     }
@@ -135,44 +135,45 @@ fn warm_passes_never_miss_the_arena_and_the_pool_stops_growing() {
     let mut merged_stats = None;
     for threads in [1usize, 4] {
         for use_merged in [false, true] {
-            par::set_num_threads(threads);
-            workspace::clear();
-            metalora_obs::set_enabled(true);
-            metalora_obs::reset();
-            let e = engine(use_merged, 16);
-            let mut after = Vec::new();
-            for _pass in 0..3 {
-                e.process(&reqs).unwrap();
-                after.push(metalora_obs::counters::snapshot());
-            }
-            let what = format!("threads = {threads}, merged = {use_merged}");
-            assert!(after[0].workspace_misses > 0, "{what}: the warm pass allocates");
-            assert!(after[2].workspace_hits > after[1].workspace_hits, "{what}");
-            assert_eq!(
-                after[2].workspace_misses, after[0].workspace_misses,
-                "{what}: a warm pass missed the arena"
-            );
-            assert_eq!(
-                after[2].peak_workspace_pooled_bytes, after[1].peak_workspace_pooled_bytes,
-                "{what}: the pool kept growing"
-            );
-            assert_eq!(e.batch_count(), 3 * 12);
-            if threads > 1 && !use_merged {
-                assert!(after[2].dispatch_parallel > 0, "{what}: no stacked product ran on a team");
-            }
-            // Every bias add and activation rides a GEMM store: a fixed
-            // number of fused epilogues per pass, never a separate pass.
-            assert_eq!(after[2].output_passes, 0, "{what}: a separate epilogue pass");
-            assert!(after[0].fused_epilogues > 0, "{what}: no fused epilogues");
-            assert_eq!(
-                after[2].fused_epilogues - after[1].fused_epilogues,
-                after[1].fused_epilogues - after[0].fused_epilogues,
-                "{what}: fused epilogues per warm pass"
-            );
-            if use_merged {
-                let stats = e.cache().stats();
-                assert_eq!(*merged_stats.get_or_insert(stats), stats, "{what}: cache totals");
-            }
+            par::with_num_threads(threads, || {
+                workspace::clear();
+                metalora_obs::set_enabled(true);
+                metalora_obs::reset();
+                let e = engine(use_merged, 16);
+                let mut after = Vec::new();
+                for _pass in 0..3 {
+                    e.process(&reqs).unwrap();
+                    after.push(metalora_obs::counters::snapshot());
+                }
+                let what = format!("threads = {threads}, merged = {use_merged}");
+                assert!(after[0].workspace_misses > 0, "{what}: the warm pass allocates");
+                assert!(after[2].workspace_hits > after[1].workspace_hits, "{what}");
+                assert_eq!(
+                    after[2].workspace_misses, after[0].workspace_misses,
+                    "{what}: a warm pass missed the arena"
+                );
+                assert_eq!(
+                    after[2].peak_workspace_pooled_bytes, after[1].peak_workspace_pooled_bytes,
+                    "{what}: the pool kept growing"
+                );
+                assert_eq!(e.batch_count(), 3 * 12);
+                if threads > 1 && !use_merged {
+                    assert!(after[2].dispatch_parallel > 0, "{what}: no stacked product ran on a team");
+                }
+                // Every bias add and activation rides a GEMM store: a fixed
+                // number of fused epilogues per pass, never a separate pass.
+                assert_eq!(after[2].output_passes, 0, "{what}: a separate epilogue pass");
+                assert!(after[0].fused_epilogues > 0, "{what}: no fused epilogues");
+                assert_eq!(
+                    after[2].fused_epilogues - after[1].fused_epilogues,
+                    after[1].fused_epilogues - after[0].fused_epilogues,
+                    "{what}: fused epilogues per warm pass"
+                );
+                if use_merged {
+                    let stats = e.cache().stats();
+                    assert_eq!(*merged_stats.get_or_insert(stats), stats, "{what}: cache totals");
+                }
+            });
         }
     }
 }
@@ -186,19 +187,20 @@ fn ragged_batches_are_bitwise_the_one_request_engine() {
         let reference: Vec<Vec<u32>> =
             reqs.iter().map(|r| bits(&solo.serve_one(r).unwrap())).collect();
         for threads in [1usize, 4] {
-            par::set_num_threads(threads);
-            let e = engine(use_merged, 16);
-            // Cold arena and cold cache on the first pass, warm on the second.
-            for pass in 0..2 {
-                let outs = e.process(&reqs).unwrap();
-                for (i, out) in outs.iter().enumerate() {
-                    assert_eq!(
-                        bits(out),
-                        reference[i],
-                        "request {i} diverged (merged = {use_merged}, threads = {threads}, pass {pass})"
-                    );
+            par::with_num_threads(threads, || {
+                let e = engine(use_merged, 16);
+                // Cold arena and cold cache on the first pass, warm on the second.
+                for pass in 0..2 {
+                    let outs = e.process(&reqs).unwrap();
+                    for (i, out) in outs.iter().enumerate() {
+                        assert_eq!(
+                            bits(out),
+                            reference[i],
+                            "request {i} diverged (merged = {use_merged}, threads = {threads}, pass {pass})"
+                        );
+                    }
                 }
-            }
+            });
         }
     }
 }
@@ -222,13 +224,51 @@ fn tr_merges_and_tr_adapt_steps_never_call_the_einsum_oracle() {
     let y = layer.forward(&mut g, x, &Ctx::with_seed(seed)).unwrap();
     let loss = g.mean_all(y).unwrap();
     g.backward(loss).unwrap();
-    let calls = |name: &str| {
-        let snap = metalora_obs::counters::snapshot();
-        snap.kernels.iter().find(|k| k.kernel == name).expect("a known kernel").calls
-    };
-    assert_eq!(calls("einsum"), 0, "a production path reached the reference oracle");
+    assert_eq!(kernel("einsum").0, 0, "a production path reached the reference oracle");
     // Two planned steps for the merge, three for the forward.
-    assert_eq!(calls("contract"), 5);
+    assert_eq!(kernel("contract").0, 5);
+}
+
+/// Calls and flops of one kernel in the obs counters.
+fn kernel(name: &str) -> (u64, u64) {
+    let snap = metalora_obs::counters::snapshot();
+    let k = snap.kernels.iter().find(|k| k.kernel == name).expect("a known kernel");
+    (k.calls, k.flops)
+}
+
+#[test]
+fn a_six_kind_batch_is_six_gemms_no_contraction_and_the_chains_flops() {
+    let _g = lock_globals();
+    let mut rng = init::rng(35);
+    let e = engine(false, 16);
+    // LoRA, dynamic CP, dynamic TR, bank slot, pinned CP, pinned TR.
+    let ids = [0, 2, 3, 4, 5, 11];
+    let batch: Vec<Request> = ids.into_iter().zip(1..).map(|(t, n)| request(t, n, &mut rng)).collect();
+    metalora_obs::set_enabled(true);
+    metalora_obs::reset();
+    e.serve_batch(&batch).unwrap();
+    let (calls, flops) = kernel("matmul");
+    // The stacked base product, two linears per mapping net, one pass.
+    assert_eq!((calls, kernel("contract").0), (6, 0), "GEMM and contraction calls");
+    // The per-request chains the pass replaced, run on zeros: their
+    // flops follow from the shapes alone.
+    metalora_obs::reset();
+    let (r, z) = (CFG.rank, Tensor::zeros);
+    for q in &batch {
+        let (x, n) = (&q.x, q.rows());
+        let shrink = || ops::matmul(x, &z(&[DIM, r])).unwrap();
+        match q.tenant {
+            0 | 4 => ops::matmul(&shrink(), &z(&[r, DIM])),
+            2 | 5 => ops::matmul(&ops::mul(&shrink(), &z(&[n, r])).unwrap(), &z(&[r, DIM])),
+            _ => contract::contract_spec("ni,xiy,yoz,nzx->no", &[x, &z(&[r, DIM, r]), &z(&[r, DIM, r]), &z(&[n, r, r])]),
+        }
+        .unwrap();
+    }
+    // Plus the base product and the mapping nets' two linears (hidden 16).
+    let rows = |id| batch.iter().filter(|q| q.tenant == id).map(|q| q.rows() as u64).sum::<u64>();
+    let (d, r, all) = (DIM as u64, r as u64, ids.map(rows).iter().sum::<u64>());
+    let mapping = 2 * rows(2) * (d * 16 + 16 * r) + 2 * rows(3) * (d * 16 + 16 * r * r);
+    assert_eq!(flops, 2 * all * d * d + mapping + kernel("matmul").1, "the pass's flops are the chains'");
 }
 
 /// One tenant of each kind (`id % 6`), plus the pinned TR tenant.

@@ -695,6 +695,32 @@ mod tests {
         assert_eq!(inner(&a, &a).unwrap(), 5.0);
     }
 
+    /// The order `ops::lowrank` fuses a Tensor-Ring update in: on every
+    /// shape with `r ≥ 2` and `I, O > r`, at any row count, the planner
+    /// shrinks `x·A` with `A` read as `[I, (x, y)]`, mixes each row by its
+    /// seed `C[n, z, x]`, and expands with `B` read as `[(z, y), O]`.
+    #[test]
+    fn the_tr_update_plans_shrink_mix_expand() {
+        for r in 2..=8 {
+            let widths: Vec<usize> = (r + 1..=r + 9).chain([64, 256]).collect();
+            for &i in &widths {
+                for &o in &widths {
+                    for n in (1..=17).chain([64, 256, 1024]) {
+                        let dims: [&[usize]; 4] = [&[n, i], &[r, i, r], &[r, o, r], &[n, r, r]];
+                        let plan = Plan::new("ni,xiy,yoz,nzx->no", &dims).unwrap();
+                        let what = format!("n={n} I={i} O={o} r={r}");
+                        let [shrink, mix, expand] = plan.steps() else { panic!("{what}") };
+                        let view = |s: &Step| (s.slots, s.sizes, s.lhs.perm.clone(), s.rhs.perm.clone());
+                        assert_eq!(view(shrink), ((0, 1), [1, n, i, r * r], None, Some(vec![1, 0, 2])), "{what}");
+                        assert_eq!(view(mix), ((3, 4), [n, r, r, r], None, None), "{what}");
+                        assert_eq!(view(expand), ((5, 2), [1, n, r * r, o], None, Some(vec![2, 0, 1])), "{what}");
+                        assert_eq!(expand.out_perm, None, "{what}");
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn contraction_order_invariance_matrix_chain() {
         // (A·B)·C == A·(B·C) via contract.

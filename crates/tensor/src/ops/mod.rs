@@ -1,9 +1,11 @@
 //! Numeric kernels over [`crate::Tensor`]: elementwise arithmetic with
-//! broadcasting, reductions, axis permutation, concatenation and a blocked
-//! matrix multiply.
+//! broadcasting, reductions, axis permutation, concatenation, a blocked
+//! matrix multiply and the segmented low-rank pass the serving engine
+//! adds every factored tenant's update with.
 
 mod concat;
 mod elementwise;
+mod lowrank;
 mod matmul;
 pub mod microkernel;
 mod permute;
@@ -11,6 +13,7 @@ mod reduce;
 
 pub use concat::concat;
 pub use elementwise::{add, add_scaled, div, gelu, map, mul, neg, scale, sub, zip_with};
+pub use lowrank::{lowrank, Mix, Seed, Segment};
 pub use matmul::{
     epilogue_pass, gemm, matmul, matmul_transpose_a, matmul_transpose_b, GemmDesc, Layout,
 };
