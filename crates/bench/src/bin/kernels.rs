@@ -1,10 +1,10 @@
 //! **K1 — kernel throughput**: wall-clock sweep of the deterministic
 //! parallel layer across thread counts for the hot kernels (dense matmul,
-//! `conv2d` via im2col, the KNN probe), with the packed
-//! register-tiled path and the legacy scalar path measured side by side.
-//! Every point is verified bitwise against the legacy single-thread run,
-//! and the workspace-arena hit rate is reported both for the sweep and for
-//! a quick pretrain+adapt pipeline. A standard-scale run writes the raw
+//! `conv2d` packed from the image, the KNN probe) on the packed
+//! register-tiled kernel. Every point is verified bitwise against one
+//! single-thread run of the reference kernel, and the workspace-arena hit
+//! rate is reported both for the sweep and for a quick pretrain+adapt
+//! pipeline. A standard-scale run writes the raw
 //! numbers to `BENCH_kernels.json` — the baseline `regress` gates against.
 //!
 //! The sweep itself lives in `metalora_bench::kernels` so the `regress`

@@ -15,26 +15,25 @@ use serde::{Deserialize, Serialize};
 use std::hint::black_box;
 use std::time::Instant;
 
-/// One (kernel, path, thread-count) measurement.
+/// One (kernel, thread-count) measurement of the packed kernel.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct KernelPoint {
     /// Kernel label with its problem size (`"matmul 384x384x384"`).
     pub kernel: String,
-    /// `"packed"` or `"legacy"`.
-    pub path: String,
     /// Worker count the point ran with.
     pub threads: usize,
     /// Best-of-reps wall time.
     pub best_ms: f64,
     /// Throughput at `best_ms`.
     pub gflops: f64,
-    /// `best_ms(threads=1, same path) / best_ms`.
+    /// `best_ms(threads=1) / best_ms`.
     pub speedup_vs_1: f64,
-    /// Output identical to the legacy single-thread run, bit for bit.
+    /// Output identical to the reference kernel's single-thread run, bit
+    /// for bit.
     pub bitwise_equal_to_serial: bool,
     /// `gflops` over the FMA peak of the cores the point ran on
     /// ([`HostPeak::fma_gflops`] × `min(threads, host_cpus)`): set on
-    /// packed matmul points only.
+    /// matmul points only.
     pub fma_peak_share: Option<f64>,
 }
 
@@ -92,11 +91,12 @@ pub struct CounterTotals {
     pub flops: u64,
 }
 
-/// Packed-vs-legacy and serial-vs-parallel dispatch tallies over the
-/// sweep (same determinism argument as [`CounterTotals`]). The tile-grid
-/// tallies are deterministic too — claims and B packs are fixed functions
-/// of the swept shapes and thread list — but the *steal* count is
-/// scheduling noise, so it is deliberately not recorded here.
+/// Packed-vs-reference and serial-vs-parallel dispatch tallies over the
+/// sweep (same determinism argument as [`CounterTotals`]; the reference
+/// calls are the oracle runs, one per kernel). The tile-grid tallies are
+/// deterministic too — claims and B packs are fixed functions of the
+/// swept shapes and thread list — but the *steal* count is scheduling
+/// noise, so it is deliberately not recorded here.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct DispatchTotals {
     pub parallel: u64,
@@ -114,11 +114,11 @@ pub struct KernelReport {
     /// what the machine can actually run, as opposed to what the sweep
     /// asked for (see [`KernelReport::sweep_threads`]).
     pub host_cpus: usize,
-    /// The worker counts every kernel/path pair was swept over. The list
-    /// deliberately exceeds `host_cpus` on small hosts: oversubscription
-    /// must not change results, only throughput.
+    /// The worker counts every kernel was swept over. The list deliberately
+    /// exceeds `host_cpus` on small hosts: oversubscription must not change
+    /// results, only throughput.
     pub sweep_threads: Vec<usize>,
-    /// Regress-gate floor for `speedup_vs_1` of packed matmul points at
+    /// Regress-gate floor for `speedup_vs_1` of matmul points at
     /// `threads ≥ 2` — only enforced when the comparing host has that
     /// many real CPUs (`host_cpus ≥ threads`).
     pub multithread_floor: f64,
@@ -245,11 +245,11 @@ fn host_peak() -> HostPeak {
     }
 }
 
-/// Sweeps one kernel over thread counts for both the legacy and the packed
-/// path. Each path's `speedup_vs_1` divides by its own single-thread point
-/// from the same run (the earlier design timed a separate warm-up baseline,
-/// which made the t=1 row read ~0.99x), and every point is compared
-/// bitwise against the legacy serial output.
+/// Sweeps the packed kernel over thread counts. `speedup_vs_1` divides by
+/// the single-thread point from the same run (the earlier design timed a
+/// separate warm-up baseline, which made the t=1 row read ~0.99x), and
+/// every point is compared bitwise against one untimed single-thread run
+/// of the reference kernel, the oracle.
 fn sweep(
     name: &str,
     flops: f64,
@@ -258,31 +258,27 @@ fn sweep(
     points: &mut Vec<KernelPoint>,
     f: impl Fn() -> Tensor,
 ) {
-    let (_, reference) =
-        par::with_num_threads(1, || ops::with_kernel_path(KernelPath::Reference, || time_ms(1, &f)));
-    for (path, forced) in [("legacy", KernelPath::Reference), ("packed", KernelPath::Packed)] {
-        let mut base_ms = f64::NAN;
-        for &t in threads {
-            let (ms, out) = par::with_num_threads(t, || ops::with_kernel_path(forced, || time_ms(reps, &f)));
-            if t == 1 {
-                base_ms = ms;
-            }
-            points.push(KernelPoint {
-                kernel: name.to_string(),
-                path: path.to_string(),
-                threads: t,
-                best_ms: ms,
-                gflops: flops / (ms * 1e6),
-                speedup_vs_1: base_ms / ms,
-                bitwise_equal_to_serial: bitwise_eq(&reference, &out),
-                fma_peak_share: None,
-            });
+    let reference = par::with_num_threads(1, || ops::with_kernel_path(KernelPath::Reference, &f));
+    let mut base_ms = f64::NAN;
+    for &t in threads {
+        let (ms, out) = par::with_num_threads(t, || time_ms(reps, &f));
+        if t == 1 {
+            base_ms = ms;
         }
+        points.push(KernelPoint {
+            kernel: name.to_string(),
+            threads: t,
+            best_ms: ms,
+            gflops: flops / (ms * 1e6),
+            speedup_vs_1: base_ms / ms,
+            bitwise_equal_to_serial: bitwise_eq(&reference, &out),
+            fma_peak_share: None,
+        });
     }
 }
 
 /// The K1 sweeps — dense matmul, conv2d, the KNN probe — at quick or
-/// standard sizes, each over `threads` on both kernels.
+/// standard sizes, each over `threads`.
 fn sweep_kernels(quick: bool, threads: &[usize], reps: usize) -> Vec<KernelPoint> {
     let mm_dim = if quick { 128 } else { 384 };
     let mut rng = init::rng(0);
@@ -367,7 +363,7 @@ pub fn run(quick: bool) -> KernelReport {
     workspace::clear();
     metalora_obs::reset();
     let mut points = par::with_par_threshold(0, || sweep_kernels(quick, &threads, reps));
-    for p in points.iter_mut().filter(|p| p.path == "packed" && p.kernel.starts_with("matmul")) {
+    for p in points.iter_mut().filter(|p| p.kernel.starts_with("matmul")) {
         p.fma_peak_share = Some(p.gflops / (peak.fma_gflops * p.threads.min(host_cpus) as f64));
     }
 
@@ -402,7 +398,7 @@ pub fn run(quick: bool) -> KernelReport {
     let train_arena = ArenaStats::capture();
 
     let headers: Vec<String> =
-        ["kernel", "path", "threads", "best ms", "GFLOP/s", "FMA peak", "speedup", "bitwise"]
+        ["kernel", "threads", "best ms", "GFLOP/s", "FMA peak", "speedup", "bitwise"]
             .iter()
             .map(|s| s.to_string())
             .collect();
@@ -411,7 +407,6 @@ pub fn run(quick: bool) -> KernelReport {
         .map(|p| {
             vec![
                 p.kernel.clone(),
-                p.path.clone(),
                 p.threads.to_string(),
                 format!("{:.3}", p.best_ms),
                 format!("{:.2}", p.gflops),
@@ -434,7 +429,7 @@ pub fn run(quick: bool) -> KernelReport {
 
     assert!(
         points.iter().all(|p| p.bitwise_equal_to_serial),
-        "kernel output diverged from the legacy serial run"
+        "kernel output diverged from the reference kernel's serial run"
     );
 
     KernelReport {
@@ -471,7 +466,6 @@ mod tests {
             }),
             points: vec![KernelPoint {
                 kernel: "matmul 128x128x128".into(),
-                path: "packed".into(),
                 threads: 2,
                 best_ms: 1.5,
                 gflops: 2.8,

@@ -1,8 +1,8 @@
 //! Shared scaffolding for the benchmark harness.
 //!
 //! Every table and figure of the paper has a regeneration binary in
-//! `src/bin/` (see DESIGN.md's experiment index); the Criterion suites in
-//! `benches/` cover the performance side of the same claims.
+//! `src/bin/` (see DESIGN.md's experiment index); those binaries also
+//! print the timings behind the performance side of the same claims.
 //!
 //! The experiment binaries accept `--scale quick|standard` (default
 //! `standard`) and `--seeds N`; `kernels` takes `--scale` only, `regress`

@@ -6,14 +6,14 @@
 //!
 //! * **Deterministic facts gate exactly.** Bitwise correctness flags, the
 //!   presence of every baseline point and the counter and dispatch totals
-//!   (calls, flops, packed/legacy, the serial/parallel split) are fixed
+//!   (calls, flops, packed/reference, the serial/parallel split) are fixed
 //!   functions of the swept shapes: any difference is a violation. The
 //!   bitwise contract travels *inside* each point
 //!   (`bitwise_equal_to_serial`, checked against its reference at run
 //!   time), not across runs.
 //! * **One within-run ratio gates against the baseline's floor.** A ratio
-//!   of two timings from the same run is immune to host speed: a packed
-//!   matmul point at `threads ≥ 2` must reach `multithread_floor` against
+//!   of two timings from the same run is immune to host speed: a matmul
+//!   point at `threads ≥ 2` must reach `multithread_floor` against
 //!   its own `t = 1` row — a violation only when the fresh host really has
 //!   that many CPUs; a 1-core host physically cannot speed up and only
 //!   warns.
@@ -65,30 +65,29 @@ pub fn compare(baseline: &KernelReport, fresh: &KernelReport) -> Comparison {
     }
 
     for base_pt in &baseline.points {
-        let Some(fresh_pt) = fresh.points.iter().find(|p| {
-            p.kernel == base_pt.kernel && p.path == base_pt.path && p.threads == base_pt.threads
-        }) else {
+        let Some(fresh_pt) = fresh
+            .points
+            .iter()
+            .find(|p| p.kernel == base_pt.kernel && p.threads == base_pt.threads)
+        else {
             cmp.violations.push(format!(
-                "missing point: {} / {} / t={} is in the baseline but not in the fresh run",
-                base_pt.kernel, base_pt.path, base_pt.threads
+                "missing point: {} / t={} is in the baseline but not in the fresh run",
+                base_pt.kernel, base_pt.threads
             ));
             continue;
         };
         if !fresh_pt.bitwise_equal_to_serial {
             cmp.violations.push(format!(
-                "correctness: {} / {} / t={} no longer bitwise-equal to the legacy serial run",
-                fresh_pt.kernel, fresh_pt.path, fresh_pt.threads
+                "correctness: {} / t={} no longer bitwise-equal to the reference serial run",
+                fresh_pt.kernel, fresh_pt.threads
             ));
         }
     }
-    // Scaling floor: packed matmul with a real core per worker must beat
-    // its own single-thread row by the baseline-configured factor.
+    // Scaling floor: matmul with a real core per worker must beat its own
+    // single-thread row by the baseline-configured factor.
     let mut floor_skipped = 0usize;
     for fresh_pt in &fresh.points {
-        if fresh_pt.path != "packed"
-            || !fresh_pt.kernel.starts_with("matmul")
-            || fresh_pt.threads < 2
-        {
+        if !fresh_pt.kernel.starts_with("matmul") || fresh_pt.threads < 2 {
             continue;
         }
         if fresh.host_cpus < fresh_pt.threads {
@@ -97,26 +96,27 @@ pub fn compare(baseline: &KernelReport, fresh: &KernelReport) -> Comparison {
         }
         if fresh_pt.speedup_vs_1 < baseline.multithread_floor {
             cmp.violations.push(format!(
-                "scaling: {} / packed / t={} ran at {:.2}x vs its own t=1 row, floor is {:.2}x",
+                "scaling: {} / t={} ran at {:.2}x vs its own t=1 row, floor is {:.2}x",
                 fresh_pt.kernel, fresh_pt.threads, fresh_pt.speedup_vs_1, baseline.multithread_floor
             ));
         }
     }
     if floor_skipped > 0 {
         cmp.warnings.push(format!(
-            "scaling floor not enforceable for {} packed matmul point(s): host has only {} CPU(s)",
+            "scaling floor not enforceable for {} matmul point(s): host has only {} CPU(s)",
             floor_skipped, fresh.host_cpus
         ));
     }
 
     for fresh_pt in &fresh.points {
-        let known = baseline.points.iter().any(|p| {
-            p.kernel == fresh_pt.kernel && p.path == fresh_pt.path && p.threads == fresh_pt.threads
-        });
+        let known = baseline
+            .points
+            .iter()
+            .any(|p| p.kernel == fresh_pt.kernel && p.threads == fresh_pt.threads);
         if !known {
             cmp.warnings.push(format!(
-                "new point not in baseline: {} / {} / t={} (refresh BENCH_kernels.json)",
-                fresh_pt.kernel, fresh_pt.path, fresh_pt.threads
+                "new point not in baseline: {} / t={} (refresh BENCH_kernels.json)",
+                fresh_pt.kernel, fresh_pt.threads
             ));
         }
     }
@@ -186,10 +186,9 @@ mod tests {
         ArenaStats { hits: 10, misses: 2, hit_rate: 10.0 / 12.0, bytes_reused: 1024, peak_pooled_bytes: 2048 }
     }
 
-    fn point(path: &str, threads: usize, best_ms: f64) -> KernelPoint {
+    fn point(kernel: &str, threads: usize, best_ms: f64) -> KernelPoint {
         KernelPoint {
-            kernel: "matmul 128x128x128".into(),
-            path: path.into(),
+            kernel: kernel.into(),
             threads,
             best_ms,
             gflops: 1.0,
@@ -207,16 +206,20 @@ mod tests {
             scale: "quick".into(),
             simd_level: "avx2".into(),
             host_peak: None,
-            points: vec![point("legacy", 1, 2.0), point("packed", 1, 1.0), point("packed", 4, 0.4)],
+            points: vec![
+                point("knn predict 200x100 d16", 4, 2.0),
+                point("matmul 128x128x128", 1, 1.0),
+                point("matmul 128x128x128", 4, 0.4),
+            ],
             sweep_counters: vec![
-                CounterTotals { kernel: "matmul".into(), calls: 24, flops: 100_000 },
+                CounterTotals { kernel: "matmul".into(), calls: 13, flops: 100_000 },
                 CounterTotals { kernel: "knn".into(), calls: 9, flops: 5_000 },
             ],
             sweep_dispatch: DispatchTotals {
                 parallel: 18,
                 serial: 6,
                 matmul_packed: 12,
-                matmul_legacy: 12,
+                matmul_legacy: 1,
                 tile_claims: 96,
                 tile_bpacks: 12,
             },
@@ -266,10 +269,10 @@ mod tests {
     }
 
     #[test]
-    fn scaling_floor_ignores_legacy_and_single_thread_points() {
+    fn scaling_floor_ignores_single_thread_and_non_matmul_points() {
         let mut fresh = report();
-        fresh.points[0].speedup_vs_1 = 0.1; // legacy
-        fresh.points[1].speedup_vs_1 = 0.1; // packed t=1
+        fresh.points[0].speedup_vs_1 = 0.1; // knn t=4
+        fresh.points[1].speedup_vs_1 = 0.1; // matmul t=1
         let cmp = compare(&report(), &fresh);
         assert!(!cmp.violations.iter().any(|v| v.starts_with("scaling:")), "{:?}", cmp.violations);
     }
@@ -277,7 +280,7 @@ mod tests {
     #[test]
     fn counter_and_dispatch_drift_fail_the_gate() {
         let mut base = report();
-        base.sweep_counters[0].calls = 48;
+        base.sweep_counters[0].calls = 25;
         base.sweep_dispatch.matmul_packed = 99;
         let cmp = compare(&base, &report());
         assert_eq!(

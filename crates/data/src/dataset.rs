@@ -4,7 +4,6 @@ use crate::synth::{render_shape, ShapeClass, Shift, NUM_CLASSES};
 use crate::Result;
 use metalora_tensor::{Tensor, TensorError};
 use rand::rngs::StdRng;
-use rand::Rng;
 
 /// A batch of images `[N, 3, S, S]` with integer labels.
 #[derive(Debug, Clone)]
@@ -73,27 +72,6 @@ pub fn generate(
     Ok(LabeledImages { images, labels })
 }
 
-/// Generates a batch with random (unbalanced) classes — used for
-/// mixture-of-tasks adaptation batches.
-pub fn generate_random(
-    shift: Shift,
-    n: usize,
-    size: usize,
-    rng: &mut StdRng,
-) -> Result<LabeledImages> {
-    let mut images = Tensor::zeros(&[n, 3, size, size]);
-    let mut labels = Vec::with_capacity(n);
-    for i in 0..n {
-        let label = rng.gen_range(0..NUM_CLASSES);
-        let class = ShapeClass::from_label(label).expect("label in range");
-        let base = render_shape(class, size, rng)?;
-        let shifted = shift.apply(&base, rng)?;
-        images.set_axis0(i, &shifted)?;
-        labels.push(label);
-    }
-    Ok(LabeledImages { images, labels })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -119,13 +97,6 @@ mod tests {
         let x = a.images.get(&[0, 0, 8, 8]).unwrap();
         let y = b.images.get(&[0, 0, 8, 8]).unwrap();
         assert!((x - (1.0 - y)).abs() < 1e-6, "{x} vs {y}");
-    }
-
-    #[test]
-    fn generate_random_sizes() {
-        let d = generate_random(Shift::Identity, 10, 8, &mut init::rng(3)).unwrap();
-        assert_eq!(d.len(), 10);
-        assert!(d.labels.iter().all(|&l| l < NUM_CLASSES));
     }
 
     #[test]

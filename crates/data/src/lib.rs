@@ -12,19 +12,17 @@
 //!   splits) and the task-family construction used by Table I.
 //! * [`dataset`] — labelled image batches.
 //! * [`knn`] — the K-nearest-neighbour probe (K = 5/10 in Table I).
-//! * [`stats`] — mean/std, Welch's two-sided t-test (the paper's `*`
+//! * [`stats`] — mean/variance, Welch's two-sided t-test (the paper's `*`
 //!   significance marker).
 
 pub mod dataset;
 pub mod knn;
-pub mod metrics;
 pub mod stats;
 pub mod synth;
 pub mod task;
 
 pub use dataset::LabeledImages;
 pub use knn::KnnClassifier;
-pub use metrics::ConfusionMatrix;
 pub use synth::{ShapeClass, Shift};
 pub use task::{EpisodeSpec, TaskFamily, TaskSpec};
 

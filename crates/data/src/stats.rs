@@ -21,11 +21,6 @@ pub fn variance(xs: &[f64]) -> f64 {
     xs.iter().map(|&x| (x - m) * (x - m)).sum::<f64>() / (xs.len() - 1) as f64
 }
 
-/// Sample standard deviation.
-pub fn std_dev(xs: &[f64]) -> f64 {
-    variance(xs).sqrt()
-}
-
 /// Result of a Welch two-sample t-test.
 #[derive(Debug, Clone, Copy)]
 pub struct WelchResult {
@@ -199,7 +194,6 @@ mod tests {
         let xs = [1.0, 2.0, 3.0, 4.0];
         assert_eq!(mean(&xs), 2.5);
         assert!((variance(&xs) - 5.0 / 3.0).abs() < 1e-12);
-        assert!((std_dev(&xs) - (5.0f64 / 3.0).sqrt()).abs() < 1e-12);
         assert_eq!(mean(&[]), 0.0);
         assert_eq!(variance(&[1.0]), 0.0);
     }

@@ -233,11 +233,6 @@ impl ResNet {
             b.replace_convs(&mut f);
         }
     }
-
-    /// Number of injectable convolutions.
-    pub fn num_convs(&self) -> usize {
-        1 + 2 * self.blocks.len()
-    }
 }
 
 impl Module for ResNet {
@@ -329,11 +324,9 @@ mod tests {
     }
 
     #[test]
-    fn num_convs_counts_replaceable_layers() {
-        let (net, _) = tiny();
-        assert_eq!(net.num_convs(), 1 + 2 * 2);
+    fn replace_convs_visits_the_stem_and_both_convs_of_each_block() {
+        let (mut net, _) = tiny();
         let mut seen = 0;
-        let mut net = net;
         net.replace_convs(|c| {
             seen += 1;
             c

@@ -285,16 +285,6 @@ impl Optimizer for Adam {
     }
 }
 
-/// Cosine learning-rate schedule from `base_lr` down to `min_lr` over
-/// `total_steps`.
-pub fn cosine_lr(base_lr: f32, min_lr: f32, step: usize, total_steps: usize) -> f32 {
-    if total_steps == 0 {
-        return base_lr;
-    }
-    let progress = (step.min(total_steps)) as f32 / total_steps as f32;
-    min_lr + 0.5 * (base_lr - min_lr) * (1.0 + (std::f32::consts::PI * progress).cos())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -487,16 +477,5 @@ mod tests {
         let mut a = Adam::new(vec![], 0.3);
         a.set_lr(0.2);
         assert_eq!(a.lr(), 0.2);
-    }
-
-    #[test]
-    fn cosine_schedule_endpoints() {
-        assert!((cosine_lr(1.0, 0.1, 0, 100) - 1.0).abs() < 1e-6);
-        assert!((cosine_lr(1.0, 0.1, 100, 100) - 0.1).abs() < 1e-6);
-        let mid = cosine_lr(1.0, 0.1, 50, 100);
-        assert!((mid - 0.55).abs() < 1e-6);
-        assert_eq!(cosine_lr(0.5, 0.0, 3, 0), 0.5);
-        // Past the end stays at min.
-        assert!((cosine_lr(1.0, 0.1, 150, 100) - 0.1).abs() < 1e-6);
     }
 }

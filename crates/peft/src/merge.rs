@@ -4,36 +4,18 @@
 //!
 //! Static adapters (LoRA, Conv-LoRA, one slot of a Multi-LoRA bank) merge
 //! exactly. MetaLoRA's update is input-conditioned and cannot be merged in
-//! general; [`snapshot_cp`]/[`snapshot_tr`] produce the merged weights for
-//! one *fixed* seed — a "task snapshot" frozen for deployment to a single
-//! known task.
+//! general; [`cp_delta`]/[`tr_delta`] produce the delta for one *fixed*
+//! seed, and `W + ΔW(c)` is the merged weight of a "task snapshot" frozen
+//! for deployment to a single known task.
 
-use crate::meta::{MetaLoraCpLinear, MetaLoraTrLinear};
-use crate::{ConvLora, LoraLinear, Result};
-use metalora_autograd::ParamRef;
+use crate::Result;
 use metalora_tensor::{contract, ops, workspace, Tensor, TensorError};
-
-fn add_into(weight: &ParamRef, delta: &Tensor) -> Result<()> {
-    if weight.dims() != delta.dims() {
-        return Err(TensorError::ShapeMismatch {
-            op: "merge",
-            lhs: weight.dims(),
-            rhs: delta.dims().to_vec(),
-        });
-    }
-    weight.update_value(|w| {
-        for (a, &b) in w.data_mut().iter_mut().zip(delta.data()) {
-            *a += b;
-        }
-    });
-    Ok(())
-}
 
 // ---- tensor-level delta/merge helpers ---------------------------------
 //
-// The adapter structs above this layer hold `ParamRef` cells, which are
-// `Rc`-based and cannot cross threads. The serving engine instead keeps
-// value snapshots and calls these free functions; the struct methods
+// The adapter structs hold `ParamRef` cells, which are `Rc`-based and
+// cannot cross threads. The serving engine instead keeps value snapshots
+// and calls these free functions; the struct methods
 // (`LoraLinear::delta_weight` etc.) delegate here so both paths compute
 // the identical float sequence.
 
@@ -100,8 +82,8 @@ pub fn tr_delta(a: &Tensor, b: &Tensor, c: &Tensor, scaling: f32) -> Result<Tens
 /// arena — the allocation pattern of the serving engine's merged-weight
 /// cache, where merged weights churn as tenants are evicted and
 /// re-merged. Each element is written once, as the same `w[i] + delta[i]`
-/// sum as the in-place [`merge_lora_linear`] fold, so repeated merges of
-/// the same operands are bitwise identical.
+/// sum as `ops::add`, so repeated merges of the same operands are bitwise
+/// identical.
 pub fn merge_into(base: &Tensor, delta: &Tensor) -> Result<Tensor> {
     if base.dims() != delta.dims() {
         return Err(TensorError::ShapeMismatch {
@@ -114,123 +96,13 @@ pub fn merge_into(base: &Tensor, delta: &Tensor) -> Result<Tensor> {
     workspace::tensor_from_iter(base.dims(), sums)
 }
 
-/// Folds a [`LoraLinear`]'s current delta into the given base weight cell
-/// (the wrapped layer's `weight()` parameter) and zeroes the adapter's
-/// up-projection so the wrapped forward keeps computing the same function.
-pub fn merge_lora_linear(adapter: &LoraLinear, base_weight: &ParamRef) -> Result<()> {
-    let delta = adapter.delta_weight()?;
-    add_into(base_weight, &delta)?;
-    adapter
-        .b
-        .set_value(Tensor::zeros(&adapter.b.dims()));
-    Ok(())
-}
-
-/// Folds a [`ConvLora`]'s current delta into the given base weight cell.
-pub fn merge_conv_lora(adapter: &ConvLora, base_weight: &ParamRef) -> Result<()> {
-    let delta = adapter.delta_weight()?;
-    add_into(base_weight, &delta)?;
-    adapter
-        .b
-        .set_value(Tensor::zeros(&adapter.b.dims()));
-    Ok(())
-}
-
-/// Merged dense weight `W + ΔW(c)` for a MetaLoRA-CP layer frozen at one
-/// seed `c : [R]` — a single-task deployment snapshot.
-pub fn snapshot_cp(adapter: &MetaLoraCpLinear, base_weight: &Tensor, c: &Tensor) -> Result<Tensor> {
-    let delta = adapter.delta_weight_for(c)?;
-    ops::add(base_weight, &delta)
-}
-
-/// Merged dense weight `W + ΔW(C)` for a MetaLoRA-TR layer frozen at one
-/// seed `C : [R, R]`.
-pub fn snapshot_tr(adapter: &MetaLoraTrLinear, base_weight: &Tensor, c: &Tensor) -> Result<Tensor> {
-    let delta = adapter.delta_weight_for(c)?;
-    ops::add(base_weight, &delta)
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::meta::{MetaLoraCpLinear, MetaLoraTrLinear};
     use crate::LoraConfig;
     use metalora_autograd::Graph;
-    use metalora_nn::{Conv2d, Ctx, Linear, Module};
-    use metalora_tensor::{approx_eq, init};
-
-    #[test]
-    fn merged_lora_linear_preserves_function() {
-        let mut rng = init::rng(1);
-        let base = Linear::new("fc", 6, 4, &mut rng);
-        let w = base.weight().clone();
-        let lora = LoraLinear::new(
-            "fc",
-            Box::new(base),
-            LoraConfig {
-                rank: 2,
-                alpha: 4.0,
-            },
-            &mut rng,
-        );
-        lora.b.set_value(init::uniform(&[2, 4], -0.5, 0.5, &mut rng));
-        let x = init::uniform(&[3, 6], -1.0, 1.0, &mut rng);
-
-        let out = |l: &LoraLinear, x: &Tensor| {
-            let mut g = Graph::inference();
-            let xv = g.input(x.clone());
-            let y = l.forward(&mut g, xv, &Ctx::none()).unwrap();
-            g.value(y)
-        };
-        let before = out(&lora, &x);
-        merge_lora_linear(&lora, &w).unwrap();
-        let after = out(&lora, &x);
-        assert!(
-            approx_eq(&before, &after, 1e-4),
-            "merge changed the function: err {}",
-            metalora_tensor::max_rel_err(&before, &after)
-        );
-        // Adapter is now inert.
-        assert_eq!(lora.delta_weight().unwrap().norm(), 0.0);
-    }
-
-    #[test]
-    fn merged_conv_lora_preserves_function() {
-        let mut rng = init::rng(2);
-        let base = Conv2d::new_no_bias("c", 3, 5, 3, 1, 1, &mut rng).unwrap();
-        let w = base.weight().clone();
-        let cl = ConvLora::new(
-            "c",
-            Box::new(base),
-            LoraConfig {
-                rank: 2,
-                alpha: 2.0,
-            },
-            &mut rng,
-        )
-        .unwrap();
-        cl.b.set_value(init::uniform(&[2, 5], -0.5, 0.5, &mut rng));
-        let x = init::uniform(&[2, 3, 8, 8], -1.0, 1.0, &mut rng);
-
-        let out = |l: &ConvLora, x: &Tensor| {
-            let mut g = Graph::inference();
-            let xv = g.input(x.clone());
-            let y = l.forward(&mut g, xv, &Ctx::none()).unwrap();
-            g.value(y)
-        };
-        let before = out(&cl, &x);
-        merge_conv_lora(&cl, &w).unwrap();
-        let after = out(&cl, &x);
-        assert!(approx_eq(&before, &after, 1e-3));
-    }
-
-    #[test]
-    fn merge_validates_shapes() {
-        let mut rng = init::rng(3);
-        let base = Linear::new("fc", 6, 4, &mut rng);
-        let lora = LoraLinear::new("fc", Box::new(base), LoraConfig::default(), &mut rng);
-        let wrong = ParamRef::new("w", Tensor::zeros(&[5, 4]));
-        assert!(merge_lora_linear(&lora, &wrong).is_err());
-    }
+    use metalora_nn::{Ctx, Linear, Module};
+    use metalora_tensor::{approx_eq, init, ops, Tensor};
 
     #[test]
     fn cp_snapshot_matches_seeded_forward() {
@@ -248,7 +120,7 @@ mod tests {
         );
         m.b.set_value(init::uniform(&[2, 3], -0.5, 0.5, &mut rng));
         let c = init::uniform(&[2], -1.0, 1.0, &mut rng);
-        let snap = snapshot_cp(&m, &w0, &c).unwrap();
+        let snap = ops::add(&w0, &m.delta_weight_for(&c).unwrap()).unwrap();
 
         // Forward with the seed == x · snapshot.
         let x = init::uniform(&[2, 5], -1.0, 1.0, &mut rng);
@@ -276,7 +148,7 @@ mod tests {
         );
         m.b.set_value(init::uniform(&[2, 3, 2], -0.5, 0.5, &mut rng));
         let c = init::uniform(&[2, 2], -1.0, 1.0, &mut rng);
-        let snap = snapshot_tr(&m, &w0, &c).unwrap();
+        let snap = ops::add(&w0, &m.delta_weight_for(&c).unwrap()).unwrap();
 
         let x = init::uniform(&[1, 4], -1.0, 1.0, &mut rng);
         let mut g = Graph::inference();

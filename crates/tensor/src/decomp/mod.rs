@@ -1,5 +1,4 @@
-//! Tensor-network formats: CP (CANDECOMP/PARAFAC, Eq. 3–4), Tensor-Ring and
-//! Tucker,
+//! Tensor-network formats: CP (CANDECOMP/PARAFAC, Eq. 3–4) and Tensor-Ring,
 //! plus the matricization helpers (`unfold`/`fold`, Khatri–Rao) their
 //! decomposition drivers are built from.
 //!
@@ -11,11 +10,9 @@
 
 mod cp;
 mod tr;
-mod tucker;
 
 pub use cp::{cp_als, CpFormat};
 pub use tr::{tr_svd, TrFormat};
-pub use tucker::{hooi, hosvd, TuckerFormat};
 
 use crate::ops::permute;
 use crate::{Result, Tensor, TensorError};

@@ -49,18 +49,6 @@ pub fn he_normal(dims: &[usize], fan_in: usize, rng: &mut StdRng) -> Tensor {
     normal(dims, 0.0, std, rng)
 }
 
-/// Xavier/Glorot uniform initialisation:
-/// `U(-√(6/(fan_in+fan_out)), +√(6/(fan_in+fan_out)))`.
-pub fn xavier_uniform(
-    dims: &[usize],
-    fan_in: usize,
-    fan_out: usize,
-    rng: &mut StdRng,
-) -> Tensor {
-    let limit = (6.0 / (fan_in + fan_out).max(1) as f32).sqrt();
-    uniform(dims, -limit, limit, rng)
-}
-
 /// The standard LoRA initialisation for the down-projection `A`:
 /// Kaiming-uniform with `a = √5`, matching the reference implementation.
 pub fn lora_a_init(dims: &[usize], fan_in: usize, rng: &mut StdRng) -> Tensor {
@@ -112,13 +100,6 @@ mod tests {
         let t = he_normal(&[n], 50, &mut rng(9));
         let var = t.data().iter().map(|&x| x * x).sum::<f32>() / n as f32;
         assert!((var - 2.0 / 50.0).abs() < 0.01, "var = {var}");
-    }
-
-    #[test]
-    fn xavier_uniform_bounds() {
-        let t = xavier_uniform(&[1000], 30, 70, &mut rng(5));
-        let limit = (6.0f32 / 100.0).sqrt();
-        assert!(t.data().iter().all(|&x| x.abs() <= limit));
     }
 
     #[test]

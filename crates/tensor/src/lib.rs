@@ -16,8 +16,7 @@
 //!   from the image) and expressed as a tensor-network
 //!   contraction through the binary *dummy tensor* 𝒫 (Eq. 2, Fig. 2)
 //!   ([`conv`]),
-//! * dense linear algebra — QR, Jacobi SVD, solve, pseudo-inverse —
-//!   ([`linalg`]),
+//! * dense linear algebra — Jacobi SVD and pseudo-inverse — ([`linalg`]),
 //! * the **CP** (CANDECOMP/PARAFAC, Eq. 3–4) and **Tensor-Ring** formats with
 //!   ALS / SVD-based decomposition drivers ([`decomp`]),
 //! * seeded random initialisers ([`init`]).
@@ -46,10 +45,6 @@ pub use tensor::Tensor;
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, TensorError>;
-
-/// Default tolerance used by approximate-equality helpers in tests and
-/// verification binaries.
-pub const DEFAULT_TOL: f32 = 1e-4;
 
 /// Returns `true` when `a` and `b` agree elementwise within `tol`
 /// (absolute on small values, relative on large ones).

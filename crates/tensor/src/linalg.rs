@@ -1,12 +1,12 @@
-//! Small dense linear algebra, written from scratch: Gaussian solve,
-//! Householder QR, one-sided Jacobi SVD and Moore–Penrose pseudo-inverse.
+//! Small dense linear algebra, written from scratch: one-sided Jacobi SVD
+//! and the Moore–Penrose pseudo-inverse built on it.
 //!
 //! These routines power the CP-ALS and TR-SVD decomposition drivers. They
 //! target matrices up to a few hundred rows/columns — the regime of every
 //! experiment in the reproduction — and favour clarity plus numerical
-//! robustness (pivoting, convergence checks) over peak speed.
+//! robustness (convergence checks, a singular-value cutoff) over peak speed.
 
-use crate::ops::{matmul, matmul_transpose_a, transpose2d};
+use crate::ops::{matmul, transpose2d};
 use crate::{Result, Tensor, TensorError};
 
 fn require_matrix(t: &Tensor, what: &'static str) -> Result<(usize, usize)> {
@@ -17,169 +17,6 @@ fn require_matrix(t: &Tensor, what: &'static str) -> Result<(usize, usize)> {
         )));
     }
     Ok((t.dims()[0], t.dims()[1]))
-}
-
-/// Solves `A·x = b` for square `A` by Gaussian elimination with partial
-/// pivoting. `b` may be a vector `[n]` or a matrix `[n, k]` of right-hand
-/// sides.
-pub fn solve(a: &Tensor, b: &Tensor) -> Result<Tensor> {
-    let (n, n2) = require_matrix(a, "solve lhs")?;
-    if n != n2 {
-        return Err(TensorError::InvalidArgument(format!(
-            "solve: non-square matrix {n}x{n2}"
-        )));
-    }
-    let vector_rhs = b.rank() == 1;
-    let b2 = if vector_rhs {
-        b.reshaped(&[b.len(), 1])?
-    } else {
-        b.clone()
-    };
-    let (bn, k) = require_matrix(&b2, "solve rhs")?;
-    if bn != n {
-        return Err(TensorError::ShapeMismatch {
-            op: "solve",
-            lhs: a.dims().to_vec(),
-            rhs: b.dims().to_vec(),
-        });
-    }
-
-    // Augmented working copies.
-    let mut m = a.data().to_vec();
-    let mut rhs = b2.data().to_vec();
-
-    for col in 0..n {
-        // Partial pivot.
-        let mut piv = col;
-        let mut best = m[col * n + col].abs();
-        for r in col + 1..n {
-            let v = m[r * n + col].abs();
-            if v > best {
-                best = v;
-                piv = r;
-            }
-        }
-        if best < 1e-12 {
-            return Err(TensorError::Numerical(format!(
-                "solve: singular matrix (pivot {best:e} at column {col})"
-            )));
-        }
-        if piv != col {
-            for j in 0..n {
-                m.swap(col * n + j, piv * n + j);
-            }
-            for j in 0..k {
-                rhs.swap(col * k + j, piv * k + j);
-            }
-        }
-        let d = m[col * n + col];
-        for r in col + 1..n {
-            let f = m[r * n + col] / d;
-            if f == 0.0 {
-                continue;
-            }
-            for j in col..n {
-                m[r * n + j] -= f * m[col * n + j];
-            }
-            for j in 0..k {
-                rhs[r * k + j] -= f * rhs[col * k + j];
-            }
-        }
-    }
-    // Back substitution.
-    let mut x = vec![0.0f32; n * k];
-    for row in (0..n).rev() {
-        for j in 0..k {
-            let mut acc = rhs[row * k + j];
-            for c in row + 1..n {
-                acc -= m[row * n + c] * x[c * k + j];
-            }
-            x[row * k + j] = acc / m[row * n + row];
-        }
-    }
-    let out = Tensor::from_vec(x, &[n, k])?;
-    if vector_rhs {
-        out.reshape(&[n])
-    } else {
-        Ok(out)
-    }
-}
-
-/// Thin Householder QR: `A = Q·R` with `Q:[m, r]`, `R:[r, n]`,
-/// `r = min(m, n)`. `Q` has orthonormal columns.
-pub fn qr(a: &Tensor) -> Result<(Tensor, Tensor)> {
-    let (m, n) = require_matrix(a, "qr")?;
-    let r_dim = m.min(n);
-    let mut r = a.data().to_vec(); // m x n, mutated in place
-    // Accumulate Q by applying the Householder reflectors to the identity.
-    let mut q = vec![0.0f32; m * m];
-    for i in 0..m {
-        q[i * m + i] = 1.0;
-    }
-    let mut v = vec![0.0f32; m];
-    for col in 0..r_dim {
-        // Householder vector for column `col` below the diagonal.
-        let mut norm = 0.0f32;
-        for row in col..m {
-            norm += r[row * n + col] * r[row * n + col];
-        }
-        let norm = norm.sqrt();
-        if norm < 1e-12 {
-            continue; // column already zero below diagonal
-        }
-        let alpha = if r[col * n + col] >= 0.0 { -norm } else { norm };
-        let mut vnorm2 = 0.0f32;
-        for row in col..m {
-            let x = if row == col {
-                r[row * n + col] - alpha
-            } else {
-                r[row * n + col]
-            };
-            v[row] = x;
-            vnorm2 += x * x;
-        }
-        if vnorm2 < 1e-24 {
-            continue;
-        }
-        let beta = 2.0 / vnorm2;
-        // R ← (I − βvvᵀ) R, only columns ≥ col are affected.
-        for j in col..n {
-            let mut dot = 0.0f32;
-            for row in col..m {
-                dot += v[row] * r[row * n + j];
-            }
-            let s = beta * dot;
-            for row in col..m {
-                r[row * n + j] -= s * v[row];
-            }
-        }
-        // Q ← Q (I − βvvᵀ).
-        for i in 0..m {
-            let mut dot = 0.0f32;
-            for row in col..m {
-                dot += q[i * m + row] * v[row];
-            }
-            let s = beta * dot;
-            for row in col..m {
-                q[i * m + row] -= s * v[row];
-            }
-        }
-    }
-    // Thin slices.
-    let mut q_thin = vec![0.0f32; m * r_dim];
-    for i in 0..m {
-        q_thin[i * r_dim..(i + 1) * r_dim].copy_from_slice(&q[i * m..i * m + r_dim]);
-    }
-    let mut r_thin = vec![0.0f32; r_dim * n];
-    for i in 0..r_dim {
-        for j in 0..n {
-            r_thin[i * n + j] = if j >= i { r[i * n + j] } else { 0.0 };
-        }
-    }
-    Ok((
-        Tensor::from_vec(q_thin, &[m, r_dim])?,
-        Tensor::from_vec(r_thin, &[r_dim, n])?,
-    ))
 }
 
 /// Result of a singular value decomposition `A = U·diag(s)·Vᵀ`.
@@ -321,91 +158,11 @@ pub fn pinv(a: &Tensor, rcond: f32) -> Result<Tensor> {
     Ok(out)
 }
 
-/// Least-squares solution of `A·X = B` (`A:[m,n]`, `B:[m,k]`) via the
-/// normal equations with pseudo-inverse fallback for rank deficiency.
-pub fn lstsq(a: &Tensor, b: &Tensor) -> Result<Tensor> {
-    let (_, n) = require_matrix(a, "lstsq lhs")?;
-    let ata = matmul_transpose_a(a, a)?;
-    let atb = matmul_transpose_a(a, b)?;
-    match solve(&ata, &atb) {
-        Ok(x) => Ok(x),
-        Err(TensorError::Numerical(_)) => {
-            let p = pinv(&ata, 1e-6)?;
-            let x = matmul(&p, &atb)?;
-            debug_assert_eq!(x.dims()[0], n);
-            Ok(x)
-        }
-        Err(e) => Err(e),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ops::matmul_transpose_a;
     use crate::{approx_eq, init};
-
-    #[test]
-    fn solve_known_system() {
-        let a = Tensor::from_vec(vec![2.0, 1.0, 1.0, 3.0], &[2, 2]).unwrap();
-        let b = Tensor::from_vec(vec![5.0, 10.0], &[2]).unwrap();
-        let x = solve(&a, &b).unwrap();
-        // 2x + y = 5, x + 3y = 10 → x = 1, y = 3.
-        assert!((x.data()[0] - 1.0).abs() < 1e-5);
-        assert!((x.data()[1] - 3.0).abs() < 1e-5);
-    }
-
-    #[test]
-    fn solve_multiple_rhs_and_random_roundtrip() {
-        let mut r = init::rng(1);
-        let a = init::uniform(&[6, 6], -1.0, 1.0, &mut r);
-        let x_true = init::uniform(&[6, 3], -1.0, 1.0, &mut r);
-        let b = matmul(&a, &x_true).unwrap();
-        let x = solve(&a, &b).unwrap();
-        assert!(approx_eq(&x, &x_true, 1e-3));
-    }
-
-    #[test]
-    fn solve_detects_singular() {
-        let a = Tensor::from_vec(vec![1.0, 2.0, 2.0, 4.0], &[2, 2]).unwrap();
-        let b = Tensor::from_vec(vec![1.0, 2.0], &[2]).unwrap();
-        assert!(matches!(solve(&a, &b), Err(TensorError::Numerical(_))));
-    }
-
-    #[test]
-    fn solve_needs_pivoting() {
-        // Zero on the initial diagonal — fails without partial pivoting.
-        let a = Tensor::from_vec(vec![0.0, 1.0, 1.0, 0.0], &[2, 2]).unwrap();
-        let b = Tensor::from_vec(vec![3.0, 7.0], &[2]).unwrap();
-        let x = solve(&a, &b).unwrap();
-        assert!((x.data()[0] - 7.0).abs() < 1e-6);
-        assert!((x.data()[1] - 3.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn qr_reconstructs_and_q_orthonormal() {
-        let mut r = init::rng(2);
-        for (m, n) in [(5, 3), (3, 5), (4, 4)] {
-            let a = init::uniform(&[m, n], -1.0, 1.0, &mut r);
-            let (q, rr) = qr(&a).unwrap();
-            let back = matmul(&q, &rr).unwrap();
-            assert!(approx_eq(&back, &a, 1e-3), "QR reconstruct {m}x{n}");
-            let qtq = matmul_transpose_a(&q, &q).unwrap();
-            let eye = Tensor::eye(m.min(n));
-            assert!(approx_eq(&qtq, &eye, 1e-3), "QᵀQ = I for {m}x{n}");
-        }
-    }
-
-    #[test]
-    fn qr_r_is_upper_triangular() {
-        let mut rng = init::rng(4);
-        let a = init::uniform(&[5, 4], -1.0, 1.0, &mut rng);
-        let (_, r) = qr(&a).unwrap();
-        for i in 0..4 {
-            for j in 0..i {
-                assert!(r.get(&[i, j]).unwrap().abs() < 1e-6);
-            }
-        }
-    }
 
     #[test]
     #[allow(clippy::needless_range_loop)]
@@ -467,30 +224,5 @@ mod tests {
         // A⁺ · A · A⁺ = A⁺.
         let pap = matmul(&matmul(&p, &a).unwrap(), &p).unwrap();
         assert!(approx_eq(&pap, &p, 1e-3));
-    }
-
-    #[test]
-    fn lstsq_overdetermined() {
-        let mut rng = init::rng(7);
-        let a = init::uniform(&[10, 3], -1.0, 1.0, &mut rng);
-        let x_true = init::uniform(&[3, 2], -1.0, 1.0, &mut rng);
-        let b = matmul(&a, &x_true).unwrap();
-        let x = lstsq(&a, &b).unwrap();
-        assert!(approx_eq(&x, &x_true, 1e-3));
-    }
-
-    #[test]
-    fn lstsq_rank_deficient_falls_back() {
-        // Duplicate column makes AᵀA singular; pinv path must engage.
-        let a = Tensor::from_vec(
-            vec![1.0, 1.0, 2.0, 2.0, 3.0, 3.0, 4.0, 4.0],
-            &[4, 2],
-        )
-        .unwrap();
-        let b = Tensor::from_vec(vec![2.0, 4.0, 6.0, 8.0], &[4, 1]).unwrap();
-        let x = lstsq(&a, &b).unwrap();
-        // Minimal-norm solution: both coefficients 1.
-        let back = matmul(&a, &x).unwrap();
-        assert!(approx_eq(&back, &b, 1e-3));
     }
 }

@@ -23,7 +23,7 @@
 //! `matmul{,_transpose_a,_transpose_b}`, rank 2 or rank 3 like the
 //! descriptor.
 
-use super::microkernel::{self, add_bias, simd_level, use_packed, Lhs, SimdLevel, StridedGemm, KC};
+use super::microkernel::{self, add_bias, use_packed, Lhs, StridedGemm, KC};
 use crate::par::par_row_blocks;
 use crate::{Result, Tensor, TensorError};
 
@@ -207,47 +207,13 @@ pub(crate) fn run_gemm(g: &StridedGemm, operand_floats: usize) -> Vec<f32> {
 }
 
 /// The reference path of [`gemm`]: scalar loops over the strided
-/// description, row blocks handed to [`par_row_blocks`], run by the
-/// instantiation of [`reference_rows`] for the SIMD level. The level is
-/// read here, on the calling thread, because a cap set by
-/// [`super::microkernel::with_kernel_path`] is thread-local and the row
-/// blocks may run on the team.
+/// description, row blocks handed to [`par_row_blocks`], each run by
+/// [`reference_rows`].
 fn gemm_reference(g: &StridedGemm, out: &mut [f32]) {
     if out.is_empty() {
         return;
     }
-    let lvl = simd_level();
-    par_row_blocks(out, g.n, 2 * g.k * g.n, |first, block| match lvl {
-        // SAFETY: `simd_level` reports a vector level only when the host
-        // has it, FMA included.
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx512 => unsafe { reference_rows_avx512(g, first, block) },
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx2 => unsafe { reference_rows_avx2(g, first, block) },
-        _ => reference_rows(g, first, block),
-    });
-}
-
-/// [`reference_rows`] where `f32::mul_add` is one `vfmadd` and the axpy
-/// form vectorises to 512-bit lanes.
-///
-/// # Safety
-/// The host has AVX-512F and FMA.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f,fma")]
-unsafe fn reference_rows_avx512(g: &StridedGemm, first: usize, block: &mut [f32]) {
-    reference_rows(g, first, block)
-}
-
-/// [`reference_rows`] where `f32::mul_add` is one `vfmadd` and the axpy
-/// form vectorises to 256-bit lanes.
-///
-/// # Safety
-/// The host has AVX2 and FMA.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn reference_rows_avx2(g: &StridedGemm, first: usize, block: &mut [f32]) {
-    reference_rows(g, first, block)
+    par_row_blocks(out, g.n, 2 * g.k * g.n, |first, block| reference_rows(g, first, block));
 }
 
 /// The reference kernel on the output rows `first..` that `block` holds.
@@ -262,9 +228,8 @@ unsafe fn reference_rows_avx2(g: &StridedGemm, first: usize, block: &mut [f32]) 
 ///
 /// Either way every element starts from `+0.0` and takes one
 /// `f32::mul_add` per `k`, in increasing `k` order — the sequence the
-/// packed path reproduces. Without FMA hardware (the un-featured
-/// instantiation) `mul_add` is libm's `fmaf`: the same bits, slowly.
-#[inline(always)]
+/// packed path reproduces. Unless the build targets FMA hardware,
+/// `mul_add` is libm's `fmaf`: the same bits as one `vfmadd`, slowly.
 fn reference_rows(g: &StridedGemm, first: usize, block: &mut [f32]) {
     let StridedGemm { a, b: bd, m, n, k, b_batch, b_ks, b_cs, .. } = *g;
     let Lhs::Strided { a: ad, batch: a_batch, rs: a_rs, ks: a_ks } = a else {

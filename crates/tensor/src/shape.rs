@@ -134,12 +134,6 @@ impl Shape {
         validate_permutation(perm, self.rank())?;
         Ok(Shape(perm.iter().map(|&p| self.0[p]).collect()))
     }
-
-    /// Removes axes of extent 1; a scalar shape is returned when all axes
-    /// are 1.
-    pub fn squeezed(&self) -> Shape {
-        Shape(self.0.iter().copied().filter(|&d| d != 1).collect())
-    }
 }
 
 impl From<&[usize]> for Shape {
@@ -277,12 +271,6 @@ mod tests {
         assert_eq!(s.permuted(&[2, 0, 1]).unwrap().dims(), &[4, 2, 3]);
         assert!(s.permuted(&[0, 0, 1]).is_err());
         assert!(s.permuted(&[0, 1]).is_err());
-    }
-
-    #[test]
-    fn squeezed_removes_unit_axes() {
-        assert_eq!(Shape::new(&[1, 3, 1, 4]).squeezed().dims(), &[3, 4]);
-        assert_eq!(Shape::new(&[1, 1]).squeezed().dims(), &[] as &[usize]);
     }
 
     #[test]
