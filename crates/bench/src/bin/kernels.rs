@@ -26,16 +26,5 @@ fn main() {
         println!("raw sweep written to {path}");
     }
 
-    let report = metalora_obs::report::RunReport::capture("kernels");
-    println!("\n{}", report.summary_table());
-    match report.write() {
-        Ok(p) => println!("run log written to {}", p.display()),
-        Err(e) => eprintln!("could not write run log: {e}"),
-    }
-    if metalora_obs::trace::enabled() {
-        match metalora_obs::trace::write_chrome("kernels") {
-            Ok(p) => println!("trace written to {}", p.display()),
-            Err(e) => eprintln!("could not write trace: {e}"),
-        }
-    }
+    metalora_obs::report::RunReport::capture("kernels").publish();
 }

@@ -14,7 +14,7 @@
 
 use metalora_nn::Linear;
 use metalora_obs::window::{self, ClockMode};
-use metalora_obs::{export, registry, slo};
+use metalora_obs::{export, registry};
 use metalora_peft::meta::MappingNet;
 use metalora_peft::{LoraConfig, MultiLoraLinear};
 use metalora_serve::traffic::{self, TrafficConfig};
@@ -90,7 +90,7 @@ fn main() {
         let (n, c) = (e.request_count(), e.cache().stats());
         println!("{mode}: {n} requests, cache {} hits / {} misses / {} evictions", c.hits, c.misses, c.evictions);
         let reg = registry::snapshot();
-        lines.push(export::jsonl_line(&reg, &slo::snapshot_at(reg.now_ns)));
+        lines.push(export::jsonl_line(&reg));
     }
 
     match export::flush("serve", &lines) {
@@ -102,16 +102,5 @@ fn main() {
         ),
         Err(e) => eprintln!("could not flush metrics: {e}"),
     }
-    let report = metalora_obs::report::RunReport::capture("serve");
-    println!("\n{}", report.summary_table());
-    match report.write() {
-        Ok(p) => println!("run log written to {}", p.display()),
-        Err(e) => eprintln!("could not write run log: {e}"),
-    }
-    if metalora_obs::trace::enabled() {
-        match metalora_obs::trace::write_chrome("serve") {
-            Ok(p) => println!("trace written to {}", p.display()),
-            Err(e) => eprintln!("could not write trace: {e}"),
-        }
-    }
+    metalora_obs::report::RunReport::capture("serve").publish();
 }

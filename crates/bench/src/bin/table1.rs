@@ -34,17 +34,6 @@ fn main() {
     }
 
     if metalora_obs::enabled() {
-        let report = metalora_obs::report::RunReport::capture("table1");
-        println!("\n{}", report.summary_table());
-        match report.write() {
-            Ok(p) => println!("run log written to {}", p.display()),
-            Err(e) => eprintln!("could not write run log: {e}"),
-        }
-        if metalora_obs::trace::enabled() {
-            match metalora_obs::trace::write_chrome("table1") {
-                Ok(p) => println!("trace written to {}", p.display()),
-                Err(e) => eprintln!("could not write trace: {e}"),
-            }
-        }
+        metalora_obs::report::RunReport::capture("table1").publish();
     }
 }

@@ -1,5 +1,11 @@
 //! Global kernel and memory counters.
 //!
+//! Every counter is declared once, in the `counters!` list below, by its
+//! run-log name (`group`, `name`) and its storage. Reset, the run log's
+//! `counters` object and the summary table all walk that list; a
+//! declaration's `=> field` puts the counter in [`CounterSnapshot`], the
+//! typed view for readers outside this crate that want fields.
+//!
 //! All counters are process-wide relaxed atomics: recording from inside a
 //! parallel kernel is safe and nearly free, and the exact interleaving of
 //! increments does not matter because only totals are reported.
@@ -13,8 +19,9 @@
 //!   see", not a disjoint partition of machine flops.
 //! * [`track_alloc`]/[`track_free`] may be toggled on mid-run, so frees
 //!   of buffers allocated while disabled can drive the live-byte count
-//!   negative; the snapshot clamps at zero and the peak only ratchets up.
+//!   negative; reads clamp at zero and the peak only ratchets up.
 
+use std::fmt;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering::Relaxed};
 
 /// Instrumented kernel entry points.
@@ -32,11 +39,9 @@ pub enum Kernel {
     Knn,
 }
 
-const N_KERNELS: usize = 5;
-
 impl Kernel {
     /// All kernels, in reporting order.
-    pub const ALL: [Kernel; N_KERNELS] = [
+    pub const ALL: [Kernel; 5] = [
         Kernel::Matmul,
         Kernel::Conv,
         Kernel::Contract,
@@ -44,8 +49,8 @@ impl Kernel {
         Kernel::Knn,
     ];
 
-    /// Stable lowercase name used in reports.
-    pub fn name(self) -> &'static str {
+    /// Stable lowercase name: the kernel's group in the run log.
+    pub const fn name(self) -> &'static str {
         match self {
             Kernel::Matmul => "matmul",
             Kernel::Conv => "conv",
@@ -54,53 +59,220 @@ impl Kernel {
             Kernel::Knn => "knn",
         }
     }
+
+    /// The kernel's row of the typed view.
+    fn stat(self) -> KernelStat {
+        let [calls, flops, bytes] = self.totals();
+        KernelStat {
+            kernel: self.name(),
+            calls: calls.get(),
+            flops: flops.get(),
+            bytes_moved: bytes.get(),
+        }
+    }
+
+    /// The kernel's calls, flops and bytes-moved totals.
+    fn totals(self) -> [&'static Total; 3] {
+        match self {
+            Kernel::Matmul => [&MATMUL_CALLS, &MATMUL_FLOPS, &MATMUL_BYTES],
+            Kernel::Conv => [&CONV_CALLS, &CONV_FLOPS, &CONV_BYTES],
+            Kernel::Contract => [&CONTRACT_CALLS, &CONTRACT_FLOPS, &CONTRACT_BYTES],
+            Kernel::Einsum => [&EINSUM_CALLS, &EINSUM_FLOPS, &EINSUM_BYTES],
+            Kernel::Knn => [&KNN_CALLS, &KNN_FLOPS, &KNN_BYTES],
+        }
+    }
 }
 
-#[allow(clippy::declare_interior_mutable_const)]
-const ZERO_U64: AtomicU64 = AtomicU64::new(0);
+/// A running total.
+pub struct Total(AtomicU64);
 
-static CALLS: [AtomicU64; N_KERNELS] = [ZERO_U64; N_KERNELS];
-static FLOPS: [AtomicU64; N_KERNELS] = [ZERO_U64; N_KERNELS];
-static BYTES: [AtomicU64; N_KERNELS] = [ZERO_U64; N_KERNELS];
+impl Total {
+    const fn new() -> Self {
+        Total(AtomicU64::new(0))
+    }
 
-static DISPATCH_PARALLEL: AtomicU64 = AtomicU64::new(0);
-static DISPATCH_SERIAL: AtomicU64 = AtomicU64::new(0);
+    /// Adds `n` while instrumentation is on.
+    #[inline]
+    pub fn add(&self, n: u64) {
+        if crate::enabled() {
+            self.0.fetch_add(n, Relaxed);
+        }
+    }
 
-static MATMUL_PACKED: AtomicU64 = AtomicU64::new(0);
-static MATMUL_LEGACY: AtomicU64 = AtomicU64::new(0);
+    fn get(&self) -> u64 {
+        self.0.load(Relaxed)
+    }
+}
+
+/// A level that rises and falls; reads clamp at zero.
+struct Level(AtomicI64);
+
+impl Level {
+    const fn new() -> Self {
+        Level(AtomicI64::new(0))
+    }
+}
 
 /// Team slots individually tracked by the tile-grid per-thread claim
 /// tally; slots past this fold into the last bucket.
 pub const MAX_TRACKED_SLOTS: usize = 32;
 
-static TILE_CLAIMS: AtomicU64 = AtomicU64::new(0);
-static TILE_BPACKS: AtomicU64 = AtomicU64::new(0);
-static TILE_STEALS: AtomicU64 = AtomicU64::new(0);
-static TILE_CLAIMS_PER_SLOT: [AtomicU64; MAX_TRACKED_SLOTS] = [ZERO_U64; MAX_TRACKED_SLOTS];
+/// Per-team-slot totals; reads trim trailing zero slots.
+struct Slots([AtomicU64; MAX_TRACKED_SLOTS]);
 
-static TENSOR_BYTES_ALIVE: AtomicI64 = AtomicI64::new(0);
-static PEAK_TENSOR_BYTES: AtomicI64 = AtomicI64::new(0);
+impl Slots {
+    const fn new() -> Self {
+        Slots([const { AtomicU64::new(0) }; MAX_TRACKED_SLOTS])
+    }
 
-static WS_HITS: AtomicU64 = AtomicU64::new(0);
-static WS_MISSES: AtomicU64 = AtomicU64::new(0);
-static WS_BYTES_REUSED: AtomicU64 = AtomicU64::new(0);
-static WS_POOLED_BYTES: AtomicI64 = AtomicI64::new(0);
-static PEAK_WS_POOLED_BYTES: AtomicI64 = AtomicI64::new(0);
+    fn get(&self) -> Vec<u64> {
+        let mut v: Vec<u64> = self.0.iter().map(|c| c.load(Relaxed)).collect();
+        while v.last() == Some(&0) {
+            v.pop();
+        }
+        v
+    }
+}
 
-static FUSED_EPILOGUES: AtomicU64 = AtomicU64::new(0);
-static FUSED_ELEMS: AtomicU64 = AtomicU64::new(0);
-static OUTPUT_PASSES: AtomicU64 = AtomicU64::new(0);
+/// Storage the list can read and zero.
+trait Cell: Sync {
+    fn read(&self) -> Value;
+    fn zero(&self);
+}
 
-static SERVE_REQUESTS: AtomicU64 = AtomicU64::new(0);
-static SERVE_BATCHES: AtomicU64 = AtomicU64::new(0);
-static SERVE_SEED_ROWS: AtomicU64 = AtomicU64::new(0);
-static SERVE_CACHE_HITS: AtomicU64 = AtomicU64::new(0);
-static SERVE_CACHE_MISSES: AtomicU64 = AtomicU64::new(0);
-static SERVE_CACHE_EVICTIONS: AtomicU64 = AtomicU64::new(0);
-static SERVE_MERGES: AtomicU64 = AtomicU64::new(0);
+impl Cell for Total {
+    fn read(&self) -> Value {
+        Value::Count(self.get())
+    }
+    fn zero(&self) {
+        self.0.store(0, Relaxed);
+    }
+}
 
-static TELEMETRY_REQUESTS: AtomicU64 = AtomicU64::new(0);
-static TAIL_ATTRIBUTIONS: AtomicU64 = AtomicU64::new(0);
+impl Cell for Level {
+    fn read(&self) -> Value {
+        Value::Count(self.0.load(Relaxed).max(0) as u64)
+    }
+    fn zero(&self) {
+        self.0.store(0, Relaxed);
+    }
+}
+
+impl Cell for Slots {
+    fn read(&self) -> Value {
+        Value::PerSlot(self.get())
+    }
+    fn zero(&self) {
+        for c in &self.0 {
+            c.store(0, Relaxed);
+        }
+    }
+}
+
+/// Declares each counter once: its static, its entry in [`LIST`] and,
+/// after `=>`, the [`CounterSnapshot`] field that reads it.
+macro_rules! counters {
+    ($($(#[$doc:meta])* $vis:vis $id:ident: $cell:ident = ($group:expr, $name:literal)
+        $(=> $field:ident: $ty:ty)?;)+) => {
+        $($(#[$doc])* $vis static $id: $cell = $cell::new();)+
+
+        /// Every counter in reporting order: run-log group, name, storage.
+        static LIST: &[(&str, &str, &dyn Cell)] = &[$(($group, $name, &$id)),+];
+
+        /// A typed view of the counters that code outside this crate reads
+        /// by field (the repo benchmark, K1 and the kernel suites); each
+        /// field reads the counter declared with it. Every counter is in
+        /// the run log.
+        #[derive(Debug, Clone, PartialEq, Eq)]
+        pub struct CounterSnapshot {
+            /// Per-kernel stats in [`Kernel::ALL`] order.
+            pub kernels: Vec<KernelStat>,
+            /// Always 0: the static-plan layer is gone and nothing records
+            /// into this field. It survives only because the frozen
+            /// `benchmark/` reads it by name for its
+            /// `serve.engine.plans_built` metric; the next benchmark change
+            /// drops that metric and this field together.
+            pub plans_built: u64,
+            $($(pub $field: $ty,)?)+
+        }
+
+        /// Snapshots the typed view.
+        pub fn snapshot() -> CounterSnapshot {
+            CounterSnapshot {
+                kernels: Kernel::ALL.iter().map(|&k| k.stat()).collect(),
+                plans_built: 0,
+                $($($field: $id.get(),)?)+
+            }
+        }
+    };
+}
+
+counters! {
+    MATMUL_CALLS: Total = (Kernel::Matmul.name(), "calls");
+    MATMUL_FLOPS: Total = (Kernel::Matmul.name(), "flops");
+    MATMUL_BYTES: Total = (Kernel::Matmul.name(), "bytes_moved");
+    CONV_CALLS: Total = (Kernel::Conv.name(), "calls");
+    CONV_FLOPS: Total = (Kernel::Conv.name(), "flops");
+    CONV_BYTES: Total = (Kernel::Conv.name(), "bytes_moved");
+    CONTRACT_CALLS: Total = (Kernel::Contract.name(), "calls");
+    CONTRACT_FLOPS: Total = (Kernel::Contract.name(), "flops");
+    CONTRACT_BYTES: Total = (Kernel::Contract.name(), "bytes_moved");
+    EINSUM_CALLS: Total = (Kernel::Einsum.name(), "calls");
+    EINSUM_FLOPS: Total = (Kernel::Einsum.name(), "flops");
+    EINSUM_BYTES: Total = (Kernel::Einsum.name(), "bytes_moved");
+    KNN_CALLS: Total = (Kernel::Knn.name(), "calls");
+    KNN_FLOPS: Total = (Kernel::Knn.name(), "flops");
+    KNN_BYTES: Total = (Kernel::Knn.name(), "bytes_moved");
+    /// `par` layer calls that spawned a thread team.
+    pub DISPATCH_PARALLEL: Total = ("dispatch", "parallel") => dispatch_parallel: u64;
+    /// `par` layer calls that stayed on the calling thread.
+    pub DISPATCH_SERIAL: Total = ("dispatch", "serial") => dispatch_serial: u64;
+    /// Matmuls that ran the packed register-tiled microkernel.
+    pub MATMUL_PACKED: Total = ("dispatch", "matmul_packed") => matmul_packed: u64;
+    /// Matmuls that ran the reference row-block kernel — only when forced
+    /// (tests, the K1 sweep), so a production run reads 0.
+    pub MATMUL_LEGACY: Total = ("dispatch", "matmul_legacy") => matmul_legacy: u64;
+    /// C-tile blocks claimed from tile-grid GEMM queues, all workers.
+    TILE_CLAIMS: Total = ("tile_grid", "claims") => tile_claims: u64;
+    /// Shared B-panel packing passes. The scheduler packs `B` once per
+    /// GEMM (shared read-only across the team), so this must equal the
+    /// packed GEMM calls; per-thread re-packing would read higher.
+    pub TILE_BPACKS: Total = ("tile_grid", "bpacks") => tile_bpacks: u64;
+    /// Tile claims whose queue index was not adjacent to the worker's
+    /// previous claim: another worker grabbed the block in between.
+    TILE_STEALS: Total = ("tile_grid", "steals");
+    /// Per-team-slot claim totals.
+    TILE_CLAIMS_PER_SLOT: Slots = ("tile_grid", "claims_per_slot")
+        => tile_claims_per_slot: Vec<u64>;
+    /// High-water mark of tensor bytes alive.
+    PEAK_TENSOR_BYTES: Total = ("memory", "peak_tensor_bytes") => peak_tensor_bytes: u64;
+    /// Tensor bytes currently alive.
+    TENSOR_BYTES_ALIVE: Level = ("memory", "tensor_bytes_alive");
+    /// Workspace-arena checkouts satisfied from the pool.
+    pub WORKSPACE_HITS: Total = ("workspace", "hits") => workspace_hits: u64;
+    /// Workspace-arena checkouts that had to allocate fresh.
+    pub WORKSPACE_MISSES: Total = ("workspace", "misses") => workspace_misses: u64;
+    /// Bytes handed out from recycled workspace buffers.
+    pub WORKSPACE_BYTES_REUSED: Total = ("workspace", "bytes_reused")
+        => workspace_bytes_reused: u64;
+    /// Bytes currently idling in the workspace pool.
+    WORKSPACE_POOLED_BYTES: Level = ("workspace", "pooled_bytes");
+    /// High-water mark of bytes idling in the workspace pool.
+    PEAK_WORKSPACE_POOLED_BYTES: Total = ("workspace", "peak_pooled_bytes")
+        => peak_workspace_pooled_bytes: u64;
+    /// Seed rows produced by amortised mapping-net passes of the serving
+    /// batcher (all dynamic-MetaLoRA rows of a batch share one forward).
+    pub SERVE_SEED_ROWS: Total = ("serve", "seed_rows") => serve_seed_rows: u64;
+    /// `W + ΔW` merges computed for the serving cache.
+    pub SERVE_MERGES: Total = ("serve", "merges") => serve_merges: u64;
+    /// GEMMs whose bias add was fused into the store.
+    pub FUSED_EPILOGUES: Total = ("fusion", "fused_epilogues") => fused_epilogues: u64;
+    /// Output elements the fused epilogues covered.
+    pub FUSED_ELEMS: Total = ("fusion", "fused_elems");
+    /// Separate (unfused) bias passes over a full output. The fused
+    /// serving path must keep this at zero.
+    pub OUTPUT_PASSES: Total = ("fusion", "output_passes") => output_passes: u64;
+}
 
 /// Records one invocation of `kernel` with its estimated flop count and
 /// the bytes it moved (inputs + outputs).
@@ -109,223 +281,113 @@ pub fn record_kernel(kernel: Kernel, flops: u64, bytes: u64) {
     if !crate::enabled() {
         return;
     }
-    let i = kernel as usize;
-    CALLS[i].fetch_add(1, Relaxed);
-    FLOPS[i].fetch_add(flops, Relaxed);
-    BYTES[i].fetch_add(bytes, Relaxed);
-}
-
-/// Records one serial-vs-parallel dispatch decision of the `par` layer.
-#[inline]
-pub fn record_dispatch(parallel: bool) {
-    if !crate::enabled() {
-        return;
-    }
-    if parallel {
-        DISPATCH_PARALLEL.fetch_add(1, Relaxed);
-    } else {
-        DISPATCH_SERIAL.fetch_add(1, Relaxed);
-    }
-}
-
-/// Records which matmul kernel ran: the packed register-tiled one
-/// (`packed == true`) or the reference row-block kernel, which runs only
-/// where a test or the K1 sweep forces it.
-#[inline]
-pub fn record_matmul_path(packed: bool) {
-    if !crate::enabled() {
-        return;
-    }
-    if packed {
-        MATMUL_PACKED.fetch_add(1, Relaxed);
-    } else {
-        MATMUL_LEGACY.fetch_add(1, Relaxed);
-    }
+    let [calls, f, b] = kernel.totals();
+    calls.0.fetch_add(1, Relaxed);
+    f.0.fetch_add(flops, Relaxed);
+    b.0.fetch_add(bytes, Relaxed);
 }
 
 /// Records one worker's tallies from a tile-grid GEMM team: how many
-/// C-tile blocks the worker at `slot` claimed, and how many of those
-/// claims were "steals" — claims whose queue index was not adjacent to
-/// the worker's previous claim, i.e. another worker grabbed the
-/// intervening block (a direct measure of cross-thread interleaving on
-/// the shared queue).
+/// C-tile blocks the worker at `slot` claimed (slots past
+/// [`MAX_TRACKED_SLOTS`] fold into the last one), and how many of those
+/// claims were steals.
 #[inline]
 pub fn record_tile_grid_worker(slot: usize, claimed: u64, steals: u64) {
     if !crate::enabled() {
         return;
     }
-    TILE_CLAIMS.fetch_add(claimed, Relaxed);
-    TILE_STEALS.fetch_add(steals, Relaxed);
-    TILE_CLAIMS_PER_SLOT[slot.min(MAX_TRACKED_SLOTS - 1)].fetch_add(claimed, Relaxed);
+    TILE_CLAIMS.0.fetch_add(claimed, Relaxed);
+    TILE_STEALS.0.fetch_add(steals, Relaxed);
+    TILE_CLAIMS_PER_SLOT.0[slot.min(MAX_TRACKED_SLOTS - 1)].fetch_add(claimed, Relaxed);
 }
 
-/// Records one shared B-panel packing pass of the tile-grid GEMM. The
-/// scheduler packs `B` exactly once per GEMM invocation (shared
-/// read-only across the team), so this total must equal the number of
-/// packed GEMM calls — redundant per-thread re-packing would show up as
-/// a higher count.
+/// Moves `level` by `delta` and ratchets `peak` up to the new level.
 #[inline]
-pub fn record_tile_grid_bpack() {
-    if !crate::enabled() {
-        return;
-    }
-    TILE_BPACKS.fetch_add(1, Relaxed);
-}
-
-/// Records one workspace-arena checkout: `hit` when a pooled buffer was
-/// reused (its `bytes` count toward the reuse total), `!hit` when the
-/// arena had to allocate fresh.
-#[inline]
-pub fn record_workspace_checkout(hit: bool, bytes: usize) {
-    if !crate::enabled() {
-        return;
-    }
-    if hit {
-        WS_HITS.fetch_add(1, Relaxed);
-        WS_BYTES_REUSED.fetch_add(bytes as u64, Relaxed);
-    } else {
-        WS_MISSES.fetch_add(1, Relaxed);
+fn ratchet(level: &Level, peak: &Total, delta: i64) {
+    let now = level.0.fetch_add(delta, Relaxed) + delta;
+    if now > 0 {
+        peak.0.fetch_max(now as u64, Relaxed);
     }
 }
 
 /// Adjusts the bytes idling in the workspace pool (positive when a buffer
 /// is parked, negative when one is checked out or evicted), ratcheting the
 /// peak-resident mark. Subject to the same toggled-mid-run caveat as
-/// [`track_alloc`]/[`track_free`]; the snapshot clamps at zero.
+/// [`track_alloc`]/[`track_free`].
 #[inline]
 pub fn record_workspace_pooled(delta_bytes: i64) {
-    if !crate::enabled() {
-        return;
+    if crate::enabled() {
+        ratchet(&WORKSPACE_POOLED_BYTES, &PEAK_WORKSPACE_POOLED_BYTES, delta_bytes);
     }
-    let now = WS_POOLED_BYTES.fetch_add(delta_bytes, Relaxed) + delta_bytes;
-    let mut peak = PEAK_WS_POOLED_BYTES.load(Relaxed);
-    while now > peak {
-        match PEAK_WS_POOLED_BYTES.compare_exchange_weak(peak, now, Relaxed, Relaxed) {
-            Ok(_) => break,
-            Err(p) => peak = p,
-        }
-    }
-}
-
-/// Records one GEMM whose bias add was fused into the store over `elems`
-/// output elements — work a separate full output pass would otherwise
-/// have done.
-#[inline]
-pub fn record_fused_epilogue(elems: u64) {
-    if !crate::enabled() {
-        return;
-    }
-    FUSED_EPILOGUES.fetch_add(1, Relaxed);
-    FUSED_ELEMS.fetch_add(elems, Relaxed);
-}
-
-/// Records one separate (unfused) bias pass over a full output — a
-/// broadcast add. The fused serving path must drive this to zero;
-/// `serve/tests/steady_state.rs` asserts it.
-#[inline]
-pub fn record_output_pass() {
-    if !crate::enabled() {
-        return;
-    }
-    OUTPUT_PASSES.fetch_add(1, Relaxed);
-}
-
-/// Records one served batch carrying `requests` requests.
-#[inline]
-pub fn record_serve_batch(requests: u64) {
-    if !crate::enabled() {
-        return;
-    }
-    SERVE_BATCHES.fetch_add(1, Relaxed);
-    SERVE_REQUESTS.fetch_add(requests, Relaxed);
-}
-
-/// Records `rows` seed rows produced by one amortised mapping-net pass of
-/// the serving batcher (all dynamic-MetaLoRA rows of a batch share one
-/// forward; a per-request engine would record a pass per row).
-#[inline]
-pub fn record_serve_seed_rows(rows: u64) {
-    if !crate::enabled() {
-        return;
-    }
-    SERVE_SEED_ROWS.fetch_add(rows, Relaxed);
-}
-
-/// Records one merged-weight cache lookup by outcome.
-#[inline]
-pub fn record_serve_cache(hit: bool) {
-    if !crate::enabled() {
-        return;
-    }
-    if hit {
-        SERVE_CACHE_HITS.fetch_add(1, Relaxed);
-    } else {
-        SERVE_CACHE_MISSES.fetch_add(1, Relaxed);
-    }
-}
-
-/// Records `n` merged weights evicted from the serving cache.
-#[inline]
-pub fn record_serve_evictions(n: u64) {
-    if !crate::enabled() {
-        return;
-    }
-    SERVE_CACHE_EVICTIONS.fetch_add(n, Relaxed);
-}
-
-/// Records one `W + ΔW` merge computed for the serving cache.
-#[inline]
-pub fn record_serve_merge() {
-    if !crate::enabled() {
-        return;
-    }
-    SERVE_MERGES.fetch_add(1, Relaxed);
-}
-
-/// Records one request fully accounted by the live telemetry registry
-/// (`obs::registry` + `obs::slo`) — the cheap process-wide tally the run
-/// report carries even after the registry itself is reset per window.
-#[inline]
-pub fn record_telemetry_request() {
-    if !crate::enabled() {
-        return;
-    }
-    TELEMETRY_REQUESTS.fetch_add(1, Relaxed);
-}
-
-/// Records one tail-latency attribution sample (a request beyond the SLO
-/// target whose dominant stage was identified).
-#[inline]
-pub fn record_tail_attribution() {
-    if !crate::enabled() {
-        return;
-    }
-    TAIL_ATTRIBUTIONS.fetch_add(1, Relaxed);
 }
 
 /// Records a tensor buffer allocation, ratcheting the peak-alive mark.
 #[inline]
 pub fn track_alloc(bytes: usize) {
-    if !crate::enabled() {
-        return;
-    }
-    let now = TENSOR_BYTES_ALIVE.fetch_add(bytes as i64, Relaxed) + bytes as i64;
-    let mut peak = PEAK_TENSOR_BYTES.load(Relaxed);
-    while now > peak {
-        match PEAK_TENSOR_BYTES.compare_exchange_weak(peak, now, Relaxed, Relaxed) {
-            Ok(_) => break,
-            Err(p) => peak = p,
-        }
+    if crate::enabled() {
+        ratchet(&TENSOR_BYTES_ALIVE, &PEAK_TENSOR_BYTES, bytes as i64);
     }
 }
 
 /// Records a tensor buffer release.
 #[inline]
 pub fn track_free(bytes: usize) {
-    if !crate::enabled() {
-        return;
+    if crate::enabled() {
+        TENSOR_BYTES_ALIVE.0.fetch_sub(bytes as i64, Relaxed);
     }
-    TENSOR_BYTES_ALIVE.fetch_sub(bytes as i64, Relaxed);
+}
+
+/// A counter's value as read.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Value {
+    Count(u64),
+    /// Per-team-slot totals, trailing zero slots trimmed.
+    PerSlot(Vec<u64>),
+}
+
+impl Value {
+    pub(crate) fn is_zero(&self) -> bool {
+        match self {
+            Value::Count(n) => *n == 0,
+            Value::PerSlot(v) => v.is_empty(),
+        }
+    }
+}
+
+/// Renders as JSON: a number or an array of numbers.
+impl fmt::Display for Value {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Value::Count(n) => write!(f, "{n}"),
+            Value::PerSlot(v) => {
+                let slots: Vec<String> = v.iter().map(u64::to_string).collect();
+                write!(f, "[{}]", slots.join(", "))
+            }
+        }
+    }
+}
+
+/// One counter of the list, as read.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Reading {
+    pub group: &'static str,
+    pub name: &'static str,
+    pub value: Value,
+}
+
+/// Reads every counter of the list, in list order (individually atomic
+/// reads; a concurrent recorder may land between them).
+pub(crate) fn read_all() -> Vec<Reading> {
+    LIST.iter()
+        .map(|&(group, name, cell)| Reading { group, name, value: cell.read() })
+        .collect()
+}
+
+/// Zeroes every counter.
+pub fn reset() {
+    for (_, _, cell) in LIST {
+        cell.zero();
+    }
 }
 
 /// One row of the per-kernel table.
@@ -339,167 +401,6 @@ pub struct KernelStat {
     pub flops: u64,
     /// Bytes moved (inputs + outputs, 4 bytes per element).
     pub bytes_moved: u64,
-}
-
-/// A consistent-enough copy of every counter (individually atomic reads;
-/// a concurrent recorder may land between rows).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CounterSnapshot {
-    /// Per-kernel stats in [`Kernel::ALL`] order.
-    pub kernels: Vec<KernelStat>,
-    /// `par_row_blocks` calls that spawned a thread team.
-    pub dispatch_parallel: u64,
-    /// `par_row_blocks` calls that stayed on the calling thread.
-    pub dispatch_serial: u64,
-    /// Matmuls that ran the packed register-tiled microkernel.
-    pub matmul_packed: u64,
-    /// Matmuls that ran the reference row-block kernel — only when forced
-    /// (tests, the K1 sweep), so a production run reads 0. The name is the
-    /// one run logs and the repo benchmark read.
-    pub matmul_legacy: u64,
-    /// C-tile blocks claimed from tile-grid GEMM queues, all workers.
-    pub tile_claims: u64,
-    /// Shared B-panel packing passes (exactly one per packed GEMM).
-    pub tile_bpacks: u64,
-    /// Tile claims that interleaved with another worker (see
-    /// [`record_tile_grid_worker`]).
-    pub tile_steals: u64,
-    /// Per-team-slot claim totals, trailing zero slots trimmed (empty
-    /// when no tile-grid GEMM ran).
-    pub tile_claims_per_slot: Vec<u64>,
-    /// Tensor bytes currently alive (clamped at zero).
-    pub tensor_bytes_alive: u64,
-    /// High-water mark of tensor bytes alive.
-    pub peak_tensor_bytes: u64,
-    /// Workspace-arena checkouts satisfied from the pool.
-    pub workspace_hits: u64,
-    /// Workspace-arena checkouts that had to allocate fresh.
-    pub workspace_misses: u64,
-    /// Bytes handed out from recycled workspace buffers.
-    pub workspace_bytes_reused: u64,
-    /// Bytes currently idling in the workspace pool (clamped at zero).
-    pub workspace_pooled_bytes: u64,
-    /// High-water mark of bytes idling in the workspace pool.
-    pub peak_workspace_pooled_bytes: u64,
-    /// GEMMs whose bias add was fused into the store.
-    pub fused_epilogues: u64,
-    /// Output elements the fused epilogues covered.
-    pub fused_elems: u64,
-    /// Separate (unfused) full bias passes over an output.
-    pub output_passes: u64,
-    /// Always 0: the static-plan layer is gone and nothing records into
-    /// this field. It survives only because the frozen `benchmark/` reads
-    /// it by name for its `serve.engine.plans_built` metric; the next
-    /// benchmark issue drops that metric and this field together.
-    pub plans_built: u64,
-    /// Requests served by the serving engine.
-    pub serve_requests: u64,
-    /// Batches the serving engine executed.
-    pub serve_batches: u64,
-    /// Seed rows produced by amortised mapping-net passes.
-    pub serve_seed_rows: u64,
-    /// Merged-weight cache lookups that hit.
-    pub serve_cache_hits: u64,
-    /// Merged-weight cache lookups that missed.
-    pub serve_cache_misses: u64,
-    /// Merged weights evicted from the serving cache.
-    pub serve_cache_evictions: u64,
-    /// `W + ΔW` merges computed for the serving cache.
-    pub serve_merges: u64,
-    /// Requests accounted by the live telemetry registry.
-    pub telemetry_requests: u64,
-    /// Tail-latency attribution samples recorded.
-    pub tail_attributions: u64,
-}
-
-/// Snapshots every counter.
-pub fn snapshot() -> CounterSnapshot {
-    let kernels = Kernel::ALL
-        .iter()
-        .map(|&k| {
-            let i = k as usize;
-            KernelStat {
-                kernel: k.name(),
-                calls: CALLS[i].load(Relaxed),
-                flops: FLOPS[i].load(Relaxed),
-                bytes_moved: BYTES[i].load(Relaxed),
-            }
-        })
-        .collect();
-    let mut tile_claims_per_slot: Vec<u64> =
-        TILE_CLAIMS_PER_SLOT.iter().map(|c| c.load(Relaxed)).collect();
-    while tile_claims_per_slot.last() == Some(&0) {
-        tile_claims_per_slot.pop();
-    }
-    CounterSnapshot {
-        kernels,
-        dispatch_parallel: DISPATCH_PARALLEL.load(Relaxed),
-        dispatch_serial: DISPATCH_SERIAL.load(Relaxed),
-        matmul_packed: MATMUL_PACKED.load(Relaxed),
-        matmul_legacy: MATMUL_LEGACY.load(Relaxed),
-        tile_claims: TILE_CLAIMS.load(Relaxed),
-        tile_bpacks: TILE_BPACKS.load(Relaxed),
-        tile_steals: TILE_STEALS.load(Relaxed),
-        tile_claims_per_slot,
-        tensor_bytes_alive: TENSOR_BYTES_ALIVE.load(Relaxed).max(0) as u64,
-        peak_tensor_bytes: PEAK_TENSOR_BYTES.load(Relaxed).max(0) as u64,
-        workspace_hits: WS_HITS.load(Relaxed),
-        workspace_misses: WS_MISSES.load(Relaxed),
-        workspace_bytes_reused: WS_BYTES_REUSED.load(Relaxed),
-        workspace_pooled_bytes: WS_POOLED_BYTES.load(Relaxed).max(0) as u64,
-        peak_workspace_pooled_bytes: PEAK_WS_POOLED_BYTES.load(Relaxed).max(0) as u64,
-        fused_epilogues: FUSED_EPILOGUES.load(Relaxed),
-        fused_elems: FUSED_ELEMS.load(Relaxed),
-        output_passes: OUTPUT_PASSES.load(Relaxed),
-        plans_built: 0,
-        serve_requests: SERVE_REQUESTS.load(Relaxed),
-        serve_batches: SERVE_BATCHES.load(Relaxed),
-        serve_seed_rows: SERVE_SEED_ROWS.load(Relaxed),
-        serve_cache_hits: SERVE_CACHE_HITS.load(Relaxed),
-        serve_cache_misses: SERVE_CACHE_MISSES.load(Relaxed),
-        serve_cache_evictions: SERVE_CACHE_EVICTIONS.load(Relaxed),
-        serve_merges: SERVE_MERGES.load(Relaxed),
-        telemetry_requests: TELEMETRY_REQUESTS.load(Relaxed),
-        tail_attributions: TAIL_ATTRIBUTIONS.load(Relaxed),
-    }
-}
-
-/// Zeroes every counter.
-pub fn reset() {
-    for i in 0..N_KERNELS {
-        CALLS[i].store(0, Relaxed);
-        FLOPS[i].store(0, Relaxed);
-        BYTES[i].store(0, Relaxed);
-    }
-    DISPATCH_PARALLEL.store(0, Relaxed);
-    DISPATCH_SERIAL.store(0, Relaxed);
-    MATMUL_PACKED.store(0, Relaxed);
-    MATMUL_LEGACY.store(0, Relaxed);
-    TILE_CLAIMS.store(0, Relaxed);
-    TILE_BPACKS.store(0, Relaxed);
-    TILE_STEALS.store(0, Relaxed);
-    for c in &TILE_CLAIMS_PER_SLOT {
-        c.store(0, Relaxed);
-    }
-    TENSOR_BYTES_ALIVE.store(0, Relaxed);
-    PEAK_TENSOR_BYTES.store(0, Relaxed);
-    WS_HITS.store(0, Relaxed);
-    WS_MISSES.store(0, Relaxed);
-    WS_BYTES_REUSED.store(0, Relaxed);
-    WS_POOLED_BYTES.store(0, Relaxed);
-    PEAK_WS_POOLED_BYTES.store(0, Relaxed);
-    FUSED_EPILOGUES.store(0, Relaxed);
-    FUSED_ELEMS.store(0, Relaxed);
-    OUTPUT_PASSES.store(0, Relaxed);
-    SERVE_REQUESTS.store(0, Relaxed);
-    SERVE_BATCHES.store(0, Relaxed);
-    SERVE_SEED_ROWS.store(0, Relaxed);
-    SERVE_CACHE_HITS.store(0, Relaxed);
-    SERVE_CACHE_MISSES.store(0, Relaxed);
-    SERVE_CACHE_EVICTIONS.store(0, Relaxed);
-    SERVE_MERGES.store(0, Relaxed);
-    TELEMETRY_REQUESTS.store(0, Relaxed);
-    TAIL_ATTRIBUTIONS.store(0, Relaxed);
 }
 
 #[cfg(test)]
@@ -521,30 +422,50 @@ mod tests {
         assert_eq!(snap.kernels[Kernel::Conv as usize].calls, 0);
     }
 
+    /// Adds `n` while recording is on and more while it is off.
+    fn add_on_then_off(total: &Total, n: u64) {
+        total.add(n);
+        crate::set_enabled(false);
+        total.add(1_000);
+        crate::set_enabled(true);
+    }
+
     #[test]
     fn dispatch_tally() {
         let _g = lock();
-        record_dispatch(true);
-        record_dispatch(false);
-        record_dispatch(false);
+        add_on_then_off(&DISPATCH_PARALLEL, 1);
+        add_on_then_off(&DISPATCH_SERIAL, 2);
         let snap = snapshot();
-        assert_eq!(snap.dispatch_parallel, 1);
-        assert_eq!(snap.dispatch_serial, 2);
+        assert_eq!((snap.dispatch_parallel, snap.dispatch_serial), (1, 2));
     }
 
     #[test]
     fn matmul_path_tally() {
         let _g = lock();
-        record_matmul_path(true);
-        record_matmul_path(true);
-        record_matmul_path(false);
+        add_on_then_off(&MATMUL_PACKED, 2);
+        add_on_then_off(&MATMUL_LEGACY, 1);
         let snap = snapshot();
-        assert_eq!(snap.matmul_packed, 2);
-        assert_eq!(snap.matmul_legacy, 1);
-        crate::set_enabled(false);
-        record_matmul_path(true);
-        crate::set_enabled(true);
-        assert_eq!(snapshot().matmul_packed, 2);
+        assert_eq!((snap.matmul_packed, snap.matmul_legacy), (2, 1));
+    }
+
+    #[test]
+    fn serve_counters_accumulate_and_respect_toggle() {
+        let _g = lock();
+        add_on_then_off(&SERVE_SEED_ROWS, 5);
+        add_on_then_off(&SERVE_MERGES, 1);
+        let snap = snapshot();
+        assert_eq!((snap.serve_seed_rows, snap.serve_merges), (5, 1));
+    }
+
+    #[test]
+    fn fusion_counters_accumulate_and_respect_toggle() {
+        let _g = lock();
+        add_on_then_off(&FUSED_EPILOGUES, 2);
+        add_on_then_off(&FUSED_ELEMS, 100);
+        add_on_then_off(&OUTPUT_PASSES, 1);
+        let snap = snapshot();
+        assert_eq!((snap.fused_epilogues, snap.output_passes), (2, 1));
+        assert_eq!(FUSED_ELEMS.get(), 100);
     }
 
     #[test]
@@ -553,10 +474,10 @@ mod tests {
         record_tile_grid_worker(0, 10, 0);
         record_tile_grid_worker(1, 6, 2);
         record_tile_grid_worker(1, 4, 1);
-        record_tile_grid_bpack();
+        TILE_BPACKS.add(1);
         let snap = snapshot();
         assert_eq!(snap.tile_claims, 20);
-        assert_eq!(snap.tile_steals, 3);
+        assert_eq!(TILE_STEALS.get(), 3);
         assert_eq!(snap.tile_bpacks, 1);
         assert_eq!(snap.tile_claims_per_slot, vec![10, 10]);
         // Out-of-range slots fold into the last tracked bucket instead of
@@ -567,7 +488,7 @@ mod tests {
         assert_eq!(*snap.tile_claims_per_slot.last().unwrap(), 1);
         crate::set_enabled(false);
         record_tile_grid_worker(0, 99, 99);
-        record_tile_grid_bpack();
+        TILE_BPACKS.add(1);
         crate::set_enabled(true);
         assert_eq!(snapshot().tile_claims, 21);
         assert_eq!(snapshot().tile_bpacks, 1);
@@ -580,97 +501,59 @@ mod tests {
         track_alloc(50);
         track_free(120);
         track_alloc(10);
-        let snap = snapshot();
-        assert_eq!(snap.peak_tensor_bytes, 150);
-        assert_eq!(snap.tensor_bytes_alive, 40);
+        assert_eq!(snapshot().peak_tensor_bytes, 150);
+        assert_eq!(TENSOR_BYTES_ALIVE.read(), Value::Count(40));
         // Frees of untracked buffers cannot push the reported value below 0.
         track_free(1_000_000);
-        assert_eq!(snapshot().tensor_bytes_alive, 0);
+        assert_eq!(TENSOR_BYTES_ALIVE.read(), Value::Count(0));
         assert_eq!(snapshot().peak_tensor_bytes, 150);
     }
 
     #[test]
     fn workspace_counters_accumulate_and_clamp() {
         let _g = lock();
-        record_workspace_checkout(false, 256);
-        record_workspace_checkout(true, 128);
-        record_workspace_checkout(true, 64);
+        add_on_then_off(&WORKSPACE_MISSES, 1);
+        add_on_then_off(&WORKSPACE_HITS, 2);
+        add_on_then_off(&WORKSPACE_BYTES_REUSED, 192);
         record_workspace_pooled(512);
         record_workspace_pooled(-128);
         let snap = snapshot();
-        assert_eq!(snap.workspace_hits, 2);
-        assert_eq!(snap.workspace_misses, 1);
+        assert_eq!((snap.workspace_hits, snap.workspace_misses), (2, 1));
         assert_eq!(snap.workspace_bytes_reused, 192);
-        assert_eq!(snap.workspace_pooled_bytes, 384);
+        assert_eq!(WORKSPACE_POOLED_BYTES.read(), Value::Count(384));
         assert_eq!(snap.peak_workspace_pooled_bytes, 512);
         // Evictions past zero clamp, and the peak only ratchets.
         record_workspace_pooled(-1_000_000);
-        assert_eq!(snapshot().workspace_pooled_bytes, 0);
+        assert_eq!(WORKSPACE_POOLED_BYTES.read(), Value::Count(0));
         assert_eq!(snapshot().peak_workspace_pooled_bytes, 512);
     }
 
     #[test]
-    fn serve_counters_accumulate_and_respect_toggle() {
+    fn the_list_names_every_counter_once_and_reset_zeroes_it() {
         let _g = lock();
-        record_serve_batch(3);
-        record_serve_batch(1);
-        record_serve_seed_rows(5);
-        record_serve_cache(true);
-        record_serve_cache(false);
-        record_serve_cache(false);
-        record_serve_evictions(2);
-        record_serve_merge();
-        let snap = snapshot();
-        assert_eq!(snap.serve_batches, 2);
-        assert_eq!(snap.serve_requests, 4);
-        assert_eq!(snap.serve_seed_rows, 5);
-        assert_eq!(snap.serve_cache_hits, 1);
-        assert_eq!(snap.serve_cache_misses, 2);
-        assert_eq!(snap.serve_cache_evictions, 2);
-        assert_eq!(snap.serve_merges, 1);
-        crate::set_enabled(false);
-        record_serve_batch(9);
-        record_serve_cache(true);
-        record_serve_merge();
-        crate::set_enabled(true);
-        assert_eq!(snapshot().serve_requests, 4);
-        assert_eq!(snapshot().serve_merges, 1);
-    }
-
-    #[test]
-    fn telemetry_counters_accumulate_and_respect_toggle() {
-        let _g = lock();
-        record_telemetry_request();
-        record_telemetry_request();
-        record_tail_attribution();
-        let snap = snapshot();
-        assert_eq!(snap.telemetry_requests, 2);
-        assert_eq!(snap.tail_attributions, 1);
-        crate::set_enabled(false);
-        record_telemetry_request();
-        record_tail_attribution();
-        crate::set_enabled(true);
-        assert_eq!(snapshot().telemetry_requests, 2);
-        assert_eq!(snapshot().tail_attributions, 1);
-    }
-
-    #[test]
-    fn fusion_counters_accumulate_and_respect_toggle() {
-        let _g = lock();
-        record_fused_epilogue(64);
-        record_fused_epilogue(36);
-        record_output_pass();
-        let snap = snapshot();
-        assert_eq!(snap.fused_epilogues, 2);
-        assert_eq!(snap.fused_elems, 100);
-        assert_eq!(snap.output_passes, 1);
-        crate::set_enabled(false);
-        record_fused_epilogue(1_000);
-        record_output_pass();
-        crate::set_enabled(true);
-        let snap = snapshot();
-        assert_eq!(snap.fused_elems, 100);
-        assert_eq!(snap.output_passes, 1);
+        for k in Kernel::ALL {
+            record_kernel(k, 1, 1);
+        }
+        record_tile_grid_worker(2, 1, 1);
+        track_alloc(4);
+        record_workspace_pooled(4);
+        let readings = read_all();
+        assert_eq!(readings.len(), LIST.len());
+        let names: std::collections::BTreeSet<(&str, &str)> =
+            readings.iter().map(|r| (r.group, r.name)).collect();
+        assert_eq!(names.len(), readings.len(), "a counter is listed twice");
+        for k in Kernel::ALL {
+            for name in ["calls", "flops", "bytes_moved"] {
+                assert!(names.contains(&(k.name(), name)), "{} {name}", k.name());
+            }
+        }
+        let slots = readings.iter().find(|r| r.name == "claims_per_slot").unwrap();
+        assert_eq!(slots.value, Value::PerSlot(vec![0, 0, 1]));
+        assert_eq!(slots.value.to_string(), "[0, 0, 1]");
+        reset();
+        for r in read_all() {
+            assert!(r.value.is_zero(), "{r:?}");
+        }
     }
 
     #[test]
@@ -686,8 +569,7 @@ mod tests {
                 });
             }
         });
-        let snap = snapshot();
-        assert_eq!(snap.tensor_bytes_alive, 0);
-        assert!(snap.peak_tensor_bytes >= 8);
+        assert_eq!(TENSOR_BYTES_ALIVE.read(), Value::Count(0));
+        assert!(snapshot().peak_tensor_bytes >= 8);
     }
 }

@@ -13,13 +13,11 @@
 //! The Prometheus form follows the text exposition format (one `# TYPE`
 //! per metric name, all samples of a name in one contiguous group,
 //! label values escaped). [`parse_prometheus`] is a tiny in-repo
-//! validator for exactly that grammar; [`write_prometheus_text`] runs
-//! every exposition through it before the bytes hit disk, and CI smoke
-//! reuses it on the shipped artifact.
+//! validator for exactly that grammar; [`flush`] runs every exposition
+//! through it before the bytes hit disk.
 
 use crate::json;
-use crate::registry::{MetricValue, RegistrySnapshot, STAGES};
-use crate::slo::SloRow;
+use crate::registry::{MetricRow, MetricValue, RegistrySnapshot, STAGES};
 use crate::{registry, slo};
 use std::collections::BTreeMap;
 use std::io::Write as _;
@@ -84,11 +82,12 @@ fn sample_line(name: &str, label: &str, extra: Option<(&str, &str)>, value: Stri
     }
 }
 
-/// Renders the registry + SLO snapshot as Prometheus text exposition.
-/// Windowed families expand to quantile samples plus `_count` /
-/// `_rate_per_s` companions; samples are grouped per metric name with
-/// one `# TYPE` header each, as the format requires.
-pub fn prometheus_text(reg: &RegistrySnapshot, slo_rows: &[SloRow]) -> String {
+/// Renders the registry snapshot and the SLO rows derived from it as
+/// Prometheus text exposition. Windowed families expand to quantile
+/// samples plus `_count` / `_rate_per_s` companions; samples are grouped
+/// per metric name with one `# TYPE` header each, as the format requires.
+pub fn prometheus_text(reg: &RegistrySnapshot) -> String {
+    let slo_rows = slo::rows(reg);
     // metric name -> (type, samples); BTreeMap keeps groups ordered and
     // contiguous.
     let mut groups: BTreeMap<String, (&'static str, Vec<String>)> = BTreeMap::new();
@@ -133,7 +132,7 @@ pub fn prometheus_text(reg: &RegistrySnapshot, slo_rows: &[SloRow]) -> String {
         let line = sample_line(&target, "", None, format!("{}", slo_rows[0].target_ns));
         push(target, "gauge", line);
     }
-    for r in slo_rows {
+    for r in &slo_rows {
         let label = format!("tenant={}", r.tenant);
         for (suffix, kind, value) in [
             ("slo_requests_total", "counter", format!("{}", r.requests)),
@@ -175,37 +174,40 @@ pub fn prometheus_text(reg: &RegistrySnapshot, slo_rows: &[SloRow]) -> String {
     out
 }
 
-/// Renders the registry + SLO snapshot as one JSONL line (no trailing
-/// newline). Non-finite floats serialise as `null` via the crate's JSON
-/// helpers.
-pub fn jsonl_line(reg: &RegistrySnapshot, slo_rows: &[SloRow]) -> String {
-    let mut metrics = Vec::with_capacity(reg.rows.len());
-    for row in &reg.rows {
-        let head = format!(
-            "{{\"name\": {}, \"label\": {}, ",
-            json::string(&row.name),
-            json::string(&row.label)
-        );
-        let body = match &row.value {
-            MetricValue::Counter(c) => format!("\"kind\": \"counter\", \"value\": {c}}}"),
-            MetricValue::Gauge(g) => {
-                format!("\"kind\": \"gauge\", \"value\": {}}}", json::num(*g))
-            }
-            MetricValue::Window {
-                count,
-                p50_ns,
-                p95_ns,
-                p99_ns,
-                rate_per_s,
-            } => format!(
-                "\"kind\": \"window\", \"count\": {count}, \"p50_ns\": {p50_ns}, \
-                 \"p95_ns\": {p95_ns}, \"p99_ns\": {p99_ns}, \"rate_per_s\": {}}}",
-                json::num(*rate_per_s)
-            ),
-        };
-        metrics.push(format!("{head}{body}"));
-    }
-    let slo_json: Vec<String> = slo_rows
+/// One registry row as a JSON object — the form both the JSONL time
+/// series and the run log's `registry` array carry.
+pub(crate) fn row_json(row: &MetricRow) -> String {
+    let head = format!(
+        "{{\"name\": {}, \"label\": {}, ",
+        json::string(&row.name),
+        json::string(&row.label)
+    );
+    let body = match &row.value {
+        MetricValue::Counter(c) => format!("\"kind\": \"counter\", \"value\": {c}}}"),
+        MetricValue::Gauge(g) => {
+            format!("\"kind\": \"gauge\", \"value\": {}}}", json::num(*g))
+        }
+        MetricValue::Window {
+            count,
+            p50_ns,
+            p95_ns,
+            p99_ns,
+            rate_per_s,
+        } => format!(
+            "\"kind\": \"window\", \"count\": {count}, \"p50_ns\": {p50_ns}, \
+             \"p95_ns\": {p95_ns}, \"p99_ns\": {p99_ns}, \"rate_per_s\": {}}}",
+            json::num(*rate_per_s)
+        ),
+    };
+    format!("{head}{body}")
+}
+
+/// Renders the registry snapshot and the SLO rows derived from it as one
+/// JSONL line (no trailing newline). Non-finite floats serialise as
+/// `null` via the crate's JSON helpers.
+pub fn jsonl_line(reg: &RegistrySnapshot) -> String {
+    let metrics: Vec<String> = reg.rows.iter().map(row_json).collect();
+    let slo_json: Vec<String> = slo::rows(reg)
         .iter()
         .map(|r| {
             format!(
@@ -397,30 +399,6 @@ pub fn parse_prometheus(text: &str) -> Result<usize, String> {
     Ok(samples)
 }
 
-/// Appends pre-rendered JSONL lines to `METRICS_<name>.jsonl` under
-/// [`crate::out_dir`], creating the file on first use. Returns the path.
-pub fn append_jsonl(name: &str, lines: &[String]) -> std::io::Result<PathBuf> {
-    let path = crate::out_dir().join(format!("METRICS_{}.jsonl", crate::sanitise_name(name)));
-    let mut f = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(&path)?;
-    for line in lines {
-        writeln!(f, "{line}")?;
-    }
-    Ok(path)
-}
-
-/// Validates `text` with [`parse_prometheus`] and writes it to
-/// `METRICS_<name>.prom` under [`crate::out_dir`]. Returns the path.
-pub fn write_prometheus_text(name: &str, text: &str) -> std::io::Result<PathBuf> {
-    parse_prometheus(text)
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
-    let path = crate::out_dir().join(format!("METRICS_{}.prom", crate::sanitise_name(name)));
-    std::fs::write(&path, text)?;
-    Ok(path)
-}
-
 /// Paths written by [`flush`].
 #[derive(Debug)]
 pub struct MetricsFlush {
@@ -430,22 +408,27 @@ pub struct MetricsFlush {
     pub samples: usize,
 }
 
-/// The metrics flush hook: appends `lines` (or, when empty, one line
-/// snapshotted now) to the JSONL time series and rewrites the Prometheus
-/// exposition from the current registry + SLO state, validating it with
-/// the in-repo parser first.
+/// The metrics flush hook: renders the Prometheus exposition from the
+/// current registry state and validates it with the in-repo parser, then
+/// appends `lines` (or, when empty, one line snapshotted now) to
+/// `METRICS_<name>.jsonl` and rewrites `METRICS_<name>.prom`, both under
+/// [`crate::out_dir`].
 pub fn flush(name: &str, lines: &[String]) -> std::io::Result<MetricsFlush> {
     let reg = registry::snapshot();
-    let slo_rows = slo::snapshot_at(reg.now_ns);
-    let jsonl = if lines.is_empty() {
-        append_jsonl(name, &[jsonl_line(&reg, &slo_rows)])?
-    } else {
-        append_jsonl(name, lines)?
-    };
-    let text = prometheus_text(&reg, &slo_rows);
+    let text = prometheus_text(&reg);
     let samples = parse_prometheus(&text)
         .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
-    let prom = write_prometheus_text(name, &text)?;
+    let (dir, stem) = (crate::out_dir(), crate::sanitise_name(name));
+    let jsonl = dir.join(format!("METRICS_{stem}.jsonl"));
+    let mut f = std::fs::OpenOptions::new().create(true).append(true).open(&jsonl)?;
+    if lines.is_empty() {
+        writeln!(f, "{}", jsonl_line(&reg))?;
+    }
+    for line in lines {
+        writeln!(f, "{line}")?;
+    }
+    let prom = dir.join(format!("METRICS_{stem}.prom"));
+    std::fs::write(&prom, text)?;
     Ok(MetricsFlush {
         jsonl,
         prom,
@@ -458,14 +441,16 @@ mod tests {
     use super::*;
     use crate::registry::Attribution;
 
-    fn populated_snapshot() -> (RegistrySnapshot, Vec<SloRow>) {
+    fn populated_snapshot() -> RegistrySnapshot {
         registry::set_enabled(true);
+        crate::slo::set_target_ms(1.0);
         registry::inc("serve_requests_total", "tenant=3", 5);
         registry::inc("serve_requests_total", "tenant=11", 2);
+        registry::inc("serve_slow_requests_total", "tenant=3", 1);
         registry::inc("serve_requests_by_method_total", "method=meta_cp", 4);
         registry::gauge_set("serve_queue_depth", "", 3.0);
         registry::observe("serve_request_latency_ns", "tenant=3", 1_000, 800);
-        registry::observe("serve_request_latency_ns", "tenant=3", 2_000, 1_200);
+        registry::observe("serve_request_latency_ns", "tenant=3", 2_000, 2_000_000);
         registry::record_attribution(Attribution {
             request_id: 42,
             tenant: "3".into(),
@@ -473,19 +458,14 @@ mod tests {
             total_ns: 9_000,
             stage_ns: [100, 200, 300, 8_400],
         });
-        crate::slo::set_target_ms(1.0);
-        crate::slo::record("3", 1_500, 800);
-        crate::slo::record("3", 2_500, 2_000_000);
-        let reg = registry::snapshot_at(3_000);
-        let rows = crate::slo::snapshot_at(3_000);
-        (reg, rows)
+        registry::snapshot_at(3_000)
     }
 
     #[test]
     fn exposition_passes_own_parser_and_covers_all_kinds() {
         let _g = crate::tests::lock();
-        let (reg, rows) = populated_snapshot();
-        let text = prometheus_text(&reg, &rows);
+        let reg = populated_snapshot();
+        let text = prometheus_text(&reg);
         let n = parse_prometheus(&text).expect("valid exposition");
         assert!(n >= 10, "expected a rich exposition, got {n} samples:\n{text}");
         assert!(text.contains("# TYPE metalora_serve_requests_total counter"));
@@ -521,11 +501,11 @@ mod tests {
     #[test]
     fn jsonl_line_is_single_line_valid_json_with_null_nonfinite() {
         let _g = crate::tests::lock();
-        let (mut reg, rows) = populated_snapshot();
+        let mut reg = populated_snapshot();
         // Inject a non-finite gauge: must serialise as null, not NaN.
         registry::gauge_set("poisoned_gauge", "", f64::NAN);
         reg = registry::snapshot_at(reg.now_ns);
-        let line = jsonl_line(&reg, &rows);
+        let line = jsonl_line(&reg);
         assert!(!line.contains('\n'), "jsonl must be one line");
         assert!(line.contains("\"poisoned_gauge\", \"label\": \"\", \"kind\": \"gauge\", \"value\": null"));
         assert!(!line.contains("NaN"));
@@ -553,7 +533,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         crate::set_out_dir(Some(dir.clone()));
-        let (_reg, _rows) = populated_snapshot();
+        populated_snapshot();
         let first = flush("unit", &[]).expect("flush");
         assert!(first.samples > 0);
         let lines = vec!["{\"ts_ns\": 1}".to_string(), "{\"ts_ns\": 2}".to_string()];

@@ -10,10 +10,10 @@
 //! * [`trace`] — a bounded event timeline (begin/end records with
 //!   monotonic timestamps and thread ids) exported as Chrome trace-event
 //!   JSON, gated additionally by `METALORA_OBS_TRACE`;
-//! * [`counters`] — per-kernel flop/byte/call counters, the
-//!   parallel-vs-serial dispatch tally of the `par` layer, the
-//!   packed-vs-legacy matmul microkernel tally, and peak tensor bytes
-//!   alive;
+//! * [`counters`] — one list of process-wide counters: per-kernel
+//!   flop/byte/call totals, the `par` layer's dispatch tally, the matmul
+//!   kernel tally, tile-grid, memory, workspace, fusion and serving
+//!   counts — each fact `serve` does not already count itself;
 //! * [`health`] — per-parameter-group training-health records (grad norm,
 //!   update-to-weight ratio, NaN/Inf sentinels), every step or every
 //!   N-th ([`health::set_sample_stride`]);
@@ -28,11 +28,13 @@
 //!   windowed latency families keyed by tenant/method/batch signature,
 //!   plus tail-latency attribution samples), gated additionally by
 //!   `METALORA_OBS_METRICS`;
-//! * [`slo`] — per-tenant SLO accounting: a target p99
-//!   (`METALORA_SLO_P99_MS`) and error-budget burn over the window;
-//! * [`export`] — registry/SLO snapshot exporter: Prometheus text
-//!   exposition (`METRICS_<name>.prom`, validated by an in-repo parser)
-//!   and an append-only `METRICS_<name>.jsonl` time series;
+//! * [`slo`] — the per-tenant p99 target (`METALORA_SLO_P99_MS`) and the
+//!   SLO rows (windowed p99, error-budget burn) derived from a registry
+//!   snapshot; it holds no state of its own;
+//! * [`export`] — registry snapshot exporter, SLO rows included:
+//!   Prometheus text exposition (`METRICS_<name>.prom`, validated by an
+//!   in-repo parser) and an append-only `METRICS_<name>.jsonl` time
+//!   series;
 //! * [`report`] — [`report::RunReport`] captures everything above into a
 //!   structured `RUNLOG_<name>.json` plus a human-readable summary table,
 //!   written under [`out_dir`] (`METALORA_OBS_DIR`).
@@ -101,9 +103,10 @@ pub fn set_enabled(on: bool) {
 }
 
 /// Clears all recorded spans, counters, metrics, trace events, health
-/// records, registry series and SLO accounting (the enabled flags and
-/// the telemetry clock mode are left as is). Call at the start of a run
-/// to scope a report to it.
+/// records and registry series — and with them the SLO rows derived from
+/// the registry (the enabled flags, the SLO target and the telemetry
+/// clock mode are left as is). Call at the start of a run to scope a
+/// report to it.
 pub fn reset() {
     counters::reset();
     span::reset();
@@ -111,7 +114,6 @@ pub fn reset() {
     trace::reset();
     health::reset();
     registry::reset();
-    slo::reset();
 }
 
 static OUT_DIR_OVERRIDE: Mutex<Option<PathBuf>> = Mutex::new(None);
@@ -213,8 +215,8 @@ mod tests {
         let _g = lock();
         set_enabled(false);
         counters::record_kernel(counters::Kernel::Matmul, 100, 10);
-        counters::record_dispatch(true);
-        counters::record_matmul_path(true);
+        counters::DISPATCH_PARALLEL.add(1);
+        counters::MATMUL_PACKED.add(1);
         counters::track_alloc(1 << 20);
         metrics::record_epoch("p", 1.0, 0.5, 0.1, 0.2);
         health::record("g", 0, 1.0, 0.1, 2.0, 0, 0);
@@ -223,11 +225,7 @@ mod tests {
             let _s = span!("never");
         }
         set_enabled(true);
-        let snap = counters::snapshot();
-        assert!(snap.kernels.iter().all(|k| k.calls == 0));
-        assert_eq!(snap.dispatch_parallel + snap.dispatch_serial, 0);
-        assert_eq!(snap.matmul_packed + snap.matmul_legacy, 0);
-        assert_eq!(snap.peak_tensor_bytes, 0);
+        assert!(counters::read_all().iter().all(|r| r.value.is_zero()));
         assert!(metrics::snapshot().is_empty());
         assert!(span::snapshot().is_empty());
         assert!(health::snapshot().is_empty());

@@ -81,10 +81,6 @@ pub fn set_window_secs(secs: u64) {
     WINDOW_SECS.store(secs, Ordering::Relaxed);
 }
 
-pub(crate) fn window_ns() -> u64 {
-    window_secs().saturating_mul(1_000_000_000)
-}
-
 /// Pipeline stages a request's latency is attributed across, in the
 /// order they appear in [`Attribution::stage_ns`].
 pub const STAGES: [&str; 4] = ["queue", "cache", "mapping", "gemm"];
@@ -128,40 +124,33 @@ enum Metric {
     Window(Box<(WindowHistogram, Ewma)>),
 }
 
+#[derive(Default)]
 struct Registry {
     metrics: BTreeMap<(String, String), Metric>,
     attributions: VecDeque<Attribution>,
     attributions_dropped: u64,
 }
 
-impl Registry {
-    fn new() -> Self {
-        Registry {
-            metrics: BTreeMap::new(),
-            attributions: VecDeque::new(),
-            attributions_dropped: 0,
-        }
-    }
-}
-
 static REGISTRY: Mutex<Option<Registry>> = Mutex::new(None);
 
 fn with_registry<R>(f: impl FnOnce(&mut Registry) -> R) -> R {
     let mut guard = REGISTRY.lock().unwrap_or_else(|e| e.into_inner());
-    f(guard.get_or_insert_with(Registry::new))
+    f(guard.get_or_insert_with(Registry::default))
+}
+
+/// Updates the series `name{label}` with `f`, creating it with `new` on
+/// first use. Records nothing while the registry is off.
+fn update(name: &str, label: &str, new: impl FnOnce() -> Metric, f: impl FnOnce(&mut Metric)) {
+    if enabled() {
+        let key = (name.to_string(), label.to_string());
+        with_registry(|r| f(r.metrics.entry(key).or_insert_with(new)));
+    }
 }
 
 /// Adds `n` to the counter `name{label}` (created at zero on first use).
 pub fn inc(name: &str, label: &str, n: u64) {
-    if !enabled() {
-        return;
-    }
-    with_registry(|r| {
-        let e = r
-            .metrics
-            .entry((name.to_string(), label.to_string()))
-            .or_insert(Metric::Counter(0));
-        if let Metric::Counter(c) = e {
+    update(name, label, || Metric::Counter(0), |m| {
+        if let Metric::Counter(c) = m {
             *c += n;
         }
     });
@@ -169,15 +158,8 @@ pub fn inc(name: &str, label: &str, n: u64) {
 
 /// Sets the gauge `name{label}` to `v`.
 pub fn gauge_set(name: &str, label: &str, v: f64) {
-    if !enabled() {
-        return;
-    }
-    with_registry(|r| {
-        let e = r
-            .metrics
-            .entry((name.to_string(), label.to_string()))
-            .or_insert(Metric::Gauge(0.0));
-        if let Metric::Gauge(g) = e {
+    update(name, label, || Metric::Gauge(0.0), |m| {
+        if let Metric::Gauge(g) = m {
             *g = v;
         }
     });
@@ -186,20 +168,12 @@ pub fn gauge_set(name: &str, label: &str, v: f64) {
 /// Records `value` (nanoseconds, by convention) into the sliding-window
 /// family `name{label}` at time `now_ns`, updating its EWMA rate.
 pub fn observe(name: &str, label: &str, now_ns: u64, value: u64) {
-    if !enabled() {
-        return;
-    }
-    with_registry(|r| {
-        let e = r
-            .metrics
-            .entry((name.to_string(), label.to_string()))
-            .or_insert_with(|| {
-                Metric::Window(Box::new((
-                    WindowHistogram::new(window_ns()),
-                    Ewma::new(window_ns()),
-                )))
-            });
-        if let Metric::Window(w) = e {
+    let window = || {
+        let ns = window_secs().saturating_mul(1_000_000_000);
+        Metric::Window(Box::new((WindowHistogram::new(ns), Ewma::new(ns))))
+    };
+    update(name, label, window, |m| {
+        if let Metric::Window(w) = m {
             w.0.record(now_ns, value);
             w.1.observe(now_ns, 1);
         }
@@ -295,33 +269,6 @@ pub fn snapshot_at(now_ns: u64) -> RegistrySnapshot {
     })
 }
 
-/// Compact registry stats for the run report.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct RegistrySummary {
-    /// Distinct `(name, label)` series.
-    pub series: u64,
-    /// How many of those are windowed families.
-    pub windows: u64,
-    /// Retained tail-latency samples.
-    pub attributions: u64,
-    /// Tail samples evicted from the bounded ring.
-    pub attributions_dropped: u64,
-}
-
-/// Summarises the registry without materialising windowed quantiles.
-pub fn summary() -> RegistrySummary {
-    with_registry(|r| RegistrySummary {
-        series: r.metrics.len() as u64,
-        windows: r
-            .metrics
-            .values()
-            .filter(|m| matches!(m, Metric::Window(_)))
-            .count() as u64,
-        attributions: r.attributions.len() as u64,
-        attributions_dropped: r.attributions_dropped,
-    })
-}
-
 /// Clears every series and attribution sample (enabled flags and clock
 /// mode are left as is).
 pub fn reset() {
@@ -368,11 +315,9 @@ mod tests {
             }
             other => panic!("expected window, got {other:?}"),
         }
-        let s = summary();
-        assert_eq!(s.series, 4);
-        assert_eq!(s.windows, 1);
+        assert_eq!(snap.rows.len(), 4);
         reset();
-        assert_eq!(summary().series, 0);
+        assert!(snapshot_at(0).rows.is_empty());
     }
 
     #[test]
@@ -407,13 +352,13 @@ mod tests {
             stage_ns: [1, 0, 0, 0],
         });
         set_enabled(true);
-        assert_eq!(summary().series, 0);
-        assert_eq!(summary().attributions, 0);
+        let snap = snapshot_at(0);
+        assert!(snap.rows.is_empty() && snap.attributions.is_empty());
         // Crate-wide switch off also drops records even with metrics on.
         crate::set_enabled(false);
         inc("x", "", 1);
         crate::set_enabled(true);
-        assert_eq!(summary().series, 0);
+        assert!(snapshot_at(0).rows.is_empty());
     }
 
     #[test]

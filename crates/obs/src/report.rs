@@ -1,95 +1,53 @@
 //! Structured run reports: `RUNLOG_<name>.json` plus a summary table.
 //!
-//! [`RunReport::capture`] snapshots the five collectors (spans, counters,
-//! metrics, health, trace) into one value that can be serialised
-//! ([`RunReport::to_json`], [`RunReport::write`]) or rendered for humans
-//! ([`RunReport::summary_table`]).
+//! [`RunReport::capture`] snapshots the collectors (spans, counters,
+//! registry, health, trace, epoch metrics) into one value that can be
+//! serialised ([`RunReport::to_json`], [`RunReport::write`]) or rendered
+//! for humans ([`RunReport::summary_table`]); [`RunReport::publish`]
+//! does both the way the bench bins end a run.
 //!
-//! ## Schema (`schema_version` 10)
+//! ## Schema (`schema_version` 11)
 //!
 //! ```json
 //! {
-//!   "schema_version": 10,
+//!   "schema_version": 11,
 //!   "name": "table1",
-//!   "spans":   [ {"path": "pretrain", "count": 2, "total_ms": 813.4,
-//!                 "p50_ms": 400.1, "p95_ms": 413.0, "p99_ms": 413.0} ],
-//!   "kernels": [ {"kernel": "matmul", "calls": 10, "flops": 123, "bytes_moved": 456} ],
-//!   "dispatch": {"parallel": 3, "serial": 7,
-//!                "matmul_packed": 5, "matmul_legacy": 5},
-//!   "tile_grid": {"claims": 40, "bpacks": 5, "steals": 2,
-//!                 "claims_per_slot": [30, 10]},
-//!   "memory":  {"peak_tensor_bytes": 8192, "tensor_bytes_alive": 0},
-//!   "workspace": {"hits": 12, "misses": 3, "bytes_reused": 4096,
-//!                 "pooled_bytes": 1024, "peak_pooled_bytes": 2048},
-//!   "serve":   {"requests": 64, "batches": 4, "seed_rows": 40,
-//!               "cache_hits": 50, "cache_misses": 14,
-//!               "cache_evictions": 6, "merges": 14},
-//!   "fusion":  {"fused_epilogues": 9, "fused_elems": 4096,
-//!               "output_passes": 0},
-//!   "telemetry": {"metrics_enabled": true, "clock": "monotonic",
-//!                 "series": 30, "windows": 12, "attributions": 2,
-//!                 "attributions_dropped": 0, "slo_tenants": 12,
-//!                 "slo_target_ms": 50, "requests": 96, "tail_samples": 2},
-//!   "health":  [ {"phase": "adapt/MetaLoraCp", "group": "mapping", "step": 0,
-//!                 "grad_norm": 0.42, "update_ratio": 0.001,
-//!                 "weight_norm": 3.1, "nan_count": 0, "inf_count": 0} ],
-//!   "trace":   {"events": 128, "dropped": 0},
-//!   "epochs":  [ {"phase": "pretrain", "epoch": 0, "loss": 2.1,
-//!                 "accuracy": 0.14, "grad_norm": 0.9, "wall_s": 0.4} ]
+//!   "spans":    [ {"path": "pretrain", "count": 2, "total_ms": 813.4,
+//!                  "p50_ms": 400.1, "p95_ms": 413.0, "p99_ms": 413.0} ],
+//!   "counters": {"matmul": {"calls": 10, "flops": 123, "bytes_moved": 456},
+//!                "tile_grid": {"claims": 40, "bpacks": 5, "steals": 2,
+//!                              "claims_per_slot": [30, 10]},
+//!                "serve": {"seed_rows": 40, "merges": 14}, ...},
+//!   "registry": [ {"name": "serve_requests_total", "label": "tenant=3",
+//!                  "kind": "counter", "value": 64} ],
+//!   "health":   [ {"phase": "adapt/MetaLoraCp", "group": "mapping", "step": 0,
+//!                  "grad_norm": 0.42, "update_ratio": 0.001,
+//!                  "weight_norm": 3.1, "nan_count": 0, "inf_count": 0} ],
+//!   "trace":    {"events": 128, "dropped": 0},
+//!   "epochs":   [ {"phase": "pretrain", "epoch": 0, "loss": 2.1,
+//!                  "accuracy": 0.14, "grad_norm": 0.9, "wall_s": 0.4} ]
 //! }
 //! ```
 //!
-//! Version history: 2 added the `workspace` arena counters; 3 added span
-//! duration quantiles, the packed-vs-legacy matmul tally, the `health`
-//! record array and the `trace` buffer stats; 4 added the `tile_grid`
-//! scheduler tallies (C-tile claims overall and per worker slot, B-panel
-//! pack passes, out-of-sequence "steal" claims); 5 added the `serve`
-//! object (serving-engine request/batch totals, amortised seed rows, and
-//! merged-weight cache hit/miss/eviction/merge counts); 6 added a
-//! half-width storage object (snapshots taken, their actual bytes vs the
-//! f32 equivalent, and the derived bytes saved); 7 added the `fusion` object
-//! (fused GEMM epilogues applied and their element counts, separate
-//! epilogue output passes taken, and three static-plan keys); 8 added
-//! the `telemetry` object (live metrics registry stats — labeled series
-//! and windowed families, tail attribution samples — plus the SLO tenant
-//! count and target, the telemetry clock mode, and the process-wide
-//! telemetry request/tail counters); 9 dropped the three plan keys from
-//! `fusion` together with the static-plan layer; 10 dropped version 6's
-//! object together with the half-width storage it counted — f32 is the
-//! only storage.
+//! `counters` holds every counter of [`crate::counters`]' one list, one
+//! object per group in list order; `registry` holds the live registry's
+//! rows in the form the JSONL time series carries them.
+//!
+//! Version history: 2–10 added one top-level object per counter family;
+//! 11 generates them all as `counters` and adds the `registry` rows.
 
-use crate::counters::{self, CounterSnapshot};
+use crate::counters::{self, Reading};
 use crate::health::{self, HealthRecord};
 use crate::json;
 use crate::metrics::{self, EpochRecord};
+use crate::registry::{self, MetricRow};
 use crate::span::{self, SpanSummary};
 use crate::trace;
 use std::path::{Path, PathBuf};
 
 /// Version stamp written into every run log (see the module docs for the
 /// version history).
-pub const SCHEMA_VERSION: u32 = 10;
-
-/// Live-telemetry capsule captured into the report's `telemetry` object.
-#[derive(Debug, Clone)]
-pub struct TelemetryInfo {
-    /// Whether the metrics registry was recording at capture time.
-    pub metrics_enabled: bool,
-    /// Telemetry clock mode label (`"monotonic"` or `"logical"`).
-    pub clock: &'static str,
-    /// Distinct `(name, label)` series in the registry.
-    pub series: u64,
-    /// How many of those are windowed families.
-    pub windows: u64,
-    /// Retained tail-latency attribution samples.
-    pub attributions: u64,
-    /// Tail samples evicted from the bounded ring.
-    pub attributions_dropped: u64,
-    /// Tenants with SLO accounting.
-    pub slo_tenants: u64,
-    /// The per-tenant p99 target in milliseconds.
-    pub slo_target_ms: f64,
-}
+pub const SCHEMA_VERSION: u32 = 11;
 
 /// A captured snapshot of everything the instrumentation recorded.
 #[derive(Debug, Clone)]
@@ -98,16 +56,16 @@ pub struct RunReport {
     pub name: String,
     /// Aggregated spans with duration quantiles, sorted by path.
     pub spans: Vec<SpanSummary>,
-    /// Kernel / dispatch / memory counters.
-    pub counters: CounterSnapshot,
+    /// Every counter of the one list, in list order.
+    pub counters: Vec<Reading>,
+    /// Live-registry rows, ordered by `(name, label)`.
+    pub registry: Vec<MetricRow>,
     /// Training-health records in insertion order.
     pub health: Vec<HealthRecord>,
     /// Trace events currently buffered.
     pub trace_events: u64,
     /// Trace events overwritten by the ring buffer.
     pub trace_dropped: u64,
-    /// Live-telemetry registry/SLO stats.
-    pub telemetry: TelemetryInfo,
     /// Training epoch records in insertion order.
     pub epochs: Vec<EpochRecord>,
 }
@@ -115,148 +73,43 @@ pub struct RunReport {
 impl RunReport {
     /// Snapshots the current global instrumentation state under `name`.
     pub fn capture(name: &str) -> RunReport {
-        let (trace_events, trace_dropped) = {
-            let (events, dropped) = trace::snapshot();
-            (events.len() as u64, dropped)
-        };
-        let reg = crate::registry::summary();
-        let telemetry = TelemetryInfo {
-            metrics_enabled: crate::registry::enabled(),
-            clock: crate::window::clock_label(),
-            series: reg.series,
-            windows: reg.windows,
-            attributions: reg.attributions,
-            attributions_dropped: reg.attributions_dropped,
-            // Evaluated at t=0: every recorded bucket is in the future of
-            // the window's start, so this counts all accounted tenants.
-            slo_tenants: crate::slo::snapshot_at(0).len() as u64,
-            slo_target_ms: crate::slo::target_ms(),
-        };
+        let (events, trace_dropped) = trace::snapshot();
         RunReport {
             name: name.to_string(),
             spans: span::snapshot_summary(),
-            counters: counters::snapshot(),
+            counters: counters::read_all(),
+            registry: registry::snapshot().rows,
             health: health::snapshot(),
-            trace_events,
+            trace_events: events.len() as u64,
             trace_dropped,
-            telemetry,
             epochs: metrics::snapshot(),
         }
     }
 
     /// Serialises the report (see the module docs for the schema).
     pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(1024);
-        s.push_str("{\n");
-        s.push_str(&format!("  \"schema_version\": {SCHEMA_VERSION},\n"));
-        s.push_str(&format!("  \"name\": {},\n", json::string(&self.name)));
-
-        s.push_str("  \"spans\": [\n");
-        for (i, sp) in self.spans.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"path\": {}, \"count\": {}, \"total_ms\": {}, \
-                 \"p50_ms\": {}, \"p95_ms\": {}, \"p99_ms\": {}}}{}\n",
+        let spans = self.spans.iter().map(|sp| {
+            format!(
+                "{{\"path\": {}, \"count\": {}, \"total_ms\": {}, \
+                 \"p50_ms\": {}, \"p95_ms\": {}, \"p99_ms\": {}}}",
                 json::string(&sp.path),
                 sp.stat.count,
                 json::num(sp.stat.total_ns as f64 / 1e6),
                 json::num(sp.p50_ns as f64 / 1e6),
                 json::num(sp.p95_ns as f64 / 1e6),
                 json::num(sp.p99_ns as f64 / 1e6),
-                comma(i, self.spans.len())
-            ));
-        }
-        s.push_str("  ],\n");
-
-        s.push_str("  \"kernels\": [\n");
-        for (i, k) in self.counters.kernels.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"kernel\": {}, \"calls\": {}, \"flops\": {}, \"bytes_moved\": {}}}{}\n",
-                json::string(k.kernel),
-                k.calls,
-                k.flops,
-                k.bytes_moved,
-                comma(i, self.counters.kernels.len())
-            ));
-        }
-        s.push_str("  ],\n");
-
-        s.push_str(&format!(
-            "  \"dispatch\": {{\"parallel\": {}, \"serial\": {}, \
-             \"matmul_packed\": {}, \"matmul_legacy\": {}}},\n",
-            self.counters.dispatch_parallel,
-            self.counters.dispatch_serial,
-            self.counters.matmul_packed,
-            self.counters.matmul_legacy
-        ));
-        let slots: Vec<String> = self
-            .counters
-            .tile_claims_per_slot
-            .iter()
-            .map(|c| c.to_string())
-            .collect();
-        s.push_str(&format!(
-            "  \"tile_grid\": {{\"claims\": {}, \"bpacks\": {}, \"steals\": {}, \
-             \"claims_per_slot\": [{}]}},\n",
-            self.counters.tile_claims,
-            self.counters.tile_bpacks,
-            self.counters.tile_steals,
-            slots.join(", ")
-        ));
-        s.push_str(&format!(
-            "  \"memory\": {{\"peak_tensor_bytes\": {}, \"tensor_bytes_alive\": {}}},\n",
-            self.counters.peak_tensor_bytes, self.counters.tensor_bytes_alive
-        ));
-        s.push_str(&format!(
-            "  \"workspace\": {{\"hits\": {}, \"misses\": {}, \"bytes_reused\": {}, \
-             \"pooled_bytes\": {}, \"peak_pooled_bytes\": {}}},\n",
-            self.counters.workspace_hits,
-            self.counters.workspace_misses,
-            self.counters.workspace_bytes_reused,
-            self.counters.workspace_pooled_bytes,
-            self.counters.peak_workspace_pooled_bytes
-        ));
-        s.push_str(&format!(
-            "  \"serve\": {{\"requests\": {}, \"batches\": {}, \"seed_rows\": {}, \
-             \"cache_hits\": {}, \"cache_misses\": {}, \"cache_evictions\": {}, \
-             \"merges\": {}}},\n",
-            self.counters.serve_requests,
-            self.counters.serve_batches,
-            self.counters.serve_seed_rows,
-            self.counters.serve_cache_hits,
-            self.counters.serve_cache_misses,
-            self.counters.serve_cache_evictions,
-            self.counters.serve_merges
-        ));
-        s.push_str(&format!(
-            "  \"fusion\": {{\"fused_epilogues\": {}, \"fused_elems\": {}, \
-             \"output_passes\": {}}},\n",
-            self.counters.fused_epilogues,
-            self.counters.fused_elems,
-            self.counters.output_passes
-        ));
-        s.push_str(&format!(
-            "  \"telemetry\": {{\"metrics_enabled\": {}, \"clock\": {}, \
-             \"series\": {}, \"windows\": {}, \"attributions\": {}, \
-             \"attributions_dropped\": {}, \"slo_tenants\": {}, \
-             \"slo_target_ms\": {}, \"requests\": {}, \"tail_samples\": {}}},\n",
-            self.telemetry.metrics_enabled,
-            json::string(self.telemetry.clock),
-            self.telemetry.series,
-            self.telemetry.windows,
-            self.telemetry.attributions,
-            self.telemetry.attributions_dropped,
-            self.telemetry.slo_tenants,
-            json::num(self.telemetry.slo_target_ms),
-            self.counters.telemetry_requests,
-            self.counters.tail_attributions
-        ));
-
-        s.push_str("  \"health\": [\n");
-        for (i, h) in self.health.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"phase\": {}, \"group\": {}, \"step\": {}, \"grad_norm\": {}, \
+            )
+        });
+        let counters = self.counters.chunk_by(|a, b| a.group == b.group).map(|group| {
+            let fields: Vec<String> =
+                group.iter().map(|r| format!("{}: {}", json::string(r.name), r.value)).collect();
+            format!("{}: {{{}}}", json::string(group[0].group), fields.join(", "))
+        });
+        let health = self.health.iter().map(|h| {
+            format!(
+                "{{\"phase\": {}, \"group\": {}, \"step\": {}, \"grad_norm\": {}, \
                  \"update_ratio\": {}, \"weight_norm\": {}, \"nan_count\": {}, \
-                 \"inf_count\": {}}}{}\n",
+                 \"inf_count\": {}}}",
                 json::string(&h.phase),
                 json::string(&h.group),
                 h.step,
@@ -265,32 +118,37 @@ impl RunReport {
                 json::num(h.weight_norm),
                 h.nan_count,
                 h.inf_count,
-                comma(i, self.health.len())
-            ));
-        }
-        s.push_str("  ],\n");
-
-        s.push_str(&format!(
-            "  \"trace\": {{\"events\": {}, \"dropped\": {}}},\n",
-            self.trace_events, self.trace_dropped
-        ));
-
-        s.push_str("  \"epochs\": [\n");
-        for (i, e) in self.epochs.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"phase\": {}, \"epoch\": {}, \"loss\": {}, \"accuracy\": {}, \
-                 \"grad_norm\": {}, \"wall_s\": {}}}{}\n",
+            )
+        });
+        let epochs = self.epochs.iter().map(|e| {
+            format!(
+                "{{\"phase\": {}, \"epoch\": {}, \"loss\": {}, \"accuracy\": {}, \
+                 \"grad_norm\": {}, \"wall_s\": {}}}",
                 json::string(&e.phase),
                 e.epoch,
                 json::num(e.loss),
                 json::num(e.accuracy),
                 json::num(e.grad_norm),
                 json::num(e.wall_s),
-                comma(i, self.epochs.len())
-            ));
-        }
-        s.push_str("  ]\n}\n");
-        s
+            )
+        });
+        let sections = [
+            format!("\"schema_version\": {SCHEMA_VERSION}"),
+            format!("\"name\": {}", json::string(&self.name)),
+            format!("\"spans\": {}", block('[', spans, ']')),
+            format!("\"counters\": {}", block('{', counters, '}')),
+            format!(
+                "\"registry\": {}",
+                block('[', self.registry.iter().map(crate::export::row_json), ']')
+            ),
+            format!("\"health\": {}", block('[', health, ']')),
+            format!(
+                "\"trace\": {{\"events\": {}, \"dropped\": {}}}",
+                self.trace_events, self.trace_dropped
+            ),
+            format!("\"epochs\": {}", block('[', epochs, ']')),
+        ];
+        format!("{{\n  {}\n}}\n", sections.join(",\n  "))
     }
 
     /// The output file name: `RUNLOG_<name>.json` with the name sanitised
@@ -314,8 +172,26 @@ impl RunReport {
         self.write_to(&crate::out_dir())
     }
 
-    /// Renders the human-readable summary: spans, kernel counters,
-    /// dispatch/memory lines, health capsule and the epoch metrics.
+    /// Prints the summary table, writes the run log into
+    /// [`crate::out_dir`] and, when tracing is on, the Chrome trace under
+    /// the same name — reporting each path (or write error) on its own
+    /// line. The tail every bench bin ends a run with.
+    pub fn publish(&self) {
+        println!("\n{}", self.summary_table());
+        match self.write() {
+            Ok(p) => println!("run log written to {}", p.display()),
+            Err(e) => eprintln!("could not write run log: {e}"),
+        }
+        if trace::enabled() {
+            match trace::write_chrome(&self.name) {
+                Ok(p) => println!("trace written to {}", p.display()),
+                Err(e) => eprintln!("could not write trace: {e}"),
+            }
+        }
+    }
+
+    /// Renders the human-readable summary: spans, every non-zero counter,
+    /// the registry size, health capsule and the epoch metrics.
     pub fn summary_table(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!("=== run report: {} ===\n", self.name));
@@ -341,114 +217,18 @@ impl RunReport {
             ));
         }
 
-        let active: Vec<_> = self
+        let rows: Vec<Vec<String>> = self
             .counters
-            .kernels
             .iter()
-            .filter(|k| k.calls > 0)
+            .filter(|r| !r.value.is_zero())
+            .map(|r| vec![format!("{}.{}", r.group, r.name), r.value.to_string()])
             .collect();
-        if !active.is_empty() {
-            let rows: Vec<Vec<String>> = active
-                .iter()
-                .map(|k| {
-                    vec![
-                        k.kernel.to_string(),
-                        k.calls.to_string(),
-                        format!("{:.3e}", k.flops as f64),
-                        format!("{:.3e}", k.bytes_moved as f64),
-                    ]
-                })
-                .collect();
-            out.push_str(&table(&["kernel", "calls", "flops", "bytes moved"], &rows));
+        if !rows.is_empty() {
+            out.push_str(&table(&["counter", "value"], &rows));
         }
 
-        out.push_str(&format!(
-            "dispatch: {} parallel / {} serial   peak tensor bytes: {}\n",
-            self.counters.dispatch_parallel,
-            self.counters.dispatch_serial,
-            self.counters.peak_tensor_bytes
-        ));
-
-        let mm_total = self.counters.matmul_packed + self.counters.matmul_legacy;
-        if mm_total > 0 {
-            out.push_str(&format!(
-                "matmul path: {} packed / {} legacy ({:.1}% packed)\n",
-                self.counters.matmul_packed,
-                self.counters.matmul_legacy,
-                100.0 * self.counters.matmul_packed as f64 / mm_total as f64
-            ));
-        }
-
-        if self.counters.tile_claims > 0 {
-            let slots: Vec<String> = self
-                .counters
-                .tile_claims_per_slot
-                .iter()
-                .map(|c| c.to_string())
-                .collect();
-            out.push_str(&format!(
-                "tile grid: {} claims / {} B packs / {} steals   per slot: [{}]\n",
-                self.counters.tile_claims,
-                self.counters.tile_bpacks,
-                self.counters.tile_steals,
-                slots.join(", ")
-            ));
-        }
-
-        let ws_checkouts = self.counters.workspace_hits + self.counters.workspace_misses;
-        if ws_checkouts > 0 {
-            out.push_str(&format!(
-                "workspace: {} hits / {} misses ({:.1}% hit rate)   bytes reused: {}   peak pooled: {}\n",
-                self.counters.workspace_hits,
-                self.counters.workspace_misses,
-                100.0 * self.counters.workspace_hits as f64 / ws_checkouts as f64,
-                self.counters.workspace_bytes_reused,
-                self.counters.peak_workspace_pooled_bytes
-            ));
-        }
-
-        if self.counters.serve_requests > 0 {
-            let lookups = self.counters.serve_cache_hits + self.counters.serve_cache_misses;
-            let hit_rate = if lookups > 0 {
-                100.0 * self.counters.serve_cache_hits as f64 / lookups as f64
-            } else {
-                0.0
-            };
-            out.push_str(&format!(
-                "serve: {} requests in {} batches   seed rows: {}   \
-                 cache: {} hits / {} misses ({hit_rate:.1}%)   evictions: {}   merges: {}\n",
-                self.counters.serve_requests,
-                self.counters.serve_batches,
-                self.counters.serve_seed_rows,
-                self.counters.serve_cache_hits,
-                self.counters.serve_cache_misses,
-                self.counters.serve_cache_evictions,
-                self.counters.serve_merges
-            ));
-        }
-
-        if self.counters.fused_epilogues > 0 || self.counters.output_passes > 0 {
-            out.push_str(&format!(
-                "fusion: {} fused epilogues ({} elems)   separate output passes: {}\n",
-                self.counters.fused_epilogues,
-                self.counters.fused_elems,
-                self.counters.output_passes
-            ));
-        }
-
-        if self.telemetry.series > 0 || self.counters.telemetry_requests > 0 {
-            out.push_str(&format!(
-                "telemetry: {} series ({} windows)   requests: {}   \
-                 tail samples: {} ({} dropped)   slo: {} tenants @ p99 {:.1} ms   clock: {}\n",
-                self.telemetry.series,
-                self.telemetry.windows,
-                self.counters.telemetry_requests,
-                self.counters.tail_attributions,
-                self.telemetry.attributions_dropped,
-                self.telemetry.slo_tenants,
-                self.telemetry.slo_target_ms,
-                self.telemetry.clock
-            ));
+        if !self.registry.is_empty() {
+            out.push_str(&format!("registry: {} series\n", self.registry.len()));
         }
 
         if !self.health.is_empty() {
@@ -500,12 +280,10 @@ impl RunReport {
     }
 }
 
-fn comma(i: usize, len: usize) -> &'static str {
-    if i + 1 < len {
-        ","
-    } else {
-        ""
-    }
+/// A JSON array or object with one item per line, nested one level in.
+fn block(open: char, items: impl Iterator<Item = String>, close: char) -> String {
+    let items: Vec<String> = items.map(|i| format!("\n    {i}")).collect();
+    format!("{open}{}\n  {close}", items.join(","))
 }
 
 /// Column-aligned plain-text table (local twin of `metalora::report::
@@ -553,19 +331,17 @@ mod tests {
             let _inner = crate::span!("epoch0");
         }
         counters::record_kernel(Kernel::Matmul, 2000, 96);
-        counters::record_dispatch(false);
-        counters::record_matmul_path(true);
-        counters::record_tile_grid_bpack();
+        counters::DISPATCH_SERIAL.add(1);
+        counters::MATMUL_PACKED.add(1);
+        counters::TILE_BPACKS.add(1);
         counters::record_tile_grid_worker(0, 3, 0);
         counters::record_tile_grid_worker(1, 2, 1);
         counters::track_alloc(4096);
-        counters::record_serve_batch(3);
-        counters::record_serve_seed_rows(2);
-        counters::record_serve_cache(true);
-        counters::record_serve_cache(false);
-        counters::record_serve_merge();
-        counters::record_fused_epilogue(48);
-        counters::record_output_pass();
+        counters::SERVE_SEED_ROWS.add(2);
+        counters::SERVE_MERGES.add(1);
+        counters::FUSED_EPILOGUES.add(1);
+        counters::FUSED_ELEMS.add(48);
+        counters::OUTPUT_PASSES.add(1);
         health::record("mapping", 0, 0.42, 0.001, 3.1, 0, 0);
         metrics::record_epoch("pretrain", 1.25, 0.5, 0.75, 0.01);
     }
@@ -577,21 +353,9 @@ mod tests {
         let report = RunReport::capture("unit test");
         assert_eq!(report.file_name(), "RUNLOG_unit_test.json");
         let js = report.to_json();
-        assert!(js.contains("\"schema_version\": 10"));
-        assert!(js.contains("\"workspace\": {\"hits\": "));
-        assert!(js.contains(
-            "\"fusion\": {\"fused_epilogues\": 1, \"fused_elems\": 48, \
-             \"output_passes\": 1}"
-        ));
-        assert!(js.contains(
-            "\"serve\": {\"requests\": 3, \"batches\": 1, \"seed_rows\": 2, \
-             \"cache_hits\": 1, \"cache_misses\": 1, \"cache_evictions\": 0, \
-             \"merges\": 1}"
-        ));
-        assert!(js.contains("\"path\": \"pretrain/epoch0\""));
-        assert!(js.contains("\"p50_ms\": "));
-        assert!(js.contains("\"p99_ms\": "));
-        assert!(js.contains("\"kernel\": \"matmul\", \"calls\": 1, \"flops\": 2000"));
+        assert!(js.contains("\"schema_version\": 11"));
+        assert!(js.contains("\"matmul\": {\"calls\": 1, \"flops\": 2000, \"bytes_moved\": 96}"));
+        assert!(js.contains("\"einsum\": {\"calls\": 0, "));
         assert!(js.contains(
             "\"dispatch\": {\"parallel\": 0, \"serial\": 1, \
              \"matmul_packed\": 1, \"matmul_legacy\": 0}"
@@ -600,17 +364,27 @@ mod tests {
             "\"tile_grid\": {\"claims\": 5, \"bpacks\": 1, \"steals\": 1, \
              \"claims_per_slot\": [3, 2]}"
         ));
-        assert!(js.contains("\"peak_tensor_bytes\": 4096"));
+        assert!(js.contains(
+            "\"memory\": {\"peak_tensor_bytes\": 4096, \"tensor_bytes_alive\": 4096}"
+        ));
+        assert!(js.contains("\"workspace\": {\"hits\": 0, "));
+        assert!(js.contains("\"serve\": {\"seed_rows\": 2, \"merges\": 1}"));
+        assert!(js.contains(
+            "\"fusion\": {\"fused_epilogues\": 1, \"fused_elems\": 48, \
+             \"output_passes\": 1}"
+        ));
+        assert!(js.contains("\"registry\": [\n  ]"));
+        assert!(js.contains("\"path\": \"pretrain/epoch0\""));
+        assert!(js.contains("\"p50_ms\": "));
+        assert!(js.contains("\"p99_ms\": "));
         assert!(js.contains("\"group\": \"mapping\", \"step\": 0, \"grad_norm\": 0.42"));
         assert!(js.contains("\"trace\": {\"events\": 0, \"dropped\": 0}"));
         assert!(js.contains("\"phase\": \"pretrain\", \"epoch\": 0, \"loss\": 1.25"));
-        // Braces/brackets balance — cheap structural sanity without a parser.
-        for (open, close) in [('{', '}'), ('[', ']')] {
-            assert_eq!(
-                js.matches(open).count(),
-                js.matches(close).count(),
-                "unbalanced {open}{close}"
-            );
+        // Every counter of the list lands in the document, under its group.
+        let v: serde_json::Value = serde_json::from_str(&js).expect("valid JSON");
+        let counters = v.field("counters").unwrap();
+        for r in &report.counters {
+            assert!(counters.field(r.group).unwrap().field(r.name).is_ok(), "{r:?}");
         }
     }
 
@@ -633,29 +407,23 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_object_reflects_registry_and_slo() {
+    fn registry_rows_are_written_as_the_jsonl_writes_them() {
         let _g = lock();
         crate::registry::set_enabled(true);
-        crate::slo::set_target_ms(25.0);
         crate::registry::inc("serve_requests_total", "tenant=3", 4);
         crate::registry::observe("serve_request_latency_ns", "tenant=3", 1_000, 900);
-        crate::slo::record("3", 1_000, 900);
-        crate::slo::record("9", 2_000, 900);
-        counters::record_telemetry_request();
-        counters::record_telemetry_request();
-        counters::record_tail_attribution();
         let report = RunReport::capture("tel");
+        assert_eq!(report.registry.len(), 2);
         let js = report.to_json();
+        for row in &report.registry {
+            let line = crate::export::row_json(row);
+            assert!(js.contains(&format!("    {line}")), "{line} missing from:\n{js}");
+        }
         assert!(js.contains(
-            "\"telemetry\": {\"metrics_enabled\": true, \"clock\": \"monotonic\", \
-             \"series\": 2, \"windows\": 1, \"attributions\": 0, \
-             \"attributions_dropped\": 0, \"slo_tenants\": 2, \
-             \"slo_target_ms\": 25, \"requests\": 2, \"tail_samples\": 1}"
+            "{\"name\": \"serve_requests_total\", \"label\": \"tenant=3\", \
+             \"kind\": \"counter\", \"value\": 4}"
         ));
-        let text = report.summary_table();
-        assert!(text.contains("telemetry: 2 series (1 windows)   requests: 2"));
-        assert!(text.contains("slo: 2 tenants @ p99 25.0 ms"));
-        crate::slo::set_target_ms(0.0);
+        assert!(report.summary_table().contains("registry: 2 series"));
         crate::registry::set_enabled(false);
     }
 
@@ -691,14 +459,21 @@ mod tests {
         assert!(text.contains("span"));
         assert!(text.contains("p95 ms"));
         assert!(text.contains("pretrain/epoch0"));
-        assert!(text.contains("matmul"));
-        assert!(text.contains("dispatch: 0 parallel / 1 serial"));
-        assert!(text.contains("matmul path: 1 packed / 0 legacy"));
-        assert!(text.contains("tile grid: 5 claims / 1 B packs / 1 steals   per slot: [3, 2]"));
-        assert!(text.contains("peak tensor bytes: 4096"));
-        assert!(text.contains("serve: 3 requests in 1 batches"));
-        assert!(text.contains("cache: 1 hits / 1 misses (50.0%)"));
-        assert!(text.contains("fusion: 1 fused epilogues (48 elems)   separate output passes: 1"));
+        for (counter, value) in [
+            ("matmul.flops", "2000"),
+            ("dispatch.serial", "1"),
+            ("tile_grid.claims_per_slot", "[3, 2]"),
+            ("memory.peak_tensor_bytes", "4096"),
+            ("serve.merges", "1"),
+            ("fusion.fused_elems", "48"),
+        ] {
+            assert!(
+                text.lines().any(|l| l.starts_with(counter) && l.ends_with(value)),
+                "no {counter} = {value} row in:\n{text}"
+            );
+        }
+        // Zero counters stay out of the table.
+        assert!(!text.contains("dispatch.parallel"));
         assert!(text.contains("health: 1 records over 1 groups   NaN: 0   Inf: 0"));
         assert!(text.contains("0.5000")); // accuracy column
     }
@@ -709,6 +484,6 @@ mod tests {
         let report = RunReport::capture("empty");
         assert!(report.to_json().contains("\"spans\": [\n  ]"));
         assert!(report.to_json().contains("\"health\": [\n  ]"));
-        assert!(report.summary_table().contains("dispatch: 0 parallel / 0 serial"));
+        assert_eq!(report.summary_table(), "=== run report: empty ===\n");
     }
 }

@@ -1,25 +1,27 @@
-//! Per-tenant SLO accounting: a target p99 latency and the error-budget
+//! Per-tenant SLO standing: a target p99 latency and the error-budget
 //! burn rate over the sliding window.
 //!
 //! The SLO model is the standard one: a tenant's objective is "99 % of
 //! requests complete under the target p99" (`METALORA_SLO_P99_MS`,
 //! default [`DEFAULT_TARGET_P99_MS`] ms), which grants a 1 % error
-//! budget. [`record`] classifies each request as within/over target and
-//! feeds a per-tenant [`WindowHistogram`], so [`snapshot`] can report
-//! both the lifetime budget burn (`slow / (1 % of total)` — 1.0 means
-//! the budget is exactly spent) and the *windowed* p99 the regress gate
-//! compares against the target. The same target doubles as the
-//! tail-latency attribution threshold in `crates/serve`: a request is
-//! worth attributing exactly when it endangers the SLO.
-//!
-//! Recording is gated on [`crate::registry::enabled`] — SLO accounting
-//! is part of the live-metrics pillar and shares its switch and clock.
+//! budget. This module holds only the target: every [`SloRow`] is
+//! derived from a [`RegistrySnapshot`] ([`rows`]) — the tenant's request
+//! and slow-request counters give the lifetime budget burn
+//! (`slow / (1 % of total)`; 1.0 means the budget is exactly spent), its
+//! windowed latency family the p99 compared against the target. The
+//! serving engine counts a request as slow exactly when it exceeds the
+//! target, which doubles as its tail-latency attribution threshold: a
+//! request is worth attributing exactly when it endangers the SLO.
 
-use crate::registry;
-use crate::window::WindowHistogram;
-use std::collections::BTreeMap;
+use crate::registry::{MetricValue, RegistrySnapshot};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+
+/// Registry counter of a tenant's requests (label `tenant=…`).
+pub const REQUESTS: &str = "serve_requests_total";
+/// Registry counter of a tenant's requests over the target.
+pub const SLOW: &str = "serve_slow_requests_total";
+/// Registry window family of a tenant's end-to-end latency.
+pub const LATENCY: &str = "serve_request_latency_ns";
 
 /// Default per-tenant p99 target in milliseconds.
 pub const DEFAULT_TARGET_P99_MS: f64 = 50.0;
@@ -37,11 +39,6 @@ pub fn target_ns() -> u64 {
         TARGET_UNSET => target_from_env(),
         t => t,
     }
-}
-
-/// The target expressed in milliseconds.
-pub fn target_ms() -> f64 {
-    target_ns() as f64 / 1e6
 }
 
 #[cold]
@@ -65,44 +62,6 @@ pub fn set_target_ms(ms: f64) {
         TARGET_UNSET
     };
     TARGET_NS.store(ns, Ordering::Relaxed);
-}
-
-struct TenantSlo {
-    window: WindowHistogram,
-    total: u64,
-    slow: u64,
-}
-
-static TENANTS: Mutex<Option<BTreeMap<String, TenantSlo>>> = Mutex::new(None);
-
-fn with_tenants<R>(f: impl FnOnce(&mut BTreeMap<String, TenantSlo>) -> R) -> R {
-    let mut guard = TENANTS.lock().unwrap_or_else(|e| e.into_inner());
-    f(guard.get_or_insert_with(BTreeMap::new))
-}
-
-/// Accounts one request for `tenant` at time `now_ns` with end-to-end
-/// latency `latency_ns`. Returns `true` when the request exceeded the
-/// target (i.e. burned error budget and deserves a tail-attribution
-/// sample). Always returns `false` without recording when the metrics
-/// registry is disabled.
-pub fn record(tenant: &str, now_ns: u64, latency_ns: u64) -> bool {
-    if !registry::enabled() {
-        return false;
-    }
-    let slow = latency_ns > target_ns();
-    with_tenants(|m| {
-        let t = m.entry(tenant.to_string()).or_insert_with(|| TenantSlo {
-            window: WindowHistogram::new(crate::registry::window_ns()),
-            total: 0,
-            slow: 0,
-        });
-        t.window.record(now_ns, latency_ns);
-        t.total += 1;
-        if slow {
-            t.slow += 1;
-        }
-    });
-    slow
 }
 
 /// One tenant's SLO standing.
@@ -131,47 +90,57 @@ impl SloRow {
     }
 }
 
-/// Per-tenant SLO rows (ordered by tenant label), with windows evaluated
-/// at `now_ns`.
-pub fn snapshot_at(now_ns: u64) -> Vec<SloRow> {
+/// Per-tenant SLO rows, derived from the registry's per-tenant series:
+/// one row per [`LATENCY`] window labeled `tenant=…`, in label order.
+pub fn rows(reg: &RegistrySnapshot) -> Vec<SloRow> {
     let target = target_ns();
-    with_tenants(|m| {
-        m.iter()
-            .map(|(tenant, t)| {
-                let merged = t.window.merged(now_ns);
-                let budget = 0.01 * t.total as f64;
-                SloRow {
-                    tenant: tenant.clone(),
-                    requests: t.total,
-                    slow: t.slow,
-                    target_ns: target,
-                    window_p99_ns: merged.quantile(0.99),
-                    window_requests: merged.count(),
-                    budget_burn: if budget > 0.0 {
-                        t.slow as f64 / budget
-                    } else {
-                        0.0
-                    },
-                }
+    let counter = |name: &str, label: &str| {
+        reg.rows
+            .iter()
+            .find(|r| r.name == name && r.label == label)
+            .map_or(0, |r| match r.value {
+                MetricValue::Counter(c) => c,
+                _ => 0,
             })
-            .collect()
-    })
-}
-
-/// Per-tenant SLO rows evaluated at the current clock reading.
-pub fn snapshot() -> Vec<SloRow> {
-    snapshot_at(crate::window::now_ns())
-}
-
-/// Clears all tenant accounting (the target override is left as is).
-pub fn reset() {
-    let mut guard = TENANTS.lock().unwrap_or_else(|e| e.into_inner());
-    *guard = None;
+    };
+    reg.rows
+        .iter()
+        .filter(|r| r.name == LATENCY)
+        .filter_map(|r| {
+            let tenant = r.label.strip_prefix("tenant=")?;
+            let MetricValue::Window { count, p99_ns, .. } = r.value else {
+                return None;
+            };
+            let requests = counter(REQUESTS, &r.label);
+            let slow = counter(SLOW, &r.label);
+            let budget = 0.01 * requests as f64;
+            Some(SloRow {
+                tenant: tenant.to_string(),
+                requests,
+                slow,
+                target_ns: target,
+                window_p99_ns: p99_ns,
+                window_requests: count,
+                budget_burn: if budget > 0.0 { slow as f64 / budget } else { 0.0 },
+            })
+        })
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::registry;
+
+    /// Records one request the way the serving engine does.
+    fn request(tenant: &str, now_ns: u64, latency_ns: u64) {
+        let label = format!("tenant={tenant}");
+        registry::inc(REQUESTS, &label, 1);
+        registry::observe(LATENCY, &label, now_ns, latency_ns);
+        if latency_ns > target_ns() {
+            registry::inc(SLOW, &label, 1);
+        }
+    }
 
     #[test]
     fn classifies_against_target_and_burns_budget() {
@@ -180,15 +149,15 @@ mod tests {
         set_target_ms(1.0); // 1 ms = 1_000_000 ns
         // 200 requests for tenant 3: 2 slow → burn = 2 / (0.01·200) = 1.0.
         for i in 0..200u64 {
-            let latency = if i < 2 { 2_000_000 } else { 1_000 };
-            let slow = record("3", (i + 1) * 1_000, latency);
-            assert_eq!(slow, i < 2);
+            request("3", (i + 1) * 1_000, if i < 2 { 2_000_000 } else { 1_000 });
         }
-        // A clean tenant for ordering/burn contrast.
-        assert!(!record("10", 1_000, 500));
-        let rows = snapshot_at(300_000);
+        // A clean tenant for ordering/burn contrast, and a series of
+        // another family that yields no row.
+        request("10", 1_000, 500);
+        registry::observe("serve_stage_ns", "stage=gemm", 1_000, 5);
+        let rows = rows(&registry::snapshot_at(300_000));
         assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0].tenant, "10", "BTreeMap lexicographic order");
+        assert_eq!(rows[0].tenant, "10", "registry label order");
         let t3 = &rows[1];
         assert_eq!(t3.tenant, "3");
         assert_eq!(t3.requests, 200);
@@ -198,9 +167,8 @@ mod tests {
         assert!(t3.window_p99_ns <= t3.target_ns, "p99 within target");
         assert!(!t3.over_target());
         let t10 = &rows[0];
-        assert_eq!(t10.budget_burn, 0.0);
+        assert_eq!((t10.slow, t10.budget_burn), (0, 0.0));
         set_target_ms(0.0);
-        reset();
     }
 
     #[test]
@@ -209,14 +177,13 @@ mod tests {
         registry::set_enabled(true);
         set_target_ms(0.001); // 1 µs target: everything is slow
         for i in 0..50u64 {
-            assert!(record("7", (i + 1) * 1_000, 10_000));
+            request("7", (i + 1) * 1_000, 10_000);
         }
-        let rows = snapshot_at(60_000);
+        let rows = rows(&registry::snapshot_at(60_000));
         assert_eq!(rows[0].slow, 50);
         assert!(rows[0].over_target());
         assert!(rows[0].budget_burn > 1.0);
         set_target_ms(0.0);
-        reset();
     }
 
     #[test]
@@ -224,9 +191,9 @@ mod tests {
         let _g = crate::tests::lock();
         registry::set_enabled(false);
         set_target_ms(0.001);
-        assert!(!record("1", 1_000, u64::MAX / 2), "disabled → never slow");
+        request("1", 1_000, u64::MAX / 2);
         registry::set_enabled(true);
-        assert!(snapshot_at(10_000).is_empty());
+        assert!(rows(&registry::snapshot_at(10_000)).is_empty());
         set_target_ms(0.0);
     }
 
@@ -235,8 +202,7 @@ mod tests {
         let _g = crate::tests::lock();
         set_target_ms(0.0); // revert to env/default
         if std::env::var_os("METALORA_SLO_P99_MS").is_none() {
-            assert_eq!(target_ms(), DEFAULT_TARGET_P99_MS);
-            assert_eq!(target_ns(), 50_000_000);
+            assert_eq!(target_ns(), (DEFAULT_TARGET_P99_MS * 1e6) as u64);
         }
         set_target_ms(0.0);
     }

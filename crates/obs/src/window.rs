@@ -157,16 +157,6 @@ impl WindowHistogram {
         }
         out
     }
-
-    /// Samples inside the window ending at `now_ns`.
-    pub fn count(&self, now_ns: u64) -> u64 {
-        let current = self.epoch_of(now_ns);
-        self.buckets
-            .iter()
-            .filter(|b| b.epoch != u64::MAX && b.epoch + WINDOW_BUCKETS as u64 > current)
-            .map(|b| b.hist.count())
-            .sum()
-    }
 }
 
 /// Event-driven exponentially-weighted moving-average rate (events per
@@ -252,17 +242,17 @@ mod tests {
         let mut w = WindowHistogram::new(w_ns);
         w.record(500, 10); // epoch 0
         w.record(1_500, 20); // epoch 1
-        assert_eq!(w.count(1_600), 2);
         let m = w.merged(1_600);
+        assert_eq!(m.count(), 2);
         assert_eq!(m.quantile(0.0), 10);
         assert_eq!(m.quantile(1.0), 20);
         // Advance past the window: epoch 0 ages out first, then epoch 1.
-        assert_eq!(w.count(8_500), 1, "epoch 0 should have aged out");
+        assert_eq!(w.merged(8_500).count(), 1, "epoch 0 should have aged out");
         assert_eq!(w.merged(8_500).quantile(1.0), 20);
-        assert_eq!(w.count(9_500), 0, "epoch 1 should have aged out");
+        assert_eq!(w.merged(9_500).count(), 0, "epoch 1 should have aged out");
         // Recording into a reclaimed slot clears the stale bucket.
         w.record(8_500, 30); // epoch 8 reuses epoch-0's slot
-        assert_eq!(w.count(8_600), 2);
+        assert_eq!(w.merged(8_600).count(), 2);
     }
 
     #[test]

@@ -19,7 +19,9 @@ use std::sync::{Arc, Mutex};
 /// Cache key: tenant id plus the store's version stamp.
 pub type CacheKey = (TenantId, u64);
 
-/// Hit/miss/eviction accounting, mirrored into the global obs counters.
+/// Hit/miss/eviction accounting: the one count of these facts (the
+/// registry's `serve_cache_lookups_total` / `serve_cache_evictions_total`
+/// series are its live-telemetry export).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Lookups satisfied from the cache.
@@ -112,16 +114,14 @@ impl MergedCache {
             if let Some(w) = inner.map.get(&key).cloned() {
                 inner.hits += 1;
                 inner.touch(key);
-                metalora_obs::counters::record_serve_cache(true);
                 metalora_obs::registry::inc("serve_cache_lookups_total", "result=hit", 1);
                 return Ok(w);
             }
             inner.misses += 1;
         }
-        metalora_obs::counters::record_serve_cache(false);
         metalora_obs::registry::inc("serve_cache_lookups_total", "result=miss", 1);
         let built = Arc::new(build()?);
-        metalora_obs::counters::record_serve_merge();
+        metalora_obs::counters::SERVE_MERGES.add(1);
         if built.len() * 4 > self.capacity {
             return Ok(built);
         }
@@ -136,7 +136,6 @@ impl MergedCache {
         inner.lru.push(key);
         let evicted = inner.evict_to(self.capacity);
         if evicted > 0 {
-            metalora_obs::counters::record_serve_evictions(evicted);
             metalora_obs::registry::inc("serve_cache_evictions_total", "", evicted);
         }
         Ok(built)

@@ -308,10 +308,8 @@ impl ServeEngine {
         }
         self.requests.fetch_add(reqs.len() as u64, Relaxed);
         self.batches.fetch_add(1, Relaxed);
-        metalora_obs::counters::record_serve_batch(reqs.len() as u64);
         if tel {
-            telemetry::record_batch(reqs.len());
-            telemetry::record_cache(&self.cache.stats());
+            telemetry::record_batch(reqs.len(), &self.cache.stats());
         }
         Ok(out)
     }
@@ -380,7 +378,7 @@ impl ServeEngine {
             [one] => Cow::Borrowed(one),
             _ => Cow::Owned(concat_rows(&parts)?),
         };
-        let _sp = metalora_obs::span!("serve/base");
+        let _sp = metalora_obs::span!("base");
         let mut y = infer::linear(&x, &self.base_w, self.base_b.as_ref())?;
         ops::lowrank(&x, &mut y, &updates)?;
         Ok(Some(y))
@@ -437,12 +435,12 @@ impl ServeEngine {
                     "serve: dynamic meta_{format} tenant but no {format} mapping net registered"
                 )));
             };
-            let _sp = metalora_obs::span!("serve/seed");
+            let _sp = metalora_obs::span!("seed");
             let parts: Vec<&Tensor> = dynamic.iter().map(|&i| &reqs[i].x).collect();
             let counts: Vec<usize> = dynamic.iter().map(|&i| reqs[i].rows()).collect();
             let stacked = concat_rows(&parts)?;
             let generated = mapping.generate(&stacked)?;
-            metalora_obs::counters::record_serve_seed_rows(generated.dims()[0] as u64);
+            metalora_obs::counters::SERVE_SEED_ROWS.add(generated.dims()[0] as u64);
             for (i, seed) in dynamic.into_iter().zip(split_rows(&generated, &counts)?) {
                 seeds.insert(i, seed);
             }

@@ -1,23 +1,23 @@
 //! Bridge from the serving engine into the live telemetry stack:
-//! `obs::registry` (labeled counters/gauges/windowed latency families),
-//! `obs::slo` (per-tenant target-p99 accounting) and the tail-latency
-//! attribution ring.
+//! `obs::registry` (labeled counters/gauges/windowed latency families)
+//! and its tail-latency attribution ring. The per-tenant series written
+//! here are what `obs::slo` derives its SLO rows from.
 //!
 //! Label convention: registry labels are `key=value` strings — `tenant=3`,
 //! `method=lora`, `size=16`, `stage=gemm` — which the exporter splits into
 //! proper Prometheus label pairs.
 //!
-//! Every function here early-returns unless [`registry::enabled`], and the
-//! engine additionally captures that bool once per batch so the per-request
-//! loop takes no clock readings at all when telemetry is off. Recording is
-//! purely passive — it never touches the tensors — so serve outputs are
-//! bitwise identical with telemetry on or off (the golden pipeline and the
-//! `telemetry` suite both assert it).
+//! The registry drops every record unless [`registry::enabled`], and the
+//! engine captures that bool once per batch and calls in here only when
+//! it is set, so the per-request loop takes no clock readings at all when
+//! telemetry is off. Recording is purely passive — it never touches the
+//! tensors — so serve outputs are bitwise identical with telemetry on or
+//! off (the golden pipeline and the `telemetry` suite both assert it).
 
 use crate::cache::CacheStats;
 use crate::store::TenantId;
 use metalora_obs::registry::{self, Attribution, STAGES};
-use metalora_obs::{counters, slo, window};
+use metalora_obs::{slo, window};
 
 /// Per-stage nanosecond breakdown of one request, ordered like
 /// [`registry::STAGES`].
@@ -49,9 +49,10 @@ impl StageNs {
 }
 
 /// Records one served request: per-tenant and per-method counters, the
-/// windowed latency family, per-stage latency windows, and SLO
-/// accounting. A request beyond the tenant's p99 target additionally
-/// lands a tail-latency [`Attribution`] sample naming the dominant stage.
+/// windowed latency family and per-stage latency windows. A request
+/// beyond the p99 target ([`slo::target_ns`]) is slow: it counts in
+/// `serve_slow_requests_total` and lands a tail-latency [`Attribution`]
+/// sample naming the dominant stage.
 pub fn record_request(request_id: u64, tenant: TenantId, method: &'static str, stages: StageNs) {
     if !registry::enabled() {
         return;
@@ -59,16 +60,14 @@ pub fn record_request(request_id: u64, tenant: TenantId, method: &'static str, s
     let now = window::now_ns();
     let total = stages.total();
     let tenant_label = format!("tenant={tenant}");
-    registry::inc("serve_requests_total", &tenant_label, 1);
+    registry::inc(slo::REQUESTS, &tenant_label, 1);
     registry::inc("serve_requests_by_method_total", &format!("method={method}"), 1);
-    registry::observe("serve_request_latency_ns", &tenant_label, now, total);
+    registry::observe(slo::LATENCY, &tenant_label, now, total);
     for (name, ns) in STAGES.iter().zip(stages.to_array()) {
         registry::observe("serve_stage_ns", &format!("stage={name}"), now, ns);
     }
-    let slow = slo::record(&tenant.to_string(), now, total);
-    if slow {
-        counters::record_tail_attribution();
-        registry::inc("serve_slow_requests_total", &tenant_label, 1);
+    if total > slo::target_ns() {
+        registry::inc(slo::SLOW, &tenant_label, 1);
         let a = Attribution {
             request_id,
             tenant: tenant.to_string(),
@@ -79,23 +78,13 @@ pub fn record_request(request_id: u64, tenant: TenantId, method: &'static str, s
         registry::inc("serve_tail_stage_total", &format!("stage={}", a.dominant_stage()), 1);
         registry::record_attribution(a);
     }
-    counters::record_telemetry_request();
 }
 
-/// Records one executed batch under its size signature.
-pub fn record_batch(size: usize) {
-    if !registry::enabled() {
-        return;
-    }
+/// Records one executed batch under its size signature, and mirrors the
+/// merged-weight cache accounting into gauges: resident bytes, resident
+/// entries, and cumulative eviction churn.
+pub fn record_batch(size: usize, stats: &CacheStats) {
     registry::inc("serve_batches_by_size_total", &format!("size={size}"), 1);
-}
-
-/// Mirrors the merged-weight cache accounting into gauges: resident
-/// bytes, resident entries, and cumulative eviction churn.
-pub fn record_cache(stats: &CacheStats) {
-    if !registry::enabled() {
-        return;
-    }
     registry::gauge_set("serve_cache_resident_bytes", "", stats.bytes as f64);
     registry::gauge_set("serve_cache_entries", "", stats.entries as f64);
     registry::gauge_set("serve_cache_eviction_churn", "", stats.evictions as f64);
@@ -104,9 +93,6 @@ pub fn record_cache(stats: &CacheStats) {
 /// Records batcher pressure: pending depth and the age of the oldest
 /// waiting request.
 pub fn record_queue(depth: usize, oldest_age_ns: u64) {
-    if !registry::enabled() {
-        return;
-    }
     registry::gauge_set("serve_queue_depth", "", depth as f64);
     registry::gauge_set("serve_queue_age_ns", "", oldest_age_ns as f64);
 }
@@ -133,15 +119,24 @@ mod tests {
         use crate::store::TenantAdapter;
         use metalora_tensor::Tensor;
         let t = || Tensor::zeros(&[1, 1]);
-        let labels = [
-            TenantAdapter::Lora {
-                a: t(),
-                b: t(),
-                scaling: 1.0,
-            }
-            .method(),
-            TenantAdapter::MultiSlot { slot: 0 }.method(),
+        let adapters = [
+            TenantAdapter::Lora { a: t(), b: t(), scaling: 1.0 },
+            TenantAdapter::ConvLora { a: t(), b: t(), scaling: 1.0 },
+            TenantAdapter::MetaCp { a: t(), b: t(), scaling: 1.0, pinned_seed: None },
+            TenantAdapter::MetaTr { a: t(), b: t(), scaling: 1.0, pinned_seed: None },
+            TenantAdapter::MultiSlot { slot: 0 },
         ];
-        assert_eq!(labels, ["lora", "multi_slot"]);
+        // Exhaustive: a sixth variant fails to compile here until listed.
+        for a in &adapters {
+            match a {
+                TenantAdapter::Lora { .. }
+                | TenantAdapter::ConvLora { .. }
+                | TenantAdapter::MetaCp { .. }
+                | TenantAdapter::MetaTr { .. }
+                | TenantAdapter::MultiSlot { .. } => {}
+            }
+        }
+        let labels = adapters.iter().map(TenantAdapter::method).collect::<Vec<_>>();
+        assert_eq!(labels, ["lora", "conv_lora", "meta_cp", "meta_tr", "multi_slot"]);
     }
 }

@@ -136,7 +136,7 @@ fn one_mapping_forward_per_format_per_batch() {
     let outs = e.process(&reqs).unwrap();
     assert_eq!(outs.len(), 6);
     let counters = metalora_obs::counters::snapshot();
-    assert_eq!(counters.serve_batches, 1, "one batch expected");
+    assert_eq!(e.batch_count(), 1, "one batch expected");
     assert_eq!(
         counters.serve_seed_rows, total_rows as u64,
         "all dynamic rows through one amortised mapping forward"
@@ -149,7 +149,7 @@ fn one_mapping_forward_per_format_per_batch() {
         assert_eq!(bits(&solo.serve_one(r).unwrap()), bits(&outs[i]));
     }
     let counters = metalora_obs::counters::snapshot();
-    assert_eq!(counters.serve_batches, 6);
+    assert_eq!(solo.batch_count(), 6);
     assert_eq!(counters.serve_seed_rows, total_rows as u64);
     metalora_obs::set_enabled(false);
 }

@@ -201,7 +201,7 @@ fn microscopic_slo_target_burns_budget_and_attributes_tails() {
     let e = engine(13);
     e.process(&traffic(9)).unwrap();
 
-    let rows = slo::snapshot_at(0);
+    let rows = slo::rows(&registry::snapshot());
     assert_eq!(rows.len(), 3, "one SLO row per tenant");
     for row in &rows {
         assert_eq!(row.slow, row.requests, "all requests slow at 1 ns");
@@ -259,11 +259,7 @@ fn exporter_is_deterministic_under_the_logical_clock() {
         let e = engine(14);
         e.process(&traffic(10)).unwrap();
         let reg = registry::snapshot();
-        let slo_rows = slo::snapshot_at(reg.now_ns);
-        (
-            export::jsonl_line(&reg, &slo_rows),
-            export::prometheus_text(&reg, &slo_rows),
-        )
+        (export::jsonl_line(&reg), export::prometheus_text(&reg))
     };
     let (json_a, prom_a) = run();
     let (json_b, prom_b) = run();

@@ -280,7 +280,8 @@ pub fn lowrank(x: &Tensor, y: &mut Tensor, segments: &[Segment]) -> Result<()> {
         flops,
         4 * floats as u64,
     );
-    metalora_obs::counters::record_matmul_path(use_packed());
+    use metalora_obs::counters::{MATMUL_LEGACY, MATMUL_PACKED};
+    (if use_packed() { &MATMUL_PACKED } else { &MATMUL_LEGACY }).add(1);
     Ok(())
 }
 

@@ -199,9 +199,11 @@ pub(crate) fn run_gemm(g: &StridedGemm, operand_floats: usize) -> Vec<f32> {
         (2 * g.bs * g.m * g.k * g.n) as u64,
         (4 * (operand_floats + bias_len + out.len())) as u64,
     );
-    metalora_obs::counters::record_matmul_path(packed);
+    use metalora_obs::counters::{MATMUL_LEGACY, MATMUL_PACKED};
+    (if packed { &MATMUL_PACKED } else { &MATMUL_LEGACY }).add(1);
     if g.bias.is_some() {
-        metalora_obs::counters::record_fused_epilogue(out.len() as u64);
+        metalora_obs::counters::FUSED_EPILOGUES.add(1);
+        metalora_obs::counters::FUSED_ELEMS.add(out.len() as u64);
     }
     out
 }
@@ -316,7 +318,7 @@ pub fn matmul_transpose_b(a: &Tensor, b: &Tensor) -> Result<Tensor> {
 pub fn epilogue_pass(y: Tensor, bias: Option<&Tensor>) -> Result<Tensor> {
     match bias {
         Some(b) => {
-            metalora_obs::counters::record_output_pass();
+            metalora_obs::counters::OUTPUT_PASSES.add(1);
             super::elementwise::add(&y, b)
         }
         None => Ok(y),

@@ -946,7 +946,7 @@ pub(crate) fn gemm_packed(g: &StridedGemm, out: &mut [f32]) {
     for bi in 0..bs {
         pack_b(b, bi * b_batch, k, n, b_ks, b_cs, &mut bpack[bi * k * n..(bi + 1) * k * n]);
     }
-    metalora_obs::counters::record_tile_grid_bpack();
+    metalora_obs::counters::TILE_BPACKS.add(1);
     let bp: &[f32] = &bpack;
 
     // The tile grid: strips never straddle batch boundaries, column

@@ -171,11 +171,11 @@ where
     let n_blocks = rows.div_ceil(block);
     let threads = num_threads().min(n_blocks);
     if threads <= 1 || rows.saturating_mul(cost_per_row) < par_threshold() {
-        metalora_obs::counters::record_dispatch(false);
+        metalora_obs::counters::DISPATCH_SERIAL.add(1);
         kernel(0, out);
         return;
     }
-    metalora_obs::counters::record_dispatch(true);
+    metalora_obs::counters::DISPATCH_PARALLEL.add(1);
     // Timeline hook on the calling thread only: one begin/end pair around
     // the whole team, so traces show when parallel sections ran without a
     // per-block event flood from the workers.
@@ -273,11 +273,11 @@ pub fn par_task_queue<S, F>(
     let queue = TaskQueue::new(tasks);
     let threads = num_threads().min(tasks);
     if threads <= 1 || tasks.saturating_mul(cost_per_task) < par_threshold() {
-        metalora_obs::counters::record_dispatch(false);
+        metalora_obs::counters::DISPATCH_SERIAL.add(1);
         worker(0, &queue, scratch());
         return;
     }
-    metalora_obs::counters::record_dispatch(true);
+    metalora_obs::counters::DISPATCH_PARALLEL.add(1);
     let own = scratch();
     let spawned: Vec<S> = std::iter::repeat_with(scratch).take(threads - 1).collect();
     metalora_obs::trace::begin(trace_name);

@@ -86,7 +86,12 @@ fn pop(len: usize) -> Option<Vec<f32>> {
         metalora_obs::counters::record_workspace_pooled(-4 * v.capacity() as i64);
     }
     drop(pool);
-    metalora_obs::counters::record_workspace_checkout(v.is_some(), 4 * len);
+    if v.is_some() {
+        metalora_obs::counters::WORKSPACE_HITS.add(1);
+        metalora_obs::counters::WORKSPACE_BYTES_REUSED.add(4 * len as u64);
+    } else {
+        metalora_obs::counters::WORKSPACE_MISSES.add(1);
+    }
     v
 }
 

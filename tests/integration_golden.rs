@@ -201,13 +201,10 @@ fn runlog_captures_full_table1_grid() {
         "schema_version",
         "name",
         "spans",
-        "kernels",
-        "dispatch",
-        "memory",
-        "workspace",
+        "counters",
+        "registry",
         "health",
         "trace",
-        "telemetry",
         "epochs",
     ] {
         assert!(v.field(key).is_ok(), "missing key {key:?}");
@@ -239,9 +236,16 @@ fn runlog_captures_full_table1_grid() {
     assert!(phases.contains(&"adapt/MetaLoraTr"));
 
     // Kernel counters moved, and wall time was accounted per phase.
-    assert!(report.counters.kernels.iter().any(|k| k.kernel == "matmul" && k.flops > 0));
-    assert!(report.counters.dispatch_parallel + report.counters.dispatch_serial > 0);
-    assert!(report.counters.peak_tensor_bytes > 0);
+    let count = |group: &str, name: &str| {
+        let r = report.counters.iter().find(|r| r.group == group && r.name == name).unwrap();
+        match r.value {
+            metalora_obs::counters::Value::Count(n) => n,
+            _ => panic!("{group}.{name} is not a count"),
+        }
+    };
+    assert!(count("matmul", "flops") > 0);
+    assert!(count("dispatch", "parallel") + count("dispatch", "serial") > 0);
+    assert!(count("memory", "peak_tensor_bytes") > 0);
     assert!(report.epochs.iter().all(|e| e.wall_s >= 0.0));
 
     // The writer puts a well-named file on disk.
@@ -254,7 +258,7 @@ fn runlog_captures_full_table1_grid() {
 
     // The human summary mentions each section.
     let table = report.summary_table();
-    for needle in ["span", "kernel", "epoch"] {
+    for needle in ["span", "counter", "epoch"] {
         assert!(
             table.to_lowercase().contains(needle),
             "summary table missing {needle:?}:\n{table}"
