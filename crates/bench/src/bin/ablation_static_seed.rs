@@ -18,7 +18,7 @@ use metalora::methods::Method;
 use metalora::nn::{Adam, Backbone, Ctx, Module, Optimizer};
 use metalora::peft::meta::MetaFormat;
 use metalora::peft::StaticSeedLora;
-use metalora::pipeline::{adapt, pretrain, probe, AnyBackbone};
+use metalora::pipeline::{adapt, pretrain, probe};
 use metalora::report::render_table;
 use metalora::tensor::init;
 use metalora::Arch;
@@ -31,28 +31,15 @@ fn run_static_seed(opts: &BenchOpts, seed: u64) -> (f64, f64) {
     let family = TaskFamily::reduced(cfg.n_train_tasks, cfg.n_eval_tasks);
     let mut rng = init::rng(seed.wrapping_mul(7919).wrapping_add(101));
 
-    // Pretrain through the pipeline, then unwrap the concrete ResNet.
-    let AnyBackbone::ResNet(mut net) = pretrain(cfg, Arch::ResNet, seed).expect("pretrain")
-    else {
-        unreachable!("requested ResNet")
-    };
-
-    // Inject MetaLoRA-CP layers, but drive them with a learned constant.
-    net.set_trainable(false);
+    // Pretrain through the pipeline, then inject MetaLoRA-CP layers, but
+    // drive them with a learned constant.
+    let net = pretrain(cfg, Arch::ResNet, seed).expect("pretrain");
     let lora = cfg.lora_config();
-    let mut params = Vec::new();
-    net.replace_convs(|base| {
-        let ad = metalora::peft::MetaLoraCpConv::new("ss", base, lora, &mut rng)
-            .expect("adapter");
-        params.extend(ad.adapter_params());
-        Box::new(ad)
-    });
-    let ss = StaticSeedLora::new(Box::new(net), MetaFormat::Cp.seed_dim(lora.rank), &mut rng)
+    let (ss, inj) = StaticSeedLora::inject(net.into_injectable(), MetaFormat::Cp, lora, &mut rng)
         .expect("static seed");
-    params.push(ss.seed.clone());
 
     // Adaptation on the mixture, same budget as the pipeline.
-    let mut opt = Adam::new(params, cfg.adapt_lr);
+    let mut opt = Adam::new(inj.adapter_params, cfg.adapt_lr);
     for _ in 0..cfg.adapt_steps {
         let (batch, _tid) =
             sample_mixture_batch(&family, cfg.adapt_per_class, cfg.image_size, &mut rng)

@@ -6,7 +6,7 @@
 //! Run with: `cargo run --release -p metalora-bench --bin fig3_convlora_equiv`
 
 use metalora::autograd::Graph;
-use metalora::nn::{Conv2d, Ctx, Module};
+use metalora::nn::{Conv2d, ConvLike, Ctx, Module};
 use metalora::peft::{ConvLora, LoraConfig};
 use metalora::report::render_table;
 use metalora::tensor::conv::conv2d;
@@ -34,8 +34,7 @@ fn main() {
             Box::new(base),
             LoraConfig { rank: r, alpha: 2.0 },
             &mut rng,
-        )
-        .unwrap();
+        );
         cl.b.set_value(init::uniform(&[r, o], -0.5, 0.5, &mut rng));
         let x = init::uniform(&[n, i, hw, hw], -1.0, 1.0, &mut rng);
 

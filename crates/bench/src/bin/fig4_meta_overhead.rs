@@ -46,7 +46,7 @@ fn main() {
 
         // Static Conv-LoRA reference.
         let mut plain = ResNet::new(&cfg.resnet(), &mut rng).unwrap();
-        inject::lora_into_resnet(&mut plain, lc, &mut rng).unwrap();
+        inject::lora(&mut plain, lc, &mut rng);
         let t_lora = time_forward(&plain, &x, reps);
 
         for format in [MetaFormat::Cp, MetaFormat::Tr] {

@@ -7,10 +7,12 @@
 
 use metalora::config::ExperimentConfig;
 use metalora::nn::models::{Mixer, ResNet};
+use metalora::nn::Injectable;
 use metalora::peft::meta::MetaFormat;
 use metalora::peft::{inject, LoraConfig, ParamReport};
 use metalora::report::render_table;
 use metalora::tensor::init;
+use rand::rngs::StdRng;
 
 fn main() {
     println!("=== A1 — trainable-parameter fractions ===\n");
@@ -25,59 +27,33 @@ fn main() {
             alpha: 2.0 * rank as f32,
         };
 
-        // --- ResNet column ---
-        let mut lora = ResNet::new(&cfg.resnet(), &mut rng).unwrap();
-        inject::lora_into_resnet(&mut lora, lc, &mut rng).unwrap();
-        let r_lora = ParamReport::of(&lora);
-
-        let mut multi = ResNet::new(&cfg.resnet(), &mut rng).unwrap();
-        inject::multi_into_resnet(&mut multi, banks, lc, &mut rng).unwrap();
-        let r_multi = ParamReport::of(&multi);
-
-        let (meta_cp, _) = inject::meta_into_resnet(
-            ResNet::new(&cfg.resnet(), &mut rng).unwrap(),
-            MetaFormat::Cp,
-            lc,
-            cfg.map_hidden,
-            &mut rng,
-        )
-        .unwrap();
-        let r_cp = ParamReport::of(&meta_cp);
-
-        let (meta_tr, _) = inject::meta_into_resnet(
-            ResNet::new(&cfg.resnet(), &mut rng).unwrap(),
-            MetaFormat::Tr,
-            lc,
-            cfg.map_hidden,
-            &mut rng,
-        )
-        .unwrap();
-        let r_tr = ParamReport::of(&meta_tr);
-
-        // --- Mixer column (LoRA + the meta variants) ---
-        let mut mlora = Mixer::new(&cfg.mixer(), &mut rng).unwrap();
-        inject::lora_into_mixer(&mut mlora, lc, &mut rng).unwrap();
-        let m_lora = ParamReport::of(&mlora);
-
-        let (mmeta_tr, _) = inject::meta_into_mixer(
-            Mixer::new(&cfg.mixer(), &mut rng).unwrap(),
-            MetaFormat::Tr,
-            lc,
-            cfg.map_hidden,
-            &mut rng,
-        )
-        .unwrap();
-        let m_tr = ParamReport::of(&mmeta_tr);
-
+        let resnet = |rng: &mut StdRng| -> Box<dyn Injectable> {
+            Box::new(ResNet::new(&cfg.resnet(), rng).unwrap())
+        };
+        let mixer = |rng: &mut StdRng| -> Box<dyn Injectable> {
+            Box::new(Mixer::new(&cfg.mixer(), rng).unwrap())
+        };
+        let lora = |mut net: Box<dyn Injectable>, rng: &mut StdRng| {
+            inject::lora(net.as_mut(), lc, rng);
+            ParamReport::of(net.as_ref())
+        };
+        let multi = |mut net: Box<dyn Injectable>, rng: &mut StdRng| {
+            inject::multi(net.as_mut(), banks, lc, rng);
+            ParamReport::of(net.as_ref())
+        };
+        let meta = |net, format, rng: &mut StdRng| {
+            let (meta, _) = inject::meta(net, format, lc, cfg.map_hidden, rng).unwrap();
+            ParamReport::of(&meta)
+        };
         let pc = |r: ParamReport| format!("{:.2}% ({})", r.percent(), r.trainable);
         rows.push(vec![
             format!("R={rank}"),
-            pc(r_lora),
-            pc(r_multi),
-            pc(r_cp),
-            pc(r_tr),
-            pc(m_lora),
-            pc(m_tr),
+            pc(lora(resnet(&mut rng), &mut rng)),
+            pc(multi(resnet(&mut rng), &mut rng)),
+            pc(meta(resnet(&mut rng), MetaFormat::Cp, &mut rng)),
+            pc(meta(resnet(&mut rng), MetaFormat::Tr, &mut rng)),
+            pc(lora(mixer(&mut rng), &mut rng)),
+            pc(meta(mixer(&mut rng), MetaFormat::Tr, &mut rng)),
         ]);
     }
 

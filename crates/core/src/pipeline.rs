@@ -9,7 +9,7 @@ use metalora_data::knn::{Distance, KnnClassifier};
 use metalora_data::task::{sample_episode, sample_mixture_batch, TaskFamily};
 use metalora_nn::models::{Mixer, ResNet, VisionTransformer};
 use metalora_nn::train::train_epoch;
-use metalora_nn::{Adam, Backbone, Ctx, Module, Optimizer, Sgd};
+use metalora_nn::{Adam, Backbone, Ctx, Injectable, Module, Optimizer, Sgd};
 use metalora_peft::inject;
 use metalora_peft::meta::{MetaFormat, MetaLora};
 use metalora_tensor::{init, ops, Tensor, TensorError};
@@ -27,43 +27,22 @@ pub enum AnyBackbone {
     Transformer(VisionTransformer),
 }
 
-impl Module for AnyBackbone {
-    fn forward(&self, g: &mut Graph, x: metalora_autograd::Var, ctx: &Ctx) -> Result<metalora_autograd::Var> {
+impl AnyBackbone {
+    /// The backbone behind the variant.
+    pub fn backbone(&self) -> &dyn Backbone {
         match self {
-            AnyBackbone::ResNet(m) => m.forward(g, x, ctx),
-            AnyBackbone::Mixer(m) => m.forward(g, x, ctx),
-            AnyBackbone::Transformer(m) => m.forward(g, x, ctx),
+            AnyBackbone::ResNet(m) => m,
+            AnyBackbone::Mixer(m) => m,
+            AnyBackbone::Transformer(m) => m,
         }
     }
-    fn params(&self) -> Vec<ParamRef> {
-        match self {
-            AnyBackbone::ResNet(m) => m.params(),
-            AnyBackbone::Mixer(m) => m.params(),
-            AnyBackbone::Transformer(m) => m.params(),
-        }
-    }
-    fn buffers(&self) -> Vec<ParamRef> {
-        match self {
-            AnyBackbone::ResNet(m) => m.buffers(),
-            AnyBackbone::Mixer(m) => m.buffers(),
-            AnyBackbone::Transformer(m) => m.buffers(),
-        }
-    }
-}
 
-impl Backbone for AnyBackbone {
-    fn features(&self, g: &mut Graph, x: metalora_autograd::Var, ctx: &Ctx) -> Result<metalora_autograd::Var> {
+    /// The backbone, boxed for PEFT injection.
+    pub fn into_injectable(self) -> Box<dyn Injectable> {
         match self {
-            AnyBackbone::ResNet(m) => m.features(g, x, ctx),
-            AnyBackbone::Mixer(m) => m.features(g, x, ctx),
-            AnyBackbone::Transformer(m) => m.features(g, x, ctx),
-        }
-    }
-    fn feature_dim(&self) -> usize {
-        match self {
-            AnyBackbone::ResNet(m) => m.feature_dim(),
-            AnyBackbone::Mixer(m) => m.feature_dim(),
-            AnyBackbone::Transformer(m) => m.feature_dim(),
+            AnyBackbone::ResNet(m) => Box::new(m),
+            AnyBackbone::Mixer(m) => Box::new(m),
+            AnyBackbone::Transformer(m) => Box::new(m),
         }
     }
 }
@@ -79,7 +58,7 @@ pub fn pretrain(cfg: &ExperimentConfig, arch: Arch, seed: u64) -> Result<AnyBack
             AnyBackbone::Transformer(VisionTransformer::new(&cfg.transformer(), &mut rng)?)
         }
     };
-    let mut opt = Sgd::with_momentum(net.params(), cfg.pretrain_lr, 0.9, 1e-4);
+    let mut opt = Sgd::with_momentum(net.backbone().params(), cfg.pretrain_lr, 0.9, 1e-4);
     for _epoch in 0..cfg.pretrain_epochs {
         // Constant span name: all epochs aggregate under "pretrain/epoch",
         // whose count/quantiles give the per-epoch duration distribution.
@@ -91,7 +70,7 @@ pub fn pretrain(cfg: &ExperimentConfig, arch: Arch, seed: u64) -> Result<AnyBack
             &mut rng,
         )?;
         train_epoch(
-            &net,
+            net.backbone(),
             &data.images,
             &data.labels,
             cfg.pretrain_batch,
@@ -129,7 +108,7 @@ impl Routing {
 }
 
 enum AdaptedModel {
-    Plain(AnyBackbone),
+    Plain(Box<dyn Backbone>),
     Meta(MetaLora),
 }
 
@@ -148,9 +127,14 @@ pub struct Adapted {
 impl Adapted {
     /// The adapted model's total parameter census (base + adapters).
     pub fn param_report(&self) -> metalora_peft::ParamReport {
+        metalora_peft::ParamReport::of(self.backbone())
+    }
+
+    /// The adapted model as a backbone.
+    fn backbone(&self) -> &dyn Backbone {
         match &self.model {
-            AdaptedModel::Plain(m) => metalora_peft::ParamReport::of(m),
-            AdaptedModel::Meta(m) => metalora_peft::ParamReport::of(m),
+            AdaptedModel::Plain(m) => m.as_ref(),
+            AdaptedModel::Meta(m) => m,
         }
     }
 
@@ -191,10 +175,7 @@ impl Adapted {
     fn embed(&self, images: &Tensor, ctx: &Ctx) -> Result<Tensor> {
         let mut g = Graph::inference();
         let x = g.input(images.clone());
-        let f = match &self.model {
-            AdaptedModel::Plain(m) => m.features(&mut g, x, ctx)?,
-            AdaptedModel::Meta(m) => m.features(&mut g, x, ctx)?,
-        };
+        let f = self.backbone().features(&mut g, x, ctx)?;
         Ok(g.value(f))
     }
 
@@ -276,92 +257,25 @@ pub fn adapt(backbone: AnyBackbone, method: Method, cfg: &ExperimentConfig, seed
     let family = TaskFamily::reduced(cfg.n_train_tasks, cfg.n_eval_tasks);
     let lora = cfg.lora_config();
 
-    match method {
+    let mut backbone = backbone.into_injectable();
+    let banks = family.train.len();
+    let (model, adapter_params) = match method {
         Method::Original => {
             backbone.set_trainable(false);
-            Ok(Adapted {
-                model: AdaptedModel::Plain(backbone),
-                method,
-                adapter_params: Vec::new(),
-                routing: None,
-                family,
-            })
+            (AdaptedModel::Plain(backbone), Vec::new())
         }
         Method::FullFineTune => {
             backbone.set_trainable(true);
             let params = backbone.params();
-            adapt_train(&backbone, &family, cfg, params.clone(), |_| Ctx::none(), &mut rng)?;
-            Ok(Adapted {
-                model: AdaptedModel::Plain(backbone),
-                method,
-                adapter_params: params,
-                routing: None,
-                family,
-            })
+            (AdaptedModel::Plain(backbone), params)
         }
         Method::Lora => {
-            let mut backbone = backbone;
-            let inj = match &mut backbone {
-                AnyBackbone::ResNet(net) => inject::lora_into_resnet(net, lora, &mut rng)?,
-                AnyBackbone::Mixer(net) => inject::lora_into_mixer(net, lora, &mut rng)?,
-                AnyBackbone::Transformer(net) => {
-                    inject::lora_into_transformer(net, lora, &mut rng)?
-                }
-            };
-            adapt_train(
-                &backbone,
-                &family,
-                cfg,
-                inj.adapter_params.clone(),
-                |_| Ctx::none(),
-                &mut rng,
-            )?;
-            Ok(Adapted {
-                model: AdaptedModel::Plain(backbone),
-                method,
-                adapter_params: inj.adapter_params,
-                routing: None,
-                family,
-            })
+            let inj = inject::lora(backbone.as_mut(), lora, &mut rng);
+            (AdaptedModel::Plain(backbone), inj.adapter_params)
         }
         Method::MultiLora => {
-            let banks = family.train.len();
-            let mut backbone = backbone;
-            let inj = match &mut backbone {
-                AnyBackbone::ResNet(net) => {
-                    inject::multi_into_resnet(net, banks, lora, &mut rng)?
-                }
-                AnyBackbone::Mixer(net) => {
-                    inject::multi_into_mixer(net, banks, lora, &mut rng)?
-                }
-                AnyBackbone::Transformer(net) => {
-                    inject::multi_into_transformer(net, banks, lora, &mut rng)?
-                }
-            };
-            adapt_train(
-                &backbone,
-                &family,
-                cfg,
-                inj.adapter_params.clone(),
-                Ctx::with_adapter,
-                &mut rng,
-            )?;
-            // Base-feature centroids per training task for eval routing.
-            let mut centroids = Vec::with_capacity(banks);
-            for task in &family.train {
-                let data = generate(task.shift, 4, cfg.image_size, &mut rng)?;
-                let mut g = Graph::inference();
-                let x = g.input(data.images);
-                let f = backbone.features(&mut g, x, &Ctx::none())?;
-                centroids.push(ops::mean_axis(&g.value(f), 0)?);
-            }
-            Ok(Adapted {
-                model: AdaptedModel::Plain(backbone),
-                method,
-                adapter_params: inj.adapter_params,
-                routing: Some(Routing { centroids }),
-                family,
-            })
+            let inj = inject::multi(backbone.as_mut(), banks, lora, &mut rng);
+            (AdaptedModel::Plain(backbone), inj.adapter_params)
         }
         Method::MetaLoraCp | Method::MetaLoraTr => {
             let format = if method == Method::MetaLoraCp {
@@ -369,34 +283,35 @@ pub fn adapt(backbone: AnyBackbone, method: Method, cfg: &ExperimentConfig, seed
             } else {
                 MetaFormat::Tr
             };
-            let (meta, inj) = match backbone {
-                AnyBackbone::ResNet(net) => {
-                    inject::meta_into_resnet(net, format, lora, cfg.map_hidden, &mut rng)?
-                }
-                AnyBackbone::Mixer(net) => {
-                    inject::meta_into_mixer(net, format, lora, cfg.map_hidden, &mut rng)?
-                }
-                AnyBackbone::Transformer(net) => {
-                    inject::meta_into_transformer(net, format, lora, cfg.map_hidden, &mut rng)?
-                }
-            };
-            adapt_train(
-                &meta,
-                &family,
-                cfg,
-                inj.adapter_params.clone(),
-                |_| Ctx::none(),
-                &mut rng,
-            )?;
-            Ok(Adapted {
-                model: AdaptedModel::Meta(meta),
-                method,
-                adapter_params: inj.adapter_params,
-                routing: None,
-                family,
-            })
+            let (meta, inj) = inject::meta(backbone, format, lora, cfg.map_hidden, &mut rng)?;
+            (AdaptedModel::Meta(meta), inj.adapter_params)
         }
+    };
+    let mut adapted = Adapted {
+        model,
+        method,
+        adapter_params,
+        routing: None,
+        family,
+    };
+    if method == Method::Original {
+        return Ok(adapted);
     }
+    let multi = method == Method::MultiLora;
+    let ctx_of: fn(usize) -> Ctx = if multi { Ctx::with_adapter } else { |_| Ctx::none() };
+    let params = adapted.adapter_params.clone();
+    adapt_train(adapted.backbone(), &adapted.family, cfg, params, ctx_of, &mut rng)?;
+    if multi {
+        // Base-feature centroids per training task for eval routing.
+        let mut centroids = Vec::with_capacity(banks);
+        for task in &adapted.family.train {
+            let data = generate(task.shift, 4, cfg.image_size, &mut rng)?;
+            let features = adapted.embed(&data.images, &Ctx::none())?;
+            centroids.push(ops::mean_axis(&features, 0)?);
+        }
+        adapted.routing = Some(Routing { centroids });
+    }
+    Ok(adapted)
 }
 
 /// Probe accuracies per K, averaged over eval tasks and rounds.
@@ -488,7 +403,7 @@ mod tests {
         let mut rng = init::rng(999);
         let data = generate(metalora_data::Shift::Identity, 4, cfg.image_size, &mut rng).unwrap();
         let acc =
-            metalora_nn::train::evaluate(&net, &data.images, &data.labels, 16).unwrap();
+            metalora_nn::train::evaluate(net.backbone(), &data.images, &data.labels, 16).unwrap();
         assert!(acc > 0.25, "pretrain accuracy {acc}");
     }
 
@@ -537,12 +452,9 @@ mod tests {
     fn original_keeps_backbone_frozen() {
         let cfg = ExperimentConfig::quick();
         let net = pretrain(&cfg, Arch::ResNet, 3).unwrap();
-        let snapshot: Vec<Tensor> = net.params().iter().map(|p| p.value()).collect();
+        let snapshot: Vec<Tensor> = net.backbone().params().iter().map(|p| p.value()).collect();
         let adapted = adapt(net, Method::Original, &cfg, 3).unwrap();
-        let now = match &adapted.model {
-            AdaptedModel::Plain(m) => m.params(),
-            _ => unreachable!(),
-        };
+        let now = adapted.backbone().params();
         for (a, p) in snapshot.iter().zip(&now) {
             assert!(metalora_tensor::approx_eq(a, &p.value(), 0.0));
         }

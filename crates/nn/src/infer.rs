@@ -52,7 +52,7 @@ pub fn relu(x: &Tensor) -> Tensor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Conv2d, Ctx, Linear, Module};
+    use crate::{Conv2d, ConvLike, Ctx, Linear, Module};
     use metalora_autograd::Graph;
     use metalora_tensor::init;
 

@@ -144,11 +144,6 @@ impl Conv2d {
     pub fn bias(&self) -> Option<&ParamRef> {
         self.bias.as_ref()
     }
-
-    /// The spatial spec (kernel/stride/padding).
-    pub fn spec(&self) -> ConvSpec {
-        self.spec
-    }
 }
 
 impl Module for Conv2d {
@@ -182,14 +177,8 @@ impl ConvLike for Conv2d {
     fn out_channels(&self) -> usize {
         self.out_channels
     }
-    fn kernel(&self) -> usize {
-        self.spec.kernel
-    }
-    fn stride(&self) -> usize {
-        self.spec.stride
-    }
-    fn padding(&self) -> usize {
-        self.spec.pad
+    fn spec(&self) -> ConvSpec {
+        self.spec
     }
 }
 
@@ -379,7 +368,7 @@ mod tests {
         let c = Conv2d::new("conv", 3, 5, 3, 1, 1, &mut rng()).unwrap();
         assert_eq!(c.in_channels(), 3);
         assert_eq!(c.out_channels(), 5);
-        assert_eq!(c.kernel(), 3);
+        assert_eq!(c.spec().kernel, 3);
         let mut g = Graph::new();
         let x = g.input(Tensor::zeros(&[2, 3, 8, 8]));
         let y = c.forward(&mut g, x, &Ctx::none()).unwrap();
@@ -391,8 +380,7 @@ mod tests {
     #[test]
     fn conv2d_stride_changes_spatial_dims() {
         let c = Conv2d::new_no_bias("conv", 2, 4, 3, 2, 1, &mut rng()).unwrap();
-        assert_eq!(c.stride(), 2);
-        assert_eq!(c.padding(), 1);
+        assert_eq!(c.spec(), ConvSpec::new(3, 2, 1).unwrap());
         let mut g = Graph::new();
         let x = g.input(Tensor::ones(&[1, 2, 8, 8]));
         let y = c.forward(&mut g, x, &Ctx::none()).unwrap();

@@ -5,11 +5,12 @@
 //!
 //! * [`module`] — the [`Module`]/[`LinearLike`]/[`ConvLike`] traits, the
 //!   forward [`Ctx`] that carries PEFT state (generated parameter seeds,
-//!   adapter selection), and parameter utilities.
+//!   adapter selection), the [`Injectable`] trait through which a backbone
+//!   names its PEFT injection points, and parameter utilities.
 //! * [`layers`] — Linear, Conv2d, BatchNorm2d, LayerNorm.
-//! * [`models`] — the two backbones of Table I: a small **ResNet** and an
-//!   **MLP-Mixer**, both with swappable conv/linear layers so the PEFT
-//!   crate can inject adapters, plus a plain MLP.
+//! * [`models`] — the two backbones of Table I, a small **ResNet** and an
+//!   **MLP-Mixer**, and the Sec. III-E **Vision Transformer**, each
+//!   [`Injectable`], plus a plain MLP.
 //! * [`optim`] — SGD(+momentum) and Adam with weight decay and LR
 //!   schedules.
 //! * [`train`] — minimal training-loop helpers (batching, accuracy).
@@ -26,7 +27,9 @@ pub mod train;
 
 pub use checkpoint::Checkpoint;
 pub use layers::{BatchNorm2d, Conv2d, LayerNorm, Linear};
-pub use module::{Backbone, BoxConv, BoxLinear, ConvLike, Ctx, LinearLike, Module};
+pub use module::{
+    Backbone, BoxConv, BoxLinear, ConvLike, Ctx, Injectable, Layer, LinearLike, Module,
+};
 pub use optim::{Adam, Optimizer, Sgd};
 
 /// Crate-wide result alias (errors are tensor errors).

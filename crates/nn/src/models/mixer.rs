@@ -2,7 +2,9 @@
 //! experiments, with swappable dense layers for PEFT injection.
 
 use crate::layers::{LayerNorm, Linear};
-use crate::module::{dedup_params, Backbone, BoxLinear, Ctx, LinearLike, Module};
+use crate::module::{
+    dedup_params, replace_linear, Backbone, BoxLinear, Ctx, Injectable, Layer, Module,
+};
 use crate::Result;
 use metalora_autograd::{Graph, ParamRef, Var};
 use metalora_tensor::TensorError;
@@ -99,40 +101,6 @@ impl MixerBlock {
         v.extend(self.channel_fc2.params());
         v
     }
-
-    fn replace_linears(&mut self, f: &mut dyn FnMut(BoxLinear) -> BoxLinear) {
-        for slot in [
-            &mut self.token_fc1,
-            &mut self.token_fc2,
-            &mut self.channel_fc1,
-            &mut self.channel_fc2,
-        ] {
-            let dummy: BoxLinear = Box::new(NullLinear);
-            let old = std::mem::replace(slot, dummy);
-            *slot = f(old);
-        }
-    }
-}
-
-/// Placeholder used only during replacement; never invoked.
-struct NullLinear;
-
-impl Module for NullLinear {
-    fn forward(&self, _g: &mut Graph, _x: Var, _ctx: &Ctx) -> Result<Var> {
-        unreachable!("NullLinear must never be invoked")
-    }
-    fn params(&self) -> Vec<ParamRef> {
-        Vec::new()
-    }
-}
-
-impl LinearLike for NullLinear {
-    fn in_features(&self) -> usize {
-        0
-    }
-    fn out_features(&self) -> usize {
-        0
-    }
 }
 
 /// The MLP-Mixer backbone: patch embedding → mixer blocks → token mean →
@@ -189,19 +157,6 @@ impl Mixer {
         self.tokens
     }
 
-    /// Applies `f` to every mixing dense layer (4 per block) — the PEFT
-    /// injection point. Patch embedding and head stay plain.
-    pub fn replace_linears(&mut self, mut f: impl FnMut(BoxLinear) -> BoxLinear) {
-        for b in &mut self.blocks {
-            b.replace_linears(&mut f);
-        }
-    }
-
-    /// Number of injectable dense layers.
-    pub fn num_linears(&self) -> usize {
-        4 * self.blocks.len()
-    }
-
     /// Rearranges `[N, C, H, W]` into patch tokens `[N, T, C·P·P]`.
     fn patchify(&self, g: &mut Graph, x: Var, n: usize) -> Result<Var> {
         let (c, p) = (self.cfg.in_channels, self.cfg.patch_size);
@@ -229,6 +184,23 @@ impl Module for Mixer {
         v.extend(self.ln_out.params());
         v.extend(self.head.params());
         dedup_params(v)
+    }
+}
+
+impl Injectable for Mixer {
+    fn site(&self) -> &'static str {
+        "fc"
+    }
+
+    /// The mixing dense layers, 4 per block. Patch embedding and head
+    /// stay plain.
+    fn replace_layers(&mut self, f: &mut dyn FnMut(Layer) -> Layer) {
+        for b in &mut self.blocks {
+            replace_linear(&mut b.token_fc1, f);
+            replace_linear(&mut b.token_fc2, f);
+            replace_linear(&mut b.channel_fc1, f);
+            replace_linear(&mut b.channel_fc2, f);
+        }
     }
 }
 
@@ -325,9 +297,8 @@ mod tests {
     #[test]
     fn replace_linears_visits_all_mixing_layers() {
         let (mut m, _) = tiny();
-        assert_eq!(m.num_linears(), 8);
         let mut n = 0;
-        m.replace_linears(|l| {
+        m.replace_layers(&mut |l| {
             n += 1;
             l
         });

@@ -2,7 +2,9 @@
 //! 32×32 experiments, with swappable convolutions for PEFT injection.
 
 use crate::layers::{BatchNorm2d, Conv2d, Linear};
-use crate::module::{dedup_params, Backbone, BoxConv, ConvLike, Ctx, Module};
+use crate::module::{
+    dedup_params, replace_conv, Backbone, BoxConv, Ctx, Injectable, Layer, Module,
+};
 use crate::Result;
 use metalora_autograd::{Graph, ParamRef, Var};
 use rand::rngs::StdRng;
@@ -129,50 +131,6 @@ impl BasicBlock {
         }
         v
     }
-
-    fn replace_convs(&mut self, f: &mut dyn FnMut(BoxConv) -> BoxConv) {
-        replace_box(&mut self.conv1, f);
-        replace_box(&mut self.conv2, f);
-        // The 1×1 projection is part of the skip path; standard LoRA
-        // practice adapts the main convolutions only.
-    }
-}
-
-fn replace_box(slot: &mut BoxConv, f: &mut dyn FnMut(BoxConv) -> BoxConv) {
-    // Temporarily park a zero-size dummy to take ownership.
-    let dummy: BoxConv = Box::new(NullConv);
-    let old = std::mem::replace(slot, dummy);
-    *slot = f(old);
-}
-
-/// Placeholder used only inside [`replace_box`]; never survives a call.
-struct NullConv;
-
-impl Module for NullConv {
-    fn forward(&self, _g: &mut Graph, _x: Var, _ctx: &Ctx) -> Result<Var> {
-        unreachable!("NullConv must never be invoked")
-    }
-    fn params(&self) -> Vec<ParamRef> {
-        Vec::new()
-    }
-}
-
-impl ConvLike for NullConv {
-    fn in_channels(&self) -> usize {
-        0
-    }
-    fn out_channels(&self) -> usize {
-        0
-    }
-    fn kernel(&self) -> usize {
-        0
-    }
-    fn stride(&self) -> usize {
-        0
-    }
-    fn padding(&self) -> usize {
-        0
-    }
 }
 
 /// The ResNet backbone: stem conv → stages of basic blocks → global
@@ -224,15 +182,6 @@ impl ResNet {
             feature_dim,
         })
     }
-
-    /// Applies `f` to every main-path convolution (stem and block convs),
-    /// replacing each layer — the PEFT injection point.
-    pub fn replace_convs(&mut self, mut f: impl FnMut(BoxConv) -> BoxConv) {
-        replace_box(&mut self.stem, &mut f);
-        for b in &mut self.blocks {
-            b.replace_convs(&mut f);
-        }
-    }
 }
 
 impl Module for ResNet {
@@ -257,6 +206,23 @@ impl Module for ResNet {
             v.extend(b.buffers());
         }
         dedup_params(v)
+    }
+}
+
+impl Injectable for ResNet {
+    fn site(&self) -> &'static str {
+        "conv"
+    }
+
+    /// The main-path convolutions: the stem, then both convs of each
+    /// block. The 1×1 projection is part of the skip path; standard LoRA
+    /// practice adapts the main convolutions only.
+    fn replace_layers(&mut self, f: &mut dyn FnMut(Layer) -> Layer) {
+        replace_conv(&mut self.stem, f);
+        for b in &mut self.blocks {
+            replace_conv(&mut b.conv1, f);
+            replace_conv(&mut b.conv2, f);
+        }
     }
 }
 
@@ -327,7 +293,7 @@ mod tests {
     fn replace_convs_visits_the_stem_and_both_convs_of_each_block() {
         let (mut net, _) = tiny();
         let mut seen = 0;
-        net.replace_convs(|c| {
+        net.replace_layers(&mut |c| {
             seen += 1;
             c
         });

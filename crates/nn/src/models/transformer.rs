@@ -9,7 +9,9 @@
 //! transformer exactly as it does into the Mixer.
 
 use crate::layers::{LayerNorm, Linear};
-use crate::module::{dedup_params, Backbone, BoxLinear, Ctx, LinearLike, Module};
+use crate::module::{
+    dedup_params, replace_linear, Backbone, BoxLinear, Ctx, Injectable, Layer, Module,
+};
 use crate::Result;
 use metalora_autograd::{Graph, ParamRef, Var};
 use metalora_tensor::{init, TensorError};
@@ -138,42 +140,6 @@ impl EncoderBlock {
         v.extend(self.ln_mlp.params());
         v
     }
-
-    fn replace_linears(&mut self, f: &mut dyn FnMut(BoxLinear) -> BoxLinear) {
-        for slot in [
-            &mut self.wq,
-            &mut self.wk,
-            &mut self.wv,
-            &mut self.wo,
-            &mut self.fc1,
-            &mut self.fc2,
-        ] {
-            let dummy: BoxLinear = Box::new(NullLinear);
-            let old = std::mem::replace(slot, dummy);
-            *slot = f(old);
-        }
-    }
-}
-
-/// Placeholder used only during replacement; never invoked.
-struct NullLinear;
-
-impl Module for NullLinear {
-    fn forward(&self, _g: &mut Graph, _x: Var, _ctx: &Ctx) -> Result<Var> {
-        unreachable!("NullLinear must never be invoked")
-    }
-    fn params(&self) -> Vec<ParamRef> {
-        Vec::new()
-    }
-}
-
-impl LinearLike for NullLinear {
-    fn in_features(&self) -> usize {
-        0
-    }
-    fn out_features(&self) -> usize {
-        0
-    }
 }
 
 /// The Vision-Transformer backbone: patch embedding + learned positional
@@ -241,20 +207,6 @@ impl VisionTransformer {
         self.tokens
     }
 
-    /// Applies `f` to every attention projection and MLP layer (6 per
-    /// block) — the PEFT injection point. Patch embedding, positional
-    /// embedding and head stay plain.
-    pub fn replace_linears(&mut self, mut f: impl FnMut(BoxLinear) -> BoxLinear) {
-        for b in &mut self.blocks {
-            b.replace_linears(&mut f);
-        }
-    }
-
-    /// Number of injectable dense layers.
-    pub fn num_linears(&self) -> usize {
-        6 * self.blocks.len()
-    }
-
     /// Rearranges `[N, C, H, W]` into patch tokens `[N, T, C·P·P]`.
     fn patchify(&self, g: &mut Graph, x: Var, n: usize) -> Result<Var> {
         let (c, p) = (self.cfg.in_channels, self.cfg.patch_size);
@@ -280,6 +232,25 @@ impl Module for VisionTransformer {
         v.extend(self.ln_out.params());
         v.extend(self.head.params());
         dedup_params(v)
+    }
+}
+
+impl Injectable for VisionTransformer {
+    fn site(&self) -> &'static str {
+        "vit"
+    }
+
+    /// The attention projections and MLP layers, 6 per block. Patch
+    /// embedding, positional embedding and head stay plain.
+    fn replace_layers(&mut self, f: &mut dyn FnMut(Layer) -> Layer) {
+        for b in &mut self.blocks {
+            replace_linear(&mut b.wq, f);
+            replace_linear(&mut b.wk, f);
+            replace_linear(&mut b.wv, f);
+            replace_linear(&mut b.wo, f);
+            replace_linear(&mut b.fc1, f);
+            replace_linear(&mut b.fc2, f);
+        }
     }
 }
 
@@ -378,9 +349,8 @@ mod tests {
     #[test]
     fn replace_linears_visits_attention_and_mlp() {
         let (mut m, _) = tiny();
-        assert_eq!(m.num_linears(), 12);
         let mut n = 0;
-        m.replace_linears(|l| {
+        m.replace_layers(&mut |l| {
             n += 1;
             l
         });

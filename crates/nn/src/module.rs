@@ -2,6 +2,7 @@
 //! a backbone.
 
 use metalora_autograd::{Graph, ParamRef, Var};
+use metalora_tensor::conv::ConvSpec;
 
 use crate::Result;
 
@@ -103,12 +104,8 @@ pub trait ConvLike: Module {
     fn in_channels(&self) -> usize;
     /// Output channels `O`.
     fn out_channels(&self) -> usize;
-    /// Square kernel extent `K`.
-    fn kernel(&self) -> usize;
-    /// Stride.
-    fn stride(&self) -> usize;
-    /// Padding.
-    fn padding(&self) -> usize;
+    /// The validated spatial spec: square kernel `K`, stride, padding.
+    fn spec(&self) -> ConvSpec;
 }
 
 /// Boxed dense layer, the unit of PEFT injection.
@@ -126,6 +123,81 @@ pub trait Backbone: Module {
 
     /// Dimension of [`Backbone::features`].
     fn feature_dim(&self) -> usize;
+}
+
+/// A layer at a PEFT injection point, by kind.
+pub enum Layer {
+    /// A dense injection point.
+    Linear(BoxLinear),
+    /// A convolutional injection point.
+    Conv(BoxConv),
+}
+
+/// A backbone with PEFT injection points: the layers an adapter wraps.
+///
+/// The model names its points; what wraps them (and how the adapters are
+/// named) is the PEFT crate's one injection walk.
+pub trait Injectable: Backbone {
+    /// Tag of the injection points in adapter names: `conv` for the
+    /// ResNet's convolutions, `fc` for the Mixer's mixing layers, `vit`
+    /// for the transformer's projections.
+    fn site(&self) -> &'static str;
+
+    /// Replaces every injection point `l`, in a fixed order, with `f(l)`.
+    /// `f` must hand back a layer of the kind it was given.
+    fn replace_layers(&mut self, f: &mut dyn FnMut(Layer) -> Layer);
+}
+
+/// Replaces the dense layer in `slot` with `f(layer)`.
+pub(crate) fn replace_linear(slot: &mut BoxLinear, f: &mut dyn FnMut(Layer) -> Layer) {
+    let old = std::mem::replace(slot, Box::new(Vacant));
+    match f(Layer::Linear(old)) {
+        Layer::Linear(new) => *slot = new,
+        Layer::Conv(_) => panic!("a dense injection point was handed back a convolution"),
+    }
+}
+
+/// Replaces the convolution in `slot` with `f(layer)`.
+pub(crate) fn replace_conv(slot: &mut BoxConv, f: &mut dyn FnMut(Layer) -> Layer) {
+    let old = std::mem::replace(slot, Box::new(Vacant));
+    match f(Layer::Conv(old)) {
+        Layer::Conv(new) => *slot = new,
+        Layer::Linear(_) => panic!("a convolutional injection point was handed back a dense layer"),
+    }
+}
+
+/// Holds an injection point while [`replace_linear`] / [`replace_conv`]
+/// own its layer; never survives the call, never runs.
+struct Vacant;
+
+impl Module for Vacant {
+    fn forward(&self, _g: &mut Graph, _x: Var, _ctx: &Ctx) -> Result<Var> {
+        unreachable!("a vacant injection point never runs")
+    }
+    fn params(&self) -> Vec<ParamRef> {
+        Vec::new()
+    }
+}
+
+impl LinearLike for Vacant {
+    fn in_features(&self) -> usize {
+        0
+    }
+    fn out_features(&self) -> usize {
+        0
+    }
+}
+
+impl ConvLike for Vacant {
+    fn in_channels(&self) -> usize {
+        0
+    }
+    fn out_channels(&self) -> usize {
+        0
+    }
+    fn spec(&self) -> ConvSpec {
+        ConvSpec::POINTWISE
+    }
 }
 
 /// Deduplicates parameters that appear multiple times (shared cells), by

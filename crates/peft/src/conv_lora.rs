@@ -5,118 +5,50 @@
 //! `Δ𝒲 = 𝒜 ×₄ B = Σ_r 𝒜[·,·,·,r] ⊗ B[r,·]` with trainable
 //! `𝒜:[K, K, I, R]` and `B:[R, O]`. As Fig. 3 shows, applying `Δ𝒲` is
 //! exactly a *small* convolution (R output channels) followed by a 1×1
-//! channel-recovery convolution — that factored path is what
-//! [`ConvLora::forward`] executes; [`ConvLora::delta_weight`] materialises
+//! channel-recovery convolution — that factored path is what the
+//! forward executes; [`ConvLora::delta_weight`] materialises
 //! the full tensor so tests and the Fig. 3 bench can verify the identity.
 
+use crate::adapter::{conv_lora, conv_pair, ungated, Adapter, Update};
+use crate::lora::Lora;
 use crate::{LoraConfig, Result};
 use metalora_autograd::{Graph, ParamRef, Var};
-use metalora_nn::{BoxConv, ConvLike, Ctx, Module};
-use metalora_tensor::conv::ConvSpec;
-use metalora_tensor::{init, Tensor};
+use metalora_nn::{BoxConv, ConvLike, Ctx};
+use metalora_tensor::Tensor;
 use rand::rngs::StdRng;
 
-/// A frozen convolution plus a trainable Conv-LoRA update.
-pub struct ConvLora {
-    base: BoxConv,
-    /// Small convolutional filters `𝒜 : [K, K, I, R]`.
-    pub a: ParamRef,
-    /// Channel-recovery matrix `B : [R, O]`.
-    pub b: ParamRef,
-    cfg: LoraConfig,
-    spec: ConvSpec,
+/// A frozen convolution plus a trainable Conv-LoRA update:
+/// `a = 𝒜:[K, K, I, R]` (He), `b = B:[R, O]` (zero).
+pub type ConvLora = Adapter<dyn ConvLike, Lora>;
+
+impl Update<dyn ConvLike> for Lora {
+    type Factor = ParamRef;
+
+    fn delta(layer: &ConvLora, g: &mut Graph, x: Var, _ctx: &Ctx) -> Result<Option<Var>> {
+        conv_lora(&*layer.base, g, x, &layer.a, &layer.b, ungated).map(Some)
+    }
 }
 
 impl ConvLora {
-    /// Wraps `base`, freezing its parameters. `𝒜` is He-initialised,
-    /// `B` starts at zero (zero initial delta).
-    pub fn new(name: &str, base: BoxConv, cfg: LoraConfig, rng: &mut StdRng) -> Result<Self> {
-        for p in base.params() {
-            p.set_trainable(false);
-        }
-        let (k, i, o) = (base.kernel(), base.in_channels(), base.out_channels());
-        let spec = ConvSpec::new(k, base.stride(), base.padding())?;
-        let fan_in = i * k * k;
-        let a = init::he_normal(&[k, k, i, cfg.rank], fan_in, rng);
-        Ok(ConvLora {
-            base,
-            a: ParamRef::new(format!("{name}.conv_lora_a"), a),
-            b: ParamRef::new(format!("{name}.conv_lora_b"), Tensor::zeros(&[cfg.rank, o])),
-            cfg,
-            spec,
+    /// Wraps `base`, freezing its parameters.
+    pub fn new(name: &str, base: BoxConv, cfg: LoraConfig, rng: &mut StdRng) -> Self {
+        Self::wrap(base, cfg, |c| {
+            conv_pair(c, cfg.rank, name, "conv_lora", "", rng)
         })
-    }
-
-    /// Adapter-only parameters.
-    pub fn adapter_params(&self) -> Vec<ParamRef> {
-        vec![self.a.clone(), self.b.clone()]
     }
 
     /// Materialises `Δ𝒲 = (α/R)·(𝒜 ×₄ B) : [K, K, I, O]` (Eq. 5).
     pub fn delta_weight(&self) -> Result<Tensor> {
-        crate::merge::conv_lora_delta(&self.a.value(), &self.b.value(), self.cfg.scaling())
-    }
-
-    /// The LoRA configuration.
-    pub fn config(&self) -> LoraConfig {
-        self.cfg
-    }
-
-    /// The wrapped convolution's spatial spec.
-    pub fn spec(&self) -> ConvSpec {
-        self.spec
-    }
-}
-
-impl Module for ConvLora {
-    fn forward(&self, g: &mut Graph, x: Var, ctx: &Ctx) -> Result<Var> {
-        let y = self.base.forward(g, x, ctx)?;
-        // Factored delta: K×K conv to R channels, then 1×1 recovery.
-        let a = g.bind(&self.a);
-        let b = g.bind(&self.b);
-        let u = g.conv2d(x, a, self.spec, self.spec)?; // [N, R, OH, OW]
-        let b4 = g.reshape(b, &[1, 1, self.cfg.rank, self.base.out_channels()])?;
-        let one = ConvSpec::new(1, 1, 0)?;
-        let delta = g.conv2d(u, b4, one, one)?; // [N, O, OH, OW]
-        let delta = g.scale(delta, self.cfg.scaling());
-        g.add(y, delta)
-    }
-
-    fn params(&self) -> Vec<ParamRef> {
-        let mut v = self.base.params();
-        v.push(self.a.clone());
-        v.push(self.b.clone());
-        v
-    }
-
-    fn buffers(&self) -> Vec<ParamRef> {
-        self.base.buffers()
-    }
-}
-
-impl ConvLike for ConvLora {
-    fn in_channels(&self) -> usize {
-        self.base.in_channels()
-    }
-    fn out_channels(&self) -> usize {
-        self.base.out_channels()
-    }
-    fn kernel(&self) -> usize {
-        self.base.kernel()
-    }
-    fn stride(&self) -> usize {
-        self.base.stride()
-    }
-    fn padding(&self) -> usize {
-        self.base.padding()
+        crate::merge::conv_lora_delta(&self.a.value(), &self.b.value(), self.config().scaling())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use metalora_nn::Conv2d;
-    use metalora_tensor::{approx_eq, conv, contract, ops};
+    use metalora_nn::{Conv2d, Module};
+    use metalora_tensor::conv::ConvSpec;
+    use metalora_tensor::{approx_eq, contract, conv, init, ops};
 
     fn setup(stride: usize) -> (ConvLora, StdRng) {
         let mut rng = init::rng(3);
@@ -129,8 +61,7 @@ mod tests {
                 alpha: 2.0,
             },
             &mut rng,
-        )
-        .unwrap();
+        );
         (cl, rng)
     }
 
@@ -211,8 +142,6 @@ mod tests {
         let (cl, _) = setup(2);
         assert_eq!(cl.in_channels(), 3);
         assert_eq!(cl.out_channels(), 5);
-        assert_eq!(cl.kernel(), 3);
-        assert_eq!(cl.stride(), 2);
-        assert_eq!(cl.padding(), 1);
+        assert_eq!(cl.spec(), ConvSpec::new(3, 2, 1).unwrap());
     }
 }

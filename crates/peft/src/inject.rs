@@ -1,19 +1,20 @@
-//! One-call injection of each PEFT method into the two backbones.
+//! One-call injection of each PEFT method into any backbone.
 //!
-//! Injection always: (1) freezes the entire backbone, (2) swaps every
-//! injectable layer (ResNet main-path convolutions, Mixer mixing dense
-//! layers) for the requested adapter, (3) returns the trainable adapter
-//! parameters for the optimiser.
+//! Every method runs the same walk over an [`Injectable`] backbone: it
+//! (1) freezes the entire backbone, (2) swaps every injection point the
+//! model names (ResNet main-path convolutions, Mixer mixing dense layers,
+//! transformer projections) for the method's adapter of the matching kind,
+//! named `{method}_{site}{i}` (`lora_conv0`, `meta_fc3`, `multi_vit5`, …),
+//! and (3) returns the trainable adapter parameters for the optimiser.
 
-use crate::conv_lora::ConvLora;
-use crate::lora::LoraLinear;
-use crate::meta::{MappingNet, MetaFormat, MetaLora, MetaLoraCpConv, MetaLoraCpLinear, MetaLoraTrConv, MetaLoraTrLinear};
-use crate::multi::{MultiLoraConv, MultiLoraLinear};
-use crate::{LoraConfig, Result};
+use crate::meta::{MappingNet, MetaFormat, MetaLora};
+use crate::{
+    ConvLora, LoraConfig, LoraLinear, MetaLoraCpConv, MetaLoraCpLinear, MetaLoraTrConv,
+    MetaLoraTrLinear, MultiLoraConv, MultiLoraLinear, Result,
+};
 use metalora_autograd::ParamRef;
 use metalora_nn::models::{Mixer, ResNet, VisionTransformer};
-use metalora_nn::{Backbone, Module};
-use metalora_tensor::TensorError;
+use metalora_nn::{Injectable, Layer, Module};
 use rand::rngs::StdRng;
 
 /// What an injection produced.
@@ -24,334 +25,126 @@ pub struct Injection {
     pub layers: usize,
 }
 
-/// Injects plain Conv-LoRA into every ResNet main-path convolution.
-pub fn lora_into_resnet(net: &mut ResNet, cfg: LoraConfig, rng: &mut StdRng) -> Result<Injection> {
+/// The walk every method shares: freezes `net`, then replaces each
+/// injection point with `wrap(name, layer)`. The adapter parameters are
+/// the wrapped layers' trainable ones — the backbone is frozen, so exactly
+/// their factors.
+fn walk(
+    net: &mut dyn Injectable,
+    method: &str,
+    mut wrap: impl FnMut(&str, Layer) -> Layer,
+) -> Injection {
     net.set_trainable(false);
-    let mut params = Vec::new();
+    let site = net.site();
+    let mut adapter_params = Vec::new();
     let mut layers = 0usize;
-    let mut err: Option<TensorError> = None;
-    net.replace_convs(|base| {
-        if err.is_some() {
-            return base;
-        }
-        match ConvLora::new(&format!("lora_conv{layers}"), base, cfg, rng) {
-            Ok(ad) => {
-                params.extend(ad.adapter_params());
-                layers += 1;
-                Box::new(ad)
-            }
-            Err(e) => {
-                err = Some(e);
-                Box::new(NeverConv)
-            }
-        }
-    });
-    finish(err, params, layers)
-}
-
-/// Injects plain LoRA into every Mixer mixing dense layer.
-pub fn lora_into_mixer(net: &mut Mixer, cfg: LoraConfig, rng: &mut StdRng) -> Result<Injection> {
-    net.set_trainable(false);
-    let mut params = Vec::new();
-    let mut layers = 0usize;
-    net.replace_linears(|base| {
-        let ad = LoraLinear::new(&format!("lora_fc{layers}"), base, cfg, rng);
-        params.extend(ad.adapter_params());
+    net.replace_layers(&mut |base| {
+        let layer = wrap(&format!("{method}_{site}{layers}"), base);
+        let params = match &layer {
+            Layer::Linear(l) => l.params(),
+            Layer::Conv(c) => c.params(),
+        };
+        adapter_params.extend(params.into_iter().filter(|p| p.trainable()));
         layers += 1;
-        Box::new(ad)
+        layer
     });
-    finish(None, params, layers)
+    Injection {
+        adapter_params,
+        layers,
+    }
 }
 
-/// Injects a Multi-LoRA bank (`banks` slots) into every ResNet conv.
-pub fn multi_into_resnet(
-    net: &mut ResNet,
+/// Injects plain LoRA (Conv-LoRA at a convolution) into every injection
+/// point of `net`.
+pub fn lora(net: &mut dyn Injectable, cfg: LoraConfig, rng: &mut StdRng) -> Injection {
+    walk(net, "lora", |name, layer| match layer {
+        Layer::Linear(base) => LoraLinear::new(name, base, cfg, rng).into(),
+        Layer::Conv(base) => ConvLora::new(name, base, cfg, rng).into(),
+    })
+}
+
+/// Injects a Multi-LoRA bank (`banks` slots) into every injection point
+/// of `net`.
+pub fn multi(
+    net: &mut dyn Injectable,
     banks: usize,
     cfg: LoraConfig,
     rng: &mut StdRng,
-) -> Result<Injection> {
-    net.set_trainable(false);
-    let mut params = Vec::new();
-    let mut layers = 0usize;
-    let mut err: Option<TensorError> = None;
-    net.replace_convs(|base| {
-        if err.is_some() {
-            return base;
-        }
-        match MultiLoraConv::new(&format!("multi_conv{layers}"), base, banks, cfg, rng) {
-            Ok(ad) => {
-                params.extend(ad.adapter_params());
-                layers += 1;
-                Box::new(ad)
-            }
-            Err(e) => {
-                err = Some(e);
-                Box::new(NeverConv)
-            }
-        }
-    });
-    finish(err, params, layers)
+) -> Injection {
+    walk(net, "multi", |name, layer| match layer {
+        Layer::Linear(base) => MultiLoraLinear::new(name, base, banks, cfg, rng).into(),
+        Layer::Conv(base) => MultiLoraConv::new(name, base, banks, cfg, rng).into(),
+    })
 }
 
-/// Injects a Multi-LoRA bank into every Mixer mixing dense layer.
-pub fn multi_into_mixer(
-    net: &mut Mixer,
-    banks: usize,
+/// The MetaLoRA (CP or TR) adapters of [`meta`], without the mapping net.
+pub(crate) fn meta_layers(
+    net: &mut dyn Injectable,
+    format: MetaFormat,
     cfg: LoraConfig,
     rng: &mut StdRng,
-) -> Result<Injection> {
-    net.set_trainable(false);
-    let mut params = Vec::new();
-    let mut layers = 0usize;
-    net.replace_linears(|base| {
-        let ad = MultiLoraLinear::new(&format!("multi_fc{layers}"), base, banks, cfg, rng);
-        params.extend(ad.adapter_params());
-        layers += 1;
-        Box::new(ad)
-    });
-    finish(None, params, layers)
+) -> Injection {
+    walk(net, "meta", |name, layer| match (format, layer) {
+        (MetaFormat::Cp, Layer::Linear(base)) => MetaLoraCpLinear::new(name, base, cfg, rng).into(),
+        (MetaFormat::Cp, Layer::Conv(base)) => MetaLoraCpConv::new(name, base, cfg, rng).into(),
+        (MetaFormat::Tr, Layer::Linear(base)) => MetaLoraTrLinear::new(name, base, cfg, rng).into(),
+        (MetaFormat::Tr, Layer::Conv(base)) => MetaLoraTrConv::new(name, base, cfg, rng).into(),
+    })
 }
 
-/// Injects MetaLoRA (CP or TR) into every ResNet conv and wraps the
-/// backbone with its mapping net (hidden width `map_hidden`).
+/// Injects MetaLoRA (CP or TR) into every injection point of `net` and
+/// wraps the backbone with its mapping net (hidden width `map_hidden`),
+/// whose parameters join the adapter set.
+pub fn meta(
+    mut net: Box<dyn Injectable>,
+    format: MetaFormat,
+    cfg: LoraConfig,
+    map_hidden: usize,
+    rng: &mut StdRng,
+) -> Result<(MetaLora, Injection)> {
+    let mut inj = meta_layers(net.as_mut(), format, cfg, rng);
+    let mapping = MappingNet::new(
+        "mapping",
+        net.feature_dim(),
+        map_hidden,
+        format.seed_dim(cfg.rank),
+        rng,
+    );
+    inj.adapter_params.extend(mapping.params());
+    Ok((MetaLora::new(net, mapping)?, inj))
+}
+
+/// [`meta`] on a ResNet.
 pub fn meta_into_resnet(
-    mut net: ResNet,
+    net: ResNet,
     format: MetaFormat,
     cfg: LoraConfig,
     map_hidden: usize,
     rng: &mut StdRng,
 ) -> Result<(MetaLora, Injection)> {
-    net.set_trainable(false);
-    let mut params = Vec::new();
-    let mut layers = 0usize;
-    let mut err: Option<TensorError> = None;
-    net.replace_convs(|base| {
-        if err.is_some() {
-            return base;
-        }
-        let name = format!("meta_conv{layers}");
-        let built: Result<(Vec<ParamRef>, metalora_nn::BoxConv)> = match format {
-            MetaFormat::Cp => MetaLoraCpConv::new(&name, base, cfg, rng)
-                .map(|ad| (ad.adapter_params(), Box::new(ad) as metalora_nn::BoxConv)),
-            MetaFormat::Tr => MetaLoraTrConv::new(&name, base, cfg, rng)
-                .map(|ad| (ad.adapter_params(), Box::new(ad) as metalora_nn::BoxConv)),
-        };
-        match built {
-            Ok((p, b)) => {
-                params.extend(p);
-                layers += 1;
-                b
-            }
-            Err(e) => {
-                err = Some(e);
-                Box::new(NeverConv)
-            }
-        }
-    });
-    if let Some(e) = err {
-        return Err(e);
-    }
-    let mapping = MappingNet::new(
-        "mapping",
-        net.feature_dim(),
-        map_hidden,
-        format.seed_dim(cfg.rank),
-        rng,
-    );
-    params.extend(mapping.params());
-    let meta = MetaLora::new(Box::new(net), mapping)?;
-    Ok((
-        meta,
-        Injection {
-            adapter_params: params,
-            layers,
-        },
-    ))
+    meta(Box::new(net), format, cfg, map_hidden, rng)
 }
 
-/// Injects MetaLoRA (CP or TR) into every Mixer mixing dense layer and
-/// wraps the backbone with its mapping net.
+/// [`meta`] on an MLP-Mixer.
 pub fn meta_into_mixer(
-    mut net: Mixer,
+    net: Mixer,
     format: MetaFormat,
     cfg: LoraConfig,
     map_hidden: usize,
     rng: &mut StdRng,
 ) -> Result<(MetaLora, Injection)> {
-    net.set_trainable(false);
-    let mut params = Vec::new();
-    let mut layers = 0usize;
-    net.replace_linears(|base| {
-        let name = format!("meta_fc{layers}");
-        let b: metalora_nn::BoxLinear = match format {
-            MetaFormat::Cp => {
-                let ad = MetaLoraCpLinear::new(&name, base, cfg, rng);
-                params.extend(ad.adapter_params());
-                Box::new(ad)
-            }
-            MetaFormat::Tr => {
-                let ad = MetaLoraTrLinear::new(&name, base, cfg, rng);
-                params.extend(ad.adapter_params());
-                Box::new(ad)
-            }
-        };
-        layers += 1;
-        b
-    });
-    let mapping = MappingNet::new(
-        "mapping",
-        net.feature_dim(),
-        map_hidden,
-        format.seed_dim(cfg.rank),
-        rng,
-    );
-    params.extend(mapping.params());
-    let meta = MetaLora::new(Box::new(net), mapping)?;
-    Ok((
-        meta,
-        Injection {
-            adapter_params: params,
-            layers,
-        },
-    ))
+    meta(Box::new(net), format, cfg, map_hidden, rng)
 }
 
-
-/// Injects plain LoRA into every transformer attention projection and
-/// MLP layer.
-pub fn lora_into_transformer(
-    net: &mut VisionTransformer,
-    cfg: LoraConfig,
-    rng: &mut StdRng,
-) -> Result<Injection> {
-    net.set_trainable(false);
-    let mut params = Vec::new();
-    let mut layers = 0usize;
-    net.replace_linears(|base| {
-        let ad = LoraLinear::new(&format!("lora_vit{layers}"), base, cfg, rng);
-        params.extend(ad.adapter_params());
-        layers += 1;
-        Box::new(ad)
-    });
-    finish(None, params, layers)
-}
-
-/// Injects a Multi-LoRA bank into every transformer dense layer.
-pub fn multi_into_transformer(
-    net: &mut VisionTransformer,
-    banks: usize,
-    cfg: LoraConfig,
-    rng: &mut StdRng,
-) -> Result<Injection> {
-    net.set_trainable(false);
-    let mut params = Vec::new();
-    let mut layers = 0usize;
-    net.replace_linears(|base| {
-        let ad = MultiLoraLinear::new(&format!("multi_vit{layers}"), base, banks, cfg, rng);
-        params.extend(ad.adapter_params());
-        layers += 1;
-        Box::new(ad)
-    });
-    finish(None, params, layers)
-}
-
-/// Injects MetaLoRA (CP or TR) into every transformer dense layer and
-/// wraps the backbone with its mapping net.
+/// [`meta`] on a Vision Transformer.
 pub fn meta_into_transformer(
-    mut net: VisionTransformer,
+    net: VisionTransformer,
     format: MetaFormat,
     cfg: LoraConfig,
     map_hidden: usize,
     rng: &mut StdRng,
 ) -> Result<(MetaLora, Injection)> {
-    net.set_trainable(false);
-    let mut params = Vec::new();
-    let mut layers = 0usize;
-    net.replace_linears(|base| {
-        let name = format!("meta_vit{layers}");
-        let b: metalora_nn::BoxLinear = match format {
-            MetaFormat::Cp => {
-                let ad = MetaLoraCpLinear::new(&name, base, cfg, rng);
-                params.extend(ad.adapter_params());
-                Box::new(ad)
-            }
-            MetaFormat::Tr => {
-                let ad = MetaLoraTrLinear::new(&name, base, cfg, rng);
-                params.extend(ad.adapter_params());
-                Box::new(ad)
-            }
-        };
-        layers += 1;
-        b
-    });
-    let mapping = MappingNet::new(
-        "mapping",
-        net.feature_dim(),
-        map_hidden,
-        format.seed_dim(cfg.rank),
-        rng,
-    );
-    params.extend(mapping.params());
-    let meta = MetaLora::new(Box::new(net), mapping)?;
-    Ok((
-        meta,
-        Injection {
-            adapter_params: params,
-            layers,
-        },
-    ))
-}
-
-fn finish(
-    err: Option<TensorError>,
-    adapter_params: Vec<ParamRef>,
-    layers: usize,
-) -> Result<Injection> {
-    match err {
-        Some(e) => Err(e),
-        None => Ok(Injection {
-            adapter_params,
-            layers,
-        }),
-    }
-}
-
-/// Placeholder installed only when a constructor failed mid-replacement;
-/// the injection function then returns the error before any forward.
-struct NeverConv;
-
-impl Module for NeverConv {
-    fn forward(
-        &self,
-        _g: &mut metalora_autograd::Graph,
-        _x: metalora_autograd::Var,
-        _ctx: &metalora_nn::Ctx,
-    ) -> Result<metalora_autograd::Var> {
-        Err(TensorError::InvalidArgument(
-            "layer replaced during a failed injection".into(),
-        ))
-    }
-    fn params(&self) -> Vec<ParamRef> {
-        Vec::new()
-    }
-}
-
-impl metalora_nn::ConvLike for NeverConv {
-    fn in_channels(&self) -> usize {
-        0
-    }
-    fn out_channels(&self) -> usize {
-        0
-    }
-    fn kernel(&self) -> usize {
-        0
-    }
-    fn stride(&self) -> usize {
-        0
-    }
-    fn padding(&self) -> usize {
-        0
-    }
+    meta(Box::new(net), format, cfg, map_hidden, rng)
 }
 
 #[cfg(test)]
@@ -359,7 +152,7 @@ mod tests {
     use super::*;
     use metalora_autograd::Graph;
     use metalora_nn::models::{MixerConfig, ResNetConfig};
-    use metalora_nn::Ctx;
+    use metalora_nn::{Backbone, Ctx};
     use metalora_tensor::init;
 
     fn resnet(rng: &mut StdRng) -> ResNet {
@@ -393,11 +186,11 @@ mod tests {
     }
 
     #[test]
-    fn lora_into_resnet_freezes_base_and_counts_layers() {
+    fn lora_on_a_resnet_freezes_base_and_counts_layers() {
         let mut rng = init::rng(1);
         let mut net = resnet(&mut rng);
         let base_params = net.num_params();
-        let inj = lora_into_resnet(&mut net, LoraConfig::default(), &mut rng).unwrap();
+        let inj = lora(&mut net, LoraConfig::default(), &mut rng);
         assert_eq!(inj.layers, 5);
         assert!(!inj.adapter_params.is_empty());
         // All trainable params are exactly the adapters.
@@ -415,10 +208,10 @@ mod tests {
     }
 
     #[test]
-    fn lora_into_mixer_works() {
+    fn lora_on_a_mixer_works() {
         let mut rng = init::rng(2);
         let mut net = mixer(&mut rng);
-        let inj = lora_into_mixer(&mut net, LoraConfig::default(), &mut rng).unwrap();
+        let inj = lora(&mut net, LoraConfig::default(), &mut rng);
         assert_eq!(inj.layers, 4);
         let mut g = Graph::new();
         let x = g.input(init::uniform(&[2, 3, 16, 16], -1.0, 1.0, &mut rng));
@@ -430,7 +223,7 @@ mod tests {
     fn multi_into_backbones_selects_adapters() {
         let mut rng = init::rng(3);
         let mut net = resnet(&mut rng);
-        let inj = multi_into_resnet(&mut net, 3, LoraConfig::default(), &mut rng).unwrap();
+        let inj = multi(&mut net, 3, LoraConfig::default(), &mut rng);
         assert_eq!(inj.layers, 5);
         let mut g = Graph::new();
         let x = g.input(init::uniform(&[1, 3, 16, 16], -1.0, 1.0, &mut rng));
@@ -440,7 +233,7 @@ mod tests {
         assert!(net.forward(&mut g, x, &Ctx::with_adapter(7)).is_err());
 
         let mut mx = mixer(&mut rng);
-        let inj = multi_into_mixer(&mut mx, 2, LoraConfig::default(), &mut rng).unwrap();
+        let inj = multi(&mut mx, 2, LoraConfig::default(), &mut rng);
         assert_eq!(inj.layers, 4);
         let mut g = Graph::new();
         let x = g.input(init::uniform(&[1, 3, 16, 16], -1.0, 1.0, &mut rng));

@@ -3,6 +3,9 @@
 //! The paper's contribution: parameter-efficient fine-tuning adapters over
 //! the `metalora-nn` layer traits.
 //!
+//! * [`adapter`] — the one frozen-base shell [`Adapter`], computing
+//!   `y = base(x) + (α/R)·Δ(x)`; each adapter type below is
+//!   `Adapter<kind, method>`, a method being its factors and `Δ` chain;
 //! * [`lora`] — standard LoRA for dense layers
 //!   (`ΔW = (α/R)·A·B`, Hu et al. 2021);
 //! * [`conv_lora`] — **Conv-LoRA** (Eq. 5): a low-rank update for
@@ -15,14 +18,15 @@
 //!   Tensor-Ring (Eq. 7) format, for both dense and convolutional layers
 //!   (Sec. III-C/III-D), plus the [`meta::MetaLora`] wrapper that chains
 //!   feature extraction → mapping net → adapted backbone (Fig. 4);
-//! * [`inject`] — one-call injection of each method into the ResNet and
-//!   MLP-Mixer backbones;
+//! * [`inject`] — one injection function per method (`lora`, `multi`,
+//!   `meta`), one walk over any `Injectable` backbone;
 //! * [`count`] — trainable-parameter accounting (the A1 experiment).
 //!
 //! All adapters initialise to a **zero delta** so the adapted model starts
 //! exactly at the pretrained function, and all freeze the base layer they
 //! wrap.
 
+pub mod adapter;
 pub mod conv_lora;
 pub mod count;
 pub mod inject;
@@ -31,6 +35,7 @@ pub mod merge;
 pub mod meta;
 pub mod multi;
 
+pub use adapter::Adapter;
 pub use conv_lora::ConvLora;
 pub use count::ParamReport;
 pub use lora::LoraLinear;

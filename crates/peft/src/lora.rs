@@ -1,94 +1,49 @@
 //! Standard LoRA for dense layers: `y = base(x) + (α/R)·(x·A)·B`.
+//!
+//! [`Lora`] is the method label for both layer kinds; its convolutional
+//! form is [`crate::conv_lora`].
 
+use crate::adapter::{dense_lora, dense_pair, ungated, Adapter, Update};
 use crate::{LoraConfig, Result};
 use metalora_autograd::{Graph, ParamRef, Var};
-use metalora_nn::{BoxLinear, Ctx, LinearLike, Module};
-use metalora_tensor::{init, Tensor};
+use metalora_nn::{BoxLinear, Ctx, LinearLike};
+use metalora_tensor::Tensor;
 use rand::rngs::StdRng;
 
-/// A frozen dense layer plus a trainable rank-`R` update.
-///
-/// `A:[I, R]` is Kaiming-uniform initialised, `B:[R, O]` starts at zero,
-/// so the wrapped layer initially computes exactly the base function.
-pub struct LoraLinear {
-    base: BoxLinear,
-    /// Down-projection `A : [I, R]`.
-    pub a: ParamRef,
-    /// Up-projection `B : [R, O]`.
-    pub b: ParamRef,
-    cfg: LoraConfig,
+/// The LoRA method: one always-on factor pair.
+pub struct Lora;
+
+/// A frozen dense layer plus a trainable rank-`R` update: `a = A:[I, R]`
+/// (Kaiming-uniform), `b = B:[R, O]` (zero).
+pub type LoraLinear = Adapter<dyn LinearLike, Lora>;
+
+impl Update<dyn LinearLike> for Lora {
+    type Factor = ParamRef;
+
+    fn delta(layer: &LoraLinear, g: &mut Graph, x: Var, _ctx: &Ctx) -> Result<Option<Var>> {
+        dense_lora(g, x, &layer.a, &layer.b, ungated).map(Some)
+    }
 }
 
 impl LoraLinear {
     /// Wraps `base`, freezing its parameters.
     pub fn new(name: &str, base: BoxLinear, cfg: LoraConfig, rng: &mut StdRng) -> Self {
-        for p in base.params() {
-            p.set_trainable(false);
-        }
-        let (i, o) = (base.in_features(), base.out_features());
-        let a = init::lora_a_init(&[i, cfg.rank], i, rng);
-        LoraLinear {
-            base,
-            a: ParamRef::new(format!("{name}.lora_a"), a),
-            b: ParamRef::new(format!("{name}.lora_b"), Tensor::zeros(&[cfg.rank, o])),
-            cfg,
-        }
-    }
-
-    /// Adapter-only parameters (what an optimiser should receive).
-    pub fn adapter_params(&self) -> Vec<ParamRef> {
-        vec![self.a.clone(), self.b.clone()]
+        Self::wrap(base, cfg, |l| {
+            dense_pair(l, cfg.rank, name, "lora", "", rng)
+        })
     }
 
     /// Materialises the dense update `ΔW = (α/R)·A·B : [I, O]`.
     pub fn delta_weight(&self) -> Result<Tensor> {
-        crate::merge::lora_delta(&self.a.value(), &self.b.value(), self.cfg.scaling())
-    }
-
-    /// The LoRA configuration.
-    pub fn config(&self) -> LoraConfig {
-        self.cfg
-    }
-}
-
-impl Module for LoraLinear {
-    fn forward(&self, g: &mut Graph, x: Var, ctx: &Ctx) -> Result<Var> {
-        let y = self.base.forward(g, x, ctx)?;
-        let a = g.bind(&self.a);
-        let b = g.bind(&self.b);
-        let xa = g.matmul(x, a)?;
-        let delta = g.matmul(xa, b)?;
-        let delta = g.scale(delta, self.cfg.scaling());
-        g.add(y, delta)
-    }
-
-    fn params(&self) -> Vec<ParamRef> {
-        let mut v = self.base.params();
-        v.push(self.a.clone());
-        v.push(self.b.clone());
-        v
-    }
-
-    fn buffers(&self) -> Vec<ParamRef> {
-        self.base.buffers()
-    }
-}
-
-impl LinearLike for LoraLinear {
-    fn in_features(&self) -> usize {
-        self.base.in_features()
-    }
-    fn out_features(&self) -> usize {
-        self.base.out_features()
+        crate::merge::lora_delta(&self.a.value(), &self.b.value(), self.config().scaling())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use metalora_tensor::ops;
-    use metalora_nn::Linear;
-    use metalora_tensor::approx_eq;
+    use metalora_nn::{Linear, Module};
+    use metalora_tensor::{approx_eq, init, ops};
 
     fn setup() -> (LoraLinear, StdRng) {
         let mut rng = init::rng(1);

@@ -13,11 +13,11 @@ use metalora_tensor::{contract, ops, workspace, Tensor, TensorError};
 
 // ---- tensor-level delta/merge helpers ---------------------------------
 //
-// The adapter structs hold `ParamRef` cells, which are `Rc`-based and
-// cannot cross threads. The serving engine instead keeps value snapshots
-// and calls these free functions; the struct methods
-// (`LoraLinear::delta_weight` etc.) delegate here so both paths compute
-// the identical float sequence.
+// The adapters hold `ParamRef` cells, which are `Rc`-based and cannot
+// cross threads. The serving engine instead keeps value snapshots and
+// calls these free functions; the adapters' `delta_weight` /
+// `delta_weight_for` are built on them, so both paths compute the
+// identical float sequence.
 
 /// `s · d` in the buffer `d` already owns: per element the same product
 /// as `ops::scale` (f32 `*` commutes bitwise), without a second `[I,O]`

@@ -7,209 +7,101 @@
 //! gates the rank channels, so the extra cost over plain LoRA is one
 //! elementwise multiply.
 
-use crate::meta::{check_seed, expand_seed};
+use crate::adapter::{conv_lora, conv_pair, dense_lora, dense_pair, Adapter, Update};
+use crate::meta::layer_seed;
 use crate::{LoraConfig, Result};
 use metalora_autograd::{Graph, ParamRef, Var};
-use metalora_nn::{BoxConv, BoxLinear, ConvLike, Ctx, LinearLike, Module};
-use metalora_tensor::conv::ConvSpec;
-use metalora_tensor::{init, ops, Tensor};
+use metalora_nn::{BoxConv, BoxLinear, ConvLike, Ctx, LinearLike};
+use metalora_tensor::Tensor;
 use rand::rngs::StdRng;
 
-/// Dense MetaLoRA-CP adapter. With no seed in the [`Ctx`] the layer
-/// computes the frozen base function only (the feature-extraction pass).
-pub struct MetaLoraCpLinear {
-    base: BoxLinear,
-    /// Factor matrix `A : [I, R]` (Eq. 6).
-    pub a: ParamRef,
-    /// Factor matrix `B : [R, O]` (Eq. 6), zero-initialised.
-    pub b: ParamRef,
-    cfg: LoraConfig,
+/// The MetaLoRA-CP method: the generated seed `c_n : [R]` gates the rank
+/// channels of a LoRA pair.
+pub struct MetaCp;
+
+/// Dense MetaLoRA-CP adapter: `a = A:[I, R]`, `b = B:[R, O]` (zero), as
+/// in Eq. 6. With no seed in the [`Ctx`] the layer computes the frozen
+/// base function only (the feature-extraction pass).
+pub type MetaLoraCpLinear = Adapter<dyn LinearLike, MetaCp>;
+
+/// Convolutional MetaLoRA-CP adapter (Sec. III-D): the rank channels of
+/// the small convolution (`a = 𝒜:[K, K, I, R]`) are gated per input by
+/// the generated `c`, then recovered with the 1×1 convolution
+/// (`b = B:[R, O]`, zero).
+pub type MetaLoraCpConv = Adapter<dyn ConvLike, MetaCp>;
+
+impl Update<dyn LinearLike> for MetaCp {
+    type Factor = ParamRef;
+
+    fn delta(layer: &MetaLoraCpLinear, g: &mut Graph, x: Var, ctx: &Ctx) -> Result<Option<Var>> {
+        let rows = g.dims(x)[0];
+        let rank = layer.config().rank;
+        let Some(seed) = layer_seed(g, ctx, rows, rank, "MetaLoraCpLinear")? else {
+            return Ok(None);
+        };
+        dense_lora(g, x, &layer.a, &layer.b, |g, xa| g.mul(xa, seed)).map(Some) // ⊙ c_n
+    }
+}
+
+impl Update<dyn ConvLike> for MetaCp {
+    type Factor = ParamRef;
+
+    fn delta(layer: &MetaLoraCpConv, g: &mut Graph, x: Var, ctx: &Ctx) -> Result<Option<Var>> {
+        let n = g.dims(x)[0];
+        let rank = layer.config().rank;
+        let Some(seed) = layer_seed(g, ctx, n, rank, "MetaLoraCpConv")? else {
+            return Ok(None);
+        };
+        let gate = |g: &mut Graph, u| {
+            let c = g.reshape(seed, &[n, rank, 1, 1])?;
+            g.mul(u, c)
+        };
+        conv_lora(&*layer.base, g, x, &layer.a, &layer.b, gate).map(Some)
+    }
 }
 
 impl MetaLoraCpLinear {
     /// Wraps `base`, freezing its parameters.
     pub fn new(name: &str, base: BoxLinear, cfg: LoraConfig, rng: &mut StdRng) -> Self {
-        for p in base.params() {
-            p.set_trainable(false);
-        }
-        let (i, o) = (base.in_features(), base.out_features());
-        let a = init::lora_a_init(&[i, cfg.rank], i, rng);
-        MetaLoraCpLinear {
-            base,
-            a: ParamRef::new(format!("{name}.meta_cp_a"), a),
-            b: ParamRef::new(format!("{name}.meta_cp_b"), Tensor::zeros(&[cfg.rank, o])),
-            cfg,
-        }
-    }
-
-    /// Adapter-only parameters.
-    pub fn adapter_params(&self) -> Vec<ParamRef> {
-        vec![self.a.clone(), self.b.clone()]
+        Self::wrap(base, cfg, |l| {
+            dense_pair(l, cfg.rank, name, "meta_cp", "", rng)
+        })
     }
 
     /// Materialises `ΔW` for one concrete seed `c : [R]` — Eq. 6 verbatim,
     /// used by tests and the Fig. 4 bench.
     pub fn delta_weight_for(&self, c: &Tensor) -> Result<Tensor> {
-        crate::merge::cp_delta(&self.a.value(), &self.b.value(), c, self.cfg.scaling())
+        crate::merge::cp_delta(&self.a.value(), &self.b.value(), c, self.config().scaling())
     }
-
-    /// The LoRA configuration.
-    pub fn config(&self) -> LoraConfig {
-        self.cfg
-    }
-}
-
-impl Module for MetaLoraCpLinear {
-    fn forward(&self, g: &mut Graph, x: Var, ctx: &Ctx) -> Result<Var> {
-        let y = self.base.forward(g, x, ctx)?;
-        let Some(seed) = ctx.seed else {
-            return Ok(y); // extraction pass: pure pretrained function
-        };
-        // Inside a Mixer the batch axis arrives flattened to N·k rows;
-        // repeat each sample's seed accordingly.
-        let rows = g.dims(x)[0];
-        let seed = expand_seed(g, seed, rows, "MetaLoraCpLinear")?;
-        check_seed(g, seed, rows, self.cfg.rank, "MetaLoraCpLinear")?;
-        let a = g.bind(&self.a);
-        let b = g.bind(&self.b);
-        let xa = g.matmul(x, a)?; // [N, R]
-        let gated = g.mul(xa, seed)?; // ⊙ c_n
-        let delta = g.matmul(gated, b)?; // [N, O]
-        let delta = g.scale(delta, self.cfg.scaling());
-        g.add(y, delta)
-    }
-
-    fn params(&self) -> Vec<ParamRef> {
-        let mut v = self.base.params();
-        v.push(self.a.clone());
-        v.push(self.b.clone());
-        v
-    }
-
-    fn buffers(&self) -> Vec<ParamRef> {
-        self.base.buffers()
-    }
-}
-
-impl LinearLike for MetaLoraCpLinear {
-    fn in_features(&self) -> usize {
-        self.base.in_features()
-    }
-    fn out_features(&self) -> usize {
-        self.base.out_features()
-    }
-}
-
-/// Convolutional MetaLoRA-CP adapter (Sec. III-D): the rank channels of
-/// the small convolution are gated per input by the generated `c`, then
-/// recovered with the 1×1 convolution.
-pub struct MetaLoraCpConv {
-    base: BoxConv,
-    /// Small filters `𝒜 : [K, K, I, R]`.
-    pub a: ParamRef,
-    /// Recovery matrix `B : [R, O]`, zero-initialised.
-    pub b: ParamRef,
-    cfg: LoraConfig,
-    spec: ConvSpec,
 }
 
 impl MetaLoraCpConv {
     /// Wraps `base`, freezing its parameters.
-    pub fn new(name: &str, base: BoxConv, cfg: LoraConfig, rng: &mut StdRng) -> Result<Self> {
-        for p in base.params() {
-            p.set_trainable(false);
-        }
-        let (k, i, o) = (base.kernel(), base.in_channels(), base.out_channels());
-        let spec = ConvSpec::new(k, base.stride(), base.padding())?;
-        let a = init::he_normal(&[k, k, i, cfg.rank], i * k * k, rng);
-        Ok(MetaLoraCpConv {
-            base,
-            a: ParamRef::new(format!("{name}.meta_cp_conv_a"), a),
-            b: ParamRef::new(format!("{name}.meta_cp_conv_b"), Tensor::zeros(&[cfg.rank, o])),
-            cfg,
-            spec,
+    pub fn new(name: &str, base: BoxConv, cfg: LoraConfig, rng: &mut StdRng) -> Self {
+        Self::wrap(base, cfg, |c| {
+            conv_pair(c, cfg.rank, name, "meta_cp_conv", "", rng)
         })
     }
 
-    /// Adapter-only parameters.
-    pub fn adapter_params(&self) -> Vec<ParamRef> {
-        vec![self.a.clone(), self.b.clone()]
-    }
-
-    /// Materialises `Δ𝒲` for one concrete seed `c : [R]` (Sec. III-D,
-    /// CP form): `Σ_r 𝒜[·,·,·,r]·c[r] ⊗ B[r,·]`.
+    /// Materialises `Δ𝒲 : [K, K, I, O]` for one concrete seed `c : [R]`
+    /// (Sec. III-D, CP form): `Σ_r 𝒜[·,·,·,r]·c[r] ⊗ B[r,·]` — the dense
+    /// network of [`crate::merge::cp_delta`] over the flattened
+    /// `K·K·I` axis. A seed that is not `R` values long is an error.
     pub fn delta_weight_for(&self, c: &Tensor) -> Result<Tensor> {
-        let a = self.a.value();
-        let r = self.cfg.rank;
-        let mut ac = a.clone();
-        // Scale the rank axis (last) by c.
-        let lanes = ac.len() / r;
-        for l in 0..lanes {
-            for cr in 0..r {
-                ac.data_mut()[l * r + cr] *= c.data()[cr];
-            }
-        }
-        let d = metalora_tensor::contract::contract(&ac, &self.b.value(), &[3], &[0])?;
-        Ok(ops::scale(&d, self.cfg.scaling()))
-    }
-}
-
-impl Module for MetaLoraCpConv {
-    fn forward(&self, g: &mut Graph, x: Var, ctx: &Ctx) -> Result<Var> {
-        let y = self.base.forward(g, x, ctx)?;
-        let Some(seed) = ctx.seed else {
-            return Ok(y);
-        };
-        let n = g.dims(x)[0];
-        let seed = expand_seed(g, seed, n, "MetaLoraCpConv")?;
-        check_seed(g, seed, n, self.cfg.rank, "MetaLoraCpConv")?;
-        let a = g.bind(&self.a);
-        let b = g.bind(&self.b);
-        let u = g.conv2d(x, a, self.spec, self.spec)?; // [N, R, OH, OW]
-        let c = g.reshape(seed, &[n, self.cfg.rank, 1, 1])?;
-        let gated = g.mul(u, c)?;
-        let b4 = g.reshape(b, &[1, 1, self.cfg.rank, self.base.out_channels()])?;
-        let one = ConvSpec::new(1, 1, 0)?;
-        let delta = g.conv2d(gated, b4, one, one)?;
-        let delta = g.scale(delta, self.cfg.scaling());
-        g.add(y, delta)
-    }
-
-    fn params(&self) -> Vec<ParamRef> {
-        let mut v = self.base.params();
-        v.push(self.a.clone());
-        v.push(self.b.clone());
-        v
-    }
-
-    fn buffers(&self) -> Vec<ParamRef> {
-        self.base.buffers()
-    }
-}
-
-impl ConvLike for MetaLoraCpConv {
-    fn in_channels(&self) -> usize {
-        self.base.in_channels()
-    }
-    fn out_channels(&self) -> usize {
-        self.base.out_channels()
-    }
-    fn kernel(&self) -> usize {
-        self.base.kernel()
-    }
-    fn stride(&self) -> usize {
-        self.base.stride()
-    }
-    fn padding(&self) -> usize {
-        self.base.padding()
+        let (a, b) = (self.a.value(), self.b.value());
+        let (k, i, r) = (a.dims()[0], a.dims()[2], a.dims()[3]);
+        let a2 = a.reshape(&[k * k * i, r])?;
+        let d = crate::merge::cp_delta(&a2, &b, c, self.config().scaling())?;
+        d.reshape(&[k, k, i, b.dims()[1]])
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use metalora_nn::{Conv2d, Linear};
-    use metalora_tensor::{approx_eq, conv, einsum::einsum};
+    use metalora_nn::{Conv2d, Linear, Module};
+    use metalora_tensor::conv::ConvSpec;
+    use metalora_tensor::{approx_eq, conv, einsum::einsum, init, ops};
 
     fn setup_linear() -> (MetaLoraCpLinear, StdRng) {
         let mut rng = init::rng(7);
@@ -321,8 +213,7 @@ mod tests {
                 alpha: 2.0,
             },
             &mut rng,
-        )
-        .unwrap();
+        );
         m.b.set_value(init::uniform(&[2, 4], -0.5, 0.5, &mut rng));
         let xv = init::uniform(&[1, 2, 6, 6], -1.0, 1.0, &mut rng);
         let cv = init::uniform(&[2], -1.0, 1.0, &mut rng);
@@ -343,14 +234,37 @@ mod tests {
     }
 
     #[test]
+    fn conv_delta_weight_for_rejects_a_seed_of_the_wrong_length() {
+        let mut rng = init::rng(10);
+        let base = Conv2d::new_no_bias("c", 3, 4, 3, 1, 1, &mut rng).unwrap();
+        let cfg = LoraConfig {
+            rank: 2,
+            alpha: 2.0,
+        };
+        let m = MetaLoraCpConv::new("c", Box::new(base), cfg, &mut rng);
+        assert_eq!(
+            m.delta_weight_for(&Tensor::ones(&[2])).unwrap().dims(),
+            &[3, 3, 3, 4]
+        );
+        for len in [1, 5] {
+            assert!(
+                matches!(
+                    m.delta_weight_for(&Tensor::ones(&[len])),
+                    Err(metalora_tensor::TensorError::InvalidArgument(_))
+                ),
+                "a {len}-value seed at rank 2"
+            );
+        }
+    }
+
+    #[test]
     fn conv_variant_no_seed_is_base() {
         let mut rng = init::rng(9);
         let base = Conv2d::new_no_bias("c", 2, 3, 3, 2, 1, &mut rng).unwrap();
-        let m = MetaLoraCpConv::new("c", Box::new(base), LoraConfig::default(), &mut rng)
-            .unwrap();
+        let m = MetaLoraCpConv::new("c", Box::new(base), LoraConfig::default(), &mut rng);
         assert_eq!(m.in_channels(), 2);
         assert_eq!(m.out_channels(), 3);
-        assert_eq!(m.stride(), 2);
+        assert_eq!(m.spec().stride, 2);
         let mut g = Graph::new();
         let x = g.input(init::uniform(&[2, 2, 6, 6], -1.0, 1.0, &mut rng));
         let y = m.forward(&mut g, x, &Ctx::none()).unwrap();

@@ -50,33 +50,34 @@ impl MetaFormat {
     }
 }
 
-/// Validates a seed var against the expected `[N, seed_dim]` shape.
-pub(crate) fn check_seed(g: &Graph, seed: Var, n: usize, seed_dim: usize, what: &str) -> Result<()> {
-    let dims = g.dims(seed);
-    if dims != [n, seed_dim] {
-        return Err(TensorError::InvalidArgument(format!(
-            "{what}: seed shape {dims:?}, expected [{n}, {seed_dim}]"
-        )));
-    }
-    Ok(())
-}
-
-/// Aligns a per-sample seed `[N, D]` with an activation whose leading axis
-/// has been flattened to `N·k` rows in sample-major order (as the Mixer's
-/// token/channel mixing reshapes do): each seed row is repeated `k` times.
+/// The seed one adapted layer applies, or `None` on the extraction pass
+/// (no seed in scope: the layer computes the pure pretrained function).
 ///
-/// Returns the seed unchanged when `rows == N`; errors when `rows` is not
-/// a multiple of `N`.
-pub(crate) fn expand_seed(g: &mut Graph, seed: Var, rows: usize, what: &str) -> Result<Var> {
+/// The seed is `[N, seed_dim]`, one row per sample. Inside a Mixer the
+/// input's leading axis arrives flattened to `rows = N·k` in sample-major
+/// order (the token/channel mixing reshapes), so each seed row is repeated
+/// `k` times; `rows` that is not a multiple of `N` is an error.
+pub(crate) fn layer_seed(
+    g: &mut Graph,
+    ctx: &Ctx,
+    rows: usize,
+    seed_dim: usize,
+    what: &str,
+) -> Result<Option<Var>> {
+    let Some(seed) = ctx.seed else {
+        return Ok(None);
+    };
     let dims = g.dims(seed);
-    if dims.len() != 2 {
-        return Err(TensorError::InvalidArgument(format!(
-            "{what}: seed must be [N, D], got {dims:?}"
-        )));
-    }
-    let (n, d) = (dims[0], dims[1]);
+    let n = match dims[..] {
+        [n, d] if d == seed_dim => n,
+        _ => {
+            return Err(TensorError::InvalidArgument(format!(
+                "{what}: seed shape {dims:?}, expected [N, {seed_dim}]"
+            )))
+        }
+    };
     if rows == n {
-        return Ok(seed);
+        return Ok(Some(seed));
     }
     if n == 0 || !rows.is_multiple_of(n) {
         return Err(TensorError::InvalidArgument(format!(
@@ -85,10 +86,10 @@ pub(crate) fn expand_seed(g: &mut Graph, seed: Var, rows: usize, what: &str) -> 
     }
     let k = rows / n;
     // [N, D] → [N, 1, D] ⊙ ones[1, k, 1] → [N, k, D] → [N·k, D].
-    let s = g.reshape(seed, &[n, 1, d])?;
+    let s = g.reshape(seed, &[n, 1, seed_dim])?;
     let ones = g.input(Tensor::ones(&[1, k, 1]));
     let rep = g.mul(s, ones)?;
-    g.reshape(rep, &[n * k, d])
+    g.reshape(rep, &[rows, seed_dim]).map(Some)
 }
 
 /// The parameter-space mapping net (Sec. III-B-2): feature vector →
@@ -411,8 +412,10 @@ mod tests {
     fn check_seed_validates_shape() {
         let mut g = Graph::new();
         let s = g.input(Tensor::zeros(&[3, 4]));
-        assert!(check_seed(&g, s, 3, 4, "t").is_ok());
-        assert!(check_seed(&g, s, 2, 4, "t").is_err());
-        assert!(check_seed(&g, s, 3, 5, "t").is_err());
+        let ctx = Ctx::with_seed(s);
+        assert!(layer_seed(&mut g, &ctx, 3, 4, "t").unwrap().is_some());
+        assert!(layer_seed(&mut g, &ctx, 2, 4, "t").is_err());
+        assert!(layer_seed(&mut g, &ctx, 3, 5, "t").is_err());
+        assert!(layer_seed(&mut g, &Ctx::none(), 3, 4, "t").unwrap().is_none());
     }
 }

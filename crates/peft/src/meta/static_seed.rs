@@ -9,9 +9,11 @@
 //! on unseen task shifts. The `ablation_static_seed` bench runs the
 //! comparison.
 
-use crate::Result;
+use crate::inject::Injection;
+use crate::meta::MetaFormat;
+use crate::{LoraConfig, Result};
 use metalora_autograd::{Graph, ParamRef, Var};
-use metalora_nn::{Backbone, Ctx, Module};
+use metalora_nn::{Backbone, Ctx, Injectable, Module};
 use metalora_tensor::{init, TensorError};
 use rand::rngs::StdRng;
 
@@ -39,6 +41,21 @@ impl StaticSeedLora {
             backbone,
             seed: ParamRef::new("static_seed", s),
         })
+    }
+
+    /// Injects MetaLoRA adapters of `format` into every injection point
+    /// of `net` and drives them with one constant seed; the injection's
+    /// parameters are the adapters' followed by the seed.
+    pub fn inject(
+        mut net: Box<dyn Injectable>,
+        format: MetaFormat,
+        cfg: LoraConfig,
+        rng: &mut StdRng,
+    ) -> Result<(Self, Injection)> {
+        let mut inj = crate::inject::meta_layers(net.as_mut(), format, cfg, rng);
+        let ss = StaticSeedLora::new(net, format.seed_dim(cfg.rank), rng)?;
+        inj.adapter_params.push(ss.seed.clone());
+        Ok((ss, inj))
     }
 
     /// The wrapped backbone.
@@ -83,34 +100,23 @@ impl Backbone for StaticSeedLora {
 mod tests {
     use super::*;
     use metalora_tensor::Tensor;
-    use crate::meta::MetaFormat;
-    use crate::LoraConfig;
     use metalora_nn::models::{ResNet, ResNetConfig};
     use metalora_nn::Optimizer;
 
     fn injected_resnet(rng: &mut StdRng) -> (ResNet, Vec<ParamRef>) {
-        let mut net = ResNet::new(
-            &ResNetConfig {
-                in_channels: 3,
-                channels: vec![4, 8],
-                blocks_per_stage: 1,
-                num_classes: 4,
-            },
-            rng,
-        )
-        .unwrap();
-        net.set_trainable(false);
-        let mut params = Vec::new();
-        let cfg = LoraConfig {
+        let cfg = ResNetConfig {
+            in_channels: 3,
+            channels: vec![4, 8],
+            blocks_per_stage: 1,
+            num_classes: 4,
+        };
+        let mut net = ResNet::new(&cfg, rng).unwrap();
+        let lora = LoraConfig {
             rank: 2,
             alpha: 4.0,
         };
-        net.replace_convs(|base| {
-            let ad = crate::meta::MetaLoraCpConv::new("sc", base, cfg, rng).unwrap();
-            params.extend(ad.adapter_params());
-            Box::new(ad)
-        });
-        (net, params)
+        let inj = crate::inject::meta_layers(&mut net, MetaFormat::Cp, lora, rng);
+        (net, inj.adapter_params)
     }
 
     #[test]

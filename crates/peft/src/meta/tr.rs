@@ -25,232 +25,120 @@
 //! Seed layout: the mapping net emits `[N, R·R]` flattened **r2-major**
 //! (`C[n, r2·R + r0]`).
 
-use crate::meta::{check_seed, expand_seed};
+use crate::adapter::{pair, Adapter, Update};
+use crate::meta::layer_seed;
 use crate::{LoraConfig, Result};
 use metalora_autograd::{Graph, ParamRef, Var};
-use metalora_nn::{BoxConv, BoxLinear, ConvLike, Ctx, LinearLike, Module};
-use metalora_tensor::conv::ConvSpec;
-use metalora_tensor::{contract, init, Tensor, TensorError};
+use metalora_nn::{BoxConv, BoxLinear, ConvLike, Ctx, LinearLike};
+use metalora_tensor::{init, ops, Tensor};
 use rand::rngs::StdRng;
 
-/// Dense MetaLoRA-TR adapter. With no seed in the [`Ctx`] the layer
-/// computes the frozen base function only.
-pub struct MetaLoraTrLinear {
-    base: BoxLinear,
-    /// Core `𝒜 : [R, I, R]` (Eq. 7).
-    pub a: ParamRef,
-    /// Core `ℬ : [R, O, R]` (Eq. 7), zero-initialised.
-    pub b: ParamRef,
-    cfg: LoraConfig,
+/// The MetaLoRA-TR method: the generated seed `C_n : [R, R]` closes a
+/// ring of two trained cores.
+pub struct MetaTr;
+
+/// Dense MetaLoRA-TR adapter: cores `a = 𝒜:[R, I, R]` and
+/// `b = ℬ:[R, O, R]` (zero) of Eq. 7. With no seed in the [`Ctx`] the
+/// layer computes the frozen base function only.
+pub type MetaLoraTrLinear = Adapter<dyn LinearLike, MetaTr>;
+
+/// Convolutional MetaLoRA-TR adapter (Sec. III-D): the spatial kernel
+/// lives in the `𝒜` core (`a = 𝒜:[K, K, I, R·R]`, bond pair on the output
+/// channels of the small convolution, r0-major `r0·R+r1`),
+/// `b = ℬ:[R, O, R]` (zero) recovers channels and the generated
+/// `C_n : [R, R]` closes the ring per input.
+pub type MetaLoraTrConv = Adapter<dyn ConvLike, MetaTr>;
+
+impl Update<dyn LinearLike> for MetaTr {
+    type Factor = ParamRef;
+
+    /// The factored `Δy` for `x:[N,I]` and per-row seeds `[N, R·R]`.
+    fn delta(layer: &MetaLoraTrLinear, g: &mut Graph, x: Var, ctx: &Ctx) -> Result<Option<Var>> {
+        let rows = g.dims(x)[0];
+        let r = layer.config().rank;
+        let Some(seed) = layer_seed(g, ctx, rows, r * r, "MetaLoraTrLinear")? else {
+            return Ok(None);
+        };
+        let a = g.bind(&layer.a);
+        let b = g.bind(&layer.b);
+        let c = g.reshape(seed, &[rows, r, r])?; // C[n, r2, r0]
+        g.contract("ni,xiy,yoz,nzx->no", &[x, a, b, c]).map(Some)
+    }
+}
+
+impl Update<dyn ConvLike> for MetaTr {
+    type Factor = ParamRef;
+
+    fn delta(layer: &MetaLoraTrConv, g: &mut Graph, x: Var, ctx: &Ctx) -> Result<Option<Var>> {
+        let dims = g.dims(x);
+        let n = dims[0];
+        let r = layer.config().rank;
+        let Some(seed) = layer_seed(g, ctx, n, r * r, "MetaLoraTrConv")? else {
+            return Ok(None);
+        };
+        let spec = layer.base.spec();
+        let o = layer.base.out_channels();
+        let oh = spec.out_size(dims[2])?;
+        let ow = spec.out_size(dims[3])?;
+
+        let a = g.bind(&layer.a);
+        let b = g.bind(&layer.b);
+        // Small conv to the bond pair: [N, r0·r1, OH, OW].
+        let u = g.conv2d(x, a, spec, spec)?;
+        // Close the ring over the bonds, per sample and output position.
+        let u = g.reshape(u, &[n, r, r, oh * ow])?; // [N, r0, r1, P]
+        let c = g.reshape(seed, &[n, r, r])?; // C[n, r2, r0]
+        let dy = g.contract("nxyp,nzx,yoz->nop", &[u, c, b])?;
+        g.reshape(dy, &[n, o, oh, ow]).map(Some)
+    }
 }
 
 impl MetaLoraTrLinear {
     /// Wraps `base`, freezing its parameters.
     pub fn new(name: &str, base: BoxLinear, cfg: LoraConfig, rng: &mut StdRng) -> Self {
-        for p in base.params() {
-            p.set_trainable(false);
-        }
-        let (i, o) = (base.in_features(), base.out_features());
-        let r = cfg.rank;
-        // Modest init so t₁ stays O(1); ℬ zero keeps the initial delta 0.
-        let a = init::normal(&[r, i, r], 0.0, (1.0 / i as f32).sqrt(), rng);
-        MetaLoraTrLinear {
-            base,
-            a: ParamRef::new(format!("{name}.meta_tr_a"), a),
-            b: ParamRef::new(format!("{name}.meta_tr_b"), Tensor::zeros(&[r, o, r])),
-            cfg,
-        }
-    }
-
-    /// Adapter-only parameters.
-    pub fn adapter_params(&self) -> Vec<ParamRef> {
-        vec![self.a.clone(), self.b.clone()]
+        Self::wrap(base, cfg, |l| {
+            let (i, o, r) = (l.in_features(), l.out_features(), cfg.rank);
+            // Modest init so t₁ stays O(1); ℬ zero keeps the initial delta 0.
+            let a = init::normal(&[r, i, r], 0.0, (1.0 / i as f32).sqrt(), rng);
+            pair(name, "meta_tr", "", a, Tensor::zeros(&[r, o, r]))
+        })
     }
 
     /// Materialises `ΔW` for one concrete seed `C : [R, R]` (Eq. 7
     /// verbatim; `C[r2, r0]`), used by tests and the Fig. 4 bench.
     pub fn delta_weight_for(&self, c: &Tensor) -> Result<Tensor> {
-        crate::merge::tr_delta(&self.a.value(), &self.b.value(), c, self.cfg.scaling())
+        crate::merge::tr_delta(&self.a.value(), &self.b.value(), c, self.config().scaling())
     }
-
-    /// The LoRA configuration.
-    pub fn config(&self) -> LoraConfig {
-        self.cfg
-    }
-
-    /// The factored `Δy` for `x:[N,I]` and per-row seeds `[N, R·R]`.
-    fn delta(&self, g: &mut Graph, x: Var, seed: Var, n: usize) -> Result<Var> {
-        let r = self.cfg.rank;
-        let a = g.bind(&self.a);
-        let b = g.bind(&self.b);
-        let c = g.reshape(seed, &[n, r, r])?; // C[n, r2, r0]
-        let dy = g.contract("ni,xiy,yoz,nzx->no", &[x, a, b, c])?;
-        Ok(g.scale(dy, self.cfg.scaling()))
-    }
-}
-
-impl Module for MetaLoraTrLinear {
-    fn forward(&self, g: &mut Graph, x: Var, ctx: &Ctx) -> Result<Var> {
-        let y = self.base.forward(g, x, ctx)?;
-        let Some(seed) = ctx.seed else {
-            return Ok(y);
-        };
-        // Inside a Mixer the batch axis arrives flattened to N·k rows;
-        // repeat each sample's seed accordingly.
-        let rows = g.dims(x)[0];
-        let seed = expand_seed(g, seed, rows, "MetaLoraTrLinear")?;
-        check_seed(g, seed, rows, self.cfg.rank * self.cfg.rank, "MetaLoraTrLinear")?;
-        let dy = self.delta(g, x, seed, rows)?;
-        g.add(y, dy)
-    }
-
-    fn params(&self) -> Vec<ParamRef> {
-        let mut v = self.base.params();
-        v.push(self.a.clone());
-        v.push(self.b.clone());
-        v
-    }
-
-    fn buffers(&self) -> Vec<ParamRef> {
-        self.base.buffers()
-    }
-}
-
-impl LinearLike for MetaLoraTrLinear {
-    fn in_features(&self) -> usize {
-        self.base.in_features()
-    }
-    fn out_features(&self) -> usize {
-        self.base.out_features()
-    }
-}
-
-/// Convolutional MetaLoRA-TR adapter (Sec. III-D): the spatial kernel
-/// lives in the `𝒜` core (`𝒜 : [K, K, I, R·R]`, bond pair on the output
-/// channels of the small convolution), `ℬ : [R, O, R]` recovers channels
-/// and the generated `C_n : [R, R]` closes the ring per input.
-pub struct MetaLoraTrConv {
-    base: BoxConv,
-    /// Small filters `𝒜 : [K, K, I, R·R]` (last axis r0-major `r0·R+r1`).
-    pub a: ParamRef,
-    /// Core `ℬ : [R, O, R]`, zero-initialised.
-    pub b: ParamRef,
-    cfg: LoraConfig,
-    spec: ConvSpec,
 }
 
 impl MetaLoraTrConv {
     /// Wraps `base`, freezing its parameters.
-    pub fn new(name: &str, base: BoxConv, cfg: LoraConfig, rng: &mut StdRng) -> Result<Self> {
-        for p in base.params() {
-            p.set_trainable(false);
-        }
-        let (k, i, o) = (base.kernel(), base.in_channels(), base.out_channels());
-        let spec = ConvSpec::new(k, base.stride(), base.padding())?;
-        let r = cfg.rank;
-        let a = init::he_normal(&[k, k, i, r * r], i * k * k, rng);
-        Ok(MetaLoraTrConv {
-            base,
-            a: ParamRef::new(format!("{name}.meta_tr_conv_a"), a),
-            b: ParamRef::new(format!("{name}.meta_tr_conv_b"), Tensor::zeros(&[r, o, r])),
-            cfg,
-            spec,
+    pub fn new(name: &str, base: BoxConv, cfg: LoraConfig, rng: &mut StdRng) -> Self {
+        Self::wrap(base, cfg, |conv| {
+            let (k, i, r) = (conv.spec().kernel, conv.in_channels(), cfg.rank);
+            let a = init::he_normal(&[k, k, i, r * r], i * k * k, rng);
+            let b = Tensor::zeros(&[r, conv.out_channels(), r]);
+            pair(name, "meta_tr_conv", "", a, b)
         })
     }
 
-    /// Adapter-only parameters.
-    pub fn adapter_params(&self) -> Vec<ParamRef> {
-        vec![self.a.clone(), self.b.clone()]
-    }
-
     /// Materialises `Δ𝒲 : [K, K, I, O]` for one concrete seed
-    /// `C : [R, R]` (`C[r2, r0]`): the dense-TR network of
-    /// [`crate::merge::tr_delta`] over the flattened `s = K·K·I` axis.
+    /// `C : [R, R]` (`C[r2, r0]`): [`crate::merge::tr_delta`] over the
+    /// flattened `s = K·K·I` axis, with `𝒜` read as the core `[R, s, R]`.
     pub fn delta_weight_for(&self, c: &Tensor) -> Result<Tensor> {
         let (a, b) = (self.a.value(), self.b.value());
-        let r = self.cfg.rank;
-        let bonds_ok = matches!(
-            (a.dims(), b.dims()),
-            (&[_, _, _, rr], &[r1, _, r2]) if [rr, r1, r2] == [r * r, r, r]
-        );
-        if !bonds_ok || c.dims() != [r, r] {
-            return Err(TensorError::InvalidArgument(format!(
-                "MetaLoraTrConv::delta_weight_for: rank {r} needs A [K,K,I,R·R], B [R,O,R] and \
-                 a seed [R,R], got A {:?}, B {:?}, seed {:?}",
-                a.dims(),
-                b.dims(),
-                c.dims()
-            )));
-        }
-        let (k, i, o) = (a.dims()[0], a.dims()[2], b.dims()[1]);
-        let a3 = a.reshape(&[k * k * i, r, r])?; // [s, r0, r1]
-        let d = contract::contract_spec("sxy,yoz,zx->so", &[&a3, &b, c])?;
-        Ok(crate::merge::scaled(d.reshape(&[k, k, i, o])?, self.cfg.scaling()))
-    }
-}
-
-impl Module for MetaLoraTrConv {
-    fn forward(&self, g: &mut Graph, x: Var, ctx: &Ctx) -> Result<Var> {
-        let y = self.base.forward(g, x, ctx)?;
-        let Some(seed) = ctx.seed else {
-            return Ok(y);
-        };
-        let dims = g.dims(x);
-        let n = dims[0];
-        let r = self.cfg.rank;
-        let seed = expand_seed(g, seed, n, "MetaLoraTrConv")?;
-        check_seed(g, seed, n, r * r, "MetaLoraTrConv")?;
-        let o = self.base.out_channels();
-        let oh = self.spec.out_size(dims[2])?;
-        let ow = self.spec.out_size(dims[3])?;
-
-        let a = g.bind(&self.a);
-        let b = g.bind(&self.b);
-        // Small conv to the bond pair: [N, r0·r1, OH, OW].
-        let u = g.conv2d(x, a, self.spec, self.spec)?;
-        // Close the ring over the bonds, per sample and output position.
-        let u = g.reshape(u, &[n, r, r, oh * ow])?; // [N, r0, r1, P]
-        let c = g.reshape(seed, &[n, r, r])?; // C[n, r2, r0]
-        let dy = g.contract("nxyp,nzx,yoz->nop", &[u, c, b])?;
-        let dy = g.reshape(dy, &[n, o, oh, ow])?;
-        let dy = g.scale(dy, self.cfg.scaling());
-        g.add(y, dy)
-    }
-
-    fn params(&self) -> Vec<ParamRef> {
-        let mut v = self.base.params();
-        v.push(self.a.clone());
-        v.push(self.b.clone());
-        v
-    }
-
-    fn buffers(&self) -> Vec<ParamRef> {
-        self.base.buffers()
-    }
-}
-
-impl ConvLike for MetaLoraTrConv {
-    fn in_channels(&self) -> usize {
-        self.base.in_channels()
-    }
-    fn out_channels(&self) -> usize {
-        self.base.out_channels()
-    }
-    fn kernel(&self) -> usize {
-        self.base.kernel()
-    }
-    fn stride(&self) -> usize {
-        self.base.stride()
-    }
-    fn padding(&self) -> usize {
-        self.base.padding()
+        let (k, i, r) = (a.dims()[0], a.dims()[2], self.config().rank);
+        let a3 = ops::permute(&a.reshape(&[k * k * i, r, r])?, &[1, 0, 2])?; // [r0, s, r1]
+        let d = crate::merge::tr_delta(&a3, &b, c, self.config().scaling())?;
+        d.reshape(&[k, k, i, b.dims()[1]])
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use metalora_nn::{Conv2d, Linear};
+    use metalora_nn::{Conv2d, Linear, Module};
+    use metalora_tensor::conv::ConvSpec;
     use metalora_tensor::{approx_eq, conv, ops};
 
     fn setup_linear() -> (MetaLoraTrLinear, StdRng) {
@@ -384,8 +272,7 @@ mod tests {
                 alpha: 2.0,
             },
             &mut rng,
-        )
-        .unwrap();
+        );
         m.b.set_value(init::uniform(&[2, 3, 2], -0.5, 0.5, &mut rng));
         let xv = init::uniform(&[1, 2, 5, 5], -1.0, 1.0, &mut rng);
         let cv = init::uniform(&[2, 2], -1.0, 1.0, &mut rng);
@@ -396,6 +283,8 @@ mod tests {
         let yb = m.base.forward(&mut g, x, &Ctx::none()).unwrap();
         let got = ops::sub(&g.value(y), &g.value(yb)).unwrap();
         let dw = m.delta_weight_for(&cv).unwrap();
+        let flat = m.delta_weight_for(&Tensor::ones(&[4]));
+        assert!(flat.is_err(), "a seed must be [R, R]");
         let spec = ConvSpec::new(3, 1, 1).unwrap();
         let expect = conv::conv2d(&xv, &dw, spec, spec).unwrap();
         assert!(
@@ -417,11 +306,9 @@ mod tests {
                 alpha: 4.0,
             },
             &mut rng,
-        )
-        .unwrap();
+        );
         m.b.set_value(init::uniform(&[2, 4, 2], -0.5, 0.5, &mut rng));
-        assert_eq!(m.kernel(), 3);
-        assert_eq!(m.stride(), 2);
+        assert_eq!(m.spec(), ConvSpec::new(3, 2, 1).unwrap());
         let mut g = Graph::new();
         let x = g.input(init::uniform(&[2, 3, 8, 8], -1.0, 1.0, &mut rng));
         let seed = g.input(init::uniform(&[2, 4], -1.0, 1.0, &mut rng));

@@ -7,12 +7,24 @@
 //! best a *static* adapter bank can do, and the contrast MetaLoRA's
 //! per-input generation is measured against.
 
+use crate::adapter::{conv_lora, conv_pair, dense_lora, dense_pair, ungated, Adapter, Update};
 use crate::{LoraConfig, Result};
 use metalora_autograd::{Graph, ParamRef, Var};
-use metalora_nn::{BoxConv, BoxLinear, ConvLike, Ctx, LinearLike, Module};
-use metalora_tensor::conv::ConvSpec;
-use metalora_tensor::{init, Tensor, TensorError};
+use metalora_nn::{BoxConv, BoxLinear, ConvLike, Ctx, LinearLike};
+use metalora_tensor::TensorError;
 use rand::rngs::StdRng;
+
+/// The Multi-LoRA method: `K` independent factor pairs, one selected per
+/// forward.
+pub struct Multi;
+
+/// A frozen dense layer plus `K` independent LoRA adapters: per slot
+/// `a[k] = A_k:[I, R]`, `b[k] = B_k:[R, O]`.
+pub type MultiLoraLinear = Adapter<dyn LinearLike, Multi>;
+
+/// A frozen convolution plus `K` independent Conv-LoRA adapters: per slot
+/// `a[k] = 𝒜_k:[K, K, I, R]`, `b[k] = B_k:[R, O]`.
+pub type MultiLoraConv = Adapter<dyn ConvLike, Multi>;
 
 /// Resolves the selected slot. `None` means "no adapter": the layer
 /// computes the frozen base function only — the same convention as the
@@ -20,23 +32,42 @@ use rand::rngs::StdRng;
 /// *base* features for centroid routing.
 fn check_slot(adapter: Option<usize>, banks: usize) -> Result<Option<usize>> {
     match adapter {
-        None => Ok(None),
         Some(k) if k >= banks => Err(TensorError::IndexOutOfRange {
             index: k,
             len: banks,
         }),
-        Some(k) => Ok(Some(k)),
+        slot => Ok(slot),
     }
 }
 
-/// A frozen dense layer plus `K` independent LoRA adapters.
-pub struct MultiLoraLinear {
-    base: BoxLinear,
-    /// Per-slot down-projections `A_k : [I, R]`.
-    pub a: Vec<ParamRef>,
-    /// Per-slot up-projections `B_k : [R, O]`.
-    pub b: Vec<ParamRef>,
-    cfg: LoraConfig,
+impl Update<dyn LinearLike> for Multi {
+    type Factor = Vec<ParamRef>;
+
+    fn delta(layer: &MultiLoraLinear, g: &mut Graph, x: Var, ctx: &Ctx) -> Result<Option<Var>> {
+        let slot = check_slot(ctx.adapter, layer.banks())?;
+        slot.map(|k| dense_lora(g, x, &layer.a[k], &layer.b[k], ungated))
+            .transpose()
+    }
+}
+
+impl Update<dyn ConvLike> for Multi {
+    type Factor = Vec<ParamRef>;
+
+    fn delta(layer: &MultiLoraConv, g: &mut Graph, x: Var, ctx: &Ctx) -> Result<Option<Var>> {
+        let slot = check_slot(ctx.adapter, layer.banks())?;
+        slot.map(|k| conv_lora(&*layer.base, g, x, &layer.a[k], &layer.b[k], ungated))
+            .transpose()
+    }
+}
+
+impl<L: ?Sized> Adapter<L, Multi>
+where
+    Multi: Update<L, Factor = Vec<ParamRef>>,
+{
+    /// Number of adapter slots.
+    pub fn banks(&self) -> usize {
+        self.a.len()
+    }
 }
 
 impl MultiLoraLinear {
@@ -48,183 +79,30 @@ impl MultiLoraLinear {
         cfg: LoraConfig,
         rng: &mut StdRng,
     ) -> Self {
-        for p in base.params() {
-            p.set_trainable(false);
-        }
-        let (i, o) = (base.in_features(), base.out_features());
-        let mut a = Vec::with_capacity(banks);
-        let mut b = Vec::with_capacity(banks);
-        for k in 0..banks {
-            a.push(ParamRef::new(
-                format!("{name}.multi_lora_a{k}"),
-                init::lora_a_init(&[i, cfg.rank], i, rng),
-            ));
-            b.push(ParamRef::new(
-                format!("{name}.multi_lora_b{k}"),
-                Tensor::zeros(&[cfg.rank, o]),
-            ));
-        }
-        MultiLoraLinear { base, a, b, cfg }
+        Self::wrap(base, cfg, |l| {
+            (0..banks)
+                .map(|k| dense_pair(l, cfg.rank, name, "multi_lora", &k.to_string(), rng))
+                .unzip()
+        })
     }
-
-    /// Number of adapter slots.
-    pub fn banks(&self) -> usize {
-        self.a.len()
-    }
-
-    /// Adapter-only parameters across all slots.
-    pub fn adapter_params(&self) -> Vec<ParamRef> {
-        self.a.iter().chain(&self.b).cloned().collect()
-    }
-
-    /// The LoRA configuration shared by every slot.
-    pub fn config(&self) -> LoraConfig {
-        self.cfg
-    }
-}
-
-impl Module for MultiLoraLinear {
-    fn forward(&self, g: &mut Graph, x: Var, ctx: &Ctx) -> Result<Var> {
-        let y = self.base.forward(g, x, ctx)?;
-        let Some(k) = check_slot(ctx.adapter, self.banks())? else {
-            return Ok(y);
-        };
-        let a = g.bind(&self.a[k]);
-        let b = g.bind(&self.b[k]);
-        let xa = g.matmul(x, a)?;
-        let delta = g.matmul(xa, b)?;
-        let delta = g.scale(delta, self.cfg.scaling());
-        g.add(y, delta)
-    }
-
-    fn params(&self) -> Vec<ParamRef> {
-        let mut v = self.base.params();
-        v.extend(self.adapter_params());
-        v
-    }
-
-    fn buffers(&self) -> Vec<ParamRef> {
-        self.base.buffers()
-    }
-}
-
-impl LinearLike for MultiLoraLinear {
-    fn in_features(&self) -> usize {
-        self.base.in_features()
-    }
-    fn out_features(&self) -> usize {
-        self.base.out_features()
-    }
-}
-
-/// A frozen convolution plus `K` independent Conv-LoRA adapters.
-pub struct MultiLoraConv {
-    base: BoxConv,
-    /// Per-slot small filters `𝒜_k : [K, K, I, R]`.
-    pub a: Vec<ParamRef>,
-    /// Per-slot recovery matrices `B_k : [R, O]`.
-    pub b: Vec<ParamRef>,
-    cfg: LoraConfig,
-    spec: ConvSpec,
 }
 
 impl MultiLoraConv {
     /// Wraps `base` with `banks` adapter slots, freezing the base.
-    pub fn new(
-        name: &str,
-        base: BoxConv,
-        banks: usize,
-        cfg: LoraConfig,
-        rng: &mut StdRng,
-    ) -> Result<Self> {
-        for p in base.params() {
-            p.set_trainable(false);
-        }
-        let (k, i, o) = (base.kernel(), base.in_channels(), base.out_channels());
-        let spec = ConvSpec::new(k, base.stride(), base.padding())?;
-        let fan_in = i * k * k;
-        let mut a = Vec::with_capacity(banks);
-        let mut b = Vec::with_capacity(banks);
-        for s in 0..banks {
-            a.push(ParamRef::new(
-                format!("{name}.multi_conv_lora_a{s}"),
-                init::he_normal(&[k, k, i, cfg.rank], fan_in, rng),
-            ));
-            b.push(ParamRef::new(
-                format!("{name}.multi_conv_lora_b{s}"),
-                Tensor::zeros(&[cfg.rank, o]),
-            ));
-        }
-        Ok(MultiLoraConv {
-            base,
-            a,
-            b,
-            cfg,
-            spec,
+    pub fn new(name: &str, base: BoxConv, banks: usize, cfg: LoraConfig, rng: &mut StdRng) -> Self {
+        Self::wrap(base, cfg, |c| {
+            (0..banks)
+                .map(|k| conv_pair(c, cfg.rank, name, "multi_conv_lora", &k.to_string(), rng))
+                .unzip()
         })
-    }
-
-    /// Number of adapter slots.
-    pub fn banks(&self) -> usize {
-        self.a.len()
-    }
-
-    /// Adapter-only parameters across all slots.
-    pub fn adapter_params(&self) -> Vec<ParamRef> {
-        self.a.iter().chain(&self.b).cloned().collect()
-    }
-}
-
-impl Module for MultiLoraConv {
-    fn forward(&self, g: &mut Graph, x: Var, ctx: &Ctx) -> Result<Var> {
-        let y = self.base.forward(g, x, ctx)?;
-        let Some(k) = check_slot(ctx.adapter, self.banks())? else {
-            return Ok(y);
-        };
-        let a = g.bind(&self.a[k]);
-        let b = g.bind(&self.b[k]);
-        let u = g.conv2d(x, a, self.spec, self.spec)?;
-        let b4 = g.reshape(b, &[1, 1, self.cfg.rank, self.base.out_channels()])?;
-        let one = ConvSpec::new(1, 1, 0)?;
-        let delta = g.conv2d(u, b4, one, one)?;
-        let delta = g.scale(delta, self.cfg.scaling());
-        g.add(y, delta)
-    }
-
-    fn params(&self) -> Vec<ParamRef> {
-        let mut v = self.base.params();
-        v.extend(self.adapter_params());
-        v
-    }
-
-    fn buffers(&self) -> Vec<ParamRef> {
-        self.base.buffers()
-    }
-}
-
-impl ConvLike for MultiLoraConv {
-    fn in_channels(&self) -> usize {
-        self.base.in_channels()
-    }
-    fn out_channels(&self) -> usize {
-        self.base.out_channels()
-    }
-    fn kernel(&self) -> usize {
-        self.base.kernel()
-    }
-    fn stride(&self) -> usize {
-        self.base.stride()
-    }
-    fn padding(&self) -> usize {
-        self.base.padding()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use metalora_nn::{Conv2d, Linear};
-    use metalora_tensor::approx_eq;
+    use metalora_nn::{Conv2d, Linear, Module};
+    use metalora_tensor::{approx_eq, init};
 
     fn linear_bank() -> (MultiLoraLinear, StdRng) {
         let mut rng = init::rng(4);
@@ -314,10 +192,9 @@ mod tests {
                 alpha: 2.0,
             },
             &mut rng,
-        )
-        .unwrap();
+        );
         assert_eq!(m.banks(), 2);
-        assert_eq!(m.kernel(), 3);
+        assert_eq!(m.spec().kernel, 3);
         let xv = init::uniform(&[1, 2, 5, 5], -1.0, 1.0, &mut rng);
         // Zero-init: any slot equals base.
         let mut g = Graph::new();

@@ -208,7 +208,7 @@ fn mixer_plain_lora() {
     let _g = serial();
     let mut rng = init::rng(4);
     let mut net = Mixer::new(&mixer_cfg(), &mut rng).unwrap();
-    let inj = inject::lora_into_mixer(&mut net, LORA, &mut rng).unwrap();
+    let inj = inject::lora(&mut net, LORA, &mut rng);
     check_frozen_equals_reference(&net, &inj.adapter_params, &Ctx::none(), (65, 54_528));
 }
 
@@ -217,7 +217,7 @@ fn resnet_multi_lora() {
     let _g = serial();
     let mut rng = init::rng(5);
     let mut net = ResNet::new(&resnet_cfg(), &mut rng).unwrap();
-    let inj = inject::multi_into_resnet(&mut net, 3, LORA, &mut rng).unwrap();
+    let inj = inject::multi(&mut net, 3, LORA, &mut rng);
     check_frozen_equals_reference(
         &net,
         &inj.adapter_params,

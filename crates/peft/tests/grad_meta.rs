@@ -18,7 +18,7 @@ const CFG: LoraConfig = LoraConfig { rank: 2, alpha: 2.0 };
 fn conv_lora_gradients_match_finite_differences() {
     let mut rng = init::rng(11);
     let base = Conv2d::new_no_bias("c", 2, 3, 3, 1, 1, &mut rng).unwrap();
-    let cl = ConvLora::new("c", Box::new(base), CFG, &mut rng).unwrap();
+    let cl = ConvLora::new("c", Box::new(base), CFG, &mut rng);
     cl.b.set_value(init::uniform(&[2, 3], -0.5, 0.5, &mut rng));
     let x = init::uniform(&[1, 2, 4, 4], -1.0, 1.0, &mut rng);
 

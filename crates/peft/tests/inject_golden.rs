@@ -22,7 +22,7 @@ use metalora_autograd::{Graph, ParamRef};
 use metalora_nn::models::{
     Mixer, MixerConfig, ResNet, ResNetConfig, TransformerConfig, VisionTransformer,
 };
-use metalora_nn::{Ctx, Module};
+use metalora_nn::{Ctx, Injectable, Module};
 use metalora_peft::inject::{self, Injection};
 use metalora_peft::meta::MetaFormat;
 use metalora_peft::LoraConfig;
@@ -51,20 +51,6 @@ enum Arch {
     ResNet,
     Mixer,
     Vit,
-}
-
-/// What one case must reproduce.
-#[derive(Debug, PartialEq, Eq)]
-struct Row {
-    names: usize,
-    first: String,
-    last: String,
-    names_hash: u64,
-    layers: usize,
-    tape: usize,
-    loss: u32,
-    logits_hash: u64,
-    grads_hash: u64,
 }
 
 fn resnet(rng: &mut StdRng) -> ResNet {
@@ -108,48 +94,26 @@ fn vit(rng: &mut StdRng) -> VisionTransformer {
 /// Builds the backbone, injects `method` and returns the model to step,
 /// the injection and the context a training step runs under.
 fn inject(method: Method, arch: Arch, rng: &mut StdRng) -> (Box<dyn Module>, Injection, Ctx) {
-    match (method, arch) {
-        (Method::Lora, Arch::ResNet) => {
-            let mut net = resnet(rng);
-            let inj = inject::lora_into_resnet(&mut net, LORA, rng).unwrap();
-            (Box::new(net), inj, Ctx::none())
+    let mut net: Box<dyn Injectable> = match arch {
+        Arch::ResNet => Box::new(resnet(rng)),
+        Arch::Mixer => Box::new(mixer(rng)),
+        Arch::Vit => Box::new(vit(rng)),
+    };
+    match method {
+        Method::Lora => {
+            let inj = inject::lora(net.as_mut(), LORA, rng);
+            (net, inj, Ctx::none())
         }
-        (Method::Lora, Arch::Mixer) => {
-            let mut net = mixer(rng);
-            let inj = inject::lora_into_mixer(&mut net, LORA, rng).unwrap();
-            (Box::new(net), inj, Ctx::none())
+        Method::Multi => {
+            let inj = inject::multi(net.as_mut(), BANKS, LORA, rng);
+            (net, inj, Ctx::with_adapter(1))
         }
-        (Method::Lora, Arch::Vit) => {
-            let mut net = vit(rng);
-            let inj = inject::lora_into_transformer(&mut net, LORA, rng).unwrap();
-            (Box::new(net), inj, Ctx::none())
-        }
-        (Method::Multi, Arch::ResNet) => {
-            let mut net = resnet(rng);
-            let inj = inject::multi_into_resnet(&mut net, BANKS, LORA, rng).unwrap();
-            (Box::new(net), inj, Ctx::with_adapter(1))
-        }
-        (Method::Multi, Arch::Mixer) => {
-            let mut net = mixer(rng);
-            let inj = inject::multi_into_mixer(&mut net, BANKS, LORA, rng).unwrap();
-            (Box::new(net), inj, Ctx::with_adapter(1))
-        }
-        (Method::Multi, Arch::Vit) => {
-            let mut net = vit(rng);
-            let inj = inject::multi_into_transformer(&mut net, BANKS, LORA, rng).unwrap();
-            (Box::new(net), inj, Ctx::with_adapter(1))
-        }
-        (Method::MetaCp | Method::MetaTr, arch) => {
+        Method::MetaCp | Method::MetaTr => {
             let format = match method {
                 Method::MetaCp => MetaFormat::Cp,
                 _ => MetaFormat::Tr,
             };
-            let (meta, inj) = match arch {
-                Arch::ResNet => inject::meta_into_resnet(resnet(rng), format, LORA, 6, rng),
-                Arch::Mixer => inject::meta_into_mixer(mixer(rng), format, LORA, 6, rng),
-                Arch::Vit => inject::meta_into_transformer(vit(rng), format, LORA, 6, rng),
-            }
-            .unwrap();
+            let (meta, inj) = inject::meta(net, format, LORA, 6, rng).unwrap();
             (Box::new(meta), inj, Ctx::none())
         }
     }
@@ -179,7 +143,11 @@ fn bump_zero_inits(params: &[ParamRef]) {
     }
 }
 
-fn run(method: Method, arch: Arch) -> Row {
+/// One case's row: the parameter count, first and last name and the hash
+/// of every name in order, `Injection.layers`, the tape length after the
+/// forward pass and the loss, the loss bits, and the hashes of the logits'
+/// and the adapter gradients' bits.
+fn run(method: Method, arch: Arch) -> String {
     let mut rng = init::rng(17);
     let (model, inj, ctx) = inject(method, arch, &mut rng);
     let params = &inj.adapter_params;
@@ -187,7 +155,8 @@ fn run(method: Method, arch: Arch) -> Row {
     let names: Vec<String> = params.iter().map(|p| p.name()).collect();
 
     let mut g = Graph::new();
-    let x = g.input(init::uniform(&[BATCH, 3, SIDE, SIDE], -1.0, 1.0, &mut init::rng(72)));
+    let images = init::uniform(&[BATCH, 3, SIDE, SIDE], -1.0, 1.0, &mut init::rng(72));
+    let x = g.input(images);
     let logits = model.forward(&mut g, x, &ctx).unwrap();
     let loss = g.softmax_cross_entropy(logits, &LABELS).unwrap();
     let tape = g.len();
@@ -197,82 +166,40 @@ fn run(method: Method, arch: Arch) -> Row {
     g.flush_grads();
     let grads: Vec<Tensor> = params.iter().map(|p| p.grad()).collect();
 
-    Row {
-        names: names.len(),
-        first: names.first().cloned().unwrap_or_default(),
-        last: names.last().cloned().unwrap_or_default(),
-        names_hash: fnv(names.join("\n").into_bytes()),
-        layers: inj.layers,
-        tape,
-        loss: loss_bits,
-        logits_hash,
-        grads_hash: bits_hash(&grads),
-    }
+    format!(
+        "{} {} {} {:016x} {} {tape} {loss_bits:08x} {logits_hash:016x} {:016x}",
+        names.len(),
+        names[0],
+        names[names.len() - 1],
+        fnv(names.join("\n").into_bytes()),
+        inj.layers,
+        bits_hash(&grads),
+    )
 }
-
-const CASES: [(Method, Arch); 12] = [
-    (Method::Lora, Arch::ResNet),
-    (Method::Lora, Arch::Mixer),
-    (Method::Lora, Arch::Vit),
-    (Method::Multi, Arch::ResNet),
-    (Method::Multi, Arch::Mixer),
-    (Method::Multi, Arch::Vit),
-    (Method::MetaCp, Arch::ResNet),
-    (Method::MetaCp, Arch::Mixer),
-    (Method::MetaCp, Arch::Vit),
-    (Method::MetaTr, Arch::ResNet),
-    (Method::MetaTr, Arch::Mixer),
-    (Method::MetaTr, Arch::Vit),
-];
 
 #[test]
 fn every_method_on_every_backbone_matches_its_golden() {
-    let rows: Vec<Row> = CASES.iter().map(|&(m, a)| run(m, a)).collect();
-    for (case, got) in CASES.iter().zip(&rows) {
-        println!(
-            "    ({}, {:?}, {:?}, 0x{:016x}, {}, {}, 0x{:08x}, 0x{:016x}, 0x{:016x}), // {:?}",
-            got.names,
-            got.first,
-            got.last,
-            got.names_hash,
-            got.layers,
-            got.tape,
-            got.loss,
-            got.logits_hash,
-            got.grads_hash,
-            case
-        );
+    let rows: Vec<String> = GOLDEN.iter().map(|&(m, a, _)| run(m, a)).collect();
+    for ((m, a, _), row) in GOLDEN.iter().zip(&rows) {
+        println!("    (Method::{m:?}, Arch::{a:?}, \"{row}\"),");
     }
-    for ((case, got), golden) in CASES.iter().zip(rows).zip(GOLDEN) {
-        let want = Row {
-            names: golden.0,
-            first: golden.1.into(),
-            last: golden.2.into(),
-            names_hash: golden.3,
-            layers: golden.4,
-            tape: golden.5,
-            loss: golden.6,
-            logits_hash: golden.7,
-            grads_hash: golden.8,
-        };
-        assert_eq!(got, want, "{case:?}");
+    for ((m, a, want), got) in GOLDEN.iter().zip(&rows) {
+        assert_eq!(got, want, "{m:?} on {a:?}");
     }
 }
 
-/// `(names, first, last, names_hash, layers, tape, loss, logits_hash,
-/// grads_hash)` per entry of [`CASES`].
-#[allow(clippy::type_complexity)]
-const GOLDEN: [(usize, &str, &str, u64, usize, usize, u32, u64, u64); 12] = [
-    (10, "lora_conv0.conv_lora_a", "lora_conv4.conv_lora_b", 0x57516994ea6c5b58, 5, 79, 0x3fb7e334, 0x3bc20554a777df4b, 0xf95e59d6c44e6e7c), // (Lora, ResNet)
-    (8, "lora_fc0.lora_a", "lora_fc3.lora_b", 0xb7299c710d1d0fb5, 4, 75, 0x3fafebbc, 0xf03661483ef29cac, 0xcbc72076c17ba3c7), // (Lora, Mixer)
-    (12, "lora_vit0.lora_a", "lora_vit5.lora_b", 0x9fbdff7382d56e7f, 6, 111, 0x3fed00c6, 0x66fc71957acca0ad, 0xefe960d2c608f91b), // (Lora, Vit)
-    (30, "multi_conv0.multi_conv_lora_a0", "multi_conv4.multi_conv_lora_b2", 0x0bb1b5b78bb391d4, 5, 79, 0x3fd331d6, 0xd633ef2df8c86ead, 0x14cd724aad90fc98), // (Multi, ResNet)
-    (24, "multi_fc0.multi_lora_a0", "multi_fc3.multi_lora_b2", 0xf2b4567da6712785, 4, 75, 0x3faeb053, 0xe6d77fdfce3cde81, 0xd25e9f05209c8744), // (Multi, Mixer)
-    (36, "multi_vit0.multi_lora_a0", "multi_vit5.multi_lora_b2", 0x92d1ff2bc97723df, 6, 111, 0x3ff86866, 0xd23752cc50161507, 0x269f771432ceda32), // (Multi, Vit)
-    (14, "meta_conv0.meta_cp_conv_a", "mapping.b2", 0x8bd91390d362f872, 5, 137, 0x3fba33f3, 0x417cb1c917d7dfcc, 0xa0bf98ed2f982475), // (MetaCp, ResNet)
-    (12, "meta_fc0.meta_cp_a", "mapping.b2", 0x5afded022d29a827, 4, 150, 0x3fa63d54, 0x21fe618fdfb58ac4, 0x7bee51966e0f7b22), // (MetaCp, Mixer)
-    (16, "meta_vit0.meta_cp_a", "mapping.b2", 0x1e46c029b2f769ef, 6, 220, 0x3ff82796, 0xf49fdafefabffc76, 0x0e328e90126f0511), // (MetaCp, Vit)
-    (14, "meta_conv0.meta_tr_conv_a", "mapping.b2", 0x06ecaf3fa7e63326, 5, 177, 0x3f971c3d, 0xf0903f03b745dd24, 0x6fb574ab094b972e), // (MetaTr, ResNet)
-    (12, "meta_fc0.meta_tr_a", "mapping.b2", 0x95c171a5baf18af7, 4, 178, 0x3fb8a370, 0xdbb69f48659a0ec5, 0x53089fc9fa935808), // (MetaTr, Mixer)
-    (16, "meta_vit0.meta_tr_a", "mapping.b2", 0x81ee25c94ea9d277, 6, 262, 0x4001f33d, 0xedf02c6135c3ee8e, 0xc76299663640e6a0), // (MetaTr, Vit)
+#[rustfmt::skip]
+const GOLDEN: [(Method, Arch, &str); 12] = [
+    (Method::Lora, Arch::ResNet, "10 lora_conv0.conv_lora_a lora_conv4.conv_lora_b 57516994ea6c5b58 5 79 3fb7e334 3bc20554a777df4b f95e59d6c44e6e7c"),
+    (Method::Lora, Arch::Mixer, "8 lora_fc0.lora_a lora_fc3.lora_b b7299c710d1d0fb5 4 75 3fafebbc f03661483ef29cac cbc72076c17ba3c7"),
+    (Method::Lora, Arch::Vit, "12 lora_vit0.lora_a lora_vit5.lora_b 9fbdff7382d56e7f 6 111 3fed00c6 66fc71957acca0ad efe960d2c608f91b"),
+    (Method::Multi, Arch::ResNet, "30 multi_conv0.multi_conv_lora_a0 multi_conv4.multi_conv_lora_b2 0bb1b5b78bb391d4 5 79 3fd331d6 d633ef2df8c86ead 14cd724aad90fc98"),
+    (Method::Multi, Arch::Mixer, "24 multi_fc0.multi_lora_a0 multi_fc3.multi_lora_b2 f2b4567da6712785 4 75 3faeb053 e6d77fdfce3cde81 d25e9f05209c8744"),
+    (Method::Multi, Arch::Vit, "36 multi_vit0.multi_lora_a0 multi_vit5.multi_lora_b2 92d1ff2bc97723df 6 111 3ff86866 d23752cc50161507 269f771432ceda32"),
+    (Method::MetaCp, Arch::ResNet, "14 meta_conv0.meta_cp_conv_a mapping.b2 8bd91390d362f872 5 137 3fba33f3 417cb1c917d7dfcc a0bf98ed2f982475"),
+    (Method::MetaCp, Arch::Mixer, "12 meta_fc0.meta_cp_a mapping.b2 5afded022d29a827 4 150 3fa63d54 21fe618fdfb58ac4 7bee51966e0f7b22"),
+    (Method::MetaCp, Arch::Vit, "16 meta_vit0.meta_cp_a mapping.b2 1e46c029b2f769ef 6 220 3ff82796 f49fdafefabffc76 0e328e90126f0511"),
+    (Method::MetaTr, Arch::ResNet, "14 meta_conv0.meta_tr_conv_a mapping.b2 06ecaf3fa7e63326 5 177 3f971c3d f0903f03b745dd24 6fb574ab094b972e"),
+    (Method::MetaTr, Arch::Mixer, "12 meta_fc0.meta_tr_a mapping.b2 95c171a5baf18af7 4 178 3fb8a370 dbb69f48659a0ec5 53089fc9fa935808"),
+    (Method::MetaTr, Arch::Vit, "16 meta_vit0.meta_tr_a mapping.b2 81ee25c94ea9d277 6 262 4001f33d edf02c6135c3ee8e c76299663640e6a0"),
 ];

@@ -3,7 +3,7 @@
 //! for random shapes, ranks and seeds.
 
 use metalora_autograd::Graph;
-use metalora_nn::{Conv2d, Ctx, Linear, Module};
+use metalora_nn::{Conv2d, ConvLike, Ctx, Linear, Module};
 use metalora_peft::meta::{MetaLoraCpLinear, MetaLoraTrLinear};
 use metalora_peft::{ConvLora, LoraConfig, LoraLinear};
 use metalora_tensor::{approx_eq, conv::ConvSpec, einsum::einsum, init, ops, Tensor};
@@ -77,7 +77,7 @@ proptest! {
             Box::new(base),
             LoraConfig { rank: r, alpha: r as f32 },
             &mut rng,
-        ).unwrap();
+        );
         cl.b.set_value(init::uniform(&[r, o], -1.0, 1.0, &mut rng));
         let x = init::uniform(&[1, i, 6, 6], -1.0, 1.0, &mut rng);
 

@@ -11,7 +11,7 @@
 //! a fixed per-element accumulation order regardless of the thread count.
 
 use metalora_autograd::Graph;
-use metalora_nn::{Conv2d, Ctx, Linear, Module};
+use metalora_nn::{Conv2d, ConvLike, Ctx, Linear, Module};
 use metalora_peft::meta::{MappingNet, MetaLoraCpLinear, MetaLoraTrLinear};
 use metalora_peft::{ConvLora, LoraConfig, LoraLinear, MultiLoraLinear};
 use metalora_serve::forward::tile_seed;
@@ -82,7 +82,7 @@ fn conv_lora_serving_matches_tape_bitwise() {
         base.bias().map(|b| b.value()),
         base.spec(),
     );
-    let cl = ConvLora::new("c", Box::new(base), CFG, &mut rng).unwrap();
+    let cl = ConvLora::new("c", Box::new(base), CFG, &mut rng);
     cl.b.set_value(init::uniform(&[CFG.rank, 3], -0.5, 0.5, &mut rng));
     let x = init::uniform(&[2, 2, 5, 5], -1.0, 1.0, &mut rng);
 

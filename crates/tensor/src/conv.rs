@@ -43,6 +43,13 @@ pub struct ConvSpec {
 }
 
 impl ConvSpec {
+    /// The 1×1, stride-1, unpadded spec of a channel-mixing convolution.
+    pub const POINTWISE: ConvSpec = ConvSpec {
+        kernel: 1,
+        stride: 1,
+        pad: 0,
+    };
+
     /// Creates a spec, validating `kernel, stride ≥ 1`.
     pub fn new(kernel: usize, stride: usize, pad: usize) -> Result<Self> {
         if kernel == 0 || stride == 0 {

@@ -77,7 +77,7 @@ fn injected_lora_checkpoint_roundtrips_bitwise() {
     let cfg = ExperimentConfig::quick();
     let lora = cfg.lora_config();
     let mut src = ResNet::new(&cfg.resnet(), &mut init::rng(7)).unwrap();
-    let inj = inject::lora_into_resnet(&mut src, lora, &mut init::rng(8)).unwrap();
+    let inj = inject::lora(&mut src, lora, &mut init::rng(8));
     // Non-zero up-projections so the adapters actually shape the output.
     let mut rng = init::rng(9);
     for p in &inj.adapter_params {
@@ -86,7 +86,7 @@ fn injected_lora_checkpoint_roundtrips_bitwise() {
         }
     }
     let mut dst = ResNet::new(&cfg.resnet(), &mut init::rng(10)).unwrap();
-    inject::lora_into_resnet(&mut dst, lora, &mut init::rng(11)).unwrap();
+    inject::lora(&mut dst, lora, &mut init::rng(11));
     let x = init::uniform(&[2, 3, cfg.image_size, cfg.image_size], -1.0, 1.0, &mut init::rng(12));
     roundtrip(&src, &dst, &x, "resnet_lora");
 }
@@ -120,7 +120,7 @@ fn partial_apply_warm_starts_injected_model_from_base_checkpoint() {
     let ck = Checkpoint::capture(&base).unwrap();
 
     let mut injected = ResNet::new(&cfg.resnet(), &mut init::rng(14)).unwrap();
-    inject::lora_into_resnet(&mut injected, cfg.lora_config(), &mut init::rng(15)).unwrap();
+    inject::lora(&mut injected, cfg.lora_config(), &mut init::rng(15));
     // Strict apply must refuse (adapter params missing from the file)…
     assert!(ck.apply(&injected).is_err());
     // …while partial apply restores exactly the base set.

@@ -1,7 +1,7 @@
 //! Cross-crate numerical identities: the mathematical claims behind the
 //! paper's figures, verified at moderate scale.
 
-use metalora::nn::{Conv2d, Ctx, Linear, Module};
+use metalora::nn::{Conv2d, ConvLike, Ctx, Linear, Module};
 use metalora::peft::meta::{MetaLoraCpConv, MetaLoraCpLinear, MetaLoraTrConv, MetaLoraTrLinear};
 use metalora::peft::{ConvLora, LoraConfig};
 use metalora::tensor::conv::{conv2d, conv2d_via_dummy, ConvSpec};
@@ -56,8 +56,7 @@ fn fig3_conv_lora_factorisation() {
             Box::new(base),
             LoraConfig { rank, alpha: 2.0 },
             &mut rng,
-        )
-        .unwrap();
+        );
         cl.b.set_value(init::uniform(&[rank, 6], -0.5, 0.5, &mut rng));
         let x = init::uniform(&[2, 4, 10, 10], -1.0, 1.0, &mut rng);
 
@@ -117,8 +116,7 @@ fn eq6_metalora_cp_consistency() {
         Box::new(basec),
         LoraConfig { rank: 2, alpha: 2.0 },
         &mut rng,
-    )
-    .unwrap();
+    );
     mc.b.set_value(init::uniform(&[2, 4], -0.7, 0.7, &mut rng));
     let c = init::uniform(&[2], -1.0, 1.0, &mut rng);
     let dw = mc.delta_weight_for(&c).unwrap();
@@ -181,8 +179,7 @@ fn eq7_metalora_tr_consistency() {
         Box::new(basec),
         LoraConfig { rank: 2, alpha: 2.0 },
         &mut rng,
-    )
-    .unwrap();
+    );
     mc.b.set_value(init::uniform(&[2, 3, 2], -0.5, 0.5, &mut rng));
     let c = init::uniform(&[2, 2], -1.0, 1.0, &mut rng);
     let dw = mc.delta_weight_for(&c).unwrap();

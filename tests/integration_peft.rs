@@ -50,7 +50,7 @@ fn one_step(model: &dyn Module, params: Vec<metalora::autograd::ParamRef>, seed:
 fn lora_step_reduces_loss_resnet() {
     let mut rng = init::rng(1);
     let mut net = quick_resnet(1);
-    let inj = inject::lora_into_resnet(&mut net, LoraConfig::default(), &mut rng).unwrap();
+    let inj = inject::lora(&mut net, LoraConfig::default(), &mut rng);
     let (before, after) = one_step(&net, inj.adapter_params, 2);
     assert!(after < before, "{after} !< {before}");
 }
@@ -59,7 +59,7 @@ fn lora_step_reduces_loss_resnet() {
 fn lora_step_reduces_loss_mixer() {
     let mut rng = init::rng(2);
     let mut net = quick_mixer(2);
-    let inj = inject::lora_into_mixer(&mut net, LoraConfig::default(), &mut rng).unwrap();
+    let inj = inject::lora(&mut net, LoraConfig::default(), &mut rng);
     let (before, after) = one_step(&net, inj.adapter_params, 3);
     assert!(after < before, "{after} !< {before}");
 }
@@ -95,7 +95,7 @@ fn frozen_base_never_moves_under_adapter_training() {
         .iter()
         .map(|p| p.value())
         .collect();
-    let inj = inject::lora_into_resnet(&mut net, LoraConfig::default(), &mut rng).unwrap();
+    let inj = inject::lora(&mut net, LoraConfig::default(), &mut rng);
     for _ in 0..3 {
         one_step(&net, inj.adapter_params.clone(), 6);
     }
@@ -130,8 +130,8 @@ fn trainable_fraction_shrinks_with_backbone_growth() {
         rank: 2,
         alpha: 4.0,
     };
-    inject::lora_into_resnet(&mut small, lc, &mut rng).unwrap();
-    inject::lora_into_resnet(&mut big, lc, &mut rng).unwrap();
+    inject::lora(&mut small, lc, &mut rng);
+    inject::lora(&mut big, lc, &mut rng);
     let fs = ParamReport::of(&small).fraction();
     let fb = ParamReport::of(&big).fraction();
     assert!(fb < fs, "big {fb} !< small {fs}");
@@ -168,7 +168,7 @@ fn multi_lora_slots_specialise() {
     // each slot should fit its own mapping better.
     let mut rng = init::rng(13);
     let mut net = quick_resnet(8);
-    let inj = inject::multi_into_resnet(&mut net, 2, LoraConfig::default(), &mut rng).unwrap();
+    let inj = inject::multi(&mut net, 2, LoraConfig::default(), &mut rng);
     let (x, labels) = batch(9, 8, 16);
     let permuted: Vec<usize> = labels.iter().map(|&l| (l + 4) % 8).collect();
 
