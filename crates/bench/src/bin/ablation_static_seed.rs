@@ -16,7 +16,6 @@ use metalora::data::knn::{Distance, KnnClassifier};
 use metalora::data::task::{sample_episode, sample_mixture_batch, TaskFamily};
 use metalora::methods::Method;
 use metalora::nn::{Adam, Backbone, Ctx, Module, Optimizer};
-use metalora::peft::meta::MetaFormat;
 use metalora::peft::StaticSeedLora;
 use metalora::pipeline::{adapt, pretrain, probe};
 use metalora::report::render_table;
@@ -35,8 +34,8 @@ fn run_static_seed(opts: &BenchOpts, seed: u64) -> (f64, f64) {
     // drive them with a learned constant.
     let net = pretrain(cfg, Arch::ResNet, seed).expect("pretrain");
     let lora = cfg.lora_config();
-    let (ss, inj) = StaticSeedLora::inject(net.into_injectable(), MetaFormat::Cp, lora, &mut rng)
-        .expect("static seed");
+    let (ss, inj) =
+        StaticSeedLora::inject(net.into_injectable(), lora, &mut rng).expect("static seed");
 
     // Adaptation on the mixture, same budget as the pipeline.
     let mut opt = Adam::new(inj.adapter_params, cfg.adapt_lr);

@@ -43,15 +43,15 @@ impl StaticSeedLora {
         })
     }
 
-    /// Injects MetaLoRA adapters of `format` into every injection point
-    /// of `net` and drives them with one constant seed; the injection's
-    /// parameters are the adapters' followed by the seed.
+    /// Injects MetaLoRA-CP adapters into every injection point of `net`
+    /// and drives them with one constant seed; the injection's parameters
+    /// are the adapters' followed by the seed.
     pub fn inject(
         mut net: Box<dyn Injectable>,
-        format: MetaFormat,
         cfg: LoraConfig,
         rng: &mut StdRng,
     ) -> Result<(Self, Injection)> {
+        let format = MetaFormat::Cp;
         let mut inj = crate::inject::meta_layers(net.as_mut(), format, cfg, rng);
         let ss = StaticSeedLora::new(net, format.seed_dim(cfg.rank), rng)?;
         inj.adapter_params.push(ss.seed.clone());
