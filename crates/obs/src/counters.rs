@@ -234,8 +234,9 @@ counters! {
     pub MATMUL_LEGACY: Total = ("dispatch", "matmul_legacy") => matmul_legacy: u64;
     /// C-tile blocks claimed from tile-grid GEMM queues, all workers.
     TILE_CLAIMS: Total = ("tile_grid", "claims") => tile_claims: u64;
-    /// Shared B-panel packing passes. The scheduler packs `B` once per
-    /// GEMM (shared read-only across the team), so this must equal the
+    /// Shared B-panel packing passes. The scheduler packs `B` at most once
+    /// per GEMM (shared read-only across the team), and not at all for a
+    /// one-strip product that reads `B` in place, so this is at most the
     /// packed GEMM calls; per-thread re-packing would read higher.
     pub TILE_BPACKS: Total = ("tile_grid", "bpacks") => tile_bpacks: u64;
     /// Tile claims whose queue index was not adjacent to the worker's

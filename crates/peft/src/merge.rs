@@ -9,7 +9,7 @@
 //! for deployment to a single known task.
 
 use crate::Result;
-use metalora_tensor::{contract, ops, workspace, Tensor, TensorError};
+use metalora_tensor::{contract, ops, Tensor, TensorError};
 
 // ---- tensor-level delta/merge helpers ---------------------------------
 //
@@ -78,10 +78,10 @@ pub fn tr_delta(a: &Tensor, b: &Tensor, c: &Tensor, scaling: f32) -> Result<Tens
     Ok(scaled(contract::contract_spec("xiy,yoz,zx->io", &[a, b, c])?, scaling))
 }
 
-/// `W + ΔW` into a fresh tensor whose buffer is drawn from the workspace
-/// arena — the allocation pattern of the serving engine's merged-weight
-/// cache, where merged weights churn as tenants are evicted and
-/// re-merged. Each element is written once, as the same `w[i] + delta[i]`
+/// `W + ΔW` into a fresh tensor that owns its allocation — storage, not
+/// kernel scratch, so it never passes through the workspace arena: the
+/// serving engine's merged-weight cache holds it until eviction and then
+/// drops it. Each element is written once, as the same `w[i] + delta[i]`
 /// sum as `ops::add`, so repeated merges of the same operands are bitwise
 /// identical.
 pub fn merge_into(base: &Tensor, delta: &Tensor) -> Result<Tensor> {
@@ -93,7 +93,7 @@ pub fn merge_into(base: &Tensor, delta: &Tensor) -> Result<Tensor> {
         });
     }
     let sums = base.data().iter().zip(delta.data()).map(|(&w, &d)| w + d);
-    workspace::tensor_from_iter(base.dims(), sums)
+    Tensor::from_vec(sums.collect(), base.dims())
 }
 
 #[cfg(test)]

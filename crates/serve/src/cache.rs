@@ -4,15 +4,17 @@
 //! version in the [`crate::store::AdapterStore`], so a stale merged
 //! weight can never be served even if it is still resident. Values are
 //! shared handles to the merge (4 bytes/element); the eviction threshold
-//! is the total resident bytes. A weight's buffer is recycled into the
-//! workspace arena on eviction once the cache holds the sole reference.
+//! is the total resident bytes. An evicted weight is dropped, and its
+//! memory freed once the last request holding it finishes: merged weights
+//! are storage, so they never enter the workspace arena, which holds
+//! kernel scratch only.
 //!
 //! Merges are built *outside* the lock: concurrent misses on the same key
 //! may both compute the (deterministic, hence bitwise-identical) merge,
 //! and the first insert wins — correctness never depends on winning.
 
 use crate::store::TenantId;
-use metalora_tensor::{workspace, Tensor};
+use metalora_tensor::Tensor;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
@@ -55,13 +57,9 @@ impl Inner {
         self.lru.push(key);
     }
 
-    /// Debits `w`'s bytes; a buffer the cache solely owns goes back to
-    /// the workspace arena.
+    /// Debits `w`'s bytes and drops the cache's handle.
     fn release(&mut self, w: Arc<Tensor>) {
         self.bytes -= w.len() * 4;
-        if let Ok(t) = Arc::try_unwrap(w) {
-            workspace::recycle(t);
-        }
     }
 
     /// Evicts LRU-first until the total resident bytes fit `capacity`.
@@ -171,14 +169,12 @@ impl MergedCache {
         }
     }
 
-    /// Drops every entry (counters are kept; buffers recycle when sole).
+    /// Drops every entry (counters are kept).
     pub fn clear(&self) {
         let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         inner.lru.clear();
-        let drained: Vec<Arc<Tensor>> = inner.map.drain().map(|(_, w)| w).collect();
-        for w in drained {
-            inner.release(w);
-        }
+        inner.map.clear();
+        inner.bytes = 0;
     }
 
     /// Drops every resident version of one tenant (deregistration path):

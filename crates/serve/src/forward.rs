@@ -98,8 +98,7 @@ pub fn conv_lora(
         )));
     };
     let b4 = b.reshaped(&[1, 1, r, o])?;
-    let one = ConvSpec::new(1, 1, 0)?;
-    let delta = metalora_tensor::conv::conv2d(&u, &b4, one, one)?;
+    let delta = metalora_tensor::conv::conv2d(&u, &b4, ConvSpec::POINTWISE, ConvSpec::POINTWISE)?;
     let delta = ops::scale(&delta, scaling);
     ops::add(&y, &delta)
 }

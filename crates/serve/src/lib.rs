@@ -11,8 +11,9 @@
 //!   cells are `Rc`-based and cannot cross threads) keyed by user/task
 //!   id, with a version stamp bumped on every update.
 //! * [`cache`] — a byte-capacity LRU cache of merged weights `W + ΔW`
-//!   keyed by `(tenant, version)`, backed by the workspace arena (merges
-//!   allocate from the pool, evicted weights are recycled into it).
+//!   keyed by `(tenant, version)`. Each merge owns its allocation and an
+//!   evicted weight is dropped: the workspace arena holds kernel scratch,
+//!   never a weight.
 //! * [`batch`] — the request batcher: groups requests and amortises
 //!   mapping-net seed generation across a batch (one MLP forward for all
 //!   dynamic-MetaLoRA rows instead of one per request).

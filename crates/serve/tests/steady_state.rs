@@ -11,7 +11,9 @@
 //! parallel team; the packed GEMM leases the team's `A` panels on the
 //! calling thread before the team starts, so how many are live at once is
 //! a function of the shape and the team size — not of how the workers'
-//! lifetimes happen to overlap — and a warm pass still never misses.
+//! lifetimes happen to overlap — and a warm pass still never misses. The
+//! arena holds that scratch only: under a cache too small for the stream,
+//! evictions and re-merges neither feed it nor drain it.
 //!
 //! The hostile half: a rank-0 input is `Err(InvalidArgument)` for every
 //! tenant kind — alone or inside a mixed batch — and leaves the engine
@@ -60,6 +62,11 @@ fn bits(t: &Tensor) -> Vec<u32> {
 /// 64 tenants, kind by `id % 6`: LoRA, Conv-LoRA, dynamic CP, dynamic TR,
 /// bank slot, pinned-seed CP/TR (alternating). The cache holds them all.
 fn engine(use_merged: bool, max_batch: usize) -> ServeEngine {
+    engine_with_cache(use_merged, max_batch, 64 << 20)
+}
+
+/// [`engine`] with a merged-weight cache of `cache_bytes`.
+fn engine_with_cache(use_merged: bool, max_batch: usize, cache_bytes: usize) -> ServeEngine {
     let mut rng = init::rng(31);
     let r = CFG.rank;
     let base = Linear::new("fc", DIM, DIM, &mut rng);
@@ -70,7 +77,7 @@ fn engine(use_merged: bool, max_batch: usize) -> ServeEngine {
     }
     let spec = ConvSpec::new(3, 1, 1).unwrap();
     let conv_w = init::uniform(&[3, 3, CONV[0], CONV_OUT], -0.5, 0.5, &mut rng);
-    let cfg = EngineConfig { max_batch, cache_bytes: 64 << 20, use_merged };
+    let cfg = EngineConfig { max_batch, cache_bytes, use_merged };
     let e = ServeEngine::new(w, bias, cfg)
         .with_bank(&bank)
         .with_conv_base(conv_w, None, spec)
@@ -175,6 +182,50 @@ fn warm_passes_never_miss_the_arena_and_the_pool_stops_growing() {
                 }
             });
         }
+    }
+}
+
+/// Merged weights are storage, not scratch. With a cache that holds four
+/// of the stream's dense weights, every pass evicts and re-merges, and
+/// still no warm pass misses the arena and the pool stops growing: a merge
+/// draws no buffer from the arena and an eviction parks none in it — nor
+/// does dropping every resident weight at once.
+#[test]
+fn evictions_and_re_merges_neither_feed_nor_drain_the_arena() {
+    let _g = lock_globals();
+    let reqs = stream(192);
+    for threads in [1usize, 4] {
+        par::with_num_threads(threads, || {
+            workspace::clear();
+            metalora_obs::set_enabled(true);
+            metalora_obs::reset();
+            let e = engine_with_cache(true, 16, 4 * DIM * DIM * 4);
+            let mut after = Vec::new();
+            for _pass in 0..3 {
+                e.process(&reqs).unwrap();
+                after.push((metalora_obs::counters::snapshot(), e.cache().stats()));
+            }
+            let what = format!("threads = {threads}");
+            let (second, third) = (&after[1], &after[2]);
+            assert!(third.1.evictions > second.1.evictions, "{what}: a warm pass must evict");
+            assert!(third.1.misses > second.1.misses, "{what}: a warm pass must re-merge");
+            assert_eq!(
+                third.0.workspace_misses, after[0].0.workspace_misses,
+                "{what}: a warm pass missed the arena"
+            );
+            assert_eq!(
+                third.0.peak_workspace_pooled_bytes, second.0.peak_workspace_pooled_bytes,
+                "{what}: the pool kept growing"
+            );
+            // Dropping every resident weight parks nothing in the arena.
+            assert!(third.1.entries > 0, "{what}");
+            e.cache().clear();
+            assert_eq!(
+                metalora_obs::counters::snapshot().peak_workspace_pooled_bytes,
+                third.0.peak_workspace_pooled_bytes,
+                "{what}: an evicted weight entered the arena"
+            );
+        });
     }
 }
 

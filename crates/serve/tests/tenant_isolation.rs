@@ -5,8 +5,8 @@
 //! constantly evicted and re-merged underneath in-flight requests. Every
 //! tenant's outputs must stay **bitwise identical** to a serial
 //! per-tenant baseline: a hit handing out another tenant's weight, an
-//! eviction recycling a buffer still in use, or a re-merge producing a
-//! different weight would all show up as a bit flip here.
+//! eviction freeing a weight a request still reads, or a re-merge
+//! producing a different weight would all show up as a bit flip here.
 
 use metalora_nn::Linear;
 use metalora_peft::{LoraConfig, LoraLinear, MultiLoraLinear};

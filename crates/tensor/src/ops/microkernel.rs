@@ -6,10 +6,16 @@
 //! strided operands (`StridedGemm`) — so they all funnel into one driver
 //! here, `gemm_packed`:
 //!
-//! 1. **Pack `B` once per call** into KC-tall panels of [`NR`]-wide column
-//!    tiles (`[kc×NR]`, k-major) — shared, read-only, visible to every
-//!    worker. Packing linearises the strided loads of the transposed
-//!    variants, so the inner kernel always streams two contiguous panels.
+//! 1. **Pack `B` only where a strip re-reads it.** When every batch is
+//!    one strip (`m ≤ MR`) and `B` has unit column stride — every forward
+//!    `x·W` of a few rows, the tape's `dB = hᵀ·dY` at `m = r` — each
+//!    element of `B` is read exactly once, so the register tiles read it
+//!    where it lies, at its row stride: no pack, no lease. Any other
+//!    product packs `B` once per call into KC-tall panels of [`NR`]-wide
+//!    column tiles (`[kc×NR]`, k-major) — shared, read-only, visible to
+//!    every worker. Packing linearises the strided loads of the transposed
+//!    variants, so the inner kernel streams two contiguous panels that
+//!    every strip re-reads.
 //! 2. **Claim C-tile blocks from a shared atomic queue**
 //!    ([`crate::par::par_task_queue`]): the output is a grid of
 //!    `MR`-row strips × `NC`-column groups, and each team worker claims
@@ -18,7 +24,7 @@
 //!    (`[kc×MR]` row tiles, k-major; the team's leases are taken by the
 //!    caller before the team starts) and keeps it for subsequent claims
 //!    of the same strip — `A` is packed at most once per (strip, worker)
-//!    and `B` is never re-packed, which is what lets the packed path
+//!    and `B` at most once per call, which is what lets the packed path
 //!    scale instead of fighting the thread team (the old design split
 //!    rows *above* the packing).
 //! 3. Per claimed cell, run the **register tile** of the strip's height
@@ -37,16 +43,18 @@
 //! sequence the strided reference kernel in [`super::gemm`]'s module
 //! performs with `f32::mul_add`. Spilling the accumulator to `C` between
 //! KC tiles is exact (an `f32` store/load round-trip loses nothing), and
-//! the tile shape, the row pass, the lane and the SIMD level only decide
-//! *where* an element's sequence runs, never what it is. Hence packed
-//! results are **bitwise identical** to the reference path at every SIMD
-//! level, which is what lets the reference kernel serve as the oracle
-//! this one is tested against: every production product runs here, and
-//! the reference kernel runs only where [`with_kernel_path`] forces it.
+//! the tile shape, the row pass, the lane, the SIMD level and whether `B`
+//! was packed or is read in place only decide *where* an element's
+//! sequence runs and where its operands are loaded from, never what it
+//! is. Hence packed results are **bitwise identical** to the reference
+//! path at every SIMD level, which is what lets the reference kernel
+//! serve as the oracle this one is tested against: every production
+//! product runs here, and the reference kernel runs only where
+//! [`with_kernel_path`] forces it.
 //!
 //! Work *stealing* cannot move a bit either: each grid cell is a
 //! self-contained block of output elements, computed by exactly one
-//! worker from shared immutable packed panels over the full `k` range.
+//! worker from shared immutable operands over the full `k` range.
 //! Which worker computes which cell — and in which order — changes
 //! nothing about any element's operation sequence, so the scheduler is
 //! free to interleave claims arbitrarily (tallied by the obs
@@ -521,15 +529,22 @@ impl CTile {
 /// One register tile of an `R`-row strip (`R` fixed by the instantiation):
 /// loads the `R × w` block of `C` at `c`, adds `Σ_k a·b` into it one fused
 /// multiply-add per `k` in increasing order, and stores it back. `a` is
-/// the strip's `[kc×R]` packed A tile; `b` is `w` packed columns of one KC
-/// tile — two adjacent `[kc×NR]` panels (`w = 2·NR`), one (`w = NR`), or
-/// the ragged `[kc×w]` tile (`w < NR`).
+/// the strip's `[kc×R]` packed A tile; `b` holds `w` columns of one KC
+/// tile of `B` — two adjacent `NR`-wide panels (`w = 2·NR`), one
+/// (`w = NR`), or the ragged columns (`w < NR`) — with k step `kk`'s
+/// columns of a panel at `kk·ldb` and a pair's second panel `next` floats
+/// after its first. Packed panels are `[kc×NR]` (`ldb = NR`,
+/// `next = kc·NR`) or the ragged `[kc×w]` tile (`ldb = w`); `B` read in
+/// place has its row stride as `ldb` and `next = NR`.
 ///
 /// # Safety
-/// `a.len() == kc·R`, `b.len() == kc·w`, `kc > 0`, `w` is what the
-/// instantiation serves, `c.fits(R, w)` and nothing else accesses that
-/// block meanwhile; the host has the instantiation's SIMD level.
-type TileFn = unsafe fn(a: &[f32], b: &[f32], w: usize, kc: usize, c: CTile);
+/// `a.len() == kc·R`; `b` is cut to exactly what the tile reads,
+/// `(kc−1)·ldb + w` floats (a pair: `(kc−1)·ldb + NR + next`); `kc > 0`,
+/// `w` is what the instantiation serves, `c.fits(R, w)` and nothing else
+/// accesses that block meanwhile; the host has the instantiation's SIMD
+/// level.
+type TileFn =
+    unsafe fn(a: &[f32], b: &[f32], ldb: usize, next: usize, w: usize, kc: usize, c: CTile);
 
 /// The register tiles one strip height runs at one SIMD level.
 struct Tiles {
@@ -587,16 +602,25 @@ impl Tiles {
 ///
 /// # Safety
 /// As [`TileFn`] with `w ≤ NR`.
-unsafe fn portable<const R: usize>(a: &[f32], b: &[f32], w: usize, kc: usize, c: CTile) {
+unsafe fn portable<const R: usize>(
+    a: &[f32],
+    b: &[f32],
+    ldb: usize,
+    _next: usize,
+    w: usize,
+    kc: usize,
+    c: CTile,
+) {
     debug_assert!(kc > 0 && 0 < w && w <= NR);
-    debug_assert!(a.len() == kc * R && b.len() == kc * w && c.fits(R, w));
+    debug_assert!(a.len() == kc * R && b.len() == (kc - 1) * ldb + w && c.fits(R, w));
     let mut acc = [[0.0f32; NR]; R];
     for (r, row) in acc.iter_mut().enumerate() {
         for (j, v) in row[..w].iter_mut().enumerate() {
             *v = *c.ptr.add(r * c.ldc + j);
         }
     }
-    for (ak, bk) in a.chunks_exact(R).zip(b.chunks_exact(w)) {
+    for (kk, ak) in a.chunks_exact(R).enumerate() {
+        let bk = &b[kk * ldb..][..w];
         for (row, &av) in acc.iter_mut().zip(ak) {
             for (v, &bv) in row.iter_mut().zip(bk) {
                 *v = av.mul_add(bv, *v);
@@ -628,12 +652,15 @@ mod x86 {
     pub(super) unsafe fn panels512<const R: usize, const P: usize>(
         a: &[f32],
         b: &[f32],
+        ldb: usize,
+        next: usize,
         w: usize,
         kc: usize,
         c: CTile,
     ) {
         debug_assert!(kc > 0 && w == P * NR);
-        debug_assert!(a.len() == kc * R && b.len() == kc * w && c.fits(R, w));
+        debug_assert!(a.len() == kc * R && c.fits(R, w));
+        debug_assert!(b.len() == (kc - 1) * ldb + NR + (P - 1) * next);
         let (ap, bp) = (a.as_ptr(), b.as_ptr());
         let mut acc = [[_mm512_setzero_ps(); P]; R];
         for (r, row) in acc.iter_mut().enumerate() {
@@ -644,8 +671,8 @@ mod x86 {
         for kk in 0..kc {
             let mut bv = [_mm512_setzero_ps(); P];
             for (p, v) in bv.iter_mut().enumerate() {
-                // Panel p of the pair starts kc·NR floats after panel p − 1.
-                *v = _mm512_loadu_ps(bp.add(p * kc * NR + kk * NR));
+                // Panel p of the pair starts `next` floats after panel p − 1.
+                *v = _mm512_loadu_ps(bp.add(p * next + kk * ldb));
             }
             for (r, row) in acc.iter_mut().enumerate() {
                 let av = _mm512_set1_ps(*ap.add(kk * R + r));
@@ -661,9 +688,9 @@ mod x86 {
         }
     }
 
-    /// `R` rows × the ragged `w < NR` columns: the `[kc×w]` panel is read
-    /// at stride `w` and `C` loaded and stored through a `w`-lane mask, so
-    /// no lane past column `w` is touched.
+    /// `R` rows × the ragged `w < NR` columns: `B` is read at stride `ldb`
+    /// and `B` and `C` through a `w`-lane mask, so no lane past column `w`
+    /// is touched.
     ///
     /// # Safety
     /// As [`super::TileFn`] with `w < NR`; the host has AVX-512F and FMA.
@@ -671,12 +698,14 @@ mod x86 {
     pub(super) unsafe fn ragged512<const R: usize>(
         a: &[f32],
         b: &[f32],
+        ldb: usize,
+        _next: usize,
         w: usize,
         kc: usize,
         c: CTile,
     ) {
         debug_assert!(kc > 0 && 0 < w && w < NR);
-        debug_assert!(a.len() == kc * R && b.len() == kc * w && c.fits(R, w));
+        debug_assert!(a.len() == kc * R && b.len() == (kc - 1) * ldb + w && c.fits(R, w));
         let lanes: __mmask16 = (1 << w) - 1;
         let (ap, bp) = (a.as_ptr(), b.as_ptr());
         let mut acc = [_mm512_setzero_ps(); R];
@@ -684,7 +713,7 @@ mod x86 {
             *v = _mm512_maskz_loadu_ps(lanes, c.ptr.add(r * c.ldc));
         }
         for kk in 0..kc {
-            let bv = _mm512_maskz_loadu_ps(lanes, bp.add(kk * w));
+            let bv = _mm512_maskz_loadu_ps(lanes, bp.add(kk * ldb));
             for (r, v) in acc.iter_mut().enumerate() {
                 *v = _mm512_fmadd_ps(_mm512_set1_ps(*ap.add(kk * R + r)), bv, *v);
             }
@@ -706,12 +735,14 @@ mod x86 {
     pub(super) unsafe fn strip256<const R: usize, const MASKED: bool>(
         a: &[f32],
         b: &[f32],
+        ldb: usize,
+        _next: usize,
         w: usize,
         kc: usize,
         c: CTile,
     ) {
         debug_assert!(kc > 0 && if MASKED { 0 < w && w < NR } else { w == NR });
-        debug_assert!(a.len() == kc * R && b.len() == kc * w && c.fits(R, w));
+        debug_assert!(a.len() == kc * R && b.len() == (kc - 1) * ldb + w && c.fits(R, w));
         let lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
         let masks = [
             _mm256_cmpgt_epi32(_mm256_set1_epi32(w as i32), lane),
@@ -721,10 +752,10 @@ mod x86 {
         for r0 in (0..R).step_by(4) {
             let (ap, c) = (ap.add(r0), c.offset(r0, 0));
             match R - r0 {
-                1 => pass256::<1, MASKED>(ap, R, bp, w, kc, c, masks),
-                2 => pass256::<2, MASKED>(ap, R, bp, w, kc, c, masks),
-                3 => pass256::<3, MASKED>(ap, R, bp, w, kc, c, masks),
-                _ => pass256::<4, MASKED>(ap, R, bp, w, kc, c, masks),
+                1 => pass256::<1, MASKED>(ap, R, bp, ldb, kc, c, masks),
+                2 => pass256::<2, MASKED>(ap, R, bp, ldb, kc, c, masks),
+                3 => pass256::<3, MASKED>(ap, R, bp, ldb, kc, c, masks),
+                _ => pass256::<4, MASKED>(ap, R, bp, ldb, kc, c, masks),
             }
         }
     }
@@ -812,10 +843,20 @@ impl SendPtr {
     }
 }
 
+/// Where the cells of one batch read `B`.
+#[derive(Clone, Copy)]
+enum BSrc<'a> {
+    /// The batch's `k·n` floats in [`pack_b`]'s layout.
+    Packed(&'a [f32]),
+    /// The batch's `B` as stored at unit column stride: element `(kk, j)`
+    /// at `b[kk·ld + j]`.
+    InPlace { b: &'a [f32], ld: usize },
+}
+
 /// Computes one claimed grid cell: the `me ≤ MR` rows of a packed A strip
 /// (`[kc×me]` tiles at `kb·me`, [`pack_a`] layout) times columns
-/// `j_lo..j_hi` of one batch's packed `B` (`bp`, [`pack_b`] layout), into
-/// `C` at `c` (top-left of the strip, row stride `n`).
+/// `j_lo..j_hi` of one batch's `B`, into `C` at `c` (top-left of the
+/// strip, row stride `n`).
 ///
 /// Columns advance in the outer loop — a panel pair while at least
 /// `2·NR` full columns remain (where the level pairs), then one panel,
@@ -826,20 +867,25 @@ impl SendPtr {
 ///
 /// # Safety
 /// `c.fits(me, j_hi)`, and that block of `C` is not accessed by any other
-/// thread; `apack`/`bp` hold `me*k` / `k*n` packed floats; `j_lo` is
-/// `2·NR`-aligned; a `bias` has length `n`; the host has `lvl`.
+/// thread; `apack` holds `me*k` packed floats and `b` all `k×n` of the
+/// batch's `B`; `j_lo` is `2·NR`-aligned; a `bias` has length `n`; the
+/// host has `lvl`.
 #[allow(clippy::too_many_arguments)]
 unsafe fn gemm_cell(
     lvl: SimdLevel,
     apack: &[f32],
     me: usize,
-    bp: &[f32],
+    b: BSrc,
     (n, k): (usize, usize),
     (j_lo, j_hi): (usize, usize),
     c: CTile,
     bias: Option<&[f32]>,
 ) {
-    debug_assert!(apack.len() == me * k && bp.len() == k * n && c.fits(me, j_hi));
+    debug_assert!(apack.len() == me * k && c.fits(me, j_hi));
+    debug_assert!(match b {
+        BSrc::Packed(bp) => bp.len() == k * n,
+        BSrc::InPlace { b, ld } => k == 0 || b.len() >= (k - 1) * ld + n,
+    });
     let tiles = Tiles::new(lvl, me);
     let full_end = j_hi.min(n - n % NR);
     let mut j0 = j_lo;
@@ -848,13 +894,13 @@ unsafe fn gemm_cell(
             Some(pair) if full_end - j0 >= 2 * NR => (pair, 2 * NR),
             _ => (tiles.full, NR),
         };
-        column_step(tile, apack, me, bp, (n, k), (j0, w), c, bias);
+        column_step(tile, apack, me, b, (n, k), (j0, w), c, bias);
         j0 += w;
     }
     // The ragged column tile (n % NR) always lands in the grid's last
     // column group (n % NR < NR ≤ NC).
     if j_hi == n && full_end < n {
-        column_step(tiles.ragged, apack, me, bp, (n, k), (full_end, n - full_end), c, bias);
+        column_step(tiles.ragged, apack, me, b, (n, k), (full_end, n - full_end), c, bias);
     }
 }
 
@@ -871,7 +917,7 @@ unsafe fn column_step(
     tile: TileFn,
     apack: &[f32],
     me: usize,
-    bp: &[f32],
+    b: BSrc,
     (n, k): (usize, usize),
     (j0, w): (usize, usize),
     c: CTile,
@@ -881,10 +927,14 @@ unsafe fn column_step(
     for kb in (0..k).step_by(KC) {
         let kc = (kb + KC).min(k) - kb;
         // The slices bound what the tile may read: its A tile, and its
-        // `w` columns of this KC tile (a pair's two panels are adjacent).
+        // `w` columns of this KC tile (a packed pair's two panels are
+        // adjacent; in place, a pair's columns are one run per k step).
         let a = &apack[kb * me..(kb + kc) * me];
-        let b = &bp[kb * n + j0 * kc..][..kc * w];
-        tile(a, b, w, kc, c.offset(0, j0));
+        let (b, ldb, next) = match b {
+            BSrc::Packed(bp) => (&bp[kb * n + j0 * kc..][..kc * w], w.min(NR), kc * NR),
+            BSrc::InPlace { b, ld } => (&b[kb * ld + j0..][..(kc - 1) * ld + w], ld, NR),
+        };
+        tile(a, b, ldb, next, w, kc, c.offset(0, j0));
     }
     if let Some(bias) = bias {
         for r in 0..me {
@@ -922,8 +972,11 @@ pub(crate) struct StridedGemm<'a> {
 /// The packed path of [`super::gemm`].
 ///
 /// `B` is packed **once** up front (shared read-only across the worker
-/// team — the obs `tile_bpacks` counter asserts exactly one pass per
-/// call). The output is then a grid of `MR`-row strips × `NC`-column
+/// team — the obs `tile_bpacks` counter counts one pass per GEMM that
+/// packs) unless no strip would re-read it: when every batch is one strip
+/// (`m ≤ MR`) and `B` has unit column stride, the tiles read `B` where it
+/// lies and the call packs and leases nothing for it. The output is then a
+/// grid of `MR`-row strips × `NC`-column
 /// groups — a fixed function of the problem shape, never of the thread
 /// count — and [`par_task_queue`] workers claim cells from a shared
 /// atomic queue. Each worker holds one `MR×k` A-panel buffer for its whole
@@ -931,23 +984,29 @@ pub(crate) struct StridedGemm<'a> {
 /// strip than its previous one. The team's panels are leased from the
 /// workspace arena **on the calling thread before the team starts** (no
 /// cross-thread aliasing: the arena hands out disjoint buffers), so one
-/// call checks out exactly team-size panels at once — a function of the
-/// shape and the thread count, never of whether an early worker finished
-/// before a late one started; a warm arena therefore never misses, and
-/// one thread takes exactly one lease. A bias is added to each column
-/// tile right after its last KC tile stores.
+/// call checks out exactly team-size panels at once, plus the `B` panel
+/// when it packs — a function of the shape and the thread count, never of
+/// whether an early worker finished before a late one started; a warm
+/// arena therefore never misses. A bias is added to each column tile right
+/// after its last KC tile stores.
 pub(crate) fn gemm_packed(g: &StridedGemm, out: &mut [f32]) {
     let StridedGemm { a, b, b_batch, b_ks, b_cs, bs, m, n, k, bias } = *g;
     debug_assert_eq!(out.len(), bs * m * n);
     if bs * m * n == 0 {
         return;
     }
-    let mut bpack = workspace::take(bs * k * n);
-    for bi in 0..bs {
-        pack_b(b, bi * b_batch, k, n, b_ks, b_cs, &mut bpack[bi * k * n..(bi + 1) * k * n]);
-    }
-    metalora_obs::counters::TILE_BPACKS.add(1);
-    let bp: &[f32] = &bpack;
+    let bpack = (m > MR || b_cs != 1).then(|| {
+        let mut bpack = workspace::take(bs * k * n);
+        for bi in 0..bs {
+            pack_b(b, bi * b_batch, k, n, b_ks, b_cs, &mut bpack[bi * k * n..(bi + 1) * k * n]);
+        }
+        metalora_obs::counters::TILE_BPACKS.add(1);
+        bpack
+    });
+    let b_of = |bi: usize| match &bpack {
+        Some(bp) => BSrc::Packed(&bp[bi * k * n..(bi + 1) * k * n]),
+        None => BSrc::InPlace { b: &b[bi * b_batch..], ld: b_ks },
+    };
 
     // The tile grid: strips never straddle batch boundaries, column
     // groups are NR-aligned. Task index → (strip, group) with groups
@@ -980,12 +1039,12 @@ pub(crate) fn gemm_packed(g: &StridedGemm, out: &mut [f32]) {
             // SAFETY: task indices are claimed exactly once, and each maps
             // to a disjoint me×(j_hi-j_lo) block of `out`, which holds
             // `out_len - off` floats from the strip's corner on; the packed
-            // panels were sized by pack_a/pack_b above, and `lvl` is the
+            // A panel was sized by pack_a, `B` holds the batch's `k×n`
+            // (packed by pack_b above, or as stored), and `lvl` is the
             // host's level or below it.
             unsafe {
                 let c = CTile { ptr: c_out.get().add(off), ldc: n, avail: out_len - off };
-                let bp = &bp[bi * k * n..(bi + 1) * k * n];
-                gemm_cell(lvl, &apack[..me * k], me, bp, (n, k), (j_lo, j_hi), c, bias);
+                gemm_cell(lvl, &apack[..me * k], me, b_of(bi), (n, k), (j_lo, j_hi), c, bias);
             }
         }
         metalora_obs::counters::record_tile_grid_worker(slot, claimed, steals);

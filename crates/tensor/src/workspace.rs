@@ -9,10 +9,13 @@
 //! * [`take`] / [`take_zeroed`] check a buffer out and return a
 //!   [`WorkspaceGuard`] that parks it back in the pool on drop — the
 //!   pattern for scratch that lives for one kernel invocation;
-//! * [`zeroed_tensor`] / [`tensor_from_iter`] / [`recycle`] move pooled
-//!   buffers in and out of [`Tensor`] values — the pattern for autograd
-//!   temporaries that are built, consumed by an accumulation, and then
-//!   discarded, and for the merged weights of the serving cache.
+//! * [`zeroed_tensor`] / [`recycle`] move pooled buffers in and out of
+//!   [`Tensor`] values — the pattern for autograd temporaries that are
+//!   built, consumed by an accumulation, and then discarded.
+//!
+//! The arena lends scratch, not storage: what outlives the call that made
+//! it — a served model's merged weights among them — owns its allocation
+//! and never enters the pool.
 //!
 //! Buffers are bucketed by capacity rounded to a power of two, so a
 //! checkout of any size in `(bucket/2, bucket]` can reuse any buffer of
@@ -30,14 +33,15 @@
 //! worker in the team holds its own A-panel lease for its whole lifetime
 //! (the calling thread takes the team's leases before the team starts, so
 //! how many are out at once is a function of shape and team size) while
-//! the shared B panel and other threads' checkouts churn through the
-//! same pool concurrently.
+//! the shared B panel of a product that packs `B` (one whose strips
+//! re-read it; a one-strip product reads `B` in place and leases none)
+//! and other threads' checkouts churn through the same pool concurrently.
 //!
 //! Checkout hits/misses, bytes reused and the pooled-bytes high-water mark
 //! are reported to `metalora_obs` (visible in `RUNLOG_*.json` under
 //! `workspace` when `METALORA_OBS=1`).
 
-use crate::{Result, Tensor};
+use crate::Tensor;
 use std::ops::{Deref, DerefMut};
 use std::sync::Mutex;
 
@@ -176,17 +180,6 @@ pub fn zeroed_tensor(dims: &[usize]) -> Tensor {
     buf.clear();
     buf.resize(len, 0.0);
     Tensor::from_vec(buf, dims).expect("len matches dims by construction")
-}
-
-/// A tensor of shape `dims` filled from `values`, its buffer drawn from
-/// the arena and each element written once — for results that would
-/// otherwise zero-fill a [`zeroed_tensor`] first. Errors when `values`
-/// does not yield exactly the shape's element count.
-pub fn tensor_from_iter(dims: &[usize], values: impl Iterator<Item = f32>) -> Result<Tensor> {
-    let mut buf = checkout(dims.iter().product());
-    buf.clear();
-    buf.extend(values);
-    Tensor::from_vec(buf, dims)
 }
 
 /// Consumes a tensor and parks its buffer in the arena for reuse.

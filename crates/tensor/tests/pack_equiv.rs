@@ -16,7 +16,13 @@
 //! worker counts {1, 2, 3, 4, 7} over ragged shapes (including ones that
 //! cross the NC column-group boundary), interleaved with arena reuse, must
 //! stay bitwise-equal to the reference serial run, and the obs tallies must
-//! show exactly one B pack per GEMM with claims covering the whole grid.
+//! show exactly one B pack per GEMM that packs with claims covering the
+//! whole grid.
+//!
+//! The one-strip path gets a deterministic table: products whose every
+//! batch is one strip read `B` in place — no pack, no `B` lease — and stay
+//! bitwise-equal to the reference kernel at every SIMD level, while one
+//! more row, or a transposed `B`, packs again.
 //!
 //! The register tiles get a deterministic sweep: every strip height, panel
 //! pairs, single panels and masked ragged columns, `k` around `KC`, in
@@ -276,6 +282,84 @@ fn register_tile_sweep_is_bitwise_at_every_level() {
     }
 }
 
+/// A one-strip product reads `B` in place. `m` ∈ 1..=MR+1 is every strip
+/// height and the smallest two-strip product; `n` is the masked ragged
+/// tile alone, one panel and either side of it, a pair plus ragged
+/// columns, and two column groups; `k` is one step, one `KC` tile, and
+/// just past one and two. Unbatched and batched, bias on and off, `B` as
+/// stored and transposed: packed at every SIMD level the host has, at 1
+/// and 4 workers, ≡ the reference kernel. The obs counters say which path
+/// ran: `tile_bpacks` moves by 0 when every batch is one strip and `B` has
+/// unit column stride (as stored; a one-deep transposed `B` is one row at
+/// unit stride too) and by 1 otherwise, and a call checks out one `A`
+/// panel per team member plus the `B` panel only when it packs.
+#[test]
+fn one_strip_products_read_b_in_place_bitwise() {
+    use microkernel::{KC, MR, NC};
+    let _g = lock();
+    let levels = [SimdLevel::Scalar, SimdLevel::Avx2, SimdLevel::Avx512];
+    let levels: Vec<_> = levels.into_iter().filter(|&l| l <= simd_level()).collect();
+    let counts = || {
+        let s = metalora_obs::counters::snapshot();
+        (s.tile_bpacks, s.workspace_hits + s.workspace_misses)
+    };
+    let check = |(m, n, k): (usize, usize, usize),
+                 bs: Option<usize>,
+                 b_layout: Layout,
+                 with_bias: bool,
+                 seed: u64| {
+        let dims = |r: usize, c: usize| bs.map_or(vec![r, c], |bs| vec![bs, r, c]);
+        let b_dims = if b_layout == Layout::T { dims(n, k) } else { dims(k, n) };
+        let (a, b) = (rand_t(&dims(m, k), seed), rand_t(&b_dims, seed + 1));
+        let bias = rand_t(&[n], seed + 2);
+        let desc = GemmDesc { b_layout, bias: with_bias.then_some(&bias), ..GemmDesc::new(&a, &b) };
+        let want = par::with_num_threads(1, || {
+            with_kernel_path(KernelPath::Reference, || gemm(&desc).unwrap())
+        });
+        let packs = u64::from(m > MR || (b_layout == Layout::T && k > 1));
+        let tasks = bs.unwrap_or(1) * m.div_ceil(MR) * n.div_ceil(NC);
+        for &level in &levels {
+            for threads in [1, 4] {
+                let before = counts();
+                let got = par::with_par_threshold(0, || {
+                    par::with_num_threads(threads, || {
+                        with_kernel_path(level, || {
+                            with_kernel_path(KernelPath::Packed, || gemm(&desc).unwrap())
+                        })
+                    })
+                });
+                let after = counts();
+                let what = format!(
+                    "{level:?}@{threads}: m={m} n={n} k={k} bs={bs:?} {b_layout:?} bias={with_bias}"
+                );
+                assert!(bits_eq(&want, &got), "{what}");
+                assert_eq!(after.0 - before.0, packs, "{what}: B packs");
+                let team = threads.min(tasks) as u64;
+                assert_eq!(after.1 - before.1, team + packs, "{what}: arena checkouts");
+            }
+        }
+    };
+    metalora_obs::set_enabled(true);
+    metalora_obs::reset();
+    let mut seed = 10_000;
+    for k in [1, KC, KC + 1, 2 * KC + 3] {
+        for n in [1, 15, 16, 17, 33, 257] {
+            for m in 1..=MR + 1 {
+                for bs in [None, Some(3)] {
+                    for b_layout in [Layout::N, Layout::T] {
+                        for with_bias in [false, true] {
+                            seed += 3;
+                            check((m, n, k), bs, b_layout, with_bias, seed);
+                        }
+                    }
+                }
+            }
+        }
+    }
+    metalora_obs::set_enabled(false);
+    metalora_obs::reset();
+}
+
 /// Where the doc comments of [`microkernel::pack_b`] / [`microkernel::pack_a`]
 /// put element `(kk, c)` of a packed operand `k` deep and `extent` columns
 /// (`B`, `tile = NR`) or rows (`A`, `tile = MR`) wide: KC tile `kb` starts
@@ -370,9 +454,10 @@ fn workspace_reuse_shows_up_in_obs_counters() {
     assert!(snap.workspace_bytes_reused > 0);
 }
 
-/// The scheduler's accounting invariants: exactly one B pack per packed
-/// GEMM, claims covering every cell of every grid, and the per-slot
-/// tallies summing to the total.
+/// The scheduler's accounting invariants: exactly one B pack per GEMM
+/// that packs (each of these has more than one strip), claims covering
+/// every cell of every grid, and the per-slot tallies summing to the
+/// total.
 #[test]
 fn tile_grid_counters_account_for_every_cell() {
     let _g = lock();
@@ -401,9 +486,11 @@ fn tile_grid_counters_account_for_every_cell() {
 
 /// Concurrent checkouts must hand out disjoint buffers: each thread stamps
 /// its guard with a unique pattern and must read it back intact while
-/// other threads are stamping theirs.
+/// other threads are stamping theirs. (Under the suite lock: its checkouts
+/// would land in another test's exact arena tallies.)
 #[test]
 fn concurrent_checkouts_are_never_aliased() {
+    let _g = lock();
     std::thread::scope(|s| {
         for tid in 0..6 {
             s.spawn(move || {
