@@ -6,6 +6,9 @@
 //! After an *intentional* numeric change, regenerate with
 //! `cargo test --test integration_golden -- --nocapture` and copy the
 //! printed `GOLDEN_*` block over the constants below.
+//!
+//! The obs metrics store the losses are read from is process-global, so
+//! every test that records into it holds [`OBS`] while it runs.
 
 use metalora::config::ExperimentConfig;
 use metalora::methods::Method;
@@ -13,6 +16,14 @@ use metalora::table1::{run_table1, Table1Options};
 use metalora::{pipeline, Arch};
 
 const SEED: u64 = 42;
+
+/// Serialises the tests that switch the process-global obs collectors.
+static OBS: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+/// Holds [`OBS`], also after another test panicked while holding it.
+fn obs_lock() -> std::sync::MutexGuard<'static, ()> {
+    OBS.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}
 
 /// Pretrain per-epoch losses followed by the adapt-phase mean loss,
 /// as exact f64 bit patterns (quick config: 2 + 1 records).
@@ -43,6 +54,7 @@ fn run_pipeline() -> [f32; 2] {
 
 #[test]
 fn golden_quick_pipeline() {
+    let _obs = obs_lock();
     // Reference run with every collector off.
     metalora_obs::set_enabled(false);
     metalora_obs::trace::set_enabled(false);
@@ -177,6 +189,63 @@ fn golden_quick_pipeline() {
     }
 }
 
+/// The Mixer pipeline's pretrain per-epoch losses and adapt-phase mean
+/// loss, as exact f64 bit patterns. Every mixing MLP is linear → GELU →
+/// linear, so these pin the activations of a GELU-heavy backbone on both
+/// of MetaLoRA's passes and in the backward.
+const GOLDEN_MIXER_LOSSES: [u64; 3] = [
+    0x4001ee9b20000000, // 2.241506814956665
+    0x4001276f60000000, // 2.1442553997039795
+    0x4000f66e3999999a, // 2.120327425003052
+];
+
+/// The Mixer pipeline's probe mean accuracy for K = 5 and K = 10, as
+/// exact f32 bit patterns.
+const GOLDEN_MIXER_ACCS: [u32; 2] = [
+    0x3e900000, // 0.28125
+    0x3e000000, // 0.125
+];
+
+/// One seeded quick run: Mixer pretrain → Meta-LoRA CP adapt → probe,
+/// pinned bit for bit.
+#[test]
+fn golden_quick_mixer_pipeline() {
+    let _obs = obs_lock();
+    metalora_obs::set_enabled(true);
+    metalora_obs::reset();
+    let cfg = ExperimentConfig::quick();
+    let net = pipeline::pretrain(&cfg, Arch::Mixer, SEED).unwrap();
+    let adapted = pipeline::adapt(net, Method::MetaLoraCp, &cfg, SEED).unwrap();
+    let probe = pipeline::probe(&adapted, &cfg, SEED).unwrap();
+    let epochs = metalora_obs::metrics::snapshot();
+    metalora_obs::set_enabled(false);
+    metalora_obs::reset();
+
+    assert_eq!(
+        epochs.iter().map(|e| e.phase.as_str()).collect::<Vec<_>>(),
+        ["pretrain/epoch", "pretrain/epoch", "adapt/MetaLoraCp"],
+    );
+    let losses: Vec<f64> = epochs.iter().map(|e| e.loss).collect();
+    let accs = [probe.mean_accuracy(5).unwrap(), probe.mean_accuracy(10).unwrap()];
+
+    // Regeneration aid: printed only under --nocapture.
+    println!("const GOLDEN_MIXER_LOSSES: [u64; {}] = [", losses.len());
+    for l in &losses {
+        println!("    0x{:016x}, // {l:?}", l.to_bits());
+    }
+    println!("];");
+    println!("const GOLDEN_MIXER_ACCS: [u32; 2] = [");
+    for a in &accs {
+        println!("    0x{:08x}, // {a:?}", a.to_bits());
+    }
+    println!("];");
+
+    let loss_bits: Vec<u64> = losses.iter().map(|l| l.to_bits()).collect();
+    assert_eq!(loss_bits, GOLDEN_MIXER_LOSSES, "Mixer losses drifted: {losses:?}");
+    let acc_bits = accs.map(f32::to_bits);
+    assert_eq!(acc_bits, GOLDEN_MIXER_ACCS, "Mixer probe accuracies drifted: {accs:?}");
+}
+
 /// Full quick-scale Table I grid with instrumentation on: the run report
 /// must serialise to valid JSON carrying per-phase spans, per-kernel
 /// counters and per-epoch metrics, and land on disk as `RUNLOG_*.json`.
@@ -184,6 +253,7 @@ fn golden_quick_pipeline() {
 #[test]
 #[ignore = "slow: full quick-scale table1 grid; run via --include-ignored"]
 fn runlog_captures_full_table1_grid() {
+    let _obs = obs_lock();
     metalora_obs::set_enabled(true);
     metalora_obs::reset();
     let mut cfg = ExperimentConfig::quick();
