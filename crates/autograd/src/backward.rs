@@ -8,7 +8,7 @@
 //! still visited in descending node order, so each surviving slot sums the
 //! same terms in the same order — pruning is bitwise-invisible.
 
-use crate::graph::{gelu_bwd, Graph, Node, NormSaved, Op, Var};
+use crate::graph::{Graph, Node, NormSaved, Op, Var};
 use crate::Result;
 use metalora_tensor::conv;
 use metalora_tensor::{ops, workspace, Tensor, TensorError};
@@ -194,9 +194,7 @@ impl Graph {
                     })?;
                 }
                 Op::Gelu(a) => {
-                    accumulate(parents, *a, |p| {
-                        ops::zip_with(g, &p[a.0].value, |gy, x| gy * gelu_bwd(x))
-                    })?;
+                    accumulate(parents, *a, |p| ops::gelu_backward(&p[a.0].value, g))?;
                 }
                 Op::Tanh(a) => {
                     let y = &node.value;

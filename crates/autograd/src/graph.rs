@@ -371,15 +371,18 @@ impl Graph {
         self.push(v, Op::Relu(a))
     }
 
-    /// GELU (tanh approximation).
+    /// GELU (tanh approximation): [`ops::gelu`], the vector body
+    /// tape-free inference runs too, so both are bitwise equal. Its
+    /// backward is [`ops::gelu_backward`].
     pub fn gelu(&mut self, a: Var) -> Var {
-        let v = ops::map(&self.nodes[a.0].value, gelu_fwd);
+        let v = ops::gelu(&self.nodes[a.0].value);
         self.push(v, Op::Gelu(a))
     }
 
-    /// tanh.
+    /// tanh: [`ops::tanh`], bitwise fdlibm's `tanhf` on every host and
+    /// SIMD level, and the body tape-free inference runs too.
     pub fn tanh(&mut self, a: Var) -> Var {
-        let v = ops::map(&self.nodes[a.0].value, f32::tanh);
+        let v = ops::tanh(&self.nodes[a.0].value);
         self.push(v, Op::Tanh(a))
     }
 
@@ -720,23 +723,6 @@ impl Lowering for Graph {
     }
 }
 
-/// GELU forward (tanh approximation). Public so tape-free inference
-/// paths (`metalora_nn::infer`, the serving engine) can apply the exact
-/// same scalar function and stay bitwise-identical to [`Graph::gelu`].
-/// The canonical scalar is [`metalora_tensor::ops::gelu`].
-pub fn gelu_fwd(x: f32) -> f32 {
-    metalora_tensor::ops::gelu(x)
-}
-
-/// GELU derivative (tanh approximation).
-pub(crate) fn gelu_bwd(x: f32) -> f32 {
-    const C: f32 = 0.797_884_6;
-    let u = C * (x + 0.044_715 * x * x * x);
-    let t = u.tanh();
-    let du = C * (1.0 + 3.0 * 0.044_715 * x * x);
-    0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -873,11 +859,14 @@ mod tests {
 
     #[test]
     fn gelu_shape_and_known_points() {
-        assert!((gelu_fwd(0.0)).abs() < 1e-7);
-        assert!((gelu_fwd(10.0) - 10.0).abs() < 1e-3);
-        assert!(gelu_fwd(-10.0).abs() < 1e-3);
+        let at = |x: f32| ops::gelu(&Tensor::scalar(x)).data()[0];
+        assert!(at(0.0).abs() < 1e-7);
+        assert!((at(10.0) - 10.0).abs() < 1e-3);
+        assert!(at(-10.0).abs() < 1e-3);
         // Derivative at 0 is 0.5.
-        assert!((gelu_bwd(0.0) - 0.5).abs() < 1e-5);
+        let one = Tensor::scalar(1.0);
+        let slope = ops::gelu_backward(&Tensor::scalar(0.0), &one).unwrap().data()[0];
+        assert!((slope - 0.5).abs() < 1e-5);
     }
 
     #[test]

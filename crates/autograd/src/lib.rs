@@ -34,7 +34,7 @@ pub mod check;
 pub mod graph;
 pub mod param;
 
-pub use graph::{gelu_fwd, Graph, Var};
+pub use graph::{Graph, Var};
 pub use param::ParamRef;
 
 /// Crate-wide result alias (errors are tensor errors).

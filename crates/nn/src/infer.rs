@@ -13,7 +13,6 @@
 //! these helpers from any thread.
 
 use crate::Result;
-use metalora_autograd::gelu_fwd;
 use metalora_tensor::conv::{self, ConvSpec};
 use metalora_tensor::ops::GemmDesc;
 use metalora_tensor::{ops, Tensor};
@@ -32,16 +31,17 @@ pub fn conv2d(x: &Tensor, w: &Tensor, bias: Option<&Tensor>, spec: ConvSpec) -> 
     conv::conv2d_bias(x, w, bias, spec, spec)
 }
 
-/// GELU (tanh approximation) — applies the same scalar function as
-/// [`metalora_autograd::Graph::gelu`] (both share
-/// [`metalora_tensor::ops::gelu`]).
+/// GELU (tanh approximation) — the twin of
+/// [`metalora_autograd::Graph::gelu`]: both run the vector body
+/// [`ops::gelu`], so the serve mapping net is bitwise the tape's.
 pub fn gelu(x: &Tensor) -> Tensor {
-    ops::map(x, gelu_fwd)
+    ops::gelu(x)
 }
 
-/// tanh — the twin of [`metalora_autograd::Graph::tanh`].
+/// tanh — the twin of [`metalora_autograd::Graph::tanh`]: both run
+/// [`ops::tanh`], bitwise fdlibm's `tanhf`.
 pub fn tanh(x: &Tensor) -> Tensor {
-    ops::map(x, f32::tanh)
+    ops::tanh(x)
 }
 
 /// ReLU — the twin of [`metalora_autograd::Graph::relu`].

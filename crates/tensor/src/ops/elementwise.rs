@@ -124,15 +124,6 @@ pub fn neg(t: &Tensor) -> Tensor {
     map(t, |x| -x)
 }
 
-/// Tanh-approximated GELU, the single shared definition: the autograd
-/// tape's forward delegates here, and tape-free inference maps it over a
-/// finished product, so both compute bit-identical activations.
-#[inline]
-pub fn gelu(x: f32) -> f32 {
-    const C: f32 = 0.797_884_6; // sqrt(2/π)
-    0.5 * x * (1.0 + (C * (x + 0.044_715 * x * x * x)).tanh())
-}
-
 /// `a + s * b` for same-shaped tensors — the axpy workhorse of the
 /// optimisers, done in a single pass.
 pub fn add_scaled(a: &Tensor, b: &Tensor, s: f32) -> Result<Tensor> {

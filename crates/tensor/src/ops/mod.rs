@@ -1,8 +1,9 @@
 //! Numeric kernels over [`crate::Tensor`]: elementwise arithmetic with
-//! broadcasting, reductions, axis permutation, concatenation, a blocked
-//! matrix multiply and the segmented low-rank pass the serving engine
-//! adds every factored tenant's update with.
+//! broadcasting, the vector GELU and tanh, reductions, axis permutation,
+//! concatenation, a blocked matrix multiply and the segmented low-rank
+//! pass the serving engine adds every factored tenant's update with.
 
+mod act;
 mod concat;
 mod elementwise;
 mod lowrank;
@@ -11,8 +12,9 @@ pub mod microkernel;
 mod permute;
 mod reduce;
 
+pub use act::{gelu, gelu_backward, tanh};
 pub use concat::concat;
-pub use elementwise::{add, add_scaled, div, gelu, map, mul, neg, scale, sub, zip_with};
+pub use elementwise::{add, add_scaled, div, map, mul, neg, scale, sub, zip_with};
 pub use lowrank::{lowrank, Mix, Seed, Segment};
 pub use matmul::{
     epilogue_pass, gemm, matmul, matmul_transpose_a, matmul_transpose_b, GemmDesc, Layout,
