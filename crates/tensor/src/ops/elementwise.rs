@@ -2,8 +2,13 @@
 //!
 //! The same-shape paths run through [`crate::par::par_row_blocks`]; each
 //! output element depends on one input slot, so the parallel split is
-//! trivially bitwise-deterministic. The broadcast path keeps its serial
-//! odometer walk.
+//! trivially bitwise-deterministic. The broadcast path walks **runs**, as
+//! `ops::permute` does: adjacent output axes that both operands step
+//! through alike are coalesced, an odometer runs over the outer axes, and
+//! over the innermost run each operand is contiguous or held fixed. It
+//! stays serial. Each output element is still one call of the closure on
+//! the same two input elements, so the walk is bitwise the per-element
+//! definition (`tests/broadcast_equiv.rs`).
 
 use crate::par::par_row_blocks;
 use crate::shape::Shape;
@@ -39,31 +44,85 @@ pub fn zip_with(a: &Tensor, b: &Tensor, f: impl Fn(f32, f32) -> f32 + Sync) -> R
         return Tensor::from_vec(data, a.dims());
     }
     let out_shape = a.shape().broadcast(b.shape())?;
-    let mut out = Tensor::zeros(out_shape.dims());
-    let a_strides = broadcast_strides(a.shape(), &out_shape)?;
-    let b_strides = broadcast_strides(b.shape(), &out_shape)?;
-    let out_dims = out_shape.dims().to_vec();
+    let axes = coalesce(
+        out_shape.dims(),
+        &broadcast_strides(a.shape(), &out_shape)?,
+        &broadcast_strides(b.shape(), &out_shape)?,
+    );
     let (a_data, b_data) = (a.data(), b.data());
-    let out_data = out.data_mut();
-    let mut idx = vec![0usize; out_dims.len()];
-    for out_slot in out_data.iter_mut() {
-        let mut a_off = 0usize;
-        let mut b_off = 0usize;
-        for (k, &i) in idx.iter().enumerate() {
-            a_off += i * a_strides[k];
-            b_off += i * b_strides[k];
-        }
-        *out_slot = f(a_data[a_off], b_data[b_off]);
-        // Odometer increment.
-        for k in (0..out_dims.len()).rev() {
-            idx[k] += 1;
-            if idx[k] < out_dims[k] {
-                break;
+    let mut data = vec![0.0f32; out_shape.num_elements()];
+    if !data.is_empty() {
+        // An output of no axis beyond extent 1 is one run of one element.
+        let (&(run, a_step, b_step), outer) = axes.split_last().unwrap_or((&(1, 0, 0), &[]));
+        let mut idx = vec![0usize; outer.len()];
+        let (mut a_off, mut b_off) = (0usize, 0usize);
+        for dst in data.chunks_exact_mut(run) {
+            let (x, y) = (&a_data[a_off..], &b_data[b_off..]);
+            match (a_step, b_step) {
+                (1, 1) => {
+                    for ((o, &p), &q) in dst.iter_mut().zip(&x[..run]).zip(&y[..run]) {
+                        *o = f(p, q);
+                    }
+                }
+                (1, 0) => {
+                    let q = y[0];
+                    for (o, &p) in dst.iter_mut().zip(&x[..run]) {
+                        *o = f(p, q);
+                    }
+                }
+                (0, 1) => {
+                    let p = x[0];
+                    for (o, &q) in dst.iter_mut().zip(&y[..run]) {
+                        *o = f(p, q);
+                    }
+                }
+                // Any other pair of strides; only the single element of
+                // an output with no axis beyond extent 1 lands here.
+                _ => {
+                    for (j, o) in dst.iter_mut().enumerate() {
+                        *o = f(x[j * a_step], y[j * b_step]);
+                    }
+                }
             }
-            idx[k] = 0;
+            // Odometer increment over the outer axes.
+            for (k, &(extent, a_stride, b_stride)) in outer.iter().enumerate().rev() {
+                idx[k] += 1;
+                a_off += a_stride;
+                b_off += b_stride;
+                if idx[k] < extent {
+                    break;
+                }
+                a_off -= extent * a_stride;
+                b_off -= extent * b_stride;
+                idx[k] = 0;
+            }
         }
     }
-    Ok(out)
+    Tensor::from_vec(data, out_shape.dims())
+}
+
+/// The broadcast walk's axes, outermost first, as `(extent, stride in a,
+/// stride in b)`: extent-1 axes dropped, and an axis folded into the next
+/// inner one whenever both operands step across the pair as across one
+/// axis. The innermost stride of each operand is then 1 or 0.
+fn coalesce(
+    dims: &[usize],
+    a_strides: &[usize],
+    b_strides: &[usize],
+) -> Vec<(usize, usize, usize)> {
+    let mut axes: Vec<(usize, usize, usize)> = Vec::with_capacity(dims.len());
+    for k in (0..dims.len()).rev().filter(|&k| dims[k] != 1) {
+        match axes.last_mut() {
+            Some((extent, a, b))
+                if a_strides[k] == *a * *extent && b_strides[k] == *b * *extent =>
+            {
+                *extent *= dims[k];
+            }
+            _ => axes.push((dims[k], a_strides[k], b_strides[k])),
+        }
+    }
+    axes.reverse();
+    axes
 }
 
 /// Strides of `src` viewed under the broadcast `target` shape: broadcast
