@@ -157,6 +157,13 @@ impl Graph {
                     accumulate(parents, *a, |p| ops::matmul_transpose_b(g, &p[b.0].value))?;
                     accumulate(parents, *b, |p| ops::matmul_transpose_a(&p[a.0].value, g))?;
                 }
+                Op::Linear(x, w, b) => {
+                    // The matmul rule, then the bias's column sums: what
+                    // `reduce_to_shape(g, [O])` builds for a broadcast add.
+                    accumulate(parents, *x, |p| ops::matmul_transpose_b(g, &p[w.0].value))?;
+                    accumulate(parents, *w, |p| ops::matmul_transpose_a(&p[x.0].value, g))?;
+                    accumulate(parents, *b, |_| ops::sum_axis(g, 0))?;
+                }
                 Op::Softmax(a) => {
                     // dx = y ⊙ (g − Σ_lane(g ⊙ y)).
                     let y = &node.value;

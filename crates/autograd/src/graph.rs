@@ -13,6 +13,7 @@ use crate::param::ParamRef;
 use crate::Result;
 use metalora_tensor::contract::{Lowering, Plan};
 use metalora_tensor::conv::{self, ConvSpec};
+use metalora_tensor::ops::GemmDesc;
 use metalora_tensor::{ops, Tensor, TensorError};
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -41,6 +42,8 @@ pub(crate) enum Op {
     Scale(Var, f32),
     /// Matrix product `a · b`, per batch slice for rank-3 operands.
     Matmul(Var, Var),
+    /// Dense layer `x · w + b`, the bias added in the GEMM's store.
+    Linear(Var, Var, Var),
     /// Softmax over the last axis (stores the output).
     Softmax(Var),
     /// Reshape (stores the input shape for the backward reshape).
@@ -116,6 +119,7 @@ impl Op {
                 [Some(*a), Some(*b), None]
             }
             Op::Conv2d { x, w, .. } => [Some(*x), Some(*w), None],
+            Op::Linear(x, w, b) => [Some(*x), Some(*w), Some(*b)],
             Op::LayerNorm { x, gamma, beta, .. } | Op::BatchNorm2d { x, gamma, beta, .. } => {
                 [Some(*x), Some(*gamma), Some(*beta)]
             }
@@ -316,6 +320,26 @@ impl Graph {
     pub fn matmul(&mut self, a: Var, b: Var) -> Result<Var> {
         let v = ops::matmul(&self.nodes[a.0].value, &self.nodes[b.0].value)?;
         Ok(self.push(v, Op::Matmul(a, b)))
+    }
+
+    /// Dense layer `x·W + b` for `x:[N,I]`, `W:[I,O]`, `b:[O]`: one node,
+    /// the bias added in the GEMM's store — the call `nn::infer::linear`
+    /// makes, so tape ≡ serve holds by construction. It is bitwise the
+    /// `matmul` + broadcast `add` pair: each element is the same full-`k`
+    /// accumulation followed by the same single add of `b[j]`.
+    pub fn linear(&mut self, x: Var, w: Var, b: Var) -> Result<Var> {
+        let (wv, bv) = (&self.nodes[w.0].value, &self.nodes[b.0].value);
+        // `gemm` checks only the bias length: a `[O, 1]` bias, which the
+        // broadcast add read as a column, must not pass as a row.
+        if wv.rank() != 2 || bv.dims() != [wv.dims()[1]] {
+            return Err(TensorError::ShapeMismatch {
+                op: "linear bias",
+                lhs: wv.dims().to_vec(),
+                rhs: bv.dims().to_vec(),
+            });
+        }
+        let v = ops::gemm(&GemmDesc::new(&self.nodes[x.0].value, wv).epilogue(Some(bv)))?;
+        Ok(self.push(v, Op::Linear(x, w, b)))
     }
 
     /// Softmax over the last axis (any rank ≥ 1), numerically stabilised.
@@ -690,12 +714,6 @@ impl Graph {
     }
 
     // ---- compound helpers -------------------------------------------------
-
-    /// Dense layer `x·W + b` for `x:[N,I]`, `W:[I,O]`, `b:[O]`.
-    pub fn linear(&mut self, x: Var, w: Var, b: Var) -> Result<Var> {
-        let y = self.matmul(x, w)?;
-        self.add(y, b)
-    }
 
     /// Contracts a tensor network given as a label `spec`
     /// (`"ni,xiy,yoz,nzx->no"`): the plan

@@ -25,6 +25,7 @@ enum Step {
     Mul(usize, usize),
     BatchedMatmul(usize, usize),
     Matmul { x: usize, leaf: usize },
+    Linear { x: usize, w: usize, b: usize },
     Permute(usize),
     Reshape(usize),
     Gelu(usize),
@@ -60,7 +61,7 @@ fn random_program(seed: u64, n_steps: usize) -> Program {
             leaves.push(init::uniform(dims, -1.0, 1.0, rng));
             leaves.len() - 1
         };
-        steps.push(match rng.gen_range(0..9) {
+        steps.push(match rng.gen_range(0..10) {
             0 => Step::Add(a, b),
             1 => Step::Mul(a, b),
             2 => Step::BatchedMatmul(a, b),
@@ -75,6 +76,11 @@ fn random_program(seed: u64, n_steps: usize) -> Program {
                 x: a,
                 gamma: leaf(&[D], &mut rng),
                 beta: leaf(&[D], &mut rng),
+            },
+            8 => Step::Linear {
+                x: a,
+                w: leaf(&[D, D], &mut rng),
+                b: leaf(&[D], &mut rng),
             },
             _ => Step::Conv2d {
                 x: a,
@@ -116,6 +122,11 @@ fn record(p: &Program, differentiable: &[bool]) -> (Graph, Vec<Var>, Var) {
             Step::Matmul { x, leaf } => {
                 let rows = g.reshape(pool[x], &[B * D, D]).unwrap();
                 let y = g.matmul(rows, leaves[leaf]).unwrap();
+                g.reshape(y, &[B, D, D]).unwrap()
+            }
+            Step::Linear { x, w, b } => {
+                let rows = g.reshape(pool[x], &[B * D, D]).unwrap();
+                let y = g.linear(rows, leaves[w], leaves[b]).unwrap();
                 g.reshape(y, &[B, D, D]).unwrap()
             }
             Step::Permute(a) => g.permute(pool[a], &[0, 2, 1]).unwrap(),

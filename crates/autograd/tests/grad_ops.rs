@@ -221,6 +221,23 @@ fn grad_sum_and_mean_axis() {
 }
 
 #[test]
+fn grad_linear_all_inputs() {
+    // The dense node alone: `dx`, `dW` and `db` of one GEMM with its bias
+    // in the store, under a loss that is not linear in the output.
+    let r = grad_check(
+        &[rand(&[4, 5], 41), rand(&[5, 3], 42), rand(&[3], 43)],
+        EPS,
+        |g, v| {
+            let y = g.linear(v[0], v[1], v[2])?;
+            let y2 = g.mul(y, y)?;
+            g.mean_all(y2)
+        },
+    )
+    .unwrap();
+    assert!(r.passes(TOL), "{r:?}");
+}
+
+#[test]
 fn grad_linear_composite() {
     let r = grad_check(
         &[rand(&[5, 3], 29), rand(&[3, 4], 30), rand(&[4], 31)],

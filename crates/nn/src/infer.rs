@@ -19,7 +19,8 @@ use metalora_tensor::{ops, Tensor};
 
 /// Dense layer `x·W (+ b)` for `x:[N,I]`, `w:[I,O]`, `bias:[O]` — the
 /// tape-free twin of [`crate::Linear`]'s forward. The bias add rides the
-/// GEMM's store — bitwise identical to the tape's separate add.
+/// GEMM's store — the same call [`metalora_autograd::Graph::linear`]
+/// makes.
 pub fn linear(x: &Tensor, w: &Tensor, bias: Option<&Tensor>) -> Result<Tensor> {
     ops::gemm(&GemmDesc::new(x, w).epilogue(bias))
 }

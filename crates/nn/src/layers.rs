@@ -56,13 +56,12 @@ impl Linear {
 impl Module for Linear {
     fn forward(&self, g: &mut Graph, x: Var, _ctx: &Ctx) -> Result<Var> {
         let w = g.bind(&self.weight);
-        let y = g.matmul(x, w)?;
         match &self.bias {
             Some(b) => {
                 let bv = g.bind(b);
-                g.add(y, bv)
+                g.linear(x, w, bv)
             }
-            None => Ok(y),
+            None => g.matmul(x, w),
         }
     }
 

@@ -190,16 +190,16 @@ fn every_method_on_every_backbone_matches_its_golden() {
 
 #[rustfmt::skip]
 const GOLDEN: [(Method, Arch, &str); 12] = [
-    (Method::Lora, Arch::ResNet, "10 lora_conv0.conv_lora_a lora_conv4.conv_lora_b 57516994ea6c5b58 5 79 3fb7e334 3bc20554a777df4b f95e59d6c44e6e7c"),
-    (Method::Lora, Arch::Mixer, "8 lora_fc0.lora_a lora_fc3.lora_b b7299c710d1d0fb5 4 75 3fafebbc f03661483ef29cac cbc72076c17ba3c7"),
-    (Method::Lora, Arch::Vit, "12 lora_vit0.lora_a lora_vit5.lora_b 9fbdff7382d56e7f 6 111 3fed00c6 66fc71957acca0ad efe960d2c608f91b"),
-    (Method::Multi, Arch::ResNet, "30 multi_conv0.multi_conv_lora_a0 multi_conv4.multi_conv_lora_b2 0bb1b5b78bb391d4 5 79 3fd331d6 d633ef2df8c86ead 14cd724aad90fc98"),
-    (Method::Multi, Arch::Mixer, "24 multi_fc0.multi_lora_a0 multi_fc3.multi_lora_b2 f2b4567da6712785 4 75 3faeb053 e6d77fdfce3cde81 d25e9f05209c8744"),
-    (Method::Multi, Arch::Vit, "36 multi_vit0.multi_lora_a0 multi_vit5.multi_lora_b2 92d1ff2bc97723df 6 111 3ff86866 d23752cc50161507 269f771432ceda32"),
-    (Method::MetaCp, Arch::ResNet, "14 meta_conv0.meta_cp_conv_a mapping.b2 8bd91390d362f872 5 137 3fba33f3 417cb1c917d7dfcc a0bf98ed2f982475"),
-    (Method::MetaCp, Arch::Mixer, "12 meta_fc0.meta_cp_a mapping.b2 5afded022d29a827 4 150 3fa63d54 21fe618fdfb58ac4 7bee51966e0f7b22"),
-    (Method::MetaCp, Arch::Vit, "16 meta_vit0.meta_cp_a mapping.b2 1e46c029b2f769ef 6 220 3ff82796 f49fdafefabffc76 0e328e90126f0511"),
-    (Method::MetaTr, Arch::ResNet, "14 meta_conv0.meta_tr_conv_a mapping.b2 06ecaf3fa7e63326 5 177 3f971c3d f0903f03b745dd24 6fb574ab094b972e"),
-    (Method::MetaTr, Arch::Mixer, "12 meta_fc0.meta_tr_a mapping.b2 95c171a5baf18af7 4 178 3fb8a370 dbb69f48659a0ec5 53089fc9fa935808"),
-    (Method::MetaTr, Arch::Vit, "16 meta_vit0.meta_tr_a mapping.b2 81ee25c94ea9d277 6 262 4001f33d edf02c6135c3ee8e c76299663640e6a0"),
+    (Method::Lora, Arch::ResNet, "10 lora_conv0.conv_lora_a lora_conv4.conv_lora_b 57516994ea6c5b58 5 78 3fb7e334 3bc20554a777df4b f95e59d6c44e6e7c"),
+    (Method::Lora, Arch::Mixer, "8 lora_fc0.lora_a lora_fc3.lora_b b7299c710d1d0fb5 4 69 3fafebbc f03661483ef29cac cbc72076c17ba3c7"),
+    (Method::Lora, Arch::Vit, "12 lora_vit0.lora_a lora_vit5.lora_b 9fbdff7382d56e7f 6 103 3fed00c6 66fc71957acca0ad efe960d2c608f91b"),
+    (Method::Multi, Arch::ResNet, "30 multi_conv0.multi_conv_lora_a0 multi_conv4.multi_conv_lora_b2 0bb1b5b78bb391d4 5 78 3fd331d6 d633ef2df8c86ead 14cd724aad90fc98"),
+    (Method::Multi, Arch::Mixer, "24 multi_fc0.multi_lora_a0 multi_fc3.multi_lora_b2 f2b4567da6712785 4 69 3faeb053 e6d77fdfce3cde81 d25e9f05209c8744"),
+    (Method::Multi, Arch::Vit, "36 multi_vit0.multi_lora_a0 multi_vit5.multi_lora_b2 92d1ff2bc97723df 6 103 3ff86866 d23752cc50161507 269f771432ceda32"),
+    (Method::MetaCp, Arch::ResNet, "14 meta_conv0.meta_cp_conv_a mapping.b2 8bd91390d362f872 5 134 3fba33f3 417cb1c917d7dfcc a0bf98ed2f982475"),
+    (Method::MetaCp, Arch::Mixer, "12 meta_fc0.meta_cp_a mapping.b2 5afded022d29a827 4 137 3fa63d54 21fe618fdfb58ac4 7bee51966e0f7b22"),
+    (Method::MetaCp, Arch::Vit, "16 meta_vit0.meta_cp_a mapping.b2 1e46c029b2f769ef 6 203 3ff82796 f49fdafefabffc76 0e328e90126f0511"),
+    (Method::MetaTr, Arch::ResNet, "14 meta_conv0.meta_tr_conv_a mapping.b2 06ecaf3fa7e63326 5 174 3f971c3d f0903f03b745dd24 6fb574ab094b972e"),
+    (Method::MetaTr, Arch::Mixer, "12 meta_fc0.meta_tr_a mapping.b2 95c171a5baf18af7 4 165 3fb8a370 dbb69f48659a0ec5 53089fc9fa935808"),
+    (Method::MetaTr, Arch::Vit, "16 meta_vit0.meta_tr_a mapping.b2 81ee25c94ea9d277 6 245 4001f33d edf02c6135c3ee8e c76299663640e6a0"),
 ];
