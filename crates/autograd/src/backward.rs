@@ -209,12 +209,6 @@ impl Graph {
                         ops::zip_with(g, y, |gy, y| gy * (1.0 - y * y))
                     })?;
                 }
-                Op::Sigmoid(a) => {
-                    let y = &node.value;
-                    accumulate(parents, *a, |_| {
-                        ops::zip_with(g, y, |gy, y| gy * y * (1.0 - y))
-                    })?;
-                }
                 Op::SoftmaxCrossEntropy {
                     logits,
                     labels,
@@ -229,14 +223,6 @@ impl Graph {
                             gl.data_mut()[i * c + y] -= 1.0;
                         }
                         Ok(ops::scale(&gl, gs / n as f32))
-                    })?;
-                }
-                Op::MseLoss { pred, target } => {
-                    accumulate(parents, *pred, |p| {
-                        let gs = g.item()?;
-                        let n = target.len().max(1) as f32;
-                        let gp = ops::zip_with(&p[pred.0].value, target, |p, t| 2.0 * (p - t))?;
-                        Ok(ops::scale(&gp, gs / n))
                     })?;
                 }
                 Op::LayerNorm {
@@ -389,11 +375,6 @@ impl Graph {
                         Ok(dx)
                     })?;
                 }
-                Op::SumAxis(a, axis) => {
-                    accumulate(parents, *a, |p| {
-                        broadcast_axis(g, *axis, p[a.0].value.dims()[*axis])
-                    })?;
-                }
                 Op::MeanAxis(a, axis) => {
                     accumulate(parents, *a, |p| {
                         let d = p[a.0].value.dims()[*axis];
@@ -407,9 +388,6 @@ impl Graph {
                         let n = p[a.0].value.len().max(1) as f32;
                         Ok(Tensor::full(p[a.0].value.dims(), gs / n))
                     })?;
-                }
-                Op::Dropout { x, mask } => {
-                    accumulate(parents, *x, |_| ops::mul(g, saved(mask)))?;
                 }
             }
             node.grad = Some(upstream);
@@ -670,14 +648,6 @@ mod tests {
         let y = 0.5f32.tanh();
         let expect = (1.0 - y * y) / 2.0;
         assert!((g.grad(x).data()[0] - expect).abs() < 1e-5);
-
-        let mut g = Graph::new();
-        let x = g.variable(Tensor::from_vec(vec![0.3], &[1]).unwrap());
-        let s = g.sigmoid(x);
-        let l = g.mean_all(s).unwrap();
-        g.backward(l).unwrap();
-        let y = 1.0 / (1.0 + (-0.3f32).exp());
-        assert!((g.grad(x).data()[0] - y * (1.0 - y)).abs() < 1e-5);
     }
 
     #[test]
@@ -718,24 +688,5 @@ mod tests {
         let gx = g.grad(x);
         assert_eq!(gx.dims(), &[2, 3, 4]);
         assert!(gx.data().iter().all(|&v| (v - 1.0 / 24.0).abs() < 1e-7));
-    }
-
-    #[test]
-    fn dropout_backward_masks() {
-        let mut g = Graph::new();
-        let x = g.variable(Tensor::ones(&[100]));
-        let mut rng = metalora_tensor::init::rng(5);
-        let y = g.dropout(x, 0.5, &mut rng).unwrap();
-        let l = g.mean_all(y).unwrap();
-        g.backward(l).unwrap();
-        let gx = g.grad(x);
-        let yv = g.value(y);
-        for (gv, &ov) in gx.data().iter().zip(yv.data()) {
-            if ov == 0.0 {
-                assert_eq!(*gv, 0.0);
-            } else {
-                assert!((gv - 2.0 / 100.0).abs() < 1e-6);
-            }
-        }
     }
 }

@@ -5,7 +5,7 @@
 //! [`Graph::bind`] on a training tape; an op node has demand iff any of its
 //! operands (`Op::parents`) has. [`Graph::backward`] visits only nodes with
 //! demand and builds only the operand gradients that have it, and a builder
-//! saves an activation (`xhat`, `probs`, a dropout mask) only for a
+//! saves an activation (`xhat`, `probs`) only for a
 //! node whose backward will read it. Data — images, features, constants —
 //! enters through [`Graph::input`] and is never differentiated.
 
@@ -15,8 +15,6 @@ use metalora_tensor::contract::{Lowering, Plan};
 use metalora_tensor::conv::{self, ConvSpec};
 use metalora_tensor::ops::GemmDesc;
 use metalora_tensor::{ops, Tensor, TensorError};
-use rand::rngs::StdRng;
-use rand::Rng;
 
 /// Handle to a node in a [`Graph`]. Cheap to copy; only valid for the
 /// graph that produced it.
@@ -56,8 +54,6 @@ pub(crate) enum Op {
     Gelu(Var),
     /// Hyperbolic tangent (stores the output).
     Tanh(Var),
-    /// Logistic sigmoid (stores the output).
-    Sigmoid(Var),
     /// Mean softmax cross-entropy against integer labels; stores softmax
     /// probabilities for the fused backward.
     SoftmaxCrossEntropy {
@@ -65,8 +61,6 @@ pub(crate) enum Op {
         labels: Vec<usize>,
         probs: Option<Tensor>,
     },
-    /// Mean squared error against a constant target.
-    MseLoss { pred: Var, target: Tensor },
     /// Layer norm over the last axis with affine parameters.
     LayerNorm {
         x: Var,
@@ -91,14 +85,10 @@ pub(crate) enum Op {
     },
     /// `[N, C, H, W] → [N, C]` spatial mean.
     GlobalAvgPool2d(Var),
-    /// Sum over one axis.
-    SumAxis(Var, usize),
     /// Mean over one axis.
     MeanAxis(Var, usize),
     /// Mean of all elements → scalar.
     MeanAll(Var),
-    /// Inverted-dropout mask already folded with the keep-probability.
-    Dropout { x: Var, mask: Option<Tensor> },
 }
 
 /// What a normalisation saves for its backward: the normalised input and
@@ -130,14 +120,10 @@ impl Op {
             | Op::Relu(a)
             | Op::Gelu(a)
             | Op::Tanh(a)
-            | Op::Sigmoid(a)
             | Op::GlobalAvgPool2d(a)
-            | Op::SumAxis(a, _)
             | Op::MeanAxis(a, _)
             | Op::MeanAll(a)
-            | Op::SoftmaxCrossEntropy { logits: a, .. }
-            | Op::MseLoss { pred: a, .. }
-            | Op::Dropout { x: a, .. } => [Some(*a), None, None],
+            | Op::SoftmaxCrossEntropy { logits: a, .. } => [Some(*a), None, None],
         };
         p.into_iter().flatten()
     }
@@ -172,7 +158,7 @@ pub struct Graph {
     pub(crate) nodes: Vec<Node>,
     /// Parameters bound this step: `(node index, handle)`.
     pub(crate) bound: Vec<(usize, ParamRef)>,
-    /// Training-mode flag consumed by dropout/batch-norm wrappers upstream.
+    /// Training-mode flag consumed by the batch-norm wrapper upstream.
     training: bool,
 }
 
@@ -410,12 +396,6 @@ impl Graph {
         self.push(v, Op::Tanh(a))
     }
 
-    /// Logistic sigmoid.
-    pub fn sigmoid(&mut self, a: Var) -> Var {
-        let v = ops::map(&self.nodes[a.0].value, |x| 1.0 / (1.0 + (-x).exp()));
-        self.push(v, Op::Sigmoid(a))
-    }
-
     // ---- losses -----------------------------------------------------------
 
     /// Mean softmax cross-entropy of logits `[N, C]` against integer
@@ -462,33 +442,6 @@ impl Graph {
                 logits,
                 labels: labels.to_vec(),
                 probs,
-            },
-        ))
-    }
-
-    /// Mean squared error against a constant target of the same shape.
-    pub fn mse_loss(&mut self, pred: Var, target: &Tensor) -> Result<Var> {
-        let p = &self.nodes[pred.0].value;
-        if p.shape() != target.shape() {
-            return Err(TensorError::ShapeMismatch {
-                op: "mse_loss",
-                lhs: p.dims().to_vec(),
-                rhs: target.dims().to_vec(),
-            });
-        }
-        let n = p.len().max(1) as f32;
-        let loss = p
-            .data()
-            .iter()
-            .zip(target.data())
-            .map(|(&a, &b)| (a - b) * (a - b))
-            .sum::<f32>()
-            / n;
-        Ok(self.push(
-            Tensor::scalar(loss),
-            Op::MseLoss {
-                pred,
-                target: target.clone(),
             },
         ))
     }
@@ -664,12 +617,6 @@ impl Graph {
 
     // ---- reductions -----------------------------------------------------
 
-    /// Sum over one axis.
-    pub fn sum_axis(&mut self, a: Var, axis: usize) -> Result<Var> {
-        let v = ops::sum_axis(&self.nodes[a.0].value, axis)?;
-        Ok(self.push(v, Op::SumAxis(a, axis)))
-    }
-
     /// Mean over one axis.
     pub fn mean_axis(&mut self, a: Var, axis: usize) -> Result<Var> {
         let v = ops::mean_axis(&self.nodes[a.0].value, axis)?;
@@ -680,37 +627,6 @@ impl Graph {
     pub fn mean_all(&mut self, a: Var) -> Result<Var> {
         let v = Tensor::scalar(ops::mean_all(&self.nodes[a.0].value));
         Ok(self.push(v, Op::MeanAll(a)))
-    }
-
-    // ---- regularisation ---------------------------------------------------
-
-    /// Inverted dropout with keep-probability `1 - p`. In inference mode
-    /// (or `p == 0`) this is the identity.
-    pub fn dropout(&mut self, x: Var, p: f32, rng: &mut StdRng) -> Result<Var> {
-        if !(0.0..1.0).contains(&p) {
-            return Err(TensorError::InvalidArgument(format!(
-                "dropout probability {p} outside [0, 1)"
-            )));
-        }
-        let keep_mask = self.demand([x]);
-        if !self.training || p == 0.0 {
-            let v = self.nodes[x.0].value.clone();
-            let mask = keep_mask.then(|| Tensor::ones(v.dims()));
-            return Ok(self.push(v, Op::Dropout { x, mask }));
-        }
-        let keep = 1.0 - p;
-        let xv = &self.nodes[x.0].value;
-        let mut mask = Tensor::zeros(xv.dims());
-        for m in mask.data_mut() {
-            *m = if rng.gen_range(0.0..1.0f32) < keep {
-                1.0 / keep
-            } else {
-                0.0
-            };
-        }
-        let v = ops::mul(xv, &mask)?;
-        let mask = keep_mask.then_some(mask);
-        Ok(self.push(v, Op::Dropout { x, mask }))
     }
 
     // ---- compound helpers -------------------------------------------------
@@ -853,29 +769,6 @@ mod tests {
     }
 
     #[test]
-    fn dropout_inference_is_identity() {
-        let mut g = Graph::inference();
-        assert!(!g.is_training());
-        let x = g.input(Tensor::ones(&[4]));
-        let mut rng = metalora_tensor::init::rng(0);
-        let y = g.dropout(x, 0.5, &mut rng).unwrap();
-        assert_eq!(g.value(y).data(), &[1.0; 4]);
-    }
-
-    #[test]
-    fn dropout_training_masks_and_scales() {
-        let mut g = Graph::new();
-        let x = g.input(Tensor::ones(&[1000]));
-        let mut rng = metalora_tensor::init::rng(7);
-        let y = g.dropout(x, 0.5, &mut rng).unwrap();
-        let v = g.value(y);
-        let kept = v.data().iter().filter(|&&x| x > 0.0).count();
-        assert!(kept > 400 && kept < 600, "kept {kept}");
-        assert!(v.data().iter().all(|&x| x == 0.0 || (x - 2.0).abs() < 1e-6));
-        assert!(g.dropout(x, 1.0, &mut rng).is_err());
-    }
-
-    #[test]
     fn gelu_shape_and_known_points() {
         let at = |x: f32| ops::gelu(&Tensor::scalar(x)).data()[0];
         assert!(at(0.0).abs() < 1e-7);
@@ -885,15 +778,5 @@ mod tests {
         let one = Tensor::scalar(1.0);
         let slope = ops::gelu_backward(&Tensor::scalar(0.0), &one).unwrap().data()[0];
         assert!((slope - 0.5).abs() < 1e-5);
-    }
-
-    #[test]
-    fn mse_loss_forward() {
-        let mut g = Graph::new();
-        let p = g.input(Tensor::from_vec(vec![1.0, 3.0], &[2]).unwrap());
-        let t = Tensor::from_vec(vec![0.0, 1.0], &[2]).unwrap();
-        let l = g.mse_loss(p, &t).unwrap();
-        assert!((g.value(l).item().unwrap() - 2.5).abs() < 1e-6);
-        assert!(g.mse_loss(p, &Tensor::zeros(&[3])).is_err());
     }
 }

@@ -1,22 +1,21 @@
-//! The K1 kernel-throughput sweep as a library, so both the `kernels`
-//! binary (fresh standard-scale run → `BENCH_kernels.json`) and the
-//! `regress` binary (fresh run → diff against the committed baseline)
-//! share one implementation and one report schema.
+//! The K1 kernel-throughput sweep: the packed kernel's matmul, conv2d and
+//! KNN probe timed over thread counts against the host's own ceilings
+//! ([`HostPeak`]), every point asserted bitwise against one untimed
+//! single-thread run of the reference kernel. The `kernels` binary prints
+//! it and, at standard scale, writes it to `BENCH_kernels.json`. Speed
+//! across commits is the repo benchmark's (`benchmark/`) job, not K1's.
 
-use metalora::config::{Arch, ExperimentConfig};
-use metalora::methods::Method;
-use metalora::pipeline::{adapt, pretrain};
 use metalora::report::render_table;
 use metalora_data::knn::{Distance, KnnClassifier};
 use metalora_tensor::conv::{conv2d, ConvSpec};
 use metalora_tensor::ops::{KernelPath, SimdLevel};
-use metalora_tensor::{init, ops, par, workspace, Tensor};
-use serde::{Deserialize, Serialize};
+use metalora_tensor::{init, ops, par, Tensor};
+use serde::Serialize;
 use std::hint::black_box;
 use std::time::Instant;
 
 /// One (kernel, thread-count) measurement of the packed kernel.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct KernelPoint {
     /// Kernel label with its problem size (`"matmul 384x384x384"`).
     pub kernel: String,
@@ -40,7 +39,7 @@ pub struct KernelPoint {
 /// This core's ceilings at its SIMD level, measured on one thread at the
 /// start of every K1 run, so a kernel's GFLOP/s reads as a share of what
 /// the host can do.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct HostPeak {
     /// Register-resident separate multiply then add, GFLOP/s (2 flops per
     /// pair).
@@ -51,64 +50,8 @@ pub struct HostPeak {
     pub copy_gbytes_per_s: f64,
 }
 
-/// Workspace-arena counters for one phase.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ArenaStats {
-    pub hits: u64,
-    pub misses: u64,
-    pub hit_rate: f64,
-    pub bytes_reused: u64,
-    pub peak_pooled_bytes: u64,
-}
-
-impl ArenaStats {
-    /// Reads the current obs workspace counters.
-    pub fn capture() -> Self {
-        let snap = metalora_obs::counters::snapshot();
-        let total = snap.workspace_hits + snap.workspace_misses;
-        ArenaStats {
-            hits: snap.workspace_hits,
-            misses: snap.workspace_misses,
-            hit_rate: if total == 0 {
-                0.0
-            } else {
-                snap.workspace_hits as f64 / total as f64
-            },
-            bytes_reused: snap.workspace_bytes_reused,
-            peak_pooled_bytes: snap.peak_workspace_pooled_bytes,
-        }
-    }
-}
-
-/// Per-kernel obs counter totals over the sweep. These are deterministic
-/// for a given scale (fixed sizes, reps and thread list), so the regress
-/// gate compares them exactly — a drifting call or flop count means
-/// the benchmark is no longer measuring the same work.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct CounterTotals {
-    pub kernel: String,
-    pub calls: u64,
-    pub flops: u64,
-}
-
-/// Packed-vs-reference and serial-vs-parallel dispatch tallies over the
-/// sweep (same determinism argument as [`CounterTotals`]; the reference
-/// calls are the oracle runs, one per kernel). The tile-grid tallies are
-/// deterministic too — claims and B packs are fixed functions of the
-/// swept shapes and thread list — but the *steal* count is scheduling
-/// noise, so it is deliberately not recorded here.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct DispatchTotals {
-    pub parallel: u64,
-    pub serial: u64,
-    pub matmul_packed: u64,
-    pub matmul_legacy: u64,
-    pub tile_claims: u64,
-    pub tile_bpacks: u64,
-}
-
 /// Everything one K1 run produces; serialised to `BENCH_kernels.json`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct KernelReport {
     /// `std::thread::available_parallelism()` on the measuring host —
     /// what the machine can actually run, as opposed to what the sweep
@@ -118,20 +61,11 @@ pub struct KernelReport {
     /// exceeds `host_cpus` on small hosts: oversubscription must not change
     /// results, only throughput.
     pub sweep_threads: Vec<usize>,
-    /// Regress-gate floor for `speedup_vs_1` of matmul points at
-    /// `threads ≥ 2` — only enforced when the comparing host has that
-    /// many real CPUs (`host_cpus ≥ threads`).
-    pub multithread_floor: f64,
     pub scale: String,
     pub simd_level: String,
-    /// The host's ceilings (absent from baselines recorded before K1
-    /// measured them).
-    pub host_peak: Option<HostPeak>,
+    /// The host's ceilings.
+    pub host_peak: HostPeak,
     pub points: Vec<KernelPoint>,
-    pub sweep_counters: Vec<CounterTotals>,
-    pub sweep_dispatch: DispatchTotals,
-    pub sweep_arena: ArenaStats,
-    pub train_arena: ArenaStats,
 }
 
 /// Best-of-`reps` wall time in milliseconds.
@@ -336,9 +270,8 @@ fn sweep_kernels(quick: bool, threads: &[usize], reps: usize) -> Vec<KernelPoint
     points
 }
 
-/// Runs the full K1 sweep (plus the quick-train arena measurement) and
-/// returns the report. Prints the result table and arena line; the caller
-/// decides what to write where.
+/// Runs the full K1 sweep and returns the report. Prints the host peak
+/// and the result table; the caller decides what to write where.
 pub fn run(quick: bool) -> KernelReport {
     let host_cpus = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     let simd = ops::simd_level().name().to_string();
@@ -356,46 +289,11 @@ pub fn run(quick: bool) -> KernelReport {
         peak.mul_add_gflops, peak.fma_gflops, peak.copy_gbytes_per_s
     );
     // Force the parallel path even at quick sizes so the sweep actually
-    // exercises the thread team, and count arena traffic from a cold pool.
-    metalora_obs::set_enabled(true);
-    // Drain the pool BEFORE resetting counters: clear() debits the pooled
-    // byte gauge, so the other order would start the gauge negative.
-    workspace::clear();
-    metalora_obs::reset();
+    // exercises the thread team.
     let mut points = par::with_par_threshold(0, || sweep_kernels(quick, &threads, reps));
     for p in points.iter_mut().filter(|p| p.kernel.starts_with("matmul")) {
         p.fma_peak_share = Some(p.gflops / (peak.fma_gflops * p.threads.min(host_cpus) as f64));
     }
-
-    let snap = metalora_obs::counters::snapshot();
-    let sweep_counters: Vec<CounterTotals> = snap
-        .kernels
-        .iter()
-        .map(|k| CounterTotals {
-            kernel: k.kernel.to_string(),
-            calls: k.calls,
-            flops: k.flops,
-        })
-        .collect();
-    let sweep_dispatch = DispatchTotals {
-        parallel: snap.dispatch_parallel,
-        serial: snap.dispatch_serial,
-        matmul_packed: snap.matmul_packed,
-        matmul_legacy: snap.matmul_legacy,
-        tile_claims: snap.tile_claims,
-        tile_bpacks: snap.tile_bpacks,
-    };
-    let sweep_arena = ArenaStats::capture();
-
-    // Arena hit rate on the real training hot path: a quick pretrain +
-    // MetaLoRA adapt, counted from a cold pool.
-    println!("measuring arena hit rate on the quick train pipeline...");
-    workspace::clear();
-    metalora_obs::reset();
-    let cfg = ExperimentConfig::quick();
-    let backbone = pretrain(&cfg, Arch::ResNet, 0).expect("pretrain");
-    let _adapted = adapt(backbone, Method::MetaLoraCp, &cfg, 0).expect("adapt");
-    let train_arena = ArenaStats::capture();
 
     let headers: Vec<String> =
         ["kernel", "threads", "best ms", "GFLOP/s", "FMA peak", "speedup", "bitwise"]
@@ -417,15 +315,6 @@ pub fn run(quick: bool) -> KernelReport {
         })
         .collect();
     println!("{}", render_table(&headers, &rows));
-    println!(
-        "arena hit rate: sweep {:.1}% ({}/{} checkouts), train {:.1}% ({}/{} checkouts)",
-        100.0 * sweep_arena.hit_rate,
-        sweep_arena.hits,
-        sweep_arena.hits + sweep_arena.misses,
-        100.0 * train_arena.hit_rate,
-        train_arena.hits,
-        train_arena.hits + train_arena.misses,
-    );
 
     assert!(
         points.iter().all(|p| p.bitwise_equal_to_serial),
@@ -435,35 +324,30 @@ pub fn run(quick: bool) -> KernelReport {
     KernelReport {
         host_cpus,
         sweep_threads: threads,
-        multithread_floor: 1.2,
         scale: if quick { "quick" } else { "standard" }.to_string(),
         simd_level: simd,
-        host_peak: Some(peak),
+        host_peak: peak,
         points,
-        sweep_counters,
-        sweep_dispatch,
-        sweep_arena,
-        train_arena,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use serde_json::Value;
 
     #[test]
     fn report_json_round_trips() {
         let report = KernelReport {
             host_cpus: 4,
             sweep_threads: vec![1, 2, 4, 8],
-            multithread_floor: 1.2,
             scale: "quick".into(),
             simd_level: "avx2".into(),
-            host_peak: Some(HostPeak {
+            host_peak: HostPeak {
                 mul_add_gflops: 30.0,
                 fma_gflops: 60.0,
                 copy_gbytes_per_s: 12.0,
-            }),
+            },
             points: vec![KernelPoint {
                 kernel: "matmul 128x128x128".into(),
                 threads: 2,
@@ -473,56 +357,24 @@ mod tests {
                 bitwise_equal_to_serial: true,
                 fma_peak_share: Some(2.8 / 60.0),
             }],
-            sweep_counters: vec![CounterTotals {
-                kernel: "matmul".into(),
-                calls: 12,
-                flops: 4_194_304,
-            }],
-            sweep_dispatch: DispatchTotals {
-                parallel: 8,
-                serial: 4,
-                matmul_packed: 6,
-                matmul_legacy: 6,
-                tile_claims: 96,
-                tile_bpacks: 6,
-            },
-            sweep_arena: ArenaStats {
-                hits: 10,
-                misses: 2,
-                hit_rate: 10.0 / 12.0,
-                bytes_reused: 4096,
-                peak_pooled_bytes: 8192,
-            },
-            train_arena: ArenaStats {
-                hits: 0,
-                misses: 0,
-                hit_rate: 0.0,
-                bytes_reused: 0,
-                peak_pooled_bytes: 0,
-            },
         };
         let json = serde_json::to_string_pretty(&report).unwrap();
-        let back: KernelReport = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.scale, "quick");
-        assert_eq!(back.points.len(), 1);
-        assert_eq!(back.points[0].threads, 2);
-        assert!(back.points[0].bitwise_equal_to_serial);
-        assert_eq!(back.sweep_counters[0].calls, 12);
-        assert_eq!(back.sweep_dispatch.matmul_packed, 6);
-        assert_eq!(back.sweep_dispatch.tile_claims, 96);
-        assert_eq!(back.sweep_dispatch.tile_bpacks, 6);
-        assert_eq!(back.sweep_threads, vec![1, 2, 4, 8]);
-        assert!((back.multithread_floor - 1.2).abs() < 1e-12);
-        assert!((back.sweep_arena.hit_rate - 10.0 / 12.0).abs() < 1e-12);
-        assert!((back.host_peak.unwrap().fma_gflops - 60.0).abs() < 1e-12);
-        assert!((back.points[0].fma_peak_share.unwrap() - 2.8 / 60.0).abs() < 1e-12);
-
-        // A baseline recorded before the host ceilings were measured
-        // still parses, with neither the object nor the shares.
-        let old = json
-            .replace("\"host_peak\"", "\"retired_peak\"")
-            .replace("\"fma_peak_share\"", "\"retired_share\"");
-        let back: KernelReport = serde_json::from_str(&old).unwrap();
-        assert!(back.host_peak.is_none() && back.points[0].fma_peak_share.is_none());
+        let back: Value = serde_json::from_str(&json).unwrap();
+        let Value::Map(fields) = &back else { panic!("not an object: {back:?}") };
+        let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(
+            keys,
+            ["host_cpus", "sweep_threads", "scale", "simd_level", "host_peak", "points"]
+        );
+        let num = |v: Option<&Value>| match v {
+            Some(Value::Num(n)) => *n,
+            other => panic!("not a number: {other:?}"),
+        };
+        assert_eq!(back.get("scale"), Some(&Value::Str("quick".into())));
+        assert_eq!(num(back.get("host_peak").and_then(|p| p.get("fma_gflops"))), 60.0);
+        let Some(Value::Seq(points)) = back.get("points") else { panic!("no points") };
+        assert_eq!(num(points[0].get("threads")), 2.0);
+        assert_eq!(points[0].get("bitwise_equal_to_serial"), Some(&Value::Bool(true)));
+        assert_eq!(num(points[0].get("fma_peak_share")), 2.8 / 60.0);
     }
 }

@@ -5,13 +5,13 @@
 //! print the timings behind the performance side of the same claims.
 //!
 //! The experiment binaries accept `--scale quick|standard` (default
-//! `standard`) and `--seeds N`; `kernels` takes `--scale` only, `regress`
-//! takes `--baseline PATH`, and the `serve` artifact driver takes nothing.
+//! `standard`) and `--seeds N`; `kernels` (the K1 kernel sweep in
+//! [`kernels`]) takes `--scale` only, and the `serve` artifact driver takes
+//! nothing.
 
 use metalora::config::ExperimentConfig;
 
 pub mod kernels;
-pub mod regress;
 
 /// Parsed command-line options shared by the bench binaries.
 #[derive(Debug, Clone)]

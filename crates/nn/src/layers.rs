@@ -342,7 +342,10 @@ mod tests {
             let mut g = Graph::new();
             let xv = g.input(x.clone());
             let y = l.forward(&mut g, xv, &Ctx::none()).unwrap();
-            let loss = g.mse_loss(y, &t).unwrap();
+            let tv = g.input(t.clone());
+            let d = g.sub(y, tv).unwrap();
+            let d2 = g.mul(d, d).unwrap();
+            let loss = g.mean_all(d2).unwrap();
             (g, loss)
         };
         let (mut g, loss) = loss_at(&l);

@@ -10,7 +10,7 @@
 //! * [`ClockMode::Monotonic`] (production default) — nanoseconds since
 //!   the shared process epoch ([`crate::trace::now_ns`]), so registry
 //!   timestamps line up with trace-event timestamps.
-//! * [`ClockMode::Logical`] (tests, benches, `regress` baselines) — a
+//! * [`ClockMode::Logical`] (tests and the `serve` artifact driver) — a
 //!   process-global counter that advances by [`LOGICAL_TICK_NS`] on
 //!   **every read**. Telemetry only ever reads the clock from
 //!   sequentially-executed code (the engine's per-batch loop, the

@@ -3,8 +3,8 @@
 //! Two primitives share one thread-count / threshold policy:
 //!
 //! * [`par_row_blocks`] — the output buffer is split into disjoint,
-//!   fixed-size row blocks and a scoped thread team pulls blocks from a
-//!   shared queue. Used by the reference matmul kernel, im2col (`dW`'s
+//!   fixed-size row blocks, each one task of a [`par_task_queue`] team.
+//!   Used by the reference matmul kernel, im2col (`dW`'s
 //!   patches and the forced-reference forward), col2im, the large
 //!   elementwise/reduction ops.
 //! * [`par_task_queue`] — a scoped team (the **calling thread
@@ -156,7 +156,8 @@ fn block_rows_for(rows: usize, row_len: usize) -> usize {
 /// `cost_per_row` is an estimated flop count per row; the whole call runs
 /// on the calling thread when `rows * cost_per_row` is under
 /// [`par_threshold`], when only one worker is configured, or when there is
-/// a single block.
+/// a single block. Otherwise the blocks are the tasks of a
+/// [`par_task_queue`] team, the calling thread among its workers.
 pub fn par_row_blocks<T, F>(out: &mut [T], row_len: usize, cost_per_row: usize, kernel: F)
 where
     T: Send,
@@ -175,27 +176,25 @@ where
         kernel(0, out);
         return;
     }
-    metalora_obs::counters::DISPATCH_PARALLEL.add(1);
-    // Timeline hook on the calling thread only: one begin/end pair around
-    // the whole team, so traces show when parallel sections ran without a
-    // per-block event flood from the workers.
-    metalora_obs::trace::begin("par_row_blocks");
-    // Fixed-size blocks, dynamically scheduled: workers pull the next
-    // (index, slice) pair from a shared iterator. Scheduling order cannot
-    // affect results because blocks are disjoint and rows independent.
-    let queue = Mutex::new(out.chunks_mut(block * row_len).enumerate());
-    std::thread::scope(|s| {
-        for _ in 0..threads {
-            s.spawn(|| loop {
-                let next = queue.lock().expect("queue poisoned").next();
-                match next {
-                    Some((bi, chunk)) => kernel(bi * block, chunk),
-                    None => break,
-                }
-            });
-        }
-    });
-    metalora_obs::trace::end("par_row_blocks");
+    // Fixed-size blocks, dynamically scheduled: each block is one task of
+    // the team's queue, and its claimant takes the block's slice out of
+    // its slot. Scheduling order cannot affect results because blocks are
+    // disjoint and rows independent. `n_blocks · block ≥ rows`, so the
+    // queue's own threshold check agrees with the one above.
+    let chunks: Vec<Mutex<Option<&mut [T]>>> =
+        out.chunks_mut(block * row_len).map(|c| Mutex::new(Some(c))).collect();
+    par_task_queue(
+        "par_row_blocks",
+        n_blocks,
+        block.saturating_mul(cost_per_row),
+        || (),
+        |_slot, queue, ()| {
+            while let Some(bi) = queue.claim() {
+                let chunk = chunks[bi].lock().expect("block poisoned").take();
+                kernel(bi * block, chunk.expect("each block is claimed once"));
+            }
+        },
+    );
 }
 
 /// A dried-once atomic work queue over task indices `0..total`.
@@ -440,6 +439,32 @@ mod tests {
             })
         });
         assert_eq!(slot0_on_caller.load(Ordering::SeqCst), 1);
+
+        // `par_row_blocks` runs on the same team: the caller takes blocks
+        // beside the two workers it spawns. A spawned worker holds its
+        // first block until the caller has taken one (or 10 s have
+        // passed), so the workers cannot drain the queue first.
+        let caller_took = std::sync::atomic::AtomicBool::new(false);
+        let seen = Mutex::new(std::collections::HashSet::new());
+        let mut out = vec![0u8; 64 * MIN_BLOCK_ELEMS];
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        parallel(3, || {
+            par_row_blocks(&mut out, 1, 1, |_, block| {
+                let me = std::thread::current().id();
+                if me == caller {
+                    caller_took.store(true, Ordering::SeqCst);
+                }
+                while !caller_took.load(Ordering::SeqCst) && std::time::Instant::now() < deadline {
+                    std::thread::yield_now();
+                }
+                seen.lock().unwrap().insert(me);
+                block.fill(1);
+            })
+        });
+        assert!(out.iter().all(|&x| x == 1));
+        let seen = seen.into_inner().unwrap();
+        assert!(seen.contains(&caller), "the calling thread must take blocks");
+        assert!(seen.len() <= 3, "a team of 3 is the caller and two spawned workers");
     }
 
     #[test]
