@@ -1,15 +1,16 @@
 //! **A2 — the PEFT↔full-fine-tuning gap**: the paper's intro cites
 //! "accuracy differences of up to 5–10 % in complex tasks" between LoRA
-//! variants and full fine-tuning. This binary adds the FullFineTune
-//! upper-bound row to the Table I protocol and reports the gap per
-//! method.
+//! variants and full fine-tuning. This binary runs the experiment grid
+//! (`core::table1`) on the ResNet column with the FullFineTune
+//! upper-bound row added, prints its table (stars against the best
+//! baseline) and then the gap of each method to full fine-tuning.
 //!
 //! Run with:
-//! `cargo run --release -p metalora-bench --bin ablation_full_ft [--scale quick]`
+//! `cargo run --release -p metalora-bench --bin ablation_full_ft [--scale quick] [--seeds N]`
 
 use metalora::methods::Method;
-use metalora::pipeline::{adapt, pretrain, probe};
 use metalora::report::render_table;
+use metalora::table1::{run_table1, Table1Options};
 use metalora::Arch;
 use metalora_bench::{banner, opts_from_env};
 
@@ -17,52 +18,33 @@ fn main() {
     let opts = opts_from_env();
     banner("A2 — PEFT vs full fine-tuning gap", &opts);
 
-    let methods = [
+    let methods = vec![
         Method::Original,
         Method::Lora,
         Method::MetaLoraCp,
         Method::MetaLoraTr,
         Method::FullFineTune,
     ];
-    let mut means: Vec<(Method, f64, f64)> = Vec::new();
-    for method in methods {
-        let mut acc5 = Vec::new();
-        let mut acc10 = Vec::new();
-        for &seed in &opts.seeds {
-            let net = pretrain(&opts.cfg, Arch::ResNet, seed).expect("pretrain");
-            let adapted = adapt(net, method, &opts.cfg, seed).expect("adapt");
-            let p = probe(&adapted, &opts.cfg, seed).expect("probe");
-            acc5.push(p.mean_accuracy(5).unwrap() as f64);
-            acc10.push(p.mean_accuracy(10).unwrap() as f64);
-        }
-        let m5 = acc5.iter().sum::<f64>() / acc5.len() as f64;
-        let m10 = acc10.iter().sum::<f64>() / acc10.len() as f64;
-        means.push((method, m5, m10));
-    }
+    let full = methods.len() - 1;
+    let grid = Table1Options {
+        archs: vec![Arch::ResNet],
+        methods,
+        ..Table1Options::new(opts.cfg, opts.seeds)
+    };
+    let result = run_table1(&grid).expect("A2 grid");
+    println!("{}", result.render());
 
-    let full = means
+    let gap = |k: usize, mi: usize| {
+        let mean = |m| result.mean(0, k, m).expect("K in the grid");
+        format!("{:+.2} pts", 100.0 * (mean(mi) - mean(full)))
+    };
+    let rows: Vec<Vec<String>> = result
+        .methods
         .iter()
-        .find(|(m, _, _)| *m == Method::FullFineTune)
-        .map(|&(_, a, b)| (a, b))
-        .expect("full FT row present");
-
-    let rows: Vec<Vec<String>> = means
-        .iter()
-        .map(|&(m, a5, a10)| {
-            vec![
-                m.name().to_string(),
-                format!("{:.2}%", 100.0 * a5),
-                format!("{:.2}%", 100.0 * a10),
-                format!("{:+.2} pts", 100.0 * (a5 - full.0)),
-                format!("{:+.2} pts", 100.0 * (a10 - full.1)),
-            ]
-        })
+        .enumerate()
+        .map(|(mi, name)| vec![name.clone(), gap(5, mi), gap(10, mi)])
         .collect();
-    let headers: Vec<String> = ["method", "K=5", "K=10", "gap@5 vs full FT", "gap@10"]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-    println!("{}", render_table(&headers, &rows));
+    println!("{}", render_table(&["Method", "gap@5 vs full FT", "gap@10"], &rows));
     println!(
         "paper claim (§I): static LoRA variants trail full fine-tuning by up to\n\
          5–10 points on complex (here: shifted) tasks, and meta variants close\n\

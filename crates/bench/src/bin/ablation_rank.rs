@@ -1,53 +1,46 @@
 //! **A3 — expressiveness vs efficiency**: Sec. III of the paper frames
 //! the rank R as the dial between model expressiveness and computational
-//! cost. This binary sweeps R for MetaLoRA-CP and MetaLoRA-TR (ResNet
+//! cost. This binary runs the experiment grid (`core::table1`) once per
+//! rank R ∈ {1, 2, 4, 8} for MetaLoRA-CP and MetaLoRA-TR (ResNet
 //! backbone) and reports accuracy and trainable parameters per rank.
 //!
 //! Run with:
-//! `cargo run --release -p metalora-bench --bin ablation_rank [--scale quick]`
+//! `cargo run --release -p metalora-bench --bin ablation_rank [--scale quick] [--seeds N]`
 
 use metalora::methods::Method;
-use metalora::pipeline::{adapt, pretrain, probe};
-use metalora::report::render_table;
+use metalora::report::{pct, render_table};
+use metalora::table1::{run_table1, Table1Options};
 use metalora::Arch;
 use metalora_bench::{banner, opts_from_env};
 
 fn main() {
-    let mut opts = opts_from_env();
+    let opts = opts_from_env();
     banner("A3 — rank sweep (accuracy vs parameters)", &opts);
 
     let mut rows = Vec::new();
     for rank in [1usize, 2, 4, 8] {
-        opts.cfg.lora.rank = rank;
-        opts.cfg.lora.alpha = 2.0 * rank as f32;
-        for method in [Method::MetaLoraCp, Method::MetaLoraTr] {
-            let mut accs5 = Vec::new();
-            let mut accs10 = Vec::new();
-            let mut trainable = 0usize;
-            for &seed in &opts.seeds {
-                let net = pretrain(&opts.cfg, Arch::ResNet, seed).expect("pretrain");
-                let adapted = adapt(net, method, &opts.cfg, seed).expect("adapt");
-                trainable = adapted.adapter_params.iter().map(|p| p.len()).sum();
-                let p = probe(&adapted, &opts.cfg, seed).expect("probe");
-                accs5.push(p.mean_accuracy(5).unwrap() as f64);
-                accs10.push(p.mean_accuracy(10).unwrap() as f64);
-            }
-            let m5 = accs5.iter().sum::<f64>() / accs5.len() as f64;
-            let m10 = accs10.iter().sum::<f64>() / accs10.len() as f64;
-            rows.push(vec![
+        let mut grid = Table1Options {
+            archs: vec![Arch::ResNet],
+            methods: vec![Method::MetaLoraCp, Method::MetaLoraTr],
+            ..Table1Options::new(opts.cfg.clone(), opts.seeds.clone())
+        };
+        grid.cfg.lora.rank = rank;
+        grid.cfg.lora.alpha = 2.0 * rank as f32;
+        let result = run_table1(&grid).expect("A3 grid");
+        for (mi, name) in result.methods.iter().enumerate() {
+            let mut row = vec![
                 format!("R={rank}"),
-                method.name().to_string(),
-                format!("{trainable}"),
-                format!("{:.2}%", 100.0 * m5),
-                format!("{:.2}%", 100.0 * m10),
-            ]);
+                name.clone(),
+                result.trainable[0][mi].to_string(),
+            ];
+            for cell in &result.cells[0] {
+                row.push(pct(cell[mi].mean(), cell[mi].significant));
+            }
+            rows.push(row);
         }
     }
 
-    let headers: Vec<String> = ["rank", "method", "trainable params", "K=5", "K=10"]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
+    let headers = ["rank", "method", "trainable params", "K=5", "K=10"];
     println!("{}", render_table(&headers, &rows));
     println!(
         "expected shape: accuracy saturates (and can regress from overfitting)\n\

@@ -1,16 +1,14 @@
 //! **E1 — the Sec. III-E extension**: MetaLoRA on a transformer. The
 //! paper closes by suggesting "broader applications in transformer
-//! architectures"; this binary runs the full Table I protocol on a small
-//! Vision Transformer whose attention projections (`W_q/W_k/W_v/W_o`) and
-//! MLP layers carry the adapters — the setting LoRA was originally
-//! designed for.
+//! architectures"; this binary runs the Table I grid (`core::table1`, all
+//! five methods, stars included) on a small Vision Transformer whose
+//! attention projections (`W_q/W_k/W_v/W_o`) and MLP layers carry the
+//! adapters — the setting LoRA was originally designed for.
 //!
 //! Run with:
 //! `cargo run --release -p metalora-bench --bin ext_transformer [--scale quick] [--seeds N]`
 
-use metalora::methods::Method;
-use metalora::pipeline::{adapt, pretrain, probe};
-use metalora::report::render_table;
+use metalora::table1::{run_table1, Table1Options};
 use metalora::Arch;
 use metalora_bench::{banner, opts_from_env};
 
@@ -18,38 +16,12 @@ fn main() {
     let opts = opts_from_env();
     banner("E1 — MetaLoRA on a Vision Transformer (Sec. III-E)", &opts);
 
-    let methods = [
-        Method::Original,
-        Method::Lora,
-        Method::MultiLora,
-        Method::MetaLoraCp,
-        Method::MetaLoraTr,
-    ];
-    let mut rows = Vec::new();
-    for method in methods {
-        let mut acc5 = Vec::new();
-        let mut acc10 = Vec::new();
-        for &seed in &opts.seeds {
-            let net = pretrain(&opts.cfg, Arch::Transformer, seed).expect("pretrain");
-            let adapted = adapt(net, method, &opts.cfg, seed).expect("adapt");
-            let p = probe(&adapted, &opts.cfg, seed).expect("probe");
-            acc5.push(p.mean_accuracy(5).unwrap() as f64);
-            acc10.push(p.mean_accuracy(10).unwrap() as f64);
-        }
-        let m5 = acc5.iter().sum::<f64>() / acc5.len() as f64;
-        let m10 = acc10.iter().sum::<f64>() / acc10.len() as f64;
-        rows.push(vec![
-            method.name().to_string(),
-            format!("{:.2}%", 100.0 * m5),
-            format!("{:.2}%", 100.0 * m10),
-        ]);
-    }
-
-    let headers: Vec<String> = ["Method", "ViT K=5", "ViT K=10"]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-    println!("{}", render_table(&headers, &rows));
+    let grid = Table1Options {
+        archs: vec![Arch::Transformer],
+        ..Table1Options::new(opts.cfg, opts.seeds)
+    };
+    let result = run_table1(&grid).expect("E1 grid");
+    println!("{}", result.render());
     println!(
         "expected shape, mirroring Table I: the meta methods adapt per input and\n\
          should lead on the held-out shifts; the transformer column is an\n\

@@ -33,7 +33,5 @@ fn main() {
         println!("raw per-episode samples written to {path}");
     }
 
-    if metalora_obs::enabled() {
-        metalora_obs::report::RunReport::capture("table1").publish();
-    }
+    metalora_obs::report::RunReport::capture("table1").publish();
 }

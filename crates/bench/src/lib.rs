@@ -3,6 +3,10 @@
 //! Every table and figure of the paper has a regeneration binary in
 //! `src/bin/` (see DESIGN.md's experiment index); those binaries also
 //! print the timings behind the performance side of the same claims.
+//! Every multi-seed accuracy bin (`table1`, `ablation_full_ft`,
+//! `ablation_rank`, `ablation_static_seed`, `ext_transformer`) runs the
+//! one experiment grid, `metalora::table1::run_table1`, and adds no
+//! pipeline loop of its own.
 //!
 //! The experiment binaries accept `--scale quick|standard` (default
 //! `standard`) and `--seeds N`; `kernels` (the K1 kernel sweep in

@@ -8,11 +8,14 @@
 //!
 //! * [`config`] — experiment configuration (backbone, sizes, schedules).
 //! * [`methods`] — the method column of Table I (Original, LoRA,
-//!   Multi-LoRA, MetaLoRA-CP, MetaLoRA-TR) plus full fine-tuning for the
-//!   A2 ablation.
+//!   Multi-LoRA, MetaLoRA-CP, MetaLoRA-TR) plus the ablation rows: full
+//!   fine-tuning (A2) and the static-seed MetaLoRA-CP (A5).
 //! * [`pipeline`] — the pretrain → adapt → KNN-probe protocol.
-//! * [`table1`] — multi-seed Table I runner with Welch t-test stars.
-//! * [`report`] — plain-text table rendering.
+//! * [`table1`] — the one experiment grid (archs × methods × seeds) with
+//!   Welch t-test stars; Table I is its default, and the A2, A3, A5 and
+//!   E1 bins run it over their own rows and columns.
+//! * [`report`] — the accuracy cell format, and the table renderer
+//!   re-exported from `metalora_obs::report`.
 //!
 //! ## Quickstart
 //!

@@ -1,9 +1,11 @@
-//! The method axis of the evaluation.
+//! The method axis of the evaluation: the rows of Table I plus the
+//! ablation rows (full fine-tuning for A2, the static seed for A5) that
+//! the same grid runs.
 
 use serde::{Deserialize, Serialize};
 
-/// Adaptation method — the rows of Table I plus full fine-tuning for the
-/// A2 ablation.
+/// Adaptation method — the rows of Table I plus full fine-tuning (A2) and
+/// the static-seed MetaLoRA-CP (A5) ablation rows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum Method {
     /// Frozen pretrained backbone, no adaptation.
@@ -19,6 +21,10 @@ pub enum Method {
     MetaLoraTr,
     /// Every backbone parameter trainable (A2 upper-bound ablation).
     FullFineTune,
+    /// MetaLoRA-CP layers driven by one learned constant seed instead of
+    /// a generated one (A5: the parameterisation without the input
+    /// conditioning).
+    StaticSeedCp,
 }
 
 impl Method {
@@ -42,6 +48,7 @@ impl Method {
             Method::MetaLoraCp => "Meta-LoRA CP",
             Method::MetaLoraTr => "Meta-LoRA TR",
             Method::FullFineTune => "Full fine-tune",
+            Method::StaticSeedCp => "CP + static seed",
         }
     }
 
@@ -78,11 +85,13 @@ mod tests {
         assert!(!Method::MetaLoraCp.is_baseline());
         assert!(!Method::MetaLoraTr.is_baseline());
         assert!(!Method::FullFineTune.is_baseline());
+        assert!(!Method::StaticSeedCp.is_baseline());
     }
 
     #[test]
     fn names_match_paper() {
         assert_eq!(Method::MetaLoraTr.to_string(), "Meta-LoRA TR");
         assert_eq!(Method::MultiLora.name(), "Multi-LoRA");
+        assert_eq!(Method::StaticSeedCp.to_string(), "CP + static seed");
     }
 }

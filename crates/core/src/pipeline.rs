@@ -11,7 +11,7 @@ use metalora_nn::models::{Mixer, ResNet, VisionTransformer};
 use metalora_nn::train::train_epoch;
 use metalora_nn::{Adam, Backbone, Ctx, Injectable, Module, Optimizer, Sgd};
 use metalora_peft::inject;
-use metalora_peft::meta::{MetaFormat, MetaLora};
+use metalora_peft::meta::{MetaFormat, MetaLora, StaticSeedLora};
 use metalora_tensor::{init, ops, Tensor, TensorError};
 
 /// The KNN K values reported by Table I.
@@ -286,6 +286,10 @@ pub fn adapt(backbone: AnyBackbone, method: Method, cfg: &ExperimentConfig, seed
             let (meta, inj) = inject::meta(backbone, format, lora, cfg.map_hidden, &mut rng)?;
             (AdaptedModel::Meta(meta), inj.adapter_params)
         }
+        Method::StaticSeedCp => {
+            let (ss, inj) = StaticSeedLora::inject(backbone, lora, &mut rng)?;
+            (AdaptedModel::Plain(Box::new(ss)), inj.adapter_params)
+        }
     };
     let mut adapted = Adapted {
         model,
@@ -417,6 +421,7 @@ mod tests {
             Method::MetaLoraCp,
             Method::MetaLoraTr,
             Method::FullFineTune,
+            Method::StaticSeedCp,
         ] {
             let net = pretrain(&cfg, Arch::ResNet, 1).unwrap();
             let adapted = adapt(net, method, &cfg, 1).unwrap();
@@ -425,6 +430,11 @@ mod tests {
                 assert!(adapted.adapter_params.is_empty());
             } else {
                 assert!(!adapted.adapter_params.is_empty());
+            }
+            if method == Method::StaticSeedCp {
+                // The learned constant is trained with (and after) the
+                // MetaLoRA-CP layers' own parameters.
+                assert_eq!(adapted.adapter_params.last().unwrap().name(), "static_seed");
             }
             let p = probe(&adapted, &cfg, 1).unwrap();
             for &k in &TABLE1_KS {

@@ -1,42 +1,8 @@
-//! Plain-text table rendering for the bench binaries.
+//! Plain-text result tables for the bench binaries: the workspace's one
+//! table layout (`metalora_obs::report::render_table`) and the accuracy
+//! cell format.
 
-/// Renders an aligned ASCII table. The first row is treated as a header
-/// and separated by a rule.
-pub fn render_table(headers: &[String], rows: &[Vec<String>]) -> String {
-    let cols = headers.len();
-    let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
-    for row in rows {
-        for (i, cell) in row.iter().enumerate().take(cols) {
-            if cell.len() > widths[i] {
-                widths[i] = cell.len();
-            }
-        }
-    }
-    let mut out = String::new();
-    let render_row = |cells: &[String], widths: &[usize]| -> String {
-        let mut line = String::from("|");
-        for (i, w) in widths.iter().enumerate() {
-            let empty = String::new();
-            let cell = cells.get(i).unwrap_or(&empty);
-            line.push_str(&format!(" {cell:<w$} |"));
-        }
-        line
-    };
-    out.push_str(&render_row(headers, &widths));
-    out.push('\n');
-    let mut rule = String::from("|");
-    for w in &widths {
-        rule.push_str(&"-".repeat(w + 2));
-        rule.push('|');
-    }
-    out.push_str(&rule);
-    out.push('\n');
-    for row in rows {
-        out.push_str(&render_row(row, &widths));
-        out.push('\n');
-    }
-    out
-}
+pub use metalora_obs::report::render_table;
 
 /// Formats a fraction as a percentage with an optional significance star.
 pub fn pct(x: f64, star: bool) -> String {
@@ -47,35 +13,9 @@ pub fn pct(x: f64, star: bool) -> String {
 mod tests {
     use super::*;
 
-    fn s(v: &[&str]) -> Vec<String> {
-        v.iter().map(|x| x.to_string()).collect()
-    }
-
-    #[test]
-    fn renders_aligned_table() {
-        let t = render_table(
-            &s(&["Method", "Acc"]),
-            &[s(&["LoRA", "67.85%"]), s(&["Meta-LoRA TR", "73.24%*"])],
-        );
-        let lines: Vec<&str> = t.lines().collect();
-        assert_eq!(lines.len(), 4);
-        assert!(lines[0].contains("Method"));
-        assert!(lines[1].starts_with("|--"));
-        assert!(lines[3].contains("73.24%*"));
-        // All rows same width.
-        assert_eq!(lines[0].len(), lines[2].len());
-        assert_eq!(lines[0].len(), lines[3].len());
-    }
-
     #[test]
     fn pct_formatting() {
         assert_eq!(pct(0.7324, true), "73.24%*");
         assert_eq!(pct(0.5, false), "50.00%");
-    }
-
-    #[test]
-    fn short_rows_padded() {
-        let t = render_table(&s(&["A", "B"]), &[vec!["x".into()]]);
-        assert!(t.lines().count() == 3);
     }
 }

@@ -1,5 +1,7 @@
-//! The Table I runner: every method × both architectures × multiple
-//! seeds, with Welch-t-test significance stars against the best baseline.
+//! The experiment grid: archs × methods × seeds, each cell a full
+//! pretrain → adapt → KNN-probe run, with Welch-t-test significance stars
+//! against the best baseline. Table I is its default grid; the A2, A3, A5
+//! and E1 bins run the same grid over their own archs and methods.
 
 use crate::config::{Arch, ExperimentConfig};
 use crate::methods::Method;
@@ -68,6 +70,9 @@ pub struct Table1Result {
     pub ks: Vec<usize>,
     /// `cells[a][k_idx][m]` — one per (arch, K, method).
     pub cells: Vec<Vec<Vec<Cell>>>,
+    /// `trainable[a][m]` — the scalar count of the parameters adaptation
+    /// optimised (0 for `Original`); it does not depend on the seed.
+    pub trainable: Vec<Vec<usize>>,
 }
 
 impl Table1Result {
@@ -100,18 +105,21 @@ impl Table1Result {
     }
 }
 
-/// Runs the full grid. This is the expensive entry point behind the
-/// `table1` bench binary; with `ExperimentConfig::quick()` it also powers
-/// the integration test.
+/// Runs the grid. This is the expensive entry point behind every
+/// multi-seed bench binary (`table1`, `ablation_full_ft`, `ablation_rank`,
+/// `ablation_static_seed`, `ext_transformer`); with
+/// `ExperimentConfig::quick()` it also powers the integration test.
 pub fn run_table1(opts: &Table1Options) -> Result<Table1Result> {
     let mut cells =
         vec![vec![vec![Cell::default(); opts.methods.len()]; TABLE1_KS.len()]; opts.archs.len()];
+    let mut trainable = vec![vec![0usize; opts.methods.len()]; opts.archs.len()];
 
     for (ai, &arch) in opts.archs.iter().enumerate() {
         for (mi, &method) in opts.methods.iter().enumerate() {
             for &seed in &opts.seeds {
                 let net = pretrain(&opts.cfg, arch, seed)?;
                 let adapted = adapt(net, method, &opts.cfg, seed)?;
+                trainable[ai][mi] = adapted.adapter_params.iter().map(|p| p.len()).sum();
                 let result = probe(&adapted, &opts.cfg, seed)?;
                 for (ki, &k) in TABLE1_KS.iter().enumerate() {
                     let eps = result.episodes(k).expect("fixed K set");
@@ -158,6 +166,7 @@ pub fn run_table1(opts: &Table1Options) -> Result<Table1Result> {
         archs: opts.archs.iter().map(|a| a.name().to_string()).collect(),
         ks: TABLE1_KS.to_vec(),
         cells,
+        trainable,
     })
 }
 
@@ -203,6 +212,7 @@ mod tests {
                     },
                 ],
             ]],
+            trainable: vec![vec![0, 96]],
         };
         let s = r.render();
         assert!(s.contains("ResNet K=5"));

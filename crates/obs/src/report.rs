@@ -4,7 +4,10 @@
 //! registry, health, trace, epoch metrics) into one value that can be
 //! serialised ([`RunReport::to_json`], [`RunReport::write`]) or rendered
 //! for humans ([`RunReport::summary_table`]); [`RunReport::publish`]
-//! does both the way the bench bins end a run.
+//! does both the way the bench bins end a run, and nothing while
+//! instrumentation is off. [`render_table`] is the one plain-text table
+//! layout of the workspace: the summary and every bench bin's result
+//! table print through it.
 //!
 //! ## Schema (`schema_version` 11)
 //!
@@ -175,8 +178,12 @@ impl RunReport {
     /// Prints the summary table, writes the run log into
     /// [`crate::out_dir`] and, when tracing is on, the Chrome trace under
     /// the same name — reporting each path (or write error) on its own
-    /// line. The tail every bench bin ends a run with.
+    /// line. The tail every bench bin ends a run with; it does nothing
+    /// while instrumentation is off, since nothing was recorded.
     pub fn publish(&self) {
+        if !crate::enabled() {
+            return;
+        }
         println!("\n{}", self.summary_table());
         match self.write() {
             Ok(p) => println!("run log written to {}", p.display()),
@@ -211,7 +218,7 @@ impl RunReport {
                     ]
                 })
                 .collect();
-            out.push_str(&table(
+            out.push_str(&render_table(
                 &["span", "count", "total ms", "p50 ms", "p95 ms", "p99 ms"],
                 &rows,
             ));
@@ -224,7 +231,7 @@ impl RunReport {
             .map(|r| vec![format!("{}.{}", r.group, r.name), r.value.to_string()])
             .collect();
         if !rows.is_empty() {
-            out.push_str(&table(&["counter", "value"], &rows));
+            out.push_str(&render_table(&["counter", "value"], &rows));
         }
 
         if !self.registry.is_empty() {
@@ -271,7 +278,7 @@ impl RunReport {
                     ]
                 })
                 .collect();
-            out.push_str(&table(
+            out.push_str(&render_table(
                 &["phase", "epoch", "loss", "accuracy", "grad norm", "wall s"],
                 &rows,
             ));
@@ -286,35 +293,33 @@ fn block(open: char, items: impl Iterator<Item = String>, close: char) -> String
     format!("{open}{}\n  {close}", items.join(","))
 }
 
-/// Column-aligned plain-text table (local twin of `metalora::report::
-/// render_table`, which lives above this crate in the dependency order).
-fn table(headers: &[&str], rows: &[Vec<String>]) -> String {
-    let cols = headers.len();
-    let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
+/// Renders an aligned pipe table: a header row, a rule, then one line
+/// per row; a short row is padded with empty cells.
+pub fn render_table(headers: &[impl AsRef<str>], rows: &[Vec<String>]) -> String {
+    let mut widths: Vec<usize> = headers.iter().map(|h| h.as_ref().len()).collect();
     for row in rows {
-        for (c, cell) in row.iter().enumerate().take(cols) {
-            widths[c] = widths[c].max(cell.len());
+        for (w, cell) in widths.iter_mut().zip(row) {
+            *w = (*w).max(cell.len());
         }
     }
-    let mut out = String::new();
-    let fmt_row = |cells: &[String]| -> String {
-        let mut line = String::new();
-        for (c, cell) in cells.iter().enumerate().take(cols) {
-            if c > 0 {
-                line.push_str("  ");
-            }
-            line.push_str(&format!("{cell:<w$}", w = widths[c]));
+    let render_row = |cells: &mut dyn Iterator<Item = &str>| -> String {
+        let mut line = String::from("|");
+        for w in &widths {
+            let cell = cells.next().unwrap_or("");
+            line.push_str(&format!(" {cell:<w$} |"));
         }
-        line.trim_end().to_string()
+        line.push('\n');
+        line
     };
-    let header: Vec<String> = headers.iter().map(|h| h.to_string()).collect();
-    out.push_str(&fmt_row(&header));
-    out.push('\n');
-    out.push_str(&"-".repeat(widths.iter().sum::<usize>() + 2 * (cols - 1)));
+    let mut out = render_row(&mut headers.iter().map(|h| h.as_ref()));
+    out.push('|');
+    for w in &widths {
+        out.push_str(&"-".repeat(w + 2));
+        out.push('|');
+    }
     out.push('\n');
     for row in rows {
-        out.push_str(&fmt_row(row));
-        out.push('\n');
+        out.push_str(&render_row(&mut row.iter().map(String::as_str)));
     }
     out
 }
@@ -451,6 +456,47 @@ mod tests {
         std::fs::remove_dir(&dir).ok();
     }
 
+    fn s(v: &[&str]) -> Vec<String> {
+        v.iter().map(|x| x.to_string()).collect()
+    }
+
+    #[test]
+    fn renders_aligned_table() {
+        let t = render_table(
+            &["Method", "Acc"],
+            &[s(&["LoRA", "67.85%"]), s(&["Meta-LoRA TR", "73.24%*"])],
+        );
+        let lines: Vec<&str> = t.lines().collect();
+        assert_eq!(lines.len(), 4);
+        assert!(lines[0].contains("Method"));
+        assert!(lines[1].starts_with("|--"));
+        assert!(lines[3].contains("73.24%*"));
+        // All rows same width.
+        assert_eq!(lines[0].len(), lines[2].len());
+        assert_eq!(lines[0].len(), lines[3].len());
+    }
+
+    #[test]
+    fn short_rows_padded() {
+        let t = render_table(&["A", "B"], &[vec!["x".into()]]);
+        assert!(t.lines().count() == 3);
+    }
+
+    #[test]
+    fn publish_writes_nothing_while_obs_is_off() {
+        let _g = lock();
+        populate();
+        let dir = std::env::temp_dir().join("metalora_publish_off_test");
+        std::fs::remove_dir_all(&dir).ok();
+        crate::set_out_dir(Some(dir.clone()));
+        crate::set_enabled(false);
+        let report = RunReport::capture("off");
+        report.publish();
+        crate::set_out_dir(None);
+        assert!(!dir.join(report.file_name()).exists());
+        assert!(!dir.exists(), "publish created the output directory");
+    }
+
     #[test]
     fn summary_table_lists_sections() {
         let _g = lock();
@@ -467,8 +513,12 @@ mod tests {
             ("serve.merges", "1"),
             ("fusion.fused_elems", "48"),
         ] {
+            // The row's cells, exactly: `| counter | value |`.
             assert!(
-                text.lines().any(|l| l.starts_with(counter) && l.ends_with(value)),
+                text.lines().any(|l| {
+                    let cells: Vec<&str> = l.split('|').map(str::trim).collect();
+                    cells == ["", counter, value, ""]
+                }),
                 "no {counter} = {value} row in:\n{text}"
             );
         }

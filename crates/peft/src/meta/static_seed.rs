@@ -6,8 +6,10 @@
 //! from the CP/TR parameterisation of ΔW, a learned-constant seed would
 //! match it; if they come from *input-conditioned* generation (the
 //! meta-learning part), the static variant should behave like plain LoRA
-//! on unseen task shifts. The `ablation_static_seed` bench runs the
-//! comparison.
+//! on unseen task shifts. The pipeline adapts it as
+//! `Method::StaticSeedCp` (`metalora::pipeline::adapt`), and the
+//! `ablation_static_seed` bench runs the comparison through the
+//! experiment grid (`metalora::table1`).
 
 use crate::inject::Injection;
 use crate::meta::MetaFormat;

@@ -18,9 +18,10 @@
 //! so no intermediate is larger than `N·max(R², O)`. The convolutional
 //! variant runs the small convolution to the bond pair and contracts its
 //! output with the same planner (`"nxyp,nzx,yoz->nop"`, `p = OH·OW`).
-//! `metalora_serve::forward::meta_tr_linear` hands the same spec and
-//! shapes to the same planner over plain tensors, which is what keeps
-//! tape and serve bitwise equal.
+//! Serving does not call the planner: the engine runs every Tensor-Ring
+//! tenant's update as a `Mix::Ring` segment of one
+//! `metalora_tensor::ops::lowrank` pass, which the `lowrank_equiv` suite
+//! pins bitwise to the planner's `contract_spec` on this network.
 //!
 //! Seed layout: the mapping net emits `[N, R·R]` flattened **r2-major**
 //! (`C[n, r2·R + r0]`).

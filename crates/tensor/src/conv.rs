@@ -146,23 +146,6 @@ pub fn conv1d_via_dummy(a: &Tensor, b: &Tensor, spec: ConvSpec) -> Result<Tensor
     contract(&pa, b, &[1], &[0]) // [α']
 }
 
-/// Zero-pads the two spatial axes of an `[N, C, H, W]` tensor.
-pub fn pad_hw(x: &Tensor, ph: usize, pw: usize) -> Result<Tensor> {
-    if x.rank() != 4 {
-        return Err(TensorError::InvalidArgument(
-            "pad_hw expects [N, C, H, W]".into(),
-        ));
-    }
-    if ph == 0 && pw == 0 {
-        return Ok(x.clone());
-    }
-    let (n, c, h, w) = (x.dims()[0], x.dims()[1], x.dims()[2], x.dims()[3]);
-    let (hp, wp) = (h + 2 * ph, w + 2 * pw);
-    let mut out = Tensor::zeros(&[n, c, hp, wp]);
-    pad_hw_into(x, ph, pw, out.data_mut());
-    Ok(out)
-}
-
 /// Copies `x:[N,C,H,W]` into the interior of the pre-zeroed padded buffer
 /// `dst:[N,C,H+2ph,W+2pw]`.
 fn pad_hw_into(x: &Tensor, ph: usize, pw: usize, dst: &mut [f32]) {
@@ -527,17 +510,6 @@ mod tests {
         let b = Tensor::from_vec(vec![1.0, 1.0], &[2]).unwrap();
         let y = conv1d_direct(&a, &b, spec(2, 1, 0)).unwrap();
         assert_eq!(y.data(), &[3.0, 5.0]);
-    }
-
-    #[test]
-    fn pad_hw_places_values() {
-        let x = Tensor::ones(&[1, 1, 2, 2]);
-        let p = pad_hw(&x, 1, 1).unwrap();
-        assert_eq!(p.dims(), &[1, 1, 4, 4]);
-        assert_eq!(p.get(&[0, 0, 0, 0]).unwrap(), 0.0);
-        assert_eq!(p.get(&[0, 0, 1, 1]).unwrap(), 1.0);
-        assert_eq!(p.get(&[0, 0, 2, 2]).unwrap(), 1.0);
-        assert_eq!(p.get(&[0, 0, 3, 3]).unwrap(), 0.0);
     }
 
     #[test]

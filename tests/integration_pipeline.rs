@@ -9,7 +9,7 @@ use metalora::{pipeline, Arch};
 fn quick_table1_grid_produces_complete_table() {
     let mut cfg = ExperimentConfig::quick();
     cfg.probe_rounds = 1;
-    let opts = Table1Options::new(cfg, vec![0]);
+    let opts = Table1Options::new(cfg.clone(), vec![0]);
     let result = run_table1(&opts).unwrap();
 
     assert_eq!(result.methods.len(), 5);
@@ -31,6 +31,21 @@ fn quick_table1_grid_produces_complete_table() {
     }
     assert!(rendered.contains("ResNet K=5"));
     assert!(rendered.contains("MLP-Mixer K=10"));
+
+    // One trainable count per (arch, method): none for Original, and for
+    // LoRA the count a direct adaptation at the same config optimises.
+    assert_eq!(result.trainable.len(), opts.archs.len());
+    let row_of = |method| opts.methods.iter().position(|&m| m == method).unwrap();
+    let (original, lora) = (row_of(Method::Original), row_of(Method::Lora));
+    for (ai, &arch) in opts.archs.iter().enumerate() {
+        let row = &result.trainable[ai];
+        assert_eq!(row.len(), opts.methods.len());
+        assert_eq!(row[original], 0, "Original trains nothing");
+        let net = pipeline::pretrain(&cfg, arch, 0).unwrap();
+        let adapted = pipeline::adapt(net, Method::Lora, &cfg, 0).unwrap();
+        let direct: usize = adapted.adapter_params.iter().map(|p| p.len()).sum();
+        assert_eq!(row[lora], direct, "{arch:?} LoRA");
+    }
 }
 
 #[test]
