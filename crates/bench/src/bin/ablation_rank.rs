@@ -11,14 +11,18 @@ use metalora::methods::Method;
 use metalora::report::{pct, render_table};
 use metalora::table1::{run_table1, Table1Options};
 use metalora::Arch;
-use metalora_bench::{banner, opts_from_env};
+use metalora_bench::{banner_text, opts_from_env};
+
+/// The ranks A3 sweeps.
+const RANKS: [usize; 4] = [1, 2, 4, 8];
+const TITLE: &str = "A3 — rank sweep (accuracy vs parameters)";
 
 fn main() {
     let opts = opts_from_env();
-    banner("A3 — rank sweep (accuracy vs parameters)", &opts);
+    print!("{}", banner_text(TITLE, &opts, &RANKS));
 
     let mut rows = Vec::new();
-    for rank in [1usize, 2, 4, 8] {
+    for rank in RANKS {
         let mut grid = Table1Options {
             archs: vec![Arch::ResNet],
             methods: vec![Method::MetaLoraCp, Method::MetaLoraTr],
@@ -47,4 +51,17 @@ fn main() {
          while parameters grow — TR grows O(R²) in the seed but shares factor\n\
          cores, CP grows O(R) throughout."
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn the_banner_names_the_swept_ranks() {
+        let opts = metalora_bench::parse_opts(&[]).unwrap();
+        let text = banner_text(TITLE, &opts, &RANKS);
+        assert!(text.starts_with("=== A3 — rank sweep (accuracy vs parameters) ===\n"));
+        assert!(text.ends_with(" | ranks [1, 2, 4, 8]\n\n"), "{text}");
+    }
 }

@@ -1,38 +1,32 @@
-//! The K1 kernel-throughput sweep: the packed kernel's matmul, conv2d and
-//! KNN probe timed over thread counts against the host's own ceilings
-//! ([`HostPeak`]), every point asserted bitwise against one untimed
-//! single-thread run of the reference kernel. The `kernels` binary prints
-//! it and, at standard scale, writes it to `BENCH_kernels.json`. Speed
-//! across commits is the repo benchmark's (`benchmark/`) job, not K1's.
+//! The K1 kernel-throughput run: the packed kernel's matmul, conv2d and
+//! KNN probe, each timed once against the host's own ceilings
+//! ([`HostPeak`]) and asserted bitwise against one untimed run of the
+//! reference kernel. The `kernels` binary prints it and, at standard
+//! scale, writes it to `BENCH_kernels.json`. Speed across commits is the
+//! repo benchmark's (`benchmark/`) job, not K1's.
 
 use metalora::report::render_table;
 use metalora_data::knn::{Distance, KnnClassifier};
 use metalora_tensor::conv::{conv2d, ConvSpec};
 use metalora_tensor::ops::{KernelPath, SimdLevel};
-use metalora_tensor::{init, ops, par, Tensor};
+use metalora_tensor::{init, ops, Tensor};
 use serde::Serialize;
 use std::hint::black_box;
 use std::time::Instant;
 
-/// One (kernel, thread-count) measurement of the packed kernel.
+/// One kernel's measurement on the packed kernel.
 #[derive(Debug, Clone, Serialize)]
 pub struct KernelPoint {
     /// Kernel label with its problem size (`"matmul 384x384x384"`).
     pub kernel: String,
-    /// Worker count the point ran with.
-    pub threads: usize,
     /// Best-of-reps wall time.
     pub best_ms: f64,
     /// Throughput at `best_ms`.
     pub gflops: f64,
-    /// `best_ms(threads=1) / best_ms`.
-    pub speedup_vs_1: f64,
-    /// Output identical to the reference kernel's single-thread run, bit
-    /// for bit.
+    /// Output identical to the reference kernel's, bit for bit.
     pub bitwise_equal_to_serial: bool,
-    /// `gflops` over the FMA peak of the cores the point ran on
-    /// ([`HostPeak::fma_gflops`] × `min(threads, host_cpus)`): set on
-    /// matmul points only.
+    /// `gflops` over [`HostPeak::fma_gflops`]: set on the GEMM-bound
+    /// kernels (matmul, conv2d); the KNN probe's time is its neighbour sort.
     pub fma_peak_share: Option<f64>,
 }
 
@@ -53,14 +47,6 @@ pub struct HostPeak {
 /// Everything one K1 run produces; serialised to `BENCH_kernels.json`.
 #[derive(Debug, Clone, Serialize)]
 pub struct KernelReport {
-    /// `std::thread::available_parallelism()` on the measuring host —
-    /// what the machine can actually run, as opposed to what the sweep
-    /// asked for (see [`KernelReport::sweep_threads`]).
-    pub host_cpus: usize,
-    /// The worker counts every kernel was swept over. The list deliberately
-    /// exceeds `host_cpus` on small hosts: oversubscription must not change
-    /// results, only throughput.
-    pub sweep_threads: Vec<usize>,
     pub scale: String,
     pub simd_level: String,
     /// The host's ceilings.
@@ -179,57 +165,43 @@ fn host_peak() -> HostPeak {
     }
 }
 
-/// Sweeps the packed kernel over thread counts. `speedup_vs_1` divides by
-/// the single-thread point from the same run (the earlier design timed a
-/// separate warm-up baseline, which made the t=1 row read ~0.99x), and
-/// every point is compared bitwise against one untimed single-thread run
-/// of the reference kernel, the oracle.
-fn sweep(
+/// Times the packed kernel on `f` and compares its output bitwise
+/// against one untimed run of the reference kernel, the oracle.
+/// `fma_gflops` is the host's FMA peak for a GEMM-bound kernel, `None`
+/// for one that is not.
+fn measure(
     name: &str,
     flops: f64,
-    threads: &[usize],
+    fma_gflops: Option<f64>,
     reps: usize,
-    points: &mut Vec<KernelPoint>,
     f: impl Fn() -> Tensor,
-) {
-    let reference = par::with_num_threads(1, || ops::with_kernel_path(KernelPath::Reference, &f));
-    let mut base_ms = f64::NAN;
-    for &t in threads {
-        let (ms, out) = par::with_num_threads(t, || time_ms(reps, &f));
-        if t == 1 {
-            base_ms = ms;
-        }
-        points.push(KernelPoint {
-            kernel: name.to_string(),
-            threads: t,
-            best_ms: ms,
-            gflops: flops / (ms * 1e6),
-            speedup_vs_1: base_ms / ms,
-            bitwise_equal_to_serial: bitwise_eq(&reference, &out),
-            fma_peak_share: None,
-        });
+) -> KernelPoint {
+    let reference = ops::with_kernel_path(KernelPath::Reference, &f);
+    let (ms, out) = time_ms(reps, &f);
+    let gflops = flops / (ms * 1e6);
+    KernelPoint {
+        kernel: name.to_string(),
+        best_ms: ms,
+        gflops,
+        bitwise_equal_to_serial: bitwise_eq(&reference, &out),
+        fma_peak_share: fma_gflops.map(|peak| gflops / peak),
     }
 }
 
-/// The K1 sweeps — dense matmul, conv2d, the KNN probe — at quick or
-/// standard sizes, each over `threads`.
-fn sweep_kernels(quick: bool, threads: &[usize], reps: usize) -> Vec<KernelPoint> {
+/// The K1 kernels — dense matmul, conv2d, the KNN probe — at quick or
+/// standard sizes, on a host whose FMA peak is `fma_gflops`.
+fn measure_kernels(quick: bool, reps: usize, fma_gflops: f64) -> Vec<KernelPoint> {
     let mm_dim = if quick { 128 } else { 384 };
     let mut rng = init::rng(0);
-    let mut points = Vec::new();
+    let fma = Some(fma_gflops);
 
     // Dense matmul, m = k = n.
     let a = init::uniform(&[mm_dim, mm_dim], -1.0, 1.0, &mut rng);
     let b = init::uniform(&[mm_dim, mm_dim], -1.0, 1.0, &mut rng);
     let mm_flops = 2.0 * (mm_dim as f64).powi(3);
-    sweep(
-        &format!("matmul {mm_dim}x{mm_dim}x{mm_dim}"),
-        mm_flops,
-        threads,
-        reps,
-        &mut points,
-        || ops::matmul(&a, &b).unwrap(),
-    );
+    let matmul = measure(&format!("matmul {mm_dim}x{mm_dim}x{mm_dim}"), mm_flops, fma, reps, || {
+        ops::matmul(&a, &b).unwrap()
+    });
 
     // conv2d on the acceptance shape [8, 16, 32, 32], 3x3 kernel, 32 out.
     let (n, c, hw, k, o) = if quick { (2, 8, 16, 3, 16) } else { (8, 16, 32, 3, 32) };
@@ -238,49 +210,33 @@ fn sweep_kernels(quick: bool, threads: &[usize], reps: usize) -> Vec<KernelPoint
     let spec = ConvSpec::new(k, 1, 1).unwrap();
     let oh = spec.out_size(hw).unwrap();
     let conv_flops = 2.0 * (n * oh * oh * c * k * k * o) as f64;
-    sweep(
-        &format!("conv2d [{n},{c},{hw},{hw}] k{k} o{o}"),
-        conv_flops,
-        threads,
-        reps,
-        &mut points,
-        || conv2d(&x, &w, spec, spec).unwrap(),
-    );
+    let conv = measure(&format!("conv2d [{n},{c},{hw},{hw}] k{k} o{o}"), conv_flops, fma, reps, || {
+        conv2d(&x, &w, spec, spec).unwrap()
+    });
 
     // KNN probe: one score GEMM + vote (predictions re-encoded as a tensor
-    // so the sweep helper can compare bitwise).
+    // so `measure` can compare bitwise).
     let (ns, nq, d) = if quick { (200, 100, 16) } else { (1000, 500, 32) };
     let support = init::uniform(&[ns, d], -1.0, 1.0, &mut rng);
     let labels: Vec<usize> = (0..ns).map(|i| i % 5).collect();
     let queries = init::uniform(&[nq, d], -1.0, 1.0, &mut rng);
     let knn = KnnClassifier::fit(support, labels, Distance::L2).unwrap();
     let knn_flops = 2.0 * (ns * nq * d) as f64;
-    sweep(
-        &format!("knn predict {ns}x{nq} d{d}"),
-        knn_flops,
-        threads,
-        reps,
-        &mut points,
-        || {
-            let pred = knn.predict(&queries, 5).unwrap();
-            let data: Vec<f32> = pred.iter().map(|&p| p as f32).collect();
-            Tensor::from_vec(data, &[nq]).unwrap()
-        },
-    );
-    points
+    let knn = measure(&format!("knn predict {ns}x{nq} d{d}"), knn_flops, None, reps, || {
+        let pred = knn.predict(&queries, 5).unwrap();
+        let data: Vec<f32> = pred.iter().map(|&p| p as f32).collect();
+        Tensor::from_vec(data, &[nq]).unwrap()
+    });
+    vec![matmul, conv, knn]
 }
 
-/// Runs the full K1 sweep and returns the report. Prints the host peak
-/// and the result table; the caller decides what to write where.
+/// Runs K1 and returns the report. Prints the host peak and the result
+/// table; the caller decides what to write where.
 pub fn run(quick: bool) -> KernelReport {
-    let host_cpus = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     let simd = ops::simd_level().name().to_string();
-    // Sweep past the host count on purpose: oversubscription must not
-    // change results, only throughput.
-    let threads = vec![1usize, 2, 4, 8];
     let reps = if quick { 2 } else { 5 };
     println!(
-        "=== K1 — kernel throughput (host_cpus={host_cpus}, simd={simd}, sizes {}) ===\n",
+        "=== K1 — kernel throughput (simd={simd}, sizes {}) ===\n",
         if quick { "quick" } else { "standard" }
     );
     let peak = host_peak();
@@ -288,28 +244,20 @@ pub fn run(quick: bool) -> KernelReport {
         "host peak (1 thread, {simd}): mul+add {:.1} GFLOP/s, FMA {:.1} GFLOP/s, copy {:.1} GB/s\n",
         peak.mul_add_gflops, peak.fma_gflops, peak.copy_gbytes_per_s
     );
-    // Force the parallel path even at quick sizes so the sweep actually
-    // exercises the thread team.
-    let mut points = par::with_par_threshold(0, || sweep_kernels(quick, &threads, reps));
-    for p in points.iter_mut().filter(|p| p.kernel.starts_with("matmul")) {
-        p.fma_peak_share = Some(p.gflops / (peak.fma_gflops * p.threads.min(host_cpus) as f64));
-    }
+    let points = measure_kernels(quick, reps, peak.fma_gflops);
 
-    let headers: Vec<String> =
-        ["kernel", "threads", "best ms", "GFLOP/s", "FMA peak", "speedup", "bitwise"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
+    let headers: Vec<String> = ["kernel", "best ms", "GFLOP/s", "FMA peak", "bitwise"]
+        .iter()
+        .map(|s| s.to_string())
+        .collect();
     let rows: Vec<Vec<String>> = points
         .iter()
         .map(|p| {
             vec![
                 p.kernel.clone(),
-                p.threads.to_string(),
                 format!("{:.3}", p.best_ms),
                 format!("{:.2}", p.gflops),
                 p.fma_peak_share.map_or("-".into(), |f| format!("{:.0}%", 100.0 * f)),
-                format!("{:.2}x", p.speedup_vs_1),
                 p.bitwise_equal_to_serial.to_string(),
             ]
         })
@@ -318,12 +266,10 @@ pub fn run(quick: bool) -> KernelReport {
 
     assert!(
         points.iter().all(|p| p.bitwise_equal_to_serial),
-        "kernel output diverged from the reference kernel's serial run"
+        "kernel output diverged from the reference kernel's"
     );
 
     KernelReport {
-        host_cpus,
-        sweep_threads: threads,
         scale: if quick { "quick" } else { "standard" }.to_string(),
         simd_level: simd,
         host_peak: peak,
@@ -339,8 +285,6 @@ mod tests {
     #[test]
     fn report_json_round_trips() {
         let report = KernelReport {
-            host_cpus: 4,
-            sweep_threads: vec![1, 2, 4, 8],
             scale: "quick".into(),
             simd_level: "avx2".into(),
             host_peak: HostPeak {
@@ -350,10 +294,8 @@ mod tests {
             },
             points: vec![KernelPoint {
                 kernel: "matmul 128x128x128".into(),
-                threads: 2,
                 best_ms: 1.5,
                 gflops: 2.8,
-                speedup_vs_1: 1.9,
                 bitwise_equal_to_serial: true,
                 fma_peak_share: Some(2.8 / 60.0),
             }],
@@ -362,10 +304,7 @@ mod tests {
         let back: Value = serde_json::from_str(&json).unwrap();
         let Value::Map(fields) = &back else { panic!("not an object: {back:?}") };
         let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
-        assert_eq!(
-            keys,
-            ["host_cpus", "sweep_threads", "scale", "simd_level", "host_peak", "points"]
-        );
+        assert_eq!(keys, ["scale", "simd_level", "host_peak", "points"]);
         let num = |v: Option<&Value>| match v {
             Some(Value::Num(n)) => *n,
             other => panic!("not a number: {other:?}"),
@@ -373,7 +312,7 @@ mod tests {
         assert_eq!(back.get("scale"), Some(&Value::Str("quick".into())));
         assert_eq!(num(back.get("host_peak").and_then(|p| p.get("fma_gflops"))), 60.0);
         let Some(Value::Seq(points)) = back.get("points") else { panic!("no points") };
-        assert_eq!(num(points[0].get("threads")), 2.0);
+        assert_eq!(num(points[0].get("best_ms")), 1.5);
         assert_eq!(points[0].get("bitwise_equal_to_serial"), Some(&Value::Bool(true)));
         assert_eq!(num(points[0].get("fma_peak_share")), 2.8 / 60.0);
     }

@@ -9,7 +9,7 @@
 //! pipeline loop of its own.
 //!
 //! The experiment binaries accept `--scale quick|standard` (default
-//! `standard`) and `--seeds N`; `kernels` (the K1 kernel sweep in
+//! `standard`) and `--seeds N`; `kernels` (the K1 kernel timings in
 //! [`kernels`]) takes `--scale` only, and the `serve` artifact driver takes
 //! nothing.
 
@@ -84,16 +84,20 @@ pub fn opts_from_env() -> BenchOpts {
 
 /// Pretty banner with the run configuration.
 pub fn banner(name: &str, opts: &BenchOpts) {
-    println!("=== {name} ===");
-    println!(
-        "scale: {} | image {}×{} | seeds {:?} | rank {}",
-        opts.scale,
-        opts.cfg.image_size,
-        opts.cfg.image_size,
-        opts.seeds,
-        opts.cfg.lora.rank
-    );
-    println!();
+    print!("{}", banner_text(name, opts, &[opts.cfg.lora.rank]));
+}
+
+/// The banner's text, naming the LoRA rank the run uses (`rank 2`) or,
+/// for a sweep, every rank it runs (`ranks [1, 2, 4, 8]`).
+pub fn banner_text(name: &str, opts: &BenchOpts, ranks: &[usize]) -> String {
+    let rank = match ranks {
+        [r] => format!("rank {r}"),
+        _ => format!("ranks {ranks:?}"),
+    };
+    format!(
+        "=== {name} ===\nscale: {} | image {}×{} | seeds {:?} | {rank}\n\n",
+        opts.scale, opts.cfg.image_size, opts.cfg.image_size, opts.seeds,
+    )
 }
 
 #[cfg(test)]
@@ -117,6 +121,17 @@ mod tests {
         assert_eq!(o.scale, "quick");
         assert_eq!(o.seeds, vec![0, 1]);
         assert_eq!(o.cfg.image_size, ExperimentConfig::quick().image_size);
+    }
+
+    #[test]
+    fn banner_names_one_rank_or_the_swept_ranks() {
+        let o = parse_opts(&s(&["--scale", "quick", "--seeds", "2"])).unwrap();
+        let (size, rank) = (o.cfg.image_size, o.cfg.lora.rank);
+        assert_eq!(
+            banner_text("T1", &o, &[rank]),
+            format!("=== T1 ===\nscale: quick | image {size}×{size} | seeds [0, 1] | rank {rank}\n\n")
+        );
+        assert!(banner_text("A3", &o, &[1, 2, 4, 8]).ends_with("| ranks [1, 2, 4, 8]\n\n"));
     }
 
     #[test]

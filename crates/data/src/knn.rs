@@ -25,7 +25,7 @@
 //! A score ranks, it is not a distance: it can be negative, and it differs
 //! from the exact distance in the last bits, so two supports almost
 //! equidistant from a query can swap places. `gemm` is bitwise identical
-//! across kernels and thread counts, so the probe is too.
+//! across kernels and SIMD levels, so the probe is too.
 //!
 //! A query row with any non-finite score (a NaN or ±Inf coordinate on
 //! either side, as a diverged adapt produces) has no ranking: `predict`

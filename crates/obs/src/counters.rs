@@ -6,8 +6,8 @@
 //! declaration's `=> field` puts the counter in [`CounterSnapshot`], the
 //! typed view for readers outside this crate that want fields.
 //!
-//! All counters are process-wide relaxed atomics: recording from inside a
-//! parallel kernel is safe and nearly free, and the exact interleaving of
+//! All counters are process-wide relaxed atomics: recording from any
+//! thread is safe and nearly free, and the exact interleaving of
 //! increments does not matter because only totals are reported.
 //!
 //! Two accounting caveats, by design:
@@ -21,7 +21,6 @@
 //!   of buffers allocated while disabled can drive the live-byte count
 //!   negative; reads clamp at zero and the peak only ratchets up.
 
-use std::fmt;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering::Relaxed};
 
 /// Instrumented kernel entry points.
@@ -113,36 +112,15 @@ impl Level {
     }
 }
 
-/// Team slots individually tracked by the tile-grid per-thread claim
-/// tally; slots past this fold into the last bucket.
-pub const MAX_TRACKED_SLOTS: usize = 32;
-
-/// Per-team-slot totals; reads trim trailing zero slots.
-struct Slots([AtomicU64; MAX_TRACKED_SLOTS]);
-
-impl Slots {
-    const fn new() -> Self {
-        Slots([const { AtomicU64::new(0) }; MAX_TRACKED_SLOTS])
-    }
-
-    fn get(&self) -> Vec<u64> {
-        let mut v: Vec<u64> = self.0.iter().map(|c| c.load(Relaxed)).collect();
-        while v.last() == Some(&0) {
-            v.pop();
-        }
-        v
-    }
-}
-
 /// Storage the list can read and zero.
 trait Cell: Sync {
-    fn read(&self) -> Value;
+    fn read(&self) -> u64;
     fn zero(&self);
 }
 
 impl Cell for Total {
-    fn read(&self) -> Value {
-        Value::Count(self.get())
+    fn read(&self) -> u64 {
+        self.get()
     }
     fn zero(&self) {
         self.0.store(0, Relaxed);
@@ -150,22 +128,11 @@ impl Cell for Total {
 }
 
 impl Cell for Level {
-    fn read(&self) -> Value {
-        Value::Count(self.0.load(Relaxed).max(0) as u64)
+    fn read(&self) -> u64 {
+        self.0.load(Relaxed).max(0) as u64
     }
     fn zero(&self) {
         self.0.store(0, Relaxed);
-    }
-}
-
-impl Cell for Slots {
-    fn read(&self) -> Value {
-        Value::PerSlot(self.get())
-    }
-    fn zero(&self) {
-        for c in &self.0 {
-            c.store(0, Relaxed);
-        }
     }
 }
 
@@ -193,6 +160,13 @@ macro_rules! counters {
             /// `serve.engine.plans_built` metric; the next benchmark change
             /// drops that metric and this field together.
             pub plans_built: u64,
+            /// Always 0: kernels run on the calling thread, so no call
+            /// starts a thread team. Kept for the frozen `benchmark/`'s
+            /// `tensor.par.parallel_dispatches`, like [`Self::plans_built`].
+            pub dispatch_parallel: u64,
+            /// Always 0, for the same reason and reader
+            /// (`tensor.par.serial_dispatches`).
+            pub dispatch_serial: u64,
             $($(pub $field: $ty,)?)+
         }
 
@@ -201,6 +175,8 @@ macro_rules! counters {
             CounterSnapshot {
                 kernels: Kernel::ALL.iter().map(|&k| k.stat()).collect(),
                 plans_built: 0,
+                dispatch_parallel: 0,
+                dispatch_serial: 0,
                 $($($field: $id.get(),)?)+
             }
         }
@@ -223,28 +199,17 @@ counters! {
     KNN_CALLS: Total = (Kernel::Knn.name(), "calls");
     KNN_FLOPS: Total = (Kernel::Knn.name(), "flops");
     KNN_BYTES: Total = (Kernel::Knn.name(), "bytes_moved");
-    /// `par` layer calls that spawned a thread team.
-    pub DISPATCH_PARALLEL: Total = ("dispatch", "parallel") => dispatch_parallel: u64;
-    /// `par` layer calls that stayed on the calling thread.
-    pub DISPATCH_SERIAL: Total = ("dispatch", "serial") => dispatch_serial: u64;
     /// Matmuls that ran the packed register-tiled microkernel.
     pub MATMUL_PACKED: Total = ("dispatch", "matmul_packed") => matmul_packed: u64;
-    /// Matmuls that ran the reference row-block kernel — only when forced
-    /// (tests, the K1 sweep), so a production run reads 0.
+    /// Matmuls that ran the reference kernel — only when forced (tests,
+    /// K1's oracle run), so a production run reads 0.
     pub MATMUL_LEGACY: Total = ("dispatch", "matmul_legacy") => matmul_legacy: u64;
-    /// C-tile blocks claimed from tile-grid GEMM queues, all workers.
-    TILE_CLAIMS: Total = ("tile_grid", "claims") => tile_claims: u64;
-    /// Shared B-panel packing passes. The scheduler packs `B` at most once
-    /// per GEMM (shared read-only across the team), and not at all for a
-    /// one-strip product that reads `B` in place, so this is at most the
-    /// packed GEMM calls; per-thread re-packing would read higher.
+    /// Cells (`MR`-row strip × `NC`-column group) the packed GEMM computed.
+    pub TILE_CLAIMS: Total = ("tile_grid", "claims") => tile_claims: u64;
+    /// B-panel packing passes. A GEMM packs `B` at most once, and not at
+    /// all for a one-strip product that reads `B` in place, so this is at
+    /// most the packed GEMM calls.
     pub TILE_BPACKS: Total = ("tile_grid", "bpacks") => tile_bpacks: u64;
-    /// Tile claims whose queue index was not adjacent to the worker's
-    /// previous claim: another worker grabbed the block in between.
-    TILE_STEALS: Total = ("tile_grid", "steals");
-    /// Per-team-slot claim totals.
-    TILE_CLAIMS_PER_SLOT: Slots = ("tile_grid", "claims_per_slot")
-        => tile_claims_per_slot: Vec<u64>;
     /// High-water mark of tensor bytes alive.
     PEAK_TENSOR_BYTES: Total = ("memory", "peak_tensor_bytes") => peak_tensor_bytes: u64;
     /// Tensor bytes currently alive.
@@ -288,20 +253,6 @@ pub fn record_kernel(kernel: Kernel, flops: u64, bytes: u64) {
     b.0.fetch_add(bytes, Relaxed);
 }
 
-/// Records one worker's tallies from a tile-grid GEMM team: how many
-/// C-tile blocks the worker at `slot` claimed (slots past
-/// [`MAX_TRACKED_SLOTS`] fold into the last one), and how many of those
-/// claims were steals.
-#[inline]
-pub fn record_tile_grid_worker(slot: usize, claimed: u64, steals: u64) {
-    if !crate::enabled() {
-        return;
-    }
-    TILE_CLAIMS.0.fetch_add(claimed, Relaxed);
-    TILE_STEALS.0.fetch_add(steals, Relaxed);
-    TILE_CLAIMS_PER_SLOT.0[slot.min(MAX_TRACKED_SLOTS - 1)].fetch_add(claimed, Relaxed);
-}
-
 /// Moves `level` by `delta` and ratchets `peak` up to the new level.
 #[inline]
 fn ratchet(level: &Level, peak: &Total, delta: i64) {
@@ -338,42 +289,12 @@ pub fn track_free(bytes: usize) {
     }
 }
 
-/// A counter's value as read.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Value {
-    Count(u64),
-    /// Per-team-slot totals, trailing zero slots trimmed.
-    PerSlot(Vec<u64>),
-}
-
-impl Value {
-    pub(crate) fn is_zero(&self) -> bool {
-        match self {
-            Value::Count(n) => *n == 0,
-            Value::PerSlot(v) => v.is_empty(),
-        }
-    }
-}
-
-/// Renders as JSON: a number or an array of numbers.
-impl fmt::Display for Value {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Value::Count(n) => write!(f, "{n}"),
-            Value::PerSlot(v) => {
-                let slots: Vec<String> = v.iter().map(u64::to_string).collect();
-                write!(f, "[{}]", slots.join(", "))
-            }
-        }
-    }
-}
-
 /// One counter of the list, as read.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Reading {
     pub group: &'static str,
     pub name: &'static str,
-    pub value: Value,
+    pub value: u64,
 }
 
 /// Reads every counter of the list, in list order (individually atomic
@@ -433,11 +354,14 @@ mod tests {
 
     #[test]
     fn dispatch_tally() {
+        // Nothing starts a thread team, so the dispatch fields read 0
+        // however much the kernels record.
         let _g = lock();
-        add_on_then_off(&DISPATCH_PARALLEL, 1);
-        add_on_then_off(&DISPATCH_SERIAL, 2);
+        record_kernel(Kernel::Matmul, 100, 8);
+        MATMUL_PACKED.add(1);
+        TILE_CLAIMS.add(4);
         let snap = snapshot();
-        assert_eq!((snap.dispatch_parallel, snap.dispatch_serial), (1, 2));
+        assert_eq!((snap.dispatch_parallel, snap.dispatch_serial), (0, 0));
     }
 
     #[test]
@@ -470,29 +394,12 @@ mod tests {
     }
 
     #[test]
-    fn tile_grid_tallies_accumulate_per_slot() {
+    fn tile_grid_tallies_accumulate_and_respect_toggle() {
         let _g = lock();
-        record_tile_grid_worker(0, 10, 0);
-        record_tile_grid_worker(1, 6, 2);
-        record_tile_grid_worker(1, 4, 1);
-        TILE_BPACKS.add(1);
+        add_on_then_off(&TILE_CLAIMS, 20);
+        add_on_then_off(&TILE_BPACKS, 1);
         let snap = snapshot();
-        assert_eq!(snap.tile_claims, 20);
-        assert_eq!(TILE_STEALS.get(), 3);
-        assert_eq!(snap.tile_bpacks, 1);
-        assert_eq!(snap.tile_claims_per_slot, vec![10, 10]);
-        // Out-of-range slots fold into the last tracked bucket instead of
-        // panicking.
-        record_tile_grid_worker(MAX_TRACKED_SLOTS + 5, 1, 0);
-        let snap = snapshot();
-        assert_eq!(snap.tile_claims_per_slot.len(), MAX_TRACKED_SLOTS);
-        assert_eq!(*snap.tile_claims_per_slot.last().unwrap(), 1);
-        crate::set_enabled(false);
-        record_tile_grid_worker(0, 99, 99);
-        TILE_BPACKS.add(1);
-        crate::set_enabled(true);
-        assert_eq!(snapshot().tile_claims, 21);
-        assert_eq!(snapshot().tile_bpacks, 1);
+        assert_eq!((snap.tile_claims, snap.tile_bpacks), (20, 1));
     }
 
     #[test]
@@ -503,10 +410,10 @@ mod tests {
         track_free(120);
         track_alloc(10);
         assert_eq!(snapshot().peak_tensor_bytes, 150);
-        assert_eq!(TENSOR_BYTES_ALIVE.read(), Value::Count(40));
+        assert_eq!(TENSOR_BYTES_ALIVE.read(), 40);
         // Frees of untracked buffers cannot push the reported value below 0.
         track_free(1_000_000);
-        assert_eq!(TENSOR_BYTES_ALIVE.read(), Value::Count(0));
+        assert_eq!(TENSOR_BYTES_ALIVE.read(), 0);
         assert_eq!(snapshot().peak_tensor_bytes, 150);
     }
 
@@ -521,11 +428,11 @@ mod tests {
         let snap = snapshot();
         assert_eq!((snap.workspace_hits, snap.workspace_misses), (2, 1));
         assert_eq!(snap.workspace_bytes_reused, 192);
-        assert_eq!(WORKSPACE_POOLED_BYTES.read(), Value::Count(384));
+        assert_eq!(WORKSPACE_POOLED_BYTES.read(), 384);
         assert_eq!(snap.peak_workspace_pooled_bytes, 512);
         // Evictions past zero clamp, and the peak only ratchets.
         record_workspace_pooled(-1_000_000);
-        assert_eq!(WORKSPACE_POOLED_BYTES.read(), Value::Count(0));
+        assert_eq!(WORKSPACE_POOLED_BYTES.read(), 0);
         assert_eq!(snapshot().peak_workspace_pooled_bytes, 512);
     }
 
@@ -535,7 +442,7 @@ mod tests {
         for k in Kernel::ALL {
             record_kernel(k, 1, 1);
         }
-        record_tile_grid_worker(2, 1, 1);
+        TILE_CLAIMS.add(1);
         track_alloc(4);
         record_workspace_pooled(4);
         let readings = read_all();
@@ -548,12 +455,10 @@ mod tests {
                 assert!(names.contains(&(k.name(), name)), "{} {name}", k.name());
             }
         }
-        let slots = readings.iter().find(|r| r.name == "claims_per_slot").unwrap();
-        assert_eq!(slots.value, Value::PerSlot(vec![0, 0, 1]));
-        assert_eq!(slots.value.to_string(), "[0, 0, 1]");
+        assert!(readings.iter().any(|r| r.name == "claims" && r.value == 1));
         reset();
         for r in read_all() {
-            assert!(r.value.is_zero(), "{r:?}");
+            assert_eq!(r.value, 0, "{r:?}");
         }
     }
 
@@ -570,7 +475,7 @@ mod tests {
                 });
             }
         });
-        assert_eq!(TENSOR_BYTES_ALIVE.read(), Value::Count(0));
+        assert_eq!(TENSOR_BYTES_ALIVE.read(), 0);
         assert!(snapshot().peak_tensor_bytes >= 8);
     }
 }

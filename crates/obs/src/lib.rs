@@ -11,8 +11,8 @@
 //!   monotonic timestamps and thread ids) exported as Chrome trace-event
 //!   JSON, gated additionally by `METALORA_OBS_TRACE`;
 //! * [`counters`] — one list of process-wide counters: per-kernel
-//!   flop/byte/call totals, the `par` layer's dispatch tally, the matmul
-//!   kernel tally, tile-grid, memory, workspace, fusion and serving
+//!   flop/byte/call totals, the matmul kernel tally, tile-grid, memory,
+//!   workspace, fusion and serving
 //!   counts — each fact `serve` does not already count itself;
 //! * [`health`] — per-parameter-group training-health records (grad norm,
 //!   update-to-weight ratio, NaN/Inf sentinels), every step or every
@@ -215,7 +215,7 @@ mod tests {
         let _g = lock();
         set_enabled(false);
         counters::record_kernel(counters::Kernel::Matmul, 100, 10);
-        counters::DISPATCH_PARALLEL.add(1);
+        counters::TILE_CLAIMS.add(1);
         counters::MATMUL_PACKED.add(1);
         counters::track_alloc(1 << 20);
         metrics::record_epoch("p", 1.0, 0.5, 0.1, 0.2);
@@ -225,7 +225,7 @@ mod tests {
             let _s = span!("never");
         }
         set_enabled(true);
-        assert!(counters::read_all().iter().all(|r| r.value.is_zero()));
+        assert!(counters::read_all().iter().all(|r| r.value == 0));
         assert!(metrics::snapshot().is_empty());
         assert!(span::snapshot().is_empty());
         assert!(health::snapshot().is_empty());

@@ -9,17 +9,16 @@
 //! layout of the workspace: the summary and every bench bin's result
 //! table print through it.
 //!
-//! ## Schema (`schema_version` 11)
+//! ## Schema (`schema_version` 12)
 //!
 //! ```json
 //! {
-//!   "schema_version": 11,
+//!   "schema_version": 12,
 //!   "name": "table1",
 //!   "spans":    [ {"path": "pretrain", "count": 2, "total_ms": 813.4,
 //!                  "p50_ms": 400.1, "p95_ms": 413.0, "p99_ms": 413.0} ],
 //!   "counters": {"matmul": {"calls": 10, "flops": 123, "bytes_moved": 456},
-//!                "tile_grid": {"claims": 40, "bpacks": 5, "steals": 2,
-//!                              "claims_per_slot": [30, 10]},
+//!                "tile_grid": {"claims": 40, "bpacks": 5},
 //!                "serve": {"seed_rows": 40, "merges": 14}, ...},
 //!   "registry": [ {"name": "serve_requests_total", "label": "tenant=3",
 //!                  "kind": "counter", "value": 64} ],
@@ -37,7 +36,10 @@
 //! rows in the form the JSONL time series carries them.
 //!
 //! Version history: 2–10 added one top-level object per counter family;
-//! 11 generates them all as `counters` and adds the `registry` rows.
+//! 11 generates them all as `counters` and adds the `registry` rows; 12
+//! drops the thread-team counters (the parallel / serial dispatch tally,
+//! the tile grid's steals and per-slot claims): kernels run on the
+//! calling thread.
 
 use crate::counters::{self, Reading};
 use crate::health::{self, HealthRecord};
@@ -50,7 +52,7 @@ use std::path::{Path, PathBuf};
 
 /// Version stamp written into every run log (see the module docs for the
 /// version history).
-pub const SCHEMA_VERSION: u32 = 11;
+pub const SCHEMA_VERSION: u32 = 12;
 
 /// A captured snapshot of everything the instrumentation recorded.
 #[derive(Debug, Clone)]
@@ -227,7 +229,7 @@ impl RunReport {
         let rows: Vec<Vec<String>> = self
             .counters
             .iter()
-            .filter(|r| !r.value.is_zero())
+            .filter(|r| r.value != 0)
             .map(|r| vec![format!("{}.{}", r.group, r.name), r.value.to_string()])
             .collect();
         if !rows.is_empty() {
@@ -336,11 +338,9 @@ mod tests {
             let _inner = crate::span!("epoch0");
         }
         counters::record_kernel(Kernel::Matmul, 2000, 96);
-        counters::DISPATCH_SERIAL.add(1);
         counters::MATMUL_PACKED.add(1);
         counters::TILE_BPACKS.add(1);
-        counters::record_tile_grid_worker(0, 3, 0);
-        counters::record_tile_grid_worker(1, 2, 1);
+        counters::TILE_CLAIMS.add(5);
         counters::track_alloc(4096);
         counters::SERVE_SEED_ROWS.add(2);
         counters::SERVE_MERGES.add(1);
@@ -358,17 +358,13 @@ mod tests {
         let report = RunReport::capture("unit test");
         assert_eq!(report.file_name(), "RUNLOG_unit_test.json");
         let js = report.to_json();
-        assert!(js.contains("\"schema_version\": 11"));
+        assert!(js.contains("\"schema_version\": 12"));
         assert!(js.contains("\"matmul\": {\"calls\": 1, \"flops\": 2000, \"bytes_moved\": 96}"));
         assert!(js.contains("\"einsum\": {\"calls\": 0, "));
         assert!(js.contains(
-            "\"dispatch\": {\"parallel\": 0, \"serial\": 1, \
-             \"matmul_packed\": 1, \"matmul_legacy\": 0}"
+            "\"dispatch\": {\"matmul_packed\": 1, \"matmul_legacy\": 0}"
         ));
-        assert!(js.contains(
-            "\"tile_grid\": {\"claims\": 5, \"bpacks\": 1, \"steals\": 1, \
-             \"claims_per_slot\": [3, 2]}"
-        ));
+        assert!(js.contains("\"tile_grid\": {\"claims\": 5, \"bpacks\": 1}"));
         assert!(js.contains(
             "\"memory\": {\"peak_tensor_bytes\": 4096, \"tensor_bytes_alive\": 4096}"
         ));
@@ -507,8 +503,8 @@ mod tests {
         assert!(text.contains("pretrain/epoch0"));
         for (counter, value) in [
             ("matmul.flops", "2000"),
-            ("dispatch.serial", "1"),
-            ("tile_grid.claims_per_slot", "[3, 2]"),
+            ("dispatch.matmul_packed", "1"),
+            ("tile_grid.claims", "5"),
             ("memory.peak_tensor_bytes", "4096"),
             ("serve.merges", "1"),
             ("fusion.fused_elems", "48"),
@@ -523,7 +519,7 @@ mod tests {
             );
         }
         // Zero counters stay out of the table.
-        assert!(!text.contains("dispatch.parallel"));
+        assert!(!text.contains("dispatch.matmul_legacy"));
         assert!(text.contains("health: 1 records over 1 groups   NaN: 0   Inf: 0"));
         assert!(text.contains("0.5000")); // accuracy column
     }

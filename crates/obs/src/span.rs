@@ -7,8 +7,8 @@
 //! once per seed shows up as one row with `count == seeds`.
 //!
 //! Spans are per-thread: a guard must be dropped on the thread that
-//! opened it for the path nesting to make sense (guards created inside a
-//! parallel kernel would aggregate under that worker's own stack).
+//! opened it for the path nesting to make sense (a guard created on a
+//! spawned thread aggregates under that thread's own stack).
 
 use crate::hist::LogHistogram;
 use crate::trace;

@@ -2,12 +2,11 @@
 //!
 //! While the [`crate::span`] aggregates answer "how much time went
 //! where", the timeline answers "*when* did things happen": every span
-//! open/close (and the `par` dispatch hooks in the tensor crate) appends
-//! a [`TraceEvent`] — name, begin/end flag, nanoseconds since the first
-//! event of the process, and a small per-thread id — to a bounded ring
-//! buffer. When full, the **oldest** events are overwritten (the most
-//! recent window is the useful one for a post-mortem) and a dropped
-//! counter keeps the books honest.
+//! open/close appends a [`TraceEvent`] — name, begin/end flag,
+//! nanoseconds since the first event of the process, and a small
+//! per-thread id — to a bounded ring buffer. When full, the **oldest**
+//! events are overwritten (the most recent window is the useful one for a
+//! post-mortem) and a dropped counter keeps the books honest.
 //!
 //! [`write_chrome`] exports the buffer as Chrome trace-event JSON
 //! (`TRACE_<name>.json`), loadable in Perfetto / `chrome://tracing`.

@@ -14,12 +14,11 @@
 //!   process-global counter that advances by [`LOGICAL_TICK_NS`] on
 //!   **every read**. Telemetry only ever reads the clock from
 //!   sequentially-executed code (the engine's per-batch loop, the
-//!   batcher, snapshotting) and never from the parallel kernel workers,
-//!   so under the logical clock the read sequence — and therefore every
-//!   recorded latency, window bucket, and exported snapshot — is
-//!   bit-identical across runs *and* across `METALORA_THREADS`
-//!   settings. That is what lets the telemetry tests and the CI metrics
-//!   smoke compare telemetry exactly.
+//!   batcher, snapshotting) and never from inside a kernel, so under the
+//!   logical clock the read sequence — and therefore every recorded
+//!   latency, window bucket, and exported snapshot — is bit-identical
+//!   across runs. That is what lets the telemetry tests and the CI
+//!   metrics smoke compare telemetry exactly.
 //!
 //! [`WindowHistogram`] keeps a ring of [`LogHistogram`] buckets, each
 //! covering `window / buckets` of time; recording lazily reclaims buckets

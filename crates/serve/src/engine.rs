@@ -229,8 +229,7 @@ impl ServeEngine {
     /// request gets an id and a per-stage breakdown (queue / cache /
     /// mapping / gemm) recorded through [`crate::telemetry`];
     /// the telemetry clock is only read from this sequential loop — never
-    /// from parallel kernel workers — so logical-clock runs are
-    /// bit-reproducible. Timing is passive: outputs are bitwise identical
+    /// from inside a kernel — so logical-clock runs are bit-reproducible. Timing is passive: outputs are bitwise identical
     /// with telemetry on or off.
     pub fn serve_batch_timed(&self, reqs: &[Request], enq_ns: &[u64]) -> Result<Vec<Tensor>> {
         // An empty batch is a no-op: no span, counter, series or lock.

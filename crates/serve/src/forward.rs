@@ -1,6 +1,5 @@
 //! Tape-free adapter forwards, each bitwise the matching training-mode
-//! `Module::forward` (`tests/forward_equiv.rs`, every adapter method at
-//! `METALORA_THREADS ∈ {1, 2, 4}`).
+//! `Module::forward` (`tests/forward_equiv.rs`, every adapter method).
 //!
 //! Every dense forward is `infer::linear` plus the tenant's scaled
 //! low-rank update, added by a one-segment `ops::lowrank` pass — the pass

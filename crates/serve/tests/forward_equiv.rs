@@ -3,12 +3,10 @@
 //! For every adapter method — plain LoRA, Conv-LoRA, MetaLoRA-CP and
 //! MetaLoRA-TR (dynamic and pinned-seed), and a `peft::multi` bank slot —
 //! the engine's tape-free path (`use_merged: false`) must reproduce the
-//! recording-tape `Module::forward` bit for bit, at `METALORA_THREADS ∈
-//! {1, 2, 4}` (each test scopes its worker count to its own thread, so
-//! the suite needs no lock). This holds because every element gets the
-//! same scalar sequence on both sides — the tape's `ops::` chain, and the
-//! engine's low-rank pass that reproduces it — and the kernel layer keeps
-//! a fixed per-element accumulation order regardless of the thread count.
+//! recording-tape `Module::forward` bit for bit. This holds because every
+//! element gets the same scalar sequence on both sides — the tape's
+//! `ops::` chain, and the engine's low-rank pass that reproduces it — and
+//! the kernel layer keeps a fixed per-element accumulation order.
 
 use metalora_autograd::Graph;
 use metalora_nn::{Conv2d, ConvLike, Ctx, Linear, Module};
@@ -16,26 +14,17 @@ use metalora_peft::meta::{MappingNet, MetaLoraCpLinear, MetaLoraTrLinear};
 use metalora_peft::{ConvLora, LoraConfig, LoraLinear, MultiLoraLinear};
 use metalora_serve::forward::tile_seed;
 use metalora_serve::{EngineConfig, Request, ServeEngine, TenantAdapter};
-use metalora_tensor::{init, par, Tensor};
+use metalora_tensor::{init, Tensor};
 
 const CFG: LoraConfig = LoraConfig { rank: 2, alpha: 3.0 };
-const THREADS: [usize; 3] = [1, 2, 4];
-
-/// Runs `f(t)` with this thread's worker count scoped to each of
-/// [`THREADS`].
-fn at_each_thread_count(f: impl Fn(usize)) {
-    for t in THREADS {
-        par::with_num_threads(t, || f(t));
-    }
-}
 
 fn bits(t: &Tensor) -> Vec<u32> {
     t.data().iter().map(|v| v.to_bits()).collect()
 }
 
-fn assert_bitwise(tape: &Tensor, served: &Tensor, what: &str, threads: usize) {
-    assert_eq!(tape.dims(), served.dims(), "{what} dims at t={threads}");
-    assert_eq!(bits(tape), bits(served), "{what} bitwise at t={threads}");
+fn assert_bitwise(tape: &Tensor, served: &Tensor, what: &str) {
+    assert_eq!(tape.dims(), served.dims(), "{what} dims");
+    assert_eq!(bits(tape), bits(served), "{what} bitwise");
 }
 
 /// Engine in factored mode (bitwise path; merging is the approximate one).
@@ -63,14 +52,12 @@ fn lora_serving_matches_tape_bitwise() {
     let engine = factored_engine(w, bias);
     engine.register(1, TenantAdapter::from_lora(&lora));
 
-    at_each_thread_count(|t| {
-        let mut g = Graph::new();
-        let xv = g.input(x.clone());
-        let y = lora.forward(&mut g, xv, &Ctx::none()).unwrap();
-        let tape = g.value(y);
-        let served = engine.serve_one(&Request::new(1, x.clone())).unwrap();
-        assert_bitwise(&tape, &served, "lora", t);
-    });
+    let mut g = Graph::new();
+    let xv = g.input(x.clone());
+    let y = lora.forward(&mut g, xv, &Ctx::none()).unwrap();
+    let tape = g.value(y);
+    let served = engine.serve_one(&Request::new(1, x.clone())).unwrap();
+    assert_bitwise(&tape, &served, "lora");
 }
 
 #[test]
@@ -90,14 +77,12 @@ fn conv_lora_serving_matches_tape_bitwise() {
         factored_engine(Tensor::zeros(&[1, 1]), None).with_conv_base(w, bias, spec);
     engine.register(1, TenantAdapter::from_conv_lora(&cl));
 
-    at_each_thread_count(|t| {
-        let mut g = Graph::new();
-        let xv = g.input(x.clone());
-        let y = cl.forward(&mut g, xv, &Ctx::none()).unwrap();
-        let tape = g.value(y);
-        let served = engine.serve_one(&Request::new(1, x.clone())).unwrap();
-        assert_bitwise(&tape, &served, "conv_lora", t);
-    });
+    let mut g = Graph::new();
+    let xv = g.input(x.clone());
+    let y = cl.forward(&mut g, xv, &Ctx::none()).unwrap();
+    let tape = g.value(y);
+    let served = engine.serve_one(&Request::new(1, x.clone())).unwrap();
+    assert_bitwise(&tape, &served, "conv_lora");
 }
 
 #[test]
@@ -114,15 +99,13 @@ fn dynamic_meta_cp_serving_matches_tape_bitwise() {
     let engine = factored_engine(w, bias).with_mapping_cp(&mapping);
     engine.register(1, TenantAdapter::from_meta_cp(&cp, None));
 
-    at_each_thread_count(|t| {
-        let mut g = Graph::new();
-        let xv = g.input(x.clone());
-        let sv = mapping.generate(&mut g, xv).unwrap();
-        let y = cp.forward(&mut g, xv, &Ctx::with_seed(sv)).unwrap();
-        let tape = g.value(y);
-        let served = engine.serve_one(&Request::new(1, x.clone())).unwrap();
-        assert_bitwise(&tape, &served, "meta_cp dynamic", t);
-    });
+    let mut g = Graph::new();
+    let xv = g.input(x.clone());
+    let sv = mapping.generate(&mut g, xv).unwrap();
+    let y = cp.forward(&mut g, xv, &Ctx::with_seed(sv)).unwrap();
+    let tape = g.value(y);
+    let served = engine.serve_one(&Request::new(1, x.clone())).unwrap();
+    assert_bitwise(&tape, &served, "meta_cp dynamic");
 }
 
 #[test]
@@ -143,15 +126,13 @@ fn dynamic_meta_tr_serving_matches_tape_bitwise() {
     let engine = factored_engine(w, bias).with_mapping_tr(&mapping);
     engine.register(1, TenantAdapter::from_meta_tr(&tr, None));
 
-    at_each_thread_count(|t| {
-        let mut g = Graph::new();
-        let xv = g.input(x.clone());
-        let sv = mapping.generate(&mut g, xv).unwrap();
-        let y = tr.forward(&mut g, xv, &Ctx::with_seed(sv)).unwrap();
-        let tape = g.value(y);
-        let served = engine.serve_one(&Request::new(1, x.clone())).unwrap();
-        assert_bitwise(&tape, &served, "meta_tr dynamic", t);
-    });
+    let mut g = Graph::new();
+    let xv = g.input(x.clone());
+    let sv = mapping.generate(&mut g, xv).unwrap();
+    let y = tr.forward(&mut g, xv, &Ctx::with_seed(sv)).unwrap();
+    let tape = g.value(y);
+    let served = engine.serve_one(&Request::new(1, x.clone())).unwrap();
+    assert_bitwise(&tape, &served, "meta_tr dynamic");
 }
 
 #[test]
@@ -181,30 +162,26 @@ fn pinned_seed_meta_serving_matches_tape_bitwise() {
     let engine = factored_engine(w, bias);
     engine.register(1, TenantAdapter::from_meta_cp(&cp, Some(c_cp.clone())));
 
-    at_each_thread_count(|t| {
-        let mut g = Graph::new();
-        let xv = g.input(x.clone());
-        let sv = g.input(tile_seed(&c_cp, 3).unwrap());
-        let y = cp.forward(&mut g, xv, &Ctx::with_seed(sv)).unwrap();
-        let tape = g.value(y);
-        let served = engine.serve_one(&Request::new(1, x.clone())).unwrap();
-        assert_bitwise(&tape, &served, "meta_cp pinned", t);
-    });
+    let mut g = Graph::new();
+    let xv = g.input(x.clone());
+    let sv = g.input(tile_seed(&c_cp, 3).unwrap());
+    let y = cp.forward(&mut g, xv, &Ctx::with_seed(sv)).unwrap();
+    let tape = g.value(y);
+    let served = engine.serve_one(&Request::new(1, x.clone())).unwrap();
+    assert_bitwise(&tape, &served, "meta_cp pinned");
 
     let base2_w = tr.params()[0].value();
     let base2_b = tr.params()[1].value();
     let engine_tr = factored_engine(base2_w, Some(base2_b));
     engine_tr.register(1, TenantAdapter::from_meta_tr(&tr, Some(c_tr.clone())));
 
-    at_each_thread_count(|t| {
-        let mut g = Graph::new();
-        let xv = g.input(x.clone());
-        let sv = g.input(tile_seed(&c_tr, 3).unwrap());
-        let y = tr.forward(&mut g, xv, &Ctx::with_seed(sv)).unwrap();
-        let tape = g.value(y);
-        let served = engine_tr.serve_one(&Request::new(1, x.clone())).unwrap();
-        assert_bitwise(&tape, &served, "meta_tr pinned", t);
-    });
+    let mut g = Graph::new();
+    let xv = g.input(x.clone());
+    let sv = g.input(tile_seed(&c_tr, 3).unwrap());
+    let y = tr.forward(&mut g, xv, &Ctx::with_seed(sv)).unwrap();
+    let tape = g.value(y);
+    let served = engine_tr.serve_one(&Request::new(1, x.clone())).unwrap();
+    assert_bitwise(&tape, &served, "meta_tr pinned");
 }
 
 #[test]
@@ -223,16 +200,14 @@ fn multi_bank_slots_match_tape_bitwise() {
         engine.register(10 + k as u64, TenantAdapter::MultiSlot { slot: k });
     }
 
-    at_each_thread_count(|t| {
-        for k in 0..3 {
-            let mut g = Graph::new();
-            let xv = g.input(x.clone());
-            let y = multi.forward(&mut g, xv, &Ctx::with_adapter(k)).unwrap();
-            let tape = g.value(y);
-            let served = engine
-                .serve_one(&Request::new(10 + k as u64, x.clone()))
-                .unwrap();
-            assert_bitwise(&tape, &served, &format!("multi slot {k}"), t);
-        }
-    });
+    for k in 0..3 {
+        let mut g = Graph::new();
+        let xv = g.input(x.clone());
+        let y = multi.forward(&mut g, xv, &Ctx::with_adapter(k)).unwrap();
+        let tape = g.value(y);
+        let served = engine
+            .serve_one(&Request::new(10 + k as u64, x.clone()))
+            .unwrap();
+        assert_bitwise(&tape, &served, &format!("multi slot {k}"));
+    }
 }

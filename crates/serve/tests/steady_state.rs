@@ -6,13 +6,10 @@
 //! over a stream, replaying it never misses the arena and the pool stops
 //! growing — it is bounded by concurrency, not by how many distinct batch
 //! shapes were seen. The stream is a ragged 64-tenant zipf mix of all five
-//! adapter kinds, served factored and merged under 1 and 4 configured
-//! workers. At 4 workers the batch's stacked base product runs on a
-//! parallel team; the packed GEMM leases the team's `A` panels on the
-//! calling thread before the team starts, so how many are live at once is
-//! a function of the shape and the team size — not of how the workers'
-//! lifetimes happen to overlap — and a warm pass still never misses. The
-//! arena holds that scratch only: under a cache too small for the stream,
+//! adapter kinds, served factored and merged. The packed GEMM leases one
+//! `A` panel per call (plus its `B` pack), so what a call checks out is a
+//! function of the shape alone, and a warm pass never misses. The arena
+//! holds that scratch only: under a cache too small for the stream,
 //! evictions and re-merges neither feed it nor drain it.
 //!
 //! The hostile half: a rank-0 input is `Err(InvalidArgument)` for every
@@ -30,7 +27,7 @@ use metalora_peft::{LoraConfig, MultiLoraLinear};
 use metalora_serve::traffic::Zipf;
 use metalora_serve::{EngineConfig, Request, ServeEngine, TenantAdapter};
 use metalora_tensor::conv::ConvSpec;
-use metalora_tensor::{contract, init, ops, par, workspace, Tensor, TensorError};
+use metalora_tensor::{contract, init, ops, workspace, Tensor, TensorError};
 use std::sync::{Mutex, MutexGuard};
 
 const CFG: LoraConfig = LoraConfig { rank: 2, alpha: 3.0 };
@@ -40,7 +37,7 @@ const CONV: [usize; 3] = [3, 8, 8]; // C, H, W of a conv tenant's input
 const CONV_OUT: usize = 8;
 
 /// The arena and the obs counters are process-global: one test at a
-/// time, defaults restored on drop. Worker counts are scoped to a thread.
+/// time, defaults restored on drop.
 struct Globals(#[allow(dead_code)] MutexGuard<'static, ()>);
 
 fn lock_globals() -> Globals {
@@ -137,51 +134,37 @@ fn warm_passes_never_miss_the_arena_and_the_pool_stops_growing() {
     let reqs = stream(192);
     let kinds: std::collections::BTreeSet<u64> = reqs.iter().map(|r| r.tenant % 6).collect();
     assert_eq!(kinds.len(), 6, "the stream must reach every tenant kind");
-    // Merged-cache totals of the previous thread count: lookups happen in
-    // the sequential request loop, so they cannot depend on the team size.
-    let mut merged_stats = None;
-    for threads in [1usize, 4] {
-        for use_merged in [false, true] {
-            par::with_num_threads(threads, || {
-                workspace::clear();
-                metalora_obs::set_enabled(true);
-                metalora_obs::reset();
-                let e = engine(use_merged, 16);
-                let mut after = Vec::new();
-                for _pass in 0..3 {
-                    e.process(&reqs).unwrap();
-                    after.push(metalora_obs::counters::snapshot());
-                }
-                let what = format!("threads = {threads}, merged = {use_merged}");
-                assert!(after[0].workspace_misses > 0, "{what}: the warm pass allocates");
-                assert!(after[2].workspace_hits > after[1].workspace_hits, "{what}");
-                assert_eq!(
-                    after[2].workspace_misses, after[0].workspace_misses,
-                    "{what}: a warm pass missed the arena"
-                );
-                assert_eq!(
-                    after[2].peak_workspace_pooled_bytes, after[1].peak_workspace_pooled_bytes,
-                    "{what}: the pool kept growing"
-                );
-                assert_eq!(e.batch_count(), 3 * 12);
-                if threads > 1 && !use_merged {
-                    assert!(after[2].dispatch_parallel > 0, "{what}: no stacked product ran on a team");
-                }
-                // Every bias add and activation rides a GEMM store: a fixed
-                // number of fused epilogues per pass, never a separate pass.
-                assert_eq!(after[2].output_passes, 0, "{what}: a separate epilogue pass");
-                assert!(after[0].fused_epilogues > 0, "{what}: no fused epilogues");
-                assert_eq!(
-                    after[2].fused_epilogues - after[1].fused_epilogues,
-                    after[1].fused_epilogues - after[0].fused_epilogues,
-                    "{what}: fused epilogues per warm pass"
-                );
-                if use_merged {
-                    let stats = e.cache().stats();
-                    assert_eq!(*merged_stats.get_or_insert(stats), stats, "{what}: cache totals");
-                }
-            });
+    for use_merged in [false, true] {
+        workspace::clear();
+        metalora_obs::set_enabled(true);
+        metalora_obs::reset();
+        let e = engine(use_merged, 16);
+        let mut after = Vec::new();
+        for _pass in 0..3 {
+            e.process(&reqs).unwrap();
+            after.push(metalora_obs::counters::snapshot());
         }
+        let what = format!("merged = {use_merged}");
+        assert!(after[0].workspace_misses > 0, "{what}: the warm pass allocates");
+        assert!(after[2].workspace_hits > after[1].workspace_hits, "{what}");
+        assert_eq!(
+            after[2].workspace_misses, after[0].workspace_misses,
+            "{what}: a warm pass missed the arena"
+        );
+        assert_eq!(
+            after[2].peak_workspace_pooled_bytes, after[1].peak_workspace_pooled_bytes,
+            "{what}: the pool kept growing"
+        );
+        assert_eq!(e.batch_count(), 3 * 12);
+        // Every bias add and activation rides a GEMM store: a fixed
+        // number of fused epilogues per pass, never a separate pass.
+        assert_eq!(after[2].output_passes, 0, "{what}: a separate epilogue pass");
+        assert!(after[0].fused_epilogues > 0, "{what}: no fused epilogues");
+        assert_eq!(
+            after[2].fused_epilogues - after[1].fused_epilogues,
+            after[1].fused_epilogues - after[0].fused_epilogues,
+            "{what}: fused epilogues per warm pass"
+        );
     }
 }
 
@@ -194,39 +177,34 @@ fn warm_passes_never_miss_the_arena_and_the_pool_stops_growing() {
 fn evictions_and_re_merges_neither_feed_nor_drain_the_arena() {
     let _g = lock_globals();
     let reqs = stream(192);
-    for threads in [1usize, 4] {
-        par::with_num_threads(threads, || {
-            workspace::clear();
-            metalora_obs::set_enabled(true);
-            metalora_obs::reset();
-            let e = engine_with_cache(true, 16, 4 * DIM * DIM * 4);
-            let mut after = Vec::new();
-            for _pass in 0..3 {
-                e.process(&reqs).unwrap();
-                after.push((metalora_obs::counters::snapshot(), e.cache().stats()));
-            }
-            let what = format!("threads = {threads}");
-            let (second, third) = (&after[1], &after[2]);
-            assert!(third.1.evictions > second.1.evictions, "{what}: a warm pass must evict");
-            assert!(third.1.misses > second.1.misses, "{what}: a warm pass must re-merge");
-            assert_eq!(
-                third.0.workspace_misses, after[0].0.workspace_misses,
-                "{what}: a warm pass missed the arena"
-            );
-            assert_eq!(
-                third.0.peak_workspace_pooled_bytes, second.0.peak_workspace_pooled_bytes,
-                "{what}: the pool kept growing"
-            );
-            // Dropping every resident weight parks nothing in the arena.
-            assert!(third.1.entries > 0, "{what}");
-            e.cache().clear();
-            assert_eq!(
-                metalora_obs::counters::snapshot().peak_workspace_pooled_bytes,
-                third.0.peak_workspace_pooled_bytes,
-                "{what}: an evicted weight entered the arena"
-            );
-        });
+    workspace::clear();
+    metalora_obs::set_enabled(true);
+    metalora_obs::reset();
+    let e = engine_with_cache(true, 16, 4 * DIM * DIM * 4);
+    let mut after = Vec::new();
+    for _pass in 0..3 {
+        e.process(&reqs).unwrap();
+        after.push((metalora_obs::counters::snapshot(), e.cache().stats()));
     }
+    let (second, third) = (&after[1], &after[2]);
+    assert!(third.1.evictions > second.1.evictions, "a warm pass must evict");
+    assert!(third.1.misses > second.1.misses, "a warm pass must re-merge");
+    assert_eq!(
+        third.0.workspace_misses, after[0].0.workspace_misses,
+        "a warm pass missed the arena"
+    );
+    assert_eq!(
+        third.0.peak_workspace_pooled_bytes, second.0.peak_workspace_pooled_bytes,
+        "the pool kept growing"
+    );
+    // Dropping every resident weight parks nothing in the arena.
+    assert!(third.1.entries > 0);
+    e.cache().clear();
+    assert_eq!(
+        metalora_obs::counters::snapshot().peak_workspace_pooled_bytes,
+        third.0.peak_workspace_pooled_bytes,
+        "an evicted weight entered the arena"
+    );
 }
 
 #[test]
@@ -237,21 +215,17 @@ fn ragged_batches_are_bitwise_the_one_request_engine() {
         let solo = engine(use_merged, 1);
         let reference: Vec<Vec<u32>> =
             reqs.iter().map(|r| bits(&solo.serve_one(r).unwrap())).collect();
-        for threads in [1usize, 4] {
-            par::with_num_threads(threads, || {
-                let e = engine(use_merged, 16);
-                // Cold arena and cold cache on the first pass, warm on the second.
-                for pass in 0..2 {
-                    let outs = e.process(&reqs).unwrap();
-                    for (i, out) in outs.iter().enumerate() {
-                        assert_eq!(
-                            bits(out),
-                            reference[i],
-                            "request {i} diverged (merged = {use_merged}, threads = {threads}, pass {pass})"
-                        );
-                    }
-                }
-            });
+        let e = engine(use_merged, 16);
+        // Cold arena and cold cache on the first pass, warm on the second.
+        for pass in 0..2 {
+            let outs = e.process(&reqs).unwrap();
+            for (i, out) in outs.iter().enumerate() {
+                assert_eq!(
+                    bits(out),
+                    reference[i],
+                    "request {i} diverged (merged = {use_merged}, pass {pass})"
+                );
+            }
         }
     }
 }

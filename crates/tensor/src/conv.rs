@@ -9,9 +9,8 @@
 //!   built. Only under a forced reference kernel, which cannot read the
 //!   image, does [`im2col`] build the patches for it — the same elements,
 //!   so the same bits. The product runs through the GEMM's counters and
-//!   tile-grid scheduler — conv threading scales with the GEMM, not with
-//!   anything here. [`im2col`] also builds `dW`'s patches at backward
-//!   time, and
+//!   tile grid. [`im2col`] also builds `dW`'s patches at backward time,
+//!   and
 //!   [`col2im`] sums `dX` from the transposed patch gradient
 //!   `[N, C·KH·KW, OH·OW]`, walking destination rows;
 //! * the *dummy tensor* path of Eq. 2 / Fig. 2 of the paper —
@@ -28,7 +27,6 @@
 use crate::contract::contract;
 use crate::ops::microkernel::{use_packed, Lhs, Patches, StridedGemm};
 use crate::ops::{gemm, run_gemm, GemmDesc};
-use crate::par::par_row_blocks;
 use crate::{workspace, Result, Tensor, TensorError};
 
 /// Spatial geometry of a convolution along one axis.
@@ -193,24 +191,20 @@ pub fn im2col(x: &Tensor, h_spec: ConvSpec, w_spec: ConvSpec) -> Result<Tensor> 
     };
     let cols_w = c * kh * kw;
     let mut cols = workspace::zeroed_tensor(&[n * oh * ow, cols_w]);
-    // One patch row per (ni, ohi, owi); rows are pure gathers from the
-    // shared padded image, so the split is trivially deterministic.
-    par_row_blocks(cols.data_mut(), cols_w.max(1), cols_w, |first, block| {
-        for (r, row) in block.chunks_mut(cols_w.max(1)).enumerate() {
-            let ri = first + r;
-            let (ni, rem) = (ri / (oh * ow), ri % (oh * ow));
-            let (ohi, owi) = (rem / ow, rem % ow);
-            let h0 = ohi * h_spec.stride;
-            let w0 = owi * w_spec.stride;
-            for ci in 0..c {
-                for khi in 0..kh {
-                    let s = ((ni * c + ci) * hp + h0 + khi) * wp + w0;
-                    let d = (ci * kh + khi) * kw;
-                    row[d..d + kw].copy_from_slice(&src[s..s + kw]);
-                }
+    // One patch row per (ni, ohi, owi), gathered from the padded image.
+    for (ri, row) in cols.data_mut().chunks_mut(cols_w.max(1)).enumerate() {
+        let (ni, rem) = (ri / (oh * ow), ri % (oh * ow));
+        let (ohi, owi) = (rem / ow, rem % ow);
+        let h0 = ohi * h_spec.stride;
+        let w0 = owi * w_spec.stride;
+        for ci in 0..c {
+            for khi in 0..kh {
+                let s = ((ni * c + ci) * hp + h0 + khi) * wp + w0;
+                let d = (ci * kh + khi) * kw;
+                row[d..d + kw].copy_from_slice(&src[s..s + kw]);
             }
         }
-    });
+    }
     Ok(cols)
 }
 
@@ -248,46 +242,42 @@ pub fn col2im(
         });
     }
     let src = cols_t.data();
-    // Overlapping patches only ever collide *within* one image, so the
-    // walk parallelises over `ni`.
     let img = c * h * w;
     let mut out = workspace::zeroed_tensor(&[n, c, h, w]);
-    par_row_blocks(out.data_mut(), img.max(1), ckk * pix, |first, block| {
-        for (r, image) in block.chunks_mut(img.max(1)).enumerate() {
-            let grad = &src[(first + r) * ckk * pix..][..ckk * pix];
-            for (ci, plane) in image.chunks_mut(h * w).enumerate() {
-                for ohi in 0..oh {
-                    for khi in 0..kh {
-                        let ih = (ohi * h_spec.stride + khi).wrapping_sub(h_spec.pad);
-                        if ih >= h {
+    for (ni, image) in out.data_mut().chunks_mut(img.max(1)).enumerate() {
+        let grad = &src[ni * ckk * pix..][..ckk * pix];
+        for (ci, plane) in image.chunks_mut(h * w).enumerate() {
+            for ohi in 0..oh {
+                for khi in 0..kh {
+                    let ih = (ohi * h_spec.stride + khi).wrapping_sub(h_spec.pad);
+                    if ih >= h {
+                        continue;
+                    }
+                    let dst = &mut plane[ih * w..][..w];
+                    for kwi in (0..kw).rev() {
+                        // The `ow` whose column `ow·sw + kw − pw` lies in the image.
+                        let lo = pw.saturating_sub(kwi).div_ceil(sw);
+                        let hi = (w + pw).saturating_sub(kwi).div_ceil(sw).min(ow);
+                        if lo >= hi {
                             continue;
                         }
-                        let dst = &mut plane[ih * w..][..w];
-                        for kwi in (0..kw).rev() {
-                            // The `ow` whose column `ow·sw + kw − pw` lies in the image.
-                            let lo = pw.saturating_sub(kwi).div_ceil(sw);
-                            let hi = (w + pw).saturating_sub(kwi).div_ceil(sw).min(ow);
-                            if lo >= hi {
-                                continue;
+                        let row = &grad[((ci * kh + khi) * kw + kwi) * pix + ohi * ow..];
+                        let run = &row[lo..hi];
+                        let iw = lo * sw + kwi - pw;
+                        if sw == 1 {
+                            for (d, &g) in dst[iw..].iter_mut().zip(run) {
+                                *d += g;
                             }
-                            let row = &grad[((ci * kh + khi) * kw + kwi) * pix + ohi * ow..];
-                            let run = &row[lo..hi];
-                            let iw = lo * sw + kwi - pw;
-                            if sw == 1 {
-                                for (d, &g) in dst[iw..].iter_mut().zip(run) {
-                                    *d += g;
-                                }
-                            } else {
-                                for (d, &g) in dst[iw..].iter_mut().step_by(sw).zip(run) {
-                                    *d += g;
-                                }
+                        } else {
+                            for (d, &g) in dst[iw..].iter_mut().step_by(sw).zip(run) {
+                                *d += g;
                             }
                         }
                     }
                 }
             }
         }
-    });
+    }
     Ok(out)
 }
 

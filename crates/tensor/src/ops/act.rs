@@ -43,7 +43,6 @@
 //! is not inlined into a featured instantiation and runs slower than libm.
 
 use super::microkernel::{simd_level, SimdLevel};
-use crate::par::par_row_blocks;
 use crate::{Result, Tensor, TensorError};
 
 /// Lanes one vector step carries: one 512-bit register, or two 256-bit
@@ -122,28 +121,20 @@ impl Curve for GeluSlope {
     }
 }
 
-/// `C` over every element of `x` (with `gy` beside it), split over the
-/// same row blocks as [`super::map`].
+/// `C` over every element of `x` (with `gy` beside it).
 fn run<C: Curve>(x: &Tensor, gy: &Tensor) -> Tensor {
-    // Read on the calling thread: a `with_kernel_path` cap is
-    // thread-local, and the blocks may run on other threads.
-    let lvl = simd_level();
     let (xd, gd) = (x.data(), gy.data());
     let mut data = vec![0.0f32; xd.len()];
-    par_row_blocks(&mut data, 1, 1, |first, out| {
-        let end = first + out.len();
-        let (x, gy) = (&xd[first..end], &gd[first..end]);
-        match lvl {
-            // SAFETY: `simd_level` reports a vector level only when the
-            // host has it.
-            #[cfg(target_arch = "x86_64")]
-            SimdLevel::Avx512 => unsafe { lanes_avx512::<C>(x, gy, out) },
-            // SAFETY: as above.
-            #[cfg(target_arch = "x86_64")]
-            SimdLevel::Avx2 => unsafe { lanes_avx2::<C>(x, gy, out) },
-            _ => lanes::<C>(x, gy, out),
-        }
-    });
+    match simd_level() {
+        // SAFETY: `simd_level` reports a vector level only when the host
+        // has it.
+        #[cfg(target_arch = "x86_64")]
+        SimdLevel::Avx512 => unsafe { lanes_avx512::<C>(xd, gd, &mut data) },
+        // SAFETY: as above.
+        #[cfg(target_arch = "x86_64")]
+        SimdLevel::Avx2 => unsafe { lanes_avx2::<C>(xd, gd, &mut data) },
+        _ => lanes::<C>(xd, gd, &mut data),
+    }
     Tensor::from_vec(data, x.dims()).expect("same shape")
 }
 

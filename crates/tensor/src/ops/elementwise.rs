@@ -1,46 +1,29 @@
 //! Elementwise operations with NumPy-style broadcasting.
 //!
-//! The same-shape paths run through [`crate::par::par_row_blocks`]; each
-//! output element depends on one input slot, so the parallel split is
-//! trivially bitwise-deterministic. The broadcast path walks **runs**, as
-//! `ops::permute` does: adjacent output axes that both operands step
-//! through alike are coalesced, an odometer runs over the outer axes, and
-//! over the innermost run each operand is contiguous or held fixed. It
-//! stays serial. Each output element is still one call of the closure on
+//! The same-shape paths are one pass over the data. The broadcast path
+//! walks **runs**, as `ops::permute` does: adjacent output axes that both
+//! operands step through alike are coalesced, an odometer runs over the
+//! outer axes, and over the innermost run each operand is contiguous or
+//! held fixed. Each output element is still one call of the closure on
 //! the same two input elements, so the walk is bitwise the per-element
 //! definition (`tests/broadcast_equiv.rs`).
 
-use crate::par::par_row_blocks;
 use crate::shape::Shape;
 use crate::{Result, Tensor, TensorError};
 
 /// Applies `f` to every element, producing a new tensor of the same shape.
-pub fn map(t: &Tensor, f: impl Fn(f32) -> f32 + Sync) -> Tensor {
-    let src = t.data();
-    let mut data = vec![0.0f32; src.len()];
-    par_row_blocks(&mut data, 1, 1, |first, block| {
-        let end = first + block.len();
-        for (o, &x) in block.iter_mut().zip(&src[first..end]) {
-            *o = f(x);
-        }
-    });
+pub fn map(t: &Tensor, f: impl Fn(f32) -> f32) -> Tensor {
+    let data = t.data().iter().map(|&x| f(x)).collect();
     Tensor::from_vec(data, t.dims()).expect("same shape")
 }
 
 /// Combines two tensors elementwise with broadcasting.
 ///
 /// Shapes are aligned on trailing axes; an axis of extent 1 is repeated.
-pub fn zip_with(a: &Tensor, b: &Tensor, f: impl Fn(f32, f32) -> f32 + Sync) -> Result<Tensor> {
+pub fn zip_with(a: &Tensor, b: &Tensor, f: impl Fn(f32, f32) -> f32) -> Result<Tensor> {
     if a.shape() == b.shape() {
         // Fast path: identical shapes, no index arithmetic.
-        let (ad, bd) = (a.data(), b.data());
-        let mut data = vec![0.0f32; ad.len()];
-        par_row_blocks(&mut data, 1, 1, |first, block| {
-            let end = first + block.len();
-            for ((o, &x), &y) in block.iter_mut().zip(&ad[first..end]).zip(&bd[first..end]) {
-                *o = f(x, y);
-            }
-        });
+        let data = a.data().iter().zip(b.data()).map(|(&x, &y)| f(x, y)).collect();
         return Tensor::from_vec(data, a.dims());
     }
     let out_shape = a.shape().broadcast(b.shape())?;
@@ -193,14 +176,7 @@ pub fn add_scaled(a: &Tensor, b: &Tensor, s: f32) -> Result<Tensor> {
             rhs: b.dims().to_vec(),
         });
     }
-    let (ad, bd) = (a.data(), b.data());
-    let mut data = vec![0.0f32; ad.len()];
-    par_row_blocks(&mut data, 1, 2, |first, block| {
-        let end = first + block.len();
-        for ((o, &x), &y) in block.iter_mut().zip(&ad[first..end]).zip(&bd[first..end]) {
-            *o = x + s * y;
-        }
-    });
+    let data = a.data().iter().zip(b.data()).map(|(&x, &y)| x + s * y).collect();
     Tensor::from_vec(data, a.dims())
 }
 

@@ -18,13 +18,12 @@
 //!
 //! Per-element accumulation starts from `+0.0` and takes one fused
 //! multiply-add per `k`, in increasing `k` order, everywhere, so
-//! reference, packed, parallel and every SIMD level's results are all
-//! bitwise identical. One wrapper per layout survives —
+//! reference, packed and every SIMD level's results are all bitwise
+//! identical. One wrapper per layout survives —
 //! `matmul{,_transpose_a,_transpose_b}`, rank 2 or rank 3 like the
 //! descriptor.
 
 use super::microkernel::{self, add_bias, use_packed, Lhs, StridedGemm, KC};
-use crate::par::par_row_blocks;
 use crate::{Result, Tensor, TensorError};
 
 /// Whether an operand is read as stored or transposed (per batch slice).
@@ -209,18 +208,8 @@ pub(crate) fn run_gemm(g: &StridedGemm, operand_floats: usize) -> Vec<f32> {
 }
 
 /// The reference path of [`gemm`]: scalar loops over the strided
-/// description, row blocks handed to [`par_row_blocks`], each run by
-/// [`reference_rows`].
-fn gemm_reference(g: &StridedGemm, out: &mut [f32]) {
-    if out.is_empty() {
-        return;
-    }
-    par_row_blocks(out, g.n, 2 * g.k * g.n, |first, block| reference_rows(g, first, block));
-}
-
-/// The reference kernel on the output rows `first..` that `block` holds.
-/// Two inner-loop forms, both contiguous in `B`, picked from `B`'s
-/// strides:
+/// description. Two inner-loop forms, both contiguous in `B`, picked from
+/// `B`'s strides:
 ///
 /// * `B`'s k stride is 1 (transposed `B`, or a single column): a dot
 ///   product per element, accumulated in a register;
@@ -232,15 +221,18 @@ fn gemm_reference(g: &StridedGemm, out: &mut [f32]) {
 /// `f32::mul_add` per `k`, in increasing `k` order — the sequence the
 /// packed path reproduces. Unless the build targets FMA hardware,
 /// `mul_add` is libm's `fmaf`: the same bits as one `vfmadd`, slowly.
-fn reference_rows(g: &StridedGemm, first: usize, block: &mut [f32]) {
+fn gemm_reference(g: &StridedGemm, out: &mut [f32]) {
     let StridedGemm { a, b: bd, m, n, k, b_batch, b_ks, b_cs, .. } = *g;
     let Lhs::Strided { a: ad, batch: a_batch, rs: a_rs, ks: a_ks } = a else {
         unreachable!("a convolution reads its image on the packed kernel only")
     };
-    // Offsets of the `A` row and the `B` batch behind each output row of
-    // the block, in order (rows run through the batches).
+    if out.is_empty() {
+        return;
+    }
+    // Offsets of the `A` row and the `B` batch behind each output row, in
+    // order (rows run through the batches).
     let bases = || {
-        let (mut bi, mut i) = (first / m, first % m);
+        let (mut bi, mut i) = (0, 0);
         std::iter::from_fn(move || {
             let base = (bi * a_batch + i * a_rs, bi * b_batch);
             i += 1;
@@ -254,7 +246,7 @@ fn reference_rows(g: &StridedGemm, first: usize, block: &mut [f32]) {
         // A transposed `A` row is gathered once so the dot loop below
         // stays contiguous in both operands.
         let mut gathered = Vec::new();
-        for (out_row, (a0, b0)) in block.chunks_mut(n).zip(bases()) {
+        for (out_row, (a0, b0)) in out.chunks_mut(n).zip(bases()) {
             let a_row = if a_ks == 1 {
                 &ad[a0..a0 + k]
             } else {
@@ -274,7 +266,7 @@ fn reference_rows(g: &StridedGemm, first: usize, block: &mut [f32]) {
     } else {
         for kb in (0..k).step_by(KC) {
             let kend = (kb + KC).min(k);
-            for (out_row, (a0, b0)) in block.chunks_mut(n).zip(bases()) {
+            for (out_row, (a0, b0)) in out.chunks_mut(n).zip(bases()) {
                 for kk in kb..kend {
                     let aik = ad[a0 + kk * a_ks];
                     let b_row = &bd[b0 + kk * b_ks..][..n];
@@ -285,10 +277,10 @@ fn reference_rows(g: &StridedGemm, first: usize, block: &mut [f32]) {
             }
         }
     }
-    // The block's full-k accumulation is complete: add the bias in the
-    // same walk instead of a second pass over the output.
+    // The full-k accumulation is complete: add the bias in the same walk
+    // instead of a second pass over the output.
     if let Some(bias) = g.bias {
-        for row in block.chunks_mut(n) {
+        for row in out.chunks_mut(n) {
             add_bias(row, bias);
         }
     }
@@ -329,7 +321,7 @@ pub fn epilogue_pass(y: Tensor, bias: Option<&Tensor>) -> Result<Tensor> {
 mod tests {
     use super::*;
     use crate::ops::{transpose2d, with_kernel_path, KernelPath};
-    use crate::{approx_eq, init, par};
+    use crate::{approx_eq, init};
 
     /// The production kernel and the oracle.
     const BOTH_PATHS: [KernelPath; 2] = [KernelPath::Reference, KernelPath::Packed];
@@ -438,19 +430,6 @@ mod tests {
                 }
                 assert_eq!(c.data()[i * 5 + j], acc, "tiled result must be bitwise ikj");
             }
-        }
-    }
-
-    #[test]
-    fn forced_parallel_is_bitwise_serial() {
-        let mut r = init::rng(13);
-        let a = init::uniform(&[65, 40], -1.0, 1.0, &mut r);
-        let b = init::uniform(&[40, 33], -1.0, 1.0, &mut r);
-        for path in BOTH_PATHS {
-            let run = || with_kernel_path(path, || matmul(&a, &b).unwrap());
-            let serial = par::with_num_threads(1, run);
-            let parallel = par::with_par_threshold(0, || par::with_num_threads(4, run));
-            assert_eq!(serial.data(), parallel.data());
         }
     }
 

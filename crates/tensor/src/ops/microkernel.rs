@@ -1,5 +1,4 @@
-//! Packed, register-tiled GEMM microkernel with a parallel tile-grid
-//! scheduler.
+//! Packed, register-tiled GEMM microkernel over a tile grid.
 //!
 //! Every layout / batching combination [`super::gemm`] accepts
 //! reduces to the same computation — `C[i,j] += Σ_k A[i,k]·B[k,j]` over
@@ -12,22 +11,16 @@
 //!    element of `B` is read exactly once, so the register tiles read it
 //!    where it lies, at its row stride: no pack, no lease. Any other
 //!    product packs `B` once per call into KC-tall panels of [`NR`]-wide
-//!    column tiles (`[kc×NR]`, k-major) — shared, read-only, visible to
-//!    every worker. Packing linearises the strided loads of the transposed
-//!    variants, so the inner kernel streams two contiguous panels that
-//!    every strip re-reads.
-//! 2. **Claim C-tile blocks from a shared atomic queue**
-//!    ([`crate::par::par_task_queue`]): the output is a grid of
-//!    `MR`-row strips × `NC`-column groups, and each team worker claims
-//!    grid cells until the queue is dry. On first touch of a strip the
-//!    worker packs that strip's `A` rows into its **private arena lease**
-//!    (`[kc×MR]` row tiles, k-major; the team's leases are taken by the
-//!    caller before the team starts) and keeps it for subsequent claims
-//!    of the same strip — `A` is packed at most once per (strip, worker)
-//!    and `B` at most once per call, which is what lets the packed path
-//!    scale instead of fighting the thread team (the old design split
-//!    rows *above* the packing).
-//! 3. Per claimed cell, run the **register tile** of the strip's height
+//!    column tiles (`[kc×NR]`, k-major), read-only. Packing linearises
+//!    the strided loads of the transposed variants, so the inner kernel
+//!    streams two contiguous panels that every strip re-reads.
+//! 2. **Walk the tile grid in order** on the calling thread: the output
+//!    is a grid of `MR`-row strips × `NC`-column groups. On the first
+//!    cell of a strip, that strip's `A` rows are packed into the call's
+//!    one **arena lease** (`[kc×MR]` row tiles, k-major) and kept for the
+//!    strip's other column groups, so `A` is packed once per strip and
+//!    `B` at most once per call.
+//! 3. Per cell, run the **register tile** of the strip's height
 //!    (`1..=MR` rows) over its columns: two adjacent `NR`-wide panels at
 //!    once while at least `2·NR` columns remain, one panel otherwise, and
 //!    the ragged `n % NR` columns through masked lanes. The accumulator
@@ -52,15 +45,6 @@
 //! product runs here, and the reference kernel runs only where
 //! [`with_kernel_path`] forces it.
 //!
-//! Work *stealing* cannot move a bit either: each grid cell is a
-//! self-contained block of output elements, computed by exactly one
-//! worker from shared immutable operands over the full `k` range.
-//! Which worker computes which cell — and in which order — changes
-//! nothing about any element's operation sequence, so the scheduler is
-//! free to interleave claims arbitrarily (tallied by the obs
-//! `tile_steals` counter) while staying bitwise equal to the serial
-//! claim order.
-//!
 //! # SIMD dispatch
 //!
 //! One kernel per level, detected once at runtime ([`simd_level`]).
@@ -75,7 +59,7 @@
 //!
 //! # Fused bias
 //!
-//! A GEMM call may carry a per-output-column bias, which each worker adds
+//! A GEMM call may carry a per-output-column bias, which the kernel adds
 //! to a column tile immediately after that tile's final KC tile stores,
 //! i.e. once the full `k` accumulation of those elements is complete. The
 //! per-element value is `acc + bias[j]`, exactly what the separate
@@ -84,7 +68,6 @@
 //! DESIGN.md "Bias epilogue").
 
 use crate::conv::ConvSpec;
-use crate::par::{par_task_queue, TaskQueue};
 use crate::workspace;
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU8, Ordering::Relaxed};
@@ -98,11 +81,9 @@ pub const NR: usize = 16;
 /// k-dimension tile, shared with the reference kernel: the packed `KC×NR`
 /// panel of `B` stays cache-resident while a row block streams past it.
 pub const KC: usize = 128;
-/// Columns per tile-grid cell (a multiple of [`NR`]): one claimed cell is
-/// an `MR`-row strip crossed with up to `NC` columns. Wide outputs split
-/// into several cells per strip so short-and-wide products still expose
-/// enough parallelism; `NC·KC` floats of `B` per cell stay cache-resident
-/// while the strip streams past.
+/// Columns per tile-grid cell (a multiple of [`NR`]): one cell is an
+/// `MR`-row strip crossed with up to `NC` columns, so `NC·KC` floats of
+/// `B` per cell stay cache-resident while the strip streams past.
 pub const NC: usize = 256;
 
 // ---------------------------------------------------------------------------
@@ -822,26 +803,8 @@ mod x86 {
 }
 
 // ---------------------------------------------------------------------------
-// Tile-grid scheduler
+// Tile grid
 // ---------------------------------------------------------------------------
-
-/// Raw output pointer a scoped worker team shares. Safety rests on the
-/// grid geometry: every task index maps to a distinct (row strip ×
-/// column group) block of `C`, so no two workers ever write the same
-/// element.
-struct SendPtr(*mut f32);
-unsafe impl Send for SendPtr {}
-unsafe impl Sync for SendPtr {}
-
-impl SendPtr {
-    // Accessor (rather than a public field) so closures capture the whole
-    // `SendPtr` — precise closure capture would otherwise grab the bare
-    // `*mut f32` field, which is not `Sync`.
-    #[inline]
-    fn get(&self) -> *mut f32 {
-        self.0
-    }
-}
 
 /// Where the cells of one batch read `B`.
 #[derive(Clone, Copy)]
@@ -853,7 +816,7 @@ enum BSrc<'a> {
     InPlace { b: &'a [f32], ld: usize },
 }
 
-/// Computes one claimed grid cell: the `me ≤ MR` rows of a packed A strip
+/// Computes one grid cell: the `me ≤ MR` rows of a packed A strip
 /// (`[kc×me]` tiles at `kb·me`, [`pack_a`] layout) times columns
 /// `j_lo..j_hi` of one batch's `B`, into `C` at `c` (top-left of the
 /// strip, row stride `n`).
@@ -866,8 +829,8 @@ enum BSrc<'a> {
 /// accumulation in strictly increasing `k` order.
 ///
 /// # Safety
-/// `c.fits(me, j_hi)`, and that block of `C` is not accessed by any other
-/// thread; `apack` holds `me*k` packed floats and `b` all `k×n` of the
+/// `c.fits(me, j_hi)`, and nothing else accesses that block of `C` during
+/// the call; `apack` holds `me*k` packed floats and `b` all `k×n` of the
 /// batch's `B`; `j_lo` is `2·NR`-aligned; a `bias` has length `n`; the
 /// host has `lvl`.
 #[allow(clippy::too_many_arguments)]
@@ -971,24 +934,17 @@ pub(crate) struct StridedGemm<'a> {
 
 /// The packed path of [`super::gemm`].
 ///
-/// `B` is packed **once** up front (shared read-only across the worker
-/// team — the obs `tile_bpacks` counter counts one pass per GEMM that
-/// packs) unless no strip would re-read it: when every batch is one strip
-/// (`m ≤ MR`) and `B` has unit column stride, the tiles read `B` where it
-/// lies and the call packs and leases nothing for it. The output is then a
-/// grid of `MR`-row strips × `NC`-column
-/// groups — a fixed function of the problem shape, never of the thread
-/// count — and [`par_task_queue`] workers claim cells from a shared
-/// atomic queue. Each worker holds one `MR×k` A-panel buffer for its whole
-/// lifetime and re-packs it only when it claims a cell from a different
-/// strip than its previous one. The team's panels are leased from the
-/// workspace arena **on the calling thread before the team starts** (no
-/// cross-thread aliasing: the arena hands out disjoint buffers), so one
-/// call checks out exactly team-size panels at once, plus the `B` panel
-/// when it packs — a function of the shape and the thread count, never of
-/// whether an early worker finished before a late one started; a warm
-/// arena therefore never misses. A bias is added to each column tile right
-/// after its last KC tile stores.
+/// `B` is packed **once** up front (the obs `tile_bpacks` counter counts
+/// one pass per GEMM that packs) unless no strip would re-read it: when
+/// every batch is one strip (`m ≤ MR`) and `B` has unit column stride,
+/// the tiles read `B` where it lies and the call packs and leases nothing
+/// for it. The output is then a grid of `MR`-row strips × `NC`-column
+/// groups, a fixed function of the problem shape, computed cell by cell
+/// in index order on the calling thread. One `MR×k` A-panel buffer,
+/// leased from the workspace arena, is re-packed only when a cell starts
+/// a new strip, so one call checks out exactly one panel, plus the `B`
+/// panel when it packs; a warm arena therefore never misses. A bias is
+/// added to each column tile right after its last KC tile stores.
 pub(crate) fn gemm_packed(g: &StridedGemm, out: &mut [f32]) {
     let StridedGemm { a, b, b_batch, b_ks, b_cs, bs, m, n, k, bias } = *g;
     debug_assert_eq!(out.len(), bs * m * n);
@@ -1009,48 +965,37 @@ pub(crate) fn gemm_packed(g: &StridedGemm, out: &mut [f32]) {
     };
 
     // The tile grid: strips never straddle batch boundaries, column
-    // groups are NR-aligned. Task index → (strip, group) with groups
-    // adjacent for the same strip, so a worker draining consecutive
-    // indices keeps its packed A strip.
+    // groups are NR-aligned. Cell index → (strip, group) with groups
+    // adjacent for the same strip, so the packed A strip serves every
+    // group of its strip.
     let strips_per_batch = m.div_ceil(MR);
     let col_groups = n.div_ceil(NC);
-    let tasks = bs * strips_per_batch * col_groups;
+    let cells = bs * strips_per_batch * col_groups;
     let lvl = simd_level();
-    let out_len = out.len();
-    let c_out = SendPtr(out.as_mut_ptr());
-    let worker = |slot: usize, queue: &TaskQueue, mut apack: workspace::WorkspaceGuard| {
-        let mut packed_strip = usize::MAX;
-        let (mut claimed, mut steals, mut last) = (0u64, 0u64, usize::MAX);
-        while let Some(task) = queue.claim() {
-            claimed += 1;
-            if last != usize::MAX && task != last + 1 {
-                steals += 1;
-            }
-            last = task;
-            let (strip, g) = (task / col_groups, task % col_groups);
-            let (bi, i0) = (strip / strips_per_batch, (strip % strips_per_batch) * MR);
-            let me = (m - i0).min(MR);
-            if strip != packed_strip {
-                a.pack_strip(bi, i0, me, k, &mut apack[..me * k]);
-                packed_strip = strip;
-            }
-            let (j_lo, j_hi) = (g * NC, ((g + 1) * NC).min(n));
-            let off = bi * m * n + i0 * n;
-            // SAFETY: task indices are claimed exactly once, and each maps
-            // to a disjoint me×(j_hi-j_lo) block of `out`, which holds
-            // `out_len - off` floats from the strip's corner on; the packed
-            // A panel was sized by pack_a, `B` holds the batch's `k×n`
-            // (packed by pack_b above, or as stored), and `lvl` is the
-            // host's level or below it.
-            unsafe {
-                let c = CTile { ptr: c_out.get().add(off), ldc: n, avail: out_len - off };
-                gemm_cell(lvl, &apack[..me * k], me, b_of(bi), (n, k), (j_lo, j_hi), c, bias);
-            }
+    let (c_out, out_len) = (out.as_mut_ptr(), out.len());
+    let mut apack = workspace::take(MR * k);
+    let mut packed_strip = usize::MAX;
+    for cell in 0..cells {
+        let (strip, g) = (cell / col_groups, cell % col_groups);
+        let (bi, i0) = (strip / strips_per_batch, (strip % strips_per_batch) * MR);
+        let me = (m - i0).min(MR);
+        if strip != packed_strip {
+            a.pack_strip(bi, i0, me, k, &mut apack[..me * k]);
+            packed_strip = strip;
         }
-        metalora_obs::counters::record_tile_grid_worker(slot, claimed, steals);
-    };
-    let a_panel = || workspace::take(MR * k);
-    par_task_queue("tile_grid", tasks, 2 * MR * k * NC.min(n.max(1)), a_panel, worker);
+        let (j_lo, j_hi) = (g * NC, ((g + 1) * NC).min(n));
+        let off = bi * m * n + i0 * n;
+        // SAFETY: each cell maps to an me×(j_hi-j_lo) block of `out`,
+        // which holds `out_len - off` floats from the strip's corner on;
+        // the packed A panel was sized by pack_a, `B` holds the batch's
+        // `k×n` (packed by pack_b above, or as stored), and `lvl` is the
+        // host's level or below it.
+        unsafe {
+            let c = CTile { ptr: c_out.add(off), ldc: n, avail: out_len - off };
+            gemm_cell(lvl, &apack[..me * k], me, b_of(bi), (n, k), (j_lo, j_hi), c, bias);
+        }
+    }
+    metalora_obs::counters::TILE_CLAIMS.add(cells as u64);
 }
 
 #[cfg(test)]
@@ -1190,16 +1135,5 @@ mod tests {
         }
         let fused = packed(&ad, &bd, dims, Some(&bias));
         assert!(bits_eq(&fused, &separate));
-    }
-
-    #[test]
-    fn serial_tile_grid_matches_parallel_tile_grid() {
-        // One worker draining the grid in order and a team of four
-        // claiming cells in any order must not differ in a bit.
-        let (dims, ad, bd) = ragged_operands();
-        let run = || packed(&ad, &bd, dims, None);
-        let serial = crate::par::with_num_threads(1, run);
-        let parallel = crate::par::with_par_threshold(0, || crate::par::with_num_threads(4, run));
-        assert!(bits_eq(&serial, &parallel));
     }
 }

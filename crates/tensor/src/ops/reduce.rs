@@ -1,15 +1,11 @@
 //! Reductions: full and per-axis sums, means, maxima and argmax.
 //!
-//! Per-axis reductions parallelise over the `outer` lanes — each output
-//! element still accumulates in increasing `m` order, so results stay
-//! bitwise identical to serial. The full reductions ([`sum_all`],
-//! [`mean_all`]) deliberately stay serial: splitting them would require
-//! combining per-thread partials, changing the accumulation order.
+//! Every reduction accumulates each output element in increasing index
+//! order along the reduced axis.
 
-use crate::par::par_row_blocks;
 use crate::{Result, Tensor, TensorError};
 
-/// Sum of all elements. Always serial (see module docs).
+/// Sum of all elements.
 pub fn sum_all(t: &Tensor) -> f32 {
     t.data().iter().sum()
 }
@@ -50,17 +46,14 @@ pub fn sum_axis(t: &Tensor, axis: usize) -> Result<Tensor> {
     let (outer, mid, inner) = axis_split(t, axis)?;
     let src = t.data();
     let mut out = vec![0.0f32; outer * inner];
-    par_row_blocks(&mut out, inner.max(1), mid * inner, |first, block| {
-        for (r, dst) in block.chunks_mut(inner.max(1)).enumerate() {
-            let o = first + r;
-            for m in 0..mid {
-                let base = (o * mid + m) * inner;
-                for (d, &s) in dst.iter_mut().zip(&src[base..base + inner]) {
-                    *d += s;
-                }
+    for (o, dst) in out.chunks_mut(inner.max(1)).enumerate() {
+        for m in 0..mid {
+            let base = (o * mid + m) * inner;
+            for (d, &s) in dst.iter_mut().zip(&src[base..base + inner]) {
+                *d += s;
             }
         }
-    });
+    }
     Tensor::from_vec(out, &reduced_dims(t, axis))
 }
 
@@ -82,19 +75,16 @@ pub fn max_axis(t: &Tensor, axis: usize) -> Result<Tensor> {
     }
     let src = t.data();
     let mut out = vec![f32::NEG_INFINITY; outer * inner];
-    par_row_blocks(&mut out, inner.max(1), mid * inner, |first, block| {
-        for (r, dst) in block.chunks_mut(inner.max(1)).enumerate() {
-            let o = first + r;
-            for m in 0..mid {
-                let base = (o * mid + m) * inner;
-                for (d, &s) in dst.iter_mut().zip(&src[base..base + inner]) {
-                    if s > *d {
-                        *d = s;
-                    }
+    for (o, dst) in out.chunks_mut(inner.max(1)).enumerate() {
+        for m in 0..mid {
+            let base = (o * mid + m) * inner;
+            for (d, &s) in dst.iter_mut().zip(&src[base..base + inner]) {
+                if s > *d {
+                    *d = s;
                 }
             }
         }
-    });
+    }
     Tensor::from_vec(out, &reduced_dims(t, axis))
 }
 
@@ -111,24 +101,17 @@ pub fn argmax(t: &Tensor) -> Result<Vec<usize>> {
             "argmax over empty axis".into(),
         ));
     }
-    let lanes = t.len() / last;
-    let src = t.data();
-    let mut out = vec![0usize; lanes];
-    par_row_blocks(&mut out, 1, last, |first, block| {
-        for (r, slot) in block.iter_mut().enumerate() {
-            let l = first + r;
-            let row = &src[l * last..(l + 1) * last];
-            let mut best = 0usize;
-            for (j, &v) in row.iter().enumerate() {
-                if v > row[best] {
-                    best = j;
-                }
+    let argmax_row = |row: &[f32]| {
+        let mut best = 0usize;
+        for (j, &v) in row.iter().enumerate() {
+            if v > row[best] {
+                best = j;
             }
-            debug_assert!(!row[best].is_nan(), "argmax over NaN data");
-            *slot = best;
         }
-    });
-    Ok(out)
+        debug_assert!(!row[best].is_nan(), "argmax over NaN data");
+        best
+    };
+    Ok(t.data().chunks_exact(last).map(argmax_row).collect())
 }
 
 #[cfg(test)]

@@ -29,13 +29,12 @@
 //!
 //! Checkouts are **disjoint by construction** — `pop` removes the buffer
 //! from the pool under the lock, so two live guards can never alias, even
-//! across threads. The GEMM tile-grid scheduler leans on this: every
-//! worker in the team holds its own A-panel lease for its whole lifetime
-//! (the calling thread takes the team's leases before the team starts, so
-//! how many are out at once is a function of shape and team size) while
-//! the shared B panel of a product that packs `B` (one whose strips
-//! re-read it; a one-strip product reads `B` in place and leases none)
-//! and other threads' checkouts churn through the same pool concurrently.
+//! across threads. The packed GEMM leans on this: a call holds one
+//! A-panel lease for the whole product, beside the B panel of a product
+//! that packs `B` (one whose strips re-read it; a one-strip product reads
+//! `B` in place and leases none), while the checkouts of other threads —
+//! concurrent callers of a shared serving engine — churn through the same
+//! pool.
 //!
 //! Checkout hits/misses, bytes reused and the pooled-bytes high-water mark
 //! are reported to `metalora_obs` (visible in `RUNLOG_*.json` under
@@ -275,10 +274,10 @@ mod tests {
 
     #[test]
     fn long_lived_leases_survive_concurrent_churn() {
-        // The tile-grid pattern: each worker holds one lease for its whole
-        // lifetime (its A panel) while short-lived checkouts (B panels,
-        // im2col scratch) cycle through the pool around it. The long lease
-        // must stay intact throughout.
+        // The packed GEMM's pattern under concurrent callers: each call
+        // holds one lease for the whole product (its A panel) while
+        // short-lived checkouts (B panels, im2col scratch) cycle through
+        // the pool around it. The long lease must stay intact throughout.
         std::thread::scope(|s| {
             for tid in 0..6 {
                 s.spawn(move || {

@@ -9,13 +9,13 @@
 //!
 //! The debug suite sweeps every 1009th bit pattern, ±2048-ulp windows
 //! around each threshold and `k` step of the two functions, the special
-//! values, every vector tail length, and the row-block split at 1 and 4
-//! workers. The ignored test runs all 2³² inputs (release only) and also
-//! compares with the host libm, which this port assumes is glibc's
-//! generic fdlibm `tanhf` (x86-64 glibc 2.36 ships it).
+//! values, and every vector tail length. The ignored test runs all 2³²
+//! inputs (release only) and also compares with the host libm, which this
+//! port assumes is glibc's generic fdlibm `tanhf` (x86-64 glibc 2.36
+//! ships it).
 
 use metalora_tensor::ops::{self, simd_level, with_kernel_path, SimdLevel};
-use metalora_tensor::{par, Tensor};
+use metalora_tensor::Tensor;
 
 // ---------------------------------------------------------------------------
 // The oracle: fdlibm `s_expm1f.c` and `s_tanhf.c`, transcribed verbatim
@@ -346,18 +346,6 @@ fn gelu_backward_rejects_a_gradient_of_another_shape() {
     let x = Tensor::zeros(&[2, 3]);
     assert!(ops::gelu_backward(&x, &Tensor::zeros(&[3, 2])).is_err());
     assert!(ops::gelu_backward(&x, &Tensor::zeros(&[3])).is_err());
-}
-
-#[test]
-fn the_row_block_split_matches_at_one_and_four_workers() {
-    // Several blocks of the split, and a ragged last one.
-    let n = 3 * 4096 + 29;
-    let xs: Vec<f32> = (0..n)
-        .map(|i| ((i * 7919) % 2003) as f32 * 0.013 - 13.0)
-        .collect();
-    for workers in [1, 4] {
-        par::with_par_threshold(0, || par::with_num_threads(workers, || check(&xs)));
-    }
 }
 
 /// All 2³² inputs, against the oracle and the host libm. Release only:

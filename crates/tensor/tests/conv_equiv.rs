@@ -15,20 +15,18 @@
 //! Shapes: stride {1, 2, 3} × pad {0, 1, 2} × kernel {1, 3, 5}, on images
 //! whose output rows are shorter than a strip, ragged against it, and
 //! exactly the padded input (a single output pixel), with `C = 1` and
-//! `N ∈ {0, 1, 3}`. Each case runs on both GEMM kernels, at every SIMD
-//! level the host has and at worker counts {1, 2, 4, 7}, with the parallel
-//! threshold at 0 so every shape can take the parallel path — all forced
-//! through the scoped thread-local seams, so the suite needs no lock.
+//! `N ∈ {0, 1, 3}`. Each case runs on both GEMM kernels at every SIMD
+//! level the host has — forced through the scoped thread-local seam, so
+//! the suite needs no lock.
 
 use metalora_tensor::conv::{col2im, conv2d_bias, im2col, weight_to_matrix, ConvSpec};
 use metalora_tensor::ops::{
     gemm, matmul_transpose_b, permute, simd_level, with_kernel_path, GemmDesc, KernelPath,
     SimdLevel,
 };
-use metalora_tensor::{init, par, Tensor};
+use metalora_tensor::{init, Tensor};
 
 const LEVELS: [SimdLevel; 3] = [SimdLevel::Scalar, SimdLevel::Avx2, SimdLevel::Avx512];
-const THREADS: [usize; 4] = [1, 2, 4, 7];
 const O: usize = 5;
 
 fn bits_eq(a: &Tensor, b: &Tensor) -> bool {
@@ -87,19 +85,13 @@ fn cases() -> Vec<Case> {
     out
 }
 
-/// Runs `f` on both kernels at every SIMD level the host has and every
-/// worker count, and asserts each result is `want` to the bit.
+/// Runs `f` on both kernels at every SIMD level the host has, and
+/// asserts each result is `want` to the bit.
 fn assert_everywhere(want: &Tensor, what: &str, f: impl Fn() -> Tensor) {
     for path in [KernelPath::Reference, KernelPath::Packed] {
         for level in LEVELS.into_iter().filter(|&l| l <= simd_level()) {
-            for t in THREADS {
-                let got = par::with_par_threshold(0, || {
-                    par::with_num_threads(t, || {
-                        with_kernel_path(level, || with_kernel_path(path, &f))
-                    })
-                });
-                assert!(bits_eq(&got, want), "{path:?}@{level:?}@{t}: {what}");
-            }
+            let got = with_kernel_path(level, || with_kernel_path(path, &f));
+            assert!(bits_eq(&got, want), "{path:?}@{level:?}: {what}");
         }
     }
 }

@@ -2,19 +2,19 @@
 //! **bitwise identical** to the separate-pass sequence (`matmul → add`,
 //! [`epilogue_pass`]) it replaces — across ragged and degenerate shapes
 //! (including k = 0), with and without a bias, the packed and the
-//! reference kernel, conv2d, and worker counts {1, 2, 4, 7}.
+//! reference kernel, and conv2d.
 //!
 //! The arena gets its own check: a buffer *held across* a kernel call
 //! must never alias the kernel's own scratch (the kernel's checkouts land
 //! in different buffers because the held ones are still out).
 //!
-//! The kernel, the worker count and the parallel threshold are forced
-//! through the scoped thread-local seams, so the suite needs no lock.
+//! The kernel is forced through the scoped thread-local seam, so the
+//! suite needs no lock.
 
 use metalora_tensor::conv::{conv2d, conv2d_bias, ConvSpec};
 use metalora_tensor::ops::microkernel::MR;
 use metalora_tensor::ops::{epilogue_pass, gemm, with_kernel_path, GemmDesc, KernelPath};
-use metalora_tensor::{init, par, workspace, Tensor};
+use metalora_tensor::{init, workspace, Tensor};
 use proptest::prelude::*;
 
 fn bits_eq(a: &Tensor, b: &Tensor) -> bool {
@@ -91,42 +91,11 @@ proptest! {
             }
         }
     }
-
-    #[test]
-    fn fused_thread_sweep_is_bitwise(
-        m in 1usize..40,
-        k in 1usize..80,
-        n in 1usize..40,
-        seed in 0u64..1000,
-    ) {
-        // Thread splits cut through MR row tiles and tile-grid cells; the
-        // store-time bias is per-element, so no worker count may move a
-        // bit vs the single-thread separate-pass run.
-        let x = rand_t(&[m, k], seed);
-        let w = rand_t(&[k, n], seed + 1);
-        let bias = rand_t(&[n], seed + 2);
-        let plain = par::with_num_threads(1, || {
-            with_kernel_path(KernelPath::Reference, || gemm(&GemmDesc::new(&x, &w)).unwrap())
-        });
-        let reference = epilogue_pass(plain, Some(&bias)).unwrap();
-        for threads in [1usize, 2, 4, 7] {
-            let out = par::with_par_threshold(0, || {
-                par::with_num_threads(threads, || {
-                    with_kernel_path(KernelPath::Packed, || {
-                        gemm(&GemmDesc::new(&x, &w).epilogue(Some(&bias))).unwrap()
-                    })
-                })
-            });
-            prop_assert!(bits_eq(&reference, &out), "fused bias at {threads} workers diverged");
-        }
-    }
 }
 
-/// `x·w + bias` (the packed kernel) on a team of two workers.
+/// `x·w + bias` on the packed kernel.
 fn packed_bias(x: &Tensor, w: &Tensor, bias: &Tensor) -> Tensor {
-    par::with_par_threshold(0, || {
-        par::with_num_threads(2, || gemm(&GemmDesc::new(x, w).epilogue(Some(bias))).unwrap())
-    })
+    gemm(&GemmDesc::new(x, w).epilogue(Some(bias))).unwrap()
 }
 
 /// A buffer held *across* a kernel call never aliases the kernel's own
@@ -140,10 +109,10 @@ fn held_lease_never_aliases_kernel_scratch() {
     let w = rand_t(&[k, n], 5);
     let bias = rand_t(&[n], 6);
     let reference = packed_bias(&x, &w, &bias);
-    // The reference run parked its B panel (k·n) and two A panels (MR·k)
+    // The reference run parked its B panel (k·n) and its A panel (MR·k)
     // in the pool; taking the same sizes checks those very buffers out,
     // so the next call must find or allocate others.
-    let mut held: Vec<_> = [k * n, MR * k, MR * k].into_iter().map(workspace::take).collect();
+    let mut held: Vec<_> = [k * n, MR * k].into_iter().map(workspace::take).collect();
     for (i, g) in held.iter_mut().enumerate() {
         g.fill(-(i as f32) - 1.0);
     }

@@ -1,24 +1,22 @@
 //! The GEMM equivalence table: one proptest over the whole descriptor
 //! space of [`gemm`] — {N,T}×{N,T} layouts × {unbatched, batched, one `a`
 //! shared by a batched `b`, matvec} × {no bias, bias} — on ragged,
-//! `k = 0`, single-row/column, NC-crossing and KC-crossing shapes at
-//! worker counts {1, 2, 3, 4, 7}.
+//! `k = 0`, single-row/column, NC-crossing and KC-crossing shapes.
 //!
 //! Every cell is anchored to a naive triple loop over the operands
 //! followed by the separate [`epilogue_pass`], and must match it **bitwise**
 //! on the reference kernel, on the forced packed kernel and unforced (the
-//! packed kernel every production call takes), and — both kernels at one
-//! worker — at every SIMD level the host has (Scalar ≡ AVX2 ≡ AVX-512);
-//! each wrapper name must equal its descriptor at rank 2 and rank 3. The
-//! kernel path, the SIMD level, the worker count and the parallel
-//! threshold are forced through scoped thread-local seams, so the suite
-//! needs no lock.
+//! packed kernel every production call takes), and — both kernels — at
+//! every SIMD level the host has (Scalar ≡ AVX2 ≡ AVX-512); each wrapper
+//! name must equal its descriptor at rank 2 and rank 3. The kernel path
+//! and the SIMD level are forced through scoped thread-local seams, so
+//! the suite needs no lock.
 
 use metalora_tensor::ops::{
     epilogue_pass, gemm, matmul, matmul_transpose_a, matmul_transpose_b, simd_level,
     with_kernel_path, GemmDesc, KernelPath, Layout, SimdLevel,
 };
-use metalora_tensor::{init, par, Tensor};
+use metalora_tensor::{init, Tensor};
 use proptest::prelude::*;
 
 fn bits_eq(a: &Tensor, b: &Tensor) -> bool {
@@ -118,25 +116,12 @@ proptest! {
                     let what = format!(
                         "{batching:?} at={at} bt={bt} bias={with_bias} bs={bs} m={m} k={k} n={n}"
                     );
-                    let reference = par::with_num_threads(1, || {
-                        with_kernel_path(KernelPath::Reference, || gemm(&desc).unwrap())
-                    });
-                    prop_assert!(bits_eq(&reference, &expect), "reference kernel: {what}");
-                    for threads in [1usize, 2, 3, 4, 7] {
-                        let (packed, unforced) = par::with_par_threshold(0, || {
-                            par::with_num_threads(threads, || {
-                                let packed =
-                                    with_kernel_path(KernelPath::Packed, || gemm(&desc).unwrap());
-                                (packed, gemm(&desc).unwrap())
-                            })
-                        });
-                        prop_assert!(bits_eq(&packed, &expect), "packed@{threads}: {what}");
-                        prop_assert!(bits_eq(&unforced, &expect), "unforced@{threads}: {what}");
-                    }
+                    let unforced = gemm(&desc).unwrap();
+                    prop_assert!(bits_eq(&unforced, &expect), "unforced: {what}");
                     for level in LEVELS.into_iter().filter(|&l| l <= simd_level()) {
                         for path in [KernelPath::Reference, KernelPath::Packed] {
-                            let got = par::with_num_threads(1, || {
-                                with_kernel_path(level, || with_kernel_path(path, || gemm(&desc).unwrap()))
+                            let got = with_kernel_path(level, || {
+                                with_kernel_path(path, || gemm(&desc).unwrap())
                             });
                             prop_assert!(bits_eq(&got, &expect), "{path:?}@{level:?}: {what}");
                         }

@@ -6,18 +6,15 @@
 //! descriptor space — layouts × batching × bias — is swept by
 //! `gemm_equiv.rs`.)
 //!
-//! Each kernel, worker count and parallel threshold is forced through the
-//! scoped thread-local seams ([`with_kernel_path`],
-//! [`par::with_num_threads`], [`par::with_par_threshold`]); the suite
-//! lock remains for what is still process-wide — the obs counters the
-//! accounting tests read.
+//! Each kernel is forced through the scoped thread-local seam
+//! ([`with_kernel_path`]); the suite lock remains for what is
+//! process-wide — the obs counters the accounting tests read.
 //!
-//! The tile-grid scheduler gets its own sweep here: packed × parallel at
-//! worker counts {1, 2, 3, 4, 7} over ragged shapes (including ones that
-//! cross the NC column-group boundary), interleaved with arena reuse, must
-//! stay bitwise-equal to the reference serial run, and the obs tallies must
-//! show exactly one B pack per GEMM that packs with claims covering the
-//! whole grid.
+//! The tile grid gets its own checks here: ragged shapes that cross the
+//! NC column-group boundary, and calls of different shapes interleaved so
+//! each can reuse the other's arena panels, must stay bitwise-equal to the
+//! reference kernel, and the obs tallies must show exactly one B pack per
+//! GEMM that packs with claims covering the whole grid.
 //!
 //! The one-strip path gets a deterministic table: products whose every
 //! batch is one strip read `B` in place — no pack, no `B` lease — and stay
@@ -38,7 +35,7 @@ use metalora_tensor::ops::{
     gemm, matmul, matmul_transpose_a, matmul_transpose_b, microkernel, simd_level,
     with_kernel_path, GemmDesc, KernelPath, Layout, SimdLevel,
 };
-use metalora_tensor::{init, par, workspace, Tensor};
+use metalora_tensor::{init, workspace, Tensor};
 use proptest::prelude::*;
 use std::sync::{Mutex, MutexGuard};
 
@@ -60,19 +57,6 @@ fn assert_pack_equiv(f: impl Fn() -> Tensor) {
     let reference = with_kernel_path(KernelPath::Reference, &f);
     let packed = with_kernel_path(KernelPath::Packed, &f);
     assert!(bits_eq(&reference, &packed), "packed result diverged from the reference kernel");
-}
-
-/// Runs `f` on the reference kernel with one worker, then on the packed
-/// kernel at each of `threads`, and asserts every run agrees to the bit.
-fn assert_thread_sweep(threads: &[usize], f: impl Fn() -> Tensor) {
-    let _g = lock();
-    let reference = par::with_num_threads(1, || with_kernel_path(KernelPath::Reference, &f));
-    for &t in threads {
-        let out = par::with_par_threshold(0, || {
-            par::with_num_threads(t, || with_kernel_path(KernelPath::Packed, &f))
-        });
-        assert!(bits_eq(&reference, &out), "packed at {t} workers diverged");
-    }
 }
 
 fn rand_t(dims: &[usize], seed: u64) -> Tensor {
@@ -158,35 +142,6 @@ proptest! {
     }
 
     #[test]
-    fn packed_composes_with_row_block_parallelism(
-        m in 1usize..40,
-        k in 1usize..40,
-        n in 1usize..40,
-        seed in 0u64..1000,
-    ) {
-        // Thread splits can cut through an MR row tile; per-element k-order
-        // is independent of the row partition, so packed ∥ must equal
-        // reference serial bit-for-bit.
-        let a = rand_t(&[m, k], seed);
-        let b = rand_t(&[k, n], seed + 1);
-        assert_thread_sweep(&[2, 7, 64], || matmul(&a, &b).unwrap());
-    }
-
-    #[test]
-    fn tile_grid_thread_sweep_is_bitwise(
-        m in 1usize..60,
-        k in 1usize..150,
-        n in 1usize..60,
-        seed in 0u64..1000,
-    ) {
-        // The tile grid hands out (strip, column-group) cells in whatever
-        // order the team claims them; no worker count may move a bit.
-        let a = rand_t(&[m, k], seed);
-        let b = rand_t(&[k, n], seed + 1);
-        assert_thread_sweep(&[1, 2, 3, 4, 7], || matmul(&a, &b).unwrap());
-    }
-
-    #[test]
     fn tile_grid_spans_column_groups_bitwise(
         m in 1usize..20,
         k in 1usize..80,
@@ -197,26 +152,7 @@ proptest! {
         // the ragged NR edge always landing in the last group.
         let a = rand_t(&[m, k], seed);
         let b = rand_t(&[k, n], seed + 1);
-        assert_thread_sweep(&[2, 3, 7], || matmul(&a, &b).unwrap());
-    }
-
-    #[test]
-    fn tile_grid_bmm_thread_sweep_is_bitwise(
-        bs in 1usize..4,
-        m in 1usize..12,
-        k in 1usize..12,
-        n in 1usize..12,
-        seed in 0u64..1000,
-    ) {
-        // Rank-3 products share the grid (strips never straddle batches).
-        let a = rand_t(&[bs, m, k], seed);
-        let b = rand_t(&[bs, k, n], seed + 1);
-        let at = rand_t(&[bs, k, m], seed + 2);
-        let bt = rand_t(&[bs, n, k], seed + 3);
-        let threads = [1, 2, 3, 4, 7];
-        assert_thread_sweep(&threads, || matmul(&a, &b).unwrap());
-        assert_thread_sweep(&threads, || matmul_transpose_a(&at, &b).unwrap());
-        assert_thread_sweep(&threads, || matmul_transpose_b(&a, &bt).unwrap());
+        assert_pack_equiv(|| matmul(&a, &b).unwrap());
     }
 
     #[test]
@@ -226,12 +162,17 @@ proptest! {
         n in 1usize..30,
         seed in 0u64..1000,
     ) {
-        // Alternate thread counts call-to-call on the same shapes: the
-        // pooled A/B panels from a 7-worker run are recycled into a
-        // 2-worker run (and vice versa) and must never leak stale data.
+        // Alternate two shapes call to call: a pooled A/B panel one
+        // product parks can be checked out by the other (one more strip, a
+        // longer `k`, a wider `n`) and must never leak stale data into it.
         let a = rand_t(&[m, k], seed);
         let b = rand_t(&[k, n], seed + 1);
-        assert_thread_sweep(&[7, 1, 4, 2, 7, 3, 1, 2], || matmul(&a, &b).unwrap());
+        let wide_a = rand_t(&[m + microkernel::MR, k + 5], seed + 2);
+        let wide_b = rand_t(&[k + 5, n + 3], seed + 3);
+        for _ in 0..3 {
+            assert_pack_equiv(|| matmul(&a, &b).unwrap());
+            assert_pack_equiv(|| matmul(&wide_a, &wide_b).unwrap());
+        }
     }
 }
 
@@ -239,8 +180,7 @@ proptest! {
 /// around one and two panels (the masked ragged tile alone, a single
 /// panel, a pair, a pair plus ragged columns) and past the `NC` column
 /// group; `k` is empty, one step, and around the `KC` tile. Every layout,
-/// at 1 and 4 workers, packed at every SIMD level the host has ≡ the
-/// reference kernel.
+/// packed at every SIMD level the host has ≡ the reference kernel.
 #[test]
 fn register_tile_sweep_is_bitwise_at_every_level() {
     use Layout::{N, T};
@@ -258,23 +198,16 @@ fn register_tile_sweep_is_bitwise_at_every_level() {
                     let b_dims = if b_layout == Layout::T { [n, k] } else { [k, n] };
                     let (a, b) = (rand_t(&a_dims, seed), rand_t(&b_dims, seed + 1));
                     let desc = GemmDesc { a_layout, b_layout, ..GemmDesc::new(&a, &b) };
-                    let want = par::with_num_threads(1, || {
-                        with_kernel_path(KernelPath::Reference, || gemm(&desc).unwrap())
-                    });
+                    let want =
+                        with_kernel_path(KernelPath::Reference, || gemm(&desc).unwrap());
                     for &level in &levels {
-                        for threads in [1, 4] {
-                            let got = par::with_par_threshold(0, || {
-                                par::with_num_threads(threads, || {
-                                    with_kernel_path(level, || {
-                                        with_kernel_path(KernelPath::Packed, || gemm(&desc).unwrap())
-                                    })
-                                })
-                            });
-                            assert!(
-                                bits_eq(&want, &got),
-                                "{level:?}@{threads}: m={m} n={n} k={k} {a_layout:?}{b_layout:?}"
-                            );
-                        }
+                        let got = with_kernel_path(level, || {
+                            with_kernel_path(KernelPath::Packed, || gemm(&desc).unwrap())
+                        });
+                        assert!(
+                            bits_eq(&want, &got),
+                            "{level:?}: m={m} n={n} k={k} {a_layout:?}{b_layout:?}"
+                        );
                     }
                 }
             }
@@ -287,15 +220,15 @@ fn register_tile_sweep_is_bitwise_at_every_level() {
 /// tile alone, one panel and either side of it, a pair plus ragged
 /// columns, and two column groups; `k` is one step, one `KC` tile, and
 /// just past one and two. Unbatched and batched, bias on and off, `B` as
-/// stored and transposed: packed at every SIMD level the host has, at 1
-/// and 4 workers, ≡ the reference kernel. The obs counters say which path
-/// ran: `tile_bpacks` moves by 0 when every batch is one strip and `B` has
-/// unit column stride (as stored; a one-deep transposed `B` is one row at
-/// unit stride too) and by 1 otherwise, and a call checks out one `A`
-/// panel per team member plus the `B` panel only when it packs.
+/// stored and transposed: packed at every SIMD level the host has ≡ the
+/// reference kernel. The obs counters say which path ran: `tile_bpacks`
+/// moves by 0 when every batch is one strip and `B` has unit column
+/// stride (as stored; a one-deep transposed `B` is one row at unit stride
+/// too) and by 1 otherwise, and a call checks out one `A` panel plus the
+/// `B` panel only when it packs.
 #[test]
 fn one_strip_products_read_b_in_place_bitwise() {
-    use microkernel::{KC, MR, NC};
+    use microkernel::{KC, MR};
     let _g = lock();
     let levels = [SimdLevel::Scalar, SimdLevel::Avx2, SimdLevel::Avx512];
     let levels: Vec<_> = levels.into_iter().filter(|&l| l <= simd_level()).collect();
@@ -313,30 +246,19 @@ fn one_strip_products_read_b_in_place_bitwise() {
         let (a, b) = (rand_t(&dims(m, k), seed), rand_t(&b_dims, seed + 1));
         let bias = rand_t(&[n], seed + 2);
         let desc = GemmDesc { b_layout, bias: with_bias.then_some(&bias), ..GemmDesc::new(&a, &b) };
-        let want = par::with_num_threads(1, || {
-            with_kernel_path(KernelPath::Reference, || gemm(&desc).unwrap())
-        });
+        let want = with_kernel_path(KernelPath::Reference, || gemm(&desc).unwrap());
         let packs = u64::from(m > MR || (b_layout == Layout::T && k > 1));
-        let tasks = bs.unwrap_or(1) * m.div_ceil(MR) * n.div_ceil(NC);
         for &level in &levels {
-            for threads in [1, 4] {
-                let before = counts();
-                let got = par::with_par_threshold(0, || {
-                    par::with_num_threads(threads, || {
-                        with_kernel_path(level, || {
-                            with_kernel_path(KernelPath::Packed, || gemm(&desc).unwrap())
-                        })
-                    })
-                });
-                let after = counts();
-                let what = format!(
-                    "{level:?}@{threads}: m={m} n={n} k={k} bs={bs:?} {b_layout:?} bias={with_bias}"
-                );
-                assert!(bits_eq(&want, &got), "{what}");
-                assert_eq!(after.0 - before.0, packs, "{what}: B packs");
-                let team = threads.min(tasks) as u64;
-                assert_eq!(after.1 - before.1, team + packs, "{what}: arena checkouts");
-            }
+            let before = counts();
+            let got = with_kernel_path(level, || {
+                with_kernel_path(KernelPath::Packed, || gemm(&desc).unwrap())
+            });
+            let after = counts();
+            let what =
+                format!("{level:?}: m={m} n={n} k={k} bs={bs:?} {b_layout:?} bias={with_bias}");
+            assert!(bits_eq(&want, &got), "{what}");
+            assert_eq!(after.0 - before.0, packs, "{what}: B packs");
+            assert_eq!(after.1 - before.1, 1 + packs, "{what}: arena checkouts");
         }
     };
     metalora_obs::set_enabled(true);
@@ -454,10 +376,9 @@ fn workspace_reuse_shows_up_in_obs_counters() {
     assert!(snap.workspace_bytes_reused > 0);
 }
 
-/// The scheduler's accounting invariants: exactly one B pack per GEMM
-/// that packs (each of these has more than one strip), claims covering
-/// every cell of every grid, and the per-slot tallies summing to the
-/// total.
+/// The tile grid's accounting invariants: exactly one B pack per GEMM
+/// that packs (each of these has more than one strip), and claims
+/// covering every cell of every grid.
 #[test]
 fn tile_grid_counters_account_for_every_cell() {
     let _g = lock();
@@ -467,21 +388,15 @@ fn tile_grid_counters_account_for_every_cell() {
     let a = rand_t(&[m, k], 11);
     let b = rand_t(&[k, n], 12);
     let gemms = 5u64;
-    par::with_par_threshold(0, || {
-        par::with_num_threads(3, || {
-            for _ in 0..gemms {
-                let _ = matmul(&a, &b).unwrap();
-            }
-        })
-    });
+    for _ in 0..gemms {
+        let _ = matmul(&a, &b).unwrap();
+    }
     let snap = metalora_obs::counters::snapshot();
     metalora_obs::set_enabled(false);
     metalora_obs::reset();
     let grid = (m.div_ceil(microkernel::MR) * n.div_ceil(microkernel::NC)) as u64;
     assert_eq!(snap.tile_bpacks, gemms, "B must be packed exactly once per GEMM");
     assert_eq!(snap.tile_claims, gemms * grid, "claims must cover the whole grid: {snap:?}");
-    let per_slot: u64 = snap.tile_claims_per_slot.iter().sum();
-    assert_eq!(per_slot, snap.tile_claims, "per-slot tallies must sum to the total");
 }
 
 /// Concurrent checkouts must hand out disjoint buffers: each thread stamps
