@@ -59,7 +59,7 @@ pub struct ExperimentConfig {
     /// Adaptation learning rate (Adam).
     pub adapt_lr: f32,
     /// LoRA-family rank/α.
-    pub lora: LoraConfigSer,
+    pub lora: LoraConfig,
     /// Mapping-net hidden width.
     pub map_hidden: usize,
     /// Probe episode geometry.
@@ -72,25 +72,6 @@ pub struct ExperimentConfig {
     pub n_train_tasks: usize,
     /// Number of evaluation tasks used (truncates the 6-task pool).
     pub n_eval_tasks: usize,
-}
-
-/// Serialisable mirror of [`LoraConfig`] (which lives in a crate without
-/// serde derives on purpose).
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-pub struct LoraConfigSer {
-    /// Rank `R`.
-    pub rank: usize,
-    /// Scaling numerator `α`.
-    pub alpha: f32,
-}
-
-impl From<LoraConfigSer> for LoraConfig {
-    fn from(c: LoraConfigSer) -> LoraConfig {
-        LoraConfig {
-            rank: c.rank,
-            alpha: c.alpha,
-        }
-    }
 }
 
 impl ExperimentConfig {
@@ -111,7 +92,7 @@ impl ExperimentConfig {
             adapt_steps: 250,
             adapt_per_class: 2,
             adapt_lr: 3e-3,
-            lora: LoraConfigSer {
+            lora: LoraConfig {
                 rank: 4,
                 alpha: 8.0,
             },
@@ -140,7 +121,7 @@ impl ExperimentConfig {
             adapt_steps: 10,
             adapt_per_class: 1,
             adapt_lr: 3e-3,
-            lora: LoraConfigSer {
+            lora: LoraConfig {
                 rank: 2,
                 alpha: 4.0,
             },
@@ -153,9 +134,9 @@ impl ExperimentConfig {
         }
     }
 
-    /// The `LoraConfig` view.
+    /// The LoRA-family rank/α.
     pub fn lora_config(&self) -> LoraConfig {
-        self.lora.into()
+        self.lora
     }
 
     /// ResNet config for this experiment.

@@ -6,6 +6,8 @@
 //! over these functions), so the output is bitwise identical to a
 //! training-mode forward through [`metalora_autograd::Graph`] — at zero
 //! tape overhead (no node pushes, no `Rc` traffic, no gradient buffers).
+//! Activations need no twin: the tape's GELU and tanh nodes run
+//! [`ops::gelu`] / [`ops::tanh`], which tape-free callers call directly.
 //!
 //! This is the substrate of the multi-tenant serving engine
 //! (`metalora-serve`): adapters there hold value snapshots (`Tensor`, not
@@ -30,24 +32,6 @@ pub fn linear(x: &Tensor, w: &Tensor, bias: Option<&Tensor>) -> Result<Tensor> {
 /// the bias fused into the conv GEMM's store.
 pub fn conv2d(x: &Tensor, w: &Tensor, bias: Option<&Tensor>, spec: ConvSpec) -> Result<Tensor> {
     conv::conv2d_bias(x, w, bias, spec, spec)
-}
-
-/// GELU (tanh approximation) — the twin of
-/// [`metalora_autograd::Graph::gelu`]: both run the vector body
-/// [`ops::gelu`], so the serve mapping net is bitwise the tape's.
-pub fn gelu(x: &Tensor) -> Tensor {
-    ops::gelu(x)
-}
-
-/// tanh — the twin of [`metalora_autograd::Graph::tanh`]: both run
-/// [`ops::tanh`], bitwise fdlibm's `tanhf`.
-pub fn tanh(x: &Tensor) -> Tensor {
-    ops::tanh(x)
-}
-
-/// ReLU — the twin of [`metalora_autograd::Graph::relu`].
-pub fn relu(x: &Tensor) -> Tensor {
-    ops::map(x, |v| v.max(0.0))
 }
 
 #[cfg(test)]
@@ -115,6 +99,9 @@ mod tests {
         assert_eq!(bits(&y), bits(&y_tape));
     }
 
+    /// Tape-free activations are the `ops` calls themselves: the serve
+    /// mapping net calls [`ops::gelu`] / [`ops::tanh`] and must match the
+    /// tape's nodes bit for bit.
     #[test]
     fn activations_match_graph_ops_bitwise() {
         let mut rng = init::rng(14);
@@ -123,9 +110,7 @@ mod tests {
         let xv = g.input(x.clone());
         let ge = g.gelu(xv);
         let th = g.tanh(xv);
-        let re = g.relu(xv);
-        assert_eq!(bits(&gelu(&x)), bits(&g.value(ge)));
-        assert_eq!(bits(&tanh(&x)), bits(&g.value(th)));
-        assert_eq!(bits(&relu(&x)), bits(&g.value(re)));
+        assert_eq!(bits(&ops::gelu(&x)), bits(&g.value(ge)));
+        assert_eq!(bits(&ops::tanh(&x)), bits(&g.value(th)));
     }
 }

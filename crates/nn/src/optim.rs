@@ -5,7 +5,7 @@ use metalora_autograd::ParamRef;
 use metalora_tensor::Tensor;
 use std::collections::{BTreeMap, HashMap};
 
-/// Side accumulators for one parameter group during a sampled step. All
+/// Side accumulators for one parameter group during a probed step. All
 /// sums run in `f64` next to the `f32` update and never feed back into
 /// it, so probing leaves the optimizer numerics bit-identical.
 #[derive(Default)]
@@ -63,6 +63,63 @@ fn flush_health(step: u64, groups: BTreeMap<String, GroupHealth>) {
     }
 }
 
+/// The parameter walk both optimisers share: skips frozen parameters,
+/// applies each element's step, probes health while obs is on, and
+/// clears the gradients.
+///
+/// `state` keeps `K` values per element of each parameter (SGD's
+/// velocity, Adam's two moments), zero on the parameter's first step;
+/// with `K = 0` it stays empty. `rule(s, g, w)` advances one element's
+/// slots `s` from its gradient `g` and returns the step `d` applied as
+/// `w -= d`.
+fn step_params<const K: usize>(
+    params: &[ParamRef],
+    state: &mut HashMap<usize, Tensor>,
+    rule: impl Fn(&mut [f32; K], f32, f32) -> f32,
+) {
+    let probe = metalora_obs::health::begin_step();
+    let mut groups: BTreeMap<String, GroupHealth> = BTreeMap::new();
+    for p in params {
+        if !p.trainable() {
+            continue;
+        }
+        let g = p.grad();
+        let mut stateless = Vec::new();
+        let slots: &mut [[f32; K]] = if K == 0 {
+            stateless.resize(g.len(), [0.0; K]);
+            &mut stateless
+        } else {
+            let s = state.entry(p.cell_id()).or_insert_with(|| Tensor::zeros(&[g.len(), K]));
+            s.data_mut().as_chunks_mut().0
+        };
+        let (mut upd_sq, mut w_sq) = (0.0f64, 0.0f64);
+        p.update_value(|w| {
+            let elems = w.data_mut().iter_mut().zip(g.data()).zip(slots);
+            // The unprobed loop carries no side sums, so it vectorizes.
+            if probe.is_none() {
+                elems.for_each(|((wi, &gi), s)| *wi -= rule(s, gi, *wi));
+            } else {
+                for ((wi, &gi), s) in elems {
+                    let d = rule(s, gi, *wi);
+                    upd_sq += d as f64 * d as f64;
+                    w_sq += *wi as f64 * *wi as f64;
+                    *wi -= d;
+                }
+            }
+        });
+        if probe.is_some() {
+            let h = groups.entry(health_group(&p.name())).or_default();
+            scan_grad(h, &g);
+            h.upd_sq += upd_sq;
+            h.w_sq += w_sq;
+        }
+        p.zero_grad();
+    }
+    if let Some(step) = probe {
+        flush_health(step, groups);
+    }
+}
+
 /// Common optimiser interface over a fixed parameter set.
 pub trait Optimizer {
     /// Applies one update using each parameter's accumulated gradient,
@@ -86,6 +143,7 @@ pub struct Sgd {
     lr: f32,
     momentum: f32,
     weight_decay: f32,
+    /// Per parameter cell, the velocity per element (none without momentum).
     velocity: HashMap<usize, Tensor>,
 }
 
@@ -110,50 +168,14 @@ impl Sgd {
 
 impl Optimizer for Sgd {
     fn step(&mut self) {
-        let probe = metalora_obs::health::begin_step();
-        let mut groups: BTreeMap<String, GroupHealth> = BTreeMap::new();
-        for p in &self.params {
-            if !p.trainable() {
-                continue;
-            }
-            let g = p.grad();
-            if probe.is_some() {
-                scan_grad(groups.entry(health_group(&p.name())).or_default(), &g);
-            }
-            let update = if self.momentum > 0.0 {
-                let v = self
-                    .velocity
-                    .entry(p.cell_id())
-                    .or_insert_with(|| Tensor::zeros(g.dims()));
-                for (vi, &gi) in v.data_mut().iter_mut().zip(g.data()) {
-                    *vi = self.momentum * *vi + gi;
-                }
-                v.clone()
-            } else {
-                g
-            };
-            let (lr, wd) = (self.lr, self.weight_decay);
-            let probing = probe.is_some();
-            let (mut upd_sq, mut w_sq) = (0.0f64, 0.0f64);
-            p.update_value(|w| {
-                for (wi, &ui) in w.data_mut().iter_mut().zip(update.data()) {
-                    let d = lr * (ui + wd * *wi);
-                    if probing {
-                        upd_sq += d as f64 * d as f64;
-                        w_sq += *wi as f64 * *wi as f64;
-                    }
-                    *wi -= d;
-                }
+        let (lr, mu, wd) = (self.lr, self.momentum, self.weight_decay);
+        if mu > 0.0 {
+            step_params(&self.params, &mut self.velocity, |[v], g, w| {
+                *v = mu * *v + g;
+                lr * (*v + wd * w)
             });
-            if probing {
-                let h = groups.entry(health_group(&p.name())).or_default();
-                h.upd_sq += upd_sq;
-                h.w_sq += w_sq;
-            }
-            p.zero_grad();
-        }
-        if let Some(step) = probe {
-            flush_health(step, groups);
+        } else {
+            step_params(&self.params, &mut self.velocity, |[], g, w| lr * (g + wd * w));
         }
     }
 
@@ -182,8 +204,8 @@ pub struct Adam {
     eps: f32,
     weight_decay: f32,
     t: u64,
-    m: HashMap<usize, Tensor>,
-    v: HashMap<usize, Tensor>,
+    /// Per parameter cell, `[m, v]` per element.
+    moments: HashMap<usize, Tensor>,
 }
 
 impl Adam {
@@ -209,8 +231,7 @@ impl Adam {
             eps,
             weight_decay,
             t: 0,
-            m: HashMap::new(),
-            v: HashMap::new(),
+            moments: HashMap::new(),
         }
     }
 }
@@ -220,54 +241,14 @@ impl Optimizer for Adam {
         self.t += 1;
         let bc1 = 1.0 - self.beta1.powi(self.t as i32);
         let bc2 = 1.0 - self.beta2.powi(self.t as i32);
-        let probe = metalora_obs::health::begin_step();
-        let mut groups: BTreeMap<String, GroupHealth> = BTreeMap::new();
-        for p in &self.params {
-            if !p.trainable() {
-                continue;
-            }
-            let g = p.grad();
-            if probe.is_some() {
-                scan_grad(groups.entry(health_group(&p.name())).or_default(), &g);
-            }
-            let m = self
-                .m
-                .entry(p.cell_id())
-                .or_insert_with(|| Tensor::zeros(g.dims()));
-            let v = self
-                .v
-                .entry(p.cell_id())
-                .or_insert_with(|| Tensor::zeros(g.dims()));
-            for ((mi, vi), &gi) in m.data_mut().iter_mut().zip(v.data_mut()).zip(g.data()) {
-                *mi = self.beta1 * *mi + (1.0 - self.beta1) * gi;
-                *vi = self.beta2 * *vi + (1.0 - self.beta2) * gi * gi;
-            }
-            let (lr, eps, wd) = (self.lr, self.eps, self.weight_decay);
-            let (m, v) = (m.clone(), v.clone());
-            let probing = probe.is_some();
-            let (mut upd_sq, mut w_sq) = (0.0f64, 0.0f64);
-            p.update_value(|w| {
-                for ((wi, &mi), &vi) in w.data_mut().iter_mut().zip(m.data()).zip(v.data()) {
-                    let mhat = mi / bc1;
-                    let vhat = vi / bc2;
-                    let d = lr * (mhat / (vhat.sqrt() + eps) + wd * *wi);
-                    if probing {
-                        upd_sq += d as f64 * d as f64;
-                        w_sq += *wi as f64 * *wi as f64;
-                    }
-                    *wi -= d;
-                }
-            });
-            if probing {
-                let h = groups.entry(health_group(&p.name())).or_default();
-                h.upd_sq += upd_sq;
-                h.w_sq += w_sq;
-            }
-            p.zero_grad();
-        }
-        if let Some(step) = probe {
-            flush_health(step, groups);
-        }
+        let (lr, b1, b2, eps, wd) = (self.lr, self.beta1, self.beta2, self.eps, self.weight_decay);
+        step_params(&self.params, &mut self.moments, |[m, v], g, w| {
+            *m = b1 * *m + (1.0 - b1) * g;
+            *v = b2 * *v + (1.0 - b2) * g * g;
+            let mhat = *m / bc1;
+            let vhat = *v / bc2;
+            lr * (mhat / (vhat.sqrt() + eps) + wd * w)
+        });
     }
 
     fn zero_grad(&self) {
@@ -422,10 +403,8 @@ mod tests {
 
         metalora_obs::set_enabled(true);
         metalora_obs::reset();
-        metalora_obs::health::set_sample_stride(1);
         let observed = run(&make());
         let mut records = metalora_obs::health::snapshot();
-        metalora_obs::health::set_sample_stride(0);
         metalora_obs::reset();
         metalora_obs::set_enabled(false);
         // The obs switch is process-wide: optimizer tests stepping on other
@@ -450,7 +429,6 @@ mod tests {
         let _g = obs_lock();
         metalora_obs::set_enabled(true);
         metalora_obs::reset();
-        metalora_obs::health::set_sample_stride(1);
         let p = ParamRef::new(
             "bad.w",
             Tensor::from_vec(vec![1.0, 1.0, 1.0], &[3]).unwrap(),
@@ -460,7 +438,6 @@ mod tests {
         );
         Sgd::new(vec![p.clone()], 0.1).step();
         let records = metalora_obs::health::snapshot();
-        metalora_obs::health::set_sample_stride(0);
         metalora_obs::reset();
         metalora_obs::set_enabled(false);
         let r = records.iter().find(|r| r.group == "bad").expect("record");

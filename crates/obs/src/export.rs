@@ -249,7 +249,7 @@ pub fn jsonl_line(reg: &RegistrySnapshot) -> String {
          \"slo\": [{}], \"attributions\": [{}], \"attributions_dropped\": {}}}",
         reg.now_ns,
         json::string(crate::window::clock_label()),
-        registry::window_secs(),
+        registry::WINDOW_SECS,
         metrics.join(", "),
         slo_json.join(", "),
         attr_json.join(", "),

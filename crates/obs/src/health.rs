@@ -1,6 +1,6 @@
 //! Per-parameter-group training-health telemetry.
 //!
-//! Every sampled optimizer step, the optimizers in `metalora-nn` push one
+//! Every optimizer step, the optimizers in `metalora-nn` push one
 //! [`HealthRecord`] per parameter group (a group is a layer: the param
 //! name up to its last `.` segment): the group's gradient L2 norm, the
 //! update-to-weight ratio `‖Δw‖ / ‖w‖`, the pre-update weight norm, and
@@ -9,20 +9,19 @@
 //! with the seed norm in `weight_norm`), so CP vs TR seed-generation
 //! health is directly comparable in run logs.
 //!
-//! Sampling is strided: [`set_sample_stride`]`(N)` records every N-th
-//! observed step — stride 1 (the default) records all of them. Probing
-//! is purely passive: the extra norm accumulations run in `f64` side
-//! variables and never feed back into the update, so numerics are
-//! bit-identical with health recording on or off.
+//! Every step is recorded while instrumentation is on. Probing is purely
+//! passive: the extra norm accumulations run in `f64` side variables and
+//! never feed back into the update, so numerics are bit-identical with
+//! health recording on or off.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 /// Cap on buffered records; once reached, further records are counted in
 /// [`dropped`] instead of growing the buffer.
 pub const MAX_RECORDS: usize = 1 << 16;
 
-/// Health of one parameter group at one sampled step.
+/// Health of one parameter group at one step.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HealthRecord {
     /// Span path active when the record was taken (`"adapt/MetaLoraCp"`).
@@ -53,41 +52,19 @@ static DROPPED: AtomicU64 = AtomicU64::new(0);
 static OPT_STEPS: AtomicU64 = AtomicU64::new(0);
 static SEED_STEPS: AtomicU64 = AtomicU64::new(0);
 
-/// `0` means "unset: the default stride of 1".
-static STRIDE_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
-
-/// Current sampling stride (≥ 1): the [`set_sample_stride`] override if
-/// set, else 1.
-pub fn sample_stride() -> usize {
-    STRIDE_OVERRIDE.load(Ordering::Relaxed).max(1)
-}
-
-/// Overrides the sampling stride; `0` reverts to the default of 1.
-pub fn set_sample_stride(stride: usize) {
-    STRIDE_OVERRIDE.store(stride, Ordering::Relaxed);
-}
-
 fn sample(counter: &AtomicU64) -> Option<u64> {
-    if !crate::enabled() {
-        return None;
-    }
-    let step = counter.fetch_add(1, Ordering::Relaxed);
-    if step % sample_stride() as u64 == 0 {
-        Some(step)
-    } else {
-        None
-    }
+    crate::enabled().then(|| counter.fetch_add(1, Ordering::Relaxed))
 }
 
-/// Marks one optimizer step; `Some(step)` when this step should be
-/// probed (instrumentation on and the stride hits), `None` otherwise.
+/// Marks one optimizer step; `Some(step)` when instrumentation is on
+/// (every step is probed), `None` otherwise.
 #[inline]
 pub fn begin_step() -> Option<u64> {
     sample(&OPT_STEPS)
 }
 
 /// Marks one seed-generation pass (separate clock from optimizer steps);
-/// `Some(step)` when this pass should be probed.
+/// `Some(step)` when instrumentation is on.
 #[inline]
 pub fn begin_seed_probe() -> Option<u64> {
     sample(&SEED_STEPS)
@@ -148,18 +125,6 @@ pub fn reset() {
 mod tests {
     use super::*;
     use crate::tests::lock;
-
-    #[test]
-    fn stride_gates_steps() {
-        let _g = lock();
-        set_sample_stride(3);
-        let sampled: Vec<bool> = (0..7).map(|_| begin_step().is_some()).collect();
-        assert_eq!(sampled, [true, false, false, true, false, false, true]);
-        // Seed probes tick their own clock.
-        assert!(begin_seed_probe().is_some());
-        assert!(begin_seed_probe().is_none());
-        set_sample_stride(0);
-    }
 
     #[test]
     fn disabled_neither_samples_nor_records() {

@@ -7,27 +7,27 @@
 //! * [`span`] — hierarchical wall-clock spans (`pretrain/epoch0`) with
 //!   thread-safe aggregation and per-path duration quantiles, via the
 //!   [`span!`] macro or [`span::span`];
-//! * [`trace`] — a bounded event timeline (begin/end records with
-//!   monotonic timestamps and thread ids) exported as Chrome trace-event
-//!   JSON, gated additionally by `METALORA_OBS_TRACE`;
+//! * [`trace`] — a bounded event timeline (the latest
+//!   [`trace::CAPACITY`] begin/end records, with monotonic timestamps and
+//!   thread ids) exported as Chrome trace-event JSON, gated additionally
+//!   by `METALORA_OBS_TRACE`;
 //! * [`counters`] — one list of process-wide counters: per-kernel
 //!   flop/byte/call totals, the matmul kernel tally, tile-grid, memory,
 //!   workspace, fusion and serving
 //!   counts — each fact `serve` does not already count itself;
 //! * [`health`] — per-parameter-group training-health records (grad norm,
-//!   update-to-weight ratio, NaN/Inf sentinels), every step or every
-//!   N-th ([`health::set_sample_stride`]);
+//!   update-to-weight ratio, NaN/Inf sentinels), every optimizer step;
 //! * [`hist`] — the fixed-memory log-linear histogram backing span
 //!   quantiles;
 //! * [`metrics`] — the training-loop sink (loss / accuracy / grad-norm /
 //!   wall time per epoch, grouped by phase);
 //! * [`window`] — sliding-window primitives: the pluggable telemetry
-//!   clock (monotonic in production, deterministic logical under test),
-//!   ring-of-buckets windowed histograms, and EWMA rates;
+//!   clock (monotonic in production, deterministic logical under test)
+//!   and ring-of-buckets windowed histograms;
 //! * [`registry`] — the live metrics registry (counters, gauges, and
-//!   windowed latency families keyed by tenant/method/batch signature,
-//!   plus tail-latency attribution samples), gated additionally by
-//!   `METALORA_OBS_METRICS`;
+//!   latency families over the last [`registry::WINDOW_SECS`] seconds
+//!   keyed by tenant/method/batch signature, plus tail-latency
+//!   attribution samples), gated additionally by `METALORA_OBS_METRICS`;
 //! * [`slo`] — the per-tenant p99 target (`METALORA_SLO_P99_MS`) and the
 //!   SLO rows (windowed p99, error-budget burn) derived from a registry
 //!   snapshot; it holds no state of its own;
@@ -69,7 +69,51 @@ const OFF: u8 = 0;
 const ON: u8 = 1;
 const UNSET: u8 = 2;
 
-static ENABLED: AtomicU8 = AtomicU8::new(UNSET);
+/// A process-global on/off flag backed by an environment variable: the
+/// first read resolves `env` (any value other than empty or `0` is on),
+/// and [`Switch::set`] overrides it. `obs`, its timeline and its registry
+/// each own one.
+pub(crate) struct Switch {
+    state: AtomicU8,
+    env: &'static str,
+}
+
+impl Switch {
+    pub(crate) const fn new(env: &'static str) -> Switch {
+        Switch {
+            state: AtomicU8::new(UNSET),
+            env,
+        }
+    }
+
+    /// One relaxed load once resolved.
+    #[inline(always)]
+    pub(crate) fn get(&self) -> bool {
+        match self.state.load(Ordering::Relaxed) {
+            OFF => false,
+            ON => true,
+            _ => self.resolve(),
+        }
+    }
+
+    #[cold]
+    fn resolve(&self) -> bool {
+        let on = std::env::var(self.env)
+            .map(|v| {
+                let v = v.trim();
+                !v.is_empty() && v != "0"
+            })
+            .unwrap_or(false);
+        self.set(on);
+        on
+    }
+
+    pub(crate) fn set(&self, on: bool) {
+        self.state.store(if on { ON } else { OFF }, Ordering::Relaxed);
+    }
+}
+
+static ENABLED: Switch = Switch::new("METALORA_OBS");
 
 /// `true` when instrumentation is recording.
 ///
@@ -77,29 +121,13 @@ static ENABLED: AtomicU8 = AtomicU8::new(UNSET);
 /// other than empty or `0` enables); [`set_enabled`] overrides it.
 #[inline(always)]
 pub fn enabled() -> bool {
-    match ENABLED.load(Ordering::Relaxed) {
-        OFF => false,
-        ON => true,
-        _ => enabled_from_env(),
-    }
-}
-
-#[cold]
-fn enabled_from_env() -> bool {
-    let on = std::env::var("METALORA_OBS")
-        .map(|v| {
-            let v = v.trim();
-            !v.is_empty() && v != "0"
-        })
-        .unwrap_or(false);
-    ENABLED.store(if on { ON } else { OFF }, Ordering::Relaxed);
-    on
+    ENABLED.get()
 }
 
 /// Programmatically switches instrumentation on or off, overriding
 /// `METALORA_OBS`.
 pub fn set_enabled(on: bool) {
-    ENABLED.store(if on { ON } else { OFF }, Ordering::Relaxed);
+    ENABLED.set(on);
 }
 
 /// Clears all recorded spans, counters, metrics, trace events, health

@@ -5,10 +5,11 @@
 //! the registry holds *labeled families* — `serve_requests_total` keyed
 //! by tenant, `serve_batches_by_size_total` keyed by batch signature —
 //! and its histogram families are windowed ([`crate::window`]), so a
-//! reading reflects the last [`window_secs`] seconds rather
-//! than everything since process start. It also keeps a bounded ring of
-//! tail-latency [`Attribution`] samples: for each request slower than the
-//! SLO target, which pipeline stage dominated.
+//! reading reflects the last [`WINDOW_SECS`] seconds rather than
+//! everything since process start; a window's rate is its sample count
+//! over [`WINDOW_SECS`] (requests in the window per second). It also
+//! keeps a bounded ring of tail-latency [`Attribution`] samples: for each
+//! request slower than the SLO target, which pipeline stage dominated.
 //!
 //! Gating mirrors `obs::trace`: records are dropped unless the global
 //! `METALORA_OBS` switch *and* the `METALORA_OBS_METRICS` flag (or
@@ -17,69 +18,28 @@
 //! the registry is purely passive, and the golden pipeline proves it
 //! bit-exact either way.
 
-use crate::window::{self, Ewma, WindowHistogram};
+use crate::window::{self, WindowHistogram};
+use crate::Switch;
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::Mutex;
 
-const OFF: u8 = 0;
-const ON: u8 = 1;
-const UNSET: u8 = 2;
-
-static METRICS_ENABLED: AtomicU8 = AtomicU8::new(UNSET);
+static METRICS: Switch = Switch::new("METALORA_OBS_METRICS");
 
 /// `true` when the registry is recording: requires the crate-wide switch
 /// ([`crate::enabled`]) *and* `METALORA_OBS_METRICS` / [`set_enabled`].
 #[inline(always)]
 pub fn enabled() -> bool {
-    if !crate::enabled() {
-        return false;
-    }
-    match METRICS_ENABLED.load(Ordering::Relaxed) {
-        OFF => false,
-        ON => true,
-        _ => enabled_from_env(),
-    }
-}
-
-#[cold]
-fn enabled_from_env() -> bool {
-    let on = std::env::var("METALORA_OBS_METRICS")
-        .map(|v| {
-            let v = v.trim();
-            !v.is_empty() && v != "0"
-        })
-        .unwrap_or(false);
-    METRICS_ENABLED.store(if on { ON } else { OFF }, Ordering::Relaxed);
-    on
+    crate::enabled() && METRICS.get()
 }
 
 /// Switches metric recording on or off, overriding `METALORA_OBS_METRICS`
 /// (the crate-wide switch must also be on for records to land).
 pub fn set_enabled(on: bool) {
-    METRICS_ENABLED.store(if on { ON } else { OFF }, Ordering::Relaxed);
+    METRICS.set(on);
 }
 
-/// Default sliding-window length in seconds.
-pub const DEFAULT_WINDOW_SECS: u64 = 60;
-
-/// `0` means "unset: [`DEFAULT_WINDOW_SECS`]".
-static WINDOW_SECS: AtomicU64 = AtomicU64::new(0);
-
-/// Sliding-window length in seconds: the [`set_window_secs`] override if
-/// set, else [`DEFAULT_WINDOW_SECS`].
-pub fn window_secs() -> u64 {
-    match WINDOW_SECS.load(Ordering::Relaxed) {
-        0 => DEFAULT_WINDOW_SECS,
-        s => s,
-    }
-}
-
-/// Overrides the sliding-window length (0 reverts to the default).
-/// Affects only windows created after the call.
-pub fn set_window_secs(secs: u64) {
-    WINDOW_SECS.store(secs, Ordering::Relaxed);
-}
+/// Sliding-window length in seconds.
+pub const WINDOW_SECS: u64 = 60;
 
 /// Pipeline stages a request's latency is attributed across, in the
 /// order they appear in [`Attribution::stage_ns`].
@@ -121,7 +81,7 @@ pub const ATTRIBUTION_CAPACITY: usize = 256;
 enum Metric {
     Counter(u64),
     Gauge(f64),
-    Window(Box<(WindowHistogram, Ewma)>),
+    Window(WindowHistogram),
 }
 
 #[derive(Default)]
@@ -166,16 +126,12 @@ pub fn gauge_set(name: &str, label: &str, v: f64) {
 }
 
 /// Records `value` (nanoseconds, by convention) into the sliding-window
-/// family `name{label}` at time `now_ns`, updating its EWMA rate.
+/// family `name{label}` at time `now_ns`.
 pub fn observe(name: &str, label: &str, now_ns: u64, value: u64) {
-    let window = || {
-        let ns = window_secs().saturating_mul(1_000_000_000);
-        Metric::Window(Box::new((WindowHistogram::new(ns), Ewma::new(ns))))
-    };
+    let window = || Metric::Window(WindowHistogram::new(WINDOW_SECS * 1_000_000_000));
     update(name, label, window, |m| {
         if let Metric::Window(w) = m {
-            w.0.record(now_ns, value);
-            w.1.observe(now_ns, 1);
+            w.record(now_ns, value);
         }
     });
 }
@@ -200,8 +156,9 @@ pub fn record_attribution(a: Attribution) {
 pub enum MetricValue {
     Counter(u64),
     Gauge(f64),
-    /// Windowed family: samples in the window, its quantiles, and the
-    /// EWMA rate — all as of the snapshot instant.
+    /// Windowed family: samples in the window, its quantiles, and its
+    /// rate `count / WINDOW_SECS` (requests in the window per second) —
+    /// all as of the snapshot instant.
     Window {
         count: u64,
         p50_ns: u64,
@@ -247,14 +204,14 @@ pub fn snapshot_at(now_ns: u64) -> RegistrySnapshot {
                     Metric::Counter(c) => MetricValue::Counter(*c),
                     Metric::Gauge(g) => MetricValue::Gauge(*g),
                     Metric::Window(w) => {
-                        let merged = w.0.merged(now_ns);
+                        let merged = w.merged(now_ns);
                         let (p50, p95, p99) = merged.percentiles();
                         MetricValue::Window {
                             count: merged.count(),
                             p50_ns: p50,
                             p95_ns: p95,
                             p99_ns: p99,
-                            rate_per_s: w.1.rate_per_s(now_ns),
+                            rate_per_s: merged.count() as f64 / WINDOW_SECS as f64,
                         }
                     }
                 },
@@ -404,11 +361,21 @@ mod tests {
     }
 
     #[test]
-    fn window_secs_override_and_revert() {
+    fn rate_per_s_is_window_count_over_window_secs() {
         let _g = crate::tests::lock();
-        set_window_secs(5);
-        assert_eq!(window_secs(), 5);
-        set_window_secs(0);
-        assert_eq!(window_secs(), DEFAULT_WINDOW_SECS);
+        set_enabled(true);
+        window::set_clock(window::ClockMode::Logical);
+        for v in 1..=90 {
+            observe("latency_ns", "", window::now_ns(), v);
+        }
+        let snap = snapshot();
+        window::set_clock(window::ClockMode::Monotonic);
+        let Some(MetricValue::Window { count, rate_per_s, .. }) =
+            snap.rows.first().map(|r| r.value.clone())
+        else {
+            panic!("expected one window row, got {:?}", snap.rows);
+        };
+        assert_eq!(count, 90);
+        assert_eq!(rate_per_s, 90.0 / 60.0);
     }
 }

@@ -81,7 +81,7 @@ impl RunReport {
         let (events, trace_dropped) = trace::snapshot();
         RunReport {
             name: name.to_string(),
-            spans: span::snapshot_summary(),
+            spans: span::snapshot(),
             counters: counters::read_all(),
             registry: registry::snapshot().rows,
             health: health::snapshot(),

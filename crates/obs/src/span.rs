@@ -118,14 +118,8 @@ pub fn current_path() -> String {
     STACK.with(|s| s.borrow().join("/"))
 }
 
-/// All aggregated spans, sorted by path.
-pub fn snapshot() -> Vec<(String, SpanStat)> {
-    let agg = AGG.lock().unwrap_or_else(|e| e.into_inner());
-    agg.iter().map(|(k, v)| (k.clone(), v.stat)).collect()
-}
-
 /// All aggregated spans with duration quantiles, sorted by path.
-pub fn snapshot_summary() -> Vec<SpanSummary> {
+pub fn snapshot() -> Vec<SpanSummary> {
     let agg = AGG.lock().unwrap_or_else(|e| e.into_inner());
     agg.iter()
         .map(|(k, v)| {
@@ -162,10 +156,10 @@ mod tests {
             assert_eq!(current_path(), "pretrain/epoch0");
         }
         let snap = snapshot();
-        let paths: Vec<&str> = snap.iter().map(|(p, _)| p.as_str()).collect();
+        let paths: Vec<&str> = snap.iter().map(|s| s.path.as_str()).collect();
         assert_eq!(paths, vec!["pretrain", "pretrain/epoch0"]);
-        for (_, stat) in &snap {
-            assert_eq!(stat.count, 3);
+        for s in &snap {
+            assert_eq!(s.stat.count, 3);
         }
     }
 
@@ -178,7 +172,7 @@ mod tests {
             drop(_a);
             let _b = span("probe");
         }
-        let paths: Vec<String> = snapshot().into_iter().map(|(p, _)| p).collect();
+        let paths: Vec<String> = snapshot().into_iter().map(|s| s.path).collect();
         assert_eq!(paths, vec!["run", "run/adapt", "run/probe"]);
     }
 
@@ -202,7 +196,7 @@ mod tests {
             let _s = span("work");
             std::thread::sleep(std::time::Duration::from_millis(ms));
         }
-        let summary = snapshot_summary();
+        let summary = snapshot();
         assert_eq!(summary.len(), 1);
         let s = &summary[0];
         assert_eq!(s.path, "work");
@@ -221,6 +215,6 @@ mod tests {
         }
         let snap = snapshot();
         assert_eq!(snap.len(), 1);
-        assert!(snap[0].1.total_ns >= 1_000_000, "{:?}", snap[0]);
+        assert!(snap[0].stat.total_ns >= 1_000_000, "{:?}", snap[0]);
     }
 }

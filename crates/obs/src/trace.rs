@@ -4,9 +4,10 @@
 //! where", the timeline answers "*when* did things happen": every span
 //! open/close appends a [`TraceEvent`] — name, begin/end flag,
 //! nanoseconds since the first event of the process, and a small
-//! per-thread id — to a bounded ring buffer. When full, the **oldest**
-//! events are overwritten (the most recent window is the useful one for a
-//! post-mortem) and a dropped counter keeps the books honest.
+//! per-thread id — to a ring buffer of [`CAPACITY`] events. When full,
+//! the **oldest** events are overwritten (the most recent window is the
+//! useful one for a post-mortem) and a dropped counter keeps the books
+//! honest.
 //!
 //! [`write_chrome`] exports the buffer as Chrome trace-event JSON
 //! (`TRACE_<name>.json`), loadable in Perfetto / `chrome://tracing`.
@@ -16,19 +17,16 @@
 //! single relaxed atomic load, and recording never touches numerics.
 
 use crate::json;
+use crate::Switch;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
-/// Default ring-buffer capacity in events (~64k events ≈ a few MB).
-pub const DEFAULT_CAPACITY: usize = 1 << 16;
+/// Ring-buffer capacity in events (~64k events ≈ a few MB).
+pub const CAPACITY: usize = 1 << 16;
 
-const OFF: u8 = 0;
-const ON: u8 = 1;
-const UNSET: u8 = 2;
-
-static TRACE_ENABLED: AtomicU8 = AtomicU8::new(UNSET);
+static TRACE: Switch = Switch::new("METALORA_OBS_TRACE");
 
 /// One timeline record.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -46,52 +44,25 @@ pub struct TraceEvent {
 
 struct Ring {
     events: VecDeque<TraceEvent>,
-    capacity: usize,
     dropped: u64,
 }
 
-static RING: Mutex<Option<Ring>> = Mutex::new(None);
+static RING: Mutex<Ring> = Mutex::new(Ring {
+    events: VecDeque::new(),
+    dropped: 0,
+});
 
 /// `true` when timeline recording is active (requires both the global
 /// obs switch and the trace switch).
 #[inline]
 pub fn enabled() -> bool {
-    if !crate::enabled() {
-        return false;
-    }
-    match TRACE_ENABLED.load(Ordering::Relaxed) {
-        OFF => false,
-        ON => true,
-        _ => enabled_from_env(),
-    }
-}
-
-#[cold]
-fn enabled_from_env() -> bool {
-    let on = std::env::var("METALORA_OBS_TRACE")
-        .map(|v| {
-            let v = v.trim();
-            !v.is_empty() && v != "0"
-        })
-        .unwrap_or(false);
-    TRACE_ENABLED.store(if on { ON } else { OFF }, Ordering::Relaxed);
-    on
+    crate::enabled() && TRACE.get()
 }
 
 /// Switches timeline recording on or off, overriding `METALORA_OBS_TRACE`
 /// (the global [`crate::set_enabled`] switch must also be on to record).
 pub fn set_enabled(on: bool) {
-    TRACE_ENABLED.store(if on { ON } else { OFF }, Ordering::Relaxed);
-}
-
-/// Replaces the ring-buffer capacity (and clears the buffer).
-pub fn set_capacity(capacity: usize) {
-    let mut ring = RING.lock().unwrap_or_else(|e| e.into_inner());
-    *ring = Some(Ring {
-        events: VecDeque::with_capacity(capacity.max(1)),
-        capacity: capacity.max(1),
-        dropped: 0,
-    });
+    TRACE.set(on);
 }
 
 fn epoch() -> Instant {
@@ -114,13 +85,8 @@ pub fn thread_id() -> u64 {
 }
 
 fn push(event: TraceEvent) {
-    let mut guard = RING.lock().unwrap_or_else(|e| e.into_inner());
-    let ring = guard.get_or_insert_with(|| Ring {
-        events: VecDeque::with_capacity(DEFAULT_CAPACITY),
-        capacity: DEFAULT_CAPACITY,
-        dropped: 0,
-    });
-    if ring.events.len() >= ring.capacity {
+    let mut ring = RING.lock().unwrap_or_else(|e| e.into_inner());
+    if ring.events.len() >= CAPACITY {
         ring.events.pop_front();
         ring.dropped += 1;
     }
@@ -158,20 +124,15 @@ pub fn end(name: &str) {
 /// All buffered events in recording order, plus how many older events the
 /// ring has overwritten.
 pub fn snapshot() -> (Vec<TraceEvent>, u64) {
-    let guard = RING.lock().unwrap_or_else(|e| e.into_inner());
-    match &*guard {
-        Some(r) => (r.events.iter().cloned().collect(), r.dropped),
-        None => (Vec::new(), 0),
-    }
+    let ring = RING.lock().unwrap_or_else(|e| e.into_inner());
+    (ring.events.iter().cloned().collect(), ring.dropped)
 }
 
-/// Clears the buffer and the dropped counter (capacity is kept).
+/// Clears the buffer and the dropped counter.
 pub fn reset() {
-    let mut guard = RING.lock().unwrap_or_else(|e| e.into_inner());
-    if let Some(r) = &mut *guard {
-        r.events.clear();
-        r.dropped = 0;
-    }
+    let mut ring = RING.lock().unwrap_or_else(|e| e.into_inner());
+    ring.events.clear();
+    ring.dropped = 0;
 }
 
 /// Serialises `events` as Chrome trace-event JSON (the "JSON object
@@ -256,16 +217,14 @@ mod tests {
     #[test]
     fn ring_overwrites_oldest_and_counts_drops() {
         let _g = trace_lock();
-        set_capacity(4);
-        for i in 0..6 {
+        for i in 0..CAPACITY + 2 {
             begin(&format!("e{i}"));
         }
         let (events, dropped) = snapshot();
-        assert_eq!(events.len(), 4);
+        assert_eq!(events.len(), CAPACITY);
         assert_eq!(dropped, 2);
         assert_eq!(events[0].name, "e2"); // e0/e1 overwritten
-        assert_eq!(events[3].name, "e5");
-        set_capacity(DEFAULT_CAPACITY);
+        assert_eq!(events[CAPACITY - 1].name, format!("e{}", CAPACITY + 1));
         set_enabled(false);
     }
 
@@ -317,12 +276,10 @@ mod tests {
     #[test]
     fn saturated_concurrent_writers_keep_pairing_and_exact_drop_count() {
         let _g = trace_lock();
-        const CAPACITY: usize = 64;
         const THREADS: usize = 4;
-        const PAIRS: usize = 200;
-        set_capacity(CAPACITY);
-        // 4 threads × 200 begin/end pairs = 1600 pushes through a 64-slot
-        // ring: heavy saturation with concurrent writers.
+        const PAIRS: usize = CAPACITY / 4;
+        // 4 threads × 16 384 begin/end pairs = 2 × CAPACITY pushes: half
+        // of them evict an older event while other writers push.
         std::thread::scope(|s| {
             for t in 0..THREADS {
                 s.spawn(move || {
@@ -373,7 +330,6 @@ mod tests {
                 "tid {tid}: flat spans can leave at most the final begin open, got {stack:?}"
             );
         }
-        set_capacity(DEFAULT_CAPACITY);
         set_enabled(false);
     }
 

@@ -1,6 +1,5 @@
 //! Sliding-window primitives behind the live metrics registry: the
-//! pluggable telemetry clock, a ring-of-buckets windowed histogram, and
-//! an exponentially-weighted moving-average rate.
+//! pluggable telemetry clock and a ring-of-buckets windowed histogram.
 //!
 //! ## Clock determinism contract
 //!
@@ -23,8 +22,8 @@
 //! [`WindowHistogram`] keeps a ring of [`LogHistogram`] buckets, each
 //! covering `window / buckets` of time; recording lazily reclaims buckets
 //! whose epoch has rotated out, and a query merges the still-live buckets
-//! via [`LogHistogram::merge_from`]. [`Ewma`] is an event-driven rate
-//! estimate decayed by wall (or logical) time between observations.
+//! via [`LogHistogram::merge_from`]. The merged count is also the
+//! window's rate: [`crate::registry`] reports it over the window length.
 
 use crate::hist::LogHistogram;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
@@ -158,56 +157,6 @@ impl WindowHistogram {
     }
 }
 
-/// Event-driven exponentially-weighted moving-average rate (events per
-/// second). Each observation decays the previous estimate by
-/// `exp(-dt / tau)` and blends in the instantaneous rate `n / dt`.
-pub struct Ewma {
-    tau_ns: f64,
-    rate_per_s: f64,
-    last_ns: Option<u64>,
-}
-
-impl Ewma {
-    /// An estimator with time constant `tau_ns`.
-    pub fn new(tau_ns: u64) -> Self {
-        Ewma {
-            tau_ns: tau_ns.max(1) as f64,
-            rate_per_s: 0.0,
-            last_ns: None,
-        }
-    }
-
-    /// Folds `n` events observed at `now_ns` into the rate.
-    pub fn observe(&mut self, now_ns: u64, n: u64) {
-        match self.last_ns {
-            None => {
-                // First observation: no elapsed interval yet, so seed the
-                // estimate as if the events arrived over one tau.
-                self.rate_per_s = n as f64 / (self.tau_ns / 1e9);
-                self.last_ns = Some(now_ns);
-            }
-            Some(last) => {
-                let dt_ns = now_ns.saturating_sub(last).max(1) as f64;
-                let alpha = (-dt_ns / self.tau_ns).exp();
-                let inst = n as f64 / (dt_ns / 1e9);
-                self.rate_per_s = alpha * self.rate_per_s + (1.0 - alpha) * inst;
-                self.last_ns = Some(now_ns);
-            }
-        }
-    }
-
-    /// Current estimate, decayed for the idle gap up to `now_ns`.
-    pub fn rate_per_s(&self, now_ns: u64) -> f64 {
-        match self.last_ns {
-            None => 0.0,
-            Some(last) => {
-                let dt_ns = now_ns.saturating_sub(last) as f64;
-                self.rate_per_s * (-dt_ns / self.tau_ns).exp()
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -267,21 +216,5 @@ mod tests {
         for q in [0.5, 0.95, 0.99] {
             assert_eq!(m.quantile(q), h.quantile(q));
         }
-    }
-
-    #[test]
-    fn ewma_converges_to_steady_rate_and_decays_when_idle() {
-        let tau = 1_000_000_000u64; // 1 s
-        let mut e = Ewma::new(tau);
-        // 1 event per millisecond → 1000 events/s steady state.
-        for i in 1..=20_000u64 {
-            e.observe(i * 1_000_000, 1);
-        }
-        let now = 20_000 * 1_000_000;
-        let r = e.rate_per_s(now);
-        assert!((r - 1000.0).abs() < 50.0, "steady rate {r}");
-        // After 5 tau of silence the estimate decays below 1% of steady.
-        let later = now + 5 * tau;
-        assert!(e.rate_per_s(later) < 0.01 * r);
     }
 }

@@ -44,12 +44,13 @@ pub use meta::{
     MetaLoraTrLinear, StaticSeedLora,
 };
 pub use multi::{MultiLoraConv, MultiLoraLinear};
+use serde::{Deserialize, Serialize};
 
 /// Crate-wide result alias (errors are tensor errors).
 pub type Result<T> = std::result::Result<T, metalora_tensor::TensorError>;
 
 /// Shared LoRA-family hyper-parameters.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct LoraConfig {
     /// Rank `R` of the low-rank update.
     pub rank: usize,

@@ -179,9 +179,9 @@ impl Module for MappingNet {
 /// Records the health of one generated seed batch under group
 /// `mapping/seed`: mean per-sample L2 norm (in `weight_norm`) plus
 /// NaN/Inf sentinel counts. Purely passive — reads the seed value into
-/// `f64` side sums and never touches the graph — and strided by the same
-/// sampling stride as optimizer probes (on its own counter),
-/// so CP and TR seed generation are directly comparable in run logs.
+/// `f64` side sums and never touches the graph — and taken on every
+/// generation pass (on its own step counter, next to the optimizer's), so
+/// CP and TR seed generation are directly comparable in run logs.
 fn probe_seed_health(g: &Graph, seed: Var) {
     if !metalora_obs::enabled() {
         return;
@@ -390,12 +390,10 @@ mod tests {
 
         metalora_obs::set_enabled(true);
         metalora_obs::reset();
-        metalora_obs::health::set_sample_stride(1);
         let mut g = Graph::new();
         let x = g.input(init::uniform(&[2, 6], -1.0, 1.0, &mut rng));
         ml.generate_seed(&mut g, x).unwrap();
         let records = metalora_obs::health::snapshot();
-        metalora_obs::health::set_sample_stride(0);
         metalora_obs::reset();
         metalora_obs::set_enabled(false);
 

@@ -46,17 +46,18 @@ use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 
-/// Engine knobs. `use_merged` selects the serving mode: `true` folds
-/// cacheable adapters into `W + ΔW` once (cached, approximate vs the
-/// factored math at ~1e-4 relative); `false` always runs the factored
-/// forward (bitwise-equal to training).
+/// Engine knobs. `use_merged` selects the serving mode: `false` (the
+/// default) always runs the factored forward (bitwise-equal to training,
+/// and the faster mode on every measured stream, cache-resident ones
+/// included); `true` folds cacheable adapters into `W + ΔW` once (cached,
+/// approximate vs the factored math at ~1e-4 relative).
 #[derive(Debug, Clone, Copy)]
 pub struct EngineConfig {
     /// Requests per released batch (default 16).
     pub max_batch: usize,
     /// Merged-weight cache capacity in bytes (default 64 MiB).
     pub cache_bytes: usize,
-    /// Serve cacheable tenants through merged weights.
+    /// Serve cacheable tenants through merged weights (default `false`).
     pub use_merged: bool,
 }
 
@@ -65,7 +66,7 @@ impl Default for EngineConfig {
         EngineConfig {
             max_batch: 16,
             cache_bytes: 64 * 1024 * 1024,
-            use_merged: true,
+            use_merged: false,
         }
     }
 }

@@ -142,8 +142,8 @@ impl MappingSnapshot {
     /// batch yields each row's seed bitwise unchanged — the amortisation
     /// the batcher relies on.
     pub fn generate(&self, features: &Tensor) -> Result<Tensor> {
-        let h = infer::gelu(&infer::linear(features, &self.w1, Some(&self.b1))?);
-        Ok(infer::tanh(&infer::linear(&h, &self.w2, Some(&self.b2))?))
+        let h = ops::gelu(&infer::linear(features, &self.w1, Some(&self.b1))?);
+        Ok(ops::tanh(&infer::linear(&h, &self.w2, Some(&self.b2))?))
     }
 }
 

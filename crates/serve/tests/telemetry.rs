@@ -52,7 +52,6 @@ impl Drop for TelGuard {
     fn drop(&mut self) {
         metalora_obs::reset();
         slo::set_target_ms(0.0);
-        registry::set_window_secs(0);
         window::set_clock(ClockMode::Monotonic);
         registry::set_enabled(false);
         metalora_obs::set_enabled(false);

@@ -61,12 +61,11 @@ fn golden_quick_pipeline() {
     let accs_off = run_pipeline();
 
     // Observed run with every collector on — spans, counters, the event
-    // timeline, per-group health probes at stride 1 AND the live metrics
+    // timeline, per-group health probes every step AND the live metrics
     // registry under the logical clock. Numerics must not move by a
     // single bit.
     metalora_obs::set_enabled(true);
     metalora_obs::trace::set_enabled(true);
-    metalora_obs::health::set_sample_stride(1);
     metalora_obs::registry::set_enabled(true);
     metalora_obs::window::set_clock(metalora_obs::window::ClockMode::Logical);
     metalora_obs::reset();
@@ -79,7 +78,6 @@ fn golden_quick_pipeline() {
     let chrome = metalora_obs::trace::to_chrome_json(&trace_events);
     metalora_obs::set_enabled(false);
     metalora_obs::trace::set_enabled(false);
-    metalora_obs::health::set_sample_stride(0);
     metalora_obs::registry::set_enabled(false);
     metalora_obs::window::set_clock(metalora_obs::window::ClockMode::Monotonic);
     metalora_obs::reset();
@@ -103,7 +101,7 @@ fn golden_quick_pipeline() {
         assert!((0.0..=1.0).contains(&e.accuracy), "{e:?}");
         assert!(e.grad_norm.is_finite() && e.grad_norm >= 0.0, "{e:?}");
     }
-    let span_paths: Vec<&str> = spans.iter().map(|(p, _)| p.as_str()).collect();
+    let span_paths: Vec<&str> = spans.iter().map(|s| s.path.as_str()).collect();
     for expect in ["pretrain", "adapt/MetaLoraTr", "probe/MetaLoraTr"] {
         assert!(span_paths.contains(&expect), "missing span {expect:?} in {span_paths:?}");
     }
@@ -118,7 +116,7 @@ fn golden_quick_pipeline() {
     // Health probes fired for both the optimizer and seed generation,
     // phase-stamped from the span stack, with finite norms and no
     // non-finite sentinels anywhere in the run.
-    assert!(!health.is_empty(), "no health records at stride 1");
+    assert!(!health.is_empty(), "no health records");
     assert!(
         health.iter().any(|h| h.phase.starts_with("pretrain")),
         "no pretrain health records: {:?}",
