@@ -1,7 +1,7 @@
 //! Characterization of PEFT injection: every method on every backbone.
 //!
-//! One row per {LoRA, Multi-LoRA, MetaLoRA-CP, MetaLoRA-TR} × {ResNet,
-//! Mixer, ViT} at a tiny configuration pins what an injection produces and
+//! One row per {LoRA, Multi-LoRA, MetaLoRA-CP, MetaLoRA-TR, static-seed
+//! MetaLoRA-CP} × {ResNet, Mixer, ViT} at a tiny configuration pins what an injection produces and
 //! what one training step on it computes:
 //!
 //! * the injected parameter names, in order (they are checkpoint keys),
@@ -24,7 +24,7 @@ use metalora_nn::models::{
 };
 use metalora_nn::{Ctx, Injectable, Module};
 use metalora_peft::inject::{self, Injection};
-use metalora_peft::meta::MetaFormat;
+use metalora_peft::meta::{MetaFormat, StaticSeedLora};
 use metalora_peft::LoraConfig;
 use metalora_tensor::{init, Tensor};
 use rand::rngs::StdRng;
@@ -44,6 +44,7 @@ enum Method {
     Multi,
     MetaCp,
     MetaTr,
+    StaticCp,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -115,6 +116,10 @@ fn inject(method: Method, arch: Arch, rng: &mut StdRng) -> (Box<dyn Module>, Inj
             };
             let (meta, inj) = inject::meta(net, format, LORA, 6, rng).unwrap();
             (Box::new(meta), inj, Ctx::none())
+        }
+        Method::StaticCp => {
+            let (ss, inj) = StaticSeedLora::inject(net, LORA, rng).unwrap();
+            (Box::new(ss), inj, Ctx::none())
         }
     }
 }
@@ -189,7 +194,7 @@ fn every_method_on_every_backbone_matches_its_golden() {
 }
 
 #[rustfmt::skip]
-const GOLDEN: [(Method, Arch, &str); 12] = [
+const GOLDEN: [(Method, Arch, &str); 15] = [
     (Method::Lora, Arch::ResNet, "10 lora_conv0.conv_lora_a lora_conv4.conv_lora_b 57516994ea6c5b58 5 78 3fb7e334 3bc20554a777df4b f95e59d6c44e6e7c"),
     (Method::Lora, Arch::Mixer, "8 lora_fc0.lora_a lora_fc3.lora_b b7299c710d1d0fb5 4 69 3fafebbc f03661483ef29cac cbc72076c17ba3c7"),
     (Method::Lora, Arch::Vit, "12 lora_vit0.lora_a lora_vit5.lora_b 9fbdff7382d56e7f 6 103 3fed00c6 66fc71957acca0ad efe960d2c608f91b"),
@@ -202,4 +207,7 @@ const GOLDEN: [(Method, Arch, &str); 12] = [
     (Method::MetaTr, Arch::ResNet, "14 meta_conv0.meta_tr_conv_a mapping.b2 06ecaf3fa7e63326 5 174 3f971c3d f0903f03b745dd24 6fb574ab094b972e"),
     (Method::MetaTr, Arch::Mixer, "12 meta_fc0.meta_tr_a mapping.b2 95c171a5baf18af7 4 165 3fb8a370 dbb69f48659a0ec5 53089fc9fa935808"),
     (Method::MetaTr, Arch::Vit, "16 meta_vit0.meta_tr_a mapping.b2 81ee25c94ea9d277 6 245 4001f33d edf02c6135c3ee8e c76299663640e6a0"),
+    (Method::StaticCp, Arch::ResNet, "11 meta_conv0.meta_cp_conv_a static_seed 84683136b3aa10ac 5 109 3fb877ca b077029dbdf80484 41bfbc3a41b0adeb"),
+    (Method::StaticCp, Arch::Mixer, "9 meta_fc0.meta_cp_a static_seed 8da0bbe758cae665 4 90 3fa5001a bb2efeb67f3991d9 9f625676736d6367"),
+    (Method::StaticCp, Arch::Vit, "13 meta_vit0.meta_cp_a static_seed 488e680cead3363d 6 134 3ff9af30 dad209e9e734f810 764732a53f83826a"),
 ];
