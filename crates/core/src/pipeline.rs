@@ -8,10 +8,10 @@ use metalora_data::dataset::{generate, LabeledImages};
 use metalora_data::knn::{Distance, KnnClassifier};
 use metalora_data::task::{sample_episode, sample_mixture_batch, TaskFamily};
 use metalora_nn::models::{Mixer, ResNet, VisionTransformer};
-use metalora_nn::train::train_epoch;
-use metalora_nn::{Adam, Backbone, Ctx, Injectable, Module, Optimizer, Sgd};
+use metalora_nn::train::{train_epoch, Epoch};
+use metalora_nn::{Adam, Backbone, Ctx, Injectable, Sgd};
 use metalora_peft::inject;
-use metalora_peft::meta::{MetaFormat, MetaLora, StaticSeedLora};
+use metalora_peft::meta::{MetaFormat, MetaLora};
 use metalora_tensor::{init, ops, Tensor, TensorError};
 
 /// The KNN K values reported by Table I.
@@ -147,7 +147,8 @@ impl Adapted {
     }
 
     /// Mean L2 norm of the per-input seeds MetaLoRA generates for this
-    /// batch. Errors for non-meta methods (they generate no seeds).
+    /// batch; for the static-seed ablation, the learned constant's norm.
+    /// Errors for the other methods (they have no parameter seeds).
     pub fn seed_summary(&self, images: &Tensor) -> Result<f32> {
         match &self.model {
             AdaptedModel::Meta(m) => {
@@ -197,59 +198,6 @@ impl Adapted {
     }
 }
 
-/// Shared adaptation loop: Adam over `params` on the training-task
-/// mixture, with a per-step context derived from the sampled task id.
-///
-/// When instrumentation is enabled the whole run is pushed to the obs
-/// metrics sink as one record (mean step loss / accuracy / grad norm)
-/// under the current span path; the extra readouts only happen while
-/// observing and never feed back into the computation.
-fn adapt_train(
-    model: &dyn Module,
-    family: &TaskFamily,
-    cfg: &ExperimentConfig,
-    params: Vec<ParamRef>,
-    ctx_of: impl Fn(usize) -> Ctx,
-    rng: &mut rand::rngs::StdRng,
-) -> Result<()> {
-    let observing = metalora_obs::enabled();
-    let t0 = observing.then(std::time::Instant::now);
-    let (mut loss_sum, mut acc_sum, mut grad_sum) = (0.0f64, 0.0f64, 0.0f64);
-    let mut opt = Adam::new(params.clone(), cfg.adapt_lr);
-    for _ in 0..cfg.adapt_steps {
-        // Constant span name: steps aggregate under "adapt/<Method>/step"
-        // with per-step duration quantiles.
-        let _step_span = metalora_obs::span!("step");
-        let (batch, tid) = sample_mixture_batch(family, cfg.adapt_per_class, cfg.image_size, rng)?;
-        let mut g = Graph::new();
-        let x = g.input(batch.images);
-        let logits = model.forward(&mut g, x, &ctx_of(tid))?;
-        let loss = g.softmax_cross_entropy(logits, &batch.labels)?;
-        g.backward(loss)?;
-        g.flush_grads();
-        if observing {
-            loss_sum += g.value(loss).item()? as f64;
-            acc_sum +=
-                metalora_nn::train::accuracy(&g.value(logits), &batch.labels)? as f64;
-            grad_sum += metalora_nn::train::grad_norm(&params);
-        }
-        opt.step();
-    }
-    if let Some(t0) = t0 {
-        let steps = cfg.adapt_steps.max(1) as f64;
-        let phase = metalora_obs::span::current_path();
-        let phase = if phase.is_empty() { "adapt" } else { &phase };
-        metalora_obs::metrics::record_epoch(
-            phase,
-            loss_sum / steps,
-            acc_sum / steps,
-            grad_sum / steps,
-            t0.elapsed().as_secs_f64(),
-        );
-    }
-    Ok(())
-}
-
 /// Adapts a pretrained backbone with the requested method.
 pub fn adapt(backbone: AnyBackbone, method: Method, cfg: &ExperimentConfig, seed: u64) -> Result<Adapted> {
     let _span = metalora_obs::span!("adapt/{method:?}");
@@ -277,18 +225,13 @@ pub fn adapt(backbone: AnyBackbone, method: Method, cfg: &ExperimentConfig, seed
             let inj = inject::multi(backbone.as_mut(), banks, lora, &mut rng);
             (AdaptedModel::Plain(backbone), inj.adapter_params)
         }
-        Method::MetaLoraCp | Method::MetaLoraTr => {
-            let format = if method == Method::MetaLoraCp {
-                MetaFormat::Cp
-            } else {
-                MetaFormat::Tr
+        Method::MetaLoraCp | Method::MetaLoraTr | Method::StaticSeedCp => {
+            let (meta, inj) = match method {
+                Method::MetaLoraCp => inject::meta(backbone, MetaFormat::Cp, lora, cfg.map_hidden, &mut rng)?,
+                Method::MetaLoraTr => inject::meta(backbone, MetaFormat::Tr, lora, cfg.map_hidden, &mut rng)?,
+                _ => inject::static_seed(backbone, lora, &mut rng)?,
             };
-            let (meta, inj) = inject::meta(backbone, format, lora, cfg.map_hidden, &mut rng)?;
             (AdaptedModel::Meta(meta), inj.adapter_params)
-        }
-        Method::StaticSeedCp => {
-            let (ss, inj) = StaticSeedLora::inject(backbone, lora, &mut rng)?;
-            (AdaptedModel::Plain(Box::new(ss)), inj.adapter_params)
         }
     };
     let mut adapted = Adapted {
@@ -301,10 +244,22 @@ pub fn adapt(backbone: AnyBackbone, method: Method, cfg: &ExperimentConfig, seed
     if method == Method::Original {
         return Ok(adapted);
     }
+    // Adam over the adapter parameters on the training-task mixture, with
+    // a per-step context from the sampled task id (its Multi-LoRA bank).
+    // The whole run is one epoch record.
     let multi = method == Method::MultiLora;
-    let ctx_of: fn(usize) -> Ctx = if multi { Ctx::with_adapter } else { |_| Ctx::none() };
-    let params = adapted.adapter_params.clone();
-    adapt_train(adapted.backbone(), &adapted.family, cfg, params, ctx_of, &mut rng)?;
+    let mut opt = Adam::new(adapted.adapter_params.clone(), cfg.adapt_lr);
+    let mut run = Epoch::<f64>::start();
+    for _ in 0..cfg.adapt_steps {
+        // Constant span name: steps aggregate under "adapt/<Method>/step"
+        // with per-step duration quantiles.
+        let _step_span = metalora_obs::span!("step");
+        let (batch, tid) =
+            sample_mixture_batch(&adapted.family, cfg.adapt_per_class, cfg.image_size, &mut rng)?;
+        let ctx = if multi { Ctx::with_adapter(tid) } else { Ctx::none() };
+        run.step(adapted.backbone(), batch.images, &batch.labels, &ctx, &mut opt)?;
+    }
+    run.record("adapt");
     if multi {
         // Base-feature centroids per training task for eval routing.
         let mut centroids = Vec::with_capacity(banks);
@@ -431,10 +386,21 @@ mod tests {
             } else {
                 assert!(!adapted.adapter_params.is_empty());
             }
-            if method == Method::StaticSeedCp {
-                // The learned constant is trained with (and after) the
-                // MetaLoRA-CP layers' own parameters.
-                assert_eq!(adapted.adapter_params.last().unwrap().name(), "static_seed");
+            let images = generate(metalora_data::Shift::Identity, 1, cfg.image_size, &mut init::rng(5))
+                .unwrap()
+                .images;
+            let summary = adapted.seed_summary(&images);
+            match method {
+                Method::MetaLoraCp | Method::MetaLoraTr => assert!(summary.unwrap() >= 0.0),
+                Method::StaticSeedCp => {
+                    // The learned constant is trained with (and after) the
+                    // MetaLoRA-CP layers' own parameters, and every input
+                    // gets it as its seed.
+                    let seed = adapted.adapter_params.last().unwrap();
+                    assert_eq!(seed.name(), "static_seed");
+                    assert_eq!(summary.unwrap(), seed.value().norm());
+                }
+                _ => assert!(summary.is_err(), "{method:?}"),
             }
             let p = probe(&adapted, &cfg, 1).unwrap();
             for &k in &TABLE1_KS {

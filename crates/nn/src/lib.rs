@@ -11,9 +11,9 @@
 //! * [`models`] — the two backbones of Table I, a small **ResNet** and an
 //!   **MLP-Mixer**, and the Sec. III-E **Vision Transformer**, each
 //!   [`Injectable`], plus a plain MLP.
-//! * [`optim`] — SGD(+momentum) and Adam with weight decay and LR
-//!   schedules.
-//! * [`train`] — minimal training-loop helpers (batching, accuracy).
+//! * [`optim`] — SGD(+momentum) and Adam with weight decay.
+//! * [`train`] — the one training step and epoch record that pretraining
+//!   and adaptation share, plus batching and accuracy helpers.
 //! * [`infer`] — tape-free forward math on plain tensors, bitwise
 //!   identical to the graph forwards (the serving engine's substrate).
 

@@ -1,5 +1,5 @@
 //! Optimisers: SGD with momentum and Adam, both with decoupled weight
-//! decay, plus simple learning-rate schedules.
+//! decay.
 
 use metalora_autograd::ParamRef;
 use metalora_tensor::Tensor;
@@ -126,14 +126,15 @@ pub trait Optimizer {
     /// then clears the gradients. Frozen parameters are skipped.
     fn step(&mut self);
 
+    /// The parameters this optimizer updates.
+    fn params(&self) -> &[ParamRef];
+
     /// Clears accumulated gradients without updating.
-    fn zero_grad(&self);
-
-    /// Current learning rate.
-    fn lr(&self) -> f32;
-
-    /// Overrides the learning rate (used by schedules).
-    fn set_lr(&mut self, lr: f32);
+    fn zero_grad(&self) {
+        for p in self.params() {
+            p.zero_grad();
+        }
+    }
 }
 
 /// Stochastic gradient descent with classical momentum and decoupled
@@ -179,18 +180,8 @@ impl Optimizer for Sgd {
         }
     }
 
-    fn zero_grad(&self) {
-        for p in &self.params {
-            p.zero_grad();
-        }
-    }
-
-    fn lr(&self) -> f32 {
-        self.lr
-    }
-
-    fn set_lr(&mut self, lr: f32) {
-        self.lr = lr;
+    fn params(&self) -> &[ParamRef] {
+        &self.params
     }
 }
 
@@ -251,18 +242,8 @@ impl Optimizer for Adam {
         });
     }
 
-    fn zero_grad(&self) {
-        for p in &self.params {
-            p.zero_grad();
-        }
-    }
-
-    fn lr(&self) -> f32 {
-        self.lr
-    }
-
-    fn set_lr(&mut self, lr: f32) {
-        self.lr = lr;
+    fn params(&self) -> &[ParamRef] {
+        &self.params
     }
 }
 
@@ -443,16 +424,5 @@ mod tests {
         let r = records.iter().find(|r| r.group == "bad").expect("record");
         assert_eq!(r.nan_count, 1);
         assert_eq!(r.inf_count, 1);
-    }
-
-    #[test]
-    fn lr_get_set() {
-        let mut opt = Sgd::new(vec![], 0.1);
-        assert_eq!(opt.lr(), 0.1);
-        opt.set_lr(0.05);
-        assert_eq!(opt.lr(), 0.05);
-        let mut a = Adam::new(vec![], 0.3);
-        a.set_lr(0.2);
-        assert_eq!(a.lr(), 0.2);
     }
 }

@@ -1,4 +1,5 @@
-//! Training-loop helpers shared by the pretraining and adaptation phases.
+//! The training step and epoch record shared by the pretraining and
+//! adaptation phases, plus batching and accuracy helpers.
 
 use crate::module::{Ctx, Module};
 use crate::optim::Optimizer;
@@ -7,6 +8,8 @@ use metalora_autograd::Graph;
 use metalora_tensor::{ops, Tensor};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
+use std::ops::{AddAssign, Div};
+use std::time::Instant;
 
 /// Classification accuracy of logits `[N, C]` against integer labels.
 pub fn accuracy(logits: &Tensor, labels: &[usize]) -> Result<f32> {
@@ -46,35 +49,84 @@ pub fn gather_labels(labels: &[usize], idx: &[usize]) -> Vec<usize> {
     idx.iter().map(|&i| labels[i]).collect()
 }
 
-/// Running statistics of one epoch.
-#[derive(Debug, Clone, Default)]
-pub struct EpochStats {
-    /// Mean loss over batches.
-    pub loss: f32,
-    /// Mean accuracy over batches.
-    pub accuracy: f32,
-    /// Number of batches processed.
-    pub batches: usize,
-}
-
-/// Global L2 norm of the gradients accumulated on `params`.
-pub fn grad_norm(params: &[metalora_autograd::ParamRef]) -> f64 {
-    let mut sq = 0.0f64;
-    for p in params {
-        for &v in p.grad().data() {
-            sq += v as f64 * v as f64;
-        }
-    }
-    sq.sqrt()
-}
-
-/// Runs one supervised epoch of `model` on `(images, labels)` with
-/// cross-entropy, updating through `opt`. Returns epoch statistics.
+/// One epoch of training steps: [`Epoch::step`] runs one supervised
+/// update, and [`Epoch::record`] pushes the epoch to the obs metrics sink
+/// (mean loss, accuracy and gradient norm per step, wall time).
 ///
-/// When `metalora_obs` instrumentation is enabled the epoch is also
-/// pushed to the metrics sink (loss, accuracy, mean per-batch gradient
-/// norm, wall time) under the current span path; observation never
-/// changes the computation itself.
+/// Loss, accuracy and the gradient norm over the optimizer's parameters
+/// are read only while `metalora_obs` is enabled; observation never
+/// changes the computation. `T` is the precision of the loss and accuracy
+/// sums: pretraining sums `f32`, adaptation `f64`.
+#[derive(Default)]
+pub struct Epoch<T> {
+    t0: Option<Instant>,
+    loss: T,
+    accuracy: T,
+    grad_norm: f64,
+    steps: usize,
+}
+
+impl<T> Epoch<T>
+where
+    T: Copy + Default + From<f32> + Into<f64> + AddAssign + Div<Output = T>,
+{
+    /// Starts an epoch (timed while obs is enabled).
+    pub fn start() -> Self {
+        let t0 = metalora_obs::enabled().then(Instant::now);
+        Epoch { t0, ..Default::default() }
+    }
+
+    /// One step on a fresh tape: forward `images` under `ctx`,
+    /// cross-entropy against `labels`, backward, then `opt.step()`.
+    pub fn step(
+        &mut self,
+        model: &dyn Module,
+        images: Tensor,
+        labels: &[usize],
+        ctx: &Ctx,
+        opt: &mut dyn Optimizer,
+    ) -> Result<()> {
+        let mut g = Graph::new();
+        let x = g.input(images);
+        let logits = model.forward(&mut g, x, ctx)?;
+        let loss = g.softmax_cross_entropy(logits, labels)?;
+        g.backward(loss)?;
+        g.flush_grads();
+        if self.t0.is_some() {
+            self.loss += T::from(g.value(loss).item()?);
+            self.accuracy += T::from(accuracy(&g.value(logits), labels)?);
+            // Global L2 norm of the gradients, summed in one f64 pass.
+            let sq = opt.params().iter().fold(0.0f64, |sq, p| {
+                p.grad().data().iter().fold(sq, |sq, &v| sq + v as f64 * v as f64)
+            });
+            self.grad_norm += sq.sqrt();
+        }
+        opt.step();
+        self.steps += 1;
+        Ok(())
+    }
+
+    /// Records the epoch under the current span path, or `default_phase`
+    /// outside any span. No-op while obs is disabled.
+    pub fn record(self, default_phase: &str) {
+        let Some(t0) = self.t0 else {
+            return;
+        };
+        let n = self.steps.max(1);
+        let phase = metalora_obs::span::current_path();
+        metalora_obs::metrics::record_epoch(
+            if phase.is_empty() { default_phase } else { &phase },
+            (self.loss / T::from(n as f32)).into(),
+            (self.accuracy / T::from(n as f32)).into(),
+            self.grad_norm / n as f64,
+            t0.elapsed().as_secs_f64(),
+        );
+    }
+}
+
+/// Runs one supervised epoch of `model` on `(images, labels)` in shuffled
+/// mini-batches, updating through `opt`, and records it as an [`Epoch`]
+/// (phase `"train"` outside any span).
 pub fn train_epoch(
     model: &dyn Module,
     images: &Tensor,
@@ -82,44 +134,14 @@ pub fn train_epoch(
     batch_size: usize,
     opt: &mut dyn Optimizer,
     rng: &mut StdRng,
-) -> Result<EpochStats> {
-    let observing = metalora_obs::enabled();
-    let t0 = observing.then(std::time::Instant::now);
-    let mut grad_norm_sum = 0.0f64;
-    let mut stats = EpochStats::default();
+) -> Result<()> {
+    let mut epoch = Epoch::<f32>::start();
     for idx in batch_indices(labels.len(), batch_size, rng) {
-        let xb = gather_rows(images, &idx)?;
         let yb = gather_labels(labels, &idx);
-        let mut g = Graph::new();
-        let x = g.input(xb);
-        let logits = model.forward(&mut g, x, &Ctx::none())?;
-        let loss = g.softmax_cross_entropy(logits, &yb)?;
-        stats.loss += g.value(loss).item()?;
-        stats.accuracy += accuracy(&g.value(logits), &yb)?;
-        g.backward(loss)?;
-        g.flush_grads();
-        if observing {
-            grad_norm_sum += grad_norm(&model.params());
-        }
-        opt.step();
-        stats.batches += 1;
+        epoch.step(model, gather_rows(images, &idx)?, &yb, &Ctx::none(), opt)?;
     }
-    if stats.batches > 0 {
-        stats.loss /= stats.batches as f32;
-        stats.accuracy /= stats.batches as f32;
-    }
-    if let Some(t0) = t0 {
-        let phase = metalora_obs::span::current_path();
-        let phase = if phase.is_empty() { "train" } else { &phase };
-        metalora_obs::metrics::record_epoch(
-            phase,
-            stats.loss as f64,
-            stats.accuracy as f64,
-            grad_norm_sum / stats.batches.max(1) as f64,
-            t0.elapsed().as_secs_f64(),
-        );
-    }
-    Ok(stats)
+    epoch.record("train");
+    Ok(())
 }
 
 /// Evaluates classification accuracy of `model` on `(images, labels)`
@@ -130,23 +152,16 @@ pub fn evaluate(
     labels: &[usize],
     batch_size: usize,
 ) -> Result<f32> {
-    let n = labels.len();
+    let order: Vec<usize> = (0..labels.len()).collect();
     let mut correct = 0.0f32;
-    let mut seen = 0usize;
-    let mut start = 0usize;
-    while start < n {
-        let end = (start + batch_size.max(1)).min(n);
-        let idx: Vec<usize> = (start..end).collect();
-        let xb = gather_rows(images, &idx)?;
-        let yb = gather_labels(labels, &idx);
+    for idx in order.chunks(batch_size.max(1)) {
+        let yb = gather_labels(labels, idx);
         let mut g = Graph::inference();
-        let x = g.input(xb);
+        let x = g.input(gather_rows(images, idx)?);
         let logits = model.forward(&mut g, x, &Ctx::none())?;
         correct += accuracy(&g.value(logits), &yb)? * yb.len() as f32;
-        seen += yb.len();
-        start = end;
     }
-    Ok(correct / seen.max(1) as f32)
+    Ok(correct / labels.len().max(1) as f32)
 }
 
 #[cfg(test)]
@@ -210,13 +225,10 @@ mod tests {
             &mut rng,
         );
         let mut opt = Sgd::new(model.params(), 0.3);
-        let mut last = EpochStats::default();
         for _ in 0..20 {
-            last = train_epoch(&model, &images, &labels, 8, &mut opt, &mut rng).unwrap();
+            train_epoch(&model, &images, &labels, 8, &mut opt, &mut rng).unwrap();
         }
-        assert!(last.accuracy > 0.95, "train accuracy {}", last.accuracy);
         let eval = evaluate(&model, &images, &labels, 16).unwrap();
         assert!(eval > 0.95, "eval accuracy {eval}");
-        assert_eq!(last.batches, 5);
     }
 }

@@ -1,8 +1,8 @@
 //! The training-loop metrics sink.
 //!
-//! `metalora_nn::train::train_epoch` (and the adaptation loop in
-//! `metalora::pipeline`) push one [`EpochRecord`] per epoch here when
-//! instrumentation is enabled. Records are grouped by `phase` — by
+//! `metalora_nn::train::Epoch::record` pushes one [`EpochRecord`] here per
+//! pretraining epoch and per adaptation run when instrumentation is
+//! enabled. Records are grouped by `phase` — by
 //! convention the current span path (`"pretrain"`, `"adapt/Lora"`) — and
 //! the epoch index auto-increments within a phase.
 

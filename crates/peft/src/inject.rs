@@ -14,7 +14,7 @@ use crate::{
 };
 use metalora_autograd::ParamRef;
 use metalora_nn::models::{Mixer, ResNet, VisionTransformer};
-use metalora_nn::{Injectable, Layer, Module};
+use metalora_nn::{Injectable, Layer};
 use rand::rngs::StdRng;
 
 /// What an injection produced.
@@ -77,7 +77,7 @@ pub fn multi(
     })
 }
 
-/// The MetaLoRA (CP or TR) adapters of [`meta`], without the mapping net.
+/// The MetaLoRA (CP or TR) adapters of [`meta`], without their seed source.
 pub(crate) fn meta_layers(
     net: &mut dyn Injectable,
     format: MetaFormat,
@@ -110,8 +110,23 @@ pub fn meta(
         format.seed_dim(cfg.rank),
         rng,
     );
-    inj.adapter_params.extend(mapping.params());
-    Ok((MetaLora::new(net, mapping)?, inj))
+    let model = MetaLora::new(net, mapping)?;
+    inj.adapter_params.extend(model.seed_params());
+    Ok((model, inj))
+}
+
+/// Injects MetaLoRA-CP into every injection point of `net` and drives it
+/// with one learned constant seed instead of a mapping net (the
+/// static-seed ablation); the seed joins the adapter set last.
+pub fn static_seed(
+    mut net: Box<dyn Injectable>,
+    cfg: LoraConfig,
+    rng: &mut StdRng,
+) -> Result<(MetaLora, Injection)> {
+    let mut inj = meta_layers(net.as_mut(), MetaFormat::Cp, cfg, rng);
+    let model = MetaLora::with_learned_seed(net, MetaFormat::Cp.seed_dim(cfg.rank), rng)?;
+    inj.adapter_params.extend(model.seed_params());
+    Ok((model, inj))
 }
 
 /// [`meta`] on a ResNet.
@@ -152,7 +167,7 @@ mod tests {
     use super::*;
     use metalora_autograd::Graph;
     use metalora_nn::models::{MixerConfig, ResNetConfig};
-    use metalora_nn::{Backbone, Ctx};
+    use metalora_nn::{Backbone, Ctx, Module};
     use metalora_tensor::init;
 
     fn resnet(rng: &mut StdRng) -> ResNet {
@@ -254,7 +269,7 @@ mod tests {
             assert_eq!(g.dims(y), vec![2, 4], "{format:?}");
             // Mapping params are part of the adapter set.
             let mapping_ids: Vec<usize> =
-                meta.mapping().params().iter().map(|p| p.cell_id()).collect();
+                meta.mapping().unwrap().params().iter().map(|p| p.cell_id()).collect();
             assert!(mapping_ids
                 .iter()
                 .all(|id| inj.adapter_params.iter().any(|p| p.cell_id() == *id)));

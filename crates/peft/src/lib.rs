@@ -17,9 +17,11 @@
 //!   parameter seed that is integrated through the CP (Eq. 6) or
 //!   Tensor-Ring (Eq. 7) format, for both dense and convolutional layers
 //!   (Sec. III-C/III-D), plus the [`meta::MetaLora`] wrapper that chains
-//!   feature extraction → mapping net → adapted backbone (Fig. 4);
+//!   feature extraction → mapping net → adapted backbone (Fig. 4), or
+//!   drives the same adapters from one learned constant seed (the
+//!   static-seed ablation);
 //! * [`inject`] — one injection function per method (`lora`, `multi`,
-//!   `meta`), one walk over any `Injectable` backbone;
+//!   `meta`, `static_seed`), one walk over any `Injectable` backbone;
 //! * [`count`] — trainable-parameter accounting (the A1 experiment).
 //!
 //! All adapters initialise to a **zero delta** so the adapted model starts
@@ -41,7 +43,7 @@ pub use count::ParamReport;
 pub use lora::LoraLinear;
 pub use meta::{
     MappingNet, MetaFormat, MetaLora, MetaLoraCpConv, MetaLoraCpLinear, MetaLoraTrConv,
-    MetaLoraTrLinear, StaticSeedLora,
+    MetaLoraTrLinear,
 };
 pub use multi::{MultiLoraConv, MultiLoraLinear};
 use serde::{Deserialize, Serialize};

@@ -24,7 +24,7 @@ use metalora_nn::models::{
 };
 use metalora_nn::{Ctx, Injectable, Module};
 use metalora_peft::inject::{self, Injection};
-use metalora_peft::meta::{MetaFormat, StaticSeedLora};
+use metalora_peft::meta::MetaFormat;
 use metalora_peft::LoraConfig;
 use metalora_tensor::{init, Tensor};
 use rand::rngs::StdRng;
@@ -118,8 +118,8 @@ fn inject(method: Method, arch: Arch, rng: &mut StdRng) -> (Box<dyn Module>, Inj
             (Box::new(meta), inj, Ctx::none())
         }
         Method::StaticCp => {
-            let (ss, inj) = StaticSeedLora::inject(net, LORA, rng).unwrap();
-            (Box::new(ss), inj, Ctx::none())
+            let (meta, inj) = inject::static_seed(net, LORA, rng).unwrap();
+            (Box::new(meta), inj, Ctx::none())
         }
     }
 }

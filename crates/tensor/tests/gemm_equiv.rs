@@ -1,7 +1,9 @@
 //! The GEMM equivalence table: one proptest over the whole descriptor
 //! space of [`gemm`] — {N,T}×{N,T} layouts × {unbatched, batched, one `a`
 //! shared by a batched `b`, matvec} × {no bias, bias} — on ragged,
-//! `k = 0`, single-row/column, NC-crossing and KC-crossing shapes.
+//! `k = 0`, single-row, single-column, NC-crossing and KC-crossing
+//! shapes. `m` and `n` reach 47: up to six MR strips, and the NR panel
+//! pairs the wide SIMD levels take once `n ≥ 32`.
 //!
 //! Every cell is anchored to a naive triple loop over the operands
 //! followed by the separate [`epilogue_pass`], and must match it **bitwise**
@@ -58,23 +60,24 @@ enum Batching {
 const LEVELS: [SimdLevel; 3] = [SimdLevel::Scalar, SimdLevel::Avx2, SimdLevel::Avx512];
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(10))]
+    #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
     fn gemm_equiv(
-        class in 0usize..5,
-        m in 1usize..14,
-        k in 1usize..30,
-        n in 1usize..14,
-        bs in 2usize..4,
+        class in 0usize..6,
+        m in 1usize..48,
+        k in 1usize..48,
+        n in 1usize..48,
+        bs in 1usize..5,
         seed in 0u64..1000,
     ) {
         let (m, k, n) = match class {
-            0 => (m, k, n),           // ragged in every dimension
-            1 => (m, 0, n),           // empty inner dimension
-            2 => (1 + m % 2, k, 1),   // thinner than the MR×NR tile
-            3 => (m % 6 + 1, k, 250 + n), // crosses the NC column-group boundary
-            _ => (m, 100 + 2 * k, n), // crosses the KC k-tile boundary
+            0 => (m, k, n),               // ragged: strips, panels and panel pairs
+            1 => (m, 0, n),               // empty inner dimension
+            2 => (1 + m % 2, k, n),       // thinner than the MR strip
+            3 => (m, k, 1 + n % 2),       // narrower than the NR panel
+            4 => (m % 6 + 1, k, 250 + n), // crosses the NC column-group boundary
+            _ => (m, 100 + 4 * k, n),     // crosses the KC k-tile boundary, up to twice
         };
         let mut rng = init::rng(seed);
         for batching in [Batching::Unbatched, Batching::Batched, Batching::SharedLhs, Batching::Matvec] {
