@@ -1,20 +1,21 @@
 //! **Serving artifact driver**: one zipf multi-tenant stream through the
 //! `metalora-serve` engine, once factored and once merged, with
-//! instrumentation forced on, so the repo can always produce the serving
-//! artifacts: `RUNLOG_serve.json`, `METRICS_serve.jsonl` (one registry +
-//! SLO snapshot after each mode), `METRICS_serve.prom` (validated by the
-//! in-repo parser before the write) and, under `METALORA_OBS_TRACE=1`,
-//! `TRACE_serve.json` — all in `METALORA_OBS_DIR` (default: CWD).
+//! instrumentation and the live registry forced on, so the repo can
+//! always produce the serving artifacts: `RUNLOG_serve.json` (its
+//! `registry` object carries the registry snapshot, SLO rows and tail
+//! samples) and, under `METALORA_OBS_TRACE=1`, `TRACE_serve.json` — both
+//! in `METALORA_OBS_DIR` (default: CWD).
 //!
 //! The streams run under the **logical** telemetry clock (one tick per
-//! read), so two runs emit byte-identical JSONL. Nothing is timed here:
-//! speed is judged by `benchmark/`, contracts by `crates/serve/tests`.
+//! read), so two runs write byte-identical `registry` lines. Nothing is
+//! timed here: speed is judged by `benchmark/`, contracts by
+//! `crates/serve/tests`.
 //!
 //! Run with: `cargo run --release -p metalora-bench --bin serve`
 
 use metalora_nn::Linear;
+use metalora_obs::registry;
 use metalora_obs::window::{self, ClockMode};
-use metalora_obs::{export, registry};
 use metalora_peft::meta::MappingNet;
 use metalora_peft::{LoraConfig, MultiLoraLinear};
 use metalora_serve::traffic::{self, TrafficConfig};
@@ -83,24 +84,11 @@ fn main() {
         in_dim: DIM,
         ..TrafficConfig::default()
     });
-    let mut lines = Vec::new();
     for (mode, use_merged) in [("factored", false), ("merged", true)] {
         let e = engine(use_merged);
         e.process(&reqs).expect("serve the stream");
         let (n, c) = (e.request_count(), e.cache().stats());
         println!("{mode}: {n} requests, cache {} hits / {} misses / {} evictions", c.hits, c.misses, c.evictions);
-        let reg = registry::snapshot();
-        lines.push(export::jsonl_line(&reg));
-    }
-
-    match export::flush("serve", &lines) {
-        Ok(f) => println!(
-            "metrics written to {} and {} ({} samples)",
-            f.jsonl.display(),
-            f.prom.display(),
-            f.samples
-        ),
-        Err(e) => eprintln!("could not flush metrics: {e}"),
     }
     metalora_obs::report::RunReport::capture("serve").publish();
 }

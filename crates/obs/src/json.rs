@@ -55,9 +55,9 @@ mod tests {
 
     #[test]
     fn every_non_finite_shape_becomes_null() {
-        // All the sentinel shapes that reach the RUNLOG/TRACE/METRICS
-        // writers: f64 specials, f32 specials widened the way health
-        // records widen them, and NaNs produced by arithmetic.
+        // All the sentinel shapes that reach the RUNLOG/TRACE writers:
+        // f64 specials, f32 specials widened the way health records
+        // widen them, and NaNs produced by arithmetic.
         for bad in [
             f64::NEG_INFINITY,
             -f64::NAN,

@@ -2,7 +2,7 @@
 //!
 //! Dependency-free instrumentation for the MetaLoRA stack.
 //!
-//! Eleven facilities, all funnelled through one global on/off switch:
+//! Ten facilities, all funnelled through one global on/off switch:
 //!
 //! * [`span`] — hierarchical wall-clock spans (`pretrain/epoch0`) with
 //!   thread-safe aggregation and per-path duration quantiles, via the
@@ -31,12 +31,9 @@
 //! * [`slo`] — the per-tenant p99 target (`METALORA_SLO_P99_MS`) and the
 //!   SLO rows (windowed p99, error-budget burn) derived from a registry
 //!   snapshot; it holds no state of its own;
-//! * [`export`] — registry snapshot exporter, SLO rows included:
-//!   Prometheus text exposition (`METRICS_<name>.prom`, validated by an
-//!   in-repo parser) and an append-only `METRICS_<name>.jsonl` time
-//!   series;
 //! * [`report`] — [`report::RunReport`] captures everything above into a
-//!   structured `RUNLOG_<name>.json` plus a human-readable summary table,
+//!   structured `RUNLOG_<name>.json` (the registry snapshot with its SLO
+//!   rows and tail samples included) plus a human-readable summary table,
 //!   written under [`out_dir`] (`METALORA_OBS_DIR`).
 //!
 //! ## Zero overhead when disabled
@@ -49,7 +46,6 @@
 //! is purely passive.
 
 pub mod counters;
-pub mod export;
 pub mod health;
 pub mod hist;
 mod json;

@@ -9,19 +9,22 @@
 //! layout of the workspace: the summary and every bench bin's result
 //! table print through it.
 //!
-//! ## Schema (`schema_version` 12)
+//! ## Schema (`schema_version` 13)
 //!
 //! ```json
 //! {
-//!   "schema_version": 12,
+//!   "schema_version": 13,
 //!   "name": "table1",
 //!   "spans":    [ {"path": "pretrain", "count": 2, "total_ms": 813.4,
 //!                  "p50_ms": 400.1, "p95_ms": 413.0, "p99_ms": 413.0} ],
 //!   "counters": {"matmul": {"calls": 10, "flops": 123, "bytes_moved": 456},
 //!                "tile_grid": {"claims": 40, "bpacks": 5},
 //!                "serve": {"seed_rows": 40, "merges": 14}, ...},
-//!   "registry": [ {"name": "serve_requests_total", "label": "tenant=3",
-//!                  "kind": "counter", "value": 64} ],
+//!   "registry": {"ts_ns": 73000, "clock": "logical", "window_secs": 60,
+//!                "metrics": [{"name": "serve_requests_total", "label": "tenant=3",
+//!                             "kind": "counter", "value": 64}],
+//!                "slo": [{"tenant": "3", "requests": 64, "slow": 0, ...}],
+//!                "attributions": [], "attributions_dropped": 0},
 //!   "health":   [ {"phase": "adapt/MetaLoraCp", "group": "mapping", "step": 0,
 //!                  "grad_norm": 0.42, "update_ratio": 0.001,
 //!                  "weight_norm": 3.1, "nan_count": 0, "inf_count": 0} ],
@@ -32,27 +35,31 @@
 //! ```
 //!
 //! `counters` holds every counter of [`crate::counters`]' one list, one
-//! object per group in list order; `registry` holds the live registry's
-//! rows in the form the JSONL time series carries them.
+//! object per group in list order; `registry` is one line holding the
+//! live registry's snapshot: its rows, the SLO rows derived from them
+//! ([`crate::slo::rows`]) and the tail-attribution samples, with
+//! non-finite values written as `null`. Under the logical clock two
+//! identical runs write byte-identical `registry` lines.
 //!
 //! Version history: 2–10 added one top-level object per counter family;
 //! 11 generates them all as `counters` and adds the `registry` rows; 12
 //! drops the thread-team counters (the parallel / serial dispatch tally,
 //! the tile grid's steals and per-slot claims): kernels run on the
-//! calling thread.
+//! calling thread; 13: `registry` is the snapshot object: rows, SLO rows
+//! and tail samples.
 
 use crate::counters::{self, Reading};
 use crate::health::{self, HealthRecord};
 use crate::json;
 use crate::metrics::{self, EpochRecord};
-use crate::registry::{self, MetricRow};
+use crate::registry::{self, MetricValue, RegistrySnapshot, STAGES};
 use crate::span::{self, SpanSummary};
 use crate::trace;
 use std::path::{Path, PathBuf};
 
 /// Version stamp written into every run log (see the module docs for the
 /// version history).
-pub const SCHEMA_VERSION: u32 = 12;
+pub const SCHEMA_VERSION: u32 = 13;
 
 /// A captured snapshot of everything the instrumentation recorded.
 #[derive(Debug, Clone)]
@@ -63,8 +70,8 @@ pub struct RunReport {
     pub spans: Vec<SpanSummary>,
     /// Every counter of the one list, in list order.
     pub counters: Vec<Reading>,
-    /// Live-registry rows, ordered by `(name, label)`.
-    pub registry: Vec<MetricRow>,
+    /// The live registry's snapshot, rows ordered by `(name, label)`.
+    pub registry: RegistrySnapshot,
     /// Training-health records in insertion order.
     pub health: Vec<HealthRecord>,
     /// Trace events currently buffered.
@@ -83,7 +90,7 @@ impl RunReport {
             name: name.to_string(),
             spans: span::snapshot(),
             counters: counters::read_all(),
-            registry: registry::snapshot().rows,
+            registry: registry::snapshot(),
             health: health::snapshot(),
             trace_events: events.len() as u64,
             trace_dropped,
@@ -142,10 +149,7 @@ impl RunReport {
             format!("\"name\": {}", json::string(&self.name)),
             format!("\"spans\": {}", block('[', spans, ']')),
             format!("\"counters\": {}", block('{', counters, '}')),
-            format!(
-                "\"registry\": {}",
-                block('[', self.registry.iter().map(crate::export::row_json), ']')
-            ),
+            format!("\"registry\": {}", registry_json(&self.registry)),
             format!("\"health\": {}", block('[', health, ']')),
             format!(
                 "\"trace\": {{\"events\": {}, \"dropped\": {}}}",
@@ -236,8 +240,8 @@ impl RunReport {
             out.push_str(&render_table(&["counter", "value"], &rows));
         }
 
-        if !self.registry.is_empty() {
-            out.push_str(&format!("registry: {} series\n", self.registry.len()));
+        if !self.registry.rows.is_empty() {
+            out.push_str(&format!("registry: {} series\n", self.registry.rows.len()));
         }
 
         if !self.health.is_empty() {
@@ -287,6 +291,69 @@ impl RunReport {
         }
         out
     }
+}
+
+/// The registry snapshot as one JSON line: its rows, the SLO rows derived
+/// from them and the tail-attribution samples, stamped with the clock
+/// reading. Non-finite floats serialise as `null`.
+fn registry_json(reg: &RegistrySnapshot) -> String {
+    fn list<T>(items: &[T], item: impl Fn(&T) -> String) -> String {
+        items.iter().map(item).collect::<Vec<_>>().join(", ")
+    }
+    let metrics = list(&reg.rows, |row| {
+        let body = match &row.value {
+            MetricValue::Counter(c) => format!("\"kind\": \"counter\", \"value\": {c}"),
+            MetricValue::Gauge(g) => format!("\"kind\": \"gauge\", \"value\": {}", json::num(*g)),
+            MetricValue::Window { count, p50_ns, p95_ns, p99_ns, rate_per_s } => format!(
+                "\"kind\": \"window\", \"count\": {count}, \"p50_ns\": {p50_ns}, \
+                 \"p95_ns\": {p95_ns}, \"p99_ns\": {p99_ns}, \"rate_per_s\": {}",
+                json::num(*rate_per_s)
+            ),
+        };
+        format!(
+            "{{\"name\": {}, \"label\": {}, {body}}}",
+            json::string(&row.name),
+            json::string(&row.label)
+        )
+    });
+    let slo = list(&crate::slo::rows(reg), |r| {
+        format!(
+            "{{\"tenant\": {}, \"requests\": {}, \"slow\": {}, \"target_ns\": {}, \
+             \"window_p99_ns\": {}, \"window_requests\": {}, \"budget_burn\": {}}}",
+            json::string(&r.tenant),
+            r.requests,
+            r.slow,
+            r.target_ns,
+            r.window_p99_ns,
+            r.window_requests,
+            json::num(r.budget_burn)
+        )
+    });
+    let attributions = list(&reg.attributions, |a| {
+        let stages: Vec<String> = STAGES
+            .iter()
+            .zip(a.stage_ns)
+            .map(|(s, ns)| format!("{}: {ns}", json::string(s)))
+            .collect();
+        let stages = stages.join(", ");
+        format!(
+            "{{\"request_id\": {}, \"tenant\": {}, \"method\": {}, \"total_ns\": {}, \
+             \"dominant\": {}, \"stage_ns\": {{{stages}}}}}",
+            a.request_id,
+            json::string(&a.tenant),
+            json::string(&a.method),
+            a.total_ns,
+            json::string(a.dominant_stage()),
+        )
+    });
+    format!(
+        "{{\"ts_ns\": {}, \"clock\": {}, \"window_secs\": {}, \"metrics\": [{metrics}], \
+         \"slo\": [{slo}], \"attributions\": [{attributions}], \"attributions_dropped\": {}}}",
+        reg.now_ns,
+        json::string(crate::window::clock_label()),
+        registry::WINDOW_SECS,
+        reg.attributions_dropped
+    )
 }
 
 /// A JSON array or object with one item per line, nested one level in.
@@ -358,7 +425,7 @@ mod tests {
         let report = RunReport::capture("unit test");
         assert_eq!(report.file_name(), "RUNLOG_unit_test.json");
         let js = report.to_json();
-        assert!(js.contains("\"schema_version\": 12"));
+        assert!(js.contains("\"schema_version\": 13"));
         assert!(js.contains("\"matmul\": {\"calls\": 1, \"flops\": 2000, \"bytes_moved\": 96}"));
         assert!(js.contains("\"einsum\": {\"calls\": 0, "));
         assert!(js.contains(
@@ -374,7 +441,11 @@ mod tests {
             "\"fusion\": {\"fused_epilogues\": 1, \"fused_elems\": 48, \
              \"output_passes\": 1}"
         ));
-        assert!(js.contains("\"registry\": [\n  ]"));
+        assert!(js.contains("\"registry\": {\"ts_ns\": "));
+        assert!(js.contains(
+            "\"window_secs\": 60, \"metrics\": [], \"slo\": [], \"attributions\": [], \
+             \"attributions_dropped\": 0},\n"
+        ));
         assert!(js.contains("\"path\": \"pretrain/epoch0\""));
         assert!(js.contains("\"p50_ms\": "));
         assert!(js.contains("\"p99_ms\": "));
@@ -414,17 +485,73 @@ mod tests {
         crate::registry::inc("serve_requests_total", "tenant=3", 4);
         crate::registry::observe("serve_request_latency_ns", "tenant=3", 1_000, 900);
         let report = RunReport::capture("tel");
-        assert_eq!(report.registry.len(), 2);
+        assert_eq!(report.registry.rows.len(), 2);
         let js = report.to_json();
-        for row in &report.registry {
-            let line = crate::export::row_json(row);
-            assert!(js.contains(&format!("    {line}")), "{line} missing from:\n{js}");
-        }
+        // Each row is one object in the registry's `metrics` list, in
+        // snapshot order, with the fields of the former JSONL line.
         assert!(js.contains(
-            "{\"name\": \"serve_requests_total\", \"label\": \"tenant=3\", \
-             \"kind\": \"counter\", \"value\": 4}"
+            "\"metrics\": [{\"name\": \"serve_request_latency_ns\", \"label\": \"tenant=3\", \
+             \"kind\": \"window\", \"count\": 1, "
+        ));
+        assert!(js.contains(
+            "}, {\"name\": \"serve_requests_total\", \"label\": \"tenant=3\", \
+             \"kind\": \"counter\", \"value\": 4}], \"slo\": ["
         ));
         assert!(report.summary_table().contains("registry: 2 series"));
+        crate::registry::set_enabled(false);
+    }
+
+    #[test]
+    fn registry_is_one_line_of_json_with_slo_rows_and_tail_samples() {
+        let _g = lock();
+        crate::registry::set_enabled(true);
+        crate::slo::set_target_ms(1.0);
+        crate::registry::inc("serve_requests_total", "tenant=3", 4);
+        crate::registry::inc("serve_slow_requests_total", "tenant=3", 1);
+        crate::registry::observe("serve_request_latency_ns", "tenant=3", 1_000, 2_000_000);
+        crate::registry::gauge_set("poisoned_gauge", "", f64::NAN);
+        crate::registry::record_attribution(crate::registry::Attribution {
+            request_id: 42,
+            tenant: "3".into(),
+            method: "meta_cp".into(),
+            total_ns: 9_000,
+            stage_ns: [100, 200, 300, 8_400],
+        });
+        let report = RunReport::capture("tel");
+        let js = report.to_json();
+        let line = js
+            .lines()
+            .find_map(|l| l.strip_prefix("  \"registry\": "))
+            .expect("a registry line");
+        let line = line.strip_suffix(',').unwrap_or(line);
+        // A non-finite gauge is written as null, never as a bare NaN.
+        assert!(line.contains("\"poisoned_gauge\", \"label\": \"\", \"kind\": \"gauge\", \"value\": null"));
+        assert!(!line.contains("NaN"));
+        let v: serde_json::Value = serde_json::from_str(line).expect("valid JSON");
+        assert!(v.field("ts_ns").is_ok());
+        match v.field("metrics").unwrap() {
+            serde_json::Value::Seq(rows) => assert_eq!(rows.len(), 4),
+            other => panic!("metrics not a list: {other:?}"),
+        }
+        match v.field("slo").unwrap() {
+            serde_json::Value::Seq(rows) => {
+                assert_eq!(rows.len(), 1);
+                assert!(rows[0].field("budget_burn").is_ok());
+            }
+            other => panic!("slo not a list: {other:?}"),
+        }
+        match v.field("attributions").unwrap() {
+            serde_json::Value::Seq(items) => {
+                assert_eq!(items.len(), 1);
+                match items[0].field("dominant").unwrap() {
+                    serde_json::Value::Str(s) => assert_eq!(s, "gemm"),
+                    other => panic!("dominant not a string: {other:?}"),
+                }
+            }
+            other => panic!("attributions not a list: {other:?}"),
+        }
+        assert!(report.summary_table().contains("registry: 4 series"));
+        crate::slo::set_target_ms(0.0);
         crate::registry::set_enabled(false);
     }
 

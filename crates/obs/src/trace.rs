@@ -76,7 +76,7 @@ pub fn now_ns() -> u64 {
 }
 
 /// Small sequential id of the calling thread, assigned on first use.
-pub fn thread_id() -> u64 {
+fn thread_id() -> u64 {
     static NEXT: AtomicU64 = AtomicU64::new(1);
     thread_local! {
         static TID: u64 = NEXT.fetch_add(1, Ordering::Relaxed);

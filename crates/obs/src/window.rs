@@ -15,9 +15,9 @@
 //!   sequentially-executed code (the engine's per-batch loop, the
 //!   batcher, snapshotting) and never from inside a kernel, so under the
 //!   logical clock the read sequence — and therefore every recorded
-//!   latency, window bucket, and exported snapshot — is bit-identical
-//!   across runs. That is what lets the telemetry tests and the CI
-//!   metrics smoke compare telemetry exactly.
+//!   latency, window bucket, and the run log's registry snapshot — is
+//!   bit-identical across runs. That is what lets the telemetry tests and
+//!   the CI run-log check compare telemetry exactly.
 //!
 //! [`WindowHistogram`] keeps a ring of [`LogHistogram`] buckets, each
 //! covering `window / buckets` of time; recording lazily reclaims buckets
@@ -47,14 +47,15 @@ static CLOCK_MODE: AtomicU8 = AtomicU8::new(MODE_MONOTONIC);
 static LOGICAL_NOW: AtomicU64 = AtomicU64::new(0);
 
 /// Current clock mode.
-pub fn clock_mode() -> ClockMode {
+fn clock_mode() -> ClockMode {
     match CLOCK_MODE.load(Ordering::Relaxed) {
         MODE_LOGICAL => ClockMode::Logical,
         _ => ClockMode::Monotonic,
     }
 }
 
-/// Short label for reports/exports: `"monotonic"` or `"logical"`.
+/// Short label for the run log's registry snapshot: `"monotonic"` or
+/// `"logical"`.
 pub fn clock_label() -> &'static str {
     match clock_mode() {
         ClockMode::Monotonic => "monotonic",

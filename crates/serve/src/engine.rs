@@ -232,7 +232,7 @@ impl ServeEngine {
     /// the telemetry clock is only read from this sequential loop — never
     /// from inside a kernel — so logical-clock runs are bit-reproducible. Timing is passive: outputs are bitwise identical
     /// with telemetry on or off.
-    pub fn serve_batch_timed(&self, reqs: &[Request], enq_ns: &[u64]) -> Result<Vec<Tensor>> {
+    fn serve_batch_timed(&self, reqs: &[Request], enq_ns: &[u64]) -> Result<Vec<Tensor>> {
         // An empty batch is a no-op: no span, counter, series or lock.
         if reqs.is_empty() {
             return Ok(Vec::new());

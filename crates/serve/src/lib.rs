@@ -62,7 +62,6 @@ pub use batch::{Batcher, Request};
 pub use cache::{CacheKey, CacheStats, MergedCache};
 pub use engine::{EngineConfig, ServeEngine};
 pub use store::{AdapterStore, TenantAdapter, TenantEntry, TenantId};
-pub use telemetry::StageNs;
 
 /// Crate-wide result alias (errors are tensor errors).
 pub type Result<T> = std::result::Result<T, metalora_tensor::TensorError>;

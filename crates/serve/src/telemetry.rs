@@ -4,8 +4,8 @@
 //! here are what `obs::slo` derives its SLO rows from.
 //!
 //! Label convention: registry labels are `key=value` strings — `tenant=3`,
-//! `method=lora`, `size=16`, `stage=gemm` — which the exporter splits into
-//! proper Prometheus label pairs.
+//! `method=lora`, `size=16`, `stage=gemm` — written verbatim into the run
+//! log's `registry` rows.
 //!
 //! The registry drops every record unless [`registry::enabled`], and the
 //! engine captures that bool once per batch and calls in here only when

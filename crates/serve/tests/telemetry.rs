@@ -1,5 +1,5 @@
 //! Serve telemetry: passivity, registry content, SLO accounting, and
-//! exporter determinism.
+//! run-log determinism.
 //!
 //! Five gates:
 //!
@@ -12,9 +12,8 @@
 //! 3. **SLO + attribution** — under a microscopic p99 target every
 //!    request is slow: budget burn goes positive and every tail sample
 //!    names a dominant stage.
-//! 4. **Exporter determinism** — two identical runs under the logical
-//!    clock emit byte-identical JSONL lines, and the Prometheus text
-//!    passes the in-repo parser.
+//! 4. **Run-log determinism** — two identical runs under the logical
+//!    clock write byte-identical `registry` lines into the run log.
 //! 5. **Shared-product attribution** — a batch's one stacked base product
 //!    is split across its factored requests by row share into `gemm`, and
 //!    the `gemm` stages of a batch never exceed the batch's wall.
@@ -23,7 +22,8 @@
 //! restores a clean slate on drop.
 
 use metalora_obs::window::{self, ClockMode};
-use metalora_obs::{export, registry, slo};
+use metalora_obs::report::RunReport;
+use metalora_obs::{registry, slo};
 use metalora_serve::{EngineConfig, Request, ServeEngine, TenantAdapter};
 use metalora_tensor::{init, Tensor};
 use std::sync::{Mutex, MutexGuard, OnceLock};
@@ -251,20 +251,24 @@ fn the_stacked_base_product_is_attributed_by_row_share() {
 }
 
 #[test]
-fn exporter_is_deterministic_under_the_logical_clock() {
-    let run = || -> (String, String) {
+fn run_log_registry_is_deterministic_under_the_logical_clock() {
+    let run = || -> (String, usize) {
         let _g = telemetry_on();
         slo::set_target_ms(0.000_001);
         let e = engine(14);
         e.process(&traffic(10)).unwrap();
-        let reg = registry::snapshot();
-        (export::jsonl_line(&reg), export::prometheus_text(&reg))
+        let report = RunReport::capture("telemetry");
+        let line = report
+            .to_json()
+            .lines()
+            .find(|l| l.starts_with("  \"registry\": {"))
+            .expect("the run log carries a registry line")
+            .to_string();
+        (line, report.registry.rows.len())
     };
-    let (json_a, prom_a) = run();
-    let (json_b, prom_b) = run();
-    assert_eq!(json_a, json_b, "JSONL must be byte-identical across runs");
-    assert_eq!(prom_a, prom_b, "Prometheus text must be byte-identical");
-    let samples = export::parse_prometheus(&prom_a).expect("exposition parses");
-    assert!(samples > 20, "rich exposition expected, got {samples}");
-    assert!(json_a.starts_with('{') && !json_a.contains('\n'));
+    let (line_a, rows) = run();
+    let (line_b, _) = run();
+    assert_eq!(line_a, line_b, "the registry line must be byte-identical across runs");
+    assert!(rows > 20, "a rich registry expected, got {rows} rows");
+    assert!(line_a.contains("\"clock\": \"logical\"") && line_a.contains("\"slo\": [{"));
 }
