@@ -14,8 +14,7 @@
 //! Run with: `cargo run --release -p metalora-bench --bin serve`
 
 use metalora_nn::Linear;
-use metalora_obs::registry;
-use metalora_obs::window::{self, ClockMode};
+use metalora_obs::registry::{self, ClockMode};
 use metalora_peft::meta::MappingNet;
 use metalora_peft::{LoraConfig, MultiLoraLinear};
 use metalora_serve::traffic::{self, TrafficConfig};
@@ -76,7 +75,7 @@ fn main() {
     metalora_obs::set_enabled(true);
     registry::set_enabled(true);
     metalora_obs::reset();
-    window::set_clock(ClockMode::Logical);
+    registry::set_clock(ClockMode::Logical);
 
     let reqs = traffic::generate(&TrafficConfig {
         tenants: TENANTS,

@@ -6,21 +6,14 @@
 //!
 //! Every `(query, support)` score of a `predict` call comes out of one
 //! [`gemm`] over the whole query batch; nothing else here computes a
-//! distance.
-//!
-//! * **L2.** `‖q − s‖² = ‖q‖² − 2·q·s + ‖s‖²`, and `‖q‖²` is the same for
-//!   every support of one query, so it cannot reorder that query's
-//!   supports and is dropped: the score is `‖s‖² − 2·q·s`, the product of
-//!   `−2·q` (scaling by −2 is exact) with the supports transposed, and
-//!   `‖s‖²` as its column bias. `fit` computes each `‖s‖²` once, as the
-//!   fused multiply-add chain from `+0.0` in increasing dimension that
-//!   `gemm` runs per element, so a support queried against itself scores
-//!   exactly `−‖s‖²`.
-//! * **Cosine.** `fit` scales the support rows to unit length once, and
-//!   the score is `−q·ŝ`: the same product of `−q` without a bias. The
-//!   query's own norm is, like `‖q‖²` above, the same for all its supports,
-//!   so the query is not scaled. A zero row on either side scores `0`
-//!   against everything, an all-way tie.
+//! distance. The metric is squared L2: `‖q − s‖² = ‖q‖² − 2·q·s + ‖s‖²`,
+//! and `‖q‖²` is the same for every support of one query, so it cannot
+//! reorder that query's supports and is dropped: the score is
+//! `‖s‖² − 2·q·s`, the product of `−2·q` (scaling by −2 is exact) with the
+//! supports transposed, and `‖s‖²` as its column bias. `fit` computes each
+//! `‖s‖²` once, as the fused multiply-add chain from `+0.0` in increasing
+//! dimension that `gemm` runs per element, so a support queried against
+//! itself scores exactly `−‖s‖²`.
 //!
 //! A score ranks, it is not a distance: it can be negative, and it differs
 //! from the exact distance in the last bits, so two supports almost
@@ -39,13 +32,12 @@ use metalora_tensor::ops::{gemm, GemmDesc};
 use metalora_tensor::{Tensor, TensorError};
 use std::cmp::Ordering::Equal;
 
-/// Distance metric for the probe.
+/// Distance metric for the probe: squared Euclidean, the one the probe
+/// ranks by.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Distance {
     /// Squared Euclidean distance.
     L2,
-    /// One minus cosine similarity.
-    Cosine,
 }
 
 /// `Σ x²` over `row` as one fused multiply-add chain from `+0.0` in
@@ -54,33 +46,19 @@ fn sq_norm(row: &[f32]) -> f32 {
     row.iter().fold(0.0, |acc, &x| x.mul_add(x, acc))
 }
 
-/// `t:[rows, d]` with every row scaled to unit length; a zero row stays
-/// zero.
-fn unit_rows(mut t: Tensor) -> Tensor {
-    let d = t.dims()[1];
-    for row in 0..t.dims()[0] {
-        let row = &mut t.data_mut()[row * d..(row + 1) * d];
-        let norm = sq_norm(row).sqrt();
-        if norm != 0.0 {
-            row.iter_mut().for_each(|x| *x /= norm);
-        }
-    }
-    t
-}
-
 /// A fitted KNN classifier over embedding vectors.
 pub struct KnnClassifier {
-    /// `[N, D]`: the embeddings as given (L2) or at unit length (cosine).
+    /// `[N, D]`: the embeddings as given.
     supports: Tensor,
-    /// `[N]`: `‖s‖²` per support, the L2 score's column bias.
-    sq_norms: Option<Tensor>,
+    /// `[N]`: `‖s‖²` per support, the score's column bias.
+    sq_norms: Tensor,
     labels: Vec<usize>,
-    distance: Distance,
 }
 
 impl KnnClassifier {
-    /// Fits (stores) the support embeddings `[N, D]` and labels.
-    pub fn fit(embeddings: Tensor, labels: Vec<usize>, distance: Distance) -> Result<Self> {
+    /// Fits (stores) the support embeddings `[N, D]` and labels, and
+    /// computes each support's `‖s‖²` under the one [`Distance`].
+    pub fn fit(embeddings: Tensor, labels: Vec<usize>, _distance: Distance) -> Result<Self> {
         if embeddings.rank() != 2 || embeddings.dims()[0] != labels.len() {
             return Err(TensorError::InvalidArgument(format!(
                 "embeddings {:?} vs {} labels",
@@ -91,22 +69,14 @@ impl KnnClassifier {
         if labels.is_empty() {
             return Err(TensorError::InvalidArgument("empty support set".into()));
         }
-        let (supports, sq_norms) = match distance {
-            Distance::L2 => {
-                let d = embeddings.dims()[1];
-                let norms = (0..labels.len())
-                    .map(|j| sq_norm(&embeddings.data()[j * d..(j + 1) * d]))
-                    .collect();
-                let norms = Tensor::from_vec(norms, &[labels.len()])?;
-                (embeddings, Some(norms))
-            }
-            Distance::Cosine => (unit_rows(embeddings), None),
-        };
+        let d = embeddings.dims()[1];
+        let norms = (0..labels.len())
+            .map(|j| sq_norm(&embeddings.data()[j * d..(j + 1) * d]))
+            .collect();
         Ok(KnnClassifier {
-            supports,
-            sq_norms,
+            sq_norms: Tensor::from_vec(norms, &[labels.len()])?,
+            supports: embeddings,
             labels,
-            distance,
         })
     }
 
@@ -123,16 +93,12 @@ impl KnnClassifier {
     /// The `[M, N]` scores of `queries:[M, D]` against every support, lower
     /// is nearer: one `gemm` (see the module docs).
     fn scores(&self, queries: &Tensor) -> Result<Tensor> {
-        let factor = match self.distance {
-            Distance::L2 => -2.0,
-            Distance::Cosine => -1.0,
-        };
         let mut lhs = queries.clone();
-        lhs.data_mut().iter_mut().for_each(|x| *x *= factor);
+        lhs.data_mut().iter_mut().for_each(|x| *x *= -2.0);
         gemm(
             &GemmDesc::new(&lhs, &self.supports)
                 .transpose_b()
-                .epilogue(self.sq_norms.as_ref()),
+                .epilogue(Some(&self.sq_norms)),
         )
     }
 
@@ -249,15 +215,6 @@ mod tests {
     }
 
     #[test]
-    fn cosine_distance_works() {
-        let (support, labels) = clustered(10, 3);
-        let knn = KnnClassifier::fit(support, labels, Distance::Cosine).unwrap();
-        let (queries, qlabels) = clustered(5, 4);
-        let acc = knn.accuracy(&queries, &qlabels, 5).unwrap();
-        assert!(acc > 0.8, "cosine acc={acc}");
-    }
-
-    #[test]
     fn k_larger_than_support_is_clamped() {
         let e = Tensor::from_vec(vec![0.0, 0.0, 1.0, 1.0], &[2, 2]).unwrap();
         let knn = KnnClassifier::fit(e, vec![0, 1], Distance::L2).unwrap();
@@ -299,7 +256,7 @@ mod tests {
         let n = 9;
         let support = init::uniform(&[n, 129], -5.0, 5.0, &mut init::rng(11));
         let knn = KnnClassifier::fit(support.clone(), vec![0; n], Distance::L2).unwrap();
-        let norms = knn.sq_norms.as_ref().unwrap().data();
+        let norms = knn.sq_norms.data();
         for path in [KernelPath::Packed, KernelPath::Reference] {
             let scores = microkernel::with_kernel_path(path, || knn.scores(&support).unwrap());
             for (j, norm) in norms.iter().enumerate() {
@@ -309,17 +266,14 @@ mod tests {
         }
     }
 
-    /// Predicts under both metrics on both kernel paths, expecting the error
-    /// to name `row`.
+    /// Predicts on both kernel paths, expecting the error to name `row`.
     fn assert_non_finite_row(support: &Tensor, labels: &[usize], queries: &Tensor, row: usize) {
-        for distance in [Distance::L2, Distance::Cosine] {
-            let knn = KnnClassifier::fit(support.clone(), labels.to_vec(), distance).unwrap();
-            for path in [KernelPath::Packed, KernelPath::Reference] {
-                let got = microkernel::with_kernel_path(path, || knn.predict(queries, 3));
-                let named = matches!(&got, Err(TensorError::InvalidArgument(msg))
-                    if msg.contains(&format!("query row {row} ")));
-                assert!(named, "{distance:?} on {path:?}: {got:?}");
-            }
+        let knn = KnnClassifier::fit(support.clone(), labels.to_vec(), Distance::L2).unwrap();
+        for path in [KernelPath::Packed, KernelPath::Reference] {
+            let got = microkernel::with_kernel_path(path, || knn.predict(queries, 3));
+            let named = matches!(&got, Err(TensorError::InvalidArgument(msg))
+                if msg.contains(&format!("query row {row} ")));
+            assert!(named, "{path:?}: {got:?}");
         }
     }
 

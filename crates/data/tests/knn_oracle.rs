@@ -1,8 +1,8 @@
 //! The KNN probe against a brute-force f64 exact-distance KNN, on data with
 //! a rank gap: two supports are exactly equidistant from a query or far
 //! enough apart that f32 rounding cannot swap them (`oracle` checks it).
-//! Both metrics, support counts and dimensions ragged against the register
-//! tile and on both sides of the packing gate, both kernel paths.
+//! Support counts and dimensions ragged against the register tile and on
+//! both sides of the packing gate, both kernel paths.
 //!
 //! The obs counters are process-global, so both tests hold `LOCK`.
 
@@ -20,11 +20,10 @@ type Data = (Tensor, Vec<usize>, Tensor);
 /// `n` supports `[n, d]`, their labels (three classes) and `M` queries.
 ///
 /// With `d == 1` the supports sit at the integers and the queries a quarter
-/// past one: no two supports are equidistant from a query under L2, and
-/// cosine sees only signs (exact ties). Otherwise every point lies on a
-/// circle of radius 2 spanned by two orthonormal directions of `R^d`:
-/// support `j` at angle `j·δ` and a query at `(u + ¼)·δ` for a random
-/// integer `u`, `δ = π/n`. Both metrics then rank by angle, and no two of a
+/// past one: no two supports are equidistant from a query. Otherwise every
+/// point lies on a circle of radius 2 spanned by two orthonormal directions
+/// of `R^d`: support `j` at angle `j·δ` and a query at `(u + ¼)·δ` for a
+/// random integer `u`, `δ = π/n`. L2 then ranks by angle, and no two of a
 /// query's angles to the supports are closer than `δ/2`.
 fn ranked_data(n: usize, d: usize, seed: u64) -> Data {
     let mut rng = init::rng(seed);
@@ -61,24 +60,18 @@ fn ranked_data(n: usize, d: usize, seed: u64) -> Data {
     (t(s), labels, t(q))
 }
 
-/// The exact-distance KNN in f64 over the stored f32 points: the commonest
+/// The exact squared-L2 KNN in f64 over the stored f32 points: the commonest
 /// label among the `k` nearest, a tie going to the tied label whose nearest
 /// member ranks first. Panics unless each query's sorted distances are
 /// equal or more than `tol` apart.
-fn oracle((s, labels, q): &Data, metric: Distance, k: usize, tol: f64) -> Vec<usize> {
+fn oracle((s, labels, q): &Data, k: usize, tol: f64) -> Vec<usize> {
     let rows = |t: &Tensor| -> Vec<Vec<f64>> {
         let f64s = |r: &[f32]| r.iter().map(|&x| x as f64).collect();
         t.data().chunks(t.dims()[1]).map(f64s).collect()
     };
-    let dot = |x: &[f64], y: &[f64]| x.iter().zip(y).map(|(a, b)| a * b).sum::<f64>();
     let supports = rows(s);
     let vote = |q: &Vec<f64>| {
-        let dist = |s: &Vec<f64>| match metric {
-            Distance::L2 => q.iter().zip(s).map(|(a, b)| (a - b) * (a - b)).sum(),
-            Distance::Cosine => {
-                1.0 - dot(q, s) / (dot(q, q).sqrt() * dot(s, s).sqrt()).max(f64::MIN_POSITIVE)
-            }
-        };
+        let dist = |s: &Vec<f64>| q.iter().zip(s).map(|(a, b)| (a - b) * (a - b)).sum();
         // Stable: equal distances rank by support index.
         let mut ranked: Vec<(f64, usize)> = supports.iter().map(dist).zip(0..).collect();
         ranked.sort_by(|a, b| a.0.total_cmp(&b.0));
@@ -106,15 +99,13 @@ fn predictions_equal_the_exact_knn() {
                 .fold(0.0, f64::max);
             // Twice the worst-case rounding of one score: `d` FMA terms and a
             // bias, each off by at most ε/2 of the largest sum they can reach.
-            for (metric, scale) in [(Distance::L2, 3.0 * max_sq), (Distance::Cosine, 2.0)] {
-                let tol = (d + 2) as f64 * f32::EPSILON as f64 * scale;
-                let knn = KnnClassifier::fit(support.clone(), labels.clone(), metric).unwrap();
-                for k in [1, 5, n] {
-                    let want = oracle(&data, metric, k, tol);
-                    for path in [KernelPath::Reference, KernelPath::Packed] {
-                        let got = with_kernel_path(path, || knn.predict(queries, k).unwrap());
-                        assert_eq!(got, want, "n={n} d={d} k={k} {metric:?} {path:?}");
-                    }
+            let tol = (d + 2) as f64 * f32::EPSILON as f64 * (3.0 * max_sq);
+            let knn = KnnClassifier::fit(support.clone(), labels.clone(), Distance::L2).unwrap();
+            for k in [1, 5, n] {
+                let want = oracle(&data, k, tol);
+                for path in [KernelPath::Reference, KernelPath::Packed] {
+                    let got = with_kernel_path(path, || knn.predict(queries, k).unwrap());
+                    assert_eq!(got, want, "n={n} d={d} k={k} {path:?}");
                 }
             }
         }
@@ -125,20 +116,14 @@ fn predictions_equal_the_exact_knn() {
 fn one_predict_is_one_gemm() {
     let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let (support, labels, queries) = ranked_data(17, 19, 5);
-    for metric in [Distance::L2, Distance::Cosine] {
-        let knn = KnnClassifier::fit(support.clone(), labels.clone(), metric).unwrap();
-        metalora_obs::set_enabled(true);
-        metalora_obs::counters::reset();
-        knn.predict(&queries, 5).unwrap();
-        let snap = metalora_obs::counters::snapshot();
-        metalora_obs::set_enabled(false);
-        for name in ["matmul", "knn"] {
-            let k = snap.kernels.iter().find(|k| k.kernel == name).unwrap();
-            assert_eq!(
-                (k.calls, k.flops),
-                (1, 2 * 13 * 17 * 19),
-                "{name} {metric:?}"
-            );
-        }
+    let knn = KnnClassifier::fit(support, labels, Distance::L2).unwrap();
+    metalora_obs::set_enabled(true);
+    metalora_obs::counters::reset();
+    knn.predict(&queries, 5).unwrap();
+    let snap = metalora_obs::counters::snapshot();
+    metalora_obs::set_enabled(false);
+    for name in ["matmul", "knn"] {
+        let k = snap.kernels.iter().find(|k| k.kernel == name).unwrap();
+        assert_eq!((k.calls, k.flops), (1, 2 * 13 * 17 * 19), "{name}");
     }
 }

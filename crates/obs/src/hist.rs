@@ -1,4 +1,5 @@
-//! Streaming log-linear histogram for span-duration quantiles.
+//! Streaming log-linear histogram for span-duration and registry-latency
+//! quantiles.
 //!
 //! [`LogHistogram`] buckets `u64` samples (nanoseconds, in practice) into
 //! HDR-style log-linear bins: values below [`SUBBUCKETS`] get one bin
@@ -110,18 +111,6 @@ impl LogHistogram {
     pub fn percentiles(&self) -> (u64, u64, u64) {
         (self.quantile(0.50), self.quantile(0.95), self.quantile(0.99))
     }
-
-    /// Folds `other`'s samples into `self` (bucket-wise addition; exact
-    /// min/max merge). The backbone of the sliding-window view in
-    /// [`crate::window`]: live ring buckets merge into one histogram.
-    pub fn merge_from(&mut self, other: &LogHistogram) {
-        for (dst, src) in self.counts.iter_mut().zip(&other.counts) {
-            *dst += src;
-        }
-        self.total += other.total;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
 }
 
 #[cfg(test)]
@@ -229,31 +218,6 @@ mod tests {
         }
         assert!(h.quantile(0.0) >= 17);
         assert_eq!(h.quantile(1.0), 1_000_003);
-    }
-
-    #[test]
-    fn merge_equals_recording_into_one() {
-        let a_vals: Vec<u64> = (1..=500).collect();
-        let b_vals: Vec<u64> = (10_000..=10_300).collect();
-        let (mut a, mut b, mut both) =
-            (LogHistogram::new(), LogHistogram::new(), LogHistogram::new());
-        for &v in &a_vals {
-            a.record(v);
-            both.record(v);
-        }
-        for &v in &b_vals {
-            b.record(v);
-            both.record(v);
-        }
-        a.merge_from(&b);
-        assert_eq!(a.count(), both.count());
-        for q in [0.0, 0.25, 0.5, 0.9, 0.99, 1.0] {
-            assert_eq!(a.quantile(q), both.quantile(q), "q={q}");
-        }
-        // Merging an empty histogram is the identity (min/max unaffected).
-        let before = (a.quantile(0.0), a.quantile(1.0), a.count());
-        a.merge_from(&LogHistogram::new());
-        assert_eq!(before, (a.quantile(0.0), a.quantile(1.0), a.count()));
     }
 
     #[test]

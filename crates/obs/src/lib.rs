@@ -2,7 +2,7 @@
 //!
 //! Dependency-free instrumentation for the MetaLoRA stack.
 //!
-//! Ten facilities, all funnelled through one global on/off switch:
+//! Nine facilities, all funnelled through one global on/off switch:
 //!
 //! * [`span`] — hierarchical wall-clock spans (`pretrain/epoch0`) with
 //!   thread-safe aggregation and per-path duration quantiles, via the
@@ -17,20 +17,18 @@
 //!   counts — each fact `serve` does not already count itself;
 //! * [`health`] — per-parameter-group training-health records (grad norm,
 //!   update-to-weight ratio, NaN/Inf sentinels), every optimizer step;
-//! * [`hist`] — the fixed-memory log-linear histogram backing span
-//!   quantiles;
+//! * [`hist`] — the fixed-memory log-linear histogram backing span and
+//!   registry latency quantiles;
 //! * [`metrics`] — the training-loop sink (loss / accuracy / grad-norm /
 //!   wall time per epoch, grouped by phase);
-//! * [`window`] — sliding-window primitives: the pluggable telemetry
-//!   clock (monotonic in production, deterministic logical under test)
-//!   and ring-of-buckets windowed histograms;
 //! * [`registry`] — the live metrics registry (counters, gauges, and
-//!   latency families over the last [`registry::WINDOW_SECS`] seconds
-//!   keyed by tenant/method/batch signature, plus tail-latency
-//!   attribution samples), gated additionally by `METALORA_OBS_METRICS`;
+//!   whole-run latency histograms keyed by tenant/method/batch signature,
+//!   plus tail-latency attribution samples), gated additionally by
+//!   `METALORA_OBS_METRICS`, and the telemetry clock it is read against
+//!   (monotonic in production, deterministic logical under test);
 //! * [`slo`] — the per-tenant p99 target (`METALORA_SLO_P99_MS`) and the
-//!   SLO rows (windowed p99, error-budget burn) derived from a registry
-//!   snapshot; it holds no state of its own;
+//!   SLO rows (p99, error-budget burn) derived from a registry snapshot;
+//!   it holds no state of its own;
 //! * [`report`] — [`report::RunReport`] captures everything above into a
 //!   structured `RUNLOG_<name>.json` (the registry snapshot with its SLO
 //!   rows and tail samples included) plus a human-readable summary table,
@@ -55,7 +53,6 @@ pub mod report;
 pub mod slo;
 pub mod span;
 pub mod trace;
-pub mod window;
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU8, Ordering};

@@ -1,15 +1,15 @@
-//! Live metrics registry: counters, gauges, and sliding-window latency
-//! families keyed by `(metric name, label)`.
+//! Live metrics registry: counters, gauges and latency histograms keyed
+//! by `(metric name, label)`, and the telemetry clock they are read
+//! against.
 //!
 //! Unlike [`crate::counters`] (a fixed set of process-lifetime atomics)
 //! the registry holds *labeled families* — `serve_requests_total` keyed
 //! by tenant, `serve_batches_by_size_total` keyed by batch signature —
-//! and its histogram families are windowed ([`crate::window`]), so a
-//! reading reflects the last [`WINDOW_SECS`] seconds rather than
-//! everything since process start; a window's rate is its sample count
-//! over [`WINDOW_SECS`] (requests in the window per second). It also
-//! keeps a bounded ring of tail-latency [`Attribution`] samples: for each
-//! request slower than the SLO target, which pipeline stage dominated.
+//! and its latency families are whole-run [`LogHistogram`]s, the same
+//! kind [`crate::span`](mod@crate::span) aggregates durations into: a reading covers every
+//! sample since the last [`reset`]. It also keeps a bounded ring of
+//! tail-latency [`Attribution`] samples: for each request slower than the
+//! SLO target, which pipeline stage dominated.
 //!
 //! Gating mirrors `obs::trace`: records are dropped unless the global
 //! `METALORA_OBS` switch *and* the `METALORA_OBS_METRICS` flag (or
@@ -17,10 +17,29 @@
 //! atomic load when telemetry is off. Recording never changes numerics —
 //! the registry is purely passive, and the golden pipeline proves it
 //! bit-exact either way.
+//!
+//! ## Clock determinism contract
+//!
+//! Every stage timing the serving engine records, and the snapshot's
+//! `now_ns` stamp, read [`now_ns`], which has two modes:
+//!
+//! * [`ClockMode::Monotonic`] (production default) — nanoseconds since
+//!   the shared process epoch ([`crate::trace::now_ns`]), so registry
+//!   timestamps line up with trace-event timestamps.
+//! * [`ClockMode::Logical`] (tests and the `serve` artifact driver) — a
+//!   process-global counter that advances by [`LOGICAL_TICK_NS`] on
+//!   **every read**. Telemetry only ever reads the clock from
+//!   sequentially-executed code (the engine's per-batch loop and
+//!   snapshotting) and never from inside a kernel, so under the logical
+//!   clock the read sequence — and therefore every recorded latency and
+//!   the run log's registry snapshot — is bit-identical across runs. That
+//!   is what lets the telemetry tests and the CI run-log check compare
+//!   telemetry exactly.
 
-use crate::window::{self, WindowHistogram};
+use crate::hist::LogHistogram;
 use crate::Switch;
 use std::collections::{BTreeMap, VecDeque};
+use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::Mutex;
 
 static METRICS: Switch = Switch::new("METALORA_OBS_METRICS");
@@ -38,12 +57,72 @@ pub fn set_enabled(on: bool) {
     METRICS.set(on);
 }
 
-/// Sliding-window length in seconds.
-pub const WINDOW_SECS: u64 = 60;
+/// Amount the logical clock advances per [`now_ns`] read: 1 µs.
+pub const LOGICAL_TICK_NS: u64 = 1_000;
+
+/// Source feeding [`now_ns`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum ClockMode {
+    /// Nanoseconds since the process epoch (shared with `obs::trace`).
+    Monotonic,
+    /// Deterministic counter advancing [`LOGICAL_TICK_NS`] per read.
+    Logical,
+}
+
+const MODE_MONOTONIC: u8 = 0;
+const MODE_LOGICAL: u8 = 1;
+
+static CLOCK_MODE: AtomicU8 = AtomicU8::new(MODE_MONOTONIC);
+static LOGICAL_NOW: AtomicU64 = AtomicU64::new(0);
+
+/// Current clock mode.
+fn clock_mode() -> ClockMode {
+    match CLOCK_MODE.load(Ordering::Relaxed) {
+        MODE_LOGICAL => ClockMode::Logical,
+        _ => ClockMode::Monotonic,
+    }
+}
+
+/// Short label for the run log's registry snapshot: `"monotonic"` or
+/// `"logical"`.
+pub fn clock_label() -> &'static str {
+    match clock_mode() {
+        ClockMode::Monotonic => "monotonic",
+        ClockMode::Logical => "logical",
+    }
+}
+
+/// Selects the clock source. Switching to [`ClockMode::Logical`] also
+/// rewinds the logical counter to zero so a run always starts from a
+/// known origin.
+pub fn set_clock(mode: ClockMode) {
+    if mode == ClockMode::Logical {
+        LOGICAL_NOW.store(0, Ordering::Relaxed);
+    }
+    CLOCK_MODE.store(
+        match mode {
+            ClockMode::Monotonic => MODE_MONOTONIC,
+            ClockMode::Logical => MODE_LOGICAL,
+        },
+        Ordering::Relaxed,
+    );
+}
+
+/// Current telemetry time in nanoseconds. In logical mode every call
+/// advances time by [`LOGICAL_TICK_NS`] and returns the *new* value, so
+/// two consecutive reads always differ by exactly one tick.
+pub fn now_ns() -> u64 {
+    match clock_mode() {
+        ClockMode::Monotonic => crate::trace::now_ns(),
+        ClockMode::Logical => {
+            LOGICAL_NOW.fetch_add(LOGICAL_TICK_NS, Ordering::Relaxed) + LOGICAL_TICK_NS
+        }
+    }
+}
 
 /// Pipeline stages a request's latency is attributed across, in the
 /// order they appear in [`Attribution::stage_ns`].
-pub const STAGES: [&str; 4] = ["queue", "cache", "mapping", "gemm"];
+pub const STAGES: [&str; 3] = ["cache", "mapping", "gemm"];
 
 /// A tail-latency sample: one request beyond the SLO target, with its
 /// per-stage breakdown.
@@ -55,10 +134,10 @@ pub struct Attribution {
     pub tenant: String,
     /// Adapter method label (`lora`, `meta_cp`, ...).
     pub method: String,
-    /// End-to-end latency (queue wait included).
+    /// End-to-end latency: the sum of its stages.
     pub total_ns: u64,
     /// Per-stage nanoseconds, indexed like [`STAGES`].
-    pub stage_ns: [u64; 4],
+    pub stage_ns: [u64; 3],
 }
 
 impl Attribution {
@@ -81,7 +160,7 @@ pub const ATTRIBUTION_CAPACITY: usize = 256;
 enum Metric {
     Counter(u64),
     Gauge(f64),
-    Window(WindowHistogram),
+    Histogram(LogHistogram),
 }
 
 #[derive(Default)]
@@ -125,13 +204,12 @@ pub fn gauge_set(name: &str, label: &str, v: f64) {
     });
 }
 
-/// Records `value` (nanoseconds, by convention) into the sliding-window
-/// family `name{label}` at time `now_ns`.
-pub fn observe(name: &str, label: &str, now_ns: u64, value: u64) {
-    let window = || Metric::Window(WindowHistogram::new(WINDOW_SECS * 1_000_000_000));
-    update(name, label, window, |m| {
-        if let Metric::Window(w) = m {
-            w.record(now_ns, value);
+/// Records `value` (nanoseconds, by convention) into the histogram
+/// family `name{label}`.
+pub fn observe(name: &str, label: &str, value: u64) {
+    update(name, label, || Metric::Histogram(LogHistogram::new()), |m| {
+        if let Metric::Histogram(h) = m {
+            h.record(value);
         }
     });
 }
@@ -156,15 +234,13 @@ pub fn record_attribution(a: Attribution) {
 pub enum MetricValue {
     Counter(u64),
     Gauge(f64),
-    /// Windowed family: samples in the window, its quantiles, and its
-    /// rate `count / WINDOW_SECS` (requests in the window per second) —
-    /// all as of the snapshot instant.
-    Window {
+    /// Histogram family: its samples since the last [`reset`] and their
+    /// quantiles.
+    Histogram {
         count: u64,
         p50_ns: u64,
         p95_ns: u64,
         p99_ns: u64,
-        rate_per_s: f64,
     },
 }
 
@@ -179,20 +255,16 @@ pub struct MetricRow {
 /// Full registry state at one instant, ordered by `(name, label)`.
 #[derive(Clone, Debug, Default)]
 pub struct RegistrySnapshot {
-    /// Clock reading the windowed values were evaluated at.
+    /// Clock reading the snapshot was taken at.
     pub now_ns: u64,
     pub rows: Vec<MetricRow>,
     pub attributions: Vec<Attribution>,
     pub attributions_dropped: u64,
 }
 
-/// Snapshots the registry at the current clock reading.
+/// Snapshots the registry, stamped with the current clock reading.
 pub fn snapshot() -> RegistrySnapshot {
-    snapshot_at(window::now_ns())
-}
-
-/// Snapshots the registry, evaluating windows as of `now_ns`.
-pub fn snapshot_at(now_ns: u64) -> RegistrySnapshot {
+    let now_ns = now_ns();
     with_registry(|r| {
         let rows = r
             .metrics
@@ -203,16 +275,9 @@ pub fn snapshot_at(now_ns: u64) -> RegistrySnapshot {
                 value: match m {
                     Metric::Counter(c) => MetricValue::Counter(*c),
                     Metric::Gauge(g) => MetricValue::Gauge(*g),
-                    Metric::Window(w) => {
-                        let merged = w.merged(now_ns);
-                        let (p50, p95, p99) = merged.percentiles();
-                        MetricValue::Window {
-                            count: merged.count(),
-                            p50_ns: p50,
-                            p95_ns: p95,
-                            p99_ns: p99,
-                            rate_per_s: merged.count() as f64 / WINDOW_SECS as f64,
-                        }
+                    Metric::Histogram(h) => {
+                        let (p50_ns, p95_ns, p99_ns) = h.percentiles();
+                        MetricValue::Histogram { count: h.count(), p50_ns, p95_ns, p99_ns }
                     }
                 },
             })
@@ -244,11 +309,11 @@ mod tests {
         inc("requests_total", "7", 3);
         inc("requests_total", "7", 2);
         inc("requests_total", "9", 1);
-        gauge_set("queue_depth", "", 4.0);
-        gauge_set("queue_depth", "", 2.0);
-        observe("latency_ns", "7", 1_000, 500);
-        observe("latency_ns", "7", 2_000, 1_500);
-        let snap = snapshot_at(3_000);
+        gauge_set("resident_bytes", "", 4.0);
+        gauge_set("resident_bytes", "", 2.0);
+        observe("latency_ns", "7", 500);
+        observe("latency_ns", "7", 1_500);
+        let snap = snapshot();
         let get = |n: &str, l: &str| {
             snap.rows
                 .iter()
@@ -257,24 +322,17 @@ mod tests {
         };
         assert_eq!(get("requests_total", "7"), Some(MetricValue::Counter(5)));
         assert_eq!(get("requests_total", "9"), Some(MetricValue::Counter(1)));
-        assert_eq!(get("queue_depth", ""), Some(MetricValue::Gauge(2.0)));
+        assert_eq!(get("resident_bytes", ""), Some(MetricValue::Gauge(2.0)));
         match get("latency_ns", "7") {
-            Some(MetricValue::Window {
-                count,
-                p50_ns,
-                p99_ns,
-                rate_per_s,
-                ..
-            }) => {
+            Some(MetricValue::Histogram { count, p50_ns, p99_ns, .. }) => {
                 assert_eq!(count, 2);
                 assert!(p50_ns >= 500 && p99_ns >= p50_ns);
-                assert!(rate_per_s > 0.0);
             }
-            other => panic!("expected window, got {other:?}"),
+            other => panic!("expected histogram, got {other:?}"),
         }
         assert_eq!(snap.rows.len(), 4);
         reset();
-        assert!(snapshot_at(0).rows.is_empty());
+        assert!(snapshot().rows.is_empty());
     }
 
     #[test]
@@ -284,7 +342,7 @@ mod tests {
         inc("b_metric", "2", 1);
         inc("a_metric", "10", 1);
         inc("a_metric", "2", 1);
-        let names: Vec<(String, String)> = snapshot_at(0)
+        let names: Vec<(String, String)> = snapshot()
             .rows
             .iter()
             .map(|r| (r.name.clone(), r.label.clone()))
@@ -300,22 +358,22 @@ mod tests {
         set_enabled(false);
         inc("x", "", 1);
         gauge_set("y", "", 1.0);
-        observe("z", "", 0, 1);
+        observe("z", "", 1);
         record_attribution(Attribution {
             request_id: 1,
             tenant: "t".into(),
             method: "lora".into(),
             total_ns: 1,
-            stage_ns: [1, 0, 0, 0],
+            stage_ns: [1, 0, 0],
         });
         set_enabled(true);
-        let snap = snapshot_at(0);
+        let snap = snapshot();
         assert!(snap.rows.is_empty() && snap.attributions.is_empty());
         // Crate-wide switch off also drops records even with metrics on.
         crate::set_enabled(false);
         inc("x", "", 1);
         crate::set_enabled(true);
-        assert!(snapshot_at(0).rows.is_empty());
+        assert!(snapshot().rows.is_empty());
     }
 
     #[test]
@@ -329,10 +387,10 @@ mod tests {
                 tenant: "t".into(),
                 method: "lora".into(),
                 total_ns: 10,
-                stage_ns: [0, 0, 0, 10],
+                stage_ns: [0, 0, 10],
             });
         }
-        let snap = snapshot_at(0);
+        let snap = snapshot();
         assert_eq!(snap.attributions.len(), ATTRIBUTION_CAPACITY);
         assert_eq!(snap.attributions_dropped, 37);
         // Oldest were evicted: the survivors are the most recent ids.
@@ -350,32 +408,58 @@ mod tests {
             tenant: "t".into(),
             method: "meta_cp".into(),
             total_ns: 100,
-            stage_ns: [10, 5, 60, 25],
+            stage_ns: [5, 60, 25],
         };
         assert_eq!(a.dominant_stage(), "mapping");
         let tie = Attribution {
-            stage_ns: [30, 30, 0, 0],
+            stage_ns: [30, 30, 0],
             ..a
         };
-        assert_eq!(tie.dominant_stage(), "queue", "first stage wins ties");
+        assert_eq!(tie.dominant_stage(), "cache", "first stage wins ties");
     }
 
     #[test]
-    fn rate_per_s_is_window_count_over_window_secs() {
+    fn logical_clock_ticks_per_read_and_resets() {
+        let _g = crate::tests::lock();
+        set_clock(ClockMode::Logical);
+        let a = now_ns();
+        let b = now_ns();
+        assert_eq!(a, LOGICAL_TICK_NS);
+        assert_eq!(b - a, LOGICAL_TICK_NS);
+        set_clock(ClockMode::Logical);
+        assert_eq!(now_ns(), LOGICAL_TICK_NS);
+        set_clock(ClockMode::Monotonic);
+        assert_eq!(clock_label(), "monotonic");
+    }
+
+    #[test]
+    fn monotonic_clock_is_nondecreasing() {
+        let _g = crate::tests::lock();
+        set_clock(ClockMode::Monotonic);
+        let a = now_ns();
+        let b = now_ns();
+        assert!(b >= a);
+    }
+
+    #[test]
+    fn histograms_cover_every_sample_since_reset() {
         let _g = crate::tests::lock();
         set_enabled(true);
-        window::set_clock(window::ClockMode::Logical);
-        for v in 1..=90 {
-            observe("latency_ns", "", window::now_ns(), v);
+        let mut whole = LogHistogram::new();
+        for v in 1..=200 {
+            observe("latency_ns", "", v * 1_000);
+            whole.record(v * 1_000);
         }
-        let snap = snapshot();
-        window::set_clock(window::ClockMode::Monotonic);
-        let Some(MetricValue::Window { count, rate_per_s, .. }) =
-            snap.rows.first().map(|r| r.value.clone())
+        let (p50_ns, p95_ns, p99_ns) = whole.percentiles();
+        let want = MetricValue::Histogram { count: 200, p50_ns, p95_ns, p99_ns };
+        assert_eq!(snapshot().rows.first().map(|r| r.value.clone()), Some(want));
+        reset();
+        observe("latency_ns", "", 7);
+        let Some(MetricValue::Histogram { count, p99_ns, .. }) =
+            snapshot().rows.first().map(|r| r.value.clone())
         else {
-            panic!("expected one window row, got {:?}", snap.rows);
+            panic!("expected one histogram row");
         };
-        assert_eq!(count, 90);
-        assert_eq!(rate_per_s, 90.0 / 60.0);
+        assert_eq!((count, p99_ns), (1, 7), "a reset starts the run over");
     }
 }

@@ -9,18 +9,18 @@
 //! layout of the workspace: the summary and every bench bin's result
 //! table print through it.
 //!
-//! ## Schema (`schema_version` 13)
+//! ## Schema (`schema_version` 14)
 //!
 //! ```json
 //! {
-//!   "schema_version": 13,
+//!   "schema_version": 14,
 //!   "name": "table1",
 //!   "spans":    [ {"path": "pretrain", "count": 2, "total_ms": 813.4,
 //!                  "p50_ms": 400.1, "p95_ms": 413.0, "p99_ms": 413.0} ],
 //!   "counters": {"matmul": {"calls": 10, "flops": 123, "bytes_moved": 456},
 //!                "tile_grid": {"claims": 40, "bpacks": 5},
 //!                "serve": {"seed_rows": 40, "merges": 14}, ...},
-//!   "registry": {"ts_ns": 73000, "clock": "logical", "window_secs": 60,
+//!   "registry": {"ts_ns": 73000, "clock": "logical",
 //!                "metrics": [{"name": "serve_requests_total", "label": "tenant=3",
 //!                             "kind": "counter", "value": 64}],
 //!                "slo": [{"tenant": "3", "requests": 64, "slow": 0, ...}],
@@ -46,7 +46,10 @@
 //! drops the thread-team counters (the parallel / serial dispatch tally,
 //! the tile grid's steals and per-slot claims): kernels run on the
 //! calling thread; 13: `registry` is the snapshot object: rows, SLO rows
-//! and tail samples.
+//! and tail samples; 14: latency rows are whole-run histograms (`kind`
+//! `histogram`, no per-second rate), SLO rows carry `p99_ns` in place of
+//! `window_p99_ns` / `window_requests`, and `registry` drops
+//! `window_secs`.
 
 use crate::counters::{self, Reading};
 use crate::health::{self, HealthRecord};
@@ -59,7 +62,7 @@ use std::path::{Path, PathBuf};
 
 /// Version stamp written into every run log (see the module docs for the
 /// version history).
-pub const SCHEMA_VERSION: u32 = 13;
+pub const SCHEMA_VERSION: u32 = 14;
 
 /// A captured snapshot of everything the instrumentation recorded.
 #[derive(Debug, Clone)]
@@ -304,10 +307,9 @@ fn registry_json(reg: &RegistrySnapshot) -> String {
         let body = match &row.value {
             MetricValue::Counter(c) => format!("\"kind\": \"counter\", \"value\": {c}"),
             MetricValue::Gauge(g) => format!("\"kind\": \"gauge\", \"value\": {}", json::num(*g)),
-            MetricValue::Window { count, p50_ns, p95_ns, p99_ns, rate_per_s } => format!(
-                "\"kind\": \"window\", \"count\": {count}, \"p50_ns\": {p50_ns}, \
-                 \"p95_ns\": {p95_ns}, \"p99_ns\": {p99_ns}, \"rate_per_s\": {}",
-                json::num(*rate_per_s)
+            MetricValue::Histogram { count, p50_ns, p95_ns, p99_ns } => format!(
+                "\"kind\": \"histogram\", \"count\": {count}, \"p50_ns\": {p50_ns}, \
+                 \"p95_ns\": {p95_ns}, \"p99_ns\": {p99_ns}"
             ),
         };
         format!(
@@ -319,13 +321,12 @@ fn registry_json(reg: &RegistrySnapshot) -> String {
     let slo = list(&crate::slo::rows(reg), |r| {
         format!(
             "{{\"tenant\": {}, \"requests\": {}, \"slow\": {}, \"target_ns\": {}, \
-             \"window_p99_ns\": {}, \"window_requests\": {}, \"budget_burn\": {}}}",
+             \"p99_ns\": {}, \"budget_burn\": {}}}",
             json::string(&r.tenant),
             r.requests,
             r.slow,
             r.target_ns,
-            r.window_p99_ns,
-            r.window_requests,
+            r.p99_ns,
             json::num(r.budget_burn)
         )
     });
@@ -347,11 +348,10 @@ fn registry_json(reg: &RegistrySnapshot) -> String {
         )
     });
     format!(
-        "{{\"ts_ns\": {}, \"clock\": {}, \"window_secs\": {}, \"metrics\": [{metrics}], \
-         \"slo\": [{slo}], \"attributions\": [{attributions}], \"attributions_dropped\": {}}}",
+        "{{\"ts_ns\": {}, \"clock\": {}, \"metrics\": [{metrics}], \"slo\": [{slo}], \
+         \"attributions\": [{attributions}], \"attributions_dropped\": {}}}",
         reg.now_ns,
-        json::string(crate::window::clock_label()),
-        registry::WINDOW_SECS,
+        json::string(registry::clock_label()),
         reg.attributions_dropped
     )
 }
@@ -425,7 +425,7 @@ mod tests {
         let report = RunReport::capture("unit test");
         assert_eq!(report.file_name(), "RUNLOG_unit_test.json");
         let js = report.to_json();
-        assert!(js.contains("\"schema_version\": 13"));
+        assert!(js.contains("\"schema_version\": 14"));
         assert!(js.contains("\"matmul\": {\"calls\": 1, \"flops\": 2000, \"bytes_moved\": 96}"));
         assert!(js.contains("\"einsum\": {\"calls\": 0, "));
         assert!(js.contains(
@@ -443,7 +443,7 @@ mod tests {
         ));
         assert!(js.contains("\"registry\": {\"ts_ns\": "));
         assert!(js.contains(
-            "\"window_secs\": 60, \"metrics\": [], \"slo\": [], \"attributions\": [], \
+            "\"metrics\": [], \"slo\": [], \"attributions\": [], \
              \"attributions_dropped\": 0},\n"
         ));
         assert!(js.contains("\"path\": \"pretrain/epoch0\""));
@@ -483,7 +483,7 @@ mod tests {
         let _g = lock();
         crate::registry::set_enabled(true);
         crate::registry::inc("serve_requests_total", "tenant=3", 4);
-        crate::registry::observe("serve_request_latency_ns", "tenant=3", 1_000, 900);
+        crate::registry::observe("serve_request_latency_ns", "tenant=3", 900);
         let report = RunReport::capture("tel");
         assert_eq!(report.registry.rows.len(), 2);
         let js = report.to_json();
@@ -491,7 +491,7 @@ mod tests {
         // snapshot order, with the fields of the former JSONL line.
         assert!(js.contains(
             "\"metrics\": [{\"name\": \"serve_request_latency_ns\", \"label\": \"tenant=3\", \
-             \"kind\": \"window\", \"count\": 1, "
+             \"kind\": \"histogram\", \"count\": 1, "
         ));
         assert!(js.contains(
             "}, {\"name\": \"serve_requests_total\", \"label\": \"tenant=3\", \
@@ -508,14 +508,14 @@ mod tests {
         crate::slo::set_target_ms(1.0);
         crate::registry::inc("serve_requests_total", "tenant=3", 4);
         crate::registry::inc("serve_slow_requests_total", "tenant=3", 1);
-        crate::registry::observe("serve_request_latency_ns", "tenant=3", 1_000, 2_000_000);
+        crate::registry::observe("serve_request_latency_ns", "tenant=3", 2_000_000);
         crate::registry::gauge_set("poisoned_gauge", "", f64::NAN);
         crate::registry::record_attribution(crate::registry::Attribution {
             request_id: 42,
             tenant: "3".into(),
             method: "meta_cp".into(),
             total_ns: 9_000,
-            stage_ns: [100, 200, 300, 8_400],
+            stage_ns: [200, 300, 8_500],
         });
         let report = RunReport::capture("tel");
         let js = report.to_json();

@@ -1,17 +1,18 @@
 //! Per-tenant SLO standing: a target p99 latency and the error-budget
-//! burn rate over the sliding window.
+//! burn rate over the run.
 //!
 //! The SLO model is the standard one: a tenant's objective is "99 % of
 //! requests complete under the target p99" (`METALORA_SLO_P99_MS`,
 //! default [`DEFAULT_TARGET_P99_MS`] ms), which grants a 1 % error
 //! budget. This module holds only the target: every [`SloRow`] is
 //! derived from a [`RegistrySnapshot`] ([`rows`]) — the tenant's request
-//! and slow-request counters give the lifetime budget burn
-//! (`slow / (1 % of total)`; 1.0 means the budget is exactly spent), its
-//! windowed latency family the p99 compared against the target. The
-//! serving engine counts a request as slow exactly when it exceeds the
-//! target, which doubles as its tail-latency attribution threshold: a
-//! request is worth attributing exactly when it endangers the SLO.
+//! and slow-request counters give the budget burn (`slow / (1 % of
+//! total)`; 1.0 means the budget is exactly spent), its latency histogram
+//! the p99 to hold against the target. All three cover the same samples:
+//! everything since the last registry reset. The serving engine counts a
+//! request as slow exactly when it exceeds the target, which doubles as
+//! its tail-latency attribution threshold: a request is worth attributing
+//! exactly when it endangers the SLO.
 
 use crate::registry::{MetricValue, RegistrySnapshot};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -20,7 +21,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 pub const REQUESTS: &str = "serve_requests_total";
 /// Registry counter of a tenant's requests over the target.
 pub const SLOW: &str = "serve_slow_requests_total";
-/// Registry window family of a tenant's end-to-end latency.
+/// Registry histogram family of a tenant's end-to-end latency.
 pub const LATENCY: &str = "serve_request_latency_ns";
 
 /// Default per-tenant p99 target in milliseconds.
@@ -74,24 +75,15 @@ pub struct SloRow {
     pub slow: u64,
     /// The p99 target the tenant is held to.
     pub target_ns: u64,
-    /// p99 over the sliding window as of the snapshot instant.
-    pub window_p99_ns: u64,
-    /// Requests in the sliding window.
-    pub window_requests: u64,
+    /// p99 of the tenant's latency histogram.
+    pub p99_ns: u64,
     /// Error-budget burn: `slow / (1 % of requests)`. `1.0` means the
     /// 1 % budget is exactly spent; above that the tenant is out of SLO.
     pub budget_burn: f64,
 }
 
-impl SloRow {
-    /// `true` when the windowed p99 currently exceeds the target.
-    pub fn over_target(&self) -> bool {
-        self.window_p99_ns > self.target_ns
-    }
-}
-
 /// Per-tenant SLO rows, derived from the registry's per-tenant series:
-/// one row per [`LATENCY`] window labeled `tenant=…`, in label order.
+/// one row per [`LATENCY`] histogram labeled `tenant=…`, in label order.
 pub fn rows(reg: &RegistrySnapshot) -> Vec<SloRow> {
     let target = target_ns();
     let counter = |name: &str, label: &str| {
@@ -108,7 +100,7 @@ pub fn rows(reg: &RegistrySnapshot) -> Vec<SloRow> {
         .filter(|r| r.name == LATENCY)
         .filter_map(|r| {
             let tenant = r.label.strip_prefix("tenant=")?;
-            let MetricValue::Window { count, p99_ns, .. } = r.value else {
+            let MetricValue::Histogram { p99_ns, .. } = r.value else {
                 return None;
             };
             let requests = counter(REQUESTS, &r.label);
@@ -119,8 +111,7 @@ pub fn rows(reg: &RegistrySnapshot) -> Vec<SloRow> {
                 requests,
                 slow,
                 target_ns: target,
-                window_p99_ns: p99_ns,
-                window_requests: count,
+                p99_ns,
                 budget_burn: if budget > 0.0 { slow as f64 / budget } else { 0.0 },
             })
         })
@@ -133,10 +124,10 @@ mod tests {
     use crate::registry;
 
     /// Records one request the way the serving engine does.
-    fn request(tenant: &str, now_ns: u64, latency_ns: u64) {
+    fn request(tenant: &str, latency_ns: u64) {
         let label = format!("tenant={tenant}");
         registry::inc(REQUESTS, &label, 1);
-        registry::observe(LATENCY, &label, now_ns, latency_ns);
+        registry::observe(LATENCY, &label, latency_ns);
         if latency_ns > target_ns() {
             registry::inc(SLOW, &label, 1);
         }
@@ -149,13 +140,13 @@ mod tests {
         set_target_ms(1.0); // 1 ms = 1_000_000 ns
         // 200 requests for tenant 3: 2 slow → burn = 2 / (0.01·200) = 1.0.
         for i in 0..200u64 {
-            request("3", (i + 1) * 1_000, if i < 2 { 2_000_000 } else { 1_000 });
+            request("3", if i < 2 { 2_000_000 } else { 1_000 });
         }
         // A clean tenant for ordering/burn contrast, and a series of
         // another family that yields no row.
-        request("10", 1_000, 500);
-        registry::observe("serve_stage_ns", "stage=gemm", 1_000, 5);
-        let rows = rows(&registry::snapshot_at(300_000));
+        request("10", 500);
+        registry::observe("serve_stage_ns", "stage=gemm", 5);
+        let rows = rows(&registry::snapshot());
         assert_eq!(rows.len(), 2);
         assert_eq!(rows[0].tenant, "10", "registry label order");
         let t3 = &rows[1];
@@ -163,9 +154,7 @@ mod tests {
         assert_eq!(t3.requests, 200);
         assert_eq!(t3.slow, 2);
         assert!((t3.budget_burn - 1.0).abs() < 1e-12);
-        assert_eq!(t3.window_requests, 200);
-        assert!(t3.window_p99_ns <= t3.target_ns, "p99 within target");
-        assert!(!t3.over_target());
+        assert!(t3.p99_ns <= t3.target_ns, "p99 within target");
         let t10 = &rows[0];
         assert_eq!((t10.slow, t10.budget_burn), (0, 0.0));
         set_target_ms(0.0);
@@ -176,12 +165,12 @@ mod tests {
         let _g = crate::tests::lock();
         registry::set_enabled(true);
         set_target_ms(0.001); // 1 µs target: everything is slow
-        for i in 0..50u64 {
-            request("7", (i + 1) * 1_000, 10_000);
+        for _ in 0..50 {
+            request("7", 10_000);
         }
-        let rows = rows(&registry::snapshot_at(60_000));
+        let rows = rows(&registry::snapshot());
         assert_eq!(rows[0].slow, 50);
-        assert!(rows[0].over_target());
+        assert!(rows[0].p99_ns > rows[0].target_ns);
         assert!(rows[0].budget_burn > 1.0);
         set_target_ms(0.0);
     }
@@ -191,9 +180,9 @@ mod tests {
         let _g = crate::tests::lock();
         registry::set_enabled(false);
         set_target_ms(0.001);
-        request("1", 1_000, u64::MAX / 2);
+        request("1", u64::MAX / 2);
         registry::set_enabled(true);
-        assert!(rows(&registry::snapshot_at(10_000)).is_empty());
+        assert!(rows(&registry::snapshot()).is_empty());
         set_target_ms(0.0);
     }
 

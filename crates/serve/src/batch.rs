@@ -36,14 +36,10 @@ impl Request {
     }
 }
 
-/// Accumulates requests into fixed-size batches. Each pending request
-/// carries an enqueue stamp (telemetry-clock nanoseconds, 0 when
-/// telemetry is off) so the engine can attribute batcher wait to the
-/// `queue` stage of the request's latency breakdown.
+/// Accumulates requests into fixed-size batches.
 #[derive(Default)]
 pub struct Batcher {
     pending: Vec<Request>,
-    enqueued_ns: Vec<u64>,
     max_batch: usize,
 }
 
@@ -52,52 +48,24 @@ impl Batcher {
     pub fn new(max_batch: usize) -> Self {
         Batcher {
             pending: Vec::new(),
-            enqueued_ns: Vec::new(),
             max_batch: max_batch.max(1),
         }
     }
 
     /// Adds a request; returns a full batch once `max_batch` accumulate.
     pub fn push(&mut self, req: Request) -> Option<Vec<Request>> {
-        self.push_stamped(req, 0).map(|(batch, _)| batch)
-    }
-
-    /// [`Self::push`] with an enqueue stamp; a released batch comes with
-    /// its per-request stamps, in request order.
-    pub fn push_stamped(&mut self, req: Request, now_ns: u64) -> Option<(Vec<Request>, Vec<u64>)> {
         self.pending.push(req);
-        self.enqueued_ns.push(now_ns);
-        if self.pending.len() >= self.max_batch {
-            Some((
-                std::mem::take(&mut self.pending),
-                std::mem::take(&mut self.enqueued_ns),
-            ))
-        } else {
-            None
-        }
+        (self.pending.len() >= self.max_batch).then(|| self.flush())
     }
 
     /// Releases whatever is pending (possibly empty) — the ragged tail.
     pub fn flush(&mut self) -> Vec<Request> {
-        self.flush_stamped().0
-    }
-
-    /// [`Self::flush`] with the pending requests' enqueue stamps.
-    pub fn flush_stamped(&mut self) -> (Vec<Request>, Vec<u64>) {
-        (
-            std::mem::take(&mut self.pending),
-            std::mem::take(&mut self.enqueued_ns),
-        )
+        std::mem::take(&mut self.pending)
     }
 
     /// Requests currently waiting.
     pub fn pending(&self) -> usize {
         self.pending.len()
-    }
-
-    /// Enqueue stamp of the oldest pending request (`None` when empty).
-    pub fn oldest_enqueued_ns(&self) -> Option<u64> {
-        self.enqueued_ns.first().copied()
     }
 
     /// The configured batch size.
@@ -182,25 +150,6 @@ mod tests {
         let tail = b.flush();
         assert_eq!(tail.len(), 1);
         assert!(b.flush().is_empty());
-    }
-
-    #[test]
-    fn stamps_track_requests_through_release_and_flush() {
-        let mut b = Batcher::new(2);
-        assert!(b
-            .push_stamped(Request::new(1, rows(&[1.0, 2.0])), 100)
-            .is_none());
-        assert_eq!(b.oldest_enqueued_ns(), Some(100));
-        let (batch, enq) = b
-            .push_stamped(Request::new(2, rows(&[3.0, 4.0])), 250)
-            .unwrap();
-        assert_eq!(batch.len(), 2);
-        assert_eq!(enq, vec![100, 250]);
-        assert_eq!(b.oldest_enqueued_ns(), None);
-        b.push(Request::new(3, rows(&[5.0, 6.0])));
-        let (tail, enq) = b.flush_stamped();
-        assert_eq!(tail.len(), 1);
-        assert_eq!(enq, vec![0], "plain push stamps zero");
     }
 
     #[test]

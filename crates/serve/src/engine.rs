@@ -1,4 +1,4 @@
-//! The serving engine: store + cache + batcher + tape-free forwards.
+//! The serving engine: store + cache + tape-free forwards over batches.
 //!
 //! A [`ServeEngine`] owns value snapshots of one shared frozen base layer
 //! (dense, and optionally a conv base and a `peft::multi` slot bank) plus
@@ -27,14 +27,14 @@
 //! chain. W never changes (the PEFT premise), so it is multiplied once;
 //! only the input-dependent update (paper Eq. 6/7) is per tenant.
 
-use crate::batch::{concat_rows, split_rows, Batcher, Request};
+use crate::batch::{concat_rows, split_rows, Request};
 use crate::cache::{CacheKey, MergedCache};
 use crate::forward::{self, MappingSnapshot};
 use crate::store::{AdapterStore, TenantAdapter, TenantEntry, TenantId};
 use crate::telemetry::{self, StageNs};
 use crate::Result;
 use metalora_nn::infer;
-use metalora_obs::{registry, window};
+use metalora_obs::registry;
 use metalora_peft::meta::MappingNet;
 use metalora_peft::{merge, MultiLoraLinear};
 use metalora_tensor::conv::ConvSpec;
@@ -186,37 +186,15 @@ impl ServeEngine {
         Ok(out.remove(0))
     }
 
-    /// Serves a whole stream, chunked into `max_batch`-sized batches;
-    /// outputs are in request order. With telemetry on
-    /// ([`metalora_obs::registry::enabled`]) each request is stamped at
-    /// enqueue so its batcher wait lands in the `queue` stage, and the
-    /// batcher's depth/age gauges are refreshed on every push.
+    /// Serves a whole stream in `max_batch`-sized batches and a ragged
+    /// tail — the [`crate::Batcher`]'s release pattern — through
+    /// [`Self::serve_batch`]; outputs are in request order.
     pub fn process(&self, reqs: &[Request]) -> Result<Vec<Tensor>> {
-        let tel = registry::enabled();
         let mut out = Vec::with_capacity(reqs.len());
-        let mut batcher = Batcher::new(self.cfg.max_batch);
-        for r in reqs {
-            let now = if tel { window::now_ns() } else { 0 };
-            if let Some((batch, enq)) = batcher.push_stamped(r.clone(), now) {
-                out.extend(self.serve_batch_timed(&batch, &enq)?);
-            } else if tel {
-                let age = batcher
-                    .oldest_enqueued_ns()
-                    .map_or(0, |e| now.saturating_sub(e));
-                telemetry::record_queue(batcher.pending(), age);
-            }
-        }
-        let (tail, enq) = batcher.flush_stamped();
-        if !tail.is_empty() {
-            out.extend(self.serve_batch_timed(&tail, &enq)?);
+        for batch in reqs.chunks(self.cfg.max_batch.max(1)) {
+            out.extend(self.serve_batch(batch)?);
         }
         Ok(out)
-    }
-
-    /// Serves one batch with no enqueue stamps (every `queue` stage reads
-    /// zero). Outputs are in request order.
-    pub fn serve_batch(&self, reqs: &[Request]) -> Result<Vec<Tensor>> {
-        self.serve_batch_timed(reqs, &[])
     }
 
     /// Serves one batch: resolves tenants, checks every stacked request's
@@ -225,14 +203,13 @@ impl ServeEngine {
     /// splits off each stacked request's rows and runs each other
     /// request's own forward. Outputs are in request order.
     ///
-    /// `enq_ns` carries per-request enqueue stamps from the batcher (empty
-    /// or zero ⇒ no queue wait attributed). With telemetry on, every
-    /// request gets an id and a per-stage breakdown (queue / cache /
-    /// mapping / gemm) recorded through [`crate::telemetry`];
-    /// the telemetry clock is only read from this sequential loop — never
-    /// from inside a kernel — so logical-clock runs are bit-reproducible. Timing is passive: outputs are bitwise identical
-    /// with telemetry on or off.
-    fn serve_batch_timed(&self, reqs: &[Request], enq_ns: &[u64]) -> Result<Vec<Tensor>> {
+    /// With telemetry on, every request gets an id and a per-stage
+    /// breakdown (cache / mapping / gemm) recorded through
+    /// [`crate::telemetry`]; the telemetry clock is only read from this
+    /// sequential loop — never from inside a kernel — so logical-clock
+    /// runs are bit-reproducible. Timing is passive: outputs are bitwise
+    /// identical with telemetry on or off.
+    pub fn serve_batch(&self, reqs: &[Request]) -> Result<Vec<Tensor>> {
         // An empty batch is a no-op: no span, counter, series or lock.
         if reqs.is_empty() {
             return Ok(Vec::new());
@@ -255,9 +232,9 @@ impl ServeEngine {
         let segments = self.base_segments(reqs, &entries)?;
         let stacked_rows = segments.iter().flatten().map(|rows| rows.len()).sum::<usize>();
 
-        let batch_t0 = if tel { window::now_ns() } else { 0 };
+        let batch_t0 = if tel { registry::now_ns() } else { 0 };
         let seeds = self.generate_batch_seeds(reqs, &entries)?;
-        let seeds_t1 = if tel { window::now_ns() } else { 0 };
+        let seeds_t1 = if tel { registry::now_ns() } else { 0 };
         // The stacked mapping-net forward is one GEMM for all dynamic
         // requests; attribute it evenly across them.
         let mapping_share = if seeds.is_empty() {
@@ -268,12 +245,12 @@ impl ServeEngine {
         let mut stacked = self.stacked_forward(reqs, &entries, &segments, &seeds)?;
         // The stacked base product and the low-rank pass over it are one
         // stage for all factored requests; attribute it by row share.
-        let base_ns = if tel { window::now_ns().saturating_sub(seeds_t1) } else { 0 };
+        let base_ns = if tel { registry::now_ns().saturating_sub(seeds_t1) } else { 0 };
 
         let mut out = Vec::with_capacity(reqs.len());
         for (i, (req, entry)) in reqs.iter().zip(&entries).enumerate() {
             let mut stages = StageNs::default();
-            let fwd_t0 = if tel { window::now_ns() } else { 0 };
+            let fwd_t0 = if tel { registry::now_ns() } else { 0 };
             // A stacked request's own forward is splitting off its rows;
             // a lone one's output is the product itself.
             let y = match (&segments[i], &stacked) {
@@ -285,7 +262,7 @@ impl ServeEngine {
                 _ => self.forward_one(entry, &req.x, tel, &mut stages)?,
             };
             if tel {
-                let fwd_ns = window::now_ns().saturating_sub(fwd_t0);
+                let fwd_ns = registry::now_ns().saturating_sub(fwd_t0);
                 // The bias is fused into the GEMM store, so the forward
                 // splits into cache time and "everything else" = gemm,
                 // which for a factored request includes its rows' share
@@ -297,10 +274,6 @@ impl ServeEngine {
                 if seeds.contains_key(&i) {
                     stages.mapping = mapping_share;
                 }
-                stages.queue = enq_ns
-                    .get(i)
-                    .filter(|&&e| e > 0)
-                    .map_or(0, |&e| batch_t0.saturating_sub(e));
                 let id = self.next_request_id.fetch_add(1, Relaxed);
                 telemetry::record_request(id, req.tenant, entry.adapter.method(), stages);
             }
@@ -462,10 +435,10 @@ impl ServeEngine {
     where
         D: FnOnce() -> Result<Tensor>,
     {
-        let t0 = if tel { window::now_ns() } else { 0 };
+        let t0 = if tel { registry::now_ns() } else { 0 };
         let w = self.cache.get_or_insert(key, || merge::merge_into(base, &delta()?))?;
         if tel {
-            stages.cache = window::now_ns().saturating_sub(t0);
+            stages.cache = registry::now_ns().saturating_sub(t0);
         }
         Ok(w)
     }

@@ -25,9 +25,9 @@
 //!   stacked base product per batch, every factored update added onto it
 //!   by one `ops::lowrank` pass; it records the serve counters.
 //! * [`telemetry`] — the bridge into `obs::registry`/`obs::slo`: per-
-//!   request stage breakdowns (queue / cache / mapping / gemm),
-//!   per-tenant windowed latency and SLO accounting, cache
-//!   and batcher gauges, and tail-latency attribution. Active only when
+//!   request stage breakdowns (cache / mapping / gemm), per-tenant
+//!   whole-run latency histograms and SLO accounting, cache residency
+//!   gauges, and tail-latency attribution. Active only when
 //!   `METALORA_OBS_METRICS` telemetry is on; purely passive either way.
 //! * [`traffic`] — synthetic zipf-distributed multi-tenant traffic with
 //!   per-task input shifts, for the `serve` artifact driver and the

@@ -1,7 +1,10 @@
 //! Bridge from the serving engine into the live telemetry stack:
-//! `obs::registry` (labeled counters/gauges/windowed latency families)
-//! and its tail-latency attribution ring. The per-tenant series written
-//! here are what `obs::slo` derives its SLO rows from.
+//! `obs::registry` (labeled counters, gauges and whole-run latency
+//! histograms) and its tail-latency attribution ring. The per-tenant
+//! series written here are what `obs::slo` derives its SLO rows from.
+//! A request's latency is the sum of three stages (cache / mapping /
+//! gemm): the engine serves batches it already holds, so no request
+//! waits in a queue.
 //!
 //! Label convention: registry labels are `key=value` strings — `tenant=3`,
 //! `method=lora`, `size=16`, `stage=gemm` — written verbatim into the run
@@ -17,14 +20,12 @@
 use crate::cache::CacheStats;
 use crate::store::TenantId;
 use metalora_obs::registry::{self, Attribution, STAGES};
-use metalora_obs::{slo, window};
+use metalora_obs::slo;
 
 /// Per-stage nanosecond breakdown of one request, ordered like
 /// [`registry::STAGES`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StageNs {
-    /// Batcher wait: enqueue stamp to batch start.
-    pub queue: u64,
     /// Merged-weight cache lookup, including the merge on a miss.
     pub cache: u64,
     /// This request's share of the batch's stacked mapping-net forward.
@@ -38,8 +39,8 @@ pub struct StageNs {
 
 impl StageNs {
     /// Array view ordered like [`registry::STAGES`].
-    pub fn to_array(self) -> [u64; 4] {
-        [self.queue, self.cache, self.mapping, self.gemm]
+    pub fn to_array(self) -> [u64; 3] {
+        [self.cache, self.mapping, self.gemm]
     }
 
     /// End-to-end latency: the sum of all stages.
@@ -49,22 +50,21 @@ impl StageNs {
 }
 
 /// Records one served request: per-tenant and per-method counters, the
-/// windowed latency family and per-stage latency windows. A request
-/// beyond the p99 target ([`slo::target_ns`]) is slow: it counts in
-/// `serve_slow_requests_total` and lands a tail-latency [`Attribution`]
-/// sample naming the dominant stage.
+/// tenant's latency histogram and one sample per stage histogram. A
+/// request beyond the p99 target ([`slo::target_ns`]) is slow: it counts
+/// in `serve_slow_requests_total` and lands a tail-latency
+/// [`Attribution`] sample naming the dominant stage.
 pub fn record_request(request_id: u64, tenant: TenantId, method: &'static str, stages: StageNs) {
     if !registry::enabled() {
         return;
     }
-    let now = window::now_ns();
     let total = stages.total();
     let tenant_label = format!("tenant={tenant}");
     registry::inc(slo::REQUESTS, &tenant_label, 1);
     registry::inc("serve_requests_by_method_total", &format!("method={method}"), 1);
-    registry::observe(slo::LATENCY, &tenant_label, now, total);
+    registry::observe(slo::LATENCY, &tenant_label, total);
     for (name, ns) in STAGES.iter().zip(stages.to_array()) {
-        registry::observe("serve_stage_ns", &format!("stage={name}"), now, ns);
+        registry::observe("serve_stage_ns", &format!("stage={name}"), ns);
     }
     if total > slo::target_ns() {
         registry::inc(slo::SLOW, &tenant_label, 1);
@@ -81,20 +81,13 @@ pub fn record_request(request_id: u64, tenant: TenantId, method: &'static str, s
 }
 
 /// Records one executed batch under its size signature, and mirrors the
-/// merged-weight cache accounting into gauges: resident bytes, resident
-/// entries, and cumulative eviction churn.
+/// merged-weight cache's residency into gauges: resident bytes and
+/// resident entries (evictions are the cache's own
+/// `serve_cache_evictions_total` counter).
 pub fn record_batch(size: usize, stats: &CacheStats) {
     registry::inc("serve_batches_by_size_total", &format!("size={size}"), 1);
     registry::gauge_set("serve_cache_resident_bytes", "", stats.bytes as f64);
     registry::gauge_set("serve_cache_entries", "", stats.entries as f64);
-    registry::gauge_set("serve_cache_eviction_churn", "", stats.evictions as f64);
-}
-
-/// Records batcher pressure: pending depth and the age of the oldest
-/// waiting request.
-pub fn record_queue(depth: usize, oldest_age_ns: u64) {
-    registry::gauge_set("serve_queue_depth", "", depth as f64);
-    registry::gauge_set("serve_queue_age_ns", "", oldest_age_ns as f64);
 }
 
 #[cfg(test)]
@@ -104,14 +97,13 @@ mod tests {
     #[test]
     fn stage_array_order_matches_registry_stages() {
         let s = StageNs {
-            queue: 1,
             cache: 2,
             mapping: 3,
             gemm: 4,
         };
-        assert_eq!(s.to_array(), [1, 2, 3, 4]);
-        assert_eq!(s.total(), 10);
-        assert_eq!(STAGES, ["queue", "cache", "mapping", "gemm"]);
+        assert_eq!(s.to_array(), [2, 3, 4]);
+        assert_eq!(s.total(), 9);
+        assert_eq!(STAGES, ["cache", "mapping", "gemm"]);
     }
 
     #[test]

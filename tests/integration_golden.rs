@@ -67,7 +67,7 @@ fn golden_quick_pipeline() {
     metalora_obs::set_enabled(true);
     metalora_obs::trace::set_enabled(true);
     metalora_obs::registry::set_enabled(true);
-    metalora_obs::window::set_clock(metalora_obs::window::ClockMode::Logical);
+    metalora_obs::registry::set_clock(metalora_obs::registry::ClockMode::Logical);
     metalora_obs::reset();
     let accs_on = run_pipeline();
     let epochs = metalora_obs::metrics::snapshot();
@@ -79,7 +79,7 @@ fn golden_quick_pipeline() {
     metalora_obs::set_enabled(false);
     metalora_obs::trace::set_enabled(false);
     metalora_obs::registry::set_enabled(false);
-    metalora_obs::window::set_clock(metalora_obs::window::ClockMode::Monotonic);
+    metalora_obs::registry::set_clock(metalora_obs::registry::ClockMode::Monotonic);
     metalora_obs::reset();
 
     for (k, (on, off)) in [5usize, 10].into_iter().zip(accs_on.iter().zip(&accs_off)) {
